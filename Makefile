@@ -100,7 +100,7 @@ bench-smoke:
 
 # The perf-trajectory artifact: hot-path, reducer, grid, graph-layer,
 # dynamics, checkpoint, and observability benchmarks parsed into
-# BENCH_pr9.json (benchmark name -> ns/op, B/op, allocs/op, custom metrics).
+# BENCH_pr10.json (benchmark name -> ns/op, B/op, allocs/op, custom metrics).
 # The 'BenchmarkEngine' pattern covers both the slice path
 # (EngineSequential/Parallel) and the streaming reducer
 # (EngineReduceSequential/Parallel); 'BenchmarkSimRoundLoop'
@@ -112,10 +112,12 @@ bench-smoke:
 # behind -checkpoint/-resume; 'BenchmarkMetrics' is the
 # instrumented-vs-uninstrumented round-loop pair that prices the PR 9
 # observability layer; 'BenchmarkAdaptive' is the per-round planning cost of
-# the adaptive best-response adversary, transposition-table cold and warm.
-# CI uploads the file so the trend is comparable across PRs.
+# the adaptive best-response adversary, transposition-table cold and warm;
+# 'BenchmarkRunSetup' is per-run setup alone (a 1-round n=256 run), the
+# layer the per-process random streams live in. CI uploads the file so the
+# trend is comparable across PRs.
 bench-json:
-	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkSimRoundLoop|BenchmarkGridSweep|BenchmarkEpochSwap|BenchmarkDynamicSweep|BenchmarkCheckpoint|BenchmarkMetrics|BenchmarkAdaptive' -benchmem -benchtime 3x . > bench_raw.txt
+	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkSimRoundLoop|BenchmarkRunSetup|BenchmarkGridSweep|BenchmarkEpochSwap|BenchmarkDynamicSweep|BenchmarkCheckpoint|BenchmarkMetrics|BenchmarkAdaptive' -benchmem -benchtime 3x . > bench_raw.txt
 	$(GO) test -run NONE -bench 'BenchmarkGraphConstruction|BenchmarkUnreliableMembership|BenchmarkGeometricBuild100k|BenchmarkPreferentialAttachmentBuild100k' -benchmem -benchtime 3x ./internal/graph/ >> bench_raw.txt
 	$(GO) run ./cmd/benchjson < bench_raw.txt > BENCH_pr10.json
 	@rm -f bench_raw.txt
@@ -124,15 +126,17 @@ bench-json:
 # Regression gate over the trajectory artifact: compare the fresh
 # BENCH_pr10.json against a baseline report (CI fetches the previous run's
 # artifact into $(BENCH_BASELINE); locally point it at any saved report) and
-# fail on a >10% ns/op regression in the gated round-loop, epoch-swap, and
-# adaptive-planning benchmarks. Benchmarks absent from the baseline are
-# informational "new", never failures. Skipped with a notice when no
+# fail on a >10% ns/op regression in the gated round-loop, run-setup,
+# epoch-swap, and adaptive-planning benchmarks, or a >10% B/op regression in
+# run setup. Benchmarks absent from the baseline are informational "new",
+# never failures. Skipped with a notice when no
 # baseline exists (first run, artifact expired) — absence of a baseline must
 # not mask absence of the gate, so the skip prints loudly.
 BENCH_BASELINE ?= BENCH_baseline.json
 bench-compare: bench-json
 	@if [ -f "$(BENCH_BASELINE)" ]; then \
-		$(GO) run ./cmd/benchcmp -old "$(BENCH_BASELINE)" -new BENCH_pr10.json; \
+		$(GO) run ./cmd/benchcmp -old "$(BENCH_BASELINE)" -new BENCH_pr10.json && \
+		$(GO) run ./cmd/benchcmp -old "$(BENCH_BASELINE)" -new BENCH_pr10.json -match '^BenchmarkRunSetup$$' -metric B/op; \
 	else \
 		echo "bench-compare: no baseline at $(BENCH_BASELINE); skipping regression gate"; \
 	fi

@@ -604,6 +604,29 @@ func BenchmarkSimRoundLoopDynamic(b *testing.B) {
 	})
 }
 
+// BenchmarkRunSetup isolates per-run setup — proc assignment, process
+// construction with their per-pid SplitMix64 streams, run buffers, the
+// result — from the round loop: one round of Decay at n=256 on the
+// short-trials geometric network, under the greedy collider. ns/op and
+// B/op are both the cost of setting a run up; the bench-compare gate
+// watches both.
+func BenchmarkRunSetup(b *testing.B) {
+	d, err := graph.Geometric(256, 0.12, 0.25, dualgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg := core.NewDecay()
+	cfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if _, err := sim.Run(d, alg, adversary.GreedyCollider{}, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMetricsOverhead pins the observability tax on the sim hot path:
 // the same dynamic round-loop workload as BenchmarkSimRoundLoopDynamic (the
 // variant that actually crosses metric sites — the static path has zero

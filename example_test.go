@@ -55,7 +55,7 @@ func ExampleRunStream() {
 	}
 	fmt.Printf("completed: %d/%d p50-rounds: %.0f\n", sum.Completed, sum.Trials, p50)
 	// Output:
-	// completed: 8/8 p50-rounds: 148
+	// completed: 8/8 p50-rounds: 209
 }
 
 // ExampleSweep runs a whole Cartesian grid as one declarative value; every

@@ -40,8 +40,12 @@ import (
 )
 
 // WireVersion is the checkpoint file format version. Unknown versions are
-// rejected with *ErrVersion rather than misread.
-const WireVersion = 1
+// rejected with *ErrVersion rather than misread. The version covers what the
+// accumulators mean as well as how they are framed: version 1 files hold
+// trials drawn from per-process math/rand sources, version 2 files trials
+// drawn from the SplitMix64 streams of internal/rng. A resume must not
+// splice shards of two generators under one spec hash.
+const WireVersion = 2
 
 // fileMagic brands a checkpoint file ("DGCK" little-endian).
 const fileMagic uint32 = 0x4B434744

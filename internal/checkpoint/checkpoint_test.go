@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -188,6 +189,29 @@ func TestRejectsStaleSpec(t *testing.T) {
 	tuned.ExactK = 99
 	if _, _, err := Recover(path, tuned); !errors.As(err, &mismatch) {
 		t.Fatalf("want *ErrSpecMismatch for exactK change, got %v", err)
+	}
+}
+
+// TestRejectsPreStreamGeneratorFile pins the generator guard: a version-1
+// file — identical framing, same spec hash and sizes, but accumulators from
+// the math/rand generator — must not resume into a SplitMix64-stream run.
+func TestRejectsPreStreamGeneratorFile(t *testing.T) {
+	recs, meta := testRecords(t, 12)
+	path := filepath.Join(t.TempDir(), "ck")
+	writeFile(t, path, meta, recs)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var version *ErrVersion
+	if _, _, err := Resume(path, meta); !errors.As(err, &version) {
+		t.Fatalf("version-1 checkpoint resumed: want *ErrVersion, got %v", err)
+	} else if version.Got != 1 {
+		t.Fatalf("version error carries %d, want 1", version.Got)
 	}
 }
 

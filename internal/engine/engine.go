@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"dualgraph/internal/graph"
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 )
 
@@ -69,10 +70,7 @@ func (c Config) batch(n, workers int) int {
 // base seeds are statistically independent rather than permutations of the
 // same trials.
 func SeedFor(base int64, trial int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*(uint64(trial)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(rng.Mix64(uint64(base) + rng.Golden*(uint64(trial)+1)))
 }
 
 // trialError carries the error of the lowest-indexed failing trial, so the

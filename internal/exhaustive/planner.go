@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualgraph/internal/graph"
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 )
 
@@ -138,13 +139,11 @@ const rootHash uint64 = 14695981039346656037
 // index, finalized SplitMix64-style so single-byte differences diffuse.
 func chainHash(h uint64, sig string, round int) uint64 {
 	const prime = 1099511628211
-	z := h ^ uint64(round)*0x9e3779b97f4a7c15
+	z := h ^ uint64(round)*rng.Golden
 	for i := 0; i < len(sig); i++ {
 		z = (z ^ uint64(sig[i])) * prime
 	}
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(z)
 }
 
 // Plan returns the best delivery for round len(prefix)+1 of the execution

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"dualgraph/internal/metrics"
+	"dualgraph/internal/rng"
 )
 
 // Schedule produces the frozen network of each epoch of a dynamic run.
@@ -52,10 +53,7 @@ type Schedule interface {
 // engine.SeedFor is for trials, so dynamic runs stay reproducible at any
 // worker count without any shared RNG state.
 func EpochSeed(runSeed int64, epoch int) int64 {
-	z := uint64(runSeed) ^ 0xd1b54a32d192ed03*(uint64(epoch)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(rng.Mix64(uint64(runSeed) ^ 0xd1b54a32d192ed03*(uint64(epoch)+1)))
 }
 
 // Domain-separation tags for unitHash, so the per-node churn coins, per-edge
@@ -72,10 +70,7 @@ const (
 // SplitMix64 finalizer. It is the stateless coin of the built-in schedules:
 // pure, order-independent, and cheap enough to re-evaluate per epoch.
 func unitHash(seed int64, tag, key uint64) float64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(tag^(key+1))
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := rng.Mix64(uint64(seed) + rng.Golden*(tag^(key+1)))
 	return float64(z>>11) / (1 << 53)
 }
 

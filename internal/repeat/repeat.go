@@ -23,6 +23,7 @@ import (
 
 	"dualgraph/internal/core"
 	"dualgraph/internal/graph"
+	"dualgraph/internal/rng"
 )
 
 // Message is a sequence number 1..M.
@@ -140,10 +141,10 @@ func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 		cfg.Adversary = Greedy
 	}
 	n := d.N()
-	baseRng := rand.New(rand.NewSource(cfg.Seed))
 	procs := make([]Process, n)
 	for node := 0; node < n; node++ {
-		procs[node] = p.NewProcess(node+1, n, cfg.Messages, rand.New(rand.NewSource(baseRng.Int63())))
+		pid := node + 1
+		procs[node] = p.NewProcess(pid, n, cfg.Messages, rng.Stream(cfg.Seed, rng.ProcStream(pid)))
 	}
 
 	src := d.Source()

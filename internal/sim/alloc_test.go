@@ -185,3 +185,39 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestRunSetupAllocationPerNode bounds what one run costs before its round
+// loop: a 1-round run at n=256 must allocate under 1 KB per node. Per-run
+// randomness is n+2 SplitMix64 streams of 8 bytes of state each; the bound
+// leaves room for processes and run buffers but not for a per-process
+// generator table such as a ~5 KB math/rand source.
+func TestRunSetupAllocationPerNode(t *testing.T) {
+	const (
+		n    = 256
+		runs = 20
+	)
+	d, err := graph.Geometric(n, 0.12, 0.25, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) {
+		if _, err := sim.Run(d, core.NewDecay(), adversary.GreedyCollider{}, sim.Config{
+			Rule: sim.CR4, Start: sim.AsyncStart, Seed: seed, MaxRounds: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		run(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+	t.Logf("1-round run at n=%d: %.0f B per node", n, perNode)
+	if perNode >= 1024 {
+		t.Fatalf("run setup allocates %.0f B per node, want < 1024", perNode)
+	}
+}

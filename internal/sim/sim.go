@@ -21,6 +21,7 @@ import (
 
 	"dualgraph/internal/graph"
 	"dualgraph/internal/metrics"
+	"dualgraph/internal/rng"
 )
 
 // CollisionRule selects one of the paper's collision rules, in decreasing
@@ -144,8 +145,10 @@ type Algorithm interface {
 	// Name returns a short identifier for reports.
 	Name() string
 	// NewProcess creates the process with identifier id (1..n) for an
-	// n-node network. rng is the process's private randomness source;
-	// deterministic algorithms must not use it.
+	// n-node network. rng is the process's private randomness source:
+	// stream 1+id of the run's SplitMix64 streams (internal/rng), a pure
+	// function of (Config.Seed, id). Deterministic algorithms must not use
+	// it.
 	NewProcess(id, n int, rng *rand.Rand) Process
 }
 
@@ -165,8 +168,9 @@ type View struct {
 	Active []bool
 	// Sent reports, per node, whether it transmits this round.
 	Sent []bool
-	// Rng is the adversary's private randomness source, seeded from
-	// Config.Seed for reproducibility.
+	// Rng is the adversary's private randomness source: stream 1 of the
+	// run's SplitMix64 streams (internal/rng), a pure function of
+	// Config.Seed. AssignProcs receives stream 0.
 	Rng *rand.Rand
 }
 
@@ -886,15 +890,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 			return nil, fmt.Errorf("fork adversary: %w", errNilFork)
 		}
 	}
-	baseRng := rand.New(rand.NewSource(cfg.Seed))
-	assignRng := rand.New(rand.NewSource(baseRng.Int63()))
-	advRng := rand.New(rand.NewSource(baseRng.Int63()))
-	procSeeds := make([]int64, n+1)
-	for pid := 1; pid <= n; pid++ {
-		procSeeds[pid] = baseRng.Int63()
-	}
-
-	procOf, err := adv.AssignProcs(d, assignRng)
+	procOf, err := adv.AssignProcs(d, rng.Stream(cfg.Seed, rng.AssignStream))
 	if err != nil {
 		return nil, fmt.Errorf("assign procs: %w", err)
 	}
@@ -905,7 +901,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 	procs := make([]Process, n)
 	for node := 0; node < n; node++ {
 		pid := procOf[node]
-		procs[node] = alg.NewProcess(pid, n, rand.New(rand.NewSource(procSeeds[pid])))
+		procs[node] = alg.NewProcess(pid, n, rng.Stream(cfg.Seed, rng.ProcStream(pid)))
 	}
 
 	src := d.Source()
@@ -940,7 +936,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 		HasMessage: hasMsg,
 		Active:     active,
 		Sent:       sent,
-		Rng:        advRng,
+		Rng:        rng.Stream(cfg.Seed, rng.AdversaryStream),
 	}
 	buf := newRunBuffers(d)
 	if !buf.dense && cfg.Rule == CR4 {

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test test-short race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke bench-smoke bench-json bench-compare docs-registry docs-metrics docs-check ci
+.PHONY: all build vet fmt-check staticcheck test test-short bench-module race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke bench-smoke bench-json bench-compare docs-registry docs-metrics docs-check ci
 
 all: build
 
@@ -32,6 +32,14 @@ staticcheck:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark harness under bench/ is its own module (so the
+# root's ./... never builds it), yet it imports the engine, spec, sim and
+# facade packages: vet and test it here so an API change that would break
+# `bash bench/run.sh` fails CI instead of the next benchmark run.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # The -short lane skips the slow full-registry experiment test but still
 # exercises the engine fan-out path.
@@ -101,10 +109,12 @@ bench-smoke:
 # The perf-trajectory artifact: hot-path, reducer, grid, graph-layer,
 # dynamics, checkpoint, and observability benchmarks parsed into
 # BENCH_pr10.json (benchmark name -> ns/op, B/op, allocs/op, custom metrics).
-# The 'BenchmarkEngine' pattern covers both the slice path
-# (EngineSequential/Parallel) and the streaming reducer
-# (EngineReduceSequential/Parallel); 'BenchmarkSimRoundLoop'
-# also matches the Static/Dynamic pair that brackets the hoisted round loop;
+# The 'BenchmarkEngine' pattern covers both the materializing path
+# (EngineSequential/Parallel: engine.Map over Trial.Execute) and the
+# streaming grid reducer over one cell (EngineReduceSequential/Parallel);
+# 'BenchmarkSimRoundLoop' also matches SimRoundLoopDynamic, the churn
+# variant of the same round-loop workload whose delta prices dynamics (and
+# benchcmp's default prefix -match gates both);
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the
 # declarative grid runner vs sequential cells; 'BenchmarkEpochSwap' also
 # matches the EpochSwapIncremental/pDown=* churn-scaling series;
@@ -171,4 +181,4 @@ docs-check: docs-registry docs-metrics
 			{ echo "$$f drifted from the generator; commit the regenerated file"; exit 1; }; \
 	done
 
-ci: build vet fmt-check staticcheck docs-check test race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke
+ci: build vet fmt-check staticcheck docs-check test bench-module race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke

@@ -453,8 +453,9 @@ func BenchmarkAdaptiveAdversaryRound(b *testing.B) {
 }
 
 // benchEngineTrials is the Monte Carlo workload used to compare the
-// sequential and parallel trial paths: Harmonic Broadcast against the
-// adaptive adversary on the clique-bridge network.
+// sequential and parallel materializing paths (engine.Map over
+// Trial.Execute): Harmonic Broadcast against the greedy collider on the
+// clique-bridge network.
 func benchEngineTrials(b *testing.B, workers int) {
 	b.Helper()
 	n := 65
@@ -469,10 +470,10 @@ func benchEngineTrials(b *testing.B, workers int) {
 	bound := int(2 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
 	const trials = 64
+	cell := engine.Trial{Net: d, Sched: graph.Static(d), Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := engine.RunMany(d, alg, adversary.GreedyCollider{}, simCfg, trials,
-			engine.Config{Workers: workers})
+		results, err := engine.Map(context.Background(), trials, engine.Config{Workers: workers}, cell.Execute)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -500,8 +501,9 @@ func BenchmarkEngineParallel(b *testing.B) {
 }
 
 // benchEngineReduce runs the same Monte Carlo workload as benchEngineTrials
-// through the streaming reducer: identical trials and seeds, but folded into
-// shard accumulators instead of a materialized result slice.
+// through the streaming grid reducer (a grid of one cell): identical trials
+// and seeds, but folded into shard accumulators instead of a materialized
+// result slice.
 func benchEngineReduce(b *testing.B, workers int) {
 	b.Helper()
 	n := 65
@@ -516,13 +518,14 @@ func benchEngineReduce(b *testing.B, workers int) {
 	bound := int(2 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
 	const trials = 64
+	cells := []engine.Trial{{Net: d, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := engine.RunStream(d, alg, adversary.GreedyCollider{}, simCfg, trials,
-			engine.Config{Workers: workers}, engine.StreamConfig{})
+		sums, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		sum := sums[0]
 		if sum.Completed != trials {
 			b.Fatalf("broadcast incomplete: %d/%d", sum.Completed, sum.Trials)
 		}
@@ -587,15 +590,8 @@ func BenchmarkSimRoundLoop(b *testing.B) {
 	benchSimRoundLoop(b, nil)
 }
 
-// BenchmarkSimRoundLoopStatic is BenchmarkSimRoundLoop under its
-// mode-explicit name, so BENCH json artifacts track the static-vs-dynamic
-// cost split side by side.
-func BenchmarkSimRoundLoopStatic(b *testing.B) {
-	benchSimRoundLoop(b, nil)
-}
-
 // BenchmarkSimRoundLoopDynamic runs the identical workload under a churn
-// schedule (epoch every 50 rounds): the delta against the Static variant is
+// schedule (epoch every 50 rounds): the delta against BenchmarkSimRoundLoop is
 // the whole price of dynamics — incremental epoch materialization, buffer
 // re-checks, and delivery-mask refreshes at the boundary.
 func BenchmarkSimRoundLoopDynamic(b *testing.B) {
@@ -685,7 +681,7 @@ func benchGridSweep(b *testing.B, workers int) {
 	cells := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		grid, err := sweep.Run(dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+		grid, err := sweep.Run(context.Background(), dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{}, dualgraph.SweepHooks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -771,8 +767,9 @@ func BenchmarkEpochSwapIncremental(b *testing.B) {
 }
 
 // benchDynamicSweep runs a churn-schedule Monte Carlo sweep through the
-// streaming reducer: the end-to-end dynamics path (epoch builds + swaps +
-// round loop) under the engine's per-trial seed derivation.
+// streaming grid reducer (a grid of one dynamic cell): the end-to-end
+// dynamics path (epoch builds + swaps + round loop) under the engine's
+// per-trial seed derivation.
 func benchDynamicSweep(b *testing.B, workers int) {
 	b.Helper()
 	n := 65
@@ -791,13 +788,14 @@ func benchDynamicSweep(b *testing.B, workers int) {
 	bound := int(4 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
 	const trials = 32
+	cells := []engine.Trial{{Net: d, Sched: sched, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := engine.RunStreamSchedule(sched, alg, adversary.GreedyCollider{}, simCfg, trials,
-			engine.Config{Workers: workers}, engine.StreamConfig{})
+		sums, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		sum := sums[0]
 		if sum.Completed != trials {
 			b.Fatalf("broadcast incomplete: %d/%d", sum.Completed, sum.Trials)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -170,10 +171,12 @@ func runReduceBench(w io.Writer, trials int, seed int64, workers int) error {
 	fmt.Fprintf(w, "reduce-bench: topology=clique-bridge n=%d alg=%s adversary=greedy-collider rule=CR4 start=async seed=%d trials=%d shards=%d\n",
 		n, alg.Name(), seed, trials, engine.Shards(trials))
 	start := time.Now()
-	sum, err := engine.RunStream(d, alg, adversary.GreedyCollider{}, simCfg, trials, ec, engine.StreamConfig{})
+	cell := engine.Trial{Net: d, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}
+	sums, err := engine.RunGrid(context.Background(), []engine.Trial{cell}, trials, ec, engine.StreamConfig{}, engine.Hooks{})
 	if err != nil {
 		return err
 	}
+	sum := sums[0]
 	elapsed := time.Since(start)
 	mean, _ := sum.Rounds.Mean()
 	p50, _ := sum.Rounds.Quantile(0.5)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -117,6 +119,35 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%s output missing golden line %q:\n%s", workers, want, out)
 			}
 		}
+	}
+}
+
+// TestMedianRoundsExperimentsGolden pins the full -quick -seed 1 output of
+// every experiment that aggregates trials through medianRounds, at worker
+// counts 1, 2 and 8. The goldens in testdata were captured from the
+// streaming-reducer implementation; the materializing port must reproduce
+// them byte for byte.
+func TestMedianRoundsExperimentsGolden(t *testing.T) {
+	for _, id := range []string{
+		"table2-classical-decay",
+		"table2-dual-harmonic",
+		"abl-collision-rules",
+		"abl-harmonic-T",
+		"abl-adversary",
+		"ext-pref-attach",
+	} {
+		t.Run(id, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", id+".quick-seed1.golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []string{"1", "2", "8"} {
+				got := runOutput(t, "-experiment", id, "-quick", "-seed", "1", "-workers", workers)
+				if got != string(want) {
+					t.Fatalf("workers=%s output differs from the golden\n--- got\n%s--- want\n%s", workers, got, want)
+				}
+			}
+		})
 	}
 }
 

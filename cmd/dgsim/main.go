@@ -200,7 +200,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return runMany(ctx, w, built, *topo, schedSuffix(*sched), *rule, *start, *seed, *trials, *workers)
 	}
 
-	res, err := built.RunContext(ctx)
+	res, err := built.Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -406,11 +406,14 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 
 	fmt.Fprintf(w, "grid: cells=%d trials-per-cell=%d\n", len(cells), trials)
 	printed := 0
-	_, err = sw.StreamFrom(ctx, dualgraph.EngineConfig{Workers: workers}, sc, seed, onShard,
-		func(cr dualgraph.CellResult) {
+	_, err = sw.Run(ctx, dualgraph.EngineConfig{Workers: workers}, sc, dualgraph.SweepHooks{
+		Seed:    seed,
+		OnShard: onShard,
+		OnCell: func(cr dualgraph.CellResult) {
 			fmt.Fprintf(w, "%s: %s\n", cr.Cell.Label, dualgraph.FormatSummary(cr.Summary))
 			printed++
-		})
+		},
+	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("interrupted after %d/%d cells (partial results above are final for their cells): %w",
@@ -437,7 +440,7 @@ func runStream(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, top
 		defer cleanup()
 		onShard = obs
 	}
-	sum, err := b.RunStreamFromContext(ctx, trials, dualgraph.EngineConfig{Workers: workers}, sc, nil, onShard)
+	sum, err := b.RunStream(ctx, trials, dualgraph.EngineConfig{Workers: workers}, sc, onShard)
 	if err != nil {
 		return err
 	}
@@ -450,7 +453,7 @@ func runStream(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, top
 // runMany executes a Monte Carlo sweep through the parallel trial engine
 // and prints aggregate round statistics.
 func runMany(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, topo, sched string, rule int, start string, seed int64, trials, workers int) error {
-	results, err := b.RunManyContext(ctx, trials, dualgraph.EngineConfig{Workers: workers})
+	results, err := b.RunMany(ctx, trials, dualgraph.EngineConfig{Workers: workers})
 	if err != nil {
 		return err
 	}

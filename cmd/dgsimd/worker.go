@@ -116,9 +116,7 @@ func foldUnit(ctx context.Context, c service.Claim) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := engine.FoldShardContext(ctx,
-		engine.Trial{Net: b.Net, Sched: b.Sched, Alg: b.Alg, Adv: b.Adv, Cfg: b.Cfg},
-		c.TrialLo, c.TrialHi,
+	sum, err := engine.FoldShardContext(ctx, b.Trial, c.TrialLo, c.TrialHi,
 		engine.StreamConfig{Quantiles: c.Quantiles, ExactK: c.ExactK})
 	if err != nil {
 		return nil, err

@@ -39,7 +39,7 @@
 // (Config.Seed, i), so the result slice is reproducible regardless of
 // parallelism:
 //
-//	results, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{},
+//	results, err := dualgraph.RunMany(ctx, net, alg, dualgraph.GreedyCollider{},
 //		dualgraph.Config{Seed: 1}, 10000, dualgraph.EngineConfig{})
 package dualgraph
 
@@ -128,9 +128,9 @@ func Run(net *Network, alg Algorithm, adv Adversary, cfg Config) (*Result, error
 	return sim.Run(net, alg, adv, cfg)
 }
 
-// EngineConfig configures the parallel trial engine behind RunMany: worker
-// pool size and work batch size. The zero value runs one worker per logical
-// CPU. Neither setting ever changes results, only throughput.
+// EngineConfig configures the parallel trial engine behind RunMany: the
+// worker pool size. The zero value runs one worker per logical CPU. The
+// worker count never changes results, only throughput.
 type EngineConfig = engine.Config
 
 // BufferedAdversary is the optional allocation-free delivery interface; see
@@ -150,18 +150,17 @@ type DeliverySink = sim.DeliverySink
 // function of the trial index, so for a fixed cfg.Seed the returned slice
 // is bit-identical at any worker count, while different cfg.Seed values
 // yield statistically independent replications. On error it reports the
-// lowest-indexed failing trial.
-func RunMany(net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunMany(net, alg, adv, cfg, trials, ec)
+// lowest-indexed failing trial. The sweep stops at the next work-batch
+// boundary once ctx is done and returns an error satisfying
+// errors.Is(err, ctx.Err()). Dynamic-network sweeps go through a Scenario
+// (WithSchedule) or a Sweep.
+func RunMany(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
+	return engine.Map(ctx, trials, ec, staticTrial(net, alg, adv, cfg).Execute)
 }
 
-// RunManyContext is RunMany with cooperative cancellation: the sweep stops
-// at the next work-batch boundary once ctx is done and returns an error
-// satisfying errors.Is(err, ctx.Err()). Results are only returned for runs
-// that finish uncancelled; determinism is unaffected (a completed call is
-// bit-identical to RunMany).
-func RunManyContext(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunManyContext(ctx, net, alg, adv, cfg, trials, ec)
+// staticTrial is the engine cell of a fixed-network sweep.
+func staticTrial(net *Network, alg Algorithm, adv Adversary, cfg Config) engine.Trial {
+	return engine.Trial{Net: net, Sched: graph.Static(net), Alg: alg, Adv: adv, Cfg: cfg}
 }
 
 // Streaming trial aggregation (memory-bounded sweeps).
@@ -171,7 +170,7 @@ type (
 	// exact up to a spill threshold and P²-estimated beyond it.
 	Stream = stats.Stream
 	// StreamConfig selects the tracked quantiles and the exact-until-K
-	// spill threshold of a RunStream summary; the zero value tracks
+	// spill threshold of a streaming summary; the zero value tracks
 	// p50/p90/p95/p99 with the default threshold.
 	StreamConfig = engine.StreamConfig
 	// TrialSummary is the streaming aggregate of a RunStream sweep.
@@ -192,9 +191,8 @@ type (
 	// ShardKey names one (cell, shard) work unit of a grid run.
 	ShardKey = engine.ShardKey
 	// ShardState is one completed work unit: identity, trial range, and the
-	// accumulator folded over exactly those trials. Delivered through the
-	// StreamFrom onShard callback; consume (serialize) the summary during
-	// the call.
+	// accumulator folded over exactly those trials. Delivered through
+	// SweepHooks.OnShard; consume (serialize) the summary during the call.
 	ShardState = engine.ShardState
 	// CheckpointMeta identifies the run a checkpoint belongs to (sweep hash,
 	// grid shape, stream configuration); build it with CheckpointMetaFor.
@@ -204,8 +202,8 @@ type (
 	// CheckpointWriter appends records to a checkpoint file; Append is
 	// concurrency-safe and syncs before returning.
 	CheckpointWriter = checkpoint.Writer
-	// EngineTrial is one fully materialized trial setup — what FoldShard
-	// executes; build it from a Scenario's Build() fields.
+	// EngineTrial is one fully materialized cell — what FoldShard executes;
+	// a BuiltScenario embeds it.
 	EngineTrial = engine.Trial
 	// ErrCheckpointVersion reports a checkpoint file format this build does
 	// not speak.
@@ -228,8 +226,8 @@ var (
 	// ResumeCheckpoint recovers a checkpoint, truncates any torn tail, and
 	// returns a writer positioned to append after the intact records.
 	ResumeCheckpoint = checkpoint.Resume
-	// CheckpointSeed converts recovered records into the seed map
-	// Sweep.StreamFrom takes.
+	// CheckpointSeed converts recovered records into the SweepHooks.Seed
+	// map a resumed Sweep.Run takes.
 	CheckpointSeed = checkpoint.SeedMap
 	// CheckpointMetaFor assembles a run identity; every creator and resumer
 	// must build it the same way for the stale-checkpoint gate to work.
@@ -272,33 +270,6 @@ func RunDynamic(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config) (
 	return sim.RunDynamic(sched, alg, adv, cfg)
 }
 
-// RunManySchedule is RunMany over a dynamic network: trial i's seed is the
-// same pure function of (cfg.Seed, i), and each trial's epoch randomness is
-// derived from its trial seed, so dynamic sweeps too are bit-identical at
-// any worker count.
-func RunManySchedule(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunManySchedule(sched, alg, adv, cfg, trials, ec)
-}
-
-// RunManyScheduleContext is RunManySchedule with cooperative cancellation
-// (see RunManyContext for the contract).
-func RunManyScheduleContext(ctx context.Context, sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunManyScheduleContext(ctx, sched, alg, adv, cfg, trials, ec)
-}
-
-// RunStreamSchedule is RunStream over a dynamic network (memory-bounded
-// dynamic sweeps, same determinism contract as RunManySchedule).
-func RunStreamSchedule(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStreamSchedule(sched, alg, adv, cfg, trials, ec, sc)
-}
-
-// RunStreamScheduleContext is RunStreamSchedule with cooperative
-// cancellation: the reduction stops at the next shard boundary once ctx is
-// done (see RunManyContext for the error contract).
-func RunStreamScheduleContext(ctx context.Context, sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStreamScheduleContext(ctx, sched, alg, adv, cfg, trials, ec, sc)
-}
-
 // Epoch-schedule constructors (the registry equivalents are
 // NamedSchedule("churn", ...) etc.).
 var (
@@ -319,16 +290,15 @@ var (
 // retained, so a ten-million-trial sweep runs in O(1) result memory. The
 // summary is bit-identical at any worker count; counts/min/max are exact,
 // mean/variance exact up to rounding, and quantiles exact until the trial
-// count exceeds StreamConfig.ExactK (P² estimates beyond).
-func RunStream(net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStream(net, alg, adv, cfg, trials, ec, sc)
-}
-
-// RunStreamContext is RunStream with cooperative cancellation: the
-// reduction stops at the next shard boundary once ctx is done (see
-// RunManyContext for the error contract).
-func RunStreamContext(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStreamContext(ctx, net, alg, adv, cfg, trials, ec, sc)
+// count exceeds StreamConfig.ExactK (P² estimates beyond). The reduction
+// stops at the next shard boundary once ctx is done (see RunMany for the
+// error contract).
+func RunStream(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
+	sums, err := engine.RunGrid(ctx, []engine.Trial{staticTrial(net, alg, adv, cfg)}, trials, ec, sc, engine.Hooks{})
+	if err != nil {
+		return nil, err
+	}
+	return sums[0], nil
 }
 
 // Declarative scenario and sweep layer: name-addressed, JSON-round-trippable
@@ -342,7 +312,8 @@ type (
 	// ScenarioOption mutates a Scenario under construction (WithTopology,
 	// WithCollisionRule, ...).
 	ScenarioOption = spec.Option
-	// BuiltScenario is a materialized Scenario, ready to run.
+	// BuiltScenario is a materialized Scenario, ready to run once (Run),
+	// many times (RunMany), or as a memory-bounded stream (RunStream).
 	BuiltScenario = spec.Built
 	// Choice names one registered constructor plus parameter overrides.
 	Choice = spec.Choice
@@ -367,6 +338,9 @@ type (
 	// GridResult is the outcome of Sweep.Run, keyed by cell labels; it is
 	// bit-identical at any worker count.
 	GridResult = spec.GridResult
+	// SweepHooks are the optional checkpoint seed and per-shard/per-cell
+	// observers of a Sweep.Run; the zero value observes nothing.
+	SweepHooks = spec.Hooks
 	// ErrUnsupportedVersion reports a Scenario/Sweep/job document whose
 	// "version" field names a wire format this build does not speak (an
 	// absent or zero version reads as version 1).

@@ -1,6 +1,7 @@
 package dualgraph_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -112,12 +113,12 @@ func TestFacadeRunMany(t *testing.T) {
 	}
 	cfg := dualgraph.Config{Seed: 5}
 	const trials = 16
-	seq, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
+	seq, err := dualgraph.RunMany(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
 		dualgraph.EngineConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
+	par, err := dualgraph.RunMany(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
 		dualgraph.EngineConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +150,14 @@ func TestFacadeRunStream(t *testing.T) {
 	}
 	cfg := dualgraph.Config{Seed: 5}
 	const trials = 16
-	results, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
+	results, err := dualgraph.RunMany(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
 		dualgraph.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref *dualgraph.TrialSummary
 	for _, workers := range []int{1, 4} {
-		sum, err := dualgraph.RunStream(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
+		sum, err := dualgraph.RunStream(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
 			dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +205,11 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := scn.Run()
+	built, err := scn.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := built.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +226,7 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Scenario.Run differs from the positional Run path")
+		t.Fatal("BuiltScenario.Run differs from the positional Run path")
 	}
 
 	sw := dualgraph.Sweep{
@@ -229,7 +234,7 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 		Adversaries: []dualgraph.Choice{{Name: "benign"}, {Name: "greedy"}},
 		Trials:      6,
 	}
-	grid, err := sw.Run(dualgraph.EngineConfig{Workers: 4}, dualgraph.StreamConfig{})
+	grid, err := sw.Run(context.Background(), dualgraph.EngineConfig{Workers: 4}, dualgraph.StreamConfig{}, dualgraph.SweepHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +245,7 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 	if !ok {
 		t.Fatal("adv=greedy cell missing")
 	}
-	standalone, err := scn.RunStream(6, dualgraph.EngineConfig{Workers: 1}, dualgraph.StreamConfig{})
+	standalone, err := built.RunStream(context.Background(), 6, dualgraph.EngineConfig{Workers: 1}, dualgraph.StreamConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

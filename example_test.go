@@ -1,6 +1,7 @@
 package dualgraph_test
 
 import (
+	"context"
 	"fmt"
 
 	"dualgraph"
@@ -23,7 +24,11 @@ func ExampleNewScenario() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := s.Run()
+	b, err := s.Build()
+	if err != nil {
+		panic(err)
+	}
+	res, err := b.Run(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +49,7 @@ func ExampleRunStream() {
 	if err != nil {
 		panic(err)
 	}
-	sum, err := dualgraph.RunStream(net, alg, dualgraph.GreedyCollider{},
+	sum, err := dualgraph.RunStream(context.Background(), net, alg, dualgraph.GreedyCollider{},
 		dualgraph.Config{Seed: 2}, 8, dualgraph.EngineConfig{}, dualgraph.StreamConfig{})
 	if err != nil {
 		panic(err)
@@ -77,7 +82,7 @@ func ExampleSweep() {
 		Ns:         []int{6, 12},
 		Trials:     4,
 	}
-	grid, err := sweep.Run(dualgraph.EngineConfig{}, dualgraph.StreamConfig{})
+	grid, err := sweep.Run(context.Background(), dualgraph.EngineConfig{}, dualgraph.StreamConfig{}, dualgraph.SweepHooks{})
 	if err != nil {
 		panic(err)
 	}
@@ -110,7 +115,11 @@ func ExampleWithSchedule() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := s.Run()
+	b, err := s.Build()
+	if err != nil {
+		panic(err)
+	}
+	res, err := b.Run(context.Background())
 	if err != nil {
 		panic(err)
 	}

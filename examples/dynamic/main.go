@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -55,7 +56,7 @@ func run(trials, workers int, seed int64) error {
 		},
 		Trials: trials,
 	}
-	grid, err := sweep.Run(dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+	grid, err := sweep.Run(context.Background(), dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{}, dualgraph.SweepHooks{})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -66,7 +67,7 @@ func run(trials, workers int, seed int64, emit bool) error {
 		return enc.Encode(sweep)
 	}
 
-	grid, err := sweep.Run(dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+	grid, err := sweep.Run(context.Background(), dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{}, dualgraph.SweepHooks{})
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func run(trials, n, workers int, seed int64) error {
 		return fmt.Errorf("build algorithm: %w", err)
 	}
 
-	sum, err := dualgraph.RunStream(net, alg, dualgraph.Benign{}, dualgraph.Config{
+	sum, err := dualgraph.RunStream(context.Background(), net, alg, dualgraph.Benign{}, dualgraph.Config{
 		Rule:  dualgraph.CR3,
 		Start: dualgraph.SyncStart,
 		Seed:  seed,

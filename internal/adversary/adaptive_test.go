@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -298,12 +299,12 @@ func TestAdaptiveGridDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	const trials = 8
-	ref, err := engine.RunGridStream(cells, trials, engine.Config{Workers: 1}, engine.StreamConfig{})
+	ref, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: 1}, engine.StreamConfig{}, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := engine.RunGridStream(cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
+		got, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -2,7 +2,7 @@
 // in a crash-safe, append-only file, so an interrupted run can resume without
 // redoing finished work — and without perturbing a single bit of the final
 // results (the engine merges a restored accumulator exactly like a freshly
-// folded one; see engine.RunGridStreamFromContext).
+// folded one; see engine.RunGrid).
 //
 // File layout (all integers little-endian):
 //

@@ -28,9 +28,8 @@ func testRecords(t testing.TB, trials int) ([]Record, Meta) {
 		Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 3}}
 	sc := engine.StreamConfig{ExactK: 8}
 	var recs []Record
-	_, err = engine.RunGridStreamFromContext(context.Background(), []engine.Trial{cell, cell}, trials,
-		engine.Config{Workers: 1}, sc, nil,
-		func(st engine.ShardState) {
+	_, err = engine.RunGrid(context.Background(), []engine.Trial{cell, cell}, trials, engine.Config{Workers: 1}, sc, engine.Hooks{
+		OnShard: func(st engine.ShardState) {
 			var sum engine.TrialSummary
 			blob, err := st.Summary.MarshalBinary()
 			if err != nil {
@@ -43,7 +42,8 @@ func testRecords(t testing.TB, trials int) ([]Record, Meta) {
 			}
 			recs = append(recs, Record{Cell: st.Cell, Shard: st.Shard,
 				TrialLo: st.TrialLo, TrialHi: st.TrialHi, Summary: &sum})
-		}, nil)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,31 +39,23 @@ func TestContextPreCancelled(t *testing.T) {
 	cancel()
 	cell := testCell(t, 1)
 
-	if _, err := MapContext(ctx, 100, Config{Workers: 4}, func(i int) (int, error) { return i, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapContext: want context.Canceled, got %v", err)
+	if _, err := Map(ctx, 100, Config{Workers: 4}, func(i int) (int, error) { return i, nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Map: want context.Canceled, got %v", err)
 	}
-	if _, err := ReduceContext(ctx, 100, Config{Workers: 4},
-		func(i int) (int, error) { return i, nil },
-		func() *int { v := 0; return &v },
-		func(acc *int, _ int, v int) error { *acc += v; return nil },
-		func(dst, src *int) error { *dst += *src; return nil },
-	); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReduceContext: want context.Canceled, got %v", err)
+	if _, err := Map(ctx, 50, Config{Workers: 4}, cell.Execute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Map over Execute: want context.Canceled, got %v", err)
 	}
-	if _, err := RunManyContext(ctx, cell.Net, cell.Alg, cell.Adv, cell.Cfg, 50, Config{Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunManyContext: want context.Canceled, got %v", err)
+	if _, err := RunGrid(ctx, []Trial{cell}, 50, Config{Workers: 4}, StreamConfig{}, Hooks{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunGrid: want context.Canceled, got %v", err)
 	}
-	if _, err := RunStreamContext(ctx, cell.Net, cell.Alg, cell.Adv, cell.Cfg, 50, Config{Workers: 4}, StreamConfig{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunStreamContext: want context.Canceled, got %v", err)
-	}
-	if _, err := RunGridStreamContext(ctx, []Trial{cell}, 50, Config{Workers: 4}, StreamConfig{}, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunGridStreamContext: want context.Canceled, got %v", err)
+	if _, err := FoldShardContext(ctx, cell, 0, 10, StreamConfig{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FoldShardContext: want context.Canceled, got %v", err)
 	}
 }
 
 // Cancelling mid-run stops the grid without delivering incomplete cells:
 // every summary handed to onCell must be byte-identical to the same cell's
-// uninterrupted standalone RunStream.
+// uninterrupted standalone run (the grid of that cell alone).
 func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 	const trials = 64
 	cells := []Trial{testCell(t, 1), testCell(t, 2), testCell(t, 3), testCell(t, 4)}
@@ -72,8 +64,8 @@ func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 	var mu sync.Mutex
 	delivered := map[int]*TrialSummary{}
 	n := 0
-	_, err := RunGridStreamContext(ctx, cells, trials, Config{Workers: 2}, StreamConfig{},
-		func(c int, sum *TrialSummary) {
+	_, err := RunGrid(ctx, cells, trials, Config{Workers: 2}, StreamConfig{}, Hooks{
+		OnCell: func(c int, sum *TrialSummary) {
 			mu.Lock()
 			delivered[c] = sum
 			n++
@@ -81,7 +73,8 @@ func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 				cancel() // cancel after the first completed cell
 			}
 			mu.Unlock()
-		})
+		},
+	})
 	defer cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -93,10 +86,11 @@ func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 		t.Log("all cells completed before the cancel took effect (tiny grid); delivery-equality still checked")
 	}
 	for c, got := range delivered {
-		want, err := RunStream(cells[c].Net, cells[c].Alg, cells[c].Adv, cells[c].Cfg, trials, Config{Workers: 1}, StreamConfig{})
+		sums, err := RunGrid(context.Background(), cells[c:c+1], trials, Config{Workers: 1}, StreamConfig{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := sums[0]
 		if got.Trials != want.Trials || got.Completed != want.Completed {
 			t.Fatalf("cell %d: delivered summary (%d/%d) differs from standalone (%d/%d)",
 				c, got.Completed, got.Trials, want.Completed, want.Trials)
@@ -116,13 +110,14 @@ func TestGridOnCellDeliversEveryCellOnce(t *testing.T) {
 	var calls [3]atomic.Int32
 	var got [3]*TrialSummary
 	var mu sync.Mutex
-	sums, err := RunGridStreamContext(context.Background(), cells, 10, Config{Workers: 4}, StreamConfig{},
-		func(c int, sum *TrialSummary) {
+	sums, err := RunGrid(context.Background(), cells, 10, Config{Workers: 4}, StreamConfig{}, Hooks{
+		OnCell: func(c int, sum *TrialSummary) {
 			calls[c].Add(1)
 			mu.Lock()
 			got[c] = sum
 			mu.Unlock()
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +137,7 @@ func TestContextErrorPrecedence(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := MapContext(ctx, 8, Config{Workers: 1}, func(i int) (int, error) {
+	_, err := Map(ctx, 8, Config{Workers: 1}, func(i int) (int, error) {
 		if i == 3 {
 			cancel()
 			return 0, boom

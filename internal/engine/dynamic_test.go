@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,7 +13,9 @@ import (
 	"dualgraph/internal/sim"
 )
 
-func dynamicFixture(t *testing.T) (graph.Schedule, *graph.Dual, sim.Algorithm, sim.Adversary, sim.Config) {
+// dynamicFixture returns a churn cell and the static cell over its base
+// network.
+func dynamicFixture(t *testing.T) (dynamic, static engine.Trial) {
 	t.Helper()
 	base, err := graph.RandomDual(18, 0.25, 0.4, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -26,18 +29,21 @@ func dynamicFixture(t *testing.T) (graph.Schedule, *graph.Dual, sim.Algorithm, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sched, base, alg, adversary.GreedyCollider{}, sim.Config{Seed: 21}
+	static = engine.Trial{Net: base, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: sim.Config{Seed: 21}}
+	dynamic = static
+	dynamic.Sched = sched
+	return dynamic, static
 }
 
 // TestRunManyScheduleWorkerInvariance: dynamic sweeps inherit the engine's
 // bit-identical-at-any-worker-count guarantee, because each trial's epoch
 // randomness is a pure function of its derived trial seed.
 func TestRunManyScheduleWorkerInvariance(t *testing.T) {
-	sched, _, alg, adv, cfg := dynamicFixture(t)
+	cell, _ := dynamicFixture(t)
 	const trials = 24
 	var want []*sim.Result
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := engine.RunManySchedule(sched, alg, adv, cfg, trials, engine.Config{Workers: workers})
+		got, err := runMany(cell, trials, engine.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,18 +67,18 @@ func TestRunManyScheduleWorkerInvariance(t *testing.T) {
 }
 
 // TestRunStreamScheduleMatchesSlicePath: the streamed dynamic aggregate must
-// agree with the materialized RunManySchedule results (exact in the
+// agree with the materialized results (exact in the
 // small-count regime) and be worker-invariant including P² marker state.
 func TestRunStreamScheduleMatchesSlicePath(t *testing.T) {
-	sched, _, alg, adv, cfg := dynamicFixture(t)
+	cell, _ := dynamicFixture(t)
 	const trials = 32
-	results, err := engine.RunManySchedule(sched, alg, adv, cfg, trials, engine.Config{})
+	results, err := runMany(cell, trials, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want *engine.TrialSummary
 	for _, workers := range []int{1, 2, 8} {
-		sum, err := engine.RunStreamSchedule(sched, alg, adv, cfg, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
+		sum, err := runStream(cell, trials, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -106,33 +112,30 @@ func TestRunStreamScheduleMatchesSlicePath(t *testing.T) {
 }
 
 // TestGridStreamDynamicCellEqualsStandalone: a grid mixing static and
-// dynamic cells must reproduce, per cell, exactly the standalone
-// RunStreamSchedule summary at any worker count.
+// dynamic cells must reproduce, per cell, exactly the summary of that cell
+// streamed alone, at any worker count.
 func TestGridStreamDynamicCellEqualsStandalone(t *testing.T) {
-	sched, base, alg, adv, cfg := dynamicFixture(t)
+	dyn, static := dynamicFixture(t)
 	const trials = 16
-	cells := []engine.Trial{
-		{Net: base, Alg: alg, Adv: adv, Cfg: cfg},
-		{Net: base, Sched: sched, Alg: alg, Adv: adv, Cfg: cfg},
-	}
-	standaloneStatic, err := engine.RunStream(base, alg, adv, cfg, trials, engine.Config{}, engine.StreamConfig{})
+	cells := []engine.Trial{static, dyn}
+	standaloneStatic, err := runStream(static, trials, engine.Config{}, engine.StreamConfig{}, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	standaloneDyn, err := engine.RunStreamSchedule(sched, alg, adv, cfg, trials, engine.Config{}, engine.StreamConfig{})
+	standaloneDyn, err := runStream(dyn, trials, engine.Config{}, engine.StreamConfig{}, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		sums, err := engine.RunGridStream(cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
+		sums, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(sums[0], standaloneStatic) {
-			t.Fatalf("workers=%d static cell differs from standalone RunStream", workers)
+			t.Fatalf("workers=%d static cell differs from the static cell streamed alone", workers)
 		}
 		if !reflect.DeepEqual(sums[1], standaloneDyn) {
-			t.Fatalf("workers=%d dynamic cell differs from standalone RunStreamSchedule", workers)
+			t.Fatalf("workers=%d dynamic cell differs from the dynamic cell streamed alone", workers)
 		}
 	}
 	// The static and dynamic cells genuinely differ (the schedule is doing

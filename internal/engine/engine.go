@@ -1,19 +1,32 @@
 // Package engine is the sharded, deterministic Monte-Carlo trial engine.
 // It fans independent trials out over a fixed worker pool (GOMAXPROCS-sized
-// by default) using a batched work queue, while guaranteeing that results —
-// and the first error, if any — are bit-identical regardless of the worker
-// count or the goroutine schedule.
+// by default) while guaranteeing that results — and the first error, if
+// any — are bit-identical regardless of the worker count or the goroutine
+// schedule. There is one execution path per result shape:
+//
+//   - Map runs n indexed trials and returns their results in index order
+//     (the materializing path, O(n) memory);
+//   - RunGrid streams every trial of many cells through one pool at
+//     (cell, shard) granularity, folding each cell into a TrialSummary
+//     without retaining per-trial results (a single-cell sweep is a grid of
+//     one); and
+//   - FoldShardContext folds one (cell, shard) unit sequentially — the
+//     worker side of a coordinator/worker grid.
+//
+// Trial.Execute is the one definition of "run trial i of this cell" that
+// all of them share.
 //
 // Determinism rests on two rules:
 //
 //  1. every trial derives its randomness only from the base seed and its
 //     trial index, via SeedFor(baseSeed, index), never from shared RNG
 //     state or wall-clock time; and
-//  2. trial i's result is written to slot i of a preallocated result slice,
-//     so the output order is the input order no matter which worker ran it.
+//  2. trial i's result lands in a place fixed by i alone — slot i of Map's
+//     result slice, or the fold of shard i's accumulator, merged in shard
+//     order — so the output never depends on which worker ran it.
 //
-// The experiment harness (internal/expt), the public dualgraph.RunMany API,
-// and both CLIs are built on this package.
+// The experiment harness (internal/expt), the spec layer, the public
+// dualgraph API, the sweep service and the CLIs are built on this package.
 package engine
 
 import (
@@ -29,14 +42,11 @@ import (
 )
 
 // Config parameterizes the worker pool. The zero value is ready to use: one
-// worker per logical CPU and an automatically sized work batch.
+// worker per logical CPU.
 type Config struct {
-	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0). The
+	// worker count never affects results, only throughput.
 	Workers int
-	// Batch is the number of consecutive trial indices a worker claims at a
-	// time; <= 0 picks a size that balances queue contention against load
-	// balancing. Batch size never affects results, only scheduling.
-	Batch int
 }
 
 func (c Config) workers() int {
@@ -46,10 +56,10 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) batch(n, workers int) int {
-	if c.Batch > 0 {
-		return c.Batch
-	}
+// batchSize is the number of consecutive trial indices a Map worker claims
+// at a time. It balances queue contention against load balancing and, like
+// the worker count, never affects results.
+func batchSize(n, workers int) int {
 	// Aim for ~8 batches per worker so slow trials rebalance, capped to keep
 	// the atomic counter cold on large trial counts.
 	b := n / (workers * 8)
@@ -95,19 +105,20 @@ func (te *trialError) get() error {
 	return te.err
 }
 
-// MapContext runs fn for every trial index 0..n-1 across the worker pool
-// and returns the results in index order. fn must be safe for concurrent
+// Map runs fn for every trial index 0..n-1 across the worker pool and
+// returns the results in index order. fn must be safe for concurrent
 // invocation and must derive any randomness from its trial index alone
-// (typically via SeedFor). On error MapContext returns the error of the
-// lowest-indexed failing trial (wrapped with that index) and stops claiming
-// new batches; trials already claimed still finish.
+// (typically via SeedFor, or by being a Trial's Execute). On error Map
+// returns the error of the lowest-indexed failing trial (wrapped with that
+// index) and stops claiming new batches; trials already claimed still
+// finish.
 //
 // Cancelling ctx stops the pool at batch granularity: workers finish the
-// batch they claimed and claim no more, and MapContext returns ctx.Err()
-// (wrapped, so errors.Is(err, context.Canceled) works). A trial error takes
+// batch they claimed and claim no more, and Map returns ctx.Err() (wrapped,
+// so errors.Is(err, context.Canceled) works). A trial error takes
 // precedence over cancellation in the returned error, keeping the reported
 // failure deterministic.
-func MapContext[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("engine: negative trial count %d", n)
 	}
@@ -123,7 +134,7 @@ func MapContext[T any](ctx context.Context, n int, cfg Config, fn func(trial int
 		// Sequential fast path: no goroutines, no atomics; identical results
 		// by construction. Cancellation is checked per batch, mirroring the
 		// granularity of the pooled path.
-		batch := cfg.batch(n, workers)
+		batch := batchSize(n, workers)
 		for lo := 0; lo < n; lo += batch {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("engine: %w", err)
@@ -143,7 +154,7 @@ func MapContext[T any](ctx context.Context, n int, cfg Config, fn func(trial int
 		return results, nil
 	}
 
-	batch := cfg.batch(n, workers)
+	batch := batchSize(n, workers)
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
@@ -191,17 +202,17 @@ func MapContext[T any](ctx context.Context, n int, cfg Config, fn func(trial int
 	return results, nil
 }
 
-// Map is MapContext without cancellation, kept as the compatibility entry
-// point for callers that predate the context-first API.
-func Map[T any](n int, cfg Config, fn func(trial int) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), n, cfg, fn)
-}
-
-// Trial is one fully specified simulation: a network, an algorithm, an
-// adversary, and a sim configuration (including its own seed). Sched, when
-// set, makes the trial dynamic: the run executes on the schedule's epoch
-// sequence instead of the fixed Net (which then only documents the base
-// topology the schedule was built over).
+// Trial is one fully specified simulation cell: a network, an algorithm, an
+// adversary, and a sim configuration whose Seed is the base of the
+// per-trial seed derivation. Sched, when set, makes the cell dynamic: its
+// runs execute on the schedule's epoch sequence instead of the fixed Net
+// (which then only documents the base topology the schedule was built
+// over).
+//
+// Every trial of a cell shares its algorithm, adversary and schedule, from
+// concurrent workers: they must be stateless factories safe for concurrent
+// use. All the built-in ones are — schedules hold only immutable
+// construction state and derive each epoch's randomness per call.
 type Trial struct {
 	Net   *graph.Dual
 	Sched graph.Schedule
@@ -210,35 +221,29 @@ type Trial struct {
 	Cfg   sim.Config
 }
 
-// RunTrialsContext executes heterogeneous trials across the pool and returns
-// their results in input order. Each trial uses exactly the seed in its own
-// sim.Config. Algorithms and adversaries may be shared between trials and
-// must therefore be stateless factories, which all the built-in ones are.
-// Cancellation follows MapContext's batch-granularity contract.
-func RunTrialsContext(ctx context.Context, trials []Trial, cfg Config) ([]*sim.Result, error) {
-	return MapContext(ctx, len(trials), cfg, func(i int) (*sim.Result, error) {
-		t := trials[i]
-		return sim.RunDynamic(t.schedule(), t.Alg, t.Adv, t.Cfg)
-	})
+// Execute runs trial i of the cell: one sim.RunDynamic execution with sim
+// seed SeedFor(t.Cfg.Seed, i). sim.RunDynamic derives every epoch's
+// randomness from that seed alone (graph.EpochSeed), so the result is a
+// pure function of (t, i) — which is what makes every engine path
+// bit-identical at any worker count, static and dynamic cells alike.
+func (t Trial) Execute(i int) (*sim.Result, error) {
+	c := t.Cfg
+	c.Seed = SeedFor(t.Cfg.Seed, i)
+	return sim.RunDynamic(t.schedule(), t.Alg, t.Adv, c)
 }
 
-// RunTrials is RunTrialsContext without cancellation (compatibility entry
-// point).
-func RunTrials(trials []Trial, cfg Config) ([]*sim.Result, error) {
-	return RunTrialsContext(context.Background(), trials, cfg)
+// schedule resolves the cell's schedule: the explicit one when set, else the
+// static wrap of its fixed network.
+func (t Trial) schedule() graph.Schedule {
+	if t.Sched != nil {
+		return t.Sched
+	}
+	return graph.Static(t.Net)
 }
 
-// RunManyContext executes trials independent runs of one (net, alg, adv,
-// simCfg) combination. Trial i runs with sim seed SeedFor(simCfg.Seed, i),
-// so a fixed simCfg.Seed yields bit-identical results at any worker count.
-// It is exactly RunManyScheduleContext over a static schedule, mirroring how
-// sim.Run relates to sim.RunDynamic.
-func RunManyContext(ctx context.Context, net *graph.Dual, alg sim.Algorithm, adv sim.Adversary, simCfg sim.Config, trials int, cfg Config) ([]*sim.Result, error) {
-	return RunManyScheduleContext(ctx, graph.Static(net), alg, adv, simCfg, trials, cfg)
-}
-
-// RunMany is RunManyContext without cancellation (compatibility entry
-// point).
-func RunMany(net *graph.Dual, alg sim.Algorithm, adv sim.Adversary, simCfg sim.Config, trials int, cfg Config) ([]*sim.Result, error) {
-	return RunManyContext(context.Background(), net, alg, adv, simCfg, trials, cfg)
+// resolved returns t with its schedule resolved, so the trials of one work
+// unit share a single static wrap instead of building one per Execute.
+func (t Trial) resolved() Trial {
+	t.Sched = t.schedule()
+	return t
 }

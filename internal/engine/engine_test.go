@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -56,7 +57,7 @@ func TestSeedForDecorrelatesBaseSeeds(t *testing.T) {
 
 func TestMapReturnsResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 32} {
-		res, err := engine.Map(100, engine.Config{Workers: workers}, func(i int) (int, error) {
+		res, err := engine.Map(context.Background(), 100, engine.Config{Workers: workers}, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -71,14 +72,14 @@ func TestMapReturnsResultsInIndexOrder(t *testing.T) {
 }
 
 func TestMapZeroTrials(t *testing.T) {
-	res, err := engine.Map(0, engine.Config{}, func(int) (int, error) { return 0, nil })
+	res, err := engine.Map(context.Background(), 0, engine.Config{}, func(int) (int, error) { return 0, nil })
 	if err != nil || len(res) != 0 {
 		t.Fatalf("zero trials: res=%v err=%v", res, err)
 	}
 }
 
 func TestMapNegativeTrials(t *testing.T) {
-	if _, err := engine.Map(-1, engine.Config{}, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, err := engine.Map(context.Background(), -1, engine.Config{}, func(int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative trial count must error")
 	}
 }
@@ -87,9 +88,10 @@ var errBoom = errors.New("boom")
 
 func TestMapReportsLowestIndexError(t *testing.T) {
 	// Several trials fail; the reported error must be trial 13's regardless
-	// of worker count or scheduling.
+	// of worker count or scheduling (and so of the derived batch size, which
+	// is 8, 4 and 1 trials at these worker counts).
 	for _, workers := range []int{1, 2, 8} {
-		_, err := engine.Map(64, engine.Config{Workers: workers, Batch: 1}, func(i int) (int, error) {
+		_, err := engine.Map(context.Background(), 64, engine.Config{Workers: workers}, func(i int) (int, error) {
 			if i == 13 || i == 40 || i == 63 {
 				return 0, fmt.Errorf("%w at %d", errBoom, i)
 			}
@@ -106,7 +108,9 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 
 func TestMapStopsClaimingAfterError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := engine.Map(10000, engine.Config{Workers: 4, Batch: 1}, func(i int) (int, error) {
+	// 10000 trials on 4 workers claim 64-trial batches: trial 0's failure
+	// must stop the pool long before the last batch.
+	_, err := engine.Map(context.Background(), 10000, engine.Config{Workers: 4}, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errBoom
@@ -119,6 +123,20 @@ func TestMapStopsClaimingAfterError(t *testing.T) {
 	if n := ran.Load(); n == 10000 {
 		t.Fatal("engine must stop claiming batches after a failure")
 	}
+}
+
+// runMany materializes trials runs of one cell: Map over its Execute.
+func runMany(cell engine.Trial, trials int, cfg engine.Config) ([]*sim.Result, error) {
+	return engine.Map(context.Background(), trials, cfg, cell.Execute)
+}
+
+// runStream streams trials runs of one cell through the grid of one.
+func runStream(cell engine.Trial, trials int, cfg engine.Config, sc engine.StreamConfig, h engine.Hooks) (*engine.TrialSummary, error) {
+	sums, err := engine.RunGrid(context.Background(), []engine.Trial{cell}, trials, cfg, sc, h)
+	if err != nil {
+		return nil, err
+	}
+	return sums[0], nil
 }
 
 // resultKey flattens the fields of a sim.Result that must match exactly.
@@ -147,7 +165,7 @@ func TestRunManyDeterministicAcrossWorkerCounts(t *testing.T) {
 
 	var ref []*sim.Result
 	for _, workers := range []int{1, 2, 3, 8, 24} {
-		res, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{Workers: workers})
+		res, err := runMany(engine.Trial{Net: d, Alg: alg, Adv: adv, Cfg: simCfg}, trials, engine.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +209,7 @@ func TestRunManyMatchesSequentialSimRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{Workers: 4})
+	got, err := runMany(engine.Trial{Net: d, Alg: alg, Adv: adv, Cfg: simCfg}, trials, engine.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +218,8 @@ func TestRunManyMatchesSequentialSimRuns(t *testing.T) {
 	}
 }
 
+// TestRunTrialsHeterogeneous runs different cells side by side through one
+// Map call: element i is trial 0 of cell i.
 func TestRunTrialsHeterogeneous(t *testing.T) {
 	line, err := graph.Line(6)
 	if err != nil {
@@ -215,7 +235,9 @@ func TestRunTrialsHeterogeneous(t *testing.T) {
 		{Net: clique, Alg: core.NewRoundRobin(), Adv: adversary.GreedyCollider{},
 			Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}},
 	}
-	res, err := engine.RunTrials(trials, engine.Config{Workers: 2})
+	res, err := engine.Map(context.Background(), len(trials), engine.Config{Workers: 2}, func(i int) (*sim.Result, error) {
+		return trials[i].Execute(0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,32 +249,5 @@ func TestRunTrialsHeterogeneous(t *testing.T) {
 	}
 	if !res[1].Completed {
 		t.Fatal("round robin on the clique-bridge must complete")
-	}
-}
-
-func TestMapBatchSizeDoesNotAffectResults(t *testing.T) {
-	d, err := graph.CliqueBridge(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg, err := core.NewHarmonicForN(11, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 9}
-	var ref []*sim.Result
-	for _, batch := range []int{0, 1, 3, 100} {
-		res, err := engine.RunMany(d, alg, adversary.GreedyCollider{}, simCfg, 12,
-			engine.Config{Workers: 3, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(res, ref) {
-			t.Fatalf("batch=%d changed results", batch)
-		}
 	}
 }

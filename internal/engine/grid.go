@@ -2,7 +2,8 @@
 // streamed over many trials, all sharing one worker pool. The unit of
 // parallelism is a (cell, shard) pair — finer than a cell — so a grid
 // parallelizes across cells and inside them at the same time: two cells
-// saturate an 8-way pool, and so does one cell with enough trials.
+// saturate an 8-way pool, and so does one cell with enough trials. A
+// single-cell sweep is simply a grid of one.
 package engine
 
 import (
@@ -12,45 +13,8 @@ import (
 	"sync/atomic"
 
 	"dualgraph/internal/metrics"
-	"dualgraph/internal/sim"
 	"dualgraph/internal/stats"
 )
-
-// RunGridStreamContext executes trials independent runs of every cell,
-// folding each cell's results into its own streaming TrialSummary, and
-// returns the summaries indexed like cells. Cell c's trial i runs with sim
-// seed SeedFor(cells[c].Cfg.Seed, i) — exactly the derivation RunStream
-// applies to a single cell — and each cell's shard accumulators are built
-// over the same shard partition and merged in the same shard order, so
-// every returned summary is bit-identical to RunStream of that cell alone,
-// at any worker count of either call.
-//
-// Cells with a Sched run dynamically (sim.RunDynamic) under the same
-// derivation — epoch randomness is a pure function of each trial's seed —
-// so dynamic grids keep the bit-identical-at-any-worker-count guarantee.
-//
-// Work is fanned out at (cell, shard) granularity over one pool: with C
-// cells and S = Shards(trials) shards there are C·S independent units, so
-// the pool stays busy whether the grid is wide (many cells) or deep (many
-// trials). On error the lowest (cell, trial) pair in lexicographic order is
-// reported.
-//
-// onCell, when non-nil, is invoked once per cell the moment the cell's last
-// shard finishes and its shards have been merged — i.e. while other cells
-// are still running — with the cell index and its final summary. Calls come
-// from worker goroutines, possibly concurrently for different cells and in
-// nondeterministic cell order; each cell's summary value is nevertheless
-// deterministic. Cells that never complete (error or cancellation) get no
-// call, so everything a caller saw through onCell is final and would be
-// byte-identical in an uninterrupted run.
-//
-// Cancelling ctx stops the pool at (cell, shard) granularity: claimed
-// shards finish, nothing new is claimed, and the call returns ctx.Err()
-// (wrapped). Completed cells have already been delivered through onCell.
-func RunGridStreamContext(ctx context.Context, cells []Trial, trials int, cfg Config, sc StreamConfig,
-	onCell func(cell int, sum *TrialSummary)) ([]*TrialSummary, error) {
-	return RunGridStreamFromContext(ctx, cells, trials, cfg, sc, nil, nil, onCell)
-}
 
 // ShardKey names one (cell, shard) work unit of a grid run: cell indexes the
 // cells slice, shard indexes the Shards(trials) partition. It is the key of
@@ -64,8 +28,7 @@ type ShardKey struct {
 // range under ShardRange, and the accumulator folded over exactly those
 // trials. onShard callbacks receive it the moment the shard completes; the
 // Summary must be consumed (typically serialized) during the callback,
-// because the engine may later mutate it as a merge destination. The
-// single-cell stream entry points report Cell as 0.
+// because the engine may later mutate it as a merge destination.
 type ShardState struct {
 	Cell    int
 	Shard   int
@@ -77,23 +40,49 @@ type ShardState struct {
 // Key returns the shard's ShardKey.
 func (s ShardState) Key() ShardKey { return ShardKey{Cell: s.Cell, Shard: s.Shard} }
 
-// RunGridStreamFromContext is RunGridStreamContext with checkpoint hooks.
-// Units listed in seed are taken as already reduced: their accumulators
-// enter the cell's shard-order merge directly and their trials never run.
-// onShard, when non-nil, observes every freshly completed unit (never a
-// seeded one) from worker goroutines, possibly concurrently; the callback
-// must synchronize its own state. Because the shard partition and the merge
-// order are pure functions of the trial count, the returned summaries are
-// bit-identical whether a unit was just folded or restored from a serialized
-// checkpoint — at any worker count on either side of the interruption.
+// Hooks are the optional checkpoint seed and observers of a RunGrid call.
+// The zero value runs the whole grid and observes nothing.
+type Hooks struct {
+	// Seed holds units already reduced (typically restored from a
+	// checkpoint): their accumulators enter the cell's shard-order merge
+	// directly and their trials never run. Seeded accumulators become part
+	// of the reduction; the caller must not retain or mutate them after the
+	// call starts.
+	Seed map[ShardKey]*TrialSummary
+	// OnShard observes every freshly completed unit (never a seeded one)
+	// from worker goroutines, possibly concurrently; the callback must
+	// synchronize its own state and consume the summary during the call.
+	OnShard func(ShardState)
+	// OnCell receives each cell once, the moment its last shard finishes
+	// and its shards have been merged — while other cells are still
+	// running. Calls come from worker goroutines, possibly concurrently and
+	// in nondeterministic cell order; each delivered summary is
+	// nevertheless final and deterministic. Cells that never complete
+	// (error or cancellation) get no call. Cells whose every shard is
+	// seeded are delivered before the pool starts, in cell-index order.
+	OnCell func(cell int, sum *TrialSummary)
+}
+
+// RunGrid executes trials independent runs of every cell, folding each
+// cell's results into its own streaming TrialSummary, and returns the
+// summaries indexed like cells. Cell c's trial i is cells[c].Execute(i);
+// each cell's shard accumulators are built over the Shards(trials)
+// partition and merged in shard order, so every returned summary is
+// bit-identical at any worker count, equal to the same cell run alone
+// (a grid of one), and equal whether a unit was just folded or restored
+// through h.Seed from a serialized checkpoint — at any worker count on
+// either side of the interruption.
 //
-// Cells whose every shard is seeded are merged and delivered through onCell
-// before the pool starts, in cell-index order. Seeded accumulators become
-// part of the reduction: the caller must not retain or mutate them after the
-// call starts.
-func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cfg Config, sc StreamConfig,
-	seed map[ShardKey]*TrialSummary, onShard func(ShardState),
-	onCell func(cell int, sum *TrialSummary)) ([]*TrialSummary, error) {
+// Work is fanned out at (cell, shard) granularity over one pool: with C
+// cells and S = Shards(trials) shards there are C·S independent units, so
+// the pool stays busy whether the grid is wide (many cells) or deep (many
+// trials). On error the lowest (cell, trial) pair in lexicographic order is
+// reported.
+//
+// Cancelling ctx stops the pool at (cell, shard) granularity: claimed
+// shards finish, nothing new is claimed, and the call returns ctx.Err()
+// (wrapped). Cells already delivered through h.OnCell remain final.
+func RunGrid(ctx context.Context, cells []Trial, trials int, cfg Config, sc StreamConfig, h Hooks) ([]*TrialSummary, error) {
 	if trials < 0 {
 		return nil, fmt.Errorf("engine: negative trial count %d", trials)
 	}
@@ -101,6 +90,7 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 		return nil, err
 	}
 	shards := Shards(trials)
+	seed := h.Seed
 	for k := range seed {
 		if k.Cell < 0 || k.Cell >= len(cells) || k.Shard < 0 || k.Shard >= shards {
 			return nil, fmt.Errorf("engine: seeded unit (cell %d, shard %d) outside %d cells × %d shards",
@@ -114,8 +104,8 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 	if trials == 0 {
 		for c := range summaries {
 			summaries[c] = sc.newSummary()
-			if onCell != nil {
-				onCell(c, summaries[c])
+			if h.OnCell != nil {
+				h.OnCell(c, summaries[c])
 			}
 		}
 		return summaries, nil
@@ -150,8 +140,8 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 			}
 		}
 		summaries[c] = dst
-		if onCell != nil {
-			onCell(c, dst)
+		if h.OnCell != nil {
+			h.OnCell(c, dst)
 		}
 	}
 	var mergeEr trialError
@@ -178,8 +168,8 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 		failed  atomic.Bool
 		firstEr trialError
 	)
-	// One code path at any worker count (same rationale as Reduce): the
-	// sequential case is the same unit walk on a pool of one.
+	// One code path at any worker count: the sequential case is the same
+	// unit walk on a pool of one, so fold/merge rounding is identical.
 	done := ctx.Done()
 	work := func() {
 		clock := newWorkerClock(mOn)
@@ -200,20 +190,13 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 				continue
 			}
 			c, s := u/shards, u%shards
-			cell := cells[c]
-			sched := cell.schedule()
+			cell := cells[c].resolved()
 			lo, hi := shardBounds(trials, shards, s)
 			acc := sc.newSummary()
 			shardErr := false
 			clock.beginUnit()
 			for i := lo; i < hi; i++ {
-				simCfg := cell.Cfg
-				simCfg.Seed = SeedFor(cell.Cfg.Seed, i)
-				res, err := sim.RunDynamic(sched, cell.Alg, cell.Adv, simCfg)
-				if err == nil {
-					err = acc.fold(res)
-				}
-				if err != nil {
+				if err := cell.foldTrial(acc, i); err != nil {
 					// Global order key: all trials of cell c sort before any
 					// trial of cell c+1.
 					firstEr.record(c*trials+i, err)
@@ -235,14 +218,13 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 				mUnitsPending.Add(-1)
 				completedFresh.Add(1)
 			}
-			if onShard != nil {
-				onShard(ShardState{Cell: c, Shard: s, TrialLo: lo, TrialHi: hi, Summary: acc})
+			if h.OnShard != nil {
+				h.OnShard(ShardState{Cell: c, Shard: s, TrialLo: lo, TrialHi: hi, Summary: acc})
 			}
 			if remaining[c].Add(-1) == 0 {
 				// Last shard of the cell: merge in shard-index order — the
-				// same order the post-hoc merge used to run in, so the
-				// summary is byte-identical to the cell's standalone
-				// RunStream — and hand the finished cell to the caller.
+				// order that makes the summary independent of which units
+				// finished first — and hand the finished cell to the caller.
 				dst := accs[c*shards]
 				for t := 1; t < shards; t++ {
 					if err := dst.Merge(accs[c*shards+t]); err != nil {
@@ -255,8 +237,8 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 				if mOn {
 					mCellsCompleted.Inc()
 				}
-				if onCell != nil {
-					onCell(c, dst)
+				if h.OnCell != nil {
+					h.OnCell(c, dst)
 				}
 			}
 		}
@@ -292,9 +274,53 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 	return summaries, nil
 }
 
-// RunGridStream is RunGridStreamContext without cancellation or per-cell
-// delivery, kept as the compatibility entry point for callers that predate
-// the context-first API.
-func RunGridStream(cells []Trial, trials int, cfg Config, sc StreamConfig) ([]*TrialSummary, error) {
-	return RunGridStreamContext(context.Background(), cells, trials, cfg, sc, nil)
+// FoldShardContext executes the trials [lo, hi) of one cell sequentially in
+// index order, folding each result into a fresh summary — exactly the
+// per-unit loop of RunGrid. A remote worker that runs a claimed (cell,
+// shard) unit through FoldShardContext therefore produces an accumulator
+// bit-identical to the one the local engine would have built, which is what
+// makes coordinator/worker grids byte-equivalent to single-process runs.
+// ctx is consulted between trials; cancellation abandons the shard (a
+// claimed unit either completes or reports nothing).
+func FoldShardContext(ctx context.Context, t Trial, lo, hi int, sc StreamConfig) (*TrialSummary, error) {
+	if lo < 0 || hi < lo {
+		return nil, fmt.Errorf("engine: bad trial range [%d, %d)", lo, hi)
+	}
+	if _, err := stats.NewStream(sc.quantiles(), sc.ExactK); err != nil {
+		return nil, err
+	}
+	t = t.resolved()
+	acc := sc.newSummary()
+	clock := newWorkerClock(metrics.Enabled())
+	clock.beginUnit()
+	fail := func(err error) (*TrialSummary, error) {
+		clock.abortUnit()
+		clock.drain()
+		return nil, err
+	}
+	for i := lo; i < hi; i++ {
+		if err := ctx.Err(); err != nil {
+			return fail(fmt.Errorf("engine: %w", err))
+		}
+		if err := t.foldTrial(acc, i); err != nil {
+			return fail(fmt.Errorf("engine: trial %d: %w", i, err))
+		}
+	}
+	clock.endUnit()
+	clock.drain()
+	if clock.on {
+		mTrialsTotal.Add(int64(hi - lo))
+		mShardsCompleted.Inc()
+	}
+	return acc, nil
+}
+
+// foldTrial executes trial i of t and folds its result into acc: the one
+// per-trial step of the streaming paths.
+func (t Trial) foldTrial(acc *TrialSummary, i int) error {
+	res, err := t.Execute(i)
+	if err != nil {
+		return err
+	}
+	return acc.fold(res)
 }

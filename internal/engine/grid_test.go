@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -43,22 +44,21 @@ func gridCells(t testing.TB) []engine.Trial {
 
 // TestGridStreamMatchesPerCellRunStream is the grid determinism contract:
 // every cell summary must be bit-identical (including P² marker state, via
-// DeepEqual) to running that cell alone through RunStream, and identical at
-// any worker count of the grid call.
+// DeepEqual) to streaming that cell alone (a grid of one) on one worker, and
+// identical at any worker count of the grid call.
 func TestGridStreamMatchesPerCellRunStream(t *testing.T) {
 	cells := gridCells(t)
 	const trials = 12
 	var ref []*engine.TrialSummary
 	for _, cell := range cells {
-		sum, err := engine.RunStream(cell.Net, cell.Alg, cell.Adv, cell.Cfg, trials,
-			engine.Config{Workers: 1}, engine.StreamConfig{})
+		sum, err := runStream(cell, trials, engine.Config{Workers: 1}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref = append(ref, sum)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got, err := engine.RunGridStream(cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
+		got, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,18 +67,18 @@ func TestGridStreamMatchesPerCellRunStream(t *testing.T) {
 		}
 		for c := range cells {
 			if !reflect.DeepEqual(got[c], ref[c]) {
-				t.Errorf("workers=%d cell %d: grid summary differs from standalone RunStream", workers, c)
+				t.Errorf("workers=%d cell %d: grid summary differs from the cell streamed alone", workers, c)
 			}
 		}
 	}
 }
 
 func TestGridStreamEdgeCases(t *testing.T) {
-	if sums, err := engine.RunGridStream(nil, 5, engine.Config{}, engine.StreamConfig{}); err != nil || len(sums) != 0 {
+	if sums, err := engine.RunGrid(context.Background(), nil, 5, engine.Config{}, engine.StreamConfig{}, engine.Hooks{}); err != nil || len(sums) != 0 {
 		t.Fatalf("empty grid: sums=%v err=%v", sums, err)
 	}
 	cells := gridCells(t)
-	sums, err := engine.RunGridStream(cells, 0, engine.Config{}, engine.StreamConfig{})
+	sums, err := engine.RunGrid(context.Background(), cells, 0, engine.Config{}, engine.StreamConfig{}, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestGridStreamEdgeCases(t *testing.T) {
 			t.Fatalf("cell %d: zero-trial summary = %+v", c, s)
 		}
 	}
-	if _, err := engine.RunGridStream(cells, -1, engine.Config{}, engine.StreamConfig{}); err == nil {
+	if _, err := engine.RunGrid(context.Background(), cells, -1, engine.Config{}, engine.StreamConfig{}, engine.Hooks{}); err == nil {
 		t.Fatal("negative trials must fail")
 	}
 }
@@ -116,7 +116,7 @@ func TestGridStreamReportsLowestCellError(t *testing.T) {
 		Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}}
 	bad := good
 	bad.Adv = badAdv{}
-	_, err = engine.RunGridStream([]engine.Trial{good, bad, bad}, 4, engine.Config{Workers: 4}, engine.StreamConfig{})
+	_, err = engine.RunGrid(context.Background(), []engine.Trial{good, bad, bad}, 4, engine.Config{Workers: 4}, engine.StreamConfig{}, engine.Hooks{})
 	if err == nil || !errors.Is(err, sim.ErrBadDelivery) {
 		t.Fatalf("err = %v, want ErrBadDelivery", err)
 	}

@@ -1,5 +1,5 @@
 // Engine instrumentation: process-wide instruments fed by the streaming
-// reducers (Reduce, the grid runner, and the worker-mode shard fold). All
+// paths (the grid reducer RunGrid and the worker-mode FoldShardContext). All
 // recording happens at shard granularity — never inside the per-trial or
 // per-round hot loops — so the cost is a handful of atomic operations per
 // completed (cell, shard) unit, amortized over thousands of simulated
@@ -17,7 +17,7 @@ import (
 
 var (
 	mTrialsTotal = metrics.NewCounter("engine_trials_total",
-		"Trials folded by the streaming reducers (recorded per completed shard).")
+		"Trials folded by the streaming grid reducer and shard folds (recorded per completed shard).")
 	mCellTrials = metrics.NewCounterVec("engine_cell_trials_total",
 		"Trials folded per grid cell index; rate() gives per-cell trials/sec.", "cell")
 	mShardsCompleted = metrics.NewCounter("engine_shards_completed_total",

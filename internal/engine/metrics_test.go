@@ -9,22 +9,34 @@ import (
 	"errors"
 	"testing"
 
+	"dualgraph/internal/adversary"
+	"dualgraph/internal/core"
+	"dualgraph/internal/graph"
 	"dualgraph/internal/metrics"
+	"dualgraph/internal/sim"
 )
 
-// reduceSum runs a trivial integer reduction of n trials and returns it.
-func reduceSum(t *testing.T, n, workers int, seed map[int]*int) int {
+// cheapCell is a one-round cell (round robin on a 2-node line): its trials
+// cost microseconds, so the metric tests can run many units.
+func cheapCell(t *testing.T) Trial {
 	t.Helper()
-	acc, err := ReduceFromContext(context.Background(), n, Config{Workers: workers},
-		seed, nil,
-		func(trial int) (int, error) { return trial, nil },
-		func() *int { return new(int) },
-		func(acc *int, _ int, v int) error { *acc += v; return nil },
-		func(dst, src *int) error { *dst += *src; return nil })
+	line, err := graph.Line(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *acc
+	return Trial{Net: line, Alg: core.NewRoundRobin(), Adv: adversary.Benign{},
+		Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}}
+}
+
+// reduceCell streams n trials of cell over the grid of one on the given
+// worker count, restoring the units in seed, and returns the summary.
+func reduceCell(t *testing.T, cell Trial, n, workers int, seed map[ShardKey]*TrialSummary) *TrialSummary {
+	t.Helper()
+	sums, err := RunGrid(context.Background(), []Trial{cell}, n, Config{Workers: workers}, StreamConfig{}, Hooks{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums[0]
 }
 
 func TestReduceMetricsDeltas(t *testing.T) {
@@ -35,9 +47,10 @@ func TestReduceMetricsDeltas(t *testing.T) {
 	basePending := mUnitsPending.Value()
 	baseBusy := mWorkerBusy.Value()
 	baseDur := mShardDuration.Count()
+	baseCells := mCellsCompleted.Value()
 
-	if got := reduceSum(t, n, 4, nil); got != n*(n-1)/2 {
-		t.Fatalf("sum = %d", got)
+	if got := reduceCell(t, cheapCell(t), n, 4, nil); got.Trials != n {
+		t.Fatalf("folded %d trials", got.Trials)
 	}
 
 	if d := mTrialsTotal.Value() - baseTrials; d != n {
@@ -58,26 +71,30 @@ func TestReduceMetricsDeltas(t *testing.T) {
 	if d := mShardDuration.Count() - baseDur; d != int64(Shards(n)) {
 		t.Errorf("shard duration observations delta = %d, want %d", d, Shards(n))
 	}
+	if d := mCellsCompleted.Value() - baseCells; d != 1 {
+		t.Errorf("cells completed delta = %d, want 1", d)
+	}
 }
 
 func TestReduceMetricsSeededSkips(t *testing.T) {
 	const n = 50
-	// Seed shards 0..9 with their true partial sums so the result is intact.
-	seed := make(map[int]*int)
+	// Seed shards 0..9 with their true accumulators so the result is intact.
+	cell := cheapCell(t)
+	seed := make(map[ShardKey]*TrialSummary)
 	for s := 0; s < 10; s++ {
 		lo, hi := ShardRange(n, s)
-		v := 0
-		for i := lo; i < hi; i++ {
-			v += i
+		acc, err := FoldShardContext(context.Background(), cell, lo, hi, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seed[s] = &v
+		seed[ShardKey{Shard: s}] = acc
 	}
 	baseTrials := mTrialsTotal.Value()
 	baseSeeded := mShardsSeeded.Value()
 	basePending := mUnitsPending.Value()
 
-	if got := reduceSum(t, n, 2, seed); got != n*(n-1)/2 {
-		t.Fatalf("sum = %d", got)
+	if got := reduceCell(t, cell, n, 2, seed); got.Trials != n {
+		t.Fatalf("folded %d trials", got.Trials)
 	}
 	// Shards here are one trial wide (n < cap), so 10 seeded shards skip
 	// exactly 10 trials.
@@ -94,18 +111,10 @@ func TestReduceMetricsSeededSkips(t *testing.T) {
 
 func TestReduceMetricsPendingDrainsOnError(t *testing.T) {
 	basePending := mUnitsPending.Value()
-	boom := errors.New("boom")
-	_, err := ReduceContext(context.Background(), 64, Config{Workers: 4},
-		func(trial int) (int, error) {
-			if trial == 17 {
-				return 0, boom
-			}
-			return trial, nil
-		},
-		func() *int { return new(int) },
-		func(acc *int, _ int, v int) error { *acc += v; return nil },
-		func(dst, src *int) error { *dst += *src; return nil })
-	if !errors.Is(err, boom) {
+	bad := cheapCell(t)
+	bad.Adv = selfDeliverer{}
+	_, err := RunGrid(context.Background(), []Trial{cheapCell(t), bad}, 64, Config{Workers: 4}, StreamConfig{}, Hooks{})
+	if !errors.Is(err, sim.ErrBadDelivery) {
 		t.Fatalf("err = %v", err)
 	}
 	// Abandoned units must leave the queue with the failed run.
@@ -121,8 +130,8 @@ func TestReduceMetricsGateOff(t *testing.T) {
 	baseShards := mShardsCompleted.Value()
 	basePending := mUnitsPending.Value()
 
-	if got := reduceSum(t, 40, 4, nil); got != 40*39/2 {
-		t.Fatalf("sum = %d", got)
+	if got := reduceCell(t, cheapCell(t), 40, 4, nil); got.Trials != 40 {
+		t.Fatalf("folded %d trials", got.Trials)
 	}
 	if mTrialsTotal.Value() != baseTrials || mShardsCompleted.Value() != baseShards {
 		t.Errorf("counters advanced with the gate off")
@@ -130,4 +139,16 @@ func TestReduceMetricsGateOff(t *testing.T) {
 	if mUnitsPending.Value() != basePending {
 		t.Errorf("pending gauge moved with the gate off")
 	}
+}
+
+// selfDeliverer fails delivery validation on its first delivery round by
+// delivering every sender's message to itself along a non-edge.
+type selfDeliverer struct{ adversary.Benign }
+
+func (selfDeliverer) Deliver(_ *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	m := map[graph.NodeID][]graph.NodeID{}
+	for _, s := range senders {
+		m[s] = []graph.NodeID{s}
+	}
+	return m
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,93 +18,116 @@ import (
 	"dualgraph/internal/stats"
 )
 
-// intSum is a trivial accumulator for exercising Reduce's plumbing.
-type intSum struct {
-	n   int
-	sum int64
+// failingSchedule is a static schedule that fails the runs whose trial
+// seed is in fail: the trial seed is all a schedule sees of a trial, so
+// failingCell keys the set by SeedFor(base, i).
+type failingSchedule struct {
+	*graph.StaticSchedule
+	fail map[int64]int // trial seed -> trial index
 }
 
-func reduceSum(n int, cfg engine.Config, fn func(int) (int64, error)) (*intSum, error) {
-	return engine.Reduce(n, cfg, fn,
-		func() *intSum { return &intSum{} },
-		func(a *intSum, _ int, v int64) error {
-			a.n++
-			a.sum += v
-			return nil
-		},
-		func(dst, src *intSum) error {
-			dst.n += src.n
-			dst.sum += src.sum
-			return nil
-		})
-}
-
-func TestReduceSumAnyWorkerCount(t *testing.T) {
-	const n = 10007 // prime, so shard blocks are uneven
-	var want int64
-	for i := 0; i < n; i++ {
-		want += int64(i) * int64(i)
+func (f failingSchedule) Epoch(e int, runSeed int64) (*graph.Dual, error) {
+	if i, ok := f.fail[runSeed]; ok {
+		return nil, fmt.Errorf("%w at %d", errBoom, i)
 	}
-	for _, workers := range []int{1, 2, 3, 8, 300} {
-		acc, err := reduceSum(n, engine.Config{Workers: workers}, func(i int) (int64, error) {
-			return int64(i) * int64(i), nil
-		})
+	return f.StaticSchedule.Epoch(e, runSeed)
+}
+
+// failingCell is a cheap randomized cell (Decay on a 6-line against a
+// random adversary) whose trials at the given indices fail.
+func failingCell(t testing.TB, failAt ...int) engine.Trial {
+	t.Helper()
+	line, err := graph.Line(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := adversary.NewRandom(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}
+	fail := map[int64]int{}
+	for _, i := range failAt {
+		fail[engine.SeedFor(cfg.Seed, i)] = i
+	}
+	return engine.Trial{Net: line, Sched: failingSchedule{graph.Static(line), fail},
+		Alg: core.NewDecay(), Adv: adv, Cfg: cfg}
+}
+
+// TestReduceSumAnyWorkerCount checks the reducer's plumbing over an uneven
+// shard partition: every trial is folded exactly once, whatever the pool
+// size, including pools larger than the shard count.
+func TestReduceSumAnyWorkerCount(t *testing.T) {
+	const n = 1009 // prime, so shard blocks are uneven
+	cell := failingCell(t)
+	var completed int64
+	var rounds float64
+	for i := 0; i < n; i++ {
+		res, err := cell.Execute(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acc.n != n || acc.sum != want {
-			t.Fatalf("workers=%d: folded %d trials sum %d, want %d trials sum %d",
-				workers, acc.n, acc.sum, n, want)
+		if res.Completed {
+			completed++
+		}
+		rounds += float64(res.Rounds)
+	}
+	for _, workers := range []int{1, 2, 3, 8, 300} {
+		sum, err := runStream(cell, n, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean, err := sum.Rounds.Mean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Trials != n || sum.Completed != completed || math.Abs(mean*n-rounds) > 1e-9*rounds {
+			t.Fatalf("workers=%d: folded %d trials (%d completed, %v rounds), want %d (%d completed, %v rounds)",
+				workers, sum.Trials, sum.Completed, mean*n, n, completed, rounds)
 		}
 	}
 }
 
 func TestReduceZeroAndNegativeTrials(t *testing.T) {
-	acc, err := reduceSum(0, engine.Config{}, func(int) (int64, error) { return 0, nil })
-	if err != nil || acc == nil || acc.n != 0 {
-		t.Fatalf("zero trials: acc=%+v err=%v, want fresh empty accumulator", acc, err)
+	sum, err := runStream(failingCell(t), 0, engine.Config{}, engine.StreamConfig{}, engine.Hooks{})
+	if err != nil || sum == nil || sum.Trials != 0 || sum.Rounds.Count() != 0 {
+		t.Fatalf("zero trials: sum=%+v err=%v, want a fresh empty summary", sum, err)
 	}
-	if _, err := reduceSum(-1, engine.Config{}, func(int) (int64, error) { return 0, nil }); err == nil {
+	if _, err := runStream(failingCell(t), -1, engine.Config{}, engine.StreamConfig{}, engine.Hooks{}); err == nil {
 		t.Fatal("negative trial count must error")
 	}
 }
 
 func TestReduceReportsLowestIndexError(t *testing.T) {
+	cell := failingCell(t, 77, 300, 499)
 	for _, workers := range []int{1, 4} {
-		_, err := reduceSum(500, engine.Config{Workers: workers}, func(i int) (int64, error) {
-			if i == 77 || i == 300 || i == 499 {
-				return 0, fmt.Errorf("%w at %d", errBoom, i)
-			}
-			return 1, nil
-		})
+		_, err := runStream(cell, 500, engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
 		if err == nil || !errors.Is(err, errBoom) {
 			t.Fatalf("workers=%d: want errBoom, got %v", workers, err)
 		}
-		if !strings.Contains(err.Error(), "trial 77") {
+		if !strings.Contains(err.Error(), "cell 0 trial 77") {
 			t.Fatalf("workers=%d: error %q must name the lowest failing trial", workers, err)
 		}
 	}
 }
 
-func TestReduceFoldErrorsPropagate(t *testing.T) {
-	_, err := engine.Reduce(100, engine.Config{Workers: 3},
-		func(i int) (float64, error) {
-			if i == 42 {
-				return math.NaN(), nil
-			}
-			return float64(i), nil
-		},
-		func() *stats.Stream {
-			s, _ := stats.NewStream(nil, 0)
-			return s
-		},
-		func(s *stats.Stream, _ int, v float64) error { return s.Add(v) },
-		func(dst, src *stats.Stream) error { return dst.Merge(src) })
-	if err == nil || !errors.Is(err, stats.ErrNaN) {
-		t.Fatalf("fold error must surface with its trial index, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "trial 42") {
-		t.Fatalf("error %q must name trial 42", err)
+// TestGridMergeErrorsPropagate: an accumulator that cannot merge — here a
+// seeded unit built under a different stream configuration — fails the
+// run with its cell named, both when the cell's last shard is folded in the
+// pool and when the whole cell is seeded and merged up front.
+func TestGridMergeErrorsPropagate(t *testing.T) {
+	cell := failingCell(t)
+	sc := engine.StreamConfig{ExactK: 8}
+	mismatched := engine.StreamConfig{Quantiles: []float64{0.5}, ExactK: 8}.NewSummary()
+	for name, seed := range map[string]map[engine.ShardKey]*engine.TrialSummary{
+		"pool":   {{Cell: 1, Shard: 1}: mismatched},
+		"seeded": {{Cell: 1, Shard: 0}: sc.NewSummary(), {Cell: 1, Shard: 1}: mismatched},
+	} {
+		_, err := engine.RunGrid(context.Background(), []engine.Trial{cell, cell}, 2,
+			engine.Config{Workers: 2}, sc, engine.Hooks{Seed: seed})
+		if err == nil || !strings.Contains(err.Error(), "cell 1 merge") {
+			t.Fatalf("%s: err = %v, want a cell 1 merge error", name, err)
+		}
 	}
 }
 
@@ -116,8 +140,8 @@ func TestShardsPureFunctionOfN(t *testing.T) {
 	}
 }
 
-// streamWorkload is the randomized sweep used by the RunStream tests.
-func streamWorkload(t testing.TB) (*graph.Dual, sim.Algorithm, sim.Adversary, sim.Config) {
+// streamWorkload is the randomized cell used by the streaming tests.
+func streamWorkload(t testing.TB) engine.Trial {
 	t.Helper()
 	d, err := graph.CliqueBridge(15)
 	if err != nil {
@@ -131,7 +155,7 @@ func streamWorkload(t testing.TB) (*graph.Dual, sim.Algorithm, sim.Adversary, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, alg, adv, sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}
+	return engine.Trial{Net: d, Alg: alg, Adv: adv, Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}}
 }
 
 // TestRunStreamDeterministicAcrossWorkerCounts is the reducer's core
@@ -140,13 +164,13 @@ func streamWorkload(t testing.TB) (*graph.Dual, sim.Algorithm, sim.Adversary, si
 // count, because the trial→shard partition and the merge order are pure
 // functions of the trial count.
 func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
-	d, alg, adv, simCfg := streamWorkload(t)
+	cell := streamWorkload(t)
 	// 600 trials with ExactK 32 forces shard merges through every regime,
 	// including P² marker merges.
 	sc := engine.StreamConfig{ExactK: 32}
 	var ref *engine.TrialSummary
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		sum, err := engine.RunStream(d, alg, adv, simCfg, 600, engine.Config{Workers: workers}, sc)
+		sum, err := runStream(cell, 600, engine.Config{Workers: workers}, sc, engine.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,18 +184,18 @@ func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRunMany cross-checks the streaming path against the
-// slice path on the same seeds: counts, min and max must agree exactly,
+// TestRunStreamMatchesRunMany cross-checks the streaming path (a grid of
+// one) against the materializing path (Map over Execute) on the same seeds: counts, min and max must agree exactly,
 // the mean up to rounding, and — while within the exact regime — the
 // quantiles must equal stats.Quantile over the materialized rounds.
 func TestRunStreamMatchesRunMany(t *testing.T) {
-	d, alg, adv, simCfg := streamWorkload(t)
+	cell := streamWorkload(t)
 	const trials = 300
-	results, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{})
+	results, err := runMany(cell, trials, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := engine.RunStream(d, alg, adv, simCfg, trials, engine.Config{}, engine.StreamConfig{})
+	sum, err := runStream(cell, trials, engine.Config{}, engine.StreamConfig{}, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,21 +236,21 @@ func TestRunStreamMatchesRunMany(t *testing.T) {
 }
 
 // TestRunStreamP2WithinToleranceOfSlicePath pushes past the exact regime
-// and checks the documented accuracy contract against the exact slice-path
-// quantiles: each P² estimate must fall between the exact (q-0.02)- and
+// and checks the documented accuracy contract against the exact quantiles
+// of the materializing path: each P² estimate must fall between the exact (q-0.02)- and
 // (q+0.02)-quantiles of the materialized sample.
 func TestRunStreamP2WithinToleranceOfSlicePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-checking thousands of trials is slow")
 	}
-	d, alg, adv, simCfg := streamWorkload(t)
+	cell := streamWorkload(t)
 	const trials = 4000
-	results, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{})
+	results, err := runMany(cell, trials, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := engine.StreamConfig{ExactK: 256}
-	sum, err := engine.RunStream(d, alg, adv, simCfg, trials, engine.Config{}, sc)
+	sum, err := runStream(cell, trials, engine.Config{}, sc, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,4 +285,4 @@ func TestRunStreamP2WithinToleranceOfSlicePath(t *testing.T) {
 
 // The 100k-trial bounded-memory smoke lives in cmd/dgsim's test suite
 // (TestStreamSweepBoundedMemory), where it exercises this package's
-// RunStream end to end through the CLI path.
+// streaming path end to end through the CLI.

@@ -19,9 +19,8 @@ func captureShards(t *testing.T, cells []engine.Trial, trials int, sc engine.Str
 	t.Helper()
 	var mu sync.Mutex
 	blobs := map[engine.ShardKey][]byte{}
-	sums, err := engine.RunGridStreamFromContext(context.Background(), cells, trials,
-		engine.Config{Workers: 1}, sc, nil,
-		func(st engine.ShardState) {
+	sums, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: 1}, sc, engine.Hooks{
+		OnShard: func(st engine.ShardState) {
 			blob, err := st.Summary.MarshalBinary()
 			if err != nil {
 				t.Error(err)
@@ -30,7 +29,8 @@ func captureShards(t *testing.T, cells []engine.Trial, trials int, sc engine.Str
 			mu.Lock()
 			blobs[st.Key()] = blob
 			mu.Unlock()
-		}, nil)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,14 @@ func TestGridStreamFromSeededMatchesFull(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				var mu sync.Mutex
 				fresh := map[engine.ShardKey]bool{}
-				got, err := engine.RunGridStreamFromContext(context.Background(), cells, trials,
-					engine.Config{Workers: workers}, sc, seedFromBlobs(t, blobs, keep),
-					func(st engine.ShardState) {
+				got, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, sc, engine.Hooks{
+					Seed: seedFromBlobs(t, blobs, keep),
+					OnShard: func(st engine.ShardState) {
 						mu.Lock()
 						fresh[st.Key()] = true
 						mu.Unlock()
-					}, nil)
+					},
+				})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -120,48 +121,21 @@ func TestGridStreamFromSeededMatchesFull(t *testing.T) {
 	}
 }
 
-// TestRunStreamFromSeededMatchesFull covers the single-cell entry point the
-// same way: seed half the shards, expect bit-identical summaries.
+// TestRunStreamFromSeededMatchesFull covers the single-cell grid the same
+// way: seed the even shards, expect bit-identical summaries.
 func TestRunStreamFromSeededMatchesFull(t *testing.T) {
-	cell := gridCells(t)[0]
+	cells := gridCells(t)[:1]
 	const trials = 30
 	sc := engine.StreamConfig{ExactK: 8}
-	var mu sync.Mutex
-	blobs := map[int][]byte{}
-	want, err := engine.RunStreamFromContext(context.Background(), cell.Net, cell.Alg, cell.Adv, cell.Cfg,
-		trials, engine.Config{Workers: 1}, sc, nil,
-		func(st engine.ShardState) {
-			blob, err := st.Summary.MarshalBinary()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			blobs[st.Shard] = blob
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	blobs, want := captureShards(t, cells, trials, sc)
 	for _, workers := range []int{1, 2, 8} {
-		seedCopy := map[int]*engine.TrialSummary{}
-		for s, blob := range blobs {
-			if s%2 != 0 {
-				continue
-			}
-			var sum engine.TrialSummary
-			if err := sum.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-			seedCopy[s] = &sum
-		}
-		got, err := engine.RunStreamFromContext(context.Background(), cell.Net, cell.Alg, cell.Adv, cell.Cfg,
-			trials, engine.Config{Workers: workers}, sc, seedCopy, nil)
+		seed := seedFromBlobs(t, blobs, func(k engine.ShardKey) bool { return k.Shard%2 == 0 })
+		got, err := engine.RunGrid(context.Background(), cells, trials, engine.Config{Workers: workers}, sc, engine.Hooks{Seed: seed})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		a, _ := want.MarshalBinary()
-		b, err := got.MarshalBinary()
+		a, _ := want[0].MarshalBinary()
+		b, err := got[0].MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,19 +176,15 @@ func TestFoldShardMatchesEngineShard(t *testing.T) {
 func TestSeededUnitValidation(t *testing.T) {
 	cells := gridCells(t)
 	sc := engine.StreamConfig{}
-	bad := map[engine.ShardKey]*engine.TrialSummary{{Cell: len(cells), Shard: 0}: nil}
-	if _, err := engine.RunGridStreamFromContext(context.Background(), cells, 10,
-		engine.Config{}, sc, bad, nil, nil); err == nil {
-		t.Fatal("out-of-range cell accepted")
-	}
-	bad = map[engine.ShardKey]*engine.TrialSummary{{Cell: 0, Shard: engine.Shards(10)}: nil}
-	if _, err := engine.RunGridStreamFromContext(context.Background(), cells, 10,
-		engine.Config{}, sc, bad, nil, nil); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-	if _, err := engine.RunStreamFromContext(context.Background(), cells[0].Net, cells[0].Alg, cells[0].Adv,
-		cells[0].Cfg, 10, engine.Config{}, sc, map[int]*engine.TrialSummary{-1: nil}, nil); err == nil {
-		t.Fatal("negative stream shard accepted")
+	for name, bad := range map[string]engine.ShardKey{
+		"cell past the grid":  {Cell: len(cells), Shard: 0},
+		"shard past the cell": {Cell: 0, Shard: engine.Shards(10)},
+		"negative shard":      {Cell: 0, Shard: -1},
+	} {
+		seed := map[engine.ShardKey]*engine.TrialSummary{bad: nil}
+		if _, err := engine.RunGrid(context.Background(), cells, 10, engine.Config{}, sc, engine.Hooks{Seed: seed}); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -102,21 +103,11 @@ func header(w io.Writer, e Experiment) {
 	fmt.Fprintf(w, "== %s — %s\n   paper: %s\n", e.ID, e.Title, e.PaperRef)
 }
 
-// roundsAcc is the per-shard accumulator of medianRounds: a streaming
-// summary of per-trial completion rounds plus the completion tally.
-type roundsAcc struct {
-	rounds    *stats.Stream
-	completed int
-}
-
-// medianRounds fans `trials` independent executions out over the engine's
-// streaming reducer and returns the median and maximum completion round
-// without retaining per-trial results. Executions that do not complete
-// count as maxRounds. Trial i's seed is cfg.Seed + i*104729, a pure
-// function of the trial index, and shard merges run in shard-index order,
-// so the aggregate is identical at any worker count (and — at trial counts
-// within the sketch's exact regime, which covers every registered
-// experiment — byte-identical to the historical slice path).
+// medianRounds fans `trials` independent executions out over the engine
+// and returns the median and maximum completion round. Executions that do
+// not complete count as maxRounds. Trial i's seed is cfg.Seed + i*104729, a
+// pure function of the trial index, and results land in index order, so
+// the aggregate is identical at any worker count.
 func medianRounds(
 	ec engine.Config,
 	d *graph.Dual,
@@ -125,41 +116,32 @@ func medianRounds(
 	cfg sim.Config,
 	trials int,
 ) (median, maxRound float64, completed int, err error) {
-	acc, err := engine.Reduce(trials, ec,
-		func(i int) (*sim.Result, error) {
-			c := cfg
-			c.Seed = cfg.Seed + int64(i)*104729
-			return sim.Run(d, alg, adv, c)
-		},
-		func() *roundsAcc {
-			s, _ := stats.NewStream([]float64{0.5}, 0)
-			return &roundsAcc{rounds: s}
-		},
-		func(a *roundsAcc, _ int, res *sim.Result) error {
-			r := float64(res.Rounds)
-			if !res.Completed {
-				r = float64(cfg.MaxRounds)
-			} else {
-				a.completed++
-			}
-			return a.rounds.Add(r)
-		},
-		func(dst, src *roundsAcc) error {
-			dst.completed += src.completed
-			return dst.rounds.Merge(src.rounds)
-		})
+	results, err := engine.Map(context.Background(), trials, ec, func(i int) (*sim.Result, error) {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)*104729
+		return sim.Run(d, alg, adv, c)
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	median, err = acc.rounds.Median()
+	rounds := make([]float64, len(results))
+	for i, res := range results {
+		rounds[i] = float64(res.Rounds)
+		if !res.Completed {
+			rounds[i] = float64(cfg.MaxRounds)
+		} else {
+			completed++
+		}
+	}
+	median, err = stats.Median(rounds)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	maxRound, err = acc.rounds.Max()
+	maxRound, err = stats.Max(rounds)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return median, maxRound, acc.completed, nil
+	return median, maxRound, completed, nil
 }
 
 // sweepSizes returns the n sweep for scaling experiments.

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"dualgraph/internal/adversary"
@@ -44,7 +45,7 @@ func extDeltaSelect() Experiment {
 				jobs = append(jobs, job{topo, n})
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			d, err := registry.Topology(j.topo, j.n, cfg.Seed, nil)
 			if err != nil {
@@ -144,7 +145,7 @@ func extRepeatedBroadcast() Experiment {
 		}
 		fmt.Fprintln(tw, "protocol\tmessages\trounds\tthroughput (msg/round)\ttransmissions")
 		protocols := []repeat.Protocol{seq, pipe, seqH, pipeH}
-		results, err := engine.Map(len(protocols), cfg.Engine, func(i int) (*repeat.Result, error) {
+		results, err := engine.Map(context.Background(), len(protocols), cfg.Engine, func(i int) (*repeat.Result, error) {
 			res, err := repeat.Run(d, protocols[i], repeat.Config{
 				Messages:  m,
 				MaxRounds: 2 * m * harmonicBudget,
@@ -196,7 +197,7 @@ func extLinkCulling() Experiment {
 			precision      float64
 			treeRes, ssRes *sim.Result
 		}
-		rows, err := engine.Map(len(probePs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(probePs), cfg.Engine, func(i int) (row, error) {
 			probeP := probePs[i]
 			s, err := linkest.Probe(d, probeP, 200, 0.75, cfg.Seed)
 			if err != nil {
@@ -276,7 +277,7 @@ func extBroadcastability() Experiment {
 		type row struct {
 			n, exactK, greedyK, ecc, ssRounds int
 		}
-		rows, err := engine.Map(len(topos), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(topos), cfg.Engine, func(i int) (row, error) {
 			topo := topos[i]
 			d, err := registry.Topology(topo, 17, cfg.Seed, nil)
 			if err != nil {
@@ -434,7 +435,7 @@ func extDynamic() Experiment {
 			},
 			Trials: trials,
 		}
-		grid, err := sw.Run(cfg.Engine, engine.StreamConfig{})
+		grid, err := sw.Run(context.Background(), cfg.Engine, engine.StreamConfig{}, spec.Hooks{})
 		if err != nil {
 			return err
 		}
@@ -487,7 +488,7 @@ func extExhaustive() Experiment {
 				jobs = append(jobs, job{n, algStrongSelect})
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			d, err := graph.CliqueBridge(j.n)
 			if err != nil {
@@ -570,7 +571,7 @@ func extAdaptive() Experiment {
 				jobs = append(jobs, job{n, algStrongSelect})
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			d, err := graph.CliqueBridge(j.n)
 			if err != nil {

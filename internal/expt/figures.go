@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -79,7 +80,7 @@ func figSeparation() Experiment {
 				jobs = append(jobs, job{n: n, dual: dual, classical: classical, alg: alg})
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			budget := strongSelectBudget(j.n) * 4
 			resC, err := sim.Run(j.classical, j.alg, benign(), sim.Config{
@@ -154,7 +155,7 @@ func figBusyRounds() Experiment {
 				jobs = append(jobs, job{n, pi})
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			p := patterns[j.pattern]
 			bound := float64(j.n*T) * stats.HarmonicNumber(j.n)
@@ -218,7 +219,7 @@ func figSSFSize() Experiment {
 				}
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			chosen, err := ssf.New(j.n, j.k)
 			if err != nil {
@@ -295,7 +296,7 @@ func figLemma1() Experiment {
 				}
 			}
 		}
-		rows, err := engine.Map(len(jobs), cfg.Engine, func(i int) (row, error) {
+		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
 			j := jobs[i]
 			c := sim.Config{
 				Rule: j.rule, Start: sim.AsyncStart,

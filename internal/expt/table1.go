@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -28,13 +29,17 @@ func table1ClassicalRR() Experiment {
 			// Each cell is a declarative Scenario run on the Spec path; the
 			// registry resolves the same constructors the harness always
 			// used, so tables are byte-identical to the positional era.
-			results, err := engine.Map(len(sizes), cfg.Engine, func(i int) (*sim.Result, error) {
+			results, err := engine.Map(context.Background(), len(sizes), cfg.Engine, func(i int) (*sim.Result, error) {
 				scn, err := scenario(topo, sizes[i], "round-robin", "benign",
 					sim.CR3, sim.SyncStart, cfg.Seed)
 				if err != nil {
 					return nil, err
 				}
-				return scn.Run()
+				b, err := scn.Build()
+				if err != nil {
+					return nil, err
+				}
+				return b.Run(context.Background())
 			})
 			if err != nil {
 				return err
@@ -75,7 +80,7 @@ func table1DualStrongSelect() Experiment {
 		}
 		for _, topo := range []string{"clique-bridge", "complete-layered", "geometric"} {
 			sizes := sweepSizes(cfg.Quick)
-			rows, err := engine.Map(len(sizes), cfg.Engine, func(i int) (row, error) {
+			rows, err := engine.Map(context.Background(), len(sizes), cfg.Engine, func(i int) (row, error) {
 				scn, err := scenario(topo, sizes[i], "strong-select", "greedy",
 					sim.CR4, sim.AsyncStart, cfg.Seed)
 				if err != nil {
@@ -91,7 +96,7 @@ func table1DualStrongSelect() Experiment {
 				nn := b.Net.N()
 				bound := strongSelectBudget(nn)
 				b.Cfg.MaxRounds = bound
-				res, err := b.Run()
+				res, err := b.Run(context.Background())
 				if err != nil {
 					return row{}, err
 				}
@@ -154,7 +159,7 @@ func table1Theorem2() Experiment {
 			}
 			jobs = append(jobs, job{n, core.NewRoundRobin()}, job{n, ss})
 		}
-		results, err := engine.Map(len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem2Result, error) {
+		results, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem2Result, error) {
 			return lowerbound.RunTheorem2Game(jobs[i].n, jobs[i].alg, 0)
 		})
 		if err != nil {
@@ -204,7 +209,7 @@ func table1Theorem12() Experiment {
 				jobs = append(jobs, job{n, ss})
 			}
 		}
-		results, err := engine.Map(len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem12Result, error) {
+		results, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem12Result, error) {
 			return lowerbound.RunTheorem12Game(jobs[i].n, jobs[i].alg, 0)
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -157,7 +158,7 @@ func table2Theorem4() Experiment {
 				jobs = append(jobs, job{alg, k})
 			}
 		}
-		results, err := engine.Map(len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem4Result, error) {
+		results, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem4Result, error) {
 			return lowerbound.RunTheorem4(n, jobs[i].k, trials, jobs[i].alg, cfg.Seed)
 		})
 		if err != nil {

@@ -151,18 +151,19 @@ func TestTrackerAgainstRealRun(t *testing.T) {
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}
 	sc := engine.StreamConfig{}
 
-	base, err := engine.RunStreamScheduleFromContext(context.Background(), graph.Static(d), alg, adv, simCfg,
-		500, engine.Config{Workers: 4}, sc, nil, nil)
+	cells := []engine.Trial{{Net: d, Alg: alg, Adv: adv, Cfg: simCfg}}
+	bases, err := engine.RunGrid(context.Background(), cells, 500, engine.Config{Workers: 4}, sc, engine.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := bases[0]
 
 	tr := NewTracker(500, sc)
-	sum, err := engine.RunStreamScheduleFromContext(context.Background(), graph.Static(d), alg, adv, simCfg,
-		500, engine.Config{Workers: 4}, sc, nil, tr.Observe)
+	sums, err := engine.RunGrid(context.Background(), cells, 500, engine.Config{Workers: 4}, sc, engine.Hooks{OnShard: tr.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := sums[0]
 	done, rounds := tr.snapshot()
 	if done != 500 || rounds.Count() != 500 {
 		t.Fatalf("tracker saw %d trials / %d rounds values, want 500/500", done, rounds.Count())

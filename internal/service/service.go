@@ -1,7 +1,7 @@
 // Package service is the long-running sweep service behind cmd/dgsimd: a
 // job manager that accepts declarative spec.Sweep jobs over a versioned
 // envelope, executes them one at a time on one shared deterministic grid
-// pool (engine.RunGridStreamContext via spec.Sweep.Stream), supports
+// pool (engine.RunGrid via spec.Sweep.Run), supports
 // per-job cancellation at (cell, shard) granularity, and streams per-cell
 // summary lines — rendered by the same spec.FormatSummary the CLI uses, so
 // a job's streamed results are byte-identical to `dgsim -spec` output for
@@ -397,13 +397,15 @@ func (s *Server) runJob(j *job) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	_, err := j.sweep.Stream(ctx, s.cfg.Engine, s.cfg.Stream, func(cr spec.CellResult) {
-		line := CellLine{Cell: cr.Cell.Index, Label: cr.Cell.Label, Summary: spec.FormatSummary(cr.Summary)}
-		s.mu.Lock()
-		j.results = append(j.results, line)
-		mCellsStreamed.Inc()
-		s.cond.Broadcast()
-		s.mu.Unlock()
+	_, err := j.sweep.Run(ctx, s.cfg.Engine, s.cfg.Stream, spec.Hooks{
+		OnCell: func(cr spec.CellResult) {
+			line := CellLine{Cell: cr.Cell.Index, Label: cr.Cell.Label, Summary: spec.FormatSummary(cr.Summary)}
+			s.mu.Lock()
+			j.results = append(j.results, line)
+			mCellsStreamed.Inc()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		},
 	})
 
 	s.mu.Lock()

@@ -163,7 +163,7 @@ func TestJobResultsDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := smallSweep(64)
 
 	// Local reference: the exact lines dgsim -spec prints for each cell.
-	grid, err := sw.Run(engine.Config{Workers: 1}, engine.StreamConfig{})
+	grid, err := sw.Run(context.Background(), engine.Config{Workers: 1}, engine.StreamConfig{}, spec.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

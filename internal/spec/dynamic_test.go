@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -31,7 +32,7 @@ func TestWithScheduleBuildsDynamicScenario(t *testing.T) {
 	if _, ok := b.Sched.(*graph.ChurnSchedule); !ok {
 		t.Fatalf("built schedule is %T, want *graph.ChurnSchedule", b.Sched)
 	}
-	res, err := b.Run()
+	res, err := b.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Run()
+	want, err := mustBuild(t, s).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Run()
+	got, err := mustBuild(t, back).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestSweepSchedulesAxis(t *testing.T) {
 	}
 	var want *GridResult
 	for _, workers := range []int{1, 2, 8} {
-		grid, err := sw.Run(engine.Config{Workers: workers}, engine.StreamConfig{})
+		grid, err := sw.Run(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestSweepSchedulesAxis(t *testing.T) {
 	if err := json.Unmarshal([]byte(blob), &parsed); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := parsed.Run(engine.Config{}, engine.StreamConfig{})
+	grid, err := parsed.Run(context.Background(), engine.Config{}, engine.StreamConfig{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func TestStreamFromSeededMatchesFull(t *testing.T) {
 	var mu sync.Mutex
 	blobs := map[engine.ShardKey][]byte{}
 	var wantCells []string
-	want, err := sw.StreamFrom(context.Background(), engine.Config{Workers: 1}, sc, nil,
-		func(st engine.ShardState) {
+	want, err := sw.Run(context.Background(), engine.Config{Workers: 1}, sc, Hooks{
+		OnShard: func(st engine.ShardState) {
 			blob, err := st.Summary.MarshalBinary()
 			if err != nil {
 				t.Error(err)
@@ -93,9 +93,10 @@ func TestStreamFromSeededMatchesFull(t *testing.T) {
 			blobs[st.Key()] = blob
 			mu.Unlock()
 		},
-		func(cr CellResult) {
+		OnCell: func(cr CellResult) {
 			wantCells = append(wantCells, cr.Cell.Label)
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +116,14 @@ func TestStreamFromSeededMatchesFull(t *testing.T) {
 			}
 		}
 		var gotCells []string
-		got, err := sw.StreamFrom(context.Background(), engine.Config{Workers: workers}, sc, seed, nil,
-			func(cr CellResult) {
+		got, err := sw.Run(context.Background(), engine.Config{Workers: workers}, sc, Hooks{
+			Seed: seed,
+			OnCell: func(cr CellResult) {
 				mu.Lock()
 				gotCells = append(gotCells, cr.Cell.Label)
 				mu.Unlock()
-			})
+			},
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -21,7 +21,8 @@
 //		spec.WithAdversary("greedy", nil),
 //		spec.WithSeed(1),
 //	)
-//	res, _ := s.Run()
+//	b, _ := s.Build()
+//	res, _ := b.Run(ctx)
 //
 // Topology dynamics are part of the same vocabulary: WithSchedule (or a
 // "schedule" JSON block, or a Sweep's "schedules" axis) names an epoch
@@ -36,7 +37,6 @@ import (
 	"fmt"
 
 	"dualgraph/internal/engine"
-	"dualgraph/internal/graph"
 	"dualgraph/internal/registry"
 	"dualgraph/internal/sim"
 )
@@ -242,25 +242,22 @@ func (s Scenario) Label() string {
 	return l
 }
 
-// Built is a materialized Scenario: the constructed network, algorithm,
-// adversary, and sim config, ready to run. Building is deterministic — the
-// same Scenario always materializes the same values.
+// Built is a materialized Scenario: the constructed cell, ready to run.
+// Building is deterministic — the same Scenario always materializes the
+// same values. The embedded engine.Trial holds
+//
+//   - Net, the constructed network (its N() may differ from the requested
+//     size for structural generators);
+//   - Sched, the epoch schedule built over Net (a static scenario gets
+//     graph.Static(Net), so every run path is uniformly dynamic);
+//   - Alg, the algorithm, constructed for Net.N() processes;
+//   - Adv, the adversary; and
+//   - Cfg, the run configuration (callers may adjust it, e.g. MaxRounds,
+//     before running).
 type Built struct {
 	// Scenario is the spec this was built from.
 	Scenario Scenario
-	// Net is the constructed network (its N() may differ from the requested
-	// size for structural generators).
-	Net *graph.Dual
-	// Alg is the algorithm, constructed for Net.N() processes.
-	Alg sim.Algorithm
-	// Adv is the adversary.
-	Adv sim.Adversary
-	// Sched is the epoch schedule built over Net; a static scenario gets
-	// graph.Static(Net), so Run paths are uniformly dynamic.
-	Sched graph.Schedule
-	// Cfg is the run configuration (callers may adjust, e.g. MaxRounds,
-	// before running).
-	Cfg sim.Config
+	engine.Trial
 }
 
 // Build validates and materializes the scenario.
@@ -286,120 +283,50 @@ func (s Scenario) Build() (*Built, error) {
 	}
 	return &Built{
 		Scenario: s,
-		Net:      net,
-		Alg:      alg,
-		Adv:      adv,
-		Sched:    sched,
-		Cfg: sim.Config{
-			Rule:      s.Rule,
-			Start:     s.Start,
-			MaxRounds: s.MaxRounds,
-			Seed:      s.Seed,
+		Trial: engine.Trial{
+			Net:   net,
+			Sched: sched,
+			Alg:   alg,
+			Adv:   adv,
+			Cfg: sim.Config{
+				Rule:      s.Rule,
+				Start:     s.Start,
+				MaxRounds: s.MaxRounds,
+				Seed:      s.Seed,
+			},
 		},
 	}, nil
 }
 
-// schedule resolves the run schedule: the built one when set, else the
-// static wrap of Net — so a hand-constructed Built (every field is
-// exported) keeps the historical fixed-network behaviour.
-func (b *Built) schedule() graph.Schedule {
-	if b.Sched != nil {
-		return b.Sched
-	}
-	return graph.Static(b.Net)
-}
-
-// RunContext executes the built scenario once: dynamically when a schedule
-// is set, which for the static schedule is exactly the fixed-network run. A
-// single run is one indivisible trial, so ctx is only consulted before it
-// starts.
-func (b *Built) RunContext(ctx context.Context) (*sim.Result, error) {
+// Run executes the built scenario once, with exactly Cfg.Seed (not a
+// derived trial seed): dynamically on Sched, which for the static schedule
+// is exactly the fixed-network run. A single run is one indivisible trial,
+// so ctx is only consulted before it starts.
+func (b *Built) Run(ctx context.Context) (*sim.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return sim.RunDynamic(b.schedule(), b.Alg, b.Adv, b.Cfg)
+	return sim.RunDynamic(b.Sched, b.Alg, b.Adv, b.Cfg)
 }
 
-// Run is RunContext without cancellation (compatibility entry point).
-func (b *Built) Run() (*sim.Result, error) {
-	return b.RunContext(context.Background())
+// RunMany materializes trials independent runs over the engine: result i is
+// trial i of the cell (engine.Trial.Execute, sim seed SeedFor(Cfg.Seed, i)),
+// bit-identical at any worker count. Cancellation follows engine.Map's
+// batch-granularity contract.
+func (b *Built) RunMany(ctx context.Context, trials int, ec engine.Config) ([]*sim.Result, error) {
+	return engine.Map(ctx, trials, ec, b.Execute)
 }
 
-// RunManyContext fans trials independent runs over the engine (see
-// engine.RunManyContext for the seed-derivation, determinism, and
-// cancellation contracts, which dynamic scenarios inherit via
-// engine.RunManyScheduleContext).
-func (b *Built) RunManyContext(ctx context.Context, trials int, ec engine.Config) ([]*sim.Result, error) {
-	return engine.RunManyScheduleContext(ctx, b.schedule(), b.Alg, b.Adv, b.Cfg, trials, ec)
-}
-
-// RunMany is RunManyContext without cancellation (compatibility entry
-// point).
-func (b *Built) RunMany(trials int, ec engine.Config) ([]*sim.Result, error) {
-	return b.RunManyContext(context.Background(), trials, ec)
-}
-
-// RunStreamContext is the memory-bounded sweep, cancellable at shard
-// granularity (see engine.RunStreamContext).
-func (b *Built) RunStreamContext(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	return engine.RunStreamScheduleContext(ctx, b.schedule(), b.Alg, b.Adv, b.Cfg, trials, ec, sc)
-}
-
-// RunStream is RunStreamContext without cancellation (compatibility entry
-// point).
-func (b *Built) RunStream(trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	return b.RunStreamContext(context.Background(), trials, ec, sc)
-}
-
-// RunStreamFromContext is RunStreamContext with the checkpoint-restore seed
-// map and the per-shard completion callback exposed (see
-// engine.RunStreamScheduleFromContext) — the entry point progress trackers
-// and checkpoint writers hook into.
-func (b *Built) RunStreamFromContext(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig,
-	seed map[int]*engine.TrialSummary, onShard func(engine.ShardState)) (*engine.TrialSummary, error) {
-	return engine.RunStreamScheduleFromContext(ctx, b.schedule(), b.Alg, b.Adv, b.Cfg, trials, ec, sc, seed, onShard)
-}
-
-// RunContext builds the scenario and executes it once.
-func (s Scenario) RunContext(ctx context.Context) (*sim.Result, error) {
-	b, err := s.Build()
+// RunStream is the memory-bounded sweep: the same trials as RunMany, folded
+// into a streaming summary by the engine's grid reducer over this one cell.
+// onShard, when non-nil, observes every completed shard (see
+// engine.Hooks.OnShard) — the hook progress trackers attach to.
+// Cancellation stops the run at shard granularity.
+func (b *Built) RunStream(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig,
+	onShard func(engine.ShardState)) (*engine.TrialSummary, error) {
+	sums, err := engine.RunGrid(ctx, []engine.Trial{b.Trial}, trials, ec, sc, engine.Hooks{OnShard: onShard})
 	if err != nil {
 		return nil, err
 	}
-	return b.RunContext(ctx)
-}
-
-// Run is RunContext without cancellation (compatibility entry point).
-func (s Scenario) Run() (*sim.Result, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunManyContext builds the scenario and fans trials runs over the engine.
-func (s Scenario) RunManyContext(ctx context.Context, trials int, ec engine.Config) ([]*sim.Result, error) {
-	b, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return b.RunManyContext(ctx, trials, ec)
-}
-
-// RunMany is RunManyContext without cancellation (compatibility entry
-// point).
-func (s Scenario) RunMany(trials int, ec engine.Config) ([]*sim.Result, error) {
-	return s.RunManyContext(context.Background(), trials, ec)
-}
-
-// RunStreamContext builds the scenario and executes a memory-bounded sweep.
-func (s Scenario) RunStreamContext(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	b, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return b.RunStreamContext(ctx, trials, ec, sc)
-}
-
-// RunStream is RunStreamContext without cancellation (compatibility entry
-// point).
-func (s Scenario) RunStream(trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	return s.RunStreamContext(context.Background(), trials, ec, sc)
+	return sums[0], nil
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -15,6 +16,16 @@ import (
 // TestEveryRegisteredNameConstructsAtSmallN is the Spec-layer property test:
 // every topology × the default algorithm/adversary, every algorithm, and
 // every adversary must build through the Scenario path at small n.
+// mustBuild materializes s or fails the test.
+func mustBuild(t *testing.T, s Scenario) *Built {
+	t.Helper()
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestEveryRegisteredNameConstructsAtSmallN(t *testing.T) {
 	for _, e := range registry.Topologies() {
 		s, err := New(WithTopology(e.Name, nil), WithN(9), WithSeed(3))
@@ -72,11 +83,11 @@ func TestJSONRoundTripRunsBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal %s: %v", blob, err)
 	}
-	want, err := s.RunMany(6, engine.Config{Workers: 2})
+	want, err := mustBuild(t, s).RunMany(context.Background(), 6, engine.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.RunMany(6, engine.Config{Workers: 3})
+	got, err := mustBuild(t, back).RunMany(context.Background(), 6, engine.Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +122,18 @@ func TestScenarioMatchesPositionalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.RunMany(b.Net, b.Alg, b.Adv,
-		sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}, 8, engine.Config{Workers: 2})
+	positional := engine.Trial{Net: b.Net, Alg: b.Alg, Adv: b.Adv,
+		Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}}
+	want, err := engine.Map(context.Background(), 8, engine.Config{Workers: 2}, positional.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RunMany(8, engine.Config{Workers: 1})
+	got, err := b.RunMany(context.Background(), 8, engine.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Scenario.RunMany differs from the positional engine.RunMany path")
+		t.Fatal("Built.RunMany differs from the positional engine path")
 	}
 }
 
@@ -188,7 +200,7 @@ func TestBuildUsesBuiltNetworkSize(t *testing.T) {
 	if b.Net.N() != 10 {
 		t.Fatalf("layered-random [3,3,3] built %d nodes", b.Net.N())
 	}
-	res, err := b.Run()
+	res, err := b.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ type CellResult struct {
 	// Cell identifies the grid point.
 	Cell Cell
 	// Summary aggregates the cell's trials (bit-identical at any worker
-	// count; equal to the cell's standalone Scenario.RunStream output).
+	// count; equal to the cell's standalone Built.RunStream output).
 	Summary *engine.TrialSummary
 }
 
@@ -227,46 +227,48 @@ func (g *GridResult) Cell(label string) (*CellResult, bool) {
 	return nil, false
 }
 
-// Stream expands the sweep and executes the whole grid on the trial
-// engine: cell networks are constructed in parallel (deterministically,
-// each from its own scenario seed), then all (cell, shard) work units share
-// one worker pool (engine.RunGridStreamContext), so the pool stays
-// saturated whether the grid is wide or deep. Every cell summary is
-// bit-identical at any worker count and equal to running that cell's
-// Scenario alone.
-//
-// onCell, when non-nil, receives finished cells in enumeration order while
-// the rest of the grid is still running: a cell is delivered as soon as it
-// and every cell before it have completed, so the delivered sequence is
-// always a prefix of the full grid — byte-identical to the corresponding
-// prefix of an uninterrupted run. Calls are serialized.
-//
-// Cancelling ctx stops the run at (cell, shard) granularity with a wrapped
-// context error; cells already delivered through onCell remain final.
-func (sw Sweep) Stream(ctx context.Context, ec engine.Config, sc engine.StreamConfig, onCell func(CellResult)) (*GridResult, error) {
-	return sw.StreamFrom(ctx, ec, sc, nil, nil, onCell)
+// Hooks are the optional checkpoint seed and observers of a Sweep run. The
+// zero value runs the whole grid and observes nothing.
+type Hooks struct {
+	// Seed holds (cell, shard) units restored from a checkpoint instead of
+	// run (see engine.Hooks.Seed).
+	Seed map[engine.ShardKey]*engine.TrialSummary
+	// OnShard observes every freshly completed unit, from worker goroutines,
+	// possibly concurrently: synchronize, and consume the summary during the
+	// call (see engine.Hooks.OnShard).
+	OnShard func(engine.ShardState)
+	// OnCell receives finished cells in enumeration order while the rest of
+	// the grid is still running: a cell is delivered as soon as it and every
+	// cell before it have completed, so the delivered sequence is always a
+	// prefix of the full grid — byte-identical to the corresponding prefix
+	// of an uninterrupted run. Calls are serialized.
+	OnCell func(CellResult)
 }
 
-// StreamFrom is Stream with checkpoint hooks, threading the engine's resume
-// contract through the spec layer: units in seed are restored instead of
-// run, onShard observes every freshly completed unit (from worker
-// goroutines, possibly concurrently — synchronize, and consume the summary
-// during the call), and the grid result — including the order and content of
-// onCell deliveries — is bit-identical to an uninterrupted Stream at any
-// worker count on either side of the interruption.
-func (sw Sweep) StreamFrom(ctx context.Context, ec engine.Config, sc engine.StreamConfig,
-	seed map[engine.ShardKey]*engine.TrialSummary, onShard func(engine.ShardState),
-	onCell func(CellResult)) (*GridResult, error) {
+// Run expands the sweep and executes the whole grid on the trial engine:
+// cell networks are constructed in parallel (deterministically, each from
+// its own scenario seed), then all (cell, shard) work units share one
+// worker pool (engine.RunGrid), so the pool stays saturated whether the
+// grid is wide or deep. Every cell summary is bit-identical at any worker
+// count and equal to streaming that cell's Scenario alone.
+//
+// Units in h.Seed are restored instead of run, and the grid result —
+// including the order and content of h.OnCell deliveries — is
+// bit-identical to an uninterrupted run at any worker count on either side
+// of the interruption. Cancelling ctx stops the run at (cell, shard)
+// granularity with a wrapped context error; cells already delivered
+// through h.OnCell remain final.
+func (sw Sweep) Run(ctx context.Context, ec engine.Config, sc engine.StreamConfig, h Hooks) (*GridResult, error) {
 	cells, err := sw.Cells()
 	if err != nil {
 		return nil, err
 	}
-	built, err := engine.MapContext(ctx, len(cells), ec, func(i int) (engine.Trial, error) {
+	built, err := engine.Map(ctx, len(cells), ec, func(i int) (engine.Trial, error) {
 		b, err := cells[i].Scenario.Build()
 		if err != nil {
 			return engine.Trial{}, fmt.Errorf("cell %s: %w", cells[i].Label, err)
 		}
-		return engine.Trial{Net: b.Net, Sched: b.Sched, Alg: b.Alg, Adv: b.Adv, Cfg: b.Cfg}, nil
+		return b.Trial, nil
 	})
 	if err != nil {
 		return nil, err
@@ -298,20 +300,20 @@ func (sw Sweep) StreamFrom(ctx context.Context, ec engine.Config, sc engine.Stre
 		done []*engine.TrialSummary
 		next int
 	)
-	var onEngineCell func(c int, sum *engine.TrialSummary)
-	if onCell != nil {
+	eh := engine.Hooks{Seed: h.Seed, OnShard: h.OnShard}
+	if h.OnCell != nil {
 		done = make([]*engine.TrialSummary, len(cells))
-		onEngineCell = func(c int, sum *engine.TrialSummary) {
+		eh.OnCell = func(c int, sum *engine.TrialSummary) {
 			mu.Lock()
 			defer mu.Unlock()
 			done[c] = sum
 			for next < len(done) && done[next] != nil {
-				onCell(CellResult{Cell: cells[next], Summary: done[next]})
+				h.OnCell(CellResult{Cell: cells[next], Summary: done[next]})
 				next++
 			}
 		}
 	}
-	sums, err := engine.RunGridStreamFromContext(ctx, built, sw.trials(), ec, sc, seed, onShard, onEngineCell)
+	sums, err := engine.RunGrid(ctx, built, sw.trials(), ec, sc, eh)
 	if err != nil {
 		return nil, err
 	}
@@ -320,14 +322,4 @@ func (sw Sweep) StreamFrom(ctx context.Context, ec engine.Config, sc engine.Stre
 		out.Cells[i] = CellResult{Cell: c, Summary: sums[i]}
 	}
 	return out, nil
-}
-
-// RunContext is Stream without per-cell delivery.
-func (sw Sweep) RunContext(ctx context.Context, ec engine.Config, sc engine.StreamConfig) (*GridResult, error) {
-	return sw.Stream(ctx, ec, sc, nil)
-}
-
-// Run is RunContext without cancellation (compatibility entry point).
-func (sw Sweep) Run(ec engine.Config, sc engine.StreamConfig) (*GridResult, error) {
-	return sw.RunContext(context.Background(), ec, sc)
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -63,15 +64,15 @@ func TestEmptySweepIsOneBaseCell(t *testing.T) {
 // TestGridDeterministicAcrossWorkerCounts is the tentpole guarantee: the
 // whole GridResult — every cell summary, including quantile sketch state —
 // is bit-identical at 1, 2, and 8 workers, and each cell equals its
-// standalone Scenario.RunStream output.
+// standalone Built.RunStream output.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := testSweep()
-	ref, err := sw.Run(engine.Config{Workers: 1}, engine.StreamConfig{})
+	ref, err := sw.Run(context.Background(), engine.Config{Workers: 1}, engine.StreamConfig{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := sw.Run(engine.Config{Workers: workers}, engine.StreamConfig{})
+		got, err := sw.Run(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -80,12 +81,12 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, cr := range ref.Cells {
-		standalone, err := cr.Cell.Scenario.RunStream(sw.Trials, engine.Config{Workers: 3}, engine.StreamConfig{})
+		standalone, err := mustBuild(t, cr.Cell.Scenario).RunStream(context.Background(), sw.Trials, engine.Config{Workers: 3}, engine.StreamConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cr.Summary, standalone) {
-			t.Errorf("cell %q: grid summary differs from standalone RunStream", cr.Cell.Label)
+			t.Errorf("cell %q: grid summary differs from standalone Built.RunStream", cr.Cell.Label)
 		}
 	}
 }
@@ -183,20 +184,20 @@ func TestRunRejectsDuplicateBuiltCells(t *testing.T) {
 	base := Default()
 	base.Topology = Choice{Name: "grid"}
 	sw := Sweep{Base: base, Ns: []int{33, 34}, Trials: 2}
-	_, err := sw.Run(engine.Config{Workers: 2}, engine.StreamConfig{})
+	_, err := sw.Run(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, Hooks{})
 	if err == nil || !strings.Contains(err.Error(), "same 36-node network") {
 		t.Fatalf("err = %v, want a duplicate-cell rejection", err)
 	}
 	// Distinct built sizes stay fine.
 	sw.Ns = []int{16, 36}
-	if _, err := sw.Run(engine.Config{Workers: 2}, engine.StreamConfig{}); err != nil {
+	if _, err := sw.Run(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestGridResultLookupByLabel(t *testing.T) {
 	sw := Sweep{Base: Default(), Ns: []int{9, 17}, Trials: 2}
-	g, err := sw.Run(engine.Config{Workers: 2}, engine.StreamConfig{})
+	g, err := sw.Run(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

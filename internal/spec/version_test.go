@@ -105,8 +105,10 @@ func TestSweepStreamOrdered(t *testing.T) {
 	sw.Base.N = 13
 	for _, workers := range []int{1, 3, 8} {
 		var streamed []CellResult
-		grid, err := sw.Stream(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, func(cr CellResult) {
-			streamed = append(streamed, cr)
+		grid, err := sw.Run(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, Hooks{
+			OnCell: func(cr CellResult) {
+				streamed = append(streamed, cr)
+			},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -135,11 +137,13 @@ func TestSweepStreamCancelDeliversPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var streamed []int
-	_, err := sw.Stream(ctx, engine.Config{Workers: 2}, engine.StreamConfig{}, func(cr CellResult) {
-		streamed = append(streamed, cr.Cell.Index)
-		if len(streamed) == 2 {
-			cancel()
-		}
+	_, err := sw.Run(ctx, engine.Config{Workers: 2}, engine.StreamConfig{}, Hooks{
+		OnCell: func(cr CellResult) {
+			streamed = append(streamed, cr.Cell.Index)
+			if len(streamed) == 2 {
+				cancel()
+			}
+		},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)

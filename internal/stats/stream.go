@@ -4,7 +4,7 @@
 // is exact up to ExactK buffered values and degrades to one P² estimator
 // (Jain & Chlamtac, CACM 1985) per tracked quantile beyond that. Streams
 // merge, so a trial population can be reduced shard by shard (see
-// internal/engine.Reduce) without ever materializing it.
+// internal/engine.RunGrid) without ever materializing it.
 //
 // Accuracy contract:
 //

@@ -296,7 +296,7 @@ func TestStreamMergeMatchesSingleStream(t *testing.T) {
 	}
 }
 
-// TestStreamMergeDoesNotMutateSource: Reduce merges left to right and may
+// TestStreamMergeDoesNotMutateSource: the engine merges left to right and may
 // reuse sources afterwards in principle; Merge must treat src as read-only.
 func TestStreamMergeDoesNotMutateSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -61,7 +61,8 @@ race:
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,
-# checkpoint torn-tail recovery). A few seconds each is enough to replay the
+# checkpoint torn-tail recovery), and the direct-CSR geometric constructor
+# against its Builder-based oracle. A few seconds each is enough to replay the
 # checked-in corpus and shake the shallow branches in CI; run `go test
 # -fuzz=<target> -fuzztime=10m <pkg>` for a real hunt.
 FUZZTIME ?= 5s
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzStreamUnmarshal -fuzztime $(FUZZTIME) ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -run NONE -fuzz FuzzDualFromPositions -fuzztime $(FUZZTIME) ./internal/graph/
 
 # Coverage floor gate: measure per-package statement coverage on the tier-1
 # test suite and fail if any package drops below its checked-in floor
@@ -117,7 +119,9 @@ bench-smoke:
 # benchcmp's default prefix -match gates both);
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the
 # declarative grid runner vs sequential cells; 'BenchmarkEpochSwap' also
-# matches the EpochSwapIncremental/pDown=* churn-scaling series;
+# matches the EpochSwapIncremental/pDown=* churn-scaling series and the
+# EpochSwapSchedules/{churn,fade,waypoint} per-policy epoch costs on the
+# churn-epochs benchmark network;
 # 'BenchmarkCheckpoint' is the fsync-per-record write + recover round trip
 # behind -checkpoint/-resume; 'BenchmarkMetrics' is the
 # instrumented-vs-uninstrumented round-loop pair that prices the PR 9

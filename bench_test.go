@@ -766,6 +766,48 @@ func BenchmarkEpochSwapIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkEpochSwapSchedules prices one epoch of each built-in mutation
+// policy on the churn-epochs benchmark network (geometric n=1024, radii
+// .06/.12) with that workload's schedule parameters: churn and fade patch the
+// base CSR row by row, waypoint builds a fresh geometric dual straight into
+// CSR from the epoch's interpolated positions.
+func BenchmarkEpochSwapSchedules(b *testing.B) {
+	d, err := graph.Geometric(1024, 0.06, 0.12, dualgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	churn, err := graph.NewChurn(d, 4, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fade, err := graph.NewFade(d, 4, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	waypoint, err := graph.NewWaypoint(d, 8, 4, 0.06, 0.12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sched graph.Schedule
+	}{{"churn", churn}, {"fade", fade}, {"waypoint", waypoint}} {
+		b.Run(c.name, func(b *testing.B) {
+			arcs := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ep, err := c.sched.Epoch(1+i%64, 7)
+				if err != nil {
+					b.Fatal(err)
+				}
+				arcs = ep.GPrime().NumEdges()
+			}
+			b.ReportMetric(float64(arcs), "arcs/epoch")
+		})
+	}
+}
+
 // benchDynamicSweep runs a churn-schedule Monte Carlo sweep through the
 // streaming grid reducer (a grid of one dynamic cell): the end-to-end
 // dynamics path (epoch builds + swaps + round loop) under the engine's

@@ -1,10 +1,13 @@
 // Dynamic dual graphs: epoch-scheduled time-varying topologies.
 //
 // A Schedule produces the sequence of frozen networks — epochs — that a
-// dynamic run executes on. Each epoch is an ordinary immutable Dual built
-// through the same Builder→Freeze path as a static network, so within an
-// epoch the simulator's allocation-free CSR hot loop is untouched; only the
-// epoch boundary pays for a swap. EdgeIDs are dense per epoch: an id names an
+// dynamic run executes on. Each epoch is an ordinary immutable Dual, so
+// within an epoch the simulator's allocation-free CSR hot loop is untouched;
+// only the epoch boundary pays for a swap. No epoch goes through the
+// Builder: churn and fade build every row of G, G' and the fringe from the
+// matching base rows in one pass (rows stay sorted, so no re-sort and no
+// fringe merge-walk), and waypoint epochs are DualFromPositions builds
+// straight into CSR. EdgeIDs are dense per epoch: an id names an
 // arc of one epoch's fringe only, and adversaries must resolve ids against
 // the Dual they are currently handed (View.Dual), never cache them across
 // epochs.
@@ -135,85 +138,36 @@ func (b *backboneTree) has(u, v NodeID) bool {
 	return b.parent[v] == u || b.parent[u] == v
 }
 
-// filterRowsPatched builds the CSR graph obtained from base by deleting the
-// arcs that keep rejects, given that only rows flagged dirty can change:
-// clean rows are copied verbatim (one bulk copy per row, already sorted and
-// deduplicated), and only dirty rows pay the per-arc keep predicate. This is
-// the incremental half of an epoch swap — no Builder log, no re-sort, no
-// hashing; cost O(m) of straight-line copying plus O(Σ deg(dirty)) predicate
-// evaluations, against the old full Builder→Freeze rebuild that re-sorted
-// every row.
-//
-// Callers must flag every row whose content can differ from the base; a row
-// flagged dirty that turns out unchanged is merely re-filtered to an
-// identical result, so over-approximating dirtiness affects cost, never
-// structure.
-func filterRowsPatched(base *Graph, dirty []bool, keep func(u, v NodeID) bool) *Graph {
-	n := base.n
-	offsets := make([]int32, n+1)
-	targets := make([]NodeID, 0, len(base.targets))
-	for u := 0; u < n; u++ {
-		row := base.Out(NodeID(u))
-		if !dirty[u] {
-			targets = append(targets, row...)
-		} else {
-			for _, v := range row {
-				if keep(NodeID(u), v) {
-					targets = append(targets, v)
-				}
-			}
+// churnRow appends the arcs (u, v) of a base row that survive a churn epoch
+// — both endpoints up, or a backbone arc — in row order, so a sorted base
+// row yields a sorted epoch row.
+func (b *backboneTree) churnRow(dst []NodeID, u NodeID, row []NodeID, down []bool) []NodeID {
+	for _, v := range row {
+		if !down[u] && !down[v] || b.has(u, v) {
+			dst = append(dst, v)
 		}
-		offsets[u+1] = int32(len(targets))
 	}
-	return &Graph{n: n, directed: base.directed, offsets: offsets, targets: targets[:len(targets):len(targets)]}
+	return dst
 }
 
-// subtractPatched computes the fringe gp \ g like subtract, reusing the
-// base's fringe rows for every clean node: a fringe row can change only where
-// the epoch's g or gp row changed, so only dirty rows pay the merge-walk.
-// The caller guarantees g ⊆ gp (both sides derive from a validated base via
-// the same keep predicate), so unlike subtract no subgraph violation can
-// arise. The capacity len(gp) - len(g) is exact for subset inputs, so the
-// append loops never reallocate.
-func subtractPatched(gp, g, baseFringe *Graph, baseFrom []NodeID, dirty []bool) (*Graph, []NodeID) {
-	n := gp.n
-	offsets := make([]int32, n+1)
-	fringeCap := len(gp.targets) - len(g.targets)
-	if fringeCap < 0 {
-		fringeCap = 0
-	}
-	targets := make([]NodeID, 0, fringeCap)
-	from := make([]NodeID, 0, fringeCap)
-	for u := 0; u < n; u++ {
-		if !dirty[u] {
-			lo, hi := baseFringe.offsets[u], baseFringe.offsets[u+1]
-			targets = append(targets, baseFringe.targets[lo:hi]...)
-			from = append(from, baseFrom[lo:hi]...)
-			offsets[u+1] = int32(len(targets))
-			continue
+// fillFrom writes the source node of every arc of a CSR layout: from[k] = u
+// for k in offsets[u]:offsets[u+1], the EdgeID -> arc decoding of a fringe.
+func fillFrom(from []NodeID, offsets []int32) {
+	for u := 0; u+1 < len(offsets); u++ {
+		for k := offsets[u]; k < offsets[u+1]; k++ {
+			from[k] = NodeID(u)
 		}
-		gRow := g.Out(NodeID(u))
-		i := 0
-		for _, v := range gp.Out(NodeID(u)) {
-			if i < len(gRow) && gRow[i] == v {
-				i++
-				continue
-			}
-			targets = append(targets, v)
-			from = append(from, NodeID(u))
-		}
-		offsets[u+1] = int32(len(targets))
 	}
-	fringe := &Graph{n: n, directed: true, offsets: offsets, targets: targets}
-	return fringe, from
 }
 
 // newDualPatched assembles an epoch Dual from patched cores without
 // re-running NewDual's validation sweep: subgraph containment holds because
-// both cores were filtered from a validated base by one keep predicate, and
-// source reachability holds because the predicate never rejects a backbone
-// arc. Schedules constructed these invariants; re-proving them per epoch
-// (a BFS plus a full merge re-walk) was a large share of the old swap cost.
+// every core derives row by row from a validated base (churn filters G and
+// G' with one predicate; fade only moves G arcs into the fringe under a
+// shared G'), and source reachability holds because no policy drops a
+// backbone arc. Schedules constructed these invariants; re-proving them per
+// epoch (a BFS plus a full merge re-walk) was a large share of the old swap
+// cost.
 func newDualPatched(g, gp *Graph, source NodeID, fringe *Graph, from []NodeID) *Dual {
 	return &Dual{g: g, gPrime: gp, source: source, fringe: fringe, fringeFrom: from}
 }
@@ -301,8 +255,7 @@ func (s *ChurnSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	}
 	// A row u changes only if u is down (its whole row is filtered) or u has
 	// an arc to a down node. G ⊆ G', so the G'-in-adjacency covers the dirty
-	// rows of both cores; epoch cost is proportional to the down set and its
-	// neighbourhood, not to n.
+	// rows of every core.
 	dirty := make([]bool, n)
 	for v := 0; v < n; v++ {
 		if !down[v] {
@@ -313,18 +266,40 @@ func (s *ChurnSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 			dirty[u] = true
 		}
 	}
-	keep := func(u, v NodeID) bool {
-		if !down[u] && !down[v] {
-			return true
-		}
-		return s.backbone.has(u, v)
-	}
 	if metrics.Enabled() {
 		mEpochIncremental.Inc()
 	}
-	g := filterRowsPatched(s.base.G(), dirty, keep)
-	gp := filterRowsPatched(s.base.GPrime(), dirty, keep)
-	fringe, from := subtractPatched(gp, g, s.base.fringe, s.base.fringeFrom, dirty)
+	// Row u of each epoch core — G, G' and the fringe — is row u of the
+	// matching base core minus the arcs churnRow drops, so every row comes
+	// out sorted and the fringe keeps its (from, to) EdgeID order with no
+	// merge against G. Clean rows are copied whole. Churn only removes arcs,
+	// so one block holding all four arrays at their base sizes never
+	// overflows.
+	bg, bgp, bf := s.base.g, s.base.gPrime, s.base.fringe
+	nodes := make([]NodeID, len(bg.targets)+len(bgp.targets)+2*len(bf.targets))
+	gT, nodes := nodes[:0:len(bg.targets)], nodes[len(bg.targets):]
+	gpT, nodes := nodes[:0:len(bgp.targets)], nodes[len(bgp.targets):]
+	fT, from := nodes[:0:len(bf.targets)], nodes[len(bf.targets):]
+	offs := make([]int32, 3*(n+1))
+	gOff, gpOff, fOff := offs[:n+1:n+1], offs[n+1:2*(n+1):2*(n+1)], offs[2*(n+1):]
+	for u := 0; u < n; u++ {
+		id := NodeID(u)
+		if dirty[u] {
+			gT = s.backbone.churnRow(gT, id, bg.Out(id), down)
+			gpT = s.backbone.churnRow(gpT, id, bgp.Out(id), down)
+			fT = s.backbone.churnRow(fT, id, bf.Out(id), down)
+		} else {
+			gT = append(gT, bg.Out(id)...)
+			gpT = append(gpT, bgp.Out(id)...)
+			fT = append(fT, bf.Out(id)...)
+		}
+		gOff[u+1], gpOff[u+1], fOff[u+1] = int32(len(gT)), int32(len(gpT)), int32(len(fT))
+	}
+	from = from[:len(fT):len(fT)]
+	fillFrom(from, fOff)
+	g := &Graph{n: n, directed: bg.directed, offsets: gOff, targets: gT}
+	gp := &Graph{n: n, directed: bgp.directed, offsets: gpOff, targets: gpT}
+	fringe := &Graph{n: n, directed: true, offsets: fOff, targets: fT}
 	return newDualPatched(g, gp, src, fringe, from), nil
 }
 
@@ -333,7 +308,7 @@ func (s *ChurnSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 // probability PFade — the link still exists in G', but for that epoch the
 // adversary controls it. Demoted edges recover automatically in the next
 // epoch's fresh draw ("and back"). G' never changes, so the epoch duals
-// share the base's frozen G' core; only G and the fringe are re-frozen.
+// share the base's frozen G' core; only G and the fringe are rebuilt.
 type FadeSchedule struct {
 	base     *Dual
 	epochLen int
@@ -369,35 +344,27 @@ func (s *FadeSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 		return s.base, nil
 	}
 	seed := EpochSeed(runSeed, e)
-	bg := s.base.G()
-	keep := func(u, v NodeID) bool {
-		if s.backbone.has(u, v) {
-			return true
-		}
-		return unitHash(seed, fadeTag, canonArc(u, v, bg.Directed())) >= s.pFade
-	}
-	// One coin scan finds the faded arcs — and hence the dirty rows — before
-	// anything is built. If no edge fades, the epoch is structurally the base
-	// (same arc sets, same dense EdgeIDs): return the base core. Otherwise
-	// the patched filter below re-draws identical outcomes (coins are pure),
-	// and only the rows that lost an arc are re-filtered; an undirected edge's
-	// reverse orientation flips the same canonical coin in its own row's scan,
-	// so both endpoint rows get flagged.
-	var dirty []bool
-	anyFaded := false
-	for u := 0; u < bg.N(); u++ {
-		for _, v := range bg.Out(NodeID(u)) {
-			if keep(NodeID(u), v) {
-				continue
+	bg, bf := s.base.g, s.base.fringe
+	n := bg.n
+	// One coin per arc: keep[k] records whether arc k of the base G stays
+	// reliable. An undirected edge's two orientations flip the same
+	// canonical coin, so both rows agree. If no edge fades, the epoch is
+	// structurally the base (same arc sets, same dense EdgeIDs): return the
+	// base core.
+	keep := make([]bool, len(bg.targets))
+	faded := 0
+	for u := 0; u < n; u++ {
+		lo := int(bg.offsets[u])
+		for k, v := range bg.Out(NodeID(u)) {
+			if s.backbone.has(NodeID(u), v) ||
+				unitHash(seed, fadeTag, canonArc(NodeID(u), v, bg.directed)) >= s.pFade {
+				keep[lo+k] = true
+			} else {
+				faded++
 			}
-			if !anyFaded {
-				anyFaded = true
-				dirty = make([]bool, bg.N())
-			}
-			dirty[u] = true
 		}
 	}
-	if !anyFaded {
+	if faded == 0 {
 		if metrics.Enabled() {
 			mEpochBase.Inc()
 		}
@@ -406,10 +373,37 @@ func (s *FadeSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	if metrics.Enabled() {
 		mEpochIncremental.Inc()
 	}
-	g := filterRowsPatched(bg, dirty, keep)
-	gp := s.base.GPrime()
-	fringe, from := subtractPatched(gp, g, s.base.fringe, s.base.fringeFrom, dirty)
-	return newDualPatched(g, gp, s.base.Source(), fringe, from), nil
+	// G' is shared. Row u of the epoch G is the base G row minus its faded
+	// arcs; row u of the fringe is the sorted merge of the base fringe row
+	// with those faded arcs (disjoint, since G ∩ fringe = ∅). Both come out
+	// of one walk over the base G row, at exact sizes.
+	nG, nF := len(bg.targets)-faded, len(bf.targets)+faded
+	nodes := make([]NodeID, nG+2*nF)
+	gT, fT, from := nodes[:0:nG], nodes[nG:nG:nG+nF], nodes[nG+nF:]
+	offs := make([]int32, 2*(n+1))
+	gOff, fOff := offs[:n+1:n+1], offs[n+1:]
+	for u := 0; u < n; u++ {
+		lo := int(bg.offsets[u])
+		fr := bf.Out(NodeID(u))
+		i := 0
+		for k, v := range bg.Out(NodeID(u)) {
+			if keep[lo+k] {
+				gT = append(gT, v)
+				continue
+			}
+			for i < len(fr) && fr[i] < v {
+				fT = append(fT, fr[i])
+				i++
+			}
+			fT = append(fT, v)
+		}
+		fT = append(fT, fr[i:]...)
+		gOff[u+1], fOff[u+1] = int32(len(gT)), int32(len(fT))
+	}
+	fillFrom(from, fOff)
+	g := &Graph{n: n, directed: bg.directed, offsets: gOff, targets: gT}
+	fringe := &Graph{n: n, directed: true, offsets: fOff, targets: fT}
+	return newDualPatched(g, s.base.gPrime, s.base.source, fringe, from), nil
 }
 
 // WaypointSchedule models random-waypoint mobility over the geometric
@@ -475,15 +469,20 @@ func (s *WaypointSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	if e > 0 && metrics.Enabled() {
 		mEpochRebuild.Inc()
 	}
-	leg, step := e/s.legEpochs, e%s.legEpochs
-	t := float64(step) / float64(s.legEpochs)
 	xs := make([]float64, s.n)
 	ys := make([]float64, s.n)
+	s.positions(e, runSeed, xs, ys)
+	return DualFromPositions(xs, ys, s.rRel, s.rUnrel, s.source)
+}
+
+// positions writes every node's interpolated position at epoch e.
+func (s *WaypointSchedule) positions(e int, runSeed int64, xs, ys []float64) {
+	leg, step := e/s.legEpochs, e%s.legEpochs
+	t := float64(step) / float64(s.legEpochs)
 	for v := 0; v < s.n; v++ {
 		x0, y0 := s.waypoint(runSeed, NodeID(v), leg)
 		x1, y1 := s.waypoint(runSeed, NodeID(v), leg+1)
 		xs[v] = x0*(1-t) + x1*t
 		ys[v] = y0*(1-t) + y1*t
 	}
-	return DualFromPositions(xs, ys, s.rRel, s.rUnrel, s.source)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -324,93 +325,105 @@ func rebuildReference(base *Graph, keep func(u, v NodeID) bool) *Graph {
 	return b.Freeze()
 }
 
-// fringeEqual compares the unreliable fringes including EdgeID order: id k
-// must name the same (from, to) arc in both duals.
-func fringeEqual(a, b *Dual) bool {
-	if !graphEqual(a.fringe, b.fringe) || len(a.fringeFrom) != len(b.fringeFrom) {
-		return false
-	}
-	for i := range a.fringeFrom {
-		if a.fringeFrom[i] != b.fringeFrom[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestEpochPatchingMatchesFullRebuild pins the incremental epoch-swap path
-// (dirty-row CSR patching, no validation BFS) against a full Builder→Freeze→
-// NewDualGraphs rebuild with the same keep predicates, for churn and fade on
-// undirected and directed bases. Structural identity here is what keeps the
-// simulator's dynamic goldens byte-identical across the optimization.
+// TestEpochPatchingMatchesFullRebuild pins the row-by-row epoch path (each
+// epoch row filtered or merged from the matching base rows, no validation
+// BFS) against a full Builder→Freeze→NewDualGraphs rebuild with the same
+// keep predicates, for churn and fade on undirected and directed bases and
+// on the churn-epochs benchmark network (geometric n=1024, radii .06/.12).
+// The probabilities cover the extremes: 0 (no row changes; the epoch must be
+// the base pointer), 0.01 (a few rows), the workloads' own rates, and 1
+// (every row of churn changes; fade demotes every non-backbone edge).
+// Structural identity here is what keeps the simulator's dynamic goldens
+// byte-identical across the optimization.
 func TestEpochPatchingMatchesFullRebuild(t *testing.T) {
 	directed, err := DirectedLayered([]int{4, 5, 4, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := map[string]*Dual{"undirected": testBase(t), "directed": directed}
+	geometric, err := Geometric(1024, 0.06, 0.12, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := []struct {
+		name   string
+		d      *Dual
+		epochs int
+	}{{"undirected", testBase(t), 16}, {"directed", directed, 16}, {"geometric-1024", geometric, 4}}
 	const runSeed = 7
-	for name, base := range bases {
-		churn, err := NewChurn(base, 3, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fade, err := NewFade(base, 3, 0.35)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, b := range bases {
+		base := b.d
 		backbone := newBackboneTree(base)
-		for e := 1; e <= 16; e++ {
-			seed := EpochSeed(runSeed, e)
+		for _, p := range []float64{0, 0.01, 0.05, 0.3, 1} {
+			churn, err := NewChurn(base, 3, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fade, err := NewFade(base, 3, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 1; e <= b.epochs; e++ {
+				seed := EpochSeed(runSeed, e)
+				name := fmt.Sprintf("%s p=%v epoch %d", b.name, p, e)
 
-			// Churn reference: recompute the down set and rebuild both cores.
-			down := make([]bool, base.N())
-			for v := 0; v < base.N(); v++ {
-				if NodeID(v) != base.Source() && unitHash(seed, churnTag, uint64(v)) < 0.3 {
-					down[v] = true
+				// Churn reference: recompute the down set and rebuild both cores.
+				down := make([]bool, base.N())
+				for v := 0; v < base.N(); v++ {
+					if NodeID(v) != base.Source() && unitHash(seed, churnTag, uint64(v)) < p {
+						down[v] = true
+					}
 				}
-			}
-			keepChurn := func(u, v NodeID) bool {
-				if !down[u] && !down[v] {
-					return true
+				keepChurn := func(u, v NodeID) bool {
+					if !down[u] && !down[v] {
+						return true
+					}
+					return backbone.has(u, v)
 				}
-				return backbone.has(u, v)
-			}
-			wantChurn, err := NewDualGraphs(
-				rebuildReference(base.G(), keepChurn),
-				rebuildReference(base.GPrime(), keepChurn),
-				base.Source())
-			if err != nil {
-				t.Fatalf("%s churn reference epoch %d: %v", name, e, err)
-			}
-			gotChurn, err := churn.Epoch(e, runSeed)
-			if err != nil {
-				t.Fatalf("%s churn epoch %d: %v", name, e, err)
-			}
-			if !dualEqual(gotChurn, wantChurn) || !fringeEqual(gotChurn, wantChurn) {
-				t.Fatalf("%s churn epoch %d: patched dual differs from full rebuild", name, e)
-			}
+				wantChurn, err := NewDualGraphs(
+					rebuildReference(base.G(), keepChurn),
+					rebuildReference(base.GPrime(), keepChurn),
+					base.Source())
+				if err != nil {
+					t.Fatalf("%s: churn reference: %v", name, err)
+				}
+				gotChurn, err := churn.Epoch(e, runSeed)
+				if err != nil {
+					t.Fatalf("%s: churn: %v", name, err)
+				}
+				if err := coresIdentical(gotChurn, wantChurn); err != nil {
+					t.Fatalf("%s: churn epoch differs from full rebuild: %v", name, err)
+				}
+				if p == 0 && gotChurn != base {
+					t.Fatalf("%s: p-down=0 churn epoch is not the base pointer", name)
+				}
 
-			// Fade reference: rebuild G only; G' is shared with the base.
-			keepFade := func(u, v NodeID) bool {
-				if backbone.has(u, v) {
-					return true
+				// Fade reference: rebuild G only; G' is shared with the base.
+				keepFade := func(u, v NodeID) bool {
+					if backbone.has(u, v) {
+						return true
+					}
+					return unitHash(seed, fadeTag, canonArc(u, v, base.G().Directed())) >= p
 				}
-				return unitHash(seed, fadeTag, canonArc(u, v, base.G().Directed())) >= 0.35
-			}
-			wantFade, err := NewDualGraphs(rebuildReference(base.G(), keepFade), base.GPrime(), base.Source())
-			if err != nil {
-				t.Fatalf("%s fade reference epoch %d: %v", name, e, err)
-			}
-			gotFade, err := fade.Epoch(e, runSeed)
-			if err != nil {
-				t.Fatalf("%s fade epoch %d: %v", name, e, err)
-			}
-			if !dualEqual(gotFade, wantFade) || !fringeEqual(gotFade, wantFade) {
-				t.Fatalf("%s fade epoch %d: patched dual differs from full rebuild", name, e)
-			}
-			if gotFade != base && gotFade.GPrime() != base.GPrime() {
-				t.Fatalf("%s fade epoch %d: G' no longer aliases the base core", name, e)
+				wantFade, err := NewDualGraphs(rebuildReference(base.G(), keepFade), base.GPrime(), base.Source())
+				if err != nil {
+					t.Fatalf("%s: fade reference: %v", name, err)
+				}
+				gotFade, err := fade.Epoch(e, runSeed)
+				if err != nil {
+					t.Fatalf("%s: fade: %v", name, err)
+				}
+				if err := coresIdentical(gotFade, wantFade); err != nil {
+					t.Fatalf("%s: fade epoch differs from full rebuild: %v", name, err)
+				}
+				if gotFade.GPrime() != base.GPrime() {
+					t.Fatalf("%s: fade G' no longer aliases the base core", name)
+				}
+				if p == 0 && gotFade != base {
+					t.Fatalf("%s: p-fade=0 fade epoch is not the base pointer", name)
+				}
+				if p == 1 && gotFade.G().NumEdges() != rebuildReference(base.G(), backbone.has).NumEdges() {
+					t.Fatalf("%s: p-fade=1 left more than the backbone in G", name)
+				}
 			}
 		}
 	}

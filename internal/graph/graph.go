@@ -19,11 +19,16 @@
 // exhaustive searcher can name per-round delivery choices as edge-id sets
 // instead of (from, to) pairs.
 //
+// Generators whose rows come out sorted skip the Builder: the geometric
+// constructor (DualFromPositions) buckets nodes by cell with a counting sort
+// and writes both CSR cores directly, each row already ascending.
+//
 // Time-varying networks are built on the same immutable cores: a Schedule
 // (see dynamic.go) produces a sequence of frozen Duals — epochs — from a
 // base topology plus a mutation policy (node churn, link fading, waypoint
-// mobility), each epoch assembled through the ordinary Builder→Freeze path,
-// so the simulator's allocation-free hot loop is untouched within an epoch.
+// mobility). Churn and fade epochs filter or merge each row from the
+// matching base rows; waypoint epochs are fresh DualFromPositions builds.
+// Within an epoch the simulator's allocation-free hot loop is untouched.
 // EdgeIDs are dense per epoch and must never be cached across epochs.
 package graph
 
@@ -366,41 +371,76 @@ func newDual(g, gPrime *Graph, source NodeID) (*Dual, error) {
 	}, nil
 }
 
-// subtract computes the fringe gp \ g as a CSR graph by merge-walking the
-// two sorted row sets, verifying g ⊆ gp along the way. O(|E'|) total.
+// subtract computes the fringe gp \ g as a CSR graph, verifying g ⊆ gp
+// along the way. O(n + |E'|) total. Each row is a mark-and-compact pass: u's
+// G row is marked in a scratch array, every G' arc is written at the
+// cursor, and the cursor advances only past unmarked arcs, which compiles to
+// a conditional move instead of the merge-walk's unpredictable branches. A
+// row whose G' arcs hit fewer marks than its G row has arcs holds a subgraph
+// violation, which subgraphError then locates.
 func subtract(gp, g *Graph) (*Graph, []NodeID, error) {
 	n := gp.N()
-	offsets := make([]int32, n+1)
-	fringeCap := len(gp.targets) - len(g.targets)
-	if fringeCap < 0 {
-		fringeCap = 0 // g ⊄ gp; the walk below reports the offending edge
-	}
-	targets := make([]NodeID, 0, fringeCap)
-	from := make([]NodeID, 0, fringeCap)
+	size, widest := 0, 0
 	for u := 0; u < n; u++ {
+		d := gp.OutDegree(NodeID(u)) - g.OutDegree(NodeID(u))
+		if d < 0 {
+			return nil, nil, subgraphError(gp, g)
+		}
+		size += d
+		widest = max(widest, gp.OutDegree(NodeID(u)))
+	}
+	// Every G' arc is written before the cursor decides to keep it, so the
+	// array carries one row of slack past the exact fringe size.
+	targets := make([]NodeID, size+widest)
+	offsets := make([]int32, n+1)
+	inG := make([]bool, n)
+	w := 0
+	for u := 0; u < n; u++ {
+		gRow := g.Out(NodeID(u))
+		for _, v := range gRow {
+			inG[v] = true
+		}
 		gpRow := gp.Out(NodeID(u))
+		start := w
+		for _, v := range gpRow {
+			targets[w] = v
+			if !inG[v] {
+				w++
+			}
+		}
+		for _, v := range gRow {
+			inG[v] = false
+		}
+		if hits := len(gpRow) - (w - start); hits != len(gRow) {
+			return nil, nil, subgraphError(gp, g)
+		}
+		offsets[u+1] = int32(w)
+	}
+	from := make([]NodeID, w)
+	fillFrom(from, offsets)
+	fringe := &Graph{n: n, directed: true, offsets: offsets, targets: targets[:w:w]}
+	return fringe, from, nil
+}
+
+// subgraphError reports the first reliable arc, in (from, to) order, that
+// gp lacks, by merge-walking the sorted rows.
+func subgraphError(gp, g *Graph) error {
+	for u := 0; u < g.n; u++ {
 		gRow := g.Out(NodeID(u))
 		i := 0
-		for _, v := range gpRow {
-			for i < len(gRow) && gRow[i] < v {
-				// A reliable arc smaller than every remaining G' arc cannot
-				// be matched: G ⊄ G'.
-				return nil, nil, fmt.Errorf("%w: edge (%d,%d)", ErrNotSubgraph, u, gRow[i])
+		for _, v := range gp.Out(NodeID(u)) {
+			if i < len(gRow) && gRow[i] < v {
+				break
 			}
 			if i < len(gRow) && gRow[i] == v {
 				i++
-				continue
 			}
-			targets = append(targets, v)
-			from = append(from, NodeID(u))
 		}
 		if i < len(gRow) {
-			return nil, nil, fmt.Errorf("%w: edge (%d,%d)", ErrNotSubgraph, u, gRow[i])
+			return fmt.Errorf("%w: edge (%d,%d)", ErrNotSubgraph, u, gRow[i])
 		}
-		offsets[u+1] = int32(len(targets))
 	}
-	fringe := &Graph{n: n, directed: true, offsets: offsets, targets: targets}
-	return fringe, from, nil
+	return nil
 }
 
 // MustDual is NewDual for generators whose construction is valid by design.

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,36 @@ func TestNewDualValidation(t *testing.T) {
 	gpd.MustAddEdge(1, 2)
 	if _, err := NewDual(disconnected, gpd, 0); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("want ErrUnreachable, got %v", err)
+	}
+}
+
+// TestSubtractReportsFirstMissingArc pins the subgraph error to the first
+// reliable arc in (from, to) order that G' lacks, both when the offending
+// row has no more G arcs than G' arcs (found by the mark-and-compact pass)
+// and when it has more (found by the degree pre-pass).
+func TestSubtractReportsFirstMissingArc(t *testing.T) {
+	build := func(n int, arcs [][2]NodeID) *Graph {
+		b := NewBuilder(n, true)
+		for _, a := range arcs {
+			b.MustAddEdge(a[0], a[1])
+		}
+		return b.Freeze()
+	}
+	cases := []struct {
+		name  string
+		g, gp [][2]NodeID
+		want  string
+	}{
+		{"same-degree", [][2]NodeID{{0, 1}, {0, 3}}, [][2]NodeID{{0, 1}, {0, 2}, {0, 4}}, "edge (0,3)"},
+		{"wider-g-row", [][2]NodeID{{2, 5}, {2, 6}}, [][2]NodeID{{2, 5}}, "edge (2,6)"},
+		{"earlier-row-first", [][2]NodeID{{0, 3}, {2, 5}, {2, 6}}, [][2]NodeID{{0, 4}, {2, 5}}, "edge (0,3)"},
+		{"smallest-arc-first", [][2]NodeID{{1, 2}, {1, 4}}, [][2]NodeID{{1, 3}, {1, 5}}, "edge (1,2)"},
+	}
+	for _, c := range cases {
+		_, _, err := subtract(build(7, c.gp), build(7, c.g))
+		if !errors.Is(err, ErrNotSubgraph) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want ErrNotSubgraph naming %s", c.name, err, c.want)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // starting network, not a dynamic build — and gated on metrics.Enabled().
 // The mode split is the observable cost model of PR 7's incremental swaps:
 // "base" epochs return the base pointer (no coin fired, zero build work),
-// "incremental" epochs patch only dirty CSR rows, "rebuild" epochs
+// "incremental" epochs rebuild CSR rows from the base rows, "rebuild" epochs
 // construct a whole new dual (waypoint mobility, whose every epoch moves
 // every node).
 package graph

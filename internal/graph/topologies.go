@@ -294,6 +294,13 @@ func Geometric(n int, rReliable, rUnreliable float64, rng *rand.Rand) (*Dual, er
 // order is added to G so every node stays reachable from the source. It is
 // the position-driven core shared by Geometric (random placement) and the
 // waypoint mobility schedule (epoch-interpolated placement).
+//
+// Both CSR cores are written directly, with no arc log and no sort: a
+// counting sort buckets the nodes by grid cell, each candidate pair u < v in
+// adjacent cells is classified once, and symmetricCSR lays the classified
+// pairs out so every row comes out ascending. The result still goes through
+// NewDualGraphs, so the fringe, its EdgeIDs and the validation are those of
+// every other constructor.
 func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source NodeID) (*Dual, error) {
 	n := len(xs)
 	if n < 2 {
@@ -304,13 +311,6 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 	}
 	if rUnreliable < rReliable {
 		return nil, fmt.Errorf("rUnreliable (%v) must be >= rReliable (%v)", rUnreliable, rReliable)
-	}
-	dist := func(u, v int) float64 {
-		return math.Hypot(xs[u]-xs[v], ys[u]-ys[v])
-	}
-	g := NewBuilder(n, false)
-	for u := 0; u+1 < n; u++ {
-		g.MustAddEdge(NodeID(u), NodeID(u+1))
 	}
 
 	// Bucket nodes into a side x side grid with cell length >= rUnreliable:
@@ -334,41 +334,157 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 		}
 		return c
 	}
-	buckets := make([][]int32, side*side)
+	// Counting sort by cell: members[cellStart[c]:cellStart[c+1]] are the
+	// nodes of cell c, ascending, and px/py their coordinates in that order.
+	cells := side * side
+	cell := make([]int32, n)
+	cellStart := make([]int32, cells+1)
 	for u := 0; u < n; u++ {
 		c := cellOf(ys[u])*side + cellOf(xs[u])
-		buckets[c] = append(buckets[c], int32(u))
+		cell[u] = int32(c)
+		cellStart[c+1]++
 	}
-
-	var unreliable [][2]NodeID
+	for c := 0; c < cells; c++ {
+		cellStart[c+1] += cellStart[c]
+	}
+	members := make([]NodeID, n)
+	px := make([]float64, n)
+	py := make([]float64, n)
+	scan := make([]int32, cells)
+	copy(scan, cellStart[:cells])
 	for u := 0; u < n; u++ {
-		cx, cy := cellOf(xs[u]), cellOf(ys[u])
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				x2, y2 := cx+dx, cy+dy
-				if x2 < 0 || x2 >= side || y2 < 0 || y2 >= side {
-					continue
-				}
-				for _, w := range buckets[y2*side+x2] {
-					v := int(w)
-					if v <= u {
+		k := scan[cell[u]]
+		members[k], px[k], py[k] = NodeID(u), xs[u], ys[u]
+		scan[cell[u]]++
+	}
+	copy(scan, cellStart[:cells])
+
+	inRel, outRel := sqBand(rReliable)
+	inUnrel, outUnrel := sqBand(rUnreliable)
+	// relUp/allUp list each node's partners v > u in G and G' (the path arc
+	// first), grouped by u through relOff/allOff. They start at the expected
+	// pair count at each cell's own density: a node of a cell holding k
+	// nodes has about k·πr²·side² others within r, half of them above it.
+	occupancy := 0.0
+	for c := 0; c < cells; c++ {
+		k := float64(cellStart[c+1] - cellStart[c])
+		occupancy += k * k
+	}
+	pairHint := func(r float64) int {
+		nn := float64(n)
+		pairs := occupancy * math.Pi * r * r * float64(side*side) / 2
+		pairs = math.Min(pairs, math.Min(nn*(nn-1)/2, 1<<22))
+		if !(pairs > 0) {
+			return n
+		}
+		return n + int(pairs)
+	}
+	relOff := make([]int32, n+1)
+	allOff := make([]int32, n+1)
+	relUp := make([]NodeID, 0, pairHint(rReliable))
+	allUp := make([]NodeID, 0, pairHint(rUnreliable))
+	for u := 0; u < n; u++ {
+		// Nodes are visited in ascending order, so scan[c] has passed every
+		// member of cell c below u: the members from scan[c] on are the
+		// partners v > u, and u itself is the next member of its own cell.
+		scan[cell[u]]++
+		if u+1 < n {
+			relUp = append(relUp, NodeID(u+1))
+			allUp = append(allUp, NodeID(u+1))
+		}
+		xu, yu := xs[u], ys[u]
+		cx, cy := cellOf(xu), cellOf(yu)
+		for y2 := max(cy-1, 0); y2 <= min(cy+1, side-1); y2++ {
+			for x2 := max(cx-1, 0); x2 <= min(cx+1, side-1); x2++ {
+				c := y2*side + x2
+				lo, hi := scan[c], cellStart[c+1]
+				candX, candY := px[lo:hi], py[lo:hi]
+				candY = candY[:len(candX)]
+				for k, x := range candX {
+					dx, dy := xu-x, yu-candY[k]
+					d2 := dx*dx + dy*dy
+					if d2 > outUnrel {
 						continue
 					}
-					d := dist(u, v)
-					if d <= rReliable {
-						g.MustAddEdge(NodeID(u), NodeID(v))
-					} else if d <= rUnreliable {
-						unreliable = append(unreliable, [2]NodeID{NodeID(u), NodeID(v)})
+					rel := d2 <= inRel
+					if !rel && !(d2 > outRel && d2 <= inUnrel) {
+						// Near a radius (or NaN): decide exactly as the
+						// distance predicate does.
+						d := math.Hypot(dx, dy)
+						if d <= rReliable {
+							rel = true
+						} else if !(d <= rUnreliable) {
+							continue
+						}
 					}
+					v := members[int(lo)+k]
+					if int(v) == u+1 {
+						continue // the path arc, already reliable
+					}
+					if rel {
+						relUp = append(relUp, v)
+					}
+					allUp = append(allUp, v)
 				}
 			}
 		}
+		relOff[u+1] = int32(len(relUp))
+		allOff[u+1] = int32(len(allUp))
 	}
-	gp := g.Clone()
-	for _, e := range unreliable {
-		gp.MustAddEdge(e[0], e[1])
+	return NewDualGraphs(symmetricCSR(n, relOff, relUp), symmetricCSR(n, allOff, allUp), source)
+}
+
+// sqBand brackets r² for the pair classification of DualFromPositions:
+// d² <= in means math.Hypot(dx, dy) <= r for certain, d² > out means
+// Hypot > r for certain, and only the pairs in between (or NaN) need Hypot
+// itself, so the predicate d <= r is decided exactly as on every pair. The
+// 1e-9 margin dwarfs the few ulps either computation can be off. A radius
+// whose square could underflow or overflow (or NaN) gets an empty bracket:
+// every pair near it pays for Hypot.
+func sqBand(r float64) (in, out float64) {
+	if r >= 1e-100 && r <= 1e100 {
+		return r * r * (1 - 1e-9), r * r * (1 + 1e-9)
 	}
-	return NewDual(g, gp, source)
+	return -1, math.Inf(1)
+}
+
+// symmetricCSR lays out the undirected graph whose edges are the pairs
+// {u, up[k]} for k in off[u]:off[u+1] — each listed once, with u < up[k], in
+// any order within u — as a CSR graph holding both orientations with every
+// row ascending, without a sort. Row u is its partners below u followed by
+// its partners above u. Visiting u ascending and writing u into each
+// partner's row fills every lower half in order; visiting v ascending over
+// those lower halves and writing v into each lower partner's row then fills
+// every upper half in order — the counting-sort pass of Transpose, twice.
+func symmetricCSR(n int, off []int32, up []NodeID) *Graph {
+	offsets := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		offsets[u+1] += off[u+1] - off[u]
+		for _, v := range up[off[u]:off[u+1]] {
+			offsets[v+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	targets := make([]NodeID, offsets[n])
+	cursor := make([]int32, n)
+	copy(cursor, offsets[:n])
+	for u := 0; u < n; u++ {
+		for _, v := range up[off[u]:off[u+1]] {
+			targets[cursor[v]] = NodeID(u)
+			cursor[v]++
+		}
+	}
+	// cursor[v] now ends v's lower half; it moves again only when a larger
+	// node is visited, so each lower half is read intact.
+	for v := 0; v < n; v++ {
+		for _, u := range targets[offsets[v]:cursor[v]] {
+			targets[cursor[u]] = NodeID(v)
+			cursor[u]++
+		}
+	}
+	return &Graph{n: n, offsets: offsets, targets: targets}
 }
 
 // BinaryTree returns the classical complete binary tree on n nodes rooted at

@@ -167,6 +167,48 @@ func TestEpochSwapAcrossGrowingFringe(t *testing.T) {
 	}
 }
 
+// TestEpochSwapOneRowOverflowsMidRun: on a directed path whose epochs
+// alternate between one and seven unreliable arcs into node 9, only row 9
+// outgrows its delivery capacity at the first swap, while many senders are
+// active under full unreliable delivery. The run must complete and repeat
+// exactly.
+func TestEpochSwapOneRowOverflowsMidRun(t *testing.T) {
+	const n = 12
+	into9 := func(srcs ...graph.NodeID) *graph.Dual {
+		g := graph.NewBuilder(n, true)
+		for u := 0; u+1 < n; u++ {
+			g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1))
+		}
+		gp := g.Clone()
+		for _, u := range srcs {
+			gp.MustAddEdge(u, 9)
+		}
+		return graph.MustDual(g, gp, 0)
+	}
+	few := into9(2)
+	many := into9(0, 1, 2, 3, 4, 5, 6)
+	cfg := sim.Config{Seed: 6, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 2000}
+	run := func() (*sim.Result, []int) {
+		s := newProbe(few, many, 2)
+		res, err := sim.RunDynamic(s, core.NewDecay(), adversary.FullDelivery{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, s.requests
+	}
+	first, requests := run()
+	second, _ := run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("one-row-overflow dynamic run is not deterministic")
+	}
+	if !first.Completed {
+		t.Fatalf("broadcast did not complete across the overflowing swap: %+v", first)
+	}
+	if len(requests) < 2 {
+		t.Fatalf("run ended before the first swap (epochs %v)", requests)
+	}
+}
+
 // TestEpochErrorSurfaces: a failing epoch build aborts the run with the
 // epoch index in the error.
 func TestEpochErrorSurfaces(t *testing.T) {

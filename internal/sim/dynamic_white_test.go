@@ -258,3 +258,63 @@ func TestMaterializeReachingOrder(t *testing.T) {
 	// Line: node 10's reliable in-neighbours are 9 and 11.
 	check(t, sparse, []graph.NodeID{9, 11}, 10)
 }
+
+// TestEnsureCapacityReusesInDegreeScratch: a swap to a new G' core whose
+// in-degrees all fit refills the per-run unrelBound scratch in place, and a
+// swap where a single row outgrows its capacity rebuilds the buffers with
+// that row (and every other) sized to the new bound.
+func TestEnsureCapacityReusesInDegreeScratch(t *testing.T) {
+	const n = 12
+	// A directed path backbone plus unreliable arcs from the given sources
+	// into node 9: only row 9's in-degree depends on the source list.
+	into9 := func(srcs ...graph.NodeID) *graph.Dual {
+		g := graph.NewBuilder(n, true)
+		for u := 0; u+1 < n; u++ {
+			g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1))
+		}
+		gp := g.Clone()
+		for _, u := range srcs {
+			gp.MustAddEdge(u, 9)
+		}
+		return graph.MustDual(g, gp, 0)
+	}
+	first := into9(2, 3, 4)
+	fits := into9(2, 5) // a different G' core, every in-degree within first's
+	grows := into9(1, 2, 3, 4, 5, 6)
+	buf := newRunBuffers(first)
+	scratch := &buf.indeg[0]
+	buf.ensureCapacity(fits)
+	if &buf.indeg[0] != scratch {
+		t.Fatal("a fitting swap reallocated the in-degree scratch")
+	}
+	if buf.sizedFor != fits.GPrime() {
+		t.Fatal("a fitting swap did not record the new G' core")
+	}
+	inFits := fits.GPrime().Transpose()
+	for v, c := range buf.indeg {
+		if want := inFits.OutDegree(graph.NodeID(v)); int(c) != want {
+			t.Fatalf("scratch in-degree of %d = %d, want %d", v, c, want)
+		}
+	}
+
+	// Only row 9 outgrows its capacity (in-degree 4 -> 7).
+	inGrows := grows.GPrime().Transpose()
+	overflow := 0
+	for v := 0; v < n; v++ {
+		if inGrows.OutDegree(graph.NodeID(v)) > cap(buf.unrel[v]) {
+			overflow++
+		}
+	}
+	if overflow != 1 {
+		t.Fatalf("fixture overflows %d rows, want exactly 1", overflow)
+	}
+	buf.ensureCapacity(grows)
+	if buf.sizedFor != grows.GPrime() {
+		t.Fatal("the overflow rebuild did not size against the new G' core")
+	}
+	for v := 0; v < n; v++ {
+		if want := inGrows.OutDegree(graph.NodeID(v)); cap(buf.unrel[v]) < want {
+			t.Fatalf("after the overflow rebuild row %d has capacity %d < %d", v, cap(buf.unrel[v]), want)
+		}
+	}
+}

@@ -456,6 +456,9 @@ type runBuffers struct {
 	// sizedFor is the G' core the unrel rows were last sized against; epochs
 	// that share it (fade never changes G') skip the re-scan entirely.
 	sizedFor *graph.Graph
+	// indeg is the per-run unrelBound scratch, refilled at every swap that
+	// changes the G' core.
+	indeg []int32
 }
 
 // unrelBound returns the per-node sizing of the unreliable-delivery rows: a
@@ -463,11 +466,16 @@ type runBuffers struct {
 // newRunBuffers and ensureCapacity size against exactly this function, so
 // the initial carve and the epoch-swap overflow check can never disagree.
 // (A misbehaving adversary delivering the same arc twice in a round merely
-// falls back to an ordinary slice grow.)
-func unrelBound(d *graph.Dual) []int32 {
+// falls back to an ordinary slice grow.) The counts are written into indeg,
+// reallocated only when it is shorter than d.N().
+func unrelBound(d *graph.Dual, indeg []int32) []int32 {
 	n := d.N()
 	gp := d.GPrime()
-	indeg := make([]int32, n)
+	if cap(indeg) < n {
+		indeg = make([]int32, n)
+	}
+	indeg = indeg[:n]
+	clear(indeg)
 	for u := 0; u < n; u++ {
 		for _, v := range gp.Out(graph.NodeID(u)) {
 			indeg[v]++
@@ -483,7 +491,7 @@ func unrelBound(d *graph.Dual) []int32 {
 func newRunBuffers(d *graph.Dual) *runBuffers {
 	n := d.N()
 	g := d.G()
-	indeg := unrelBound(d)
+	indeg := unrelBound(d, nil)
 	total := 0
 	for _, c := range indeg {
 		total += int(c)
@@ -507,6 +515,7 @@ func newRunBuffers(d *graph.Dual) *runBuffers {
 		newHolders:   make([]graph.NodeID, 0, n),
 		dense:        n <= denseMaxN && g.NumEdges()*denseArcFactor >= n*n,
 		sizedFor:     d.GPrime(),
+		indeg:        indeg,
 	}
 	if b.dense {
 		b.maskW = words
@@ -588,9 +597,9 @@ func (b *runBuffers) ensureCapacity(d *graph.Dual) {
 		// Same frozen G' core, same in-degree bound: nothing to scan.
 		return
 	}
-	indeg := unrelBound(d)
-	for v := 0; v < d.N(); v++ {
-		if int(indeg[v]) > cap(b.unrel[v]) {
+	b.indeg = unrelBound(d, b.indeg)
+	for v, c := range b.indeg {
+		if int(c) > cap(b.unrel[v]) {
 			nb := newRunBuffers(d)
 			// The mode is a per-run decision made against epoch 0; keep it
 			// (and any already-built indexes) so the loop shape never changes

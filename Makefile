@@ -46,18 +46,20 @@ bench-module:
 test-short:
 	$(GO) test -short ./...
 
-# Race job scoped to the concurrent core: the trial engine, the simulator it
-# drives, the job service that multiplexes HTTP clients onto the engine, the
-# observability layer (metrics registry scraped while instruments record;
-# progress tracker fed from worker goroutines), and the adversary/exhaustive
-# pair — the adaptive adversary is shared across concurrent trials and forks
-# per run via sim.RunForker, which is exactly the kind of sharing the race
-# detector should watch.
+# Race job scoped to the concurrent core: the trial engine and its unit
+# ledger, the simulator it drives, the job service that multiplexes HTTP
+# clients onto the engine, the spec layer (Sweep.Run builds cells in parallel
+# and drives the ledger's hooks), the checkpoint writer (Append runs from
+# concurrent OnShard calls), the observability layer (metrics registry
+# scraped while instruments record; progress tracker fed from worker
+# goroutines), and the adversary/exhaustive pair — the adaptive adversary is
+# shared across concurrent trials and forks per run via sim.RunForker, which
+# is exactly the kind of sharing the race detector should watch.
 # -short skips the single-threaded 100k-node stress sim, which the race
 # instrumentation would slow ~10x without exercising any concurrency, and
 # shrinks the service's slow-job fixtures.
 race:
-	$(GO) test -race -short ./internal/engine/... ./internal/sim/... ./internal/service/... ./internal/metrics/... ./internal/progress/... ./internal/adversary/... ./internal/exhaustive/...
+	$(GO) test -race -short ./internal/engine/... ./internal/sim/... ./internal/service/... ./internal/spec/... ./internal/checkpoint/... ./internal/metrics/... ./internal/progress/... ./internal/adversary/... ./internal/exhaustive/...
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,

@@ -52,8 +52,8 @@ import (
 var progressOut io.Writer = os.Stderr
 
 func main() {
-	// SIGINT/SIGTERM cancel the run context: the engine stops at the next
-	// shard boundary, every already-printed -spec cell line stays valid, and
+	// SIGINT/SIGTERM cancel the run context: the engine stops between
+	// trials, every already-printed -spec cell line stays valid, and
 	// the error path below reports how much of the grid completed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,19 +1,20 @@
 // Command dgsimd is the long-running sweep service: it accepts declarative
-// spec.Sweep jobs over a versioned HTTP API, executes them one at a time on
-// one shared deterministic worker pool, and streams per-cell summary lines
-// back as cells complete — byte-identical to what `dgsim -spec` prints for
-// the same sweep file.
+// spec.Sweep jobs over a versioned HTTP API and streams per-cell summary
+// lines back as cells complete — byte-identical to what `dgsim -spec`
+// prints for the same sweep file. Each job's (cell, shard) units live in one
+// ledger, drained by the shared local pool (one job at a time) or, for a
+// coordinator job, by remote workers.
 //
 //	dgsimd -addr :8080 -workers 8
 //
 // With -worker the same binary runs in worker mode instead: it attaches to
-// a coordinator dgsimd's job (one submitted with "mode": "coordinator") and
-// repeatedly claims (cell, shard) work units over the shard claim/report
-// API, folds each unit's trials with the engine's exact per-shard loop, and
-// reports the serialized accumulator back. Workers are fungible and
-// crash-safe: a killed worker's leased unit returns to the pool when its
-// lease expires, and the coordinator's merged results stay byte-identical
-// to a single-process run regardless of worker count or deaths.
+// a coordinator dgsimd's job (one submitted with "mode": "coordinator"),
+// claims units over the shard claim/report API, folds each with the local
+// pool's exact per-unit fold, and reports the serialized accumulator back.
+// Workers are fungible and crash-safe: a killed worker's leased unit
+// returns to the pool when its lease expires, and the merged results stay
+// byte-identical to a single-process run whatever the worker count or
+// deaths.
 //
 //	# coordinator job: units run on remote workers, not the local pool
 //	curl -s localhost:8080/v1/jobs -d '{"sweep":{"base":{"n":17},"seeds":[1,2,3],"trials":1000},"mode":"coordinator"}'
@@ -30,10 +31,9 @@
 //	curl -s localhost:8080/v1/jobs
 //	curl -s -X DELETE localhost:8080/v1/jobs/job-000001
 //
-// SIGTERM (or SIGINT) drains gracefully: admission stops, queued jobs are
-// cancelled, the running job stops at the next shard boundary with every
-// completed cell already streamed, and the process exits 0 once the pool
-// and all open result streams have wound down.
+// SIGTERM (or SIGINT) drains gracefully: admission stops, every live job
+// ends cancelled with its completed cells already streamed, and the process
+// exits 0 once the pool and all open result streams have wound down.
 package main
 
 import (

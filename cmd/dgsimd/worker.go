@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -75,27 +76,18 @@ func runWorker(ctx context.Context, logger *log.Logger, coordinator, jobID strin
 // nothing is claimable right now but the job is still running; errJobOver
 // means the job ended.
 func claimUnit(ctx context.Context, client *http.Client, base string) (*service.Claim, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/shards/claim", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("claim: %w", err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
+	var c service.Claim
+	switch code, err := call(ctx, client, http.MethodPost, base+"/shards/claim", nil, &c); code {
 	case http.StatusOK:
-		var c service.Claim
-		if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
-			return nil, fmt.Errorf("claim: decode: %w", err)
+		if err != nil {
+			return nil, fmt.Errorf("claim: %w", err)
 		}
 		return &c, nil
 	case http.StatusNoContent:
 		// All leased, or all done: the job status tells which.
-		st, err := jobStatus(ctx, client, base)
-		if err != nil {
-			return nil, err
+		var st service.JobStatus
+		if _, err := call(ctx, client, http.MethodGet, base, nil, &st); err != nil {
+			return nil, fmt.Errorf("status: %w", err)
 		}
 		if st.State.Terminal() {
 			return nil, errJobOver
@@ -104,7 +96,7 @@ func claimUnit(ctx context.Context, client *http.Client, base string) (*service.
 	case http.StatusConflict:
 		return nil, errJobOver
 	default:
-		return nil, fmt.Errorf("claim: %s", httpError(resp))
+		return nil, fmt.Errorf("claim: %w", err)
 	}
 }
 
@@ -127,59 +119,54 @@ func foldUnit(ctx context.Context, c service.Claim) ([]byte, error) {
 // reportUnit delivers a folded unit; a 409 means the job ended while we were
 // folding (errJobOver), which is a clean exit, not a failure.
 func reportUnit(ctx context.Context, client *http.Client, base string, rep service.Report) error {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return err
+	code, err := call(ctx, client, http.MethodPost, base+"/shards/report", rep, nil)
+	if code == http.StatusConflict {
+		return errJobOver
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/shards/report", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
 	if err != nil {
 		return fmt.Errorf("report: %w", err)
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusConflict:
-		return errJobOver
-	default:
-		return fmt.Errorf("report: %s", httpError(resp))
-	}
+	return nil
 }
 
-// jobStatus fetches the job's status snapshot.
-func jobStatus(ctx context.Context, client *http.Client, base string) (service.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base, nil)
+// call sends one API request, JSON-encoding body when it is non-nil, and
+// decodes a 200 response into out when it is non-nil. Any other status is
+// returned with an error carrying the server's {"error": ...} body when
+// present, else the bare status.
+func call(ctx context.Context, client *http.Client, method, url string, body, out any) (int, error) {
+	var rd io.Reader
+	if body != nil {
+		blob, err := json.Marshal(body)
+		if err != nil {
+			return 0, err
+		}
+		rd = bytes.NewReader(blob)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return service.JobStatus{}, err
+		return 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return service.JobStatus{}, fmt.Errorf("status: %w", err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return service.JobStatus{}, fmt.Errorf("status: %s", httpError(resp))
+		var e struct {
+			Error string `json:"error"`
+		}
+		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+			return resp.StatusCode, fmt.Errorf("%s (%s)", e.Error, resp.Status)
+		}
+		return resp.StatusCode, errors.New(resp.Status)
 	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return service.JobStatus{}, fmt.Errorf("status: decode: %w", err)
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, fmt.Errorf("decode: %w", err)
+		}
 	}
-	return st, nil
-}
-
-// httpError renders a non-OK response: the server's {"error": ...} body when
-// present, else the bare status.
-func httpError(resp *http.Response) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-		return fmt.Sprintf("%s (%s)", e.Error, resp.Status)
-	}
-	return resp.Status
+	return resp.StatusCode, nil
 }

@@ -291,8 +291,8 @@ var (
 // summary is bit-identical at any worker count; counts/min/max are exact,
 // mean/variance exact up to rounding, and quantiles exact until the trial
 // count exceeds StreamConfig.ExactK (P² estimates beyond). The reduction
-// stops at the next shard boundary once ctx is done (see RunMany for the
-// error contract).
+// stops between trials once ctx is done (see RunMany for the error
+// contract).
 func RunStream(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
 	sums, err := engine.RunGrid(ctx, []engine.Trial{staticTrial(net, alg, adv, cfg)}, trials, ec, sc, engine.Hooks{})
 	if err != nil {

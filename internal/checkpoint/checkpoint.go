@@ -133,9 +133,9 @@ type Record struct {
 	Summary *engine.TrialSummary
 }
 
-// SeedMap converts recovered records into the seed form the engine's
-// *FromContext entry points take. Later records win on duplicate keys (a
-// well-formed file has none).
+// SeedMap converts recovered records into the engine.Hooks.Seed form, whose
+// units RunGrid pre-reports to its ledger. Later records win on duplicate
+// keys (a well-formed file has none).
 func SeedMap(recs []Record) map[engine.ShardKey]*engine.TrialSummary {
 	seed := make(map[engine.ShardKey]*engine.TrialSummary, len(recs))
 	for _, r := range recs {

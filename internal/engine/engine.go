@@ -13,6 +13,10 @@
 //   - FoldShardContext folds one (cell, shard) unit sequentially — the
 //     worker side of a coordinator/worker grid.
 //
+// Both streaming paths report to a Ledger, the one bookkeeper of a grid's
+// units: RunGrid is a ledger drained by the in-process pool, and the sweep
+// service drains the same ledger with that pool or with remote workers.
+//
 // Trial.Execute is the one definition of "run trial i of this cell" that
 // all of them share.
 //
@@ -125,74 +129,38 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, e
 	if n == 0 {
 		return []T{}, nil
 	}
-	workers := cfg.workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(cfg.workers(), n)
 	results := make([]T, n)
-	if workers == 1 {
-		// Sequential fast path: no goroutines, no atomics; identical results
-		// by construction. Cancellation is checked per batch, mirroring the
-		// granularity of the pooled path.
-		batch := batchSize(n, workers)
-		for lo := 0; lo < n; lo += batch {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("engine: %w", err)
-			}
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				r, err := fn(i)
-				if err != nil {
-					return nil, fmt.Errorf("engine: trial %d: %w", i, err)
-				}
-				results[i] = r
-			}
-		}
-		return results, nil
-	}
-
 	batch := batchSize(n, workers)
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
 		firstEr trialError
-		wg      sync.WaitGroup
 	)
 	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lo := int(next.Add(int64(batch))) - batch
-				if lo >= n {
-					return
-				}
-				hi := lo + batch
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					r, err := fn(i)
-					if err != nil {
-						firstEr.record(i, err)
-						failed.Store(true)
-						break
-					}
-					results[i] = r
-				}
+	// One code path at any worker count; a pool of one runs inline.
+	runPool(workers, func() {
+		for !failed.Load() {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}()
-	}
-	wg.Wait()
+			lo := int(next.Add(int64(batch))) - batch
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(lo+batch, n); i++ {
+				r, err := fn(i)
+				if err != nil {
+					firstEr.record(i, err)
+					failed.Store(true)
+					break
+				}
+				results[i] = r
+			}
+		}
+	})
 	if err := firstEr.get(); err != nil {
 		return nil, fmt.Errorf("engine: trial %d: %w", firstEr.index, err)
 	}
@@ -200,6 +168,24 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, e
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	return results, nil
+}
+
+// runPool runs work on workers goroutines and waits for all of them; a
+// pool of one runs inline.
+func runPool(workers int, work func()) {
+	if workers == 1 {
+		work()
+		return
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 }
 
 // Trial is one fully specified simulation cell: a network, an algorithm, an

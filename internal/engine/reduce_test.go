@@ -111,22 +111,36 @@ func TestReduceReportsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestGridMergeErrorsPropagate: an accumulator that cannot merge — here a
-// seeded unit built under a different stream configuration — fails the
-// run with its cell named, both when the cell's last shard is folded in the
-// pool and when the whole cell is seeded and merged up front.
-func TestGridMergeErrorsPropagate(t *testing.T) {
+// TestGridRejectsMismatchedSeeds: a seeded accumulator that could not merge
+// — built under a different stream configuration, or covering the wrong
+// trials — is refused by the ledger's validation with the unit named,
+// before any seed lands or any cell is delivered, whether the bad unit's
+// cell would finish in the pool or is seeded whole.
+func TestGridRejectsMismatchedSeeds(t *testing.T) {
 	cell := failingCell(t)
 	sc := engine.StreamConfig{ExactK: 8}
-	mismatched := engine.StreamConfig{Quantiles: []float64{0.5}, ExactK: 8}.NewSummary()
+	good, err := engine.FoldShardContext(context.Background(), cell, 0, 1, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mismatched, err := engine.FoldShardContext(context.Background(), cell, 1, 2,
+		engine.StreamConfig{Quantiles: []float64{0.5}, ExactK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, seed := range map[string]map[engine.ShardKey]*engine.TrialSummary{
-		"pool":   {{Cell: 1, Shard: 1}: mismatched},
-		"seeded": {{Cell: 1, Shard: 0}: sc.NewSummary(), {Cell: 1, Shard: 1}: mismatched},
+		"pool":        {{Cell: 1, Shard: 1}: mismatched},
+		"seeded":      {{Cell: 1, Shard: 0}: good, {Cell: 1, Shard: 1}: mismatched},
+		"wrong range": {{Cell: 0, Shard: 0}: good, {Cell: 1, Shard: 1}: sc.NewSummary()},
 	} {
+		delivered := 0
 		_, err := engine.RunGrid(context.Background(), []engine.Trial{cell, cell}, 2,
-			engine.Config{Workers: 2}, sc, engine.Hooks{Seed: seed})
-		if err == nil || !strings.Contains(err.Error(), "cell 1 merge") {
-			t.Fatalf("%s: err = %v, want a cell 1 merge error", name, err)
+			engine.Config{Workers: 2}, sc, engine.Hooks{Seed: seed, OnCell: func(int, *engine.TrialSummary) { delivered++ }})
+		if !errors.Is(err, engine.ErrBadUnit) || !strings.Contains(err.Error(), "(1, 1)") {
+			t.Fatalf("%s: err = %v, want ErrBadUnit naming unit (1, 1)", name, err)
+		}
+		if delivered != 0 {
+			t.Fatalf("%s: %d cells delivered before the bad seed was refused", name, delivered)
 		}
 	}
 }

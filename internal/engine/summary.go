@@ -33,17 +33,12 @@ func Shards(n int) int {
 }
 
 // ShardRange returns the half-open trial range [lo, hi) of shard s in an
-// n-trial stream: the partition every streaming path uses, exposed
-// so checkpoint files and coordinator/worker claims can name a shard's work
-// without re-deriving it. Like Shards, it is a pure function of n.
+// n-trial stream — the balanced contiguous partition of 0..n-1 into
+// Shards(n) blocks that every streaming path uses, exposed so checkpoint
+// files and coordinator/worker claims can name a shard's work without
+// re-deriving it. Like Shards, it is a pure function of n.
 func ShardRange(n, s int) (lo, hi int) {
-	return shardBounds(n, Shards(n), s)
-}
-
-// shardBounds returns the half-open trial range [lo, hi) of shard s under
-// the balanced contiguous partition of 0..n-1 into `shards` blocks.
-func shardBounds(n, shards, s int) (lo, hi int) {
-	size, rem := n/shards, n%shards
+	size, rem := n/Shards(n), n%Shards(n)
 	lo = s*size + min(s, rem)
 	hi = lo + size
 	if s < rem {
@@ -83,17 +78,15 @@ type TrialSummary struct {
 	Transmissions *stats.Stream
 }
 
-func (sc StreamConfig) newSummary() *TrialSummary {
+// NewSummary returns an empty accumulator built with this configuration —
+// the constructor of every shard accumulator, exported so out-of-engine
+// consumers (the progress tracker) can Merge onShard summaries into a
+// configuration-compatible destination.
+func (sc StreamConfig) NewSummary() *TrialSummary {
 	rounds, _ := stats.NewStream(sc.quantiles(), sc.ExactK)
 	tx, _ := stats.NewStream(sc.quantiles(), sc.ExactK)
 	return &TrialSummary{Rounds: rounds, Transmissions: tx}
 }
-
-// NewSummary returns an empty accumulator built with this configuration —
-// the same constructor the streaming paths use per shard, exported so
-// out-of-engine consumers (the progress tracker) can Merge onShard
-// summaries into a configuration-compatible destination.
-func (sc StreamConfig) NewSummary() *TrialSummary { return sc.newSummary() }
 
 // fold adds one execution to the summary.
 func (t *TrialSummary) fold(res *sim.Result) error {

@@ -1,19 +1,14 @@
-// Coordinator mode: a job whose (cell, shard) work units are executed by
-// remote dgsimd workers instead of the local engine. The coordinator holds
-// the authoritative unit ledger; workers repeatedly claim the lowest
-// claimable unit over the v1 job API, fold its trials through
-// engine.FoldShardContext — the exact per-shard inner loop of the local
-// engine — and report the serialized accumulator back. The coordinator
-// merges each cell's accumulators in shard-index order, so the job's result
-// lines are byte-identical to the same sweep under `dgsim -spec` or a local
-// service job, regardless of how many workers ran, in what order they
-// finished, or how many of them died.
+// Coordinator mode: a job whose ledger is drained by remote dgsimd workers
+// instead of the local pool. Workers claim the lowest claimable unit over
+// the v1 job API, fold it through engine.FoldShardContext — the local
+// pool's per-unit fold — and report the serialized accumulator; the ledger
+// merges and delivers exactly as for a local job, so the lines match
+// `dgsim -spec` whatever the number, order or deaths of workers.
 //
-// Worker death costs progress, never correctness: every claim carries a
-// lease deadline, and a unit whose lease expired without a report simply
-// becomes claimable again (lazy expiry — no timers). Reports are idempotent;
-// a slow worker reporting a unit that was re-run elsewhere gets a friendly
-// "already done" instead of corrupting the ledger.
+// Worker death costs progress, never correctness: a unit whose lease
+// expired unreported becomes claimable again (lazy expiry — no timers), and
+// reports are idempotent, so a slow worker reporting a unit re-run
+// elsewhere gets a friendly "already done".
 package service
 
 import (
@@ -43,31 +38,6 @@ var (
 	// already reached a terminal state.
 	ErrJobNotRunning = errors.New("service: job is not running")
 )
-
-// unitState is the ledger state of one (cell, shard) work unit.
-type unitState uint8
-
-const (
-	unitPending unitState = iota // claimable
-	unitLeased                   // claimed, lease not yet expired
-	unitDone                     // reported
-)
-
-// coordination is the remote-execution ledger of one coordinator job; every
-// field is guarded by Server.mu.
-type coordination struct {
-	specHash string
-	shards   int
-	lease    time.Duration
-
-	units     []unitState
-	deadlines []time.Time            // per unit, meaningful while leased
-	accs      []*engine.TrialSummary // per unit, set when done
-	remaining []int                  // per cell, undone shard count
-	pending   int                    // undone unit count
-	sums      []*engine.TrialSummary // per cell, merged when complete
-	nextCell  int                    // reorder frontier for CellLine delivery
-}
 
 // Claim is the coordinator's answer to a successful shard claim: everything
 // a worker needs to reproduce the unit bit-exactly — the fully specified
@@ -104,160 +74,89 @@ type Report struct {
 	Summary []byte `json:"summary"`
 }
 
-// newCoordination builds the ledger for a coordinator job.
-func newCoordination(sw spec.Sweep, cells int, trials int, sc engine.StreamConfig, leaseSeconds int) (*coordination, error) {
-	hash, err := sw.Hash()
-	if err != nil {
+// remoteJob looks up a running coordinator job; s.mu must be held.
+func (s *Server) remoteJob(id string) (*job, error) {
+	j, err := s.lookup(id)
+	switch {
+	case err != nil:
 		return nil, err
+	case j.mode != ModeCoordinator:
+		return nil, fmt.Errorf("%w (%q)", ErrNotCoordinator, id)
+	case j.state != Running:
+		return nil, fmt.Errorf("%w (%q is %s)", ErrJobNotRunning, id, j.state)
 	}
-	lease := defaultLease
-	if leaseSeconds > 0 {
-		lease = time.Duration(leaseSeconds) * time.Second
-	}
-	shards := engine.Shards(trials)
-	units := cells * shards
-	co := &coordination{
-		specHash:  hash,
-		shards:    shards,
-		lease:     lease,
-		units:     make([]unitState, units),
-		deadlines: make([]time.Time, units),
-		accs:      make([]*engine.TrialSummary, units),
-		remaining: make([]int, cells),
-		pending:   units,
-		sums:      make([]*engine.TrialSummary, cells),
-	}
-	for c := range co.remaining {
-		co.remaining[c] = shards
-	}
-	return co, nil
+	return j, nil
 }
 
 // ClaimShard leases the lowest claimable unit of a coordinator job to a
-// worker. A unit is claimable when pending, or when leased past its
-// deadline — lazy lease expiry, which is how a dead worker's unit returns to
-// the pool. ok is false when nothing is claimable right now (every remaining
-// unit is actively leased, or the job is complete); workers poll the job
-// status to tell the two apart.
+// worker. A unit is claimable when never claimed, or when leased past its
+// deadline — lazy lease expiry, which is how a dead worker's unit returns
+// to the pool. ok is false when nothing is claimable right now (every
+// remaining unit is actively leased, or the job is complete); workers poll
+// the job status to tell the two apart.
 func (s *Server) ClaimShard(id string) (Claim, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, err := s.remoteJob(id)
+	if err != nil {
+		return Claim{}, false, err
+	}
+	u, ok := j.ledger.Claim(j.lease)
 	if !ok {
-		return Claim{}, false, fmt.Errorf("%w %q", ErrUnknownJob, id)
+		return Claim{}, false, nil
 	}
-	if j.coord == nil {
-		return Claim{}, false, fmt.Errorf("%w (%q)", ErrNotCoordinator, id)
+	if u.Reclaimed {
+		mLeaseExpirations.Inc()
 	}
-	if j.state != Running {
-		return Claim{}, false, fmt.Errorf("%w (%q is %s)", ErrJobNotRunning, id, j.state)
-	}
-	co := j.coord
-	now := time.Now()
-	for u := range co.units {
-		switch co.units[u] {
-		case unitDone:
-			continue
-		case unitLeased:
-			if now.Before(co.deadlines[u]) {
-				continue
-			}
-			// Lease expired without a report: the worker died (or stalled);
-			// the unit returns to the pool here, on the next claim scan.
-			mLeaseExpirations.Inc()
-		}
-		co.units[u] = unitLeased
-		co.deadlines[u] = now.Add(co.lease)
-		mShardClaims.Inc()
-		c, sh := u/co.shards, u%co.shards
-		lo, hi := engine.ShardRange(j.trials, sh)
-		return Claim{
-			Cell: c, Shard: sh, TrialLo: lo, TrialHi: hi,
-			Scenario:     j.cells[c].Scenario,
-			Label:        j.cells[c].Label,
-			Quantiles:    s.cfg.Stream.Quantiles,
-			ExactK:       s.cfg.Stream.ExactK,
-			SpecHash:     co.specHash,
-			LeaseSeconds: int(co.lease / time.Second),
-		}, true, nil
-	}
-	return Claim{}, false, nil
+	mShardClaims.Inc()
+	return Claim{
+		Cell: u.Cell, Shard: u.Shard, TrialLo: u.TrialLo, TrialHi: u.TrialHi,
+		Scenario:     j.cells[u.Cell].Scenario,
+		Label:        j.cells[u.Cell].Label,
+		Quantiles:    s.cfg.Stream.Quantiles,
+		ExactK:       s.cfg.Stream.ExactK,
+		SpecHash:     j.specHash,
+		LeaseSeconds: int(j.lease / time.Second),
+	}, true, nil
 }
 
-// ReportShard records a worker's completed unit. The summary must decode and
-// cover exactly the unit's trial range; violations are rejected without
+// ReportShard records a worker's completed unit. The summary must decode
+// and, per the ledger's validation, cover exactly the unit's trial range
+// with the server's stream configuration; violations are rejected without
 // touching the ledger. Reporting an already-done unit is an acknowledged
 // no-op (the idempotency a re-leased unit needs). When the report completes
-// a cell, its accumulators merge in shard-index order and the cell's line is
-// delivered in enumeration order — exactly the local path's semantics — and
-// when it completes the whole grid, the job ends Done.
+// a cell, the ledger merges and delivers it — the local path's semantics
+// exactly — and once the last line is in, the job ends Done.
 func (s *Server) ReportShard(id string, rep Report) (JobStatus, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := s.remoteJob(id)
+	if err != nil {
+		s.mu.Unlock()
+		return JobStatus{}, err
 	}
-	if j.coord == nil {
-		return JobStatus{}, fmt.Errorf("%w (%q)", ErrNotCoordinator, id)
-	}
-	if j.state != Running {
-		return JobStatus{}, fmt.Errorf("%w (%q is %s)", ErrJobNotRunning, id, j.state)
-	}
-	co := j.coord
-	if rep.Cell < 0 || rep.Cell >= len(j.cells) || rep.Shard < 0 || rep.Shard >= co.shards {
-		return JobStatus{}, fmt.Errorf("report names unit (%d, %d) outside %d cells × %d shards",
-			rep.Cell, rep.Shard, len(j.cells), co.shards)
-	}
+	l := j.ledger
+	s.mu.Unlock()
 	var sum engine.TrialSummary
 	if err := sum.UnmarshalBinary(rep.Summary); err != nil {
 		return JobStatus{}, fmt.Errorf("report for (%d, %d): %w", rep.Cell, rep.Shard, err)
 	}
-	lo, hi := engine.ShardRange(j.trials, rep.Shard)
-	if sum.Trials != int64(hi-lo) {
-		return JobStatus{}, fmt.Errorf("report for (%d, %d) covers %d trials, unit range [%d, %d) has %d",
-			rep.Cell, rep.Shard, sum.Trials, lo, hi, hi-lo)
+	// Unlocked: a completed cell's delivery appends its line under s.mu.
+	fresh, _, err := l.Report(engine.ShardKey{Cell: rep.Cell, Shard: rep.Shard}, &sum)
+	if errors.Is(err, engine.ErrBadUnit) {
+		return JobStatus{}, err
 	}
-	u := rep.Cell*co.shards + rep.Shard
-	if co.units[u] == unitDone {
-		mDuplicateReports.Inc()
-		return j.status(), nil // duplicate from a re-leased unit's first owner
-	}
-	co.units[u] = unitDone
-	co.accs[u] = &sum
-	co.pending--
-	co.remaining[rep.Cell]--
-	mShardReports.Inc()
-	if co.remaining[rep.Cell] == 0 {
-		dst := co.accs[rep.Cell*co.shards]
-		for t := 1; t < co.shards; t++ {
-			if err := dst.Merge(co.accs[rep.Cell*co.shards+t]); err != nil {
-				j.state = Failed
-				j.err = fmt.Sprintf("cell %d merge: %v", rep.Cell, err)
-				mJobsRunning.Add(-1)
-				jobCompleted(Failed)
-				s.cond.Broadcast()
-				return j.status(), nil
-			}
-		}
-		co.sums[rep.Cell] = dst
-		// Reorder frontier: deliver every consecutive completed cell, in
-		// enumeration order, exactly like the local path's onCell buffer.
-		for co.nextCell < len(j.cells) && co.sums[co.nextCell] != nil {
-			c := co.nextCell
-			j.results = append(j.results, CellLine{
-				Cell: c, Label: j.cells[c].Label,
-				Summary: spec.FormatSummary(co.sums[c]),
-			})
-			co.nextCell++
-			mCellsStreamed.Inc()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case err != nil:
+		s.finish(j, Failed, err.Error())
+	case !fresh:
+		mDuplicateReports.Inc() // from a re-leased unit's first owner
+	default:
+		mShardReports.Inc()
+		if len(j.results) == len(j.cells) { // every line delivered
+			s.finish(j, Done, "")
 		}
 	}
-	if co.pending == 0 {
-		j.state = Done
-		mJobsRunning.Add(-1)
-		jobCompleted(Done)
-	}
-	s.cond.Broadcast()
 	return j.status(), nil
 }

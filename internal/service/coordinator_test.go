@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -68,23 +69,27 @@ func reportShard(t *testing.T, ts *httptest.Server, id string, rep Report) (int,
 
 // foldClaim executes a claimed unit exactly as a dgsimd worker does: build
 // the scenario, fold the trial range through the engine's per-shard inner
-// loop, serialize the accumulator.
+// loop, serialize the accumulator. Claimant goroutines call it too, so a
+// failure is reported with t.Error and yields a nil blob, which the
+// coordinator refuses.
 func foldClaim(t *testing.T, c Claim) []byte {
 	t.Helper()
 	b, err := c.Scenario.Build()
 	if err != nil {
-		t.Fatalf("build claim (%d, %d): %v", c.Cell, c.Shard, err)
+		t.Errorf("build claim (%d, %d): %v", c.Cell, c.Shard, err)
+		return nil
 	}
 	sum, err := engine.FoldShardContext(t.Context(),
 		engine.Trial{Net: b.Net, Sched: b.Sched, Alg: b.Alg, Adv: b.Adv, Cfg: b.Cfg},
 		c.TrialLo, c.TrialHi,
 		engine.StreamConfig{Quantiles: c.Quantiles, ExactK: c.ExactK})
 	if err != nil {
-		t.Fatalf("fold claim (%d, %d): %v", c.Cell, c.Shard, err)
+		t.Errorf("fold claim (%d, %d): %v", c.Cell, c.Shard, err)
+		return nil
 	}
 	blob, err := sum.MarshalBinary()
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	return blob
 }
@@ -185,7 +190,8 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 func TestCoordinatorEndpointContract(t *testing.T) {
 	s, ts := newTestServer(t, Config{Stream: engine.StreamConfig{ExactK: 8}})
 
-	// Local jobs own no ledger: claim and report are 409.
+	// A local job's ledger has only the in-process pool as claimant: remote
+	// claim and report are 409.
 	local := submit(t, ts, JobRequest{Sweep: smallSweep(4)})
 	resp, err := http.Post(ts.URL+"/v1/jobs/"+local.ID+"/shards/claim", "application/json", nil)
 	if err != nil {
@@ -292,6 +298,69 @@ func TestCoordinatorEndpointContract(t *testing.T) {
 	}
 	if code, _ := reportShard(t, ts, st2.ID, Report{Cell: 0, Shard: 0, Summary: blob}); code != http.StatusConflict {
 		t.Fatalf("report on cancelled job: status %d, want 409", code)
+	}
+}
+
+// A report folded with another stream configuration would poison its
+// cell's merge for every client: the ledger refuses it with 400 and leaves
+// the job running, and the correct report for the same unit still lands,
+// with output byte-identical to the local path.
+func TestReportWithForeignStreamConfigRefused(t *testing.T) {
+	cfg := Config{Stream: engine.StreamConfig{Quantiles: []float64{0.5, 0.99}, ExactK: 8}}
+	s, ts := newTestServer(t, cfg)
+	sw := smallSweep(2)
+	local := submit(t, ts, JobRequest{Sweep: sw})
+	wantLines, _ := streamLines(t, ts, local.ID)
+
+	st := submit(t, ts, JobRequest{Sweep: sw, Mode: ModeCoordinator})
+	c, ok := claimOnce(t, ts, st.ID)
+	if !ok {
+		t.Fatal("no unit claimable")
+	}
+	foreign := c
+	foreign.Quantiles = []float64{0.5}
+	code, _ := reportShard(t, ts, st.ID, Report{Cell: c.Cell, Shard: c.Shard, Summary: foldClaim(t, foreign)})
+	if code != http.StatusBadRequest {
+		t.Fatalf("foreign-config report: status %d, want 400", code)
+	}
+	if got := getStatus(t, ts, st.ID); got.State != Running || got.Error != "" {
+		t.Fatalf("job after the refused report: %+v", got)
+	}
+	if code, _ := reportShard(t, ts, st.ID, Report{Cell: c.Cell, Shard: c.Shard, Summary: foldClaim(t, c)}); code != http.StatusOK {
+		t.Fatalf("correct report: status %d", code)
+	}
+	var n atomic.Int64
+	workLoop(t, ts, s, st.ID, &n)
+	lines, done := streamLines(t, ts, st.ID)
+	if done.State != Done || !reflect.DeepEqual(lines, wantLines) {
+		t.Fatalf("coordinator job ended %+v with lines differing from the local job", done)
+	}
+}
+
+// TestSubmitRejectsDuplicateBuiltCells is the service side of
+// spec.TestRunRejectsDuplicateBuiltCells: grid rounds n=33 and n=34 up to
+// the same 36-node network, and both job modes refuse the sweep with the
+// same message — a local job fails when it builds, a coordinator job (whose
+// workers build instead) at submission.
+func TestSubmitRejectsDuplicateBuiltCells(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	base := spec.Default()
+	base.Topology = spec.Choice{Name: "grid"}
+	sw := spec.Sweep{Base: base, Ns: []int{33, 34}, Trials: 2}
+
+	local := submit(t, ts, JobRequest{Sweep: sw})
+	failed := waitState(t, s, local.ID, State.Terminal)
+	if failed.State != Failed || !strings.Contains(failed.Error, "same 36-node network") {
+		t.Fatalf("local job ended %+v, want failed on the duplicate built size", failed)
+	}
+	_, err := s.Submit(JobRequest{Sweep: sw, Mode: ModeCoordinator})
+	if err == nil || err.Error() != failed.Error {
+		t.Fatalf("coordinator submit: err = %v, want the local job's %q", err, failed.Error)
+	}
+	// Distinct built sizes stay fine in both modes.
+	sw.Ns = []int{16, 36}
+	if _, err := s.Submit(JobRequest{Sweep: sw, Mode: ModeCoordinator}); err != nil {
+		t.Fatal(err)
 	}
 }
 

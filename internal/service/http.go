@@ -26,8 +26,6 @@ import (
 	"time"
 
 	"dualgraph/internal/metrics"
-	"dualgraph/internal/registry"
-	"dualgraph/internal/spec"
 )
 
 // maxRequestBody bounds POST bodies (a sweep envelope is small; 4 MiB is
@@ -59,14 +57,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps typed errors to status codes and renders them as
-// {"error":"..."} JSON.
+// {"error":"..."} JSON. Anything untyped — invalid specs and versions,
+// unknown names, refused shard reports — is the caller's fault: 400.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	var (
-		version *spec.ErrUnsupportedVersion
-		dup     *spec.ErrDuplicateLabel
-		unknown *registry.ErrUnknownName
-	)
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		status = http.StatusNotFound
@@ -76,8 +70,6 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotCoordinator), errors.Is(err, ErrJobNotRunning):
 		status = http.StatusConflict
-	case errors.As(err, &version), errors.As(err, &dup), errors.As(err, &unknown):
-		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -219,8 +211,8 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReport accepts a worker's completed unit: 200 with the job's status
-// snapshot (also for idempotent duplicates), 400 for undecodable or
-// range-violating summaries, 409 once the job is no longer running.
+// snapshot (also for idempotent duplicates), 400 for summaries that do not
+// decode or that the ledger refuses, 409 once the job is no longer running.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var rep Report
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))

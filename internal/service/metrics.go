@@ -1,16 +1,11 @@
-// Service instrumentation. Job lifecycle gauges are transition-updated under
-// Server.mu — every state mutation site adjusts them — rather than computed
-// at scrape time, so the /metrics handler never takes the job lock and the
-// gauges stay exact across queued/running/terminal flips. Because gauges
-// must stay balanced (an increment recorded while metrics were enabled must
-// get its decrement even if they are disabled in between), service metrics
-// deliberately ignore the metrics.Enabled gate; that gate exists for the
-// engine/sim hot paths, and nothing here is hot — the costliest site is one
-// atomic per job state change or per shard report.
-//
-// Note the gauges are process-global (metrics.Default): a process running
-// several Servers (as tests do) sees their sums, which is the right reading
-// for a scrape endpoint. Per-server counts are on /v1/healthz.
+// Service instrumentation. Job lifecycle gauges are updated under
+// Server.mu at the transitions — Submit, the executor's start, and finish —
+// rather than computed at scrape time, so the /metrics handler never takes
+// the job lock. Gauges must stay balanced, so service metrics ignore the
+// metrics.Enabled gate (which exists for the engine/sim hot paths; nothing
+// here is hot). The gauges are process-global: a process running several
+// Servers (as tests do) sees their sums; per-server counts are on
+// /v1/healthz.
 package service
 
 import "dualgraph/internal/metrics"
@@ -23,10 +18,10 @@ var (
 	mJobsQueued = metrics.NewGauge("service_jobs_queued",
 		"Jobs currently queued (admitted, not yet started).")
 	mJobsRunning = metrics.NewGauge("service_jobs_running",
-		"Jobs currently running (local executor or coordinator ledger).")
+		"Jobs currently running (drained by the local executor or by remote workers).")
 
 	mShardClaims = metrics.NewCounter("service_shard_claims_total",
-		"Shard leases granted to workers by coordinator jobs.")
+		"Shard leases granted to remote workers by coordinator jobs (the local pool's in-process claims are not counted).")
 	mLeaseExpirations = metrics.NewCounter("service_lease_expirations_total",
 		"Expired shard leases returned to the pool on a later claim scan.")
 	mShardReports = metrics.NewCounter("service_shard_reports_total",
@@ -37,22 +32,10 @@ var (
 		"Cell result lines streamed to job result buffers (local and coordinator jobs).")
 )
 
-// Pre-resolved terminal-state children, one atomic add per job completion.
-var (
-	mCompletedDone      = mJobsCompleted.With(string(Done))
-	mCompletedFailed    = mJobsCompleted.With(string(Failed))
-	mCompletedCancelled = mJobsCompleted.With(string(Cancelled))
-)
-
-// jobCompleted records a terminal transition. Callers adjust the live gauge
-// (queued or running) at the transition site, where the prior state is known.
-func jobCompleted(final State) {
-	switch final {
-	case Done:
-		mCompletedDone.Inc()
-	case Failed:
-		mCompletedFailed.Inc()
-	case Cancelled:
-		mCompletedCancelled.Inc()
-	}
+// mCompleted holds the terminal-state children, pre-resolved so each
+// completion is one atomic add and every state's series exists from start.
+var mCompleted = map[State]*metrics.Counter{
+	Done:      mJobsCompleted.With(string(Done)),
+	Failed:    mJobsCompleted.With(string(Failed)),
+	Cancelled: mJobsCompleted.With(string(Cancelled)),
 }

@@ -1,18 +1,23 @@
 // Package service is the long-running sweep service behind cmd/dgsimd: a
 // job manager that accepts declarative spec.Sweep jobs over a versioned
-// envelope, executes them one at a time on one shared deterministic grid
-// pool (engine.RunGrid via spec.Sweep.Run), supports
-// per-job cancellation at (cell, shard) granularity, and streams per-cell
-// summary lines — rendered by the same spec.FormatSummary the CLI uses, so
-// a job's streamed results are byte-identical to `dgsim -spec` output for
-// the same sweep — to any number of concurrent readers as cells complete.
+// envelope and streams each job's per-cell summary lines — rendered by the
+// same spec.FormatSummary the CLI uses, so byte-identical to `dgsim -spec`
+// output for the same sweep — to any number of concurrent readers.
 //
-// Lifecycle: Submit validates and enqueues (queued) → the single executor
-// goroutine picks the job up (running) → the job ends done, failed, or
-// cancelled. Cancel flips a queued job straight to cancelled and interrupts
-// a running job's context; already-completed cells of a cancelled job
-// remain final. Drain stops admission, cancels everything outstanding, and
+// Every job owns an engine.Ledger of its (cell, shard) units from Submit on,
+// with two kinds of claimant: the FIFO executor drains local jobs one at a
+// time on the shared pool, and remote dgsimd workers drain coordinator jobs
+// over the claim/report API. The ledger merges and orders cells the same
+// way for both.
+//
+// Lifecycle: queued (coordinator jobs skip it) → running → done, failed or
+// cancelled. Cancel and Drain end any live job at once, whatever its mode,
+// and a terminal job's lines never change. Drain also stops admission and
 // waits for the executor to exit, so a drained server holds no goroutines.
+//
+// Lock order: Server.mu, then the ledger's leaf lock (via Ledger.Claim).
+// Server.mu is never held across Ledger.Report or Ledger.Drain, whose cell
+// deliveries append lines under it.
 package service
 
 import (
@@ -130,25 +135,25 @@ var (
 
 // job is the internal record; all mutable fields are guarded by Server.mu.
 type job struct {
-	id      string
-	name    string
-	sweep   spec.Sweep
-	cells   []spec.Cell
-	trials  int
-	created time.Time
+	id       string
+	name     string
+	mode     string
+	sweep    spec.Sweep
+	cells    []spec.Cell
+	trials   int
+	created  time.Time
+	lease    time.Duration // remote claim lease (coordinator jobs)
+	specHash string        // echoed in claims (coordinator jobs)
 
 	state   State
 	err     string
 	results []CellLine
-	cancel  context.CancelFunc // non-nil exactly while running on the local engine
-	coord   *coordination      // non-nil exactly for coordinator jobs
+	ledger  *engine.Ledger  // the job's units while it is live; dropped once it ends
+	ctx     context.Context // a local job's drain context, cancelled when the job ends
+	cancel  context.CancelFunc
 }
 
 func (j *job) status() JobStatus {
-	mode := ""
-	if j.coord != nil {
-		mode = ModeCoordinator
-	}
 	return JobStatus{
 		ID:             j.id,
 		Name:           j.name,
@@ -156,7 +161,7 @@ func (j *job) status() JobStatus {
 		Cells:          len(j.cells),
 		CellsCompleted: len(j.results),
 		Trials:         j.trials,
-		Mode:           mode,
+		Mode:           j.mode,
 		Created:        j.created,
 		Error:          j.err,
 	}
@@ -177,8 +182,6 @@ type Server struct {
 	draining bool
 
 	queue    chan *job
-	baseCtx  context.Context // parent of every job context
-	baseStop context.CancelFunc
 	execDone chan struct{} // closed when the executor goroutine exits
 }
 
@@ -192,14 +195,14 @@ func New(cfg Config) *Server {
 		execDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	go s.execute()
 	return s
 }
 
 // Submit validates the request, expands its grid (so malformed sweeps —
 // unknown names, bad versions, duplicate cell labels — fail here, before a
-// job id exists), and enqueues the job. Jobs execute in submission order.
+// job id exists), gives the job its ledger, and enqueues local jobs, which
+// execute in submission order.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if req.Version != 0 && req.Version != spec.WireVersion {
 		return JobStatus{}, &spec.ErrUnsupportedVersion{Kind: "job", Got: req.Version}
@@ -214,16 +217,38 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	trials := req.Sweep.Trials
-	if trials <= 0 {
-		trials = 1
+	j := &job{
+		name:    req.Name,
+		mode:    req.Mode,
+		sweep:   req.Sweep,
+		cells:   cells,
+		trials:  max(req.Sweep.Trials, 1),
+		created: time.Now().UTC(),
+		state:   Queued,
 	}
-	var coord *coordination
 	if req.Mode == ModeCoordinator {
-		coord, err = newCoordination(req.Sweep, len(cells), trials, s.cfg.Stream, req.LeaseSeconds)
-		if err != nil {
+		// Workers build their own cells, so the built-size duplicate check
+		// of a local job's BuildCells runs here; only an n axis can trip it.
+		if len(req.Sweep.Ns) > 1 {
+			if _, err := req.Sweep.BuildCells(context.TODO(), s.cfg.Engine, cells); err != nil {
+				return JobStatus{}, err
+			}
+		}
+		if j.specHash, err = req.Sweep.Hash(); err != nil {
 			return JobStatus{}, err
 		}
+		j.lease = defaultLease
+		if req.LeaseSeconds > 0 {
+			j.lease = time.Duration(req.LeaseSeconds) * time.Second
+		}
+		// Claimable at once, beside whatever the executor runs.
+		j.state = Running
+	}
+	j.ledger, err = engine.NewLedger(len(cells), j.trials, s.cfg.Stream, func(c int, sum *engine.TrialSummary) {
+		s.appendLine(j, CellLine{Cell: c, Label: cells[c].Label, Summary: spec.FormatSummary(sum)})
+	})
+	if err != nil {
+		return JobStatus{}, err
 	}
 
 	s.mu.Lock()
@@ -232,48 +257,74 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		return JobStatus{}, ErrDraining
 	}
 	s.next++
-	j := &job{
-		id:      fmt.Sprintf("job-%06d", s.next),
-		name:    req.Name,
-		sweep:   req.Sweep,
-		cells:   cells,
-		trials:  trials,
-		created: time.Now().UTC(),
-		state:   Queued,
-		coord:   coord,
-	}
-	if coord != nil {
-		// Coordinator jobs never enter the executor queue: the work happens
-		// on remote workers, so the job is claimable — Running — at once and
-		// local jobs keep executing beside it.
-		j.state = Running
-	} else {
+	j.id = fmt.Sprintf("job-%06d", s.next)
+	j.ctx, j.cancel = context.WithCancel(context.Background()) // released by finish
+	if j.state == Queued {
 		select {
 		case s.queue <- j:
 		default:
+			j.cancel()
 			s.next-- // id not spent
 			return JobStatus{}, ErrQueueFull
 		}
+		mJobsQueued.Add(1)
+	} else {
+		mJobsRunning.Add(1)
 	}
 	s.jobs[j.id] = j
 	s.ids = append(s.ids, j.id)
 	mJobsSubmitted.Inc()
-	if coord != nil {
-		mJobsRunning.Add(1)
-	} else {
-		mJobsQueued.Add(1)
-	}
 	s.cond.Broadcast()
 	return j.status(), nil
+}
+
+// appendLine is a job ledger's onCell. Lines of a terminal job are final,
+// so one arriving after Cancel or Drain is dropped.
+func (s *Server) appendLine(j *job, line CellLine) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.state.Terminal() {
+		return
+	}
+	j.results = append(j.results, line)
+	mCellsStreamed.Inc()
+	s.cond.Broadcast()
+}
+
+// finish ends a live job — the one place a job turns terminal, whatever its
+// mode and whoever ends it — interrupting a local drain and dropping the
+// ledger. s.mu must be held; a terminal job is left as it is.
+func (s *Server) finish(j *job, final State, msg string) {
+	switch j.state {
+	case Queued:
+		mJobsQueued.Add(-1)
+	case Running:
+		mJobsRunning.Add(-1)
+	default:
+		return
+	}
+	j.state, j.err = final, msg
+	j.ledger = nil
+	j.cancel()
+	mCompleted[final].Inc()
+	s.cond.Broadcast()
+}
+
+// lookup finds a job by id; s.mu must be held.
+func (s *Server) lookup(id string) (*job, error) {
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 }
 
 // Get returns the status snapshot of one job.
 func (s *Server) Get(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := s.lookup(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	return j.status(), nil
 }
@@ -289,36 +340,17 @@ func (s *Server) List() []JobStatus {
 	return out
 }
 
-// Cancel stops a job: a queued job flips straight to cancelled (the
-// executor will skip it), a running job has its context cancelled — the
-// pool stops within one shard boundary and the job ends cancelled, keeping
-// every already-streamed cell. Cancelling a terminal job is a no-op that
-// returns its (unchanged) status.
+// Cancel ends a live job at once, queued or running, local or coordinator,
+// keeping its already-streamed cells; a local job's pool stops within one
+// trial. Cancelling a terminal job returns its unchanged status.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := s.lookup(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	switch j.state {
-	case Queued:
-		j.state = Cancelled
-		mJobsQueued.Add(-1)
-		jobCompleted(Cancelled)
-		s.cond.Broadcast()
-	case Running:
-		if j.coord != nil {
-			// No local execution to interrupt: the ledger simply stops
-			// accepting claims and reports.
-			j.state = Cancelled
-			mJobsRunning.Add(-1)
-			jobCompleted(Cancelled)
-			s.cond.Broadcast()
-		} else {
-			j.cancel() // executor publishes the terminal state
-		}
-	}
+	s.finish(j, Cancelled, "")
 	return j.status(), nil
 }
 
@@ -344,10 +376,10 @@ func (s *Server) StreamResults(ctx context.Context, id string, from int, emit fu
 
 	for {
 		s.mu.Lock()
-		j, ok := s.jobs[id]
-		if !ok {
+		j, err := s.lookup(id)
+		if err != nil {
 			s.mu.Unlock()
-			return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+			return JobStatus{}, err
 		}
 		for len(j.results) <= from && !j.state.Terminal() && ctx.Err() == nil {
 			s.cond.Wait()
@@ -371,8 +403,8 @@ func (s *Server) StreamResults(ctx context.Context, id string, from int, emit fu
 	}
 }
 
-// execute is the single executor goroutine: jobs run strictly one at a
-// time, so every job gets the whole shared pool and per-cell results are
+// execute is the single executor goroutine: local jobs run strictly one at
+// a time, so every job gets the whole shared pool and per-cell results are
 // reproducible independent of what else is queued.
 func (s *Server) execute() {
 	defer close(s.execDone)
@@ -381,79 +413,51 @@ func (s *Server) execute() {
 	}
 }
 
+// runJob builds a local job's cells and drains its ledger on the pool.
 func (s *Server) runJob(j *job) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-
 	s.mu.Lock()
 	if j.state != Queued { // cancelled while queued
 		s.mu.Unlock()
 		return
 	}
 	j.state = Running
-	j.cancel = cancel
+	l := j.ledger
 	mJobsQueued.Add(-1)
 	mJobsRunning.Add(1)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	_, err := j.sweep.Run(ctx, s.cfg.Engine, s.cfg.Stream, spec.Hooks{
-		OnCell: func(cr spec.CellResult) {
-			line := CellLine{Cell: cr.Cell.Index, Label: cr.Cell.Label, Summary: spec.FormatSummary(cr.Summary)}
-			s.mu.Lock()
-			j.results = append(j.results, line)
-			mCellsStreamed.Inc()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		},
-	})
+	built, err := j.sweep.BuildCells(j.ctx, s.cfg.Engine, j.cells)
+	if err == nil {
+		err = l.Drain(j.ctx, built, s.cfg.Engine, nil)
+	}
 
 	s.mu.Lock()
-	j.cancel = nil
+	defer s.mu.Unlock()
 	switch {
 	case err == nil:
-		j.state = Done
+		s.finish(j, Done, "")
 	case errors.Is(err, context.Canceled):
-		j.state = Cancelled
+		s.finish(j, Cancelled, "")
 	default:
-		j.state = Failed
-		j.err = err.Error()
+		s.finish(j, Failed, err.Error())
 	}
-	mJobsRunning.Add(-1)
-	jobCompleted(j.state)
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // Drain shuts the server down gracefully: admission stops (Submit returns
-// ErrDraining), queued jobs flip to cancelled, the running job's context is
-// cancelled — its claimed shards finish and its completed cells stay
-// streamed — and Drain waits for the executor goroutine to exit, or for ctx
-// to end first (returning ctx's error with the executor still winding
-// down). Drain is idempotent.
+// ErrDraining), every live job ends cancelled with its streamed cells kept,
+// and Drain waits for the executor goroutine to exit — or for ctx to end
+// first, returning ctx's error. Drain is idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		close(s.queue) // executor exits after the jobs already queued
-		for _, id := range s.ids {
-			j := s.jobs[id]
-			if j.state == Queued || (j.state == Running && j.coord != nil) {
-				if j.state == Queued {
-					mJobsQueued.Add(-1)
-				} else {
-					mJobsRunning.Add(-1)
-				}
-				j.state = Cancelled
-				jobCompleted(Cancelled)
-			}
+		close(s.queue) // executor exits after skipping the jobs already queued
+		for _, j := range s.jobs {
+			s.finish(j, Cancelled, "")
 		}
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
-	// Cancel the running job (if any) through the shared parent, after
-	// queued jobs were flipped so none of them starts.
-	s.baseStop()
 
 	select {
 	case <-s.execDone:

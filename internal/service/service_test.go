@@ -158,7 +158,9 @@ func waitState(t *testing.T, s *Server, id string, want func(State) bool) JobSta
 // A submitted sweep must run end to end with every per-cell line streamed
 // in cell order and byte-identical to the same sweep's local
 // Sweep.Run + FormatSummary rendering — i.e. to `dgsim -spec` output —
-// whatever worker count the service pool uses.
+// whatever worker count drains the job's ledger: the service pool of a
+// local job, or the in-process FoldShardContext claimants of a coordinator
+// job.
 func TestJobResultsDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := smallSweep(64)
 
@@ -173,27 +175,64 @@ func TestJobResultsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		_, ts := newTestServer(t, Config{Engine: engine.Config{Workers: workers}})
-		st := submit(t, ts, JobRequest{Name: "determinism", Sweep: sw})
-		if st.Cells != len(grid.Cells) || st.Trials != 64 {
-			t.Fatalf("workers=%d: submitted status %+v", workers, st)
+		s, ts := newTestServer(t, Config{Engine: engine.Config{Workers: workers}})
+		local := submit(t, ts, JobRequest{Name: "determinism", Sweep: sw})
+		if local.Cells != len(grid.Cells) || local.Trials != 64 {
+			t.Fatalf("workers=%d: submitted status %+v", workers, local)
 		}
-		lines, done := streamLines(t, ts, st.ID)
-		if done.State != Done || !done.Done || done.CellsCompleted != len(want) {
-			t.Fatalf("workers=%d: done line %+v", workers, done)
-		}
-		if len(lines) != len(want) {
-			t.Fatalf("workers=%d: got %d lines, want %d", workers, len(lines), len(want))
-		}
-		for i, line := range lines {
-			if line.Cell != i {
-				t.Fatalf("workers=%d: line %d is cell %d (out of order)", workers, i, line.Cell)
+		remote := submit(t, ts, JobRequest{Name: "determinism", Sweep: sw, Mode: ModeCoordinator})
+		drainInProcess(t, s, remote.ID, workers)
+		for _, st := range []JobStatus{local, remote} {
+			lines, done := streamLines(t, ts, st.ID)
+			if done.State != Done || !done.Done || done.CellsCompleted != len(want) {
+				t.Fatalf("workers=%d %q job: done line %+v", workers, st.Mode, done)
 			}
-			if got := line.Label + ": " + line.Summary; got != want[i] {
-				t.Fatalf("workers=%d: cell %d over HTTP differs from local run:\n http: %s\nlocal: %s", workers, i, got, want[i])
+			if len(lines) != len(want) {
+				t.Fatalf("workers=%d %q job: got %d lines, want %d", workers, st.Mode, len(lines), len(want))
+			}
+			for i, line := range lines {
+				if line.Cell != i {
+					t.Fatalf("workers=%d %q job: line %d is cell %d (out of order)", workers, st.Mode, i, line.Cell)
+				}
+				if got := line.Label + ": " + line.Summary; got != want[i] {
+					t.Fatalf("workers=%d %q job: cell %d over HTTP differs from local run:\n http: %s\nlocal: %s", workers, st.Mode, i, got, want[i])
+				}
 			}
 		}
 	}
+}
+
+// drainInProcess drains a coordinator job with n in-process claimants that
+// claim through ClaimShard, fold through FoldShardContext and report through
+// ReportShard — the dgsimd worker loop without the HTTP hop.
+func drainInProcess(t *testing.T, s *Server, id string, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				c, ok, err := s.ClaimShard(id)
+				if errors.Is(err, ErrJobNotRunning) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !ok { // the remaining units are leased by the other claimants
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				if _, err := s.ReportShard(id, Report{Cell: c.Cell, Shard: c.Shard, Summary: foldClaim(t, c)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // A second reader attaching after completion (and one resuming with ?from=)
@@ -337,6 +376,59 @@ func TestCancelRunningJob(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second cancel status %d", resp2.StatusCode)
+	}
+}
+
+// Cancel ends a running local job at once: the returned status is already
+// cancelled, and the job's lines are a prefix of the uninterrupted run that
+// never grows afterwards, although the pool finishes its claimed units.
+func TestCancelRunningJobFreezesPrefix(t *testing.T) {
+	s, ts := newTestServer(t, Config{Engine: engine.Config{Workers: 2}})
+	sw := smallSweep(2000)
+	sw.Seeds = nil
+	for seed := int64(1); seed <= 32; seed++ {
+		sw.Seeds = append(sw.Seeds, seed)
+	}
+	st := submit(t, ts, JobRequest{Sweep: sw})
+	deadline := time.Now().Add(30 * time.Second)
+	for getStatus(t, ts, st.ID).CellsCompleted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no cell completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelled, err := s.Cancel(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cancelled.State != Cancelled {
+		t.Fatalf("Cancel returned state %s, want cancelled at once", cancelled.State)
+	}
+	// The executor is serial: once a follow-up job is done, the cancelled
+	// job's pool has wound down and can no longer deliver anything.
+	next := submit(t, ts, JobRequest{Sweep: smallSweep(1)})
+	waitState(t, s, next.ID, func(st State) bool { return st == Done })
+	// A cell delivered in the window between Cancel and the pool stopping
+	// is dropped, not streamed.
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	s.appendLine(j, CellLine{Cell: cancelled.CellsCompleted, Label: "late"})
+
+	lines, done := streamLines(t, ts, st.ID)
+	if done.State != Cancelled || len(lines) != cancelled.CellsCompleted {
+		t.Fatalf("after the pool stopped: %d lines, done %+v; want the %d lines of the cancel", len(lines), done, cancelled.CellsCompleted)
+	}
+	prefix := sw
+	prefix.Seeds = sw.Seeds[:len(lines)]
+	grid, err := prefix.Run(context.Background(), engine.Config{Workers: 1}, engine.StreamConfig{}, spec.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cr := range grid.Cells {
+		if lines[i].Label != cr.Cell.Label || lines[i].Summary != spec.FormatSummary(cr.Summary) {
+			t.Fatalf("line %d = %+v, want the uninterrupted run's %s", i, lines[i], cr.Cell.Label)
+		}
 	}
 }
 

@@ -321,7 +321,7 @@ func (b *Built) RunMany(ctx context.Context, trials int, ec engine.Config) ([]*s
 // into a streaming summary by the engine's grid reducer over this one cell.
 // onShard, when non-nil, observes every completed shard (see
 // engine.Hooks.OnShard) — the hook progress trackers attach to.
-// Cancellation stops the run at shard granularity.
+// Cancellation stops the run between trials.
 func (b *Built) RunStream(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig,
 	onShard func(engine.ShardState)) (*engine.TrialSummary, error) {
 	sums, err := engine.RunGrid(ctx, []engine.Trial{b.Trial}, trials, ec, sc, engine.Hooks{OnShard: onShard})

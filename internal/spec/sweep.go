@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 
 	"dualgraph/internal/engine"
 	"dualgraph/internal/registry"
@@ -237,32 +236,53 @@ type Hooks struct {
 	// possibly concurrently: synchronize, and consume the summary during the
 	// call (see engine.Hooks.OnShard).
 	OnShard func(engine.ShardState)
-	// OnCell receives finished cells in enumeration order while the rest of
-	// the grid is still running: a cell is delivered as soon as it and every
-	// cell before it have completed, so the delivered sequence is always a
-	// prefix of the full grid — byte-identical to the corresponding prefix
-	// of an uninterrupted run. Calls are serialized.
+	// OnCell receives finished cells as engine.Hooks.OnCell does: serialized,
+	// in enumeration order, while the rest of the grid still runs — always a
+	// prefix of the full grid, byte-identical to an uninterrupted run's.
 	OnCell func(CellResult)
 }
 
-// Run expands the sweep and executes the whole grid on the trial engine:
-// cell networks are constructed in parallel (deterministically, each from
-// its own scenario seed), then all (cell, shard) work units share one
-// worker pool (engine.RunGrid), so the pool stays saturated whether the
-// grid is wide or deep. Every cell summary is bit-identical at any worker
-// count and equal to streaming that cell's Scenario alone.
-//
-// Units in h.Seed are restored instead of run, and the grid result —
-// including the order and content of h.OnCell deliveries — is
+// Run expands the sweep, builds its cells (BuildCells) and executes the
+// whole grid on one worker pool (engine.RunGrid). Every cell summary is
+// bit-identical at any worker count and equal to streaming that cell's
+// Scenario alone. Units in h.Seed are restored instead of run, and the grid
+// result — including the order and content of h.OnCell deliveries — is
 // bit-identical to an uninterrupted run at any worker count on either side
-// of the interruption. Cancelling ctx stops the run at (cell, shard)
-// granularity with a wrapped context error; cells already delivered
-// through h.OnCell remain final.
+// of the interruption. Cancelling ctx stops the run between trials with a
+// wrapped context error; cells already delivered remain final.
 func (sw Sweep) Run(ctx context.Context, ec engine.Config, sc engine.StreamConfig, h Hooks) (*GridResult, error) {
 	cells, err := sw.Cells()
 	if err != nil {
 		return nil, err
 	}
+	built, err := sw.BuildCells(ctx, ec, cells)
+	if err != nil {
+		return nil, err
+	}
+	eh := engine.Hooks{Seed: h.Seed, OnShard: h.OnShard}
+	if h.OnCell != nil {
+		eh.OnCell = func(c int, sum *engine.TrialSummary) {
+			h.OnCell(CellResult{Cell: cells[c], Summary: sum})
+		}
+	}
+	sums, err := engine.RunGrid(ctx, built, sw.trials(), ec, sc, eh)
+	if err != nil {
+		return nil, err
+	}
+	out := &GridResult{Trials: sw.trials(), Cells: make([]CellResult, len(cells))}
+	for i, c := range cells {
+		out.Cells[i] = CellResult{Cell: c, Summary: sums[i]}
+	}
+	return out, nil
+}
+
+// BuildCells constructs the engine cells of the sweep's expansion cells in
+// parallel on ec's pool — deterministically, each from its own scenario
+// seed. A size-adjusting topology (grid rounds n up to a square) can map
+// two requested n values to the same built network; those cells would be
+// byte-identical under different n= labels, so the sweep is refused. Run
+// and the sweep service both build through here.
+func (sw Sweep) BuildCells(ctx context.Context, ec engine.Config, cells []Cell) ([]engine.Trial, error) {
 	built, err := engine.Map(ctx, len(cells), ec, func(i int) (engine.Trial, error) {
 		b, err := cells[i].Scenario.Build()
 		if err != nil {
@@ -274,10 +294,7 @@ func (sw Sweep) Run(ctx context.Context, ec engine.Config, sc engine.StreamConfi
 		return nil, err
 	}
 	if len(sw.Ns) > 1 {
-		// A size-adjusting topology (grid rounds n up to a square) can map
-		// two requested n values to the same built network; those cells
-		// would be byte-identical under different n= labels, so refuse.
-		// Cells that differ in any other axis keep distinct keys.
+		// Cells that differ in any axis but n keep distinct keys.
 		type key struct {
 			rest   string
 			builtN int
@@ -292,34 +309,5 @@ func (sw Sweep) Run(ctx context.Context, ec engine.Config, sc engine.StreamConfi
 			seen[k] = c.Label
 		}
 	}
-	// Reorder buffer: the engine reports cells in completion order, the
-	// callback contract is enumeration order. done tracks out-of-order
-	// completions; next is the lowest undelivered cell.
-	var (
-		mu   sync.Mutex
-		done []*engine.TrialSummary
-		next int
-	)
-	eh := engine.Hooks{Seed: h.Seed, OnShard: h.OnShard}
-	if h.OnCell != nil {
-		done = make([]*engine.TrialSummary, len(cells))
-		eh.OnCell = func(c int, sum *engine.TrialSummary) {
-			mu.Lock()
-			defer mu.Unlock()
-			done[c] = sum
-			for next < len(done) && done[next] != nil {
-				h.OnCell(CellResult{Cell: cells[next], Summary: done[next]})
-				next++
-			}
-		}
-	}
-	sums, err := engine.RunGrid(ctx, built, sw.trials(), ec, sc, eh)
-	if err != nil {
-		return nil, err
-	}
-	out := &GridResult{Trials: sw.trials(), Cells: make([]CellResult, len(cells))}
-	for i, c := range cells {
-		out.Cells[i] = CellResult{Cell: c, Summary: sums[i]}
-	}
-	return out, nil
+	return built, nil
 }

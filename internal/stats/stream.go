@@ -129,6 +129,20 @@ func (s *Stream) spill() {
 	s.exact = nil
 }
 
+// Compatible returns an error unless o can be merged into s: both streams
+// must track the same targets with the same exact-until-K threshold.
+func (s *Stream) Compatible(o *Stream) error {
+	if s.exactK != o.exactK || len(s.targets) != len(o.targets) {
+		return fmt.Errorf("stats: merging streams with different configurations")
+	}
+	for i := range s.targets {
+		if s.targets[i] != o.targets[i] {
+			return fmt.Errorf("stats: merging streams with different quantile targets")
+		}
+	}
+	return nil
+}
+
 // Merge folds o into s; o is left unchanged. The two streams must share the
 // same configuration. Merging is deterministic: for a fixed sequence of
 // merges the result is a pure function of the operand states, which is what
@@ -141,13 +155,8 @@ func (s *Stream) Merge(o *Stream) error {
 	// Check compatibility before the empty-source fast path, so a
 	// misconfigured merge fails loudly regardless of operand order or of
 	// which shards happened to receive values.
-	if s.exactK != o.exactK || len(s.targets) != len(o.targets) {
-		return fmt.Errorf("stats: merging streams with different configurations")
-	}
-	for i := range s.targets {
-		if s.targets[i] != o.targets[i] {
-			return fmt.Errorf("stats: merging streams with different quantile targets")
-		}
+	if err := s.Compatible(o); err != nil {
+		return err
 	}
 	if o.count == 0 {
 		return nil

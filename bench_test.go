@@ -413,7 +413,10 @@ func BenchmarkExtExhaustiveSearch(b *testing.B) {
 // best-response adversary on the 5-node clique-bridge: "miss" builds a fresh
 // planner per iteration (cold transposition table, full best-response
 // search), "hit" re-plans the same position against a warmed table, so the
-// pair brackets the table's value.
+// pair brackets the table's value. "waypoint" is a cold round on a mobile
+// network (waypoint schedule, 3-round epochs, delivery horizon 3), where
+// every search node's replay crosses epoch boundaries: it prices the
+// planner's per-game epoch memo.
 func BenchmarkAdaptiveAdversaryRound(b *testing.B) {
 	d, err := graph.CliqueBridge(5)
 	if err != nil {
@@ -434,6 +437,26 @@ func BenchmarkAdaptiveAdversaryRound(b *testing.B) {
 			entries = p.TableLen()
 		}
 		b.ReportMetric(float64(entries), "table-entries")
+	})
+	b.Run("waypoint", func(b *testing.B) {
+		base, err := graph.CliqueBridge(9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wp, err := graph.NewWaypoint(base, 3, 4, 0.28, 0.7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wcfg := exhaustive.PlannerConfig{Rule: sim.CR1, Start: sim.AsyncStart, Seed: 60, SearchRounds: 16, DeliverRounds: 3}
+		for i := 0; i < b.N; i++ {
+			p, err := exhaustive.NewPlanner(wp, core.NewRoundRobin(), wcfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Plan(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	b.Run("hit", func(b *testing.B) {
 		p, err := exhaustive.NewPlanner(sched, core.NewRoundRobin(), cfg)

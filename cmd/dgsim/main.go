@@ -2,20 +2,21 @@
 // Topologies, algorithms, and adversaries are addressed by registry name
 // (`dgsim -list` prints every name with its parameter docs).
 //
-// With -trials 1 it prints the outcome of a single run; with -trials N it
-// fans N independently seeded runs out over the parallel trial engine and
-// prints aggregate statistics (results are identical at any -workers
-// value). With -stream the sweep runs on the streaming reducer, which keeps
-// memory bounded regardless of -trials. With -spec file.json the flags are
-// replaced by a declarative sweep file: the whole Cartesian grid executes
-// as one parallel run, one aggregate line per cell, bit-identical at any
-// -workers value.
+// With -trials 1 it prints the outcome of a single run. With -trials N the
+// cell flags describe a one-cell sweep: N independently seeded runs are
+// folded on the streaming reducer and one aggregate line prints. With
+// -spec file.json the flags are replaced by a declarative sweep file: the
+// whole Cartesian grid executes as one parallel run, one aggregate line per
+// cell. Both multi-trial forms run through the same sweep path, so the
+// aggregate line of a cell is the same whichever form ran it; every such run
+// is memory-bounded at any trial count, bit-identical at any -workers value,
+// and resumable with -checkpoint/-resume.
 //
 // Examples:
 //
 //	dgsim -topo clique-bridge -n 33 -alg harmonic -adv greedy -rule 4 -seed 7 -v
 //	dgsim -topo geometric -n 65 -alg harmonic -adv greedy -trials 1000
-//	dgsim -topo clique-bridge -n 17 -alg harmonic -adv greedy -trials 1000000 -stream
+//	dgsim -topo clique-bridge -n 17 -alg harmonic -adv greedy -trials 1000000 -checkpoint run.ckpt
 //	dgsim -topo geometric -n 65 -alg harmonic -adv greedy -sched churn -trials 100
 //	dgsim -spec sweep.json -workers 8
 //	dgsim -list
@@ -36,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -93,12 +93,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		verbose   = fs.Bool("v", false, "print per-node first-receive rounds (single-trial mode only)")
 		trials    = fs.Int("trials", 1, "number of independently seeded runs (per-trial seed derived from -seed and the trial index)")
 		workers   = fs.Int("workers", 0, "trial engine worker count (0 = one per CPU)")
-		stream    = fs.Bool("stream", false, "aggregate trials with the streaming reducer (memory bounded at any -trials; quantiles exact up to the spill threshold, P² estimates beyond)")
 		specPath  = fs.String("spec", "", "run the declarative sweep in this JSON file instead of the cell flags")
-		ckptPath  = fs.String("checkpoint", "", "with -spec: append every completed (cell, shard) accumulator to this file as the grid runs, so a killed run can -resume it")
-		resume    = fs.String("resume", "", "with -spec: restore completed shards from this checkpoint file (skipping their work), keep appending to it, and reproduce the full output byte-identically")
-		progFlag  = fs.Bool("progress", false, "with -stream or -spec: print a live progress line to stderr every 2s (done/total trials, trials/s, ETA, live rounds p50/p99)")
-		metrAddr  = fs.String("metrics", "", "with -stream or -spec: serve Prometheus metrics on this address (e.g. localhost:9090) for the duration of the run")
+		ckptPath  = fs.String("checkpoint", "", "with -trials > 1 or -spec: append every completed (cell, shard) accumulator to this file as the sweep runs, so a killed run can -resume it")
+		resume    = fs.String("resume", "", "with -trials > 1 or -spec: restore completed shards from this checkpoint file (skipping their work), keep appending to it, and reproduce the full output byte-identically")
+		progFlag  = fs.Bool("progress", false, "with -trials > 1 or -spec: print a live progress line to stderr every 2s (done/total trials, trials/s, ETA, live rounds p50/p99)")
+		metrAddr  = fs.String("metrics", "", "with -trials > 1 or -spec: serve Prometheus metrics on this address (e.g. localhost:9090) for the duration of the run")
 		list      = fs.Bool("list", false, "print registered topologies/algorithms/adversaries/schedules with parameter docs, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -128,14 +127,15 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *ckptPath != "" && *resume != "" {
 		return fmt.Errorf("use -checkpoint to start a checkpoint file and -resume to continue one (a resumed run keeps appending to the same file); the flags are mutually exclusive")
 	}
-	if *specPath == "" && (*ckptPath != "" || *resume != "") {
-		return fmt.Errorf("-checkpoint and -resume apply to -spec sweeps only")
+	if *trials < 1 {
+		return fmt.Errorf("trials must be >= 1, got %d", *trials)
 	}
-	if (*progFlag || *metrAddr != "") && !*stream && *specPath == "" {
-		// Live telemetry hangs off the engine's per-shard completion
-		// callbacks, which only the streaming paths expose.
-		return fmt.Errorf("-progress and -metrics report live sweep telemetry; use them with -stream or -spec")
+	if *specPath == "" && *trials == 1 && (*ckptPath != "" || *resume != "" || *progFlag || *metrAddr != "") {
+		// Checkpoints and live telemetry hang off the sweep's per-shard
+		// completion callbacks; a single run has no shards.
+		return fmt.Errorf("-checkpoint, -resume, -progress and -metrics act on sweeps; use them with -trials > 1 or -spec")
 	}
+	sf := sweepFlags{workers: *workers, ckptPath: *ckptPath, resumePath: *resume, progress: *progFlag, metricsAddr: *metrAddr}
 	if *specPath != "" {
 		// The spec file is the whole experiment; reject explicitly-set cell
 		// flags instead of silently ignoring them.
@@ -150,7 +150,15 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if conflict != "" {
 			return fmt.Errorf("-spec runs a self-contained sweep file; drop -%s", conflict)
 		}
-		return runSpec(ctx, w, *specPath, *workers, *ckptPath, *resume, *progFlag, *metrAddr)
+		blob, err := os.ReadFile(*specPath)
+		if err != nil {
+			return err
+		}
+		var sw dualgraph.Sweep
+		if err := json.Unmarshal(blob, &sw); err != nil {
+			return fmt.Errorf("%s: %w", *specPath, err)
+		}
+		return runSweep(ctx, w, sw, "", sf)
 	}
 
 	if startRule(*start) == 0 {
@@ -183,21 +191,18 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	if *trials < 1 {
-		return fmt.Errorf("trials must be >= 1, got %d", *trials)
-	}
-	if *verbose && (*trials > 1 || *stream) {
-		// Per-node first-receive rounds exist only for a single retained
-		// run; silently dropping the flag hid this, so reject it instead.
-		return fmt.Errorf("-v prints per-node rounds of a single run and is incompatible with -trials %d%s; drop -v or use -trials 1",
-			*trials, streamSuffix(*stream))
-	}
-	if *stream {
-		return runStream(ctx, w, built, *topo, schedSuffix(*sched), *rule, *start, *seed, *trials, *workers, *progFlag, *metrAddr)
-	}
 	if *trials > 1 {
-		return runMany(ctx, w, built, *topo, schedSuffix(*sched), *rule, *start, *seed, *trials, *workers)
+		if *verbose {
+			// Per-node first-receive rounds exist only for a single retained
+			// run; silently dropping the flag hid this, so reject it instead.
+			return fmt.Errorf("-v prints per-node rounds of a single run and is incompatible with -trials %d; drop -v or use -trials 1", *trials)
+		}
+		// The cell is a one-cell sweep: the same run, checkpoint and
+		// telemetry path as -spec, so its aggregate line is the one a spec
+		// file with this cell as its base prints.
+		header := fmt.Sprintf("topology=%s n=%d alg=%s adversary=%s rule=CR%d start=%s seed=%d trials=%d%s",
+			*topo, built.Net.N(), built.Alg.Name(), built.Adv.Name(), *rule, *start, *seed, *trials, schedSuffix(*sched))
+		return runSweep(ctx, w, dualgraph.Sweep{Base: sc, Trials: *trials}, header, sf)
 	}
 
 	res, err := built.Run(ctx)
@@ -245,13 +250,6 @@ func pParams(info func(string) (dualgraph.RegistryEntry, bool), name string, p f
 		return dualgraph.Params{"p": p}
 	}
 	return nil
-}
-
-func streamSuffix(stream bool) string {
-	if stream {
-		return " -stream"
-	}
-	return ""
 }
 
 // schedSuffix renders the header fragment of a dynamic run; static runs —
@@ -312,27 +310,31 @@ func composeShard(a, b func(dualgraph.ShardState)) func(dualgraph.ShardState) {
 	return func(st dualgraph.ShardState) { a(st); b(st) }
 }
 
-// runSpec executes a declarative sweep file: every cell of the Cartesian
-// grid runs Trials times on the shared worker pool, and one aggregate line
-// prints per cell — streamed in cell order as cells complete, so an
-// interrupted run leaves a valid prefix of the full output. The whole
-// output is bit-identical at any -workers value.
+// sweepFlags are the execution, checkpoint and telemetry flags of a sweep
+// run, whether the sweep came from -spec or from the cell flags.
+type sweepFlags struct {
+	workers              int
+	ckptPath, resumePath string
+	progress             bool
+	metricsAddr          string
+}
+
+// runSweep executes a sweep: every cell of the grid runs Trials times on the
+// shared worker pool, and one aggregate line prints per cell — streamed in
+// cell order as cells complete, so an interrupted run leaves a valid prefix
+// of the full output. The whole output is bit-identical at any -workers
+// value. With an empty header the output is a -spec grid: a "grid:" line,
+// then "label: aggregate" per cell; otherwise header introduces a one-cell
+// sweep built from the cell flags, whose aggregate prints unlabelled.
 //
 // With ckptPath every completed (cell, shard) accumulator is appended to a
 // crash-safe checkpoint file the moment it finishes; with resumePath the
 // file's intact records are restored (their trials never re-run, any torn
 // tail from the crash is truncated away, fresh shards keep appending) and
 // the full output — including the already-checkpointed cells — reprints
-// byte-identically to an uninterrupted run.
-func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPath, resumePath string, showProgress bool, metricsAddr string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var sw dualgraph.Sweep
-	if err := json.Unmarshal(blob, &sw); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
+// byte-identically to an uninterrupted run. The checkpoint is keyed by the
+// sweep's hash, so resuming with a different spec file or cell flag fails.
+func runSweep(ctx context.Context, w io.Writer, sw dualgraph.Sweep, header string, f sweepFlags) error {
 	cells, err := sw.Cells()
 	if err != nil {
 		return err
@@ -348,21 +350,21 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 		writer  *dualgraph.CheckpointWriter
 		onShard func(dualgraph.ShardState)
 	)
-	if ckptPath != "" || resumePath != "" {
+	if f.ckptPath != "" || f.resumePath != "" {
 		hash, err := sw.Hash()
 		if err != nil {
 			return err
 		}
 		meta := dualgraph.CheckpointMetaFor(hash, len(cells), trials, sc)
-		if resumePath != "" {
-			recs, wr, err := dualgraph.ResumeCheckpoint(resumePath, meta)
+		if f.resumePath != "" {
+			recs, wr, err := dualgraph.ResumeCheckpoint(f.resumePath, meta)
 			if err != nil {
 				return err
 			}
 			seed = dualgraph.CheckpointSeed(recs)
 			writer = wr
 		} else {
-			wr, err := dualgraph.CreateCheckpoint(ckptPath, meta)
+			wr, err := dualgraph.CreateCheckpoint(f.ckptPath, meta)
 			if err != nil {
 				return err
 			}
@@ -395,8 +397,8 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 		}()
 	}
 
-	if showProgress || metricsAddr != "" {
-		obs, cleanup, err := startObservability(len(cells)*trials, sc, showProgress, metricsAddr)
+	if f.progress || f.metricsAddr != "" {
+		obs, cleanup, err := startObservability(len(cells)*trials, sc, f.progress, f.metricsAddr)
 		if err != nil {
 			return err
 		}
@@ -404,13 +406,20 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 		onShard = composeShard(onShard, obs)
 	}
 
-	fmt.Fprintf(w, "grid: cells=%d trials-per-cell=%d\n", len(cells), trials)
+	labels := header == ""
+	if labels {
+		header = fmt.Sprintf("grid: cells=%d trials-per-cell=%d", len(cells), trials)
+	}
+	fmt.Fprintln(w, header)
 	printed := 0
-	_, err = sw.Run(ctx, dualgraph.EngineConfig{Workers: workers}, sc, dualgraph.SweepHooks{
+	_, err = sw.Run(ctx, dualgraph.EngineConfig{Workers: f.workers}, sc, dualgraph.SweepHooks{
 		Seed:    seed,
 		OnShard: onShard,
 		OnCell: func(cr dualgraph.CellResult) {
-			fmt.Fprintf(w, "%s: %s\n", cr.Cell.Label, dualgraph.FormatSummary(cr.Summary))
+			if labels {
+				fmt.Fprintf(w, "%s: ", cr.Cell.Label)
+			}
+			fmt.Fprintln(w, dualgraph.FormatSummary(cr.Summary))
 			printed++
 		},
 	})
@@ -421,58 +430,5 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 		}
 		return err
 	}
-	return nil
-}
-
-// runStream executes a memory-bounded Monte Carlo sweep through the
-// streaming reducer and prints aggregate round statistics. Counts, min and
-// max are exact; mean is exact up to rounding; quantiles are exact while
-// the trial count is within the sketch's exact regime and P² estimates
-// beyond it. Output is identical at any -workers value.
-func runStream(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, topo, sched string, rule int, start string, seed int64, trials, workers int, showProgress bool, metricsAddr string) error {
-	sc := dualgraph.StreamConfig{}
-	var onShard func(dualgraph.ShardState)
-	if showProgress || metricsAddr != "" {
-		obs, cleanup, err := startObservability(trials, sc, showProgress, metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		onShard = obs
-	}
-	sum, err := b.RunStream(ctx, trials, dualgraph.EngineConfig{Workers: workers}, sc, onShard)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "topology=%s n=%d alg=%s adversary=%s rule=CR%d start=%s seed=%d trials=%d stream=true%s\n",
-		topo, b.Net.N(), b.Alg.Name(), b.Adv.Name(), rule, start, seed, trials, sched)
-	fmt.Fprintf(w, "%s\n", dualgraph.FormatSummary(sum))
-	return nil
-}
-
-// runMany executes a Monte Carlo sweep through the parallel trial engine
-// and prints aggregate round statistics.
-func runMany(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, topo, sched string, rule int, start string, seed int64, trials, workers int) error {
-	results, err := b.RunMany(ctx, trials, dualgraph.EngineConfig{Workers: workers})
-	if err != nil {
-		return err
-	}
-	completed := 0
-	totalTx := 0
-	rounds := make([]int, 0, len(results))
-	for _, res := range results {
-		if res.Completed {
-			completed++
-		}
-		totalTx += res.Transmissions
-		rounds = append(rounds, res.Rounds)
-	}
-	sort.Ints(rounds)
-	pct := func(q float64) int { return rounds[int(q*float64(len(rounds)-1))] }
-	fmt.Fprintf(w, "topology=%s n=%d alg=%s adversary=%s rule=CR%d start=%s seed=%d trials=%d%s\n",
-		topo, b.Net.N(), b.Alg.Name(), b.Adv.Name(), rule, start, seed, trials, sched)
-	fmt.Fprintf(w, "completed=%d/%d rounds: min=%d p50=%d p90=%d p99=%d max=%d mean-transmissions=%.1f\n",
-		completed, trials, rounds[0], pct(0.50), pct(0.90), pct(0.99),
-		rounds[len(rounds)-1], float64(totalTx)/float64(trials))
 	return nil
 }

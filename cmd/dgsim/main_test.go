@@ -47,7 +47,7 @@ func TestMultiTrialGolden(t *testing.T) {
 	// The aggregate line is identical at any -workers value.
 	want := []string{
 		"topology=clique-bridge n=9 alg=harmonic(T=74) adversary=greedy-collider rule=CR4 start=async seed=2 trials=8",
-		"completed=8/8 rounds: min=144 p50=198 p90=225 p99=225 max=256 mean-transmissions=1022.2",
+		"completed=8/8 rounds: min=144 mean=198.00 p50=209.00 p90=234.30 p95=245.15 p99=253.83 max=256 mean-transmissions=1022.3",
 	}
 	for _, workers := range []string{"1", "2", "8"} {
 		lines := runLines(t,
@@ -161,18 +161,74 @@ func TestSpecGridGolden(t *testing.T) {
 	}
 }
 
-// TestSpecGridFirstCellMatchesStreamFlagPath checks grid-vs-single-cell
-// consistency through the CLI: the harmonic n=9 seed=2 cell of the spec
-// grid must report exactly the aggregate the -stream flag path reports for
-// the same scenario (same seeds, same reduction).
+// TestSpecGridFirstCellMatchesStreamFlagPath: a cell run with -trials N is
+// a one-cell sweep streamed through the same reduction -spec uses, so for
+// every multi-trial flag set its aggregate line must be byte-equal to the
+// line -spec prints for a file holding the same cell, at any -workers value.
 func TestSpecGridFirstCellMatchesStreamFlagPath(t *testing.T) {
-	const want = "completed=8/8 rounds: min=144 mean=198.00 p50=209.00 p90=234.30 p95=245.15 p99=253.83 max=256 mean-transmissions=1022.3"
+	cases := []struct {
+		flags []string
+		spec  string
+	}{
+		{
+			[]string{"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy", "-trials", "8", "-seed", "2"},
+			`{"base": {"n": 9, "seed": 2}, "trials": 8}`,
+		},
+		{
+			[]string{"-topo", "geometric", "-n", "40", "-alg", "harmonic", "-adv", "greedy", "-trials", "16", "-seed", "7"},
+			`{"base": {"topology": {"name": "geometric"}, "n": 40, "seed": 7}, "trials": 16}`,
+		},
+		{
+			[]string{"-topo", "clique-bridge", "-n", "17", "-alg", "harmonic", "-adv", "greedy", "-trials", "32", "-seed", "3"},
+			`{"base": {"n": 17, "seed": 3}, "trials": 32}`,
+		},
+		{
+			[]string{"-topo", "geometric", "-n", "40", "-alg", "harmonic", "-adv", "greedy", "-sched", "churn", "-trials", "8", "-seed", "7"},
+			`{"base": {"topology": {"name": "geometric"}, "n": 40, "seed": 7, "schedule": {"name": "churn"}}, "trials": 8}`,
+		},
+		{
+			[]string{"-topo", "line", "-n", "6", "-alg", "uniform", "-p", "0.5", "-adv", "benign",
+				"-rule", "3", "-start", "sync", "-seed", "5", "-trials", "2000"},
+			`{"base": {"topology": {"name": "line"}, "n": 6, "algorithm": {"name": "uniform", "params": {"p": 0.5}},
+				"adversary": {"name": "benign"}, "rule": "CR3", "start": "sync", "seed": 5}, "trials": 2000}`,
+		},
+	}
+	dir := t.TempDir()
+	for ci, c := range cases {
+		path := filepath.Join(dir, fmt.Sprintf("cell%d.json", ci))
+		if err := os.WriteFile(path, []byte(c.spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []string{"1", "2", "8"} {
+			cell := runLines(t, append(c.flags, "-workers", workers)...)
+			grid := runLines(t, "-spec", path, "-workers", workers)
+			if len(cell) != 2 || len(grid) != 2 {
+				t.Fatalf("case %d workers=%s: %d cell lines and %d spec lines, want 2 each", ci, workers, len(cell), len(grid))
+			}
+			if want := "base: " + cell[1]; grid[1] != want {
+				t.Fatalf("case %d workers=%s:\n  -spec:   %q\n  -trials: %q", ci, workers, grid[1], want)
+			}
+		}
+	}
+}
+
+// TestStreamGolden pins the streamed aggregate line of a cell with more
+// trials than the sketch's exact regime (stats.DefaultExactK), so its
+// quantiles come from the merged P² estimators: the line must not depend on
+// the worker count.
+func TestStreamGolden(t *testing.T) {
+	want := []string{
+		"topology=line n=6 alg=uniform(p=0.500) adversary=benign rule=CR3 start=sync seed=5 trials=5000",
+		"completed=5000/5000 rounds: min=5 mean=9.96 p50=9.86 p90=14.01 p95=15.92 p99=19.86 max=25 mean-transmissions=15.0",
+	}
 	for _, workers := range []string{"1", "2", "8"} {
 		lines := runLines(t,
-			"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
-			"-trials", "8", "-seed", "2", "-workers", workers, "-stream")
-		if lines[1] != want {
-			t.Fatalf("workers=%s stream flag path line = %q, want %q (grid golden)", workers, lines[1], want)
+			"-topo", "line", "-n", "6", "-alg", "uniform", "-p", "0.5", "-adv", "benign",
+			"-rule", "3", "-start", "sync", "-seed", "5", "-trials", "5000", "-workers", workers)
+		for i, w := range want {
+			if i >= len(lines) || lines[i] != w {
+				t.Fatalf("workers=%s line %d = %q, want %q", workers, i, lines[i], w)
+			}
 		}
 	}
 }
@@ -220,34 +276,12 @@ func TestSpecRejectsCellFlags(t *testing.T) {
 	}
 }
 
-// TestStreamGolden pins the streamed aggregate line at a fixed seed: within
-// the sketch's exact regime the quantiles are computed by the same linear
-// interpolation as stats.Quantile, identically at any worker count.
-func TestStreamGolden(t *testing.T) {
-	for _, workers := range []string{"1", "2", "8"} {
-		lines := runLines(t,
-			"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy",
-			"-trials", "8", "-seed", "2", "-workers", workers, "-stream")
-		want := []string{
-			"topology=clique-bridge n=9 alg=harmonic(T=74) adversary=greedy-collider rule=CR4 start=async seed=2 trials=8 stream=true",
-			"completed=8/8 rounds: min=144 mean=198.00 p50=209.00 p90=234.30 p95=245.15 p99=253.83 max=256 mean-transmissions=1022.3",
-		}
-		for i, w := range want {
-			if i >= len(lines) || lines[i] != w {
-				t.Fatalf("workers=%s line %d = %q, want %q", workers, i, lines[i], w)
-			}
-		}
-	}
-}
-
 // TestVerboseRejectedForSweeps is the regression test for the silently
 // dropped flag: -v only makes sense for a single retained run, so pairing
 // it with a sweep must fail loudly instead of being ignored.
 func TestVerboseRejectedForSweeps(t *testing.T) {
 	for _, args := range [][]string{
 		{"-trials", "8", "-v"},
-		{"-trials", "8", "-stream", "-v"},
-		{"-stream", "-v"},
 	} {
 		var sb strings.Builder
 		err := run(context.Background(), args, &sb)
@@ -262,8 +296,7 @@ func TestVerboseRejectedForSweeps(t *testing.T) {
 
 // TestStaticScheduleByteIdentical is the dynamics-tentpole regression
 // property: with the default (or explicit) "static" schedule, dgsim output
-// must be byte-identical at fixed seeds, across worker counts, on both the
-// slice and streaming aggregation paths.
+// must be byte-identical at fixed seeds, across worker counts.
 func TestStaticScheduleByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -276,15 +309,15 @@ func TestStaticScheduleByteIdentical(t *testing.T) {
 				"-adv", "greedy", "-trials", "16", "-seed", "7"},
 			want: []string{
 				"topology=geometric n=40 alg=harmonic(T=92) adversary=greedy-collider rule=CR4 start=async seed=7 trials=16",
-				"completed=16/16 rounds: min=1094 p50=1326 p90=1456 p99=1458 max=1523 mean-transmissions=10102.5",
+				"completed=16/16 rounds: min=1094 mean=1314.38 p50=1332.00 p90=1457.00 p95=1474.25 p99=1513.25 max=1523 mean-transmissions=10102.5",
 			},
 		},
 		{
-			name: "stream",
+			name: "clique-bridge",
 			args: []string{"-topo", "clique-bridge", "-n", "17", "-alg", "harmonic",
-				"-adv", "greedy", "-trials", "32", "-seed", "3", "-stream"},
+				"-adv", "greedy", "-trials", "32", "-seed", "3"},
 			want: []string{
-				"topology=clique-bridge n=17 alg=harmonic(T=81) adversary=greedy-collider rule=CR4 start=async seed=3 trials=32 stream=true",
+				"topology=clique-bridge n=17 alg=harmonic(T=81) adversary=greedy-collider rule=CR4 start=async seed=3 trials=32",
 				"completed=32/32 rounds: min=246 mean=399.44 p50=386.00 p90=562.40 p95=582.00 p99=628.88 max=645 mean-transmissions=2906.3",
 			},
 		},
@@ -386,10 +419,9 @@ func TestErrorPrintsSuggestionsToStderr(t *testing.T) {
 	}
 }
 
-// TestStreamSweepBoundedMemory is the -short smoke demanded by the
-// streaming tentpole: a 100k-trial streamed dgsim sweep must retain
+// TestStreamSweepBoundedMemory: a 100k-trial dgsim cell sweep must retain
 // O(shards) accumulator state — not O(trials) results — so live heap stays
-// flat. (The slice path retains ~30MB of Results at this trial count.)
+// flat. (Materializing the Results would retain ~30MB at this trial count.)
 func TestStreamSweepBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before runtime.MemStats
@@ -397,7 +429,7 @@ func TestStreamSweepBoundedMemory(t *testing.T) {
 
 	lines := runLines(t,
 		"-topo", "line", "-n", "6", "-alg", "uniform", "-p", "0.5", "-adv", "benign",
-		"-rule", "3", "-start", "sync", "-seed", "5", "-trials", "100000", "-stream")
+		"-rule", "3", "-start", "sync", "-seed", "5", "-trials", "100000")
 
 	runtime.GC()
 	var after runtime.MemStats

@@ -202,16 +202,61 @@ func TestResumeRejectsPreStreamCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlagValidation pins the flag contract.
+// TestCellCheckpointResumeByteIdentical: a -trials N cell run is a one-cell
+// sweep, so it checkpoints and resumes like -spec. A resume from a torn
+// checkpoint reprints the uninterrupted output byte-identically at any
+// -workers value, and a resume under a changed cell flag is refused.
+func TestCellCheckpointResumeByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	ckPath := filepath.Join(dir, "cell.ckpt")
+	cell := []string{"-topo", "clique-bridge", "-n", "9", "-alg", "harmonic", "-adv", "greedy", "-seed", "2", "-trials", "64"}
+	var want strings.Builder
+	if err := run(context.Background(), append(cell, "-checkpoint", ckPath, "-workers", "2"), &want); err != nil {
+		t.Fatal(err)
+	}
+	ckBlob, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "2", "8"} {
+		for _, blob := range [][]byte{ckBlob, ckBlob[:len(ckBlob)*2/3]} {
+			cp := filepath.Join(dir, "resume.ckpt")
+			if err := os.WriteFile(cp, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			if err := run(context.Background(), append(cell, "-resume", cp, "-workers", workers), &got); err != nil {
+				t.Fatalf("resume workers=%s: %v", workers, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("workers=%s, %d of %d checkpoint bytes: resumed output\n%s differs from\n%s",
+					workers, len(blob), len(ckBlob), got.String(), want.String())
+			}
+		}
+	}
+	changed := append(append([]string{}, cell...), "-seed", "3", "-resume", ckPath)
+	err = run(context.Background(), changed, &strings.Builder{})
+	var mismatch *dualgraph.ErrCheckpointSpecMismatch
+	if !errors.As(err, &mismatch) {
+		t.Fatalf("resume under a changed -seed: want *ErrCheckpointSpecMismatch, got %v", err)
+	}
+}
+
+// TestCheckpointFlagValidation pins the flag contract: checkpoints and live
+// telemetry act on sweeps, so a single run (-trials 1) rejects them.
 func TestCheckpointFlagValidation(t *testing.T) {
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-checkpoint", "x"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "-spec") {
-		t.Fatalf("-checkpoint without -spec: %v", err)
-	}
-	if err := run(context.Background(), []string{"-resume", "x"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "-spec") {
-		t.Fatalf("-resume without -spec: %v", err)
+	for _, args := range [][]string{
+		{"-checkpoint", "x"},
+		{"-resume", "x"},
+		{"-progress"},
+		{"-progress", "-trials", "1"},
+		{"-metrics", "localhost:0", "-trials", "1"},
+	} {
+		err := run(context.Background(), args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "-trials > 1 or -spec") {
+			t.Fatalf("run(%v) on a single run: %v", args, err)
+		}
 	}
 	if err := run(context.Background(), []string{"-spec", "s", "-checkpoint", "x", "-resume", "y"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {

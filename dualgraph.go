@@ -312,8 +312,9 @@ type (
 	// ScenarioOption mutates a Scenario under construction (WithTopology,
 	// WithCollisionRule, ...).
 	ScenarioOption = spec.Option
-	// BuiltScenario is a materialized Scenario, ready to run once (Run),
-	// many times (RunMany), or as a memory-bounded stream (RunStream).
+	// BuiltScenario is a materialized Scenario, ready to run once (Run);
+	// its embedded engine cell (Execute) is trial i of the scenario. Many
+	// trials of a scenario run as a one-cell Sweep.
 	BuiltScenario = spec.Built
 	// Choice names one registered constructor plus parameter overrides.
 	Choice = spec.Choice
@@ -357,8 +358,8 @@ type (
 const WireVersion = spec.WireVersion
 
 // FormatSummary renders one TrialSummary as the canonical aggregate line
-// shared by `dgsim -stream`, `dgsim -spec`, and the dgsimd results API — the
-// single formatter that makes their outputs byte-comparable.
+// shared by `dgsim -trials N`, `dgsim -spec`, and the dgsimd results API —
+// the single formatter that makes their outputs byte-comparable.
 var FormatSummary = spec.FormatSummary
 
 // Scenario construction and functional options.
@@ -426,9 +427,6 @@ var (
 
 // Graph construction.
 var (
-	// NewGraph returns an empty n-node graph builder (historical name of
-	// NewGraphBuilder).
-	NewGraph = graph.NewGraph
 	// NewGraphBuilder returns an empty n-node graph builder.
 	NewGraphBuilder = graph.NewBuilder
 	// NewNetwork validates and assembles a dual graph network (G, G') from

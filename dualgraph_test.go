@@ -79,7 +79,7 @@ func TestFacadeSelectiveFamilies(t *testing.T) {
 }
 
 func TestFacadeInterference(t *testing.T) {
-	gt := dualgraph.NewGraph(4, false)
+	gt := dualgraph.NewGraphBuilder(4, false)
 	gt.MustAddEdge(0, 1)
 	gt.MustAddEdge(1, 2)
 	gt.MustAddEdge(2, 3)
@@ -245,7 +245,8 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 	if !ok {
 		t.Fatal("adv=greedy cell missing")
 	}
-	standalone, err := built.RunStream(context.Background(), 6, dualgraph.EngineConfig{Workers: 1}, dualgraph.StreamConfig{}, nil)
+	standalone, err := dualgraph.RunStream(context.Background(), built.Net, built.Alg, built.Adv, built.Cfg, 6,
+		dualgraph.EngineConfig{Workers: 1}, dualgraph.StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

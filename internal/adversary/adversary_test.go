@@ -52,7 +52,7 @@ func TestNewRandomValidation(t *testing.T) {
 
 func TestRandomAdversaryExtremes(t *testing.T) {
 	// p=0 behaves like Benign, p=1 like FullDelivery, for delivery purposes.
-	g := graph.NewGraph(3, false)
+	g := graph.NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	gp := g.Clone()

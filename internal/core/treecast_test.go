@@ -9,11 +9,11 @@ import (
 )
 
 func TestNewTreeCastValidation(t *testing.T) {
-	g := graph.NewGraph(1, false)
+	g := graph.NewBuilder(1, false)
 	if _, err := NewTreeCast(g.Freeze(), 0); err == nil {
 		t.Fatal("expected error for n=1")
 	}
-	g = graph.NewGraph(4, false)
+	g = graph.NewBuilder(4, false)
 	g.MustAddEdge(0, 1)
 	if _, err := NewTreeCast(g.Freeze(), 9); err == nil {
 		t.Fatal("expected error for out-of-range source")
@@ -22,7 +22,7 @@ func TestNewTreeCastValidation(t *testing.T) {
 
 func TestTreeCastBFSSlots(t *testing.T) {
 	// Line 0-1-2-3: BFS order is 0,1,2,3, so node k transmits in round k+1.
-	g := graph.NewGraph(4, false)
+	g := graph.NewBuilder(4, false)
 	for u := 0; u+1 < 4; u++ {
 		g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1))
 	}
@@ -44,7 +44,7 @@ func TestTreeCastBFSSlots(t *testing.T) {
 
 func TestTreeCastUnreachableNodesSilent(t *testing.T) {
 	// Node 3 unreachable in the trusted graph: it gets no slot.
-	g := graph.NewGraph(4, true)
+	g := graph.NewBuilder(4, true)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	tc, err := NewTreeCast(g.Freeze(), 0)

@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -212,10 +213,38 @@ type Trial struct {
 // randomness from that seed alone (graph.EpochSeed), so the result is a
 // pure function of (t, i) — which is what makes every engine path
 // bit-identical at any worker count, static and dynamic cells alike.
-func (t Trial) Execute(i int) (*sim.Result, error) {
+//
+// A panic inside the run — a faulty algorithm, adversary or schedule — is
+// recovered and returned as that trial's *TrialPanic, so it fails the trial
+// (and the run or job around it) like any other trial error instead of
+// taking the process down.
+func (t Trial) Execute(i int) (res *sim.Result, err error) {
 	c := t.Cfg
 	c.Seed = SeedFor(t.Cfg.Seed, i)
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, &TrialPanic{Trial: i, Seed: c.Seed, Value: v, Stack: debug.Stack()}
+		}
+	}()
 	return sim.RunDynamic(t.schedule(), t.Alg, t.Adv, c)
+}
+
+// TrialPanic is the error of a trial whose run panicked. Trial and Seed
+// reproduce it: by the determinism contract, re-running the cell with sim
+// seed Seed replays the same execution up to the same panic.
+type TrialPanic struct {
+	// Trial is the trial index within its cell.
+	Trial int
+	// Seed is the trial's sim seed, SeedFor(cell seed, Trial).
+	Seed int64
+	// Value is the value the run panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (p *TrialPanic) Error() string {
+	return fmt.Sprintf("trial %d (sim seed %d) panicked: %v", p.Trial, p.Seed, p.Value)
 }
 
 // schedule resolves the cell's schedule: the explicit one when set, else the

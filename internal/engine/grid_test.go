@@ -125,3 +125,57 @@ func TestGridStreamReportsLowestCellError(t *testing.T) {
 		t.Fatalf("err = %q, want it to name %q", got, want)
 	}
 }
+
+// panicAdv forks each run through sim.RunForker and panics in the fork of
+// the run whose sim seed is panicSeed, so exactly one trial of its cell
+// panics.
+type panicAdv struct {
+	adversary.Benign
+	panicSeed int64
+}
+
+func (a panicAdv) ForkRun(_ graph.Schedule, _ sim.Algorithm, cfg sim.Config) (sim.Adversary, error) {
+	if cfg.Seed == a.panicSeed {
+		panic("test adversary exploded")
+	}
+	return a.Benign, nil
+}
+
+// TestTrialPanicFailsOnlyItsTrial: a panicking adversary fails its trial
+// with a *TrialPanic carrying the trial index and sim seed, through the
+// in-process grid at any worker count and through a worker's shard fold,
+// instead of crashing the process.
+func TestTrialPanicFailsOnlyItsTrial(t *testing.T) {
+	line, err := graph.Line(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := engine.Trial{Net: line, Alg: core.NewRoundRobin(), Adv: adversary.Benign{},
+		Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}}
+	bad := good
+	bad.Adv = panicAdv{panicSeed: engine.SeedFor(1, 2)}
+	check := func(path string, err error, wantText string) {
+		t.Helper()
+		var tp *engine.TrialPanic
+		if !errors.As(err, &tp) {
+			t.Fatalf("%s: err = %v, want a *TrialPanic", path, err)
+		}
+		if tp.Trial != 2 || tp.Seed != engine.SeedFor(1, 2) || tp.Value != "test adversary exploded" || len(tp.Stack) == 0 {
+			t.Fatalf("%s: panic = {trial %d, seed %d, value %v, %d stack bytes}, want trial 2, seed %d",
+				path, tp.Trial, tp.Seed, tp.Value, len(tp.Stack), engine.SeedFor(1, 2))
+		}
+		if !strings.Contains(err.Error(), wantText) {
+			t.Fatalf("%s: err = %q, want it to name %q", path, err, wantText)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		_, err := engine.RunGrid(context.Background(), []engine.Trial{good, bad, good}, 4,
+			engine.Config{Workers: workers}, engine.StreamConfig{}, engine.Hooks{})
+		check("RunGrid", err, "cell 1 trial 2")
+	}
+	_, err = engine.FoldShardContext(context.Background(), bad, 0, 4, engine.StreamConfig{})
+	check("FoldShardContext", err, "trial 2")
+	if _, err := engine.FoldShardContext(context.Background(), bad, 3, 4, engine.StreamConfig{}); err != nil {
+		t.Fatalf("a shard without the panicking trial failed: %v", err)
+	}
+}

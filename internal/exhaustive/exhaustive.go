@@ -143,20 +143,46 @@ type searcher struct {
 // replay through the simulator, and the per-round dual resolution that keeps
 // edge ids epoch-correct on dynamic schedules.
 type game struct {
-	sched graph.Schedule
+	sched *epochMemo
 	alg   sim.Algorithm
 	rule  sim.CollisionRule
 	start sim.StartRule
 	seed  int64
-
-	// One-entry epoch cache: searches resolve the same round's dual many
-	// times in a row, and Epoch's purity contract makes the memo exact.
-	cachedEpoch int
-	cachedDual  *graph.Dual
 }
 
 func newGame(sched graph.Schedule, alg sim.Algorithm, rule sim.CollisionRule, start sim.StartRule, seed int64) *game {
-	return &game{sched: sched, alg: alg, rule: rule, start: start, seed: seed, cachedEpoch: -1}
+	return &game{sched: &epochMemo{Schedule: sched, seed: seed}, alg: alg, rule: rule, start: start, seed: seed}
+}
+
+// epochMemo wraps the game's schedule so every epoch materializes once per
+// game: each search node replays from round 1, and without the memo every
+// replay would rebuild epochs 0..e. Epoch's purity contract and the game's
+// fixed seed make the memo exact; a game belongs to one search or one run's
+// planner fork, so it needs no lock. Replays and planning never pass the
+// search horizon, which bounds the memo's size.
+type epochMemo struct {
+	graph.Schedule
+	seed  int64
+	duals []*graph.Dual // by epoch index; nil = not built yet
+}
+
+// Epoch implements graph.Schedule, serving the game's seed from the memo.
+func (m *epochMemo) Epoch(e int, seed int64) (*graph.Dual, error) {
+	if seed != m.seed || e < 0 {
+		return m.Schedule.Epoch(e, seed)
+	}
+	if e < len(m.duals) && m.duals[e] != nil {
+		return m.duals[e], nil
+	}
+	d, err := m.Schedule.Epoch(e, seed)
+	if err != nil {
+		return nil, err
+	}
+	for len(m.duals) <= e {
+		m.duals = append(m.duals, nil)
+	}
+	m.duals[e] = d
+	return d, nil
 }
 
 // dualAt returns the network of the given (1-based) round.
@@ -165,14 +191,10 @@ func (g *game) dualAt(round int) (*graph.Dual, error) {
 	if l := g.sched.EpochLength(); l > 0 {
 		e = (round - 1) / l
 	}
-	if e == g.cachedEpoch {
-		return g.cachedDual, nil
-	}
 	d, err := g.sched.Epoch(e, g.seed)
 	if err != nil {
 		return nil, fmt.Errorf("schedule epoch %d: %w", e, err)
 	}
-	g.cachedEpoch, g.cachedDual = e, d
 	return d, nil
 }
 

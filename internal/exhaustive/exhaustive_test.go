@@ -203,3 +203,70 @@ func TestSearchSignatureDeduplication(t *testing.T) {
 		t.Fatalf("deduplication ineffective: %d branches", res.Branches)
 	}
 }
+
+// countingSchedule counts the Epoch calls that reach the wrapped schedule,
+// per epoch index.
+type countingSchedule struct {
+	graph.Schedule
+	calls map[int]int
+}
+
+func (c *countingSchedule) Epoch(e int, seed int64) (*graph.Dual, error) {
+	c.calls[e]++
+	return c.Schedule.Epoch(e, seed)
+}
+
+// TestEpochMemoBuildsEachEpochOnce: every search node replays from round 1,
+// so without the game's epoch memo each replay would rebuild every epoch it
+// crosses. Through the memo, one adaptive trial (Plan round after round, as
+// adversary.Adaptive plays it) and one offline search each reach the
+// schedule at most once per epoch index.
+func TestEpochMemoBuildsEachEpochOnce(t *testing.T) {
+	base, err := graph.CliqueBridge(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp, err := graph.NewWaypoint(base, 3, 4, 0.28, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 12
+	check := func(name string, cs *countingSchedule) {
+		t.Helper()
+		if len(cs.calls) < 3 {
+			t.Errorf("%s: reached %d epochs, want a run that crosses epoch boundaries", name, len(cs.calls))
+		}
+		for e, n := range cs.calls {
+			if n > 1 {
+				t.Errorf("%s: epoch %d materialized %d times", name, e, n)
+			}
+		}
+	}
+
+	trial := &countingSchedule{Schedule: wp, calls: map[int]int{}}
+	p, err := NewPlanner(trial, core.NewRoundRobin(), PlannerConfig{
+		Rule: sim.CR1, Start: sim.AsyncStart, Seed: 60, SearchRounds: rounds, DeliverRounds: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var script [][]graph.EdgeID
+	for r := 0; r < rounds; r++ {
+		choice, err := p.Plan(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script = append(script, choice)
+	}
+	check("adaptive trial", trial)
+
+	small, err := graph.NewWaypoint(tinyBridge(t), 1, 4, 0.28, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := &countingSchedule{Schedule: small, calls: map[int]int{}}
+	if _, err := SearchSchedule(search, core.NewRoundRobin(), Config{Horizon: rounds, Seed: 60}); err != nil {
+		t.Fatal(err)
+	}
+	check("offline search", search)
+}

@@ -70,10 +70,6 @@ func NewBuilder(n int, directed bool) *Builder {
 	return &Builder{n: n, directed: directed}
 }
 
-// NewGraph is the historical name of NewBuilder: construction code calls
-// NewGraph, adds edges, and hands the builder to NewDual (which freezes it).
-func NewGraph(n int, directed bool) *Builder { return NewBuilder(n, directed) }
-
 // N returns the number of nodes.
 func (b *Builder) N() int { return b.n }
 

@@ -9,14 +9,14 @@ import (
 )
 
 func TestAddEdgeRejectsSelfLoop(t *testing.T) {
-	g := NewGraph(3, false)
+	g := NewBuilder(3, false)
 	if err := g.AddEdge(1, 1); err == nil {
 		t.Fatal("expected error for self-loop")
 	}
 }
 
 func TestAddEdgeRejectsOutOfRange(t *testing.T) {
-	g := NewGraph(3, false)
+	g := NewBuilder(3, false)
 	for _, e := range [][2]NodeID{{-1, 0}, {0, 3}, {5, 1}} {
 		if err := g.AddEdge(e[0], e[1]); err == nil {
 			t.Errorf("expected error for edge %v", e)
@@ -25,7 +25,7 @@ func TestAddEdgeRejectsOutOfRange(t *testing.T) {
 }
 
 func TestUndirectedAddsBothArcs(t *testing.T) {
-	g := NewGraph(4, false)
+	g := NewBuilder(4, false)
 	if err := g.AddEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestUndirectedAddsBothArcs(t *testing.T) {
 }
 
 func TestDirectedAddsOneArc(t *testing.T) {
-	g := NewGraph(4, true)
+	g := NewBuilder(4, true)
 	if err := g.AddEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestDirectedAddsOneArc(t *testing.T) {
 }
 
 func TestDuplicateEdgeIgnored(t *testing.T) {
-	g := NewGraph(3, false)
+	g := NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(0, 1)
 	if g.NumEdges() != 2 {
@@ -63,7 +63,7 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 }
 
 func TestDistancesFromLine(t *testing.T) {
-	g := NewGraph(5, false)
+	g := NewBuilder(5, false)
 	for u := 0; u+1 < 5; u++ {
 		g.MustAddEdge(NodeID(u), NodeID(u+1))
 	}
@@ -76,7 +76,7 @@ func TestDistancesFromLine(t *testing.T) {
 }
 
 func TestDistancesUnreachable(t *testing.T) {
-	g := NewGraph(3, true)
+	g := NewBuilder(3, true)
 	g.MustAddEdge(0, 1)
 	dist := g.Freeze().DistancesFrom(0)
 	if dist[2] != -1 {
@@ -85,10 +85,10 @@ func TestDistancesUnreachable(t *testing.T) {
 }
 
 func TestNewDualValidation(t *testing.T) {
-	g := NewGraph(3, false)
+	g := NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
-	gp := NewGraph(3, false)
+	gp := NewBuilder(3, false)
 	gp.MustAddEdge(0, 1) // missing (1,2): G not subgraph
 
 	if _, err := NewDual(g, gp, 0); !errors.Is(err, ErrNotSubgraph) {
@@ -104,17 +104,17 @@ func TestNewDualValidation(t *testing.T) {
 		t.Fatalf("want ErrBadSource, got %v", err)
 	}
 
-	small := NewGraph(1, false)
+	small := NewBuilder(1, false)
 	if _, err := NewDual(small, small, 0); !errors.Is(err, ErrTooSmall) {
 		t.Fatalf("want ErrTooSmall, got %v", err)
 	}
 
-	other := NewGraph(4, false)
+	other := NewBuilder(4, false)
 	if _, err := NewDual(g, other, 0); !errors.Is(err, ErrSizeMismatch) {
 		t.Fatalf("want ErrSizeMismatch, got %v", err)
 	}
 
-	disconnected := NewGraph(3, false)
+	disconnected := NewBuilder(3, false)
 	disconnected.MustAddEdge(0, 1)
 	gpd := disconnected.Clone()
 	gpd.MustAddEdge(1, 2)
@@ -154,7 +154,7 @@ func TestSubtractReportsFirstMissingArc(t *testing.T) {
 }
 
 func TestUnreliableOutComputed(t *testing.T) {
-	g := NewGraph(3, false)
+	g := NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	gp := g.Clone()

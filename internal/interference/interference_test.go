@@ -23,10 +23,10 @@ func buildModel(t *testing.T, n int, seed int64) *interference.Model {
 }
 
 func TestNewModelValidation(t *testing.T) {
-	gt := graph.NewGraph(3, false)
+	gt := graph.NewBuilder(3, false)
 	gt.MustAddEdge(0, 1)
 	gt.MustAddEdge(1, 2)
-	gi := graph.NewGraph(3, false)
+	gi := graph.NewBuilder(3, false)
 	gi.MustAddEdge(0, 1) // missing (1,2)
 	if _, err := interference.NewModel(gt, gi, 0); !errors.Is(err, interference.ErrNotSubgraph) {
 		t.Fatalf("want ErrNotSubgraph, got %v", err)
@@ -46,7 +46,7 @@ func TestInterferenceOnlyEdgeNeverDelivers(t *testing.T) {
 	// 0-1-2 path in G_T; interference edge 0-2 in G_I. When only the source
 	// transmits, node 2 must hear silence even though the G_I message
 	// reaches it.
-	gt := graph.NewGraph(3, false)
+	gt := graph.NewBuilder(3, false)
 	gt.MustAddEdge(0, 1)
 	gt.MustAddEdge(1, 2)
 	gi := gt.Clone()
@@ -72,7 +72,7 @@ func TestInterferenceEdgeCausesCollision(t *testing.T) {
 	// G_T: 0-1, 2-1? No — build: source 0 with G_T edge to 1; node 2 has a
 	// G_T path via 1 and an interference edge to 1. When 0 and 2 transmit
 	// together, node 1 must collide.
-	gt := graph.NewGraph(3, false)
+	gt := graph.NewBuilder(3, false)
 	gt.MustAddEdge(0, 1)
 	gt.MustAddEdge(0, 2)
 	gi := gt.Clone()

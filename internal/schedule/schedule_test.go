@@ -184,7 +184,7 @@ func TestScheduleGuaranteeHoldsUnderExhaustiveAdversary(t *testing.T) {
 func TestProgressSemantics(t *testing.T) {
 	// 0-1 reliable, 0-2 reliable, plus unreliable 1-2. If 0 and 1 both
 	// transmit, node 2 is not guaranteed: 1's unreliable edge can collide.
-	g := graph.NewGraph(3, false)
+	g := graph.NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(0, 2)
 	gp := g.Clone()

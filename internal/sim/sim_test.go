@@ -116,7 +116,7 @@ func TestSourceHoldsMessageBeforeRound1(t *testing.T) {
 // and 2 both transmit in round 1 and returns the reception seen by each pid.
 func buildTriangleWithTwoSenders(t *testing.T, rule sim.CollisionRule) map[int]sim.Reception {
 	t.Helper()
-	g := graph.NewGraph(3, false)
+	g := graph.NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(0, 2)
@@ -176,7 +176,7 @@ func TestCollisionRuleCR3(t *testing.T) {
 
 func TestCollisionRuleCR4AdversaryChoice(t *testing.T) {
 	// Benign resolves to silence; FullDelivery resolves to the first message.
-	g := graph.NewGraph(3, false)
+	g := graph.NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(0, 2)
@@ -262,7 +262,7 @@ func TestUnreliableEdgeOnlyDeliversWhenAdversaryAllows(t *testing.T) {
 	// Two nodes joined only by an unreliable edge cannot form a valid dual
 	// (unreachable), so use: 0-1 reliable, 0-2 via 1 reliable, plus 0-2
 	// unreliable shortcut.
-	g := graph.NewGraph(3, false)
+	g := graph.NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	gp := g.Clone()
@@ -411,7 +411,7 @@ func (badResolveAdversary) Resolve(v *sim.View, node graph.NodeID, reaching []gr
 }
 
 func TestEngineRejectsInvalidResolve(t *testing.T) {
-	g := graph.NewGraph(3, false)
+	g := graph.NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(0, 2)

@@ -8,10 +8,10 @@ import (
 )
 
 // FormatSummary renders one streamed trial summary as the canonical
-// single-line aggregate — the format `dgsim -stream` and `dgsim -spec` have
-// always printed. The sweep service streams exactly these lines, which is
-// what makes its HTTP results byte-comparable to local CLI output: both
-// sides render through this one function.
+// single-line aggregate — the line `dgsim -spec` prints per cell and
+// `dgsim -trials N` prints for its one cell. The sweep service streams
+// exactly these lines, which is what makes its HTTP results byte-comparable
+// to local CLI output: both sides render through this one function.
 func FormatSummary(sum *engine.TrialSummary) string {
 	stat := func(f func() (float64, error)) float64 {
 		v, err := f()

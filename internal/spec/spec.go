@@ -308,25 +308,3 @@ func (b *Built) Run(ctx context.Context) (*sim.Result, error) {
 	}
 	return sim.RunDynamic(b.Sched, b.Alg, b.Adv, b.Cfg)
 }
-
-// RunMany materializes trials independent runs over the engine: result i is
-// trial i of the cell (engine.Trial.Execute, sim seed SeedFor(Cfg.Seed, i)),
-// bit-identical at any worker count. Cancellation follows engine.Map's
-// batch-granularity contract.
-func (b *Built) RunMany(ctx context.Context, trials int, ec engine.Config) ([]*sim.Result, error) {
-	return engine.Map(ctx, trials, ec, b.Execute)
-}
-
-// RunStream is the memory-bounded sweep: the same trials as RunMany, folded
-// into a streaming summary by the engine's grid reducer over this one cell.
-// onShard, when non-nil, observes every completed shard (see
-// engine.Hooks.OnShard) — the hook progress trackers attach to.
-// Cancellation stops the run between trials.
-func (b *Built) RunStream(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig,
-	onShard func(engine.ShardState)) (*engine.TrialSummary, error) {
-	sums, err := engine.RunGrid(ctx, []engine.Trial{b.Trial}, trials, ec, sc, engine.Hooks{OnShard: onShard})
-	if err != nil {
-		return nil, err
-	}
-	return sums[0], nil
-}

@@ -61,7 +61,7 @@ func TestEveryRegisteredNameConstructsAtSmallN(t *testing.T) {
 
 // TestJSONRoundTripRunsBitIdentical is the serialization contract: a
 // Scenario marshaled, unmarshaled, and run must produce exactly the results
-// of the original value's direct RunMany path.
+// of the original value's, trial for trial.
 func TestJSONRoundTripRunsBitIdentical(t *testing.T) {
 	s, err := New(
 		WithTopology("geometric", registry.Params{"r-reliable": 0.3}),
@@ -83,11 +83,11 @@ func TestJSONRoundTripRunsBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal %s: %v", blob, err)
 	}
-	want, err := mustBuild(t, s).RunMany(context.Background(), 6, engine.Config{Workers: 2})
+	want, err := engine.Map(context.Background(), 6, engine.Config{Workers: 2}, mustBuild(t, s).Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mustBuild(t, back).RunMany(context.Background(), 6, engine.Config{Workers: 3})
+	got, err := engine.Map(context.Background(), 6, engine.Config{Workers: 3}, mustBuild(t, back).Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +128,12 @@ func TestScenarioMatchesPositionalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.RunMany(context.Background(), 8, engine.Config{Workers: 1})
+	got, err := engine.Map(context.Background(), 8, engine.Config{Workers: 1}, b.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Built.RunMany differs from the positional engine path")
+		t.Fatal("Built trials differ from the positional engine path")
 	}
 }
 

@@ -204,7 +204,7 @@ type CellResult struct {
 	// Cell identifies the grid point.
 	Cell Cell
 	// Summary aggregates the cell's trials (bit-identical at any worker
-	// count; equal to the cell's standalone Built.RunStream output).
+	// count; equal to the cell's Scenario run alone as a one-cell sweep).
 	Summary *engine.TrialSummary
 }
 

@@ -63,8 +63,8 @@ func TestEmptySweepIsOneBaseCell(t *testing.T) {
 
 // TestGridDeterministicAcrossWorkerCounts is the tentpole guarantee: the
 // whole GridResult — every cell summary, including quantile sketch state —
-// is bit-identical at 1, 2, and 8 workers, and each cell equals its
-// standalone Built.RunStream output.
+// is bit-identical at 1, 2, and 8 workers, and each cell equals the same
+// scenario run alone as a one-cell sweep.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := testSweep()
 	ref, err := sw.Run(context.Background(), engine.Config{Workers: 1}, engine.StreamConfig{}, Hooks{})
@@ -81,12 +81,13 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, cr := range ref.Cells {
-		standalone, err := mustBuild(t, cr.Cell.Scenario).RunStream(context.Background(), sw.Trials, engine.Config{Workers: 3}, engine.StreamConfig{}, nil)
+		one := Sweep{Base: cr.Cell.Scenario, Trials: sw.Trials}
+		standalone, err := one.Run(context.Background(), engine.Config{Workers: 3}, engine.StreamConfig{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(cr.Summary, standalone) {
-			t.Errorf("cell %q: grid summary differs from standalone Built.RunStream", cr.Cell.Label)
+		if !reflect.DeepEqual(cr.Summary, standalone.Cells[0].Summary) {
+			t.Errorf("cell %q: grid summary differs from the one-cell sweep", cr.Cell.Label)
 		}
 	}
 }

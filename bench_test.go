@@ -901,11 +901,11 @@ func BenchmarkCheckpointWriteRestore(b *testing.B) {
 	}
 	bound := int(4 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
-	shards := dualgraph.ShardsOf(trials)
+	shards := engine.Shards(trials)
 	sc := engine.StreamConfig{ExactK: 8}
 	// One folded single-trial shard, reused for every unit: the records are
 	// shaped exactly like a real checkpoint's without re-running the grid.
-	sum, err := dualgraph.FoldShard(context.Background(),
+	sum, err := engine.FoldShardContext(context.Background(),
 		engine.Trial{Net: d, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}, 0, 1, sc)
 	if err != nil {
 		b.Fatal(err)
@@ -913,7 +913,7 @@ func BenchmarkCheckpointWriteRestore(b *testing.B) {
 	recs := make([]dualgraph.CheckpointRecord, 0, cells*shards)
 	for c := 0; c < cells; c++ {
 		for s := 0; s < shards; s++ {
-			lo, hi := dualgraph.ShardRange(trials, s)
+			lo, hi := engine.ShardRange(trials, s)
 			recs = append(recs, dualgraph.CheckpointRecord{
 				Cell: c, Shard: s, TrialLo: lo, TrialHi: hi, Summary: sum,
 			})

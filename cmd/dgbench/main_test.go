@@ -77,26 +77,6 @@ func TestSSFExperimentGolden(t *testing.T) {
 	}
 }
 
-// TestReduceBench smoke-tests the reducer-throughput mode: the workload
-// banner and the deterministic aggregate line are pinned; the throughput
-// line (the only wall-clock output) just has to be present.
-func TestReduceBench(t *testing.T) {
-	out := runOutput(t, "-reduce-bench", "16", "-seed", "3", "-workers", "2")
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("reduce-bench printed %d lines, want 3:\n%s", len(lines), out)
-	}
-	if want := "reduce-bench: topology=clique-bridge n=65 alg=harmonic(T=98) adversary=greedy-collider rule=CR4 start=async seed=3 trials=16 shards=16"; lines[0] != want {
-		t.Fatalf("banner = %q, want %q", lines[0], want)
-	}
-	if !strings.HasPrefix(lines[1], "completed=16/16 rounds: mean=") {
-		t.Fatalf("aggregate line = %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "trials/s") {
-		t.Fatalf("throughput line = %q", lines[2])
-	}
-}
-
 // TestExperimentsByteIdenticalAcrossWorkers is the dgbench half of the
 // static-schedule byte-identity property: the Table 2 dual-harmonic
 // experiment (whose cells run through the schedule-aware engine) must print
@@ -197,20 +177,5 @@ func TestUnknownExperimentFails(t *testing.T) {
 	err := run([]string{"-experiment", "nope"}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("want unknown-experiment error, got %v", err)
-	}
-}
-
-// TestReduceBenchRejectsExperimentFlags: explicitly-set experiment flags
-// must fail loudly instead of being silently ignored by -reduce-bench.
-func TestReduceBenchRejectsExperimentFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-reduce-bench", "8", "-experiment", "table1-thm2"},
-		{"-reduce-bench", "8", "-quick"},
-	} {
-		var sb strings.Builder
-		err := run(args, &sb)
-		if err == nil || !strings.Contains(err.Error(), "-reduce-bench") {
-			t.Errorf("run(%v) error = %v, want a -reduce-bench conflict error", args, err)
-		}
 	}
 }

@@ -10,7 +10,7 @@
 //   - the synchronous round-based execution model with collision rules
 //     CR1-CR4 and synchronous/asynchronous starts (Run, Config), with an
 //     allocation-free steady-state round loop;
-//   - a sharded, deterministic parallel trial engine (RunMany,
+//   - a sharded, deterministic parallel trial engine (RunStream, Sweep,
 //     EngineConfig) that fans independent trials out over a
 //     GOMAXPROCS-sized worker pool while guaranteeing bit-identical
 //     results at any worker count;
@@ -22,11 +22,10 @@
 //     frozen CSR dual-graph core whose unreliable arcs carry dense EdgeIDs
 //     (Network.UnreliableEdges) for O(log d) membership and bitset-coded
 //     per-round delivery strategies;
-//   - topology generators (clique+bridge, complete layered, grids with
-//     gray-zone links, random, geometric and preferential-attachment duals,
-//     ...) that scale to 100k+ nodes;
-//   - executable lower bounds (Theorems 2, 4 and 12) and the
-//     explicit-interference reduction (Lemma 1).
+//   - topology generators (clique+bridge, grids with gray-zone links,
+//     random and geometric duals, and the rest of the topology registry
+//     through WithTopology) that scale to 100k+ nodes;
+//   - executable lower bounds (Theorems 2, 4 and 12).
 //
 // Single run:
 //
@@ -36,11 +35,11 @@
 //	fmt.Println(res.Rounds, res.Completed)
 //
 // Monte Carlo sweep over all CPUs — trial i's seed is a pure function of
-// (Config.Seed, i), so the result slice is reproducible regardless of
+// (Config.Seed, i), so the streamed summary is bit-identical regardless of
 // parallelism:
 //
-//	results, err := dualgraph.RunMany(ctx, net, alg, dualgraph.GreedyCollider{},
-//		dualgraph.Config{Seed: 1}, 10000, dualgraph.EngineConfig{})
+//	sum, err := dualgraph.RunStream(ctx, net, alg, dualgraph.GreedyCollider{},
+//		dualgraph.Config{Seed: 1}, 10000, dualgraph.EngineConfig{}, dualgraph.StreamConfig{})
 package dualgraph
 
 import (
@@ -53,16 +52,12 @@ import (
 	"dualgraph/internal/engine"
 	"dualgraph/internal/exhaustive"
 	"dualgraph/internal/graph"
-	"dualgraph/internal/interference"
 	"dualgraph/internal/linkest"
 	"dualgraph/internal/lowerbound"
 	"dualgraph/internal/registry"
-	"dualgraph/internal/repeat"
-	"dualgraph/internal/schedule"
 	"dualgraph/internal/sim"
 	"dualgraph/internal/spec"
 	"dualgraph/internal/ssf"
-	"dualgraph/internal/stats"
 )
 
 // Model types.
@@ -73,12 +68,9 @@ type (
 	// (0..NumUnreliable()-1) and stable in (from, to) order; see
 	// Network.UnreliableEdges for the adversary-facing index.
 	EdgeID = graph.EdgeID
-	// GraphBuilder accumulates edges during construction; Freeze compacts
-	// it into an immutable CSR Graph.
+	// GraphBuilder accumulates edges during construction; NewNetwork
+	// freezes two of them into a Network.
 	GraphBuilder = graph.Builder
-	// Graph is an immutable directed or undirected simple graph in
-	// compressed-sparse-row form, produced by GraphBuilder.Freeze.
-	Graph = graph.Graph
 	// Network is a dual-graph network (G, G') with a distinguished source.
 	Network = graph.Dual
 	// CollisionRule selects one of the paper's rules CR1-CR4.
@@ -128,9 +120,9 @@ func Run(net *Network, alg Algorithm, adv Adversary, cfg Config) (*Result, error
 	return sim.Run(net, alg, adv, cfg)
 }
 
-// EngineConfig configures the parallel trial engine behind RunMany: the
-// worker pool size. The zero value runs one worker per logical CPU. The
-// worker count never changes results, only throughput.
+// EngineConfig configures the parallel trial engine behind RunStream and
+// Sweep.Run: the worker pool size. The zero value runs one worker per
+// logical CPU. The worker count never changes results, only throughput.
 type EngineConfig = engine.Config
 
 // BufferedAdversary is the optional allocation-free delivery interface; see
@@ -144,31 +136,8 @@ type BufferedAdversary = sim.BufferedDeliverer
 // implementations.
 type DeliverySink = sim.DeliverySink
 
-// RunMany executes trials independent runs of the same (net, alg, adv, cfg)
-// combination across a worker pool, returning results indexed by trial.
-// Trial i's seed is a SplitMix64-style mix of cfg.Seed and i — a pure
-// function of the trial index, so for a fixed cfg.Seed the returned slice
-// is bit-identical at any worker count, while different cfg.Seed values
-// yield statistically independent replications. On error it reports the
-// lowest-indexed failing trial. The sweep stops at the next work-batch
-// boundary once ctx is done and returns an error satisfying
-// errors.Is(err, ctx.Err()). Dynamic-network sweeps go through a Scenario
-// (WithSchedule) or a Sweep.
-func RunMany(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.Map(ctx, trials, ec, staticTrial(net, alg, adv, cfg).Execute)
-}
-
-// staticTrial is the engine cell of a fixed-network sweep.
-func staticTrial(net *Network, alg Algorithm, adv Adversary, cfg Config) engine.Trial {
-	return engine.Trial{Net: net, Sched: graph.Static(net), Alg: alg, Adv: adv, Cfg: cfg}
-}
-
 // Streaming trial aggregation (memory-bounded sweeps).
 type (
-	// Stream is an online, mergeable summary statistic accumulator:
-	// Welford mean/variance, exact min/max/count, and quantiles that are
-	// exact up to a spill threshold and P²-estimated beyond it.
-	Stream = stats.Stream
 	// StreamConfig selects the tracked quantiles and the exact-until-K
 	// spill threshold of a streaming summary; the zero value tracks
 	// p50/p90/p95/p99 with the default threshold.
@@ -176,9 +145,6 @@ type (
 	// TrialSummary is the streaming aggregate of a RunStream sweep.
 	TrialSummary = engine.TrialSummary
 )
-
-// NewStream builds a standalone streaming accumulator (see Stream).
-var NewStream = stats.NewStream
 
 // Checkpointed, resumable sweeps: completed (cell, shard) accumulators are
 // serialized bit-exactly (TrialSummary.MarshalBinary), appended crash-safely
@@ -202,9 +168,6 @@ type (
 	// CheckpointWriter appends records to a checkpoint file; Append is
 	// concurrency-safe and syncs before returning.
 	CheckpointWriter = checkpoint.Writer
-	// EngineTrial is one fully materialized cell — what FoldShard executes;
-	// a BuiltScenario embeds it.
-	EngineTrial = engine.Trial
 	// ErrCheckpointVersion reports a checkpoint file format this build does
 	// not speak.
 	ErrCheckpointVersion = checkpoint.ErrVersion
@@ -232,35 +195,14 @@ var (
 	// CheckpointMetaFor assembles a run identity; every creator and resumer
 	// must build it the same way for the stale-checkpoint gate to work.
 	CheckpointMetaFor = checkpoint.MetaFor
-	// FoldShard executes one (cell, shard) unit's trials sequentially — the
-	// worker side of the coordinator protocol; its accumulator is
-	// bit-identical to the one the in-process engine builds for that unit.
-	FoldShard = engine.FoldShardContext
-	// ShardsOf returns the number of accumulator shards of an n-trial sweep.
-	ShardsOf = engine.Shards
-	// ShardRange returns the trial range of one shard of an n-trial sweep.
-	ShardRange = engine.ShardRange
 )
 
-// Dynamic networks: epoch-scheduled time-varying topologies.
-type (
-	// EpochSchedule produces the sequence of frozen networks (epochs) of a
-	// dynamic run; see the internal/graph dynamic-dual-graph docs for the
-	// purity and validity contract. Built-ins: StaticSchedule, and the
-	// churn/fade/waypoint schedules addressed through the schedule registry
-	// (WithSchedule, NamedSchedule).
-	EpochSchedule = graph.Schedule
-	// StaticSchedule wraps a fixed network as a schedule; RunDynamic over it
-	// is exactly Run.
-	StaticSchedule = graph.StaticSchedule
-)
-
-// StaticNetwork wraps a fixed network as the trivial epoch schedule.
-var StaticNetwork = graph.Static
-
-// EpochSeed derives one epoch's randomness seed from a run seed — the
-// epoch-indexed analogue of the engine's per-trial seed derivation.
-var EpochSeed = graph.EpochSeed
+// EpochSchedule produces the sequence of frozen networks (epochs) of a
+// dynamic run: an epoch-scheduled time-varying topology. See the
+// internal/graph dynamic-dual-graph docs for the purity and validity
+// contract. The built-in churn/fade/waypoint schedules are reached by name
+// through WithSchedule.
+type EpochSchedule = graph.Schedule
 
 // RunDynamic executes alg against adv on the time-varying network produced
 // by sched: every EpochLength rounds the current network is swapped for the
@@ -270,31 +212,26 @@ func RunDynamic(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config) (
 	return sim.RunDynamic(sched, alg, adv, cfg)
 }
 
-// Epoch-schedule constructors (the registry equivalents are
-// NamedSchedule("churn", ...) etc.).
-var (
-	// NewChurnSchedule models per-epoch node crash/recovery over a base
-	// network (backbone links survive, so every epoch stays a valid Dual).
-	NewChurnSchedule = graph.NewChurn
-	// NewFadeSchedule models per-epoch reliable→unreliable link demotion
-	// (and automatic recovery) over a base network.
-	NewFadeSchedule = graph.NewFade
-	// NewWaypointSchedule models random-waypoint mobility over the geometric
-	// model; the base network contributes its node count and source.
-	NewWaypointSchedule = graph.NewWaypoint
-)
+// NewChurnSchedule models per-epoch node crash/recovery over a base network
+// (backbone links survive, so every epoch stays a valid Dual).
+var NewChurnSchedule = graph.NewChurn
 
-// RunStream is the memory-bounded counterpart of RunMany: the same trials,
-// worker pool, and per-trial seed derivation, but every Result is folded
-// into shard accumulators as soon as it is produced instead of being
-// retained, so a ten-million-trial sweep runs in O(1) result memory. The
-// summary is bit-identical at any worker count; counts/min/max are exact,
-// mean/variance exact up to rounding, and quantiles exact until the trial
-// count exceeds StreamConfig.ExactK (P² estimates beyond). The reduction
-// stops between trials once ctx is done (see RunMany for the error
-// contract).
+// RunStream executes trials independent runs of the same (net, alg, adv,
+// cfg) combination across a worker pool and folds every Result into shard
+// accumulators as soon as it is produced, so a ten-million-trial sweep runs
+// in O(1) result memory. Trial i's seed is a SplitMix64-style mix of
+// cfg.Seed and i — a pure function of the trial index, so for a fixed
+// cfg.Seed the summary is bit-identical at any worker count, while different
+// cfg.Seed values yield statistically independent replications.
+// Counts/min/max are exact, mean/variance exact up to rounding, and
+// quantiles exact until the trial count exceeds StreamConfig.ExactK (P²
+// estimates beyond). On error it reports the lowest-indexed failing trial.
+// The reduction stops between trials once ctx is done and returns an error
+// satisfying errors.Is(err, ctx.Err()). Dynamic-network sweeps go through a
+// Scenario (WithSchedule) or a Sweep.
 func RunStream(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	sums, err := engine.RunGrid(ctx, []engine.Trial{staticTrial(net, alg, adv, cfg)}, trials, ec, sc, engine.Hooks{})
+	cell := engine.Trial{Net: net, Alg: alg, Adv: adv, Cfg: cfg}
+	sums, err := engine.RunGrid(ctx, []engine.Trial{cell}, trials, ec, sc, engine.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -307,22 +244,15 @@ func RunStream(ctx context.Context, net *Network, alg Algorithm, adv Adversary, 
 type (
 	// Scenario is one declarative simulation cell: topology + algorithm +
 	// adversary + run config, addressed by registry names. Build one with
-	// NewScenario and functional options, or unmarshal from JSON.
+	// NewScenario and functional options, or unmarshal from JSON;
+	// Scenario.Build materializes it, and the Net, Sched, Alg and Adv fields
+	// of its result are the built objects.
 	Scenario = spec.Scenario
-	// ScenarioOption mutates a Scenario under construction (WithTopology,
-	// WithCollisionRule, ...).
-	ScenarioOption = spec.Option
-	// BuiltScenario is a materialized Scenario, ready to run once (Run);
-	// its embedded engine cell (Execute) is trial i of the scenario. Many
-	// trials of a scenario run as a one-cell Sweep.
-	BuiltScenario = spec.Built
 	// Choice names one registered constructor plus parameter overrides.
 	Choice = spec.Choice
 	// Params is the parameter bag of a Choice (JSON-friendly: numbers and
 	// lists of numbers).
 	Params = registry.Params
-	// ParamDoc documents one parameter of a registry entry.
-	ParamDoc = registry.ParamDoc
 	// RegistryEntry is the self-describing header of a registered
 	// topology/algorithm/adversary constructor.
 	RegistryEntry = registry.Entry
@@ -332,13 +262,8 @@ type (
 	// Sweep is a declarative Cartesian grid of Scenarios: a base cell plus
 	// per-axis value lists, executed as one parallel grid run.
 	Sweep = spec.Sweep
-	// GridCell is one point of an expanded Sweep.
-	GridCell = spec.Cell
 	// CellResult pairs a grid cell with its streamed trial summary.
 	CellResult = spec.CellResult
-	// GridResult is the outcome of Sweep.Run, keyed by cell labels; it is
-	// bit-identical at any worker count.
-	GridResult = spec.GridResult
 	// SweepHooks are the optional checkpoint seed and per-shard/per-cell
 	// observers of a Sweep.Run; the zero value observes nothing.
 	SweepHooks = spec.Hooks
@@ -352,11 +277,6 @@ type (
 	ErrDuplicateLabel = spec.ErrDuplicateLabel
 )
 
-// WireVersion is the spec wire-format version this build reads and writes.
-// Documents with an absent or zero "version" field are read as version 1;
-// anything else is rejected with *ErrUnsupportedVersion.
-const WireVersion = spec.WireVersion
-
 // FormatSummary renders one TrialSummary as the canonical aggregate line
 // shared by `dgsim -trials N`, `dgsim -spec`, and the dgsimd results API —
 // the single formatter that makes their outputs byte-comparable.
@@ -367,8 +287,6 @@ var (
 	// NewScenario builds a Scenario from the dgsim defaults plus options and
 	// validates it once against the registries.
 	NewScenario = spec.New
-	// DefaultScenario returns the option-free starting scenario.
-	DefaultScenario = spec.Default
 	// WithTopology selects a registered topology by name.
 	WithTopology = spec.WithTopology
 	// WithAlgorithm selects a registered algorithm by name.
@@ -390,33 +308,13 @@ var (
 	WithSchedule = spec.WithSchedule
 )
 
-// Registry introspection and name-addressed construction.
+// Registry introspection; name-addressed construction goes through
+// NewScenario and the With… options.
 var (
-	// ListTopologies returns every registered topology entry, sorted.
-	ListTopologies = registry.Topologies
-	// ListAlgorithms returns every registered algorithm entry, sorted.
-	ListAlgorithms = registry.Algorithms
-	// ListAdversaries returns every registered adversary entry, sorted.
-	ListAdversaries = registry.Adversaries
-	// ListSchedules returns every registered epoch-schedule entry, sorted.
-	ListSchedules = registry.Schedules
-	// NamedTopology builds a registered topology by name at size n.
-	NamedTopology = registry.Topology
-	// NamedAlgorithm builds a registered algorithm by name for n processes.
-	NamedAlgorithm = registry.Algorithm
-	// NamedAdversary builds a registered adversary by name.
-	NamedAdversary = registry.Adversary
-	// NamedSchedule builds a registered epoch schedule by name over an
-	// already-built base network.
-	NamedSchedule = registry.Schedule
-	// TopologyInfo returns the entry header of a named topology.
-	TopologyInfo = registry.TopologyInfo
 	// AlgorithmInfo returns the entry header of a named algorithm.
 	AlgorithmInfo = registry.AlgorithmInfo
 	// AdversaryInfo returns the entry header of a named adversary.
 	AdversaryInfo = registry.AdversaryInfo
-	// ScheduleInfo returns the entry header of a named epoch schedule.
-	ScheduleInfo = registry.ScheduleInfo
 	// WriteRegistry renders every registry with parameter docs (the -list
 	// output of both CLIs).
 	WriteRegistry = registry.WriteList
@@ -432,27 +330,16 @@ var (
 	// NewNetwork validates and assembles a dual graph network (G, G') from
 	// two builders, freezing both.
 	NewNetwork = graph.NewDual
-	// NewNetworkGraphs assembles a network from already-frozen graphs.
-	NewNetworkGraphs = graph.NewDualGraphs
-	// Classical wraps a single graph as the network (G, G).
-	Classical = graph.Classical
 )
 
-// Topology generators.
+// Topology generators (the rest of the topology registry is reached by name
+// through WithTopology).
 var (
 	// CliqueBridge is the Theorem 2 network: an (n-1)-clique plus a receiver
 	// behind a bridge; G' complete.
 	CliqueBridge = graph.CliqueBridge
-	// CompleteLayered is the Theorem 12 network of two-node layers.
-	CompleteLayered = graph.CompleteLayered
 	// Line is the classical path.
 	Line = graph.Line
-	// Star is the classical star.
-	Star = graph.Star
-	// Complete is the classical clique.
-	Complete = graph.Complete
-	// BinaryTree is the classical complete binary tree.
-	BinaryTree = graph.BinaryTree
 	// Grid is a lattice with random unreliable gray-zone links.
 	Grid = graph.Grid
 	// RandomDual is a random connected G plus random unreliable edges.
@@ -461,52 +348,20 @@ var (
 	// unreliable longer ones; cell-bucketed construction scales it to
 	// 100k+ nodes.
 	Geometric = graph.Geometric
-	// PreferentialAttachment is a scale-free Barabási–Albert dual graph
-	// with a tunable unreliable fraction on the attachment links.
-	PreferentialAttachment = graph.PreferentialAttachment
-	// DirectedLayered is a directed layered dual graph.
-	DirectedLayered = graph.DirectedLayered
-	// LayeredRandom is an undirected layered dual graph with given layer
-	// sizes.
-	LayeredRandom = graph.LayeredRandom
 )
 
-// Algorithms.
-type (
-	// StrongSelect is the deterministic Section 5 algorithm.
-	StrongSelect = core.StrongSelect
-	// Harmonic is the randomized Section 7 algorithm.
-	Harmonic = core.Harmonic
-	// RoundRobin is the deterministic baseline.
-	RoundRobin = core.RoundRobin
-	// Decay is the classical randomized baseline.
-	Decay = core.Decay
-	// Uniform is the fixed-probability baseline.
-	Uniform = core.Uniform
-	// DeltaSelect is the Δ-aware oblivious baseline (Clementi et al.).
-	DeltaSelect = core.DeltaSelect
-	// TreeCast is a centralized known-topology BFS schedule.
-	TreeCast = core.TreeCast
-)
-
-// Algorithm constructors.
+// Algorithm constructors (the rest of the algorithm registry is reached by
+// name through WithAlgorithm).
 var (
 	// NewStrongSelect builds Strong Select for n processes.
 	NewStrongSelect = core.NewStrongSelect
-	// NewHarmonic builds Harmonic Broadcast with an explicit level length T.
-	NewHarmonic = core.NewHarmonic
 	// NewHarmonicForN builds Harmonic Broadcast with the paper's
 	// T = ceil(12 ln(n/ε)).
 	NewHarmonicForN = core.NewHarmonicForN
 	// NewRoundRobin builds the round-robin baseline.
 	NewRoundRobin = core.NewRoundRobin
-	// NewDecay builds the Decay baseline.
-	NewDecay = core.NewDecay
 	// NewUniform builds the uniform-probability baseline.
 	NewUniform = core.NewUniform
-	// NewDeltaSelect builds the Δ-aware baseline for a known in-degree
-	// bound on G'.
-	NewDeltaSelect = core.NewDeltaSelect
 	// NewTreeCast precomputes a BFS broadcast schedule over a trusted graph.
 	NewTreeCast = core.NewTreeCast
 )
@@ -515,39 +370,17 @@ var (
 type (
 	// Benign never uses unreliable edges.
 	Benign = adversary.Benign
-	// FullDelivery always delivers every unreliable edge.
-	FullDelivery = adversary.FullDelivery
-	// RandomAdversary delivers unreliable edges with probability P.
-	RandomAdversary = adversary.Random
 	// GreedyCollider adaptively jams single deliveries into collisions.
 	GreedyCollider = adversary.GreedyCollider
-	// Theorem2Adversary implements the proof rules of Theorem 2.
-	Theorem2Adversary = adversary.Theorem2
-	// AdaptiveAdversary plays an online best-response search each round;
-	// with an unbounded horizon it realizes the exhaustive worst case.
-	AdaptiveAdversary = adversary.Adaptive
 )
 
-// Adversary constructors.
-var (
-	// NewRandomAdversary validates p and builds a stochastic adversary.
-	NewRandomAdversary = adversary.NewRandom
-	// NewTheorem2Adversary builds the Theorem 2 adversary with the given
-	// bridge process id.
-	NewTheorem2Adversary = adversary.NewTheorem2
-	// NewAdaptiveAdversary validates the search parameters (delivery
-	// horizon, search rounds, node budget, table size; zeros mean the
-	// documented defaults) and builds an adaptive best-response adversary.
-	NewAdaptiveAdversary = adversary.NewAdaptive
-)
+// NewAdaptiveAdversary validates the search parameters (delivery horizon,
+// search rounds, node budget, table size; zeros mean the documented
+// defaults) and builds an adaptive best-response adversary. The rest of the
+// adversary registry is reached by name through WithAdversary.
+var NewAdaptiveAdversary = adversary.NewAdaptive
 
 // Strongly selective families (Section 5 selection objects).
-type (
-	// SelectiveFamily is an (n,k)-strongly-selective family.
-	SelectiveFamily = ssf.Family
-)
-
-// Selective family constructors and checkers.
 var (
 	// NewSelectiveFamily returns the smallest available (n,k)-SSF.
 	NewSelectiveFamily = ssf.New
@@ -566,80 +399,17 @@ var (
 	RunTheorem12Game = lowerbound.RunTheorem12Game
 )
 
-// Explicit-interference model (Lemma 1).
-type (
-	// InterferenceModel is an explicit-interference network (G_T, G_I).
-	InterferenceModel = interference.Model
-	// ReductionAdversary is the Lemma 1 dual-graph adversary.
-	ReductionAdversary = interference.ReductionAdversary
-)
-
-// Interference constructors and runner.
-var (
-	// NewInterferenceModel validates G_T ⊆ G_I.
-	NewInterferenceModel = interference.NewModel
-	// RunInterference executes an algorithm natively in the
-	// explicit-interference model.
-	RunInterference = interference.Run
-)
-
-// Repeated broadcast (the paper's Section 8 future work).
-type (
-	// RepeatProtocol creates processes for repeated broadcast.
-	RepeatProtocol = repeat.Protocol
-	// RepeatConfig parameterizes a repeated-broadcast run.
-	RepeatConfig = repeat.Config
-	// RepeatResult summarizes a repeated-broadcast execution.
-	RepeatResult = repeat.Result
-)
-
-// Repeated broadcast constructors and runner.
-var (
-	// NewSequentialRepeat runs one single-message protocol per message.
-	NewSequentialRepeat = repeat.NewSequential
-	// NewPipelinedRepeat keeps all messages in flight.
-	NewPipelinedRepeat = repeat.NewPipelined
-	// RunRepeat executes a repeated-broadcast protocol.
-	RunRepeat = repeat.Run
-)
-
-// Link-quality estimation (the introduction's ETX-style culling).
-type (
-	// LinkSurvey is the outcome of a probing phase.
-	LinkSurvey = linkest.Survey
-)
-
 // ProbeLinks runs a collision-free probing phase and culls links below the
 // delivery-rate threshold.
 var ProbeLinks = linkest.Probe
 
-// Exhaustive worst-case adversary search for small instances.
-type (
-	// SearchConfig parameterizes an exhaustive adversary search.
-	SearchConfig = exhaustive.Config
-	// SearchResult is the worst case found.
-	SearchResult = exhaustive.Result
-)
+// SearchConfig parameterizes an exhaustive worst-case adversary search for
+// small instances.
+type SearchConfig = exhaustive.Config
 
 // SearchWorstCase explores every adversary delivery behaviour on a small
 // network and returns the execution maximizing broadcast time.
 var SearchWorstCase = exhaustive.Search
-
-// Broadcastability analysis (Section 3: k-broadcastable networks).
-type (
-	// BroadcastSchedule is an omniscient per-round transmitter schedule.
-	BroadcastSchedule = schedule.Schedule
-)
-
-// Broadcastability schedulers.
-var (
-	// ExactSchedule finds a minimum-length guaranteed schedule (small n).
-	ExactSchedule = schedule.Exact
-	// GreedySchedule finds a guaranteed schedule at any size.
-	GreedySchedule = schedule.Greedy
-	// ScheduleAlg wraps a schedule as a runnable Algorithm.
-	ScheduleAlg = schedule.Alg
-)
 
 // NewRand returns a seeded math/rand source for topology generators; it
 // exists so example programs do not need to import math/rand themselves.

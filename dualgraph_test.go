@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dualgraph"
+	"dualgraph/internal/engine"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -78,67 +79,9 @@ func TestFacadeSelectiveFamilies(t *testing.T) {
 	}
 }
 
-func TestFacadeInterference(t *testing.T) {
-	gt := dualgraph.NewGraphBuilder(4, false)
-	gt.MustAddEdge(0, 1)
-	gt.MustAddEdge(1, 2)
-	gt.MustAddEdge(2, 3)
-	gi := gt.Clone()
-	gi.MustAddEdge(0, 3)
-	m, err := dualgraph.NewInterferenceModel(gt, gi, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dualgraph.RunInterference(m, dualgraph.NewRoundRobin(), dualgraph.Config{
-		Rule:  dualgraph.CR3,
-		Start: dualgraph.SyncStart,
-		Seed:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("interference run did not complete")
-	}
-}
-
-func TestFacadeRunMany(t *testing.T) {
-	net, err := dualgraph.CliqueBridge(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg, err := dualgraph.NewHarmonicForN(17, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := dualgraph.Config{Seed: 5}
-	const trials = 16
-	seq, err := dualgraph.RunMany(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-		dualgraph.EngineConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := dualgraph.RunMany(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-		dualgraph.EngineConfig{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != trials || len(par) != trials {
-		t.Fatalf("got %d/%d results, want %d", len(seq), len(par), trials)
-	}
-	for i := range seq {
-		if !seq[i].Completed || !par[i].Completed {
-			t.Fatalf("trial %d incomplete", i)
-		}
-		if seq[i].Rounds != par[i].Rounds || seq[i].Transmissions != par[i].Transmissions {
-			t.Fatalf("trial %d: sequential and parallel runs diverged", i)
-		}
-	}
-}
-
 // TestFacadeRunStream checks the public streaming sweep: the summary must
-// agree with the materialized RunMany results on the same seeds, and with
-// itself at any worker count.
+// agree with the engine's materialized per-trial results on the same seeds,
+// and with itself at any worker count.
 func TestFacadeRunStream(t *testing.T) {
 	net, err := dualgraph.CliqueBridge(17)
 	if err != nil {
@@ -150,8 +93,8 @@ func TestFacadeRunStream(t *testing.T) {
 	}
 	cfg := dualgraph.Config{Seed: 5}
 	const trials = 16
-	results, err := dualgraph.RunMany(context.Background(), net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-		dualgraph.EngineConfig{})
+	results, err := engine.Map(context.Background(), trials, dualgraph.EngineConfig{},
+		engine.Trial{Net: net, Alg: alg, Adv: dualgraph.GreedyCollider{}, Cfg: cfg}.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +195,5 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cr.Summary, standalone) {
 		t.Fatal("grid cell summary differs from the cell's standalone RunStream")
-	}
-	if len(dualgraph.ListTopologies()) == 0 || len(dualgraph.ListAlgorithms()) == 0 || len(dualgraph.ListAdversaries()) == 0 {
-		t.Fatal("registry listings empty through the facade")
 	}
 }

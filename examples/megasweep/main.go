@@ -1,6 +1,6 @@
 // Megasweep: a million-trial Monte Carlo percentile sweep in bounded
-// memory. RunMany would retain one Result per trial (hundreds of MB at this
-// scale); RunStream folds every trial into ~256 shard accumulators as soon
+// memory. Retaining one Result per trial would cost hundreds of MB at this
+// scale; RunStream folds every trial into ~256 shard accumulators as soon
 // as it finishes, so resident memory stays flat no matter how many trials
 // run — the aggregate below is bit-identical at any worker count, with
 // exact counts/min/max/mean and P²-estimated quantiles.

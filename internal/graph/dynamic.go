@@ -435,6 +435,9 @@ func NewWaypoint(base *Dual, epochLen, legEpochs int, rReliable, rUnreliable flo
 	if legEpochs < 1 {
 		return nil, fmt.Errorf("waypoint: leg epochs must be >= 1, got %d", legEpochs)
 	}
+	if rReliable < 0 {
+		return nil, fmt.Errorf("waypoint: rReliable must be >= 0, got %v", rReliable)
+	}
 	if rUnreliable < rReliable {
 		return nil, fmt.Errorf("waypoint: rUnreliable (%v) must be >= rReliable (%v)", rUnreliable, rReliable)
 	}

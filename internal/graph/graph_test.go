@@ -251,6 +251,23 @@ func TestCompleteLayeredShape(t *testing.T) {
 	}
 }
 
+// TestCompleteBuilderSizedOnce: the complete-graph builder behind the dense
+// topologies' G' holds exactly its n(n-1) arcs in a log that never regrew.
+func TestCompleteBuilderSizedOnce(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 64} {
+		b := completeBuilder(n)
+		if len(b.arcs) != n*(n-1) || cap(b.arcs) != n*(n-1) {
+			t.Fatalf("n=%d: arc log len %d cap %d, want both %d", n, len(b.arcs), cap(b.arcs), n*(n-1))
+		}
+		g := b.Freeze()
+		for u := 0; u < n; u++ {
+			if got := g.OutDegree(NodeID(u)); got != n-1 {
+				t.Fatalf("n=%d: node %d degree %d, want %d", n, u, got, n-1)
+			}
+		}
+	}
+}
+
 func TestCompleteLayeredRejectsEven(t *testing.T) {
 	if _, err := CompleteLayered(8); err == nil {
 		t.Fatal("expected error for even n")

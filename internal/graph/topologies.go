@@ -22,13 +22,21 @@ func ClassicalFrozen(g *Graph, source NodeID) (*Dual, error) {
 
 // Complete returns the classical complete graph on n nodes (single hop).
 func Complete(n int) (*Dual, error) {
+	return Classical(completeBuilder(n), 0)
+}
+
+// completeBuilder returns a builder holding every edge of the complete graph
+// on n nodes, the G' of the dense topologies. Its arc log is sized up front:
+// a build allocates the n(n-1) arcs once instead of regrowing the log.
+func completeBuilder(n int) *Builder {
 	g := NewBuilder(n, false)
+	g.arcs = make([]uint64, 0, max(0, n*(n-1)))
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			g.MustAddEdge(NodeID(u), NodeID(v))
 		}
 	}
-	return Classical(g, 0)
+	return g
 }
 
 // Line returns the classical path 0-1-...-(n-1) with the source at node 0.
@@ -59,18 +67,14 @@ func CliqueBridge(n int) (*Dual, error) {
 		return nil, fmt.Errorf("clique-bridge needs n >= 3, got %d", n)
 	}
 	g := NewBuilder(n, false)
+	g.arcs = make([]uint64, 0, (n-1)*(n-2)+2) // the clique's arcs and the bridge edge
 	for u := 0; u < n-1; u++ {
 		for v := u + 1; v < n-1; v++ {
 			g.MustAddEdge(NodeID(u), NodeID(v))
 		}
 	}
 	g.MustAddEdge(BridgeNode, NodeID(n-1))
-	gp := NewBuilder(n, false)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			gp.MustAddEdge(NodeID(u), NodeID(v))
-		}
-	}
+	gp := completeBuilder(n)
 	return NewDual(g, gp, 0)
 }
 
@@ -115,12 +119,7 @@ func CompleteLayered(n int) (*Dual, error) {
 			}
 		}
 	}
-	gp := NewBuilder(n, false)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			gp.MustAddEdge(NodeID(u), NodeID(v))
-		}
-	}
+	gp := completeBuilder(n)
 	return NewDual(g, gp, 0)
 }
 
@@ -166,12 +165,7 @@ func LayeredRandom(layerSizes []int) (*Dual, error) {
 		}
 		prev = cur
 	}
-	gp := NewBuilder(n, false)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			gp.MustAddEdge(NodeID(u), NodeID(v))
-		}
-	}
+	gp := completeBuilder(n)
 	return NewDual(g, gp, 0)
 }
 
@@ -185,6 +179,9 @@ func Grid(rows, cols, reach int, p float64, rng *rand.Rand) (*Dual, error) {
 	}
 	if reach < 1 {
 		return nil, fmt.Errorf("grid reach must be >= 1, got %d", reach)
+	}
+	if p < 0 || p > 1 {
+		return nil, fmt.Errorf("grid probability %v outside [0,1]", p)
 	}
 	n := rows * cols
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
@@ -239,6 +236,9 @@ func RandomDual(n int, pReliable, pUnreliable float64, rng *rand.Rand) (*Dual, e
 	if n < 2 {
 		return nil, ErrTooSmall
 	}
+	if pReliable < 0 || pReliable > 1 || pUnreliable < 0 || pUnreliable > 1 {
+		return nil, fmt.Errorf("random dual probabilities (%v, %v) outside [0,1]", pReliable, pUnreliable)
+	}
 	g := NewBuilder(n, false)
 	perm := rng.Perm(n)
 	for i := 0; i+1 < n; i++ {
@@ -278,6 +278,9 @@ func RandomDual(n int, pReliable, pUnreliable float64, rng *rand.Rand) (*Dual, e
 func Geometric(n int, rReliable, rUnreliable float64, rng *rand.Rand) (*Dual, error) {
 	if n < 2 {
 		return nil, ErrTooSmall
+	}
+	if rReliable < 0 {
+		return nil, fmt.Errorf("geometric rReliable must be >= 0, got %v", rReliable)
 	}
 	xs := make([]float64, n)
 	ys := make([]float64, n)

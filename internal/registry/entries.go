@@ -252,6 +252,9 @@ var algorithms = map[string]*algEntry{
 			if err != nil {
 				return nil, err
 			}
+			if t < 0 {
+				return nil, fmt.Errorf("harmonic t must be >= 0 (0 derives it), got %d", t)
+			}
 			if t > 0 {
 				return core.NewHarmonic(t)
 			}

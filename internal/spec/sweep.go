@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dualgraph/internal/engine"
@@ -283,14 +284,21 @@ func (sw Sweep) Run(ctx context.Context, ec engine.Config, sc engine.StreamConfi
 // byte-identical under different n= labels, so the sweep is refused. Run
 // and the sweep service both build through here.
 func (sw Sweep) BuildCells(ctx context.Context, ec engine.Config, cells []Cell) ([]engine.Trial, error) {
+	errs := make([]error, len(cells))
 	built, err := engine.Map(ctx, len(cells), ec, func(i int) (engine.Trial, error) {
 		b, err := cells[i].Scenario.Build()
 		if err != nil {
-			return engine.Trial{}, fmt.Errorf("cell %s: %w", cells[i].Label, err)
+			errs[i] = fmt.Errorf("sweep cell %d (%s): %w", i, cells[i].Label, err)
+			return engine.Trial{}, errs[i]
 		}
 		return b.Trial, nil
 	})
 	if err != nil {
+		// Map reports the lowest failing index as a trial; it is a cell here,
+		// and Map's lowest failing index is the lowest recorded one.
+		if i := slices.IndexFunc(errs, func(e error) bool { return e != nil }); i >= 0 {
+			return nil, errs[i]
+		}
 		return nil, err
 	}
 	if len(sw.Ns) > 1 {

@@ -213,3 +213,26 @@ func TestGridResultLookupByLabel(t *testing.T) {
 		t.Fatal("bogus label must not resolve")
 	}
 }
+
+// TestBuildCellsNamesTheFailingCell: a cell that validates but fails to
+// build is reported as that sweep cell, with its label — not as an engine
+// trial, which is what the parallel build's error would otherwise say.
+func TestBuildCellsNamesTheFailingCell(t *testing.T) {
+	sw := Sweep{
+		Base:       Default(),
+		Topologies: []Choice{{Name: "grid"}, {Name: "grid", Params: map[string]any{"reach": -1}}},
+		Trials:     2,
+	}
+	cells, err := sw.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sw.Run(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, Hooks{})
+	if err == nil {
+		t.Fatal("sweep with an unbuildable cell ran")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "sweep cell 1 ("+cells[1].Label+")") || strings.Contains(msg, "trial") {
+		t.Fatalf("err = %q, want it to name sweep cell 1 (%s) and no trial", msg, cells[1].Label)
+	}
+}

@@ -276,6 +276,29 @@ func TestSpecRejectsCellFlags(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsMisspelledKeys: a spec file with a misspelled key fails
+// with the key named, instead of running with the default in its place.
+func TestSpecRejectsMisspelledKeys(t *testing.T) {
+	for field, doc := range map[string]string{
+		"max-rounds": `{"base":{"n":9,"max-rounds":1},"trials":1}`,
+		"trial":      `{"base":{"n":9},"trial":5}`,
+		"nmae":       `{"base":{"n":9,"topology":{"nmae":"line"}}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		err := run(context.Background(), []string{"-spec", path}, &sb)
+		if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Fatalf("%s: err = %v, want one naming %q", doc, err, field)
+		}
+		if sb.Len() != 0 {
+			t.Fatalf("%s: printed %q before failing", doc, sb.String())
+		}
+	}
+}
+
 // TestVerboseRejectedForSweeps is the regression test for the silently
 // dropped flag: -v only makes sense for a single retained run, so pairing
 // it with a sweep must fail loudly instead of being ignored.

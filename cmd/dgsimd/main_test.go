@@ -178,21 +178,25 @@ func TestServeSmoke(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("dgsimd exited non-zero after SIGTERM: %v", err)
+	// Read stderr to EOF before Wait: Wait closes the pipe once the process
+	// exits, which can drop the last log lines still unread.
+	var sawDrained bool
+	stderrDone := make(chan struct{})
+	go func() {
+		defer close(stderrDone)
+		for line := range logC {
+			if strings.Contains(line, "drained, exiting") {
+				sawDrained = true
+			}
 		}
+	}()
+	select {
+	case <-stderrDone:
 	case <-time.After(90 * time.Second):
 		t.Fatal("dgsimd did not exit within the drain window")
 	}
-	var sawDrained bool
-	for line := range logC {
-		if strings.Contains(line, "drained, exiting") {
-			sawDrained = true
-		}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("dgsimd exited non-zero after SIGTERM: %v", err)
 	}
 	if !sawDrained {
 		t.Fatal("dgsimd exited without the drain log line")

@@ -27,6 +27,7 @@
 package exhaustive
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -417,7 +418,7 @@ func (g *game) decodeScript(script [][]graph.EdgeID) ([][]Arc, error) {
 // signatures lead to identical algorithm states and need exploring only
 // once — and, chained round by round, the signatures fully determine the
 // execution state, which is what makes the planner's transposition keys
-// exact.
+// exact. Search, Plan, value and prefixState all key on this one encoder.
 func receptionSignature(d *graph.Dual, rule sim.CollisionRule, senders []graph.NodeID, edges []graph.EdgeID, mask uint64, holders []bool) string {
 	n := d.N()
 	reaching := make([][]graph.NodeID, n)
@@ -437,32 +438,40 @@ func receptionSignature(d *graph.Dual, rule sim.CollisionRule, senders []graph.N
 	}
 	sig := make([]byte, 0, 2*n)
 	for node := 0; node < n; node++ {
-		sig = append(sig, receptionByte(rule, graph.NodeID(node), isSender[node], reaching[node], holders)...)
+		sig = appendReception(sig, rule, graph.NodeID(node), isSender[node], reaching[node], holders)
 	}
 	return string(sig)
 }
 
-func receptionByte(rule sim.CollisionRule, node graph.NodeID, isSender bool, reaching []graph.NodeID, holders []bool) []byte {
-	const (
-		silence   = 0xFE
-		collision = 0xFF
-	)
+// Reception kinds of a signature entry. A delivery entry is followed by the
+// sender's full 32-bit node id, so the encoding is prefix-free at any n:
+// no node id can read as a kind, and ids never alias each other.
+const (
+	sigSilence byte = iota
+	sigCollision
+	sigDelivered       // from a non-holder
+	sigDeliveredHolder // from a holder
+)
+
+// appendReception appends node's signature entry: what it hears this round
+// under rule, given the senders reaching it.
+func appendReception(sig []byte, rule sim.CollisionRule, node graph.NodeID, isSender bool, reaching []graph.NodeID, holders []bool) []byte {
 	delivered := func(from graph.NodeID) []byte {
-		b := byte(0)
+		kind := sigDelivered
 		if holders[from] {
-			b = 1
+			kind = sigDeliveredHolder
 		}
-		return []byte{byte(from), b}
+		return binary.LittleEndian.AppendUint32(append(sig, kind), uint32(from))
 	}
 	switch rule {
 	case sim.CR1:
 		switch len(reaching) {
 		case 0:
-			return []byte{silence, 0}
+			return append(sig, sigSilence)
 		case 1:
 			return delivered(reaching[0])
 		default:
-			return []byte{collision, 0}
+			return append(sig, sigCollision)
 		}
 	default: // CR2, CR3, CR4(silence)
 		if isSender {
@@ -470,14 +479,14 @@ func receptionByte(rule sim.CollisionRule, node graph.NodeID, isSender bool, rea
 		}
 		switch len(reaching) {
 		case 0:
-			return []byte{silence, 0}
+			return append(sig, sigSilence)
 		case 1:
 			return delivered(reaching[0])
 		}
 		if rule == sim.CR2 {
-			return []byte{collision, 0}
+			return append(sig, sigCollision)
 		}
-		return []byte{silence, 0}
+		return append(sig, sigSilence)
 	}
 }
 

@@ -270,3 +270,45 @@ func TestEpochMemoBuildsEachEpochOnce(t *testing.T) {
 	}
 	check("offline search", search)
 }
+
+// TestReceptionSignatureFullWidthIDs pins that a signature entry carries the
+// whole sender id: in a network of 300 nodes, a delivery from node 254 must
+// not read as silence, and a delivery from sender 1 must not alias one from
+// sender 257 (256 apart). Either would merge distinct choices in Search and
+// distinct states in the planner's transposition table.
+func TestReceptionSignatureFullWidthIDs(t *testing.T) {
+	const n, target = 300, 100
+	// A line, plus unreliable arcs from nodes 1 and 257 into the target.
+	g := graph.NewBuilder(n, false)
+	for u := 0; u+1 < n; u++ {
+		g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1))
+	}
+	gp := g.Clone()
+	gp.MustAddEdge(1, target)
+	gp.MustAddEdge(257, target)
+	d := graph.MustDual(g, gp, 0)
+	var edges []graph.EdgeID // edges[0] = 1→target, edges[1] = 257→target
+	for _, from := range []graph.NodeID{1, 257} {
+		for id := graph.EdgeID(0); int(id) < d.NumUnreliable(); id++ {
+			if s, v := d.UnreliableEdge(id); s == from && v == target {
+				edges = append(edges, id)
+			}
+		}
+	}
+	if len(edges) != 2 {
+		t.Fatalf("found %d of the 2 fixture arcs", len(edges))
+	}
+	holders := make([]bool, n)
+	senders := []graph.NodeID{1, 257}
+	for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
+		quiet := receptionSignature(d, rule, nil, nil, 0, holders)
+		if loud := receptionSignature(d, rule, []graph.NodeID{254}, nil, 0, holders); loud == quiet {
+			t.Errorf("%v: node 254 transmitting has the signature of a silent round", rule)
+		}
+		via1 := receptionSignature(d, rule, senders, edges, 1, holders)
+		via257 := receptionSignature(d, rule, senders, edges, 2, holders)
+		if via1 == via257 {
+			t.Errorf("%v: delivering from 1 and from 257 into node %d share a signature", rule, target)
+		}
+	}
+}

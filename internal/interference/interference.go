@@ -286,20 +286,14 @@ func (ReductionAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph
 }
 
 // DeliverInto implements sim.BufferedDeliverer with the same reduction rule
-// as Deliver, using the sink's scratch space for the G_T sender marks.
+// as Deliver. Before any Add the sink's reach state is exactly the G_T
+// picture — u is reached iff u transmits or some reliable (G_T) neighbour of
+// u does — and every Add below targets an already-reached node, so
+// sink.Reached stays that picture for the whole call.
 func (ReductionAdversary) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
-	// gtSenders[u] != 0: some reliable (G_T) neighbour of u transmits, or u
-	// itself does.
-	gtSenders, _ := sink.Scratch()
-	for _, s := range senders {
-		gtSenders[s] = 1
-		for _, u := range v.Dual.ReliableOut(s) {
-			gtSenders[u] = 1
-		}
-	}
 	for _, s := range senders {
 		for _, u := range v.Dual.UnreliableOut(s) {
-			if gtSenders[u] != 0 {
+			if sink.Reached(u) {
 				sink.Add(s, u)
 			}
 		}

@@ -455,7 +455,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitState(t, s, first.ID, func(st State) bool { return st.Terminal() })
 }
 
-// The typed error paths over HTTP: bad versions 400, unknown jobs 404.
+// The typed error paths over HTTP: bad versions and misspelled spec keys
+// 400, unknown jobs 404.
 func TestHTTPErrorMapping(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -505,6 +506,23 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp = post(`{"sweep":{"base":{"n":13,"topology":{"name":"cliqe-bridge"}}}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad name: status %d", resp.StatusCode)
+	}
+
+	// Misspelled spec keys at every level are 400s naming the key: the
+	// envelope's DisallowUnknownFields does not reach the spec's own
+	// unmarshalers, so they must reject unknown keys themselves.
+	for field, sweep := range map[string]string{
+		"max-rounds": `{"base":{"n":13,"max-rounds":1},"trials":1}`,
+		"trial":      `{"base":{"n":13},"trial":5}`,
+		"nmae":       `{"base":{"n":13},"adversaries":[{"nmae":"greedy"}]}`,
+	} {
+		resp = post(`{"sweep":` + sweep + `}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d", sweep, resp.StatusCode)
+		}
+		if msg := errOf(resp); !strings.Contains(msg, `"`+field+`"`) {
+			t.Fatalf("%s: error %q does not name %q", sweep, msg, field)
+		}
 	}
 
 	// Unknown job id.

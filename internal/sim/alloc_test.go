@@ -123,9 +123,9 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 		n        = 100_000
 		epochLen = 50
 		// Per-swap allocation budget: the incremental churn epoch costs ~12
-		// graph-side allocations (masks, two patched cores, fringe, dual)
-		// plus the simulator's in-degree re-scan; fade slightly fewer. A full
-		// Builder→Freeze rebuild costs hundreds per epoch at this scale.
+		// graph-side allocations (masks, two patched cores, fringe, dual);
+		// fade slightly fewer. A full Builder→Freeze rebuild costs hundreds
+		// per epoch at this scale.
 		perEpochBudget = 48
 	)
 	d, err := graph.Geometric(n, 0.004, 0.009, rand.New(rand.NewSource(1)))
@@ -183,6 +183,81 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 					name, extra, extraEpochs, budget)
 			}
 		})
+	}
+}
+
+// prebuiltSchedule serves epochs materialized up front, so a run over it
+// measures only what the simulator itself spends per swap.
+type prebuiltSchedule struct {
+	graph.Schedule
+	seed  int64
+	duals []*graph.Dual
+}
+
+func (p *prebuiltSchedule) Epoch(e int, seed int64) (*graph.Dual, error) {
+	if seed == p.seed && e < len(p.duals) {
+		return p.duals[e], nil
+	}
+	return p.Schedule.Epoch(e, seed)
+}
+
+// TestEpochSwapAllocationFree pins that an epoch swap costs the simulator no
+// allocation: with every waypoint epoch built up front, 250 extra swaps
+// (every epoch moves the nodes, so each swap installs a new G and G') must
+// cost well under one malloc per ten swaps. Per-run buffers are sized by n
+// alone, so nothing is re-sized or re-scanned when the network changes.
+func TestEpochSwapAllocationFree(t *testing.T) {
+	const (
+		n        = 300
+		epochLen = 2
+		seed     = 7
+	)
+	base, err := graph.Geometric(n, 0.08, 0.16, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp, err := graph.NewWaypoint(base, epochLen, 4, 0.08, 0.16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := &prebuiltSchedule{Schedule: wp, seed: seed}
+	for e := 0; e <= 700/epochLen; e++ {
+		d, err := wp.Epoch(e, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched.duals = append(sched.duals, d)
+	}
+	alg, err := core.NewUniform(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(rounds int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := sim.RunDynamic(sched, alg, adversary.GreedyCollider{}, sim.Config{
+			Rule:           sim.CR4,
+			Start:          sim.AsyncStart,
+			Seed:           seed,
+			MaxRounds:      rounds,
+			RunToMaxRounds: true,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	baseAllocs := measure(200)
+	fullAllocs := measure(700)
+	const extraSwaps = (700 - 200) / epochLen
+	extra := int64(fullAllocs) - int64(baseAllocs)
+	t.Logf("%d extra mallocs over %d extra epoch swaps", extra, extraSwaps)
+	if extra*10 >= extraSwaps {
+		t.Fatalf("epoch swaps allocate: %d extra mallocs over %d extra swaps, want < %d",
+			extra, extraSwaps, extraSwaps/10)
 	}
 }
 

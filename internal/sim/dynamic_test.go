@@ -127,8 +127,8 @@ func TestDynamicRunDeterminism(t *testing.T) {
 // TestEpochSwapAcrossGrowingFringe runs a schedule that alternates between a
 // fringeless line and a complete G' every epoch, with full unreliable
 // delivery — the heaviest possible cross-swap buffer traffic. Completion and
-// determinism prove the swap path remaps cleanly; an aliasing or stale-
-// capacity bug would corrupt receptions (CR1 collisions differ) or panic.
+// determinism prove the swap path leaves no stale delivery state; an
+// aliasing bug would corrupt receptions (CR1 collisions differ) or panic.
 func TestEpochSwapAcrossGrowingFringe(t *testing.T) {
 	n := 10
 	line := mustLine(t, n)
@@ -168,10 +168,11 @@ func TestEpochSwapAcrossGrowingFringe(t *testing.T) {
 }
 
 // TestEpochSwapOneRowOverflowsMidRun: on a directed path whose epochs
-// alternate between one and seven unreliable arcs into node 9, only row 9
-// outgrows its delivery capacity at the first swap, while many senders are
-// active under full unreliable delivery. The run must complete and repeat
-// exactly.
+// alternate between one and seven unreliable arcs into node 9, node 9's
+// per-round unreliable deliveries jump from one to seven at the first swap
+// (the case that once overflowed a G'-sized delivery row), while many
+// senders are active under full unreliable delivery. The run must complete
+// and repeat exactly.
 func TestEpochSwapOneRowOverflowsMidRun(t *testing.T) {
 	const n = 12
 	into9 := func(srcs ...graph.NodeID) *graph.Dual {

@@ -6,98 +6,6 @@ import (
 	"dualgraph/internal/graph"
 )
 
-// TestEnsureCapacityNoAliasingAcrossSwaps is the epoch-boundary buffer
-// invariant: after swapping to an epoch with larger G' in-degrees the
-// unreliable-delivery rows must be rebuilt (an old row would overflow its
-// slot in the flat backing array), after which filling every row to its new
-// bound keeps all rows disjoint — no delivery-list aliasing. Swapping to a
-// smaller epoch must keep the existing buffers (the lazy half of the resize).
-func TestEnsureCapacityNoAliasingAcrossSwaps(t *testing.T) {
-	const n = 9
-	small, err := graph.Line(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := graph.Complete(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	buf := newRunBuffers(small)
-	wasDense := buf.dense
-	for v := 0; v < n; v++ {
-		if cap(buf.unrel[v]) >= n-1 {
-			t.Fatalf("line row %d capacity %d already fits the complete graph; test setup broken", v, cap(buf.unrel[v]))
-		}
-	}
-	// Dirty the buffers like a round would, then clear (the loop clears
-	// before any swap).
-	sent := make([]bool, n)
-	buf.addUnrel(0, 1)
-	buf.addUnrel(2, 1)
-	buf.clearRound(sent)
-
-	// Grow swap: line -> complete. Every row must now hold in-degree = n-1
-	// unreliable deliveries.
-	buf.ensureCapacity(big)
-	if buf.dense != wasDense {
-		t.Fatal("rebuild changed the per-run delivery mode")
-	}
-	for v := 0; v < n; v++ {
-		if got := cap(buf.unrel[v]); got < n-1 {
-			t.Fatalf("after grow swap, row %d capacity %d < %d", v, got, n-1)
-		}
-	}
-	// Fill every row to its model bound and verify no row sees another's
-	// writes.
-	for v := 0; v < n; v++ {
-		for s := 0; s < n-1; s++ {
-			buf.addUnrel(graph.NodeID(v), graph.NodeID(v*100+s)) // sentinel unique per (row, slot)
-		}
-	}
-	for v := 0; v < n; v++ {
-		row := buf.unrel[v]
-		if len(row) != n-1 {
-			t.Fatalf("row %d has %d entries, want %d", v, len(row), n-1)
-		}
-		for s, got := range row {
-			if want := graph.NodeID(v*100 + s); got != want {
-				t.Fatalf("row %d slot %d = %d, want %d: rows alias after swap", v, s, got, want)
-			}
-		}
-	}
-	buf.clearRound(sent)
-
-	// Shrink swap: complete -> line. Capacities suffice, so the buffers are
-	// kept as-is (lazy: no rebuild).
-	bigCaps := make([]int, n)
-	for v := range bigCaps {
-		bigCaps[v] = cap(buf.unrel[v])
-	}
-	buf.ensureCapacity(small)
-	for v := 0; v < n; v++ {
-		if cap(buf.unrel[v]) != bigCaps[v] {
-			t.Fatalf("shrink swap rebuilt row %d (cap %d -> %d); resize should be lazy",
-				v, bigCaps[v], cap(buf.unrel[v]))
-		}
-	}
-	if buf.sizedFor != small.GPrime() {
-		t.Fatal("keep path did not record the new G' core")
-	}
-
-	// Shared-G'-core fast path (fade epochs): a dual aliasing the same
-	// frozen G' skips the scan — observable as sizedFor staying put even
-	// though the Dual differs.
-	faded, err := graph.NewDualGraphs(small.G(), small.GPrime(), small.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.ensureCapacity(faded)
-	if buf.sizedFor != small.GPrime() {
-		t.Fatal("shared-core fast path re-sized the buffers")
-	}
-}
-
 // sparseFixture returns a dual large and thin enough to take the sparse
 // delivery path.
 func sparseFixture(t *testing.T) *graph.Dual {
@@ -165,11 +73,13 @@ func TestReachBitsetsCountClasses(t *testing.T) {
 			t.Fatalf("word %d not cleared: reach1=%x reach2=%x", w, x, buf.reach2[w])
 		}
 	}
-	if len(buf.touchedW) != 0 || len(buf.unrelTouched) != 0 {
-		t.Fatal("touched lists not truncated")
+	if len(buf.touchedW) != 0 || len(buf.unrel) != 0 {
+		t.Fatal("touched word list or delivery list not truncated")
 	}
-	if len(buf.unrel[9]) != 0 {
-		t.Fatal("unrel row not truncated")
+	for v := range buf.unrelHead {
+		if buf.unrelHead[v] != -1 || buf.unrelTail[v] != -1 {
+			t.Fatalf("node %d chain not reset: head %d tail %d", v, buf.unrelHead[v], buf.unrelTail[v])
+		}
 	}
 }
 
@@ -257,64 +167,4 @@ func TestMaterializeReachingOrder(t *testing.T) {
 	sparse := sparseFixture(t)
 	// Line: node 10's reliable in-neighbours are 9 and 11.
 	check(t, sparse, []graph.NodeID{9, 11}, 10)
-}
-
-// TestEnsureCapacityReusesInDegreeScratch: a swap to a new G' core whose
-// in-degrees all fit refills the per-run unrelBound scratch in place, and a
-// swap where a single row outgrows its capacity rebuilds the buffers with
-// that row (and every other) sized to the new bound.
-func TestEnsureCapacityReusesInDegreeScratch(t *testing.T) {
-	const n = 12
-	// A directed path backbone plus unreliable arcs from the given sources
-	// into node 9: only row 9's in-degree depends on the source list.
-	into9 := func(srcs ...graph.NodeID) *graph.Dual {
-		g := graph.NewBuilder(n, true)
-		for u := 0; u+1 < n; u++ {
-			g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1))
-		}
-		gp := g.Clone()
-		for _, u := range srcs {
-			gp.MustAddEdge(u, 9)
-		}
-		return graph.MustDual(g, gp, 0)
-	}
-	first := into9(2, 3, 4)
-	fits := into9(2, 5) // a different G' core, every in-degree within first's
-	grows := into9(1, 2, 3, 4, 5, 6)
-	buf := newRunBuffers(first)
-	scratch := &buf.indeg[0]
-	buf.ensureCapacity(fits)
-	if &buf.indeg[0] != scratch {
-		t.Fatal("a fitting swap reallocated the in-degree scratch")
-	}
-	if buf.sizedFor != fits.GPrime() {
-		t.Fatal("a fitting swap did not record the new G' core")
-	}
-	inFits := fits.GPrime().Transpose()
-	for v, c := range buf.indeg {
-		if want := inFits.OutDegree(graph.NodeID(v)); int(c) != want {
-			t.Fatalf("scratch in-degree of %d = %d, want %d", v, c, want)
-		}
-	}
-
-	// Only row 9 outgrows its capacity (in-degree 4 -> 7).
-	inGrows := grows.GPrime().Transpose()
-	overflow := 0
-	for v := 0; v < n; v++ {
-		if inGrows.OutDegree(graph.NodeID(v)) > cap(buf.unrel[v]) {
-			overflow++
-		}
-	}
-	if overflow != 1 {
-		t.Fatalf("fixture overflows %d rows, want exactly 1", overflow)
-	}
-	buf.ensureCapacity(grows)
-	if buf.sizedFor != grows.GPrime() {
-		t.Fatal("the overflow rebuild did not size against the new G' core")
-	}
-	for v := 0; v < n; v++ {
-		if want := inGrows.OutDegree(graph.NodeID(v)); cap(buf.unrel[v]) < want {
-			t.Fatalf("after the overflow rebuild row %d has capacity %d < %d", v, cap(buf.unrel[v]), want)
-		}
-	}
 }

@@ -8,14 +8,16 @@
 // Runs execute on a fixed network (Run) or on an epoch-scheduled
 // time-varying one (RunDynamic): every graph.Schedule epoch boundary swaps
 // the frozen network under the live processes while algorithm, adversary,
-// and per-node result state survive, and the preallocated delivery buffers
-// resize lazily. Both paths share one loop — Run is RunDynamic over a
-// static schedule — so the static hot path is exactly what it always was.
+// and per-node result state survive. Nothing in the per-run delivery buffers
+// is sized by an epoch's graph, so a swap installs the new network without
+// touching them. Both paths share one loop — Run is RunDynamic over a static
+// schedule.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -244,14 +246,13 @@ type BufferedDeliverer interface {
 // reliable deliveries (the reliable pass runs first), so Reached, Collided
 // and EachReachedOnce let an adversary read the reliable reception picture
 // word-parallel instead of recounting it edge by edge; each Add folds its
-// delivery into that state immediately.
+// delivery into that state immediately. The sink holds no per-node state of
+// its own: every delivery lands in the run's one per-round list.
 type DeliverySink struct {
-	d            *graph.Dual
-	sent         []bool
-	buf          *runBuffers
-	err          error
-	scratchInts  []int
-	scratchNodes []graph.NodeID
+	d    *graph.Dual
+	sent []bool
+	buf  *runBuffers
+	err  error
 }
 
 // Add records that sender s's message reaches v along the unreliable edge
@@ -336,17 +337,6 @@ func (ds *DeliverySink) Fail(err error) {
 	}
 }
 
-// Scratch returns two zeroed n-length scratch slices that an adversary may
-// use freely within a single DeliverInto call; their contents do not survive
-// the call.
-func (ds *DeliverySink) Scratch() ([]int, []graph.NodeID) {
-	for i := range ds.scratchInts {
-		ds.scratchInts[i] = 0
-		ds.scratchNodes[i] = 0
-	}
-	return ds.scratchInts, ds.scratchNodes
-}
-
 // addFromMap is the compatibility shim for map-based Deliver
 // implementations. Map iteration order is randomized in Go, so it validates
 // the keys first and then applies deliveries in deterministic sender order —
@@ -395,8 +385,9 @@ const (
 // materialized lazily, only where someone actually inspects senders: the
 // CR4 resolve call on a collided non-sender, or an adversary walking the
 // sink. Unreliable deliveries are the one part that stays explicit
-// (adversaries choose them one by one), recorded per node in unrel rows
-// carved from a flat backing sized by G' in-degree.
+// (adversaries choose them one by one): they go in one per-round append
+// list, chained per target node through unrelHead/unrelTail, so a node's
+// chain is its deliveries in sink-add order.
 //
 // Two modes, chosen once per run from the epoch-0 reliable graph:
 //
@@ -412,8 +403,11 @@ const (
 //     the round made nonzero (touchedW). CR4 lists are rebuilt from the
 //     reliable in-adjacency (inRows) filtered by sent.
 //
-// All buffers are allocated once per run; the steady-state round loop
-// performs no heap allocation in either mode.
+// No buffer is sized by an epoch's graph, only by n, so an epoch swap
+// leaves them alone and refreshes just the mode's own index (masks or
+// inRows). All buffers are allocated once per run; once the delivery list
+// has grown to the run's busiest round, the round loop performs no heap
+// allocation in either mode.
 type runBuffers struct {
 	n      int
 	reach1 []uint64 // nodes reached by ≥1 message this round
@@ -423,11 +417,12 @@ type runBuffers struct {
 	touchedW  []int32        // words of reach1 made nonzero this round
 	firstFrom []graph.NodeID // first sender reaching v (valid while reach1 bit set)
 
-	// Unreliable deliveries per node, in sink-add order; rows carved from
-	// unrelBacking, sized by G' in-degree (every unreliable arc is a G' arc,
-	// so the bound survives every epoch that shares or shrinks G').
-	unrel        [][]graph.NodeID
-	unrelTouched []graph.NodeID
+	// This round's unreliable deliveries in sink-add order. unrelHead[v] and
+	// unrelTail[v] index v's first and last delivery (-1 = none), and each
+	// delivery's next links v's chain.
+	unrel     []unrelDelivery
+	unrelHead []int32
+	unrelTail []int32
 
 	senders    []graph.NodeID
 	newHolders []graph.NodeID
@@ -452,36 +447,13 @@ type runBuffers struct {
 	// when undirected), built only when a run under CR4 can need it.
 	inRows    *graph.Graph
 	inRowsFor *graph.Graph
-
-	// sizedFor is the G' core the unrel rows were last sized against; epochs
-	// that share it (fade never changes G') skip the re-scan entirely.
-	sizedFor *graph.Graph
-	// indeg is the per-run unrelBound scratch, refilled at every swap that
-	// changes the G' core.
-	indeg []int32
 }
 
-// unrelBound returns the per-node sizing of the unreliable-delivery rows: a
-// node can receive unreliable deliveries along at most its G' in-arcs. Both
-// newRunBuffers and ensureCapacity size against exactly this function, so
-// the initial carve and the epoch-swap overflow check can never disagree.
-// (A misbehaving adversary delivering the same arc twice in a round merely
-// falls back to an ordinary slice grow.) The counts are written into indeg,
-// reallocated only when it is shorter than d.N().
-func unrelBound(d *graph.Dual, indeg []int32) []int32 {
-	n := d.N()
-	gp := d.GPrime()
-	if cap(indeg) < n {
-		indeg = make([]int32, n)
-	}
-	indeg = indeg[:n]
-	clear(indeg)
-	for u := 0; u < n; u++ {
-		for _, v := range gp.Out(graph.NodeID(u)) {
-			indeg[v]++
-		}
-	}
-	return indeg
+// unrelDelivery is one unreliable delivery of the round: from's message
+// reaches to, and next indexes to's following delivery (-1 = last).
+type unrelDelivery struct {
+	from, to graph.NodeID
+	next     int32
 }
 
 // newRunBuffers builds the per-run buffer set for d, choosing the delivery
@@ -491,31 +463,20 @@ func unrelBound(d *graph.Dual, indeg []int32) []int32 {
 func newRunBuffers(d *graph.Dual) *runBuffers {
 	n := d.N()
 	g := d.G()
-	indeg := unrelBound(d, nil)
-	total := 0
-	for _, c := range indeg {
-		total += int(c)
-	}
-	backing := make([]graph.NodeID, total)
-	unrel := make([][]graph.NodeID, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		end := off + int(indeg[v])
-		unrel[v] = backing[off:off:end]
-		off = end
-	}
 	words := (n + 63) / 64
 	b := &runBuffers{
-		n:            n,
-		reach1:       make([]uint64, words),
-		reach2:       make([]uint64, words),
-		unrel:        unrel,
-		unrelTouched: make([]graph.NodeID, 0, n),
-		senders:      make([]graph.NodeID, 0, n),
-		newHolders:   make([]graph.NodeID, 0, n),
-		dense:        n <= denseMaxN && g.NumEdges()*denseArcFactor >= n*n,
-		sizedFor:     d.GPrime(),
-		indeg:        indeg,
+		n:          n,
+		reach1:     make([]uint64, words),
+		reach2:     make([]uint64, words),
+		unrelHead:  make([]int32, n),
+		unrelTail:  make([]int32, n),
+		senders:    make([]graph.NodeID, 0, n),
+		newHolders: make([]graph.NodeID, 0, n),
+		dense:      n <= denseMaxN && g.NumEdges()*denseArcFactor >= n*n,
+	}
+	for v := range b.unrelHead {
+		b.unrelHead[v] = -1
+		b.unrelTail[v] = -1
 	}
 	if b.dense {
 		b.maskW = words
@@ -586,46 +547,11 @@ func (b *runBuffers) ensureInRows(g *graph.Graph) {
 	b.inRowsFor = g
 }
 
-// ensureCapacity adapts the buffers to a new epoch's network at an epoch
-// swap. When every unrel row of the new network fits its existing capacity
-// the buffers are kept (the caller resets them at the top of the round); any
-// row that would overflow rebuilds the buffer set against the new network —
-// the lazy resize that guarantees rows never alias across epochs while
-// epochs with shrinking or stable in-degrees pay nothing.
-func (b *runBuffers) ensureCapacity(d *graph.Dual) {
-	if d.GPrime() == b.sizedFor {
-		// Same frozen G' core, same in-degree bound: nothing to scan.
-		return
-	}
-	b.indeg = unrelBound(d, b.indeg)
-	for v, c := range b.indeg {
-		if int(c) > cap(b.unrel[v]) {
-			nb := newRunBuffers(d)
-			// The mode is a per-run decision made against epoch 0; keep it
-			// (and any already-built indexes) so the loop shape never changes
-			// mid-run.
-			nb.dense = b.dense
-			if nb.dense && nb.sentBit == nil {
-				nb.maskW = (nb.n + 63) / 64
-				nb.sentBit = make([]uint64, nb.maskW)
-				nb.matKey = make([]uint64, nb.maskW)
-			}
-			nb.outMask, nb.inMask, nb.maskFor = b.outMask, b.inMask, b.maskFor
-			nb.inRows, nb.inRowsFor = b.inRows, b.inRowsFor
-			if nb.firstFrom == nil && !nb.dense {
-				nb.firstFrom = make([]graph.NodeID, nb.n)
-			}
-			*b = *nb
-			return
-		}
-	}
-	b.sizedFor = d.GPrime()
-}
-
 // clearRound resets the round state, un-marking the previous round's senders
 // in sent rather than wiping all n entries. Dense mode clears whole bitset
 // arrays (n/64 words, a memclr); sparse mode clears only the words the
-// previous round made nonzero. Idempotent: a second call finds nothing to
+// previous round made nonzero. The unreliable chains are reset by walking
+// the round's delivery list. Idempotent: a second call finds nothing to
 // clear.
 func (b *runBuffers) clearRound(sent []bool) {
 	if b.dense {
@@ -640,10 +566,11 @@ func (b *runBuffers) clearRound(sent []bool) {
 		}
 		b.touchedW = b.touchedW[:0]
 	}
-	for _, v := range b.unrelTouched {
-		b.unrel[v] = b.unrel[v][:0]
+	for _, u := range b.unrel {
+		b.unrelHead[u.to] = -1
+		b.unrelTail[u.to] = -1
 	}
-	b.unrelTouched = b.unrelTouched[:0]
+	b.unrel = b.unrel[:0]
 	for _, s := range b.senders {
 		sent[s] = false
 	}
@@ -696,8 +623,9 @@ func (b *runBuffers) addReach(v, s graph.NodeID) {
 }
 
 // addUnrel records an unreliable delivery from s to v: the reach bits update
-// like a reliable delivery and the pair lands in v's unrel row, preserving
-// sink-add order for lazy materialization.
+// like a reliable delivery and the pair is appended to the round's list and
+// to the tail of v's chain, preserving sink-add order for lazy
+// materialization.
 func (b *runBuffers) addUnrel(v, s graph.NodeID) {
 	w, bit := int(v>>6), uint64(1)<<(uint64(v)&63)
 	r1 := b.reach1[w]
@@ -712,10 +640,23 @@ func (b *runBuffers) addUnrel(v, s graph.NodeID) {
 	} else {
 		b.reach2[w] |= bit
 	}
-	if len(b.unrel[v]) == 0 {
-		b.unrelTouched = append(b.unrelTouched, v)
+	i := int32(len(b.unrel))
+	b.unrel = append(b.unrel, unrelDelivery{from: s, to: v, next: -1})
+	if t := b.unrelTail[v]; t < 0 {
+		b.unrelHead[v] = i
+	} else {
+		b.unrel[t].next = i
 	}
-	b.unrel[v] = append(b.unrel[v], s)
+	b.unrelTail[v] = i
+}
+
+// appendUnrel appends v's unreliable deliveries of this round to mat, in
+// sink-add order.
+func (b *runBuffers) appendUnrel(mat []graph.NodeID, v graph.NodeID) []graph.NodeID {
+	for i := b.unrelHead[v]; i >= 0; i = b.unrel[i].next {
+		mat = append(mat, b.unrel[i].from)
+	}
+	return mat
 }
 
 // singleReacher returns the sender of the one message reaching v; the caller
@@ -732,7 +673,7 @@ func (b *runBuffers) singleReacher(v graph.NodeID) graph.NodeID {
 			return graph.NodeID(w<<6 + bits.TrailingZeros64(m))
 		}
 	}
-	return b.unrel[v][0]
+	return b.unrel[b.unrelHead[v]].from
 }
 
 // materializeReaching rebuilds the full reaching list of non-sender v in the
@@ -744,7 +685,7 @@ func (b *runBuffers) singleReacher(v graph.NodeID) graph.NodeID {
 func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.NodeID {
 	if b.dense {
 		row := b.inMask[int(v)*b.maskW : (int(v)+1)*b.maskW]
-		if len(b.unrel[v]) == 0 {
+		if b.unrelHead[v] < 0 {
 			// Memo fast path: same masked in-row as the previous unrel-free
 			// materialization → same reaching list.
 			if b.matValid {
@@ -781,19 +722,17 @@ func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.No
 				m &= m - 1
 			}
 		}
-		mat = append(mat, b.unrel[v]...)
+		mat = b.appendUnrel(mat, v)
 		b.mat = mat
 		return mat
 	}
 	mat := b.mat[:0]
-	{
-		for _, u := range b.inRows.Out(v) {
-			if sent[u] {
-				mat = append(mat, u)
-			}
+	for _, u := range b.inRows.Out(v) {
+		if sent[u] {
+			mat = append(mat, u)
 		}
 	}
-	mat = append(mat, b.unrel[v]...)
+	mat = b.appendUnrel(mat, v)
 	b.mat = mat
 	return mat
 }
@@ -951,13 +890,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 	if !buf.dense && cfg.Rule == CR4 {
 		buf.ensureInRows(d.G())
 	}
-	sink := &DeliverySink{
-		d:            d,
-		sent:         sent,
-		buf:          buf,
-		scratchInts:  make([]int, n),
-		scratchNodes: make([]graph.NodeID, n),
-	}
+	sink := &DeliverySink{d: d, sent: sent, buf: buf}
 	st := &runState{
 		cfg:    cfg,
 		sched:  sched,
@@ -982,36 +915,28 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 	// round loop.
 	st.buffered, _ = adv.(BufferedDeliverer)
 
-	// The epoch branch is hoisted out of the round loop: a static run
-	// (EpochLength 0 — every sim.Run) executes a loop body with no schedule
-	// test at all, so threading dynamics through the engine costs the static
-	// hot path nothing. Both loops share the same clearRound + step body.
-	if epochLen := sched.EpochLength(); epochLen == 0 {
-		for round := 1; round <= cfg.MaxRounds; round++ {
-			buf.clearRound(sent)
-			if err := st.step(round); err != nil {
+	// nextSwap is the first round of the next epoch. A static schedule
+	// (EpochLength 0 — every sim.Run) never reaches it, so the only schedule
+	// cost in the loop body is one compare.
+	epochLen, nextSwap := sched.EpochLength(), math.MaxInt
+	if epochLen > 0 {
+		nextSwap = 1 + epochLen
+	}
+	for round := 1; round <= cfg.MaxRounds; round++ {
+		// The swap happens after clearRound, so the buffers carry no round
+		// state across the boundary.
+		buf.clearRound(sent)
+		if round == nextSwap {
+			if err := st.swapEpoch((round - 1) / epochLen); err != nil {
 				return nil, err
 			}
-			if st.holders == n && !cfg.RunToMaxRounds {
-				break
-			}
+			nextSwap += epochLen
 		}
-	} else {
-		for round := 1; round <= cfg.MaxRounds; round++ {
-			// The swap happens after clearRound, so the buffers carry no
-			// round state across the boundary.
-			buf.clearRound(sent)
-			if round > 1 && (round-1)%epochLen == 0 {
-				if err := st.swapEpoch((round - 1) / epochLen); err != nil {
-					return nil, err
-				}
-			}
-			if err := st.step(round); err != nil {
-				return nil, err
-			}
-			if st.holders == n && !cfg.RunToMaxRounds {
-				break
-			}
+		if err := st.step(round); err != nil {
+			return nil, err
+		}
+		if st.holders == n && !cfg.RunToMaxRounds {
+			break
 		}
 	}
 
@@ -1029,8 +954,8 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 	return res, nil
 }
 
-// runState bundles the per-run execution state so the static and dynamic
-// round loops can share one step body without re-capturing a dozen locals.
+// runState bundles the per-run execution state that the round loop's step
+// and swapEpoch share, so neither re-captures a dozen locals.
 type runState struct {
 	cfg       Config
 	sched     graph.Schedule
@@ -1052,9 +977,9 @@ type runState struct {
 	holders   int
 }
 
-// swapEpoch installs the schedule's network for epoch e. Identical-pointer
-// epochs (no-op churn/fade draws, cached epochs) skip the swap entirely,
-// keeping the round loop allocation-free.
+// swapEpoch installs the schedule's network for epoch e: validate it, swap
+// the pointer, and refresh the delivery mode's own index. Identical-pointer
+// epochs (no-op churn/fade draws, cached epochs) skip the swap entirely.
 func (st *runState) swapEpoch(e int) error {
 	nd, err := st.sched.Epoch(e, st.cfg.Seed)
 	if err != nil {
@@ -1080,7 +1005,6 @@ func (st *runState) swapEpoch(e int) error {
 	st.d = nd
 	st.view.Dual = nd
 	st.sink.d = nd
-	st.buf.ensureCapacity(nd)
 	// Refresh the mode's own index against the (possibly) new G core; both
 	// are keyed on the core pointer, so epochs that only change G' (never
 	// the case for the built-in schedules) or return to a cached core pay a

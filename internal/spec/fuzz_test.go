@@ -3,12 +3,60 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 )
 
+// checkKnownKeys asserts that every object key in the decoded document raw
+// names a JSON field of typ, recursing through nested structs and slices of
+// structs (scenario, choices) but not into maps (registry params, which the
+// registry validates). Keys match case-insensitively, as encoding/json
+// matches them.
+func checkKnownKeys(t *testing.T, raw any, typ reflect.Type, path string) {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Struct:
+		obj, ok := raw.(map[string]any)
+		if !ok {
+			return
+		}
+	keys:
+		for key, val := range obj {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				if name != "" && name != "-" && strings.EqualFold(name, key) {
+					checkKnownKeys(t, val, f.Type, path+"."+key)
+					continue keys
+				}
+			}
+			t.Fatalf("accepted a document with unknown key %s.%s", path, key)
+		}
+	case reflect.Slice:
+		if arr, ok := raw.([]any); ok {
+			for _, el := range arr {
+				checkKnownKeys(t, el, typ.Elem(), path+"[]")
+			}
+		}
+	}
+}
+
+// acceptedKeysKnown decodes data generically and checks it against typ's
+// field names: an accepted document may use known keys only.
+func acceptedKeysKnown(t *testing.T, data []byte, typ reflect.Type) {
+	t.Helper()
+	var raw any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatalf("accepted document is not valid JSON: %v", err)
+	}
+	checkKnownKeys(t, raw, typ, "$")
+}
+
 // FuzzScenarioUnmarshal hardens the scenario wire format: arbitrary bytes
 // must either fail to decode with an ordinary error or produce a value that
-// validates without panicking and round-trips through JSON unchanged.
+// uses only known keys, validates without panicking and round-trips through
+// JSON unchanged.
 func FuzzScenarioUnmarshal(f *testing.F) {
 	seedDocs := []string{
 		`{}`,
@@ -18,6 +66,9 @@ func FuzzScenarioUnmarshal(f *testing.F) {
 		`{"version":99}`,
 		`{"rule":"CR7"}`,
 		`{"n":"nine"}`,
+		`{"n":9,"max-rounds":1}`,
+		`{"topology":{"nmae":"line"}}`,
+		`{"N":9,"Max_Rounds":3}`,
 	}
 	for _, doc := range seedDocs {
 		f.Add([]byte(doc))
@@ -27,6 +78,7 @@ func FuzzScenarioUnmarshal(f *testing.F) {
 		if err := json.Unmarshal(data, &s); err != nil {
 			return
 		}
+		acceptedKeysKnown(t, data, reflect.TypeFor[Scenario]())
 		// Validate must not panic on any decodable document; only valid
 		// scenarios owe us a JSON round trip (e.g. the zero collision rule
 		// is invalid and refuses to marshal, by design).
@@ -55,9 +107,9 @@ func FuzzScenarioUnmarshal(f *testing.F) {
 }
 
 // FuzzSweepUnmarshal hardens the sweep wire format: any decodable document
-// must expand through Cells without panicking (errors are fine — duplicate
-// labels, bad versions, negative trials are all typed rejections) and
-// round-trip through JSON unchanged.
+// must use only known keys, expand through Cells without panicking (errors
+// are fine — duplicate labels, bad versions, negative trials are all typed
+// rejections) and round-trip through JSON unchanged.
 func FuzzSweepUnmarshal(f *testing.F) {
 	seedDocs := []string{
 		`{}`,
@@ -68,6 +120,9 @@ func FuzzSweepUnmarshal(f *testing.F) {
 		`{"seeds":[1,1]}`,
 		`{"trials":-4}`,
 		`{"version":2}`,
+		`{"base":{"n":9,"max-rounds":1},"trials":1}`,
+		`{"base":{"n":9},"trial":5}`,
+		`{"schedules":[{"name":"fade","parms":{"p-fade":0.5}}]}`,
 	}
 	for _, doc := range seedDocs {
 		f.Add([]byte(doc))
@@ -77,6 +132,7 @@ func FuzzSweepUnmarshal(f *testing.F) {
 		if err := json.Unmarshal(data, &sw); err != nil {
 			return
 		}
+		acceptedKeysKnown(t, data, reflect.TypeFor[Sweep]())
 		// Cells materializes the whole Cartesian product; cap the grid so a
 		// fuzzer-constructed product of long axes cannot balloon the test.
 		product := 1

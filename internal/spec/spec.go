@@ -32,9 +32,12 @@
 package spec
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"dualgraph/internal/engine"
 	"dualgraph/internal/registry"
@@ -102,18 +105,38 @@ type Scenario struct {
 
 // UnmarshalJSON decodes a scenario and rejects unknown wire-format versions
 // up front with *ErrUnsupportedVersion, so a future-versioned file fails
-// loudly instead of being silently misread. Fields already set on the
-// receiver act as defaults (Sweep's base inheritance relies on this).
+// loudly instead of being silently misread. Unknown field names are
+// rejected too (see decodeStrict). Fields already set on the receiver act
+// as defaults (Sweep's base inheritance relies on this).
 func (s *Scenario) UnmarshalJSON(b []byte) error {
 	type alias Scenario // drop methods to avoid recursion
 	tmp := alias(*s)
-	if err := json.Unmarshal(b, &tmp); err != nil {
+	if err := decodeStrict(b, &tmp); err != nil {
 		return err
 	}
 	if err := checkVersion("scenario", tmp.Version); err != nil {
 		return err
 	}
 	*s = Scenario(tmp)
+	return nil
+}
+
+// decodeStrict decodes the single JSON value in b into v and rejects any
+// object key that names no field, at every level below v except registry
+// params (which the registry checks against each constructor's schema). A
+// misspelled key such as "max-rounds" is an error naming the key, not a
+// silently dropped field. The custom unmarshalers decode their own bytes,
+// so a caller's DisallowUnknownFields never reaches them; they call this
+// instead.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("spec: invalid data after the top-level JSON value")
+	}
 	return nil
 }
 

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -58,11 +57,12 @@ type Cell struct {
 // UnmarshalJSON fills unset base fields with Default's values, so a spec
 // file only states what it cares about: `{"base": {"n": 17}}` inherits the
 // default topology, algorithm, adversary, rules, and seed. Unknown
-// wire-format versions are rejected up front with *ErrUnsupportedVersion.
+// wire-format versions are rejected up front with *ErrUnsupportedVersion,
+// and unknown field names at any level with an error naming the field.
 func (sw *Sweep) UnmarshalJSON(b []byte) error {
 	type alias Sweep // drop methods to avoid recursion
 	tmp := alias{Base: Default()}
-	if err := json.Unmarshal(b, &tmp); err != nil {
+	if err := decodeStrict(b, &tmp); err != nil {
 		return err
 	}
 	if err := checkVersion("sweep", tmp.Version); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,6 +47,46 @@ func TestWireVersionGate(t *testing.T) {
 	}
 	if _, err := (Sweep{Version: 9, Base: Default()}).Cells(); !errors.As(err, &vErr) {
 		t.Fatalf("cells of v9 sweep: want *ErrUnsupportedVersion, got %v", err)
+	}
+}
+
+// misspelledSpecDocs are sweep documents with one misspelled key each: in
+// the base scenario, at the sweep's top level, and inside a choice. Before
+// the strict decode each ran silently with the default in its place.
+var misspelledSpecDocs = map[string]string{
+	"max-rounds": `{"base":{"n":9,"max-rounds":1},"trials":1}`,
+	"trial":      `{"base":{"n":9},"trial":5}`,
+	"nmae":       `{"base":{"n":9},"topologies":[{"nmae":"line"}]}`,
+}
+
+// Unknown field names are rejected, with the field named in the error, at
+// every level of a scenario or sweep document.
+func TestUnknownFieldsRejected(t *testing.T) {
+	var sc Scenario
+	err := json.Unmarshal([]byte(`{"n":9,"max-rounds":1}`), &sc)
+	if err == nil || !strings.Contains(err.Error(), `"max-rounds"`) {
+		t.Fatalf("scenario with max-rounds: err = %v, want one naming the field", err)
+	}
+	for field, doc := range misspelledSpecDocs {
+		var sw Sweep
+		err := json.Unmarshal([]byte(doc), &sw)
+		if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Fatalf("%s: err = %v, want one naming %q", doc, err, field)
+		}
+	}
+	// The correct spellings decode, and base inheritance still fills the
+	// rest from Default.
+	var sw Sweep
+	if err := json.Unmarshal([]byte(`{"base":{"n":9,"max_rounds":1},"trials":5}`), &sw); err != nil {
+		t.Fatal(err)
+	}
+	want := Default()
+	want.N, want.MaxRounds = 9, 1
+	if sw.Trials != 5 || !reflect.DeepEqual(sw.Base, want) {
+		t.Fatalf("decoded %+v, want base %+v with 5 trials", sw, want)
+	}
+	if err := sc.UnmarshalJSON([]byte(`{"n":9} {}`)); err == nil {
+		t.Fatal("data after the document was accepted")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"dualgraph/internal/metrics"
 
 	_ "dualgraph/internal/engine"
+	_ "dualgraph/internal/exhaustive"
 	_ "dualgraph/internal/graph"
 	_ "dualgraph/internal/progress"
 	_ "dualgraph/internal/service"

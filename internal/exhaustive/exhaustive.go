@@ -14,16 +14,19 @@
 // unreliable arcs, represented as a bitset over the dual's dense EdgeID
 // index; scripts are replayed through the engine's allocation-free edge-id
 // sink. The search replays executions from round 1 for every expansion, so
-// the algorithm must be deterministic (it must ignore its rng); the
-// per-round branching is deduplicated by reception signature, which keeps
-// the tree small on the paper's constructions.
+// the algorithm must be deterministic (it must ignore its rng); a replay
+// stops at the completion round, past which nothing is read. A replayed
+// script reaches one search position, a turn: the next round's epoch,
+// senders, deliverable arcs and holders. Its choices are deduplicated by
+// reception signature, which keeps the tree small on the paper's
+// constructions.
 //
 // The package has two drivers over one shared game: Search/SearchSchedule is
 // the offline enumerator (the whole tree, up front), and Planner is the
 // memoized online form of the same search — the engine behind
 // adversary.Adaptive — which best-responds one round at a time against a live
 // run while a transposition table carries everything the earlier rounds
-// already explored.
+// already explored. Both expand a position through the same turn.
 package exhaustive
 
 import (
@@ -31,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dualgraph/internal/graph"
 	"dualgraph/internal/sim"
@@ -85,6 +87,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects the negative bounds no default repairs.
+func (c Config) validate() error {
+	if c.Horizon < 0 {
+		return fmt.Errorf("exhaustive: Horizon %d < 0", c.Horizon)
+	}
+	if c.MaxBranches < 0 {
+		return fmt.Errorf("exhaustive: MaxBranches %d < 0", c.MaxBranches)
+	}
+	if c.MaxArcsPerRound < 0 {
+		return fmt.Errorf("exhaustive: MaxArcsPerRound %d < 0", c.MaxArcsPerRound)
+	}
+	return nil
+}
+
 // Result reports the outcome of a search.
 type Result struct {
 	// WorstRounds is the maximum completion round over all explored
@@ -123,6 +139,9 @@ func Search(d *graph.Dual, alg sim.Algorithm, cfg Config) (*Result, error) {
 // (sched, cfg.Seed) induces, with each round's deliverable arcs and edge ids
 // resolved against that round's epoch. A static schedule is exactly Search.
 func SearchSchedule(sched graph.Schedule, alg sim.Algorithm, cfg Config) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	s := &searcher{g: newGame(sched, alg, cfg.Rule, cfg.Start, cfg.Seed), cfg: cfg}
 	res := &Result{AllComplete: true}
@@ -199,16 +218,17 @@ func (g *game) dualAt(round int) (*graph.Dual, error) {
 	return d, nil
 }
 
-// replay runs the algorithm under the given script for exactly `rounds`
-// rounds and returns the transcript.
+// replay runs the algorithm under the given script for at most `rounds`
+// rounds and returns the transcript. The run stops at completion: every
+// reader takes the completion round from FirstReceive and reads senders only
+// of rounds the broadcast has not yet finished.
 func (g *game) replay(script [][]graph.EdgeID, rounds int) (*sim.Result, error) {
 	return sim.RunDynamic(g.sched, g.alg, &scriptedAdversary{script: script}, sim.Config{
-		Rule:           g.rule,
-		Start:          g.start,
-		MaxRounds:      rounds,
-		Seed:           g.seed,
-		RecordSenders:  true,
-		RunToMaxRounds: true,
+		Rule:          g.rule,
+		Start:         g.start,
+		MaxRounds:     rounds,
+		Seed:          g.seed,
+		RecordSenders: true,
 	})
 }
 
@@ -269,74 +289,143 @@ func (s *searcher) explore(script [][]graph.EdgeID, res *Result) error {
 	}
 	depth := len(script)
 
-	// Replay the prefix plus one round with no deliveries to learn the
-	// senders of round depth+1 and the holder set entering it.
+	// Replay the prefix plus one round with no deliveries: either the
+	// broadcast completed within the prefix, or the replay shows the
+	// position entering round depth+1.
 	run, err := s.g.replay(script, depth+1)
 	if err != nil {
 		return err
 	}
-
-	// Completion within the prefix ends this branch.
-	completionRound, complete := completionOf(run, depth)
-	if complete {
-		if completionRound > res.WorstRounds {
-			res.WorstRounds = completionRound
-			res.WorstDeliveries, err = s.g.decodeScript(script)
+	worst, complete := completionOf(run, depth)
+	if !complete {
+		if depth < s.cfg.Horizon {
+			t, err := s.g.turnAt(run, depth+1, s.cfg.MaxArcsPerRound)
 			if err != nil {
 				return err
 			}
+			// Children append in place: a subtree writes only past its own
+			// depth and never retains the script, so siblings may share it.
+			return t.choices(s.cfg.Rule, func(choice []graph.EdgeID, _ []byte) error {
+				return s.explore(append(script, choice), res)
+			})
 		}
-		return nil
-	}
-	if depth >= s.cfg.Horizon {
 		res.AllComplete = false
-		if s.cfg.Horizon+1 > res.WorstRounds {
-			res.WorstRounds = s.cfg.Horizon + 1
-			res.WorstDeliveries, err = s.g.decodeScript(script)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		worst = s.cfg.Horizon + 1
 	}
+	if worst > res.WorstRounds {
+		res.WorstRounds = worst
+		res.WorstDeliveries, err = s.g.decodeScript(script)
+	}
+	return err
+}
 
-	d, err := s.g.dualAt(depth + 1)
+// turn is one search position: what the adversary's choice in round `round`
+// depends on, read off a replay that ran into that round. A choice is a
+// bitset over edges, the senders' deliverable arcs in ascending EdgeID order.
+type turn struct {
+	round   int
+	d       *graph.Dual
+	senders []graph.NodeID // ascending
+	edges   []graph.EdgeID
+	holders []bool  // holding the message entering the round
+	reach   []reach // one mask's reach per node; reused across masks
+	sig     []byte  // one mask's signature; reused across masks
+}
+
+// reach is what a node's reception depends on: whether it sends, how many
+// senders reach it, and the first of them.
+type reach struct {
+	sender bool
+	count  int32
+	first  graph.NodeID
+}
+
+func (r *reach) add(from graph.NodeID) {
+	if r.count == 0 {
+		r.first = from
+	}
+	r.count++
+}
+
+// turnAt returns the position entering round r of run, which must have
+// replayed round r without completing before it. Rounds with more
+// deliverable arcs than maxArcs fail with ErrTooManyArcs.
+func (g *game) turnAt(run *sim.Result, r, maxArcs int) (*turn, error) {
+	d, err := g.dualAt(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	senders := sendersAsNodes(run, depth+1)
-	edges := deliverableEdges(d, senders)
-	if len(edges) > s.cfg.MaxArcsPerRound {
-		return fmt.Errorf("%w: %d arcs at round %d (cap %d)", ErrTooManyArcs, len(edges), depth+1, s.cfg.MaxArcsPerRound)
+	t := &turn{round: r, d: d, holders: make([]bool, d.N())}
+	// The simulator records senders in ascending node order, and the
+	// identity assignment maps pid p to node p-1.
+	for _, pid := range run.SendersByRound[r-1] {
+		t.senders = append(t.senders, graph.NodeID(pid-1))
 	}
+	t.edges = deliverableEdges(d, t.senders)
+	if len(t.edges) > maxArcs {
+		return nil, fmt.Errorf("%w: %d arcs at round %d (cap %d)", ErrTooManyArcs, len(t.edges), r, maxArcs)
+	}
+	for node, first := range run.FirstReceive {
+		t.holders[node] = first >= 0 && first < r
+	}
+	return t, nil
+}
 
-	holders := holdersEntering(run, depth)
-	seen := map[string]bool{}
-	for mask := uint64(0); mask < 1<<len(edges); mask++ {
-		// The strategy is the edge-id bitset `mask` over this round's
-		// deliverable arcs; materialize it only when it survives dedup.
-		sig := receptionSignature(d, s.cfg.Rule, senders, edges, mask, holders)
-		if seen[sig] {
+// signature summarizes the observable outcome of the choice `mask`: per
+// node, the reception kind and (for deliveries) the sending node and its
+// holder status. Choices with equal signatures lead to identical algorithm
+// states and need exploring only once — and, chained round by round, the
+// signatures fully determine the execution state, which is what makes the
+// planner's transposition keys exact. The bytes live in the turn's buffer
+// until its next signature call.
+func (t *turn) signature(rule sim.CollisionRule, mask uint64) []byte {
+	if t.reach == nil {
+		t.reach = make([]reach, t.d.N())
+	}
+	clear(t.reach)
+	for _, snd := range t.senders {
+		t.reach[snd].sender = true
+		t.reach[snd].add(snd)
+		for _, v := range t.d.ReliableOut(snd) {
+			t.reach[v].add(snd)
+		}
+	}
+	for i, id := range t.edges {
+		if mask&(1<<uint(i)) != 0 {
+			from, to := t.d.UnreliableEdge(id)
+			t.reach[to].add(from)
+		}
+	}
+	t.sig = t.sig[:0]
+	for node, r := range t.reach {
+		t.sig = appendReception(t.sig, rule, graph.NodeID(node), r, t.holders)
+	}
+	return t.sig
+}
+
+// choices visits the turn's inequivalent choices: masks ascend, and only
+// the lowest mask of each signature class is visited. visit gets the chosen
+// edge ids (fresh, ascending) and the choice's signature, which stays valid
+// for the call.
+func (t *turn) choices(rule sim.CollisionRule, visit func(choice []graph.EdgeID, sig []byte) error) error {
+	seen := make(map[string]bool)
+	for mask := uint64(0); mask < 1<<len(t.edges); mask++ {
+		sig := t.signature(rule, mask)
+		if seen[string(sig)] {
 			continue
 		}
-		seen[sig] = true
-		next := append(cloneScript(script), decodeMask(edges, mask))
-		if err := s.explore(next, res); err != nil {
+		seen[string(sig)] = true
+		choice := make([]graph.EdgeID, 0, len(t.edges))
+		for i, id := range t.edges {
+			if mask&(1<<uint(i)) != 0 {
+				choice = append(choice, id)
+			}
+		}
+		if err := visit(choice, sig); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// decodeMask materializes the edge-id subset the bitset mask selects.
-func decodeMask(edges []graph.EdgeID, mask uint64) []graph.EdgeID {
-	choice := make([]graph.EdgeID, 0, len(edges))
-	for i, id := range edges {
-		if mask&(1<<uint(i)) != 0 {
-			choice = append(choice, id)
-		}
-	}
-	return choice
 }
 
 // completionOf returns the completion round if all nodes received the
@@ -354,34 +443,9 @@ func completionOf(run *sim.Result, rounds int) (int, bool) {
 	return maxRecv, true
 }
 
-// sendersAsNodes converts the recorded sender pids of the given round back
-// to nodes (identity assignment).
-func sendersAsNodes(run *sim.Result, round int) []graph.NodeID {
-	if round > len(run.SendersByRound) {
-		return nil
-	}
-	pids := run.SendersByRound[round-1]
-	nodes := make([]graph.NodeID, len(pids))
-	for i, pid := range pids {
-		nodes[i] = graph.NodeID(pid - 1)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return nodes
-}
-
-// holdersEntering reports which nodes hold the message at the start of round
-// `rounds`+1.
-func holdersEntering(run *sim.Result, rounds int) []bool {
-	holders := make([]bool, len(run.FirstReceive))
-	for node, r := range run.FirstReceive {
-		holders[node] = r >= 0 && r <= rounds
-	}
-	return holders
-}
-
 // deliverableEdges lists the ids of the unreliable arcs available to the
-// senders on d. Ids are emitted in ascending order: senders arrive sorted
-// and each sender's fringe row is a contiguous ascending id range.
+// senders on d. Ids ascend when the senders do: each sender's fringe row is
+// a contiguous ascending id range.
 func deliverableEdges(d *graph.Dual, senders []graph.NodeID) []graph.EdgeID {
 	var edges []graph.EdgeID
 	for _, snd := range senders {
@@ -412,37 +476,6 @@ func (g *game) decodeScript(script [][]graph.EdgeID) ([][]Arc, error) {
 	return out, nil
 }
 
-// receptionSignature summarizes the observable outcome of a delivery choice
-// (the bitset `mask` over `edges`): per node, the reception kind and (for
-// deliveries) the sending node and its holder status. Choices with equal
-// signatures lead to identical algorithm states and need exploring only
-// once — and, chained round by round, the signatures fully determine the
-// execution state, which is what makes the planner's transposition keys
-// exact. Search, Plan, value and prefixState all key on this one encoder.
-func receptionSignature(d *graph.Dual, rule sim.CollisionRule, senders []graph.NodeID, edges []graph.EdgeID, mask uint64, holders []bool) string {
-	n := d.N()
-	reaching := make([][]graph.NodeID, n)
-	isSender := make([]bool, n)
-	for _, snd := range senders {
-		isSender[snd] = true
-		reaching[snd] = append(reaching[snd], snd)
-		for _, v := range d.ReliableOut(snd) {
-			reaching[v] = append(reaching[v], snd)
-		}
-	}
-	for i, id := range edges {
-		if mask&(1<<uint(i)) != 0 {
-			from, to := d.UnreliableEdge(id)
-			reaching[to] = append(reaching[to], from)
-		}
-	}
-	sig := make([]byte, 0, 2*n)
-	for node := 0; node < n; node++ {
-		sig = appendReception(sig, rule, graph.NodeID(node), isSender[node], reaching[node], holders)
-	}
-	return string(sig)
-}
-
 // Reception kinds of a signature entry. A delivery entry is followed by the
 // sender's full 32-bit node id, so the encoding is prefix-free at any n:
 // no node id can read as a kind, and ids never alias each other.
@@ -455,7 +488,7 @@ const (
 
 // appendReception appends node's signature entry: what it hears this round
 // under rule, given the senders reaching it.
-func appendReception(sig []byte, rule sim.CollisionRule, node graph.NodeID, isSender bool, reaching []graph.NodeID, holders []bool) []byte {
+func appendReception(sig []byte, rule sim.CollisionRule, node graph.NodeID, r reach, holders []bool) []byte {
 	delivered := func(from graph.NodeID) []byte {
 		kind := sigDelivered
 		if holders[from] {
@@ -465,35 +498,27 @@ func appendReception(sig []byte, rule sim.CollisionRule, node graph.NodeID, isSe
 	}
 	switch rule {
 	case sim.CR1:
-		switch len(reaching) {
+		switch r.count {
 		case 0:
 			return append(sig, sigSilence)
 		case 1:
-			return delivered(reaching[0])
+			return delivered(r.first)
 		default:
 			return append(sig, sigCollision)
 		}
 	default: // CR2, CR3, CR4(silence)
-		if isSender {
+		if r.sender {
 			return delivered(node)
 		}
-		switch len(reaching) {
+		switch r.count {
 		case 0:
 			return append(sig, sigSilence)
 		case 1:
-			return delivered(reaching[0])
+			return delivered(r.first)
 		}
 		if rule == sim.CR2 {
 			return append(sig, sigCollision)
 		}
 		return append(sig, sigSilence)
 	}
-}
-
-func cloneScript(script [][]graph.EdgeID) [][]graph.EdgeID {
-	out := make([][]graph.EdgeID, len(script))
-	for i, round := range script {
-		out[i] = append([]graph.EdgeID(nil), round...)
-	}
-	return out
 }

@@ -3,12 +3,21 @@ package exhaustive
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"dualgraph/internal/core"
 	"dualgraph/internal/graph"
+	"dualgraph/internal/metrics"
 	"dualgraph/internal/sim"
 )
+
+// receptionSignature is the one-shot form of turn.signature: the signature
+// of choice mask over edges in a round with the given senders and holders.
+func receptionSignature(d *graph.Dual, rule sim.CollisionRule, senders []graph.NodeID, edges []graph.EdgeID, mask uint64, holders []bool) string {
+	return string((&turn{d: d, senders: senders, edges: edges, holders: holders}).signature(rule, mask))
+}
 
 // tinyBridge returns the 5-node clique-bridge network, small enough for
 // exhaustive search.
@@ -310,5 +319,148 @@ func TestReceptionSignatureFullWidthIDs(t *testing.T) {
 		if via1 == via257 {
 			t.Errorf("%v: delivering from 1 and from 257 into node %d share a signature", rule, target)
 		}
+	}
+}
+
+// TestSearchRejectsNegativeBounds: a negative bound is a caller error, not
+// a search that reports nothing (Horizon) or fails on every network with an
+// unreadable cap (MaxArcsPerRound). The error names the field.
+func TestSearchRejectsNegativeBounds(t *testing.T) {
+	d := tinyBridge(t)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Horizon", Config{Horizon: -5}},
+		{"MaxBranches", Config{MaxBranches: -1}},
+		{"MaxArcsPerRound", Config{MaxArcsPerRound: -1}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			for name, search := range map[string]func() (*Result, error){
+				"Search":         func() (*Result, error) { return Search(d, core.NewRoundRobin(), tc.cfg) },
+				"SearchSchedule": func() (*Result, error) { return SearchSchedule(graph.Static(d), core.NewRoundRobin(), tc.cfg) },
+			} {
+				res, err := search()
+				if err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s: got (%+v, %v), want an error naming %s", name, res, err, tc.field)
+				}
+			}
+		})
+	}
+	if _, err := NewPlanner(graph.Static(d), core.NewRoundRobin(), PlannerConfig{MaxArcsPerRound: -1}); err == nil {
+		t.Error("NewPlanner accepted MaxArcsPerRound -1")
+	}
+}
+
+// roundProbe wraps an algorithm and records the largest round any of its
+// processes is asked to Decide.
+type roundProbe struct {
+	sim.Algorithm
+	maxRound *int
+}
+
+func (a roundProbe) NewProcess(id, n int, r *rand.Rand) sim.Process {
+	return roundProbeProc{Process: a.Algorithm.NewProcess(id, n, r), maxRound: a.maxRound}
+}
+
+type roundProbeProc struct {
+	sim.Process
+	maxRound *int
+}
+
+func (p roundProbeProc) Decide(round int) bool {
+	*p.maxRound = max(*p.maxRound, round)
+	return p.Process.Decide(round)
+}
+
+// TestReplaysStopAtCompletion: every reader of a replay stops at the
+// completion round, so no replay simulates past it. On the 4-node bridge
+// round robin completes by round 2 under every adversary, so neither the
+// offline search nor a planned round may run any process's Decide at a
+// later round, whatever the horizon.
+func TestReplaysStopAtCompletion(t *testing.T) {
+	d, err := graph.CliqueBridge(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRound := 0
+	alg := roundProbe{Algorithm: core.NewRoundRobin(), maxRound: &maxRound}
+	res, err := Search(d, alg, Config{Rule: sim.CR1, Horizon: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WorstRounds != 2 || !res.AllComplete {
+		t.Fatalf("worst case (%d, %v), want (2, true)", res.WorstRounds, res.AllComplete)
+	}
+	if maxRound > 2 {
+		t.Errorf("Search ran Decide at round %d, past completion at 2", maxRound)
+	}
+
+	maxRound = 0
+	p, err := NewPlanner(graph.Static(d), alg, PlannerConfig{Rule: sim.CR1, SearchRounds: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Plan(nil); err != nil {
+		t.Fatal(err)
+	}
+	if maxRound > 2 {
+		t.Errorf("Plan ran Decide at round %d, past completion at 2", maxRound)
+	}
+	// A prefix past the completion round leaves nothing to plan.
+	if choice, err := p.Plan(make([][]graph.EdgeID, 3)); choice != nil || err != nil {
+		t.Errorf("Plan past completion = (%v, %v), want (nil, nil)", choice, err)
+	}
+}
+
+// TestPlanMetricsObserveOnly: one truncated Plan call shows on the planner
+// counters, and switching metrics off changes neither the choice nor the
+// work, only whether the counters move.
+func TestPlanMetricsObserveOnly(t *testing.T) {
+	d := tinyBridge(t)
+	alg, err := core.NewStrongSelect(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5 // an untruncated first round of strong select takes 8
+	plan := func() ([]graph.EdgeID, int) {
+		p, err := NewPlanner(graph.Static(d), alg, PlannerConfig{Rule: sim.CR1, NodeBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		choice, err := p.Plan(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return choice, p.TableLen()
+	}
+	counters := func() [5]int64 {
+		return [5]int64{mPlans.Value(), mPlansTruncated.Value(), mExpansions.Value(), mTableLookups.Value(), mTableHits.Value()}
+	}
+	defer metrics.SetEnabled(metrics.Enabled())
+
+	metrics.SetEnabled(true)
+	before := counters()
+	onChoice, onTable := plan()
+	after := counters()
+	var delta [5]int64
+	for i := range delta {
+		delta[i] = after[i] - before[i]
+	}
+	if delta[0] != 1 || delta[1] != 1 || delta[2] != budget {
+		t.Errorf("plans/truncated/expansions moved by %v, want 1/1/%d", delta[:3], budget)
+	}
+	if delta[3] < delta[2] || delta[4] > delta[3] {
+		t.Errorf("lookups %d, hits %d: want expansions (%d) <= lookups and hits <= lookups", delta[3], delta[4], delta[2])
+	}
+
+	metrics.SetEnabled(false)
+	before = counters()
+	offChoice, offTable := plan()
+	if after := counters(); after != before {
+		t.Errorf("counters moved with metrics off: %v -> %v", before, after)
+	}
+	if !slices.Equal(onChoice, offChoice) || onTable != offTable {
+		t.Errorf("metrics changed the plan: (%v, %d) on, (%v, %d) off", onChoice, onTable, offChoice, offTable)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualgraph/internal/graph"
+	"dualgraph/internal/metrics"
 	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 )
@@ -101,7 +102,8 @@ type Planner struct {
 	g     *game
 	cfg   PlannerConfig
 	table map[uint64]int32
-	nodes int // expansions spent by the current Plan call
+	// Work of the current Plan call, flushed to the metrics when it returns.
+	nodes, lookups, hits int
 }
 
 // NewPlanner builds a planner for alg on sched under cfg.
@@ -118,6 +120,9 @@ func NewPlanner(sched graph.Schedule, alg sim.Algorithm, cfg PlannerConfig) (*Pl
 	}
 	if cfg.TableSize < 0 {
 		return nil, fmt.Errorf("planner: table size %d < 0", cfg.TableSize)
+	}
+	if cfg.MaxArcsPerRound < 0 {
+		return nil, fmt.Errorf("planner: max arcs per round %d < 0", cfg.MaxArcsPerRound)
 	}
 	return &Planner{
 		g:     newGame(sched, alg, cfg.Rule, cfg.Start, cfg.Seed),
@@ -137,7 +142,7 @@ const rootHash uint64 = 14695981039346656037
 
 // chainHash extends the signature chain: FNV-1a over sig and the round
 // index, finalized SplitMix64-style so single-byte differences diffuse.
-func chainHash(h uint64, sig string, round int) uint64 {
+func chainHash(h uint64, sig []byte, round int) uint64 {
 	const prime = 1099511628211
 	z := h ^ uint64(round)*rng.Golden
 	for i := 0; i < len(sig); i++ {
@@ -153,50 +158,51 @@ func chainHash(h uint64, sig string, round int) uint64 {
 // broadcast already completed, or the round is beyond the delivery or
 // search horizon.
 func (p *Planner) Plan(prefix [][]graph.EdgeID) ([]graph.EdgeID, error) {
+	p.nodes, p.lookups, p.hits = 0, 0, 0
+	truncated := false
+	defer func() {
+		if metrics.Enabled() {
+			mPlans.Inc()
+			if truncated {
+				mPlansTruncated.Inc()
+			}
+			mExpansions.Add(int64(p.nodes))
+			mTableLookups.Add(int64(p.lookups))
+			mTableHits.Add(int64(p.hits))
+		}
+	}()
 	depth := len(prefix)
-	if depth >= p.cfg.DeliverRounds || depth >= p.cfg.SearchRounds {
+	if depth >= p.cfg.DeliverRounds { // DeliverRounds ≤ SearchRounds
 		return nil, nil
 	}
-	p.nodes = 0
-	h, run, err := p.prefixState(prefix)
+	run, err := p.g.replay(prefix, depth+1)
 	if err != nil {
 		return nil, err
 	}
 	if _, done := completionOf(run, depth); done {
 		return nil, nil
 	}
-	d, err := p.g.dualAt(depth + 1)
-	if err != nil {
-		return nil, err
-	}
-	senders := sendersAsNodes(run, depth+1)
-	edges := deliverableEdges(d, senders)
-	if len(edges) > p.cfg.MaxArcsPerRound {
-		return nil, fmt.Errorf("%w: %d arcs at round %d (cap %d)", ErrTooManyArcs, len(edges), depth+1, p.cfg.MaxArcsPerRound)
-	}
-	holders := holdersEntering(run, depth)
-	seen := map[string]bool{}
-	best := -1
-	var bestChoice []graph.EdgeID
-	for mask := uint64(0); mask < 1<<len(edges); mask++ {
-		sig := receptionSignature(d, p.cfg.Rule, senders, edges, mask, holders)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		choice := decodeMask(edges, mask)
-		v, _, err := p.value(append(prefix, choice), chainHash(h, sig, depth+1))
+	// The same transcript hashes the played prefix: each round's position
+	// and played mask give that round's signature.
+	h := rootHash
+	for r := 1; r <= depth; r++ {
+		t, err := p.g.turnAt(run, r, p.cfg.MaxArcsPerRound)
 		if err != nil {
 			return nil, err
 		}
-		// Strict > keeps the first maximizer: the lowest surviving mask,
-		// hence the lexicographically lowest EdgeID set.
-		if v > best {
-			best = v
-			bestChoice = choice
+		mask, err := maskOf(t.edges, prefix[r-1])
+		if err != nil {
+			return nil, fmt.Errorf("prefix round %d: %w", r, err)
 		}
+		h = chainHash(h, t.signature(p.cfg.Rule, mask), r)
 	}
-	return bestChoice, nil
+	t, err := p.g.turnAt(run, depth+1, p.cfg.MaxArcsPerRound)
+	if err != nil {
+		return nil, err
+	}
+	choice, _, exact, err := p.best(prefix, h, t)
+	truncated = !exact
+	return choice, err
 }
 
 // value computes the worst (maximal) completion round reachable from the
@@ -206,7 +212,9 @@ func (p *Planner) Plan(prefix [][]graph.EdgeID) ([]graph.EdgeID, error) {
 // The script slice is only read within the call (append-extended per child,
 // never retained), so callers may pass shared backing arrays.
 func (p *Planner) value(script [][]graph.EdgeID, h uint64) (v int, exact bool, err error) {
+	p.lookups++
 	if v, ok := p.table[h]; ok {
+		p.hits++
 		return int(v), true, nil
 	}
 	if p.nodes >= p.cfg.NodeBudget {
@@ -238,46 +246,35 @@ func (p *Planner) value(script [][]graph.EdgeID, h uint64) (v int, exact bool, e
 		p.store(h, round)
 		return round, true, nil
 	}
-	if depth >= p.cfg.SearchRounds {
-		v := p.cfg.SearchRounds + 1
-		p.store(h, v)
-		return v, true, nil
-	}
-
-	d, err := p.g.dualAt(depth + 1)
+	t, err := p.g.turnAt(run, depth+1, p.cfg.MaxArcsPerRound)
 	if err != nil {
 		return 0, false, err
 	}
-	senders := sendersAsNodes(run, depth+1)
-	edges := deliverableEdges(d, senders)
-	if len(edges) > p.cfg.MaxArcsPerRound {
-		return 0, false, fmt.Errorf("%w: %d arcs at round %d (cap %d)", ErrTooManyArcs, len(edges), depth+1, p.cfg.MaxArcsPerRound)
+	_, v, exact, err = p.best(script, h, t)
+	if err == nil && exact {
+		p.store(h, v)
 	}
-	holders := holdersEntering(run, depth)
-	seen := map[string]bool{}
-	best := 0
-	exact = true
-	for mask := uint64(0); mask < 1<<len(edges); mask++ {
-		sig := receptionSignature(d, p.cfg.Rule, senders, edges, mask, holders)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		cv, cex, err := p.value(append(script, decodeMask(edges, mask)), chainHash(h, sig, depth+1))
+	return v, exact, err
+}
+
+// best values every choice of position t, reached by script (chain hash h),
+// and returns the first strict maximizer — the lowest surviving mask, hence
+// the lexicographically lowest EdgeID set — with its value. exact is false
+// when the node budget truncated some child.
+func (p *Planner) best(script [][]graph.EdgeID, h uint64, t *turn) (choice []graph.EdgeID, v int, exact bool, err error) {
+	v, exact = -1, true
+	err = t.choices(p.cfg.Rule, func(c []graph.EdgeID, sig []byte) error {
+		cv, cexact, err := p.value(append(script, c), chainHash(h, sig, t.round))
 		if err != nil {
-			return 0, false, err
+			return err
 		}
-		if !cex {
-			exact = false
+		exact = exact && cexact
+		if cv > v {
+			choice, v = c, cv
 		}
-		if cv > best {
-			best = cv
-		}
-	}
-	if exact {
-		p.store(h, best)
-	}
-	return best, exact, nil
+		return nil
+	})
+	return choice, v, exact, err
 }
 
 // store admits a fully evaluated subtree value while the table has room.
@@ -285,37 +282,6 @@ func (p *Planner) store(h uint64, v int) {
 	if len(p.table) < p.cfg.TableSize {
 		p.table[h] = int32(v)
 	}
-}
-
-// prefixState recomputes the signature-chain hash of an already-played
-// prefix with a single replay: the transcript carries every round's senders
-// and holder sets, and each round's played mask is recovered from its
-// delivered edge ids.
-func (p *Planner) prefixState(prefix [][]graph.EdgeID) (uint64, *sim.Result, error) {
-	depth := len(prefix)
-	run, err := p.g.replay(prefix, depth+1)
-	if err != nil {
-		return 0, nil, err
-	}
-	h := rootHash
-	for r := 1; r <= depth; r++ {
-		d, err := p.g.dualAt(r)
-		if err != nil {
-			return 0, nil, err
-		}
-		senders := sendersAsNodes(run, r)
-		edges := deliverableEdges(d, senders)
-		if len(edges) > p.cfg.MaxArcsPerRound {
-			return 0, nil, fmt.Errorf("%w: %d arcs at round %d (cap %d)", ErrTooManyArcs, len(edges), r, p.cfg.MaxArcsPerRound)
-		}
-		mask, err := maskOf(edges, prefix[r-1])
-		if err != nil {
-			return 0, nil, fmt.Errorf("prefix round %d: %w", r, err)
-		}
-		holders := holdersEntering(run, r-1)
-		h = chainHash(h, receptionSignature(d, p.cfg.Rule, senders, edges, mask, holders), r)
-	}
-	return h, run, nil
 }
 
 // maskOf locates each delivered id's position within the round's ascending

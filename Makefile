@@ -127,13 +127,18 @@ bench-smoke:
 # 'BenchmarkCheckpoint' is the fsync-per-record write + recover round trip
 # behind -checkpoint/-resume; 'BenchmarkMetrics' is the
 # instrumented-vs-uninstrumented round-loop pair that prices the PR 9
-# observability layer; 'BenchmarkAdaptive' is the per-round planning cost of
-# the adaptive best-response adversary, transposition-table cold and warm;
+# observability layer; 'BenchmarkAdaptiveAdversaryRound' is the per-round
+# planning cost of the adaptive best-response adversary, transposition-table
+# cold and warm, in passes of their own: its miss/hit rounds cost a few µs,
+# so they run 5000 iterations (3 would measure timer noise), while the
+# ~100 ms waypoint round keeps 3; each name runs in exactly one pass.
 # 'BenchmarkRunSetup' is per-run setup alone (a 1-round n=256 run), the
 # layer the per-process random streams live in. CI uploads the file so the
 # trend is comparable across PRs.
 bench-json:
-	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkSimRoundLoop|BenchmarkRunSetup|BenchmarkGridSweep|BenchmarkEpochSwap|BenchmarkDynamicSweep|BenchmarkCheckpoint|BenchmarkMetrics|BenchmarkAdaptive' -benchmem -benchtime 3x . > bench_raw.txt
+	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkSimRoundLoop|BenchmarkRunSetup|BenchmarkGridSweep|BenchmarkEpochSwap|BenchmarkDynamicSweep|BenchmarkCheckpoint|BenchmarkMetrics' -benchmem -benchtime 3x . > bench_raw.txt
+	$(GO) test -run NONE -bench 'BenchmarkAdaptiveAdversaryRound/waypoint' -benchmem -benchtime 3x . >> bench_raw.txt
+	$(GO) test -run NONE -bench 'BenchmarkAdaptiveAdversaryRound/(miss|hit)' -benchmem -benchtime 5000x . >> bench_raw.txt
 	$(GO) test -run NONE -bench 'BenchmarkGraphConstruction|BenchmarkUnreliableMembership|BenchmarkGeometricBuild100k|BenchmarkPreferentialAttachmentBuild100k' -benchmem -benchtime 3x ./internal/graph/ >> bench_raw.txt
 	$(GO) run ./cmd/benchjson < bench_raw.txt > BENCH_pr10.json
 	@rm -f bench_raw.txt

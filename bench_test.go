@@ -252,7 +252,7 @@ func BenchmarkLemma1Reduction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := interference.Run(m, alg, sim.Config{Seed: int64(i), MaxRounds: 200000})
+			res, _, err := interference.Run(m, alg, sim.Config{Seed: int64(i), MaxRounds: 200000})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -494,9 +494,10 @@ func benchEngineTrials(b *testing.B, workers int) {
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
 	const trials = 64
 	cell := engine.Trial{Net: d, Sched: graph.Static(d), Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}
+	execute := func(i int) (*sim.Result, error) { return cell.Execute(context.Background(), i) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := engine.Map(context.Background(), trials, engine.Config{Workers: workers}, cell.Execute)
+		results, err := engine.Map(context.Background(), trials, engine.Config{Workers: workers}, execute)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -569,9 +570,9 @@ func BenchmarkEngineReduceParallel(b *testing.B) {
 }
 
 // benchSimRoundLoop drives 2000 rounds of the word-parallel delivery core on
-// the clique-bridge workload; sched selects between the static fast path
-// (nil: no epoch branch in the loop at all) and a dynamic schedule paying
-// incremental epoch swaps.
+// the clique-bridge workload — Start plus 2000 Steps, past completion; sched
+// selects between the static schedule (nil: its epoch never ends) and a
+// dynamic schedule paying incremental epoch swaps.
 func benchSimRoundLoop(b *testing.B, sched func(*graph.Dual) (graph.Schedule, error)) {
 	b.Helper()
 	n := 65
@@ -583,21 +584,20 @@ func benchSimRoundLoop(b *testing.B, sched func(*graph.Dual) (graph.Schedule, er
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.Config{
-		Rule: sim.CR4, Start: sim.SyncStart,
-		MaxRounds: 2000, RunToMaxRounds: true,
-	}
+	cfg := sim.Config{Rule: sim.CR4, Start: sim.SyncStart, MaxRounds: 2000}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if sched == nil {
-			_, err = sim.Run(d, alg, adversary.GreedyCollider{}, cfg)
-		} else {
-			var s graph.Schedule
-			if s, err = sched(d); err == nil {
-				_, err = sim.RunDynamic(s, alg, adversary.GreedyCollider{}, cfg)
+		var s graph.Schedule = graph.Static(d)
+		if sched != nil {
+			if s, err = sched(d); err != nil {
+				b.Fatal(err)
 			}
+		}
+		run, err := sim.Start(s, alg, adversary.GreedyCollider{}, cfg)
+		for err == nil && run.Round() < cfg.MaxRounds {
+			_, err = run.Step()
 		}
 		if err != nil {
 			b.Fatal(err)

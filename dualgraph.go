@@ -226,8 +226,8 @@ var NewChurnSchedule = graph.NewChurn
 // Counts/min/max are exact, mean/variance exact up to rounding, and
 // quantiles exact until the trial count exceeds StreamConfig.ExactK (P²
 // estimates beyond). On error it reports the lowest-indexed failing trial.
-// The reduction stops between trials once ctx is done and returns an error
-// satisfying errors.Is(err, ctx.Err()). Dynamic-network sweeps go through a
+// The reduction stops within 64 rounds once ctx is done and returns an
+// error satisfying errors.Is(err, ctx.Err()). Dynamic-network sweeps go through a
 // Scenario (WithSchedule) or a Sweep.
 func RunStream(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
 	cell := engine.Trial{Net: net, Alg: alg, Adv: adv, Cfg: cfg}

@@ -93,8 +93,9 @@ func TestFacadeRunStream(t *testing.T) {
 	}
 	cfg := dualgraph.Config{Seed: 5}
 	const trials = 16
+	cell := engine.Trial{Net: net, Alg: alg, Adv: dualgraph.GreedyCollider{}, Cfg: cfg}
 	results, err := engine.Map(context.Background(), trials, dualgraph.EngineConfig{},
-		engine.Trial{Net: net, Alg: alg, Adv: dualgraph.GreedyCollider{}, Cfg: cfg}.Execute)
+		func(i int) (*dualgraph.Result, error) { return cell.Execute(context.Background(), i) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,19 +69,21 @@ func TestTreeCastSingleSenderPerRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(d, tc, adversary.Benign{}, sim.Config{
-		Rule: sim.CR1, Start: sim.SyncStart, Seed: 1,
-		MaxRounds: 16, RecordSenders: true, RunToMaxRounds: true,
+	run, err := sim.Start(graph.Static(d), tc, adversary.Benign{}, sim.Config{
+		Rule: sim.CR1, Start: sim.SyncStart, Seed: 1, MaxRounds: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed {
-		t.Fatal("treecast must complete on its own topology")
-	}
-	for r, senders := range res.SendersByRound {
-		if len(senders) > 1 {
-			t.Fatalf("round %d has %d senders; treecast must be collision-free", r+1, len(senders))
+	for run.Round() < 16 {
+		if _, err := run.Step(); err != nil {
+			t.Fatal(err)
 		}
+		if senders := run.Senders(); len(senders) > 1 {
+			t.Fatalf("round %d has %d senders; treecast must be collision-free", run.Round(), len(senders))
+		}
+	}
+	if !run.Result().Completed {
+		t.Fatal("treecast must complete on its own topology")
 	}
 }

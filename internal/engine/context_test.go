@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
@@ -42,7 +44,8 @@ func TestContextPreCancelled(t *testing.T) {
 	if _, err := Map(ctx, 100, Config{Workers: 4}, func(i int) (int, error) { return i, nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Map: want context.Canceled, got %v", err)
 	}
-	if _, err := Map(ctx, 50, Config{Workers: 4}, cell.Execute); !errors.Is(err, context.Canceled) {
+	execute := func(i int) (*sim.Result, error) { return cell.Execute(ctx, i) }
+	if _, err := Map(ctx, 50, Config{Workers: 4}, execute); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Map over Execute: want context.Canceled, got %v", err)
 	}
 	if _, err := RunGrid(ctx, []Trial{cell}, 50, Config{Workers: 4}, StreamConfig{}, Hooks{}); !errors.Is(err, context.Canceled) {
@@ -148,3 +151,44 @@ func TestContextErrorPrecedence(t *testing.T) {
 		t.Fatalf("want the trial error to take precedence, got %v", err)
 	}
 }
+
+// TestGridCancelStopsARunningTrial: cancelling a grid whose one trial runs
+// for seconds returns context.Canceled within a second — the trial checks
+// ctx between rounds instead of running to its end.
+func TestGridCancelStopsARunningTrial(t *testing.T) {
+	line, err := graph.Line(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source sleeps through each of its 10,000 rounds without ever
+	// sending, so the trial alone takes at least 10 s.
+	cell := Trial{Net: line, Alg: sleeper{}, Adv: adversary.Benign{}, Cfg: sim.Config{MaxRounds: 10_000}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = RunGrid(ctx, []Trial{cell}, 1, Config{Workers: 1}, StreamConfig{}, Hooks{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if took := time.Since(start); took > time.Second+100*time.Millisecond {
+		t.Fatalf("cancel took %v to stop the running trial, want under 1s", took)
+	}
+}
+
+// sleeper is an algorithm whose processes never transmit and sleep a
+// millisecond in every Decide.
+type sleeper struct{}
+
+func (sleeper) Name() string { return "sleeper" }
+
+func (sleeper) NewProcess(int, int, *rand.Rand) sim.Process { return sleeper{} }
+
+func (sleeper) Start(int, bool) {}
+
+func (sleeper) Decide(int) bool {
+	time.Sleep(time.Millisecond)
+	return false
+}
+
+func (sleeper) Receive(int, sim.Reception) {}

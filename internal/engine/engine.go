@@ -208,17 +208,21 @@ type Trial struct {
 	Cfg   sim.Config
 }
 
-// Execute runs trial i of the cell: one sim.RunDynamic execution with sim
-// seed SeedFor(t.Cfg.Seed, i). sim.RunDynamic derives every epoch's
+// cancelEvery is how many rounds a trial plays between checks of its ctx.
+const cancelEvery = 64
+
+// Execute runs trial i of the cell: one sim execution with sim seed
+// SeedFor(t.Cfg.Seed, i), stepped until done. The sim derives every epoch's
 // randomness from that seed alone (graph.EpochSeed), so the result is a
 // pure function of (t, i) — which is what makes every engine path
 // bit-identical at any worker count, static and dynamic cells alike.
 //
-// A panic inside the run — a faulty algorithm, adversary or schedule — is
-// recovered and returned as that trial's *TrialPanic, so it fails the trial
-// (and the run or job around it) like any other trial error instead of
-// taking the process down.
-func (t Trial) Execute(i int) (res *sim.Result, err error) {
+// A cancelled ctx stops the trial within cancelEvery rounds, returning
+// ctx.Err() itself. A panic inside the run — a faulty algorithm, adversary or
+// schedule — is recovered and returned as that trial's *TrialPanic, so it
+// fails the trial (and the run or job around it) like any other trial error
+// instead of taking the process down.
+func (t Trial) Execute(ctx context.Context, i int) (res *sim.Result, err error) {
 	c := t.Cfg
 	c.Seed = SeedFor(t.Cfg.Seed, i)
 	defer func() {
@@ -226,7 +230,16 @@ func (t Trial) Execute(i int) (res *sim.Result, err error) {
 			res, err = nil, &TrialPanic{Trial: i, Seed: c.Seed, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return sim.RunDynamic(t.schedule(), t.Alg, t.Adv, c)
+	run, err := sim.Start(t.schedule(), t.Alg, t.Adv, c)
+	for done := false; err == nil && !done; {
+		if done, err = run.Step(); err == nil && !done && run.Round()%cancelEvery == 0 {
+			err = ctx.Err()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return run.Result(), nil
 }
 
 // TrialPanic is the error of a trial whose run panicked. Trial and Seed

@@ -127,7 +127,9 @@ func TestMapStopsClaimingAfterError(t *testing.T) {
 
 // runMany materializes trials runs of one cell: Map over its Execute.
 func runMany(cell engine.Trial, trials int, cfg engine.Config) ([]*sim.Result, error) {
-	return engine.Map(context.Background(), trials, cfg, cell.Execute)
+	return engine.Map(context.Background(), trials, cfg, func(i int) (*sim.Result, error) {
+		return cell.Execute(context.Background(), i)
+	})
 }
 
 // runStream streams trials runs of one cell through the grid of one.
@@ -139,9 +141,12 @@ func runStream(cell engine.Trial, trials int, cfg engine.Config, sc engine.Strea
 	return sums[0], nil
 }
 
-// resultKey flattens the fields of a sim.Result that must match exactly.
+// resultKey flattens the fields of a sim.Result that must match exactly. A
+// trial hands the engine its Result, not a per-round transcript, so the
+// per-node FirstReceive rounds and the Transmissions total are the finest
+// trace of the execution the engine can compare.
 func resultKey(r *sim.Result) string {
-	return fmt.Sprintf("%v/%d/%d/%v/%v", r.Completed, r.Rounds, r.Transmissions, r.FirstReceive, r.SendersByRound)
+	return fmt.Sprintf("%v/%d/%d/%v", r.Completed, r.Rounds, r.Transmissions, r.FirstReceive)
 }
 
 // TestRunManyDeterministicAcrossWorkerCounts is the engine's core guarantee:
@@ -160,7 +165,7 @@ func TestRunManyDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 321, RecordSenders: true}
+	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 321}
 	const trials = 24
 
 	var ref []*sim.Result
@@ -197,7 +202,7 @@ func TestRunManyMatchesSequentialSimRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := adversary.GreedyCollider{}
-	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 55, RecordSenders: true}
+	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 55}
 	const trials = 10
 
 	want := make([]*sim.Result, trials)
@@ -236,7 +241,7 @@ func TestRunTrialsHeterogeneous(t *testing.T) {
 			Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}},
 	}
 	res, err := engine.Map(context.Background(), len(trials), engine.Config{Workers: 2}, func(i int) (*sim.Result, error) {
-		return trials[i].Execute(0)
+		return trials[i].Execute(context.Background(), 0)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ type Hooks struct {
 }
 
 // RunGrid executes trials independent runs of every cell — cell c's trial i
-// is cells[c].Execute(i) — folding each cell into its own streaming
+// is cells[c].Execute(ctx, i) — folding each cell into its own streaming
 // TrialSummary, and returns the summaries indexed like cells. It is a Ledger
 // drained by the worker pool (see Ledger.Drain for errors and
 // cancellation): work fans out at (cell, shard) granularity, so the pool
@@ -110,8 +110,9 @@ func RunGrid(ctx context.Context, cells []Trial, trials int, cfg Config, sc Stre
 // (cell, shard) unit through FoldShardContext therefore produces an
 // accumulator bit-identical to the one the local engine would have built,
 // which is what makes coordinator/worker grids byte-equivalent to
-// single-process runs. ctx is consulted between trials; cancellation
-// abandons the shard (a claimed unit either completes or reports nothing).
+// single-process runs. ctx is consulted between trials and between rounds
+// (see Trial.Execute); cancellation abandons the shard (a claimed unit
+// either completes or reports nothing).
 func FoldShardContext(ctx context.Context, t Trial, lo, hi int, sc StreamConfig) (*TrialSummary, error) {
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("engine: bad trial range [%d, %d)", lo, hi)
@@ -134,9 +135,10 @@ func FoldShardContext(ctx context.Context, t Trial, lo, hi int, sc StreamConfig)
 
 // foldUnit is the one per-unit fold of every streaming path: trials
 // [lo, hi) of t in index order into a fresh accumulator, timed on clock and
-// counted in the trial and shard metrics. ctx is checked between trials. A
-// failing trial returns its index with its error; cancellation returns
-// index -1 with ctx's error.
+// counted in the trial and shard metrics. ctx is checked between trials and
+// inside each one. A failing trial returns its index with its error;
+// cancellation, between trials or inside one, returns index -1 with ctx's
+// error.
 func foldUnit(ctx context.Context, t Trial, lo, hi int, sc StreamConfig, clock *workerClock) (*TrialSummary, int, error) {
 	done := ctx.Done()
 	acc := sc.NewSummary()
@@ -148,12 +150,15 @@ func foldUnit(ctx context.Context, t Trial, lo, hi int, sc StreamConfig, clock *
 			return nil, -1, ctx.Err()
 		default:
 		}
-		res, err := t.Execute(i)
+		res, err := t.Execute(ctx, i)
 		if err == nil {
 			err = acc.fold(res)
 		}
 		if err != nil {
 			clock.abortUnit()
+			if err == ctx.Err() { // Execute stopped on cancellation
+				return nil, -1, err
+			}
 			return nil, i, err
 		}
 	}

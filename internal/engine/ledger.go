@@ -232,13 +232,13 @@ func (l *Ledger) deliver() {
 // Drain folds every unclaimed unit on a pool of cfg's workers, claiming
 // without leases, and returns once nothing is left to claim and every claim
 // is reported. cells are the grid's cells in ledger order; cell c's trial i
-// is cells[c].Execute(i). onShard (may be nil) observes each freshly folded
+// is cells[c].Execute(ctx, i). onShard (may be nil) observes each freshly folded
 // unit before it is reported, from worker goroutines, possibly
 // concurrently, outside any ledger lock; it must consume the summary during
 // the call, because the ledger may later merge into it.
 //
 // On a trial failure the lowest (cell, trial) error is returned. Cancelling
-// ctx stops the pool between trials: claimed units are abandoned, nothing
+// ctx stops the pool within 64 rounds: claimed units are abandoned, nothing
 // new is claimed, and Drain returns ctx's error (wrapped). Cells already
 // delivered remain final.
 func (l *Ledger) Drain(ctx context.Context, cells []Trial, cfg Config, onShard func(ShardState)) error {

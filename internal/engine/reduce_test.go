@@ -63,7 +63,7 @@ func TestReduceSumAnyWorkerCount(t *testing.T) {
 	var completed int64
 	var rounds float64
 	for i := 0; i < n; i++ {
-		res, err := cell.Execute(i)
+		res, err := cell.Execute(context.Background(), i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -218,18 +218,26 @@ func (g *game) dualAt(round int) (*graph.Dual, error) {
 	return d, nil
 }
 
-// replay runs the algorithm under the given script for at most `rounds`
-// rounds and returns the transcript. The run stops at completion: every
-// reader takes the completion round from FirstReceive and reads senders only
-// of rounds the broadcast has not yet finished.
-func (g *game) replay(script [][]graph.EdgeID, rounds int) (*sim.Result, error) {
-	return sim.RunDynamic(g.sched, g.alg, &scriptedAdversary{script: script}, sim.Config{
-		Rule:          g.rule,
-		Start:         g.start,
-		MaxRounds:     rounds,
-		Seed:          g.seed,
-		RecordSenders: true,
+// replay runs the algorithm under the given script until it completes or has
+// played `rounds` rounds, and returns the run, stopped after its last round.
+// each, when set, sees the run after every round; its error stops the
+// replay.
+func (g *game) replay(script [][]graph.EdgeID, rounds int, each func(*sim.Execution) error) (*sim.Execution, error) {
+	ex, err := sim.Start(g.sched, g.alg, &scriptedAdversary{script: script}, sim.Config{
+		Rule:      g.rule,
+		Start:     g.start,
+		MaxRounds: rounds,
+		Seed:      g.seed,
 	})
+	for done := false; err == nil && !done; {
+		if done, err = ex.Step(); err == nil && each != nil {
+			err = each(ex)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ex, nil
 }
 
 // scriptedAdversary replays a fixed per-round script of unreliable edge
@@ -292,14 +300,14 @@ func (s *searcher) explore(script [][]graph.EdgeID, res *Result) error {
 	// Replay the prefix plus one round with no deliveries: either the
 	// broadcast completed within the prefix, or the replay shows the
 	// position entering round depth+1.
-	run, err := s.g.replay(script, depth+1)
+	run, err := s.g.replay(script, depth+1, nil)
 	if err != nil {
 		return err
 	}
 	worst, complete := completionOf(run, depth)
 	if !complete {
 		if depth < s.cfg.Horizon {
-			t, err := s.g.turnAt(run, depth+1, s.cfg.MaxArcsPerRound)
+			t, err := s.g.turnAt(run, s.cfg.MaxArcsPerRound)
 			if err != nil {
 				return err
 			}
@@ -320,7 +328,7 @@ func (s *searcher) explore(script [][]graph.EdgeID, res *Result) error {
 }
 
 // turn is one search position: what the adversary's choice in round `round`
-// depends on, read off a replay that ran into that round. A choice is a
+// depends on, read off a run that has just played that round. A choice is a
 // bitset over edges, the senders' deliverable arcs in ascending EdgeID order.
 type turn struct {
 	round   int
@@ -347,25 +355,22 @@ func (r *reach) add(from graph.NodeID) {
 	r.count++
 }
 
-// turnAt returns the position entering round r of run, which must have
-// replayed round r without completing before it. Rounds with more
-// deliverable arcs than maxArcs fail with ErrTooManyArcs.
-func (g *game) turnAt(run *sim.Result, r, maxArcs int) (*turn, error) {
+// turnAt returns the position entering the round run has just played, which
+// must not have completed before it. The turn holds the run's sender slice,
+// so run must not be stepped again. Rounds with more deliverable arcs than
+// maxArcs fail with ErrTooManyArcs.
+func (g *game) turnAt(run *sim.Execution, maxArcs int) (*turn, error) {
+	r := run.Round()
 	d, err := g.dualAt(r)
 	if err != nil {
 		return nil, err
 	}
-	t := &turn{round: r, d: d, holders: make([]bool, d.N())}
-	// The simulator records senders in ascending node order, and the
-	// identity assignment maps pid p to node p-1.
-	for _, pid := range run.SendersByRound[r-1] {
-		t.senders = append(t.senders, graph.NodeID(pid-1))
-	}
+	t := &turn{round: r, d: d, senders: run.Senders(), holders: make([]bool, d.N())}
 	t.edges = deliverableEdges(d, t.senders)
 	if len(t.edges) > maxArcs {
 		return nil, fmt.Errorf("%w: %d arcs at round %d (cap %d)", ErrTooManyArcs, len(t.edges), r, maxArcs)
 	}
-	for node, first := range run.FirstReceive {
+	for node, first := range run.Result().FirstReceive {
 		t.holders[node] = first >= 0 && first < r
 	}
 	return t, nil
@@ -428,19 +433,11 @@ func (t *turn) choices(rule sim.CollisionRule, visit func(choice []graph.EdgeID,
 	return nil
 }
 
-// completionOf returns the completion round if all nodes received the
-// message within the first `rounds` rounds of the replay.
-func completionOf(run *sim.Result, rounds int) (int, bool) {
-	maxRecv := 0
-	for _, r := range run.FirstReceive {
-		if r < 0 || r > rounds {
-			return 0, false
-		}
-		if r > maxRecv {
-			maxRecv = r
-		}
-	}
-	return maxRecv, true
+// completionOf returns the completion round if run completed within its
+// first `rounds` rounds.
+func completionOf(run *sim.Execution, rounds int) (int, bool) {
+	res := run.Result()
+	return res.Rounds, res.Completed && res.Rounds <= rounds
 }
 
 // deliverableEdges lists the ids of the unreliable arcs available to the

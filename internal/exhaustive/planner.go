@@ -175,28 +175,31 @@ func (p *Planner) Plan(prefix [][]graph.EdgeID) ([]graph.EdgeID, error) {
 	if depth >= p.cfg.DeliverRounds { // DeliverRounds ≤ SearchRounds
 		return nil, nil
 	}
-	run, err := p.g.replay(prefix, depth+1)
+	// The replay hashes the played prefix as it goes: each round's position
+	// and played mask give that round's signature.
+	h := rootHash
+	run, err := p.g.replay(prefix, depth+1, func(run *sim.Execution) error {
+		if run.Round() > depth {
+			return nil
+		}
+		t, err := p.g.turnAt(run, p.cfg.MaxArcsPerRound)
+		if err != nil {
+			return err
+		}
+		mask, err := maskOf(t.edges, prefix[t.round-1])
+		if err != nil {
+			return fmt.Errorf("prefix round %d: %w", t.round, err)
+		}
+		h = chainHash(h, t.signature(p.cfg.Rule, mask), t.round)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	if _, done := completionOf(run, depth); done {
 		return nil, nil
 	}
-	// The same transcript hashes the played prefix: each round's position
-	// and played mask give that round's signature.
-	h := rootHash
-	for r := 1; r <= depth; r++ {
-		t, err := p.g.turnAt(run, r, p.cfg.MaxArcsPerRound)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := maskOf(t.edges, prefix[r-1])
-		if err != nil {
-			return nil, fmt.Errorf("prefix round %d: %w", r, err)
-		}
-		h = chainHash(h, t.signature(p.cfg.Rule, mask), r)
-	}
-	t, err := p.g.turnAt(run, depth+1, p.cfg.MaxArcsPerRound)
+	t, err := p.g.turnAt(run, p.cfg.MaxArcsPerRound)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +229,7 @@ func (p *Planner) value(script [][]graph.EdgeID, h uint64) (v int, exact bool, e
 	// Beyond the delivery horizon the suffix is delivery-free, so one replay
 	// to the evaluation horizon settles the value exactly.
 	if depth >= p.cfg.DeliverRounds {
-		run, err := p.g.replay(script, p.cfg.SearchRounds)
+		run, err := p.g.replay(script, p.cfg.SearchRounds, nil)
 		if err != nil {
 			return 0, false, err
 		}
@@ -238,7 +241,7 @@ func (p *Planner) value(script [][]graph.EdgeID, h uint64) (v int, exact bool, e
 		return v, true, nil
 	}
 
-	run, err := p.g.replay(script, depth+1)
+	run, err := p.g.replay(script, depth+1, nil)
 	if err != nil {
 		return 0, false, err
 	}
@@ -246,7 +249,7 @@ func (p *Planner) value(script [][]graph.EdgeID, h uint64) (v int, exact bool, e
 		p.store(h, round)
 		return round, true, nil
 	}
-	t, err := p.g.turnAt(run, depth+1, p.cfg.MaxArcsPerRound)
+	t, err := p.g.turnAt(run, p.cfg.MaxArcsPerRound)
 	if err != nil {
 		return 0, false, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"dualgraph/internal/core"
 	"dualgraph/internal/engine"
@@ -300,22 +301,29 @@ func figLemma1() Experiment {
 			j := jobs[i]
 			c := sim.Config{
 				Rule: j.rule, Start: sim.AsyncStart,
-				MaxRounds: strongSelectBudget(j.n), Seed: cfg.Seed, RecordSenders: true,
+				MaxRounds: strongSelectBudget(j.n), Seed: cfg.Seed,
 			}
-			native, err := interference.Run(j.m, j.alg, c)
+			native, transcript, err := interference.Run(j.m, j.alg, c)
 			if err != nil {
 				return row{}, err
 			}
-			reduced, err := sim.Run(j.m.Dual(), j.alg, interference.ReductionAdversary{}, c)
+			// The reduced run must send exactly the native transcript.
+			reduced, err := sim.Start(graph.Static(j.m.Dual()), j.alg, interference.ReductionAdversary{}, c)
+			equal := true
+			for done := false; err == nil && !done; {
+				done, err = reduced.Step()
+				r := reduced.Round()
+				equal = equal && r <= len(transcript) && slices.Equal(reduced.Senders(), transcript[r-1])
+			}
 			if err != nil {
 				return row{}, err
 			}
-			equal := reflect.DeepEqual(native.SendersByRound, reduced.SendersByRound) &&
-				reflect.DeepEqual(native.FirstReceive, reduced.FirstReceive)
+			equal = equal && reduced.Round() == len(transcript) &&
+				reflect.DeepEqual(native.FirstReceive, reduced.Result().FirstReceive)
 			if !equal {
 				return row{}, fmt.Errorf("lemma 1 reduction mismatch: n=%d alg=%s rule=%v", j.n, j.alg.Name(), j.rule)
 			}
-			return row{name: j.alg.Name(), native: native.Rounds, reduced: reduced.Rounds, transcriptsEqual: equal}, nil
+			return row{name: j.alg.Name(), native: native.Rounds, reduced: reduced.Result().Rounds, transcriptsEqual: equal}, nil
 		})
 		if err != nil {
 			return err

@@ -62,8 +62,10 @@ func (m *Model) Dual() *graph.Dual { return m.dual }
 // Appendix A collision-rule semantics: every G_I message reaches its
 // endpoint, only G_T messages are receivable, a lone G_I-only message yields
 // silence, and CR4 collisions resolve to silence (matching the reduction
-// adversary). Processes are assigned to nodes by the identity mapping.
-func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, error) {
+// adversary). Processes are assigned to nodes by the identity mapping. With
+// the Result it returns the transcript, every played round's senders as
+// ascending node ids: the native reference of the Lemma 1 reduction.
+func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID, error) {
 	n := m.N()
 	if cfg.Rule == 0 {
 		cfg.Rule = sim.CR4
@@ -108,15 +110,14 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, error) {
 	}
 
 	res := &sim.Result{FirstReceive: firstRecv, ProcOf: procOf}
+	var transcript [][]graph.NodeID
 	holders := 1
 	sent := make([]bool, n)
 	gtReach := make([][]graph.NodeID, n) // receivable messages
 	giCount := make([]int, n)            // all reaching messages
 
 	for round := 1; round <= cfg.MaxRounds; round++ {
-		for i := range sent {
-			sent[i] = false
-		}
+		clear(sent)
 		var senders []graph.NodeID
 		for node := 0; node < n; node++ {
 			if active[node] && procs[node].Decide(round) {
@@ -125,13 +126,7 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, error) {
 			}
 		}
 		res.Transmissions += len(senders)
-		if cfg.RecordSenders {
-			pids := make([]int, len(senders))
-			for i, s := range senders {
-				pids[i] = procOf[s]
-			}
-			res.SendersByRound = append(res.SendersByRound, pids)
-		}
+		transcript = append(transcript, senders)
 
 		for i := range gtReach {
 			gtReach[i] = gtReach[i][:0]
@@ -171,22 +166,13 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, error) {
 			firstRecv[node] = round
 			holders++
 		}
-		res.Rounds = round
-		if holders == n && !cfg.RunToMaxRounds {
+		res.Rounds = round // the completion round once the run breaks
+		if holders == n {
 			break
 		}
 	}
 	res.Completed = holders == n
-	if res.Completed && !cfg.RunToMaxRounds {
-		maxRecv := 0
-		for _, r := range firstRecv {
-			if r > maxRecv {
-				maxRecv = r
-			}
-		}
-		res.Rounds = maxRecv
-	}
-	return res, nil
+	return res, transcript, nil
 }
 
 // nativeReception applies the explicit-interference collision semantics of

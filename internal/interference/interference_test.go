@@ -55,7 +55,7 @@ func TestInterferenceOnlyEdgeNeverDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := interference.Run(m, core.NewRoundRobin(), sim.Config{
+	res, _, err := interference.Run(m, core.NewRoundRobin(), sim.Config{
 		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, MaxRounds: 10,
 	})
 	if err != nil {
@@ -83,8 +83,8 @@ func TestInterferenceEdgeCausesCollision(t *testing.T) {
 	}
 	// Scripted: pids 1 and 3 transmit in round 1 (pid 3 spontaneously).
 	alg := scriptedSenders{rounds: map[int]map[int]bool{1: {1: true, 3: true}}}
-	res, err := interference.Run(m, alg, sim.Config{
-		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, MaxRounds: 1, RunToMaxRounds: true,
+	res, _, err := interference.Run(m, alg, sim.Config{
+		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, MaxRounds: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,21 +134,17 @@ func TestLemma1ReductionExactEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := sim.Config{
-					Rule:          rule,
-					Start:         sim.AsyncStart,
-					Seed:          seed * 1000,
-					MaxRounds:     4000,
-					RecordSenders: true,
+					Rule:      rule,
+					Start:     sim.AsyncStart,
+					Seed:      seed * 1000,
+					MaxRounds: 4000,
 				}
-				native, err := interference.Run(m, alg, cfg)
+				native, nativeSenders, err := interference.Run(m, alg, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reduced, err := sim.Run(m.Dual(), alg, interference.ReductionAdversary{}, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(native.SendersByRound, reduced.SendersByRound) {
+				reduced, reducedSenders := reducedRun(t, m, alg, cfg)
+				if !reflect.DeepEqual(nativeSenders, reducedSenders) {
 					t.Fatalf("seed %d rule %v alg %s: transcripts differ", seed, rule, alg.Name())
 				}
 				if !reflect.DeepEqual(native.FirstReceive, reduced.FirstReceive) {
@@ -171,23 +167,39 @@ func TestLemma1SyncStartEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{
-		Rule:          sim.CR1,
-		Start:         sim.SyncStart,
-		Seed:          5,
-		MaxRounds:     3000,
-		RecordSenders: true,
+		Rule:      sim.CR1,
+		Start:     sim.SyncStart,
+		Seed:      5,
+		MaxRounds: 3000,
 	}
-	native, err := interference.Run(m, alg, cfg)
+	native, nativeSenders, err := interference.Run(m, alg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := sim.Run(m.Dual(), alg, interference.ReductionAdversary{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(native.FirstReceive, reduced.FirstReceive) {
+	reduced, reducedSenders := reducedRun(t, m, alg, cfg)
+	if !reflect.DeepEqual(native.FirstReceive, reduced.FirstReceive) ||
+		!reflect.DeepEqual(nativeSenders, reducedSenders) {
 		t.Fatal("sync-start executions differ")
 	}
+}
+
+// reducedRun plays alg on the Lemma 1 dual graph of m under the reduction
+// adversary, stepping it to done, and returns its Result with every played
+// round's senders.
+func reducedRun(t *testing.T, m *interference.Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID) {
+	t.Helper()
+	run, err := sim.Start(graph.Static(m.Dual()), alg, interference.ReductionAdversary{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var senders [][]graph.NodeID
+	for done := false; !done; {
+		if done, err = run.Step(); err != nil {
+			t.Fatal(err)
+		}
+		senders = append(senders, append([]graph.NodeID(nil), run.Senders()...))
+	}
+	return run.Result(), senders
 }
 
 func TestNativeRunCompletes(t *testing.T) {
@@ -196,7 +208,7 @@ func TestNativeRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := interference.Run(m, alg, sim.Config{Seed: 8, MaxRounds: 100000})
+	res, _, err := interference.Run(m, alg, sim.Config{Seed: 8, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,8 +182,9 @@ func RunTheorem12Game(n int, alg sim.Algorithm, horizon int) (*Theorem12Result, 
 		TheoryBound:   (n - 1) / 4 * MinStageExtension(n),
 	}
 
-	// Stage 0: run with all G' edges used until i0 is about to be isolated.
-	isolation, found, err := drv.findIsolation(nil, [2]int{1, 1}, map[int]bool{1: true})
+	// Stage 0: run the pure α_0 script (every G' edge used in every round)
+	// until i0 is about to be isolated.
+	isolation, found, err := drv.findIsolation(drv.segments, [2]int{1, 1}, map[int]bool{1: true})
 	if err != nil {
 		return nil, err
 	}
@@ -350,67 +351,50 @@ func (d *theorem12Driver) sendersAtRound(pair [2]int, absRound int) ([]int, erro
 		procOf:   d.assignmentWith(pair),
 		segments: d.segmentsWith(pair),
 	}
-	run, err := sim.Run(d.dual, d.alg, adv, sim.Config{
-		Rule:           sim.CR1,
-		Start:          sim.SyncStart,
-		MaxRounds:      absRound,
-		Seed:           0,
-		RecordSenders:  true,
-		RunToMaxRounds: true,
-	})
+	run, err := d.start(adv, absRound)
 	if err != nil {
 		return nil, err
 	}
-	if len(run.SendersByRound) < absRound {
-		return nil, fmt.Errorf("transcript too short: %d < %d", len(run.SendersByRound), absRound)
+	for run.Round() < absRound {
+		if _, err := run.Step(); err != nil {
+			return nil, err
+		}
 	}
-	return run.SendersByRound[absRound-1], nil
+	pids := make([]int, len(run.Senders()))
+	for i, s := range run.Senders() {
+		pids[i] = adv.procOf[s]
+	}
+	return pids, nil
 }
 
 // findIsolation replays the execution with the given trailing segment and
 // returns the first round after the current prefix in which a process from
 // watch transmits alone.
 func (d *theorem12Driver) findIsolation(segments []segment, pair [2]int, watch map[int]bool) (round int, found bool, err error) {
-	var adv *theorem12Adversary
-	if segments == nil {
-		// Stage 0: pure α_0 script (every G' edge used in every round).
-		adv = &theorem12Adversary{
-			procOf:   d.assignmentWith(pair),
-			segments: d.segments,
-		}
-	} else {
-		adv = &theorem12Adversary{
-			procOf:   d.assignmentWith(pair),
-			segments: segments,
-		}
+	adv := &theorem12Adversary{procOf: d.assignmentWith(pair), segments: segments}
+	run, err := d.start(adv, d.horizon)
+	if err != nil {
+		return 0, false, err
 	}
-	// Deterministic executions replay identically, so search with
-	// exponentially growing caps instead of always paying the full horizon.
-	for limit := d.prefixLen + 4*d.n + 64; ; limit *= 2 {
-		if limit > d.horizon {
-			limit = d.horizon
-		}
-		run, err := sim.Run(d.dual, d.alg, adv, sim.Config{
-			Rule:           sim.CR1,
-			Start:          sim.SyncStart,
-			MaxRounds:      limit,
-			Seed:           0,
-			RecordSenders:  true,
-			RunToMaxRounds: true,
-		})
-		if err != nil {
+	for run.Round() < d.horizon {
+		if _, err := run.Step(); err != nil {
 			return 0, false, err
 		}
-		for r := d.prefixLen + 1; r <= len(run.SendersByRound); r++ {
-			senders := run.SendersByRound[r-1]
-			if len(senders) == 1 && watch[senders[0]] {
-				return r, true, nil
-			}
-		}
-		if limit >= d.horizon {
-			return 0, false, nil
+		if s := run.Senders(); run.Round() > d.prefixLen && len(s) == 1 && watch[adv.procOf[s[0]]] {
+			return run.Round(), true, nil
 		}
 	}
+	return 0, false, nil
+}
+
+// start sets up the execution scripted by adv, capped at maxRounds rounds;
+// the construction steps it past completion, since it reads only senders.
+func (d *theorem12Driver) start(adv *theorem12Adversary, maxRounds int) (*sim.Execution, error) {
+	return sim.Start(graph.Static(d.dual), d.alg, adv, sim.Config{
+		Rule:      sim.CR1,
+		Start:     sim.SyncStart,
+		MaxRounds: maxRounds,
+	})
 }
 
 // segmentsWith returns the committed script plus a trailing segment for the

@@ -26,12 +26,11 @@ func TestRoundLoopAllocationFreeSteadyState(t *testing.T) {
 	}
 	measure := func(rounds int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			res, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
-				Rule:           sim.CR4,
-				Start:          sim.SyncStart,
-				Seed:           7,
-				MaxRounds:      rounds,
-				RunToMaxRounds: true,
+			res, err := runToCap(graph.Static(d), alg, adversary.GreedyCollider{}, sim.Config{
+				Rule:      sim.CR4,
+				Start:     sim.SyncStart,
+				Seed:      7,
+				MaxRounds: rounds,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -81,12 +80,11 @@ func TestLargeScaleRoundLoopAllocationFree(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := sim.Run(d, alg, adv, sim.Config{
-			Rule:           sim.CR3,
-			Start:          sim.AsyncStart,
-			Seed:           7,
-			MaxRounds:      rounds,
-			RunToMaxRounds: true,
+		res, err := runToCap(graph.Static(d), alg, adv, sim.Config{
+			Rule:      sim.CR3,
+			Start:     sim.AsyncStart,
+			Seed:      7,
+			MaxRounds: rounds,
 		})
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -158,12 +156,11 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				_, err := sim.RunDynamic(sched, alg, adv, sim.Config{
-					Rule:           sim.CR3,
-					Start:          sim.AsyncStart,
-					Seed:           7,
-					MaxRounds:      rounds,
-					RunToMaxRounds: true,
+				_, err := runToCap(sched, alg, adv, sim.Config{
+					Rule:      sim.CR3,
+					Start:     sim.AsyncStart,
+					Seed:      7,
+					MaxRounds: rounds,
 				})
 				runtime.ReadMemStats(&after)
 				if err != nil {
@@ -237,12 +234,11 @@ func TestEpochSwapAllocationFree(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		_, err := sim.RunDynamic(sched, alg, adversary.GreedyCollider{}, sim.Config{
-			Rule:           sim.CR4,
-			Start:          sim.AsyncStart,
-			Seed:           seed,
-			MaxRounds:      rounds,
-			RunToMaxRounds: true,
+		_, err := runToCap(sched, alg, adversary.GreedyCollider{}, sim.Config{
+			Rule:      sim.CR4,
+			Start:     sim.AsyncStart,
+			Seed:      seed,
+			MaxRounds: rounds,
 		})
 		runtime.ReadMemStats(&after)
 		if err != nil {

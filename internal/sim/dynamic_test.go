@@ -77,8 +77,8 @@ func TestEpochSwapCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newProbe(line, complete, 3)
-	cfg := sim.Config{Seed: 9, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 10, RunToMaxRounds: true}
-	if _, err := sim.RunDynamic(s, core.NewRoundRobin(), adversary.Benign{}, cfg); err != nil {
+	cfg := sim.Config{Seed: 9, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 10}
+	if _, err := runToCap(s, core.NewRoundRobin(), adversary.Benign{}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Rounds 1-3 run epoch 0, 4-6 epoch 1, 7-9 epoch 2, 10 epoch 3.
@@ -216,8 +216,8 @@ func TestEpochErrorSurfaces(t *testing.T) {
 	line := mustLine(t, 6)
 	s := newProbe(line, line, 2)
 	s.failAt = 1
-	cfg := sim.Config{Seed: 1, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 20, RunToMaxRounds: true}
-	_, err := sim.RunDynamic(s, core.NewRoundRobin(), adversary.Benign{}, cfg)
+	cfg := sim.Config{Seed: 1, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 20}
+	_, err := runToCap(s, core.NewRoundRobin(), adversary.Benign{}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "schedule epoch 1") {
 		t.Fatalf("err = %v, want a schedule epoch 1 failure", err)
 	}
@@ -229,8 +229,8 @@ func TestEpochNodeCountMismatchRejected(t *testing.T) {
 	small := mustLine(t, 6)
 	bigger := mustLine(t, 7)
 	s := newProbe(small, bigger, 2)
-	cfg := sim.Config{Seed: 1, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 20, RunToMaxRounds: true}
-	_, err := sim.RunDynamic(s, core.NewRoundRobin(), adversary.Benign{}, cfg)
+	cfg := sim.Config{Seed: 1, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 20}
+	_, err := runToCap(s, core.NewRoundRobin(), adversary.Benign{}, cfg)
 	if !errors.Is(err, sim.ErrBadEpoch) {
 		t.Fatalf("err = %v, want ErrBadEpoch", err)
 	}
@@ -250,8 +250,8 @@ func TestEpochSourceDriftRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newProbe(a, moved, 2)
-	cfg := sim.Config{Seed: 1, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 20, RunToMaxRounds: true}
-	_, err = sim.RunDynamic(s, core.NewRoundRobin(), adversary.Benign{}, cfg)
+	cfg := sim.Config{Seed: 1, Rule: sim.CR3, Start: sim.SyncStart, MaxRounds: 20}
+	_, err = runToCap(s, core.NewRoundRobin(), adversary.Benign{}, cfg)
 	if !errors.Is(err, sim.ErrBadEpoch) {
 		t.Fatalf("err = %v, want ErrBadEpoch for source drift", err)
 	}

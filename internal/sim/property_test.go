@@ -75,14 +75,14 @@ func TestTransmissionsCountedConsistently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
-		Seed: 5, RecordSenders: true, MaxRounds: 50000,
+	res, rounds, err := transcript(graph.Static(d), alg, adversary.GreedyCollider{}, sim.Config{
+		Seed: 5, MaxRounds: 50000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, senders := range res.SendersByRound {
+	for _, senders := range rounds {
 		total += len(senders)
 	}
 	if total != res.Transmissions {
@@ -129,14 +129,14 @@ func TestHoldersMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
-		Seed: 2, MaxRounds: 30, RunToMaxRounds: true,
+	short, err := runToCap(graph.Static(d), alg, adversary.GreedyCollider{}, sim.Config{
+		Seed: 2, MaxRounds: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
-		Seed: 2, MaxRounds: 200, RunToMaxRounds: true,
+	long, err := runToCap(graph.Static(d), alg, adversary.GreedyCollider{}, sim.Config{
+		Seed: 2, MaxRounds: 200,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@
 // the frozen network under the live processes while algorithm, adversary,
 // and per-node result state survive. Nothing in the per-run delivery buffers
 // is sized by an epoch's graph, so a swap installs the new network without
-// touching them. Both paths share one loop — Run is RunDynamic over a static
-// schedule.
+// touching them. Both paths share one round body: Run is RunDynamic over a
+// static schedule, and RunDynamic is Start plus a loop of Execution.Step.
 package sim
 
 import (
@@ -747,12 +747,6 @@ type Config struct {
 	MaxRounds int
 	// Seed makes the run reproducible.
 	Seed int64
-	// RecordSenders stores the per-round sender process ids in the result.
-	RecordSenders bool
-	// RunToMaxRounds keeps executing after completion (used by lower-bound
-	// drivers that inspect transcripts); by default the run stops when all
-	// processes hold the message.
-	RunToMaxRounds bool
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -787,9 +781,6 @@ type Result struct {
 	FirstReceive []int
 	// Transmissions counts all transmissions across the execution.
 	Transmissions int
-	// SendersByRound lists the sending process ids per round (1-based round
-	// r at index r-1) when Config.RecordSenders is set.
-	SendersByRound [][]int
 	// ProcOf is the node -> process id assignment used.
 	ProcOf []int
 }
@@ -812,17 +803,56 @@ func Run(d *graph.Dual, alg Algorithm, adv Adversary, cfg Config) (*Result, erro
 }
 
 // RunDynamic executes alg against adv on the time-varying network produced
-// by sched. The run starts on epoch 0; every EpochLength rounds the current
-// Dual is swapped for the next epoch — algorithm and adversary state, the
-// proc assignment (made once against epoch 0), and all per-node result
-// tracking survive the swap, while the adversary's EdgeID universe is the
-// current epoch's (View.Dual always points at it). Epoch materialization
-// derives all randomness from (epoch, cfg.Seed) via the schedule's purity
-// contract, so a run is reproducible from cfg.Seed alone, and the engine's
-// per-trial seed derivation extends bit-identical-at-any-worker-count
-// determinism to dynamic sweeps. A static schedule takes exactly the code
-// path Run always took.
+// by sched and returns the execution summary: it is Start plus a Step loop
+// that ends when the run is done.
 func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Result, error) {
+	ex, err := Start(sched, alg, adv, cfg)
+	for done := false; err == nil && !done; {
+		done, err = ex.Step()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ex.Result(), nil
+}
+
+// Execution is one run played a round at a time: Start sets it up, each
+// Step plays the next round, and a caller may look or stop between Steps.
+type Execution struct {
+	cfg      Config
+	sched    graph.Schedule
+	adv      Adversary
+	buffered BufferedDeliverer
+	d        *graph.Dual
+	n        int
+	src      graph.NodeID
+	procs    []Process
+	procOf   []int
+	hasMsg   []bool
+	active   []bool
+	sent     []bool
+	view     *View
+	buf      *runBuffers
+	sink     *DeliverySink
+	res      *Result
+	holders  int
+	round    int   // rounds played
+	nextSwap int   // first round of the next epoch; never reached when static
+	err      error // the failure that stopped the run
+}
+
+// Start sets up a run of alg against adv on the time-varying network
+// produced by sched, before its first round. The run starts on epoch 0;
+// every EpochLength rounds the current Dual is swapped for the next epoch —
+// algorithm and adversary state, the proc assignment (made once against
+// epoch 0), and all per-node result tracking survive the swap, while the
+// adversary's EdgeID universe is the current epoch's (View.Dual always
+// points at it). Epoch materialization derives all randomness from
+// (epoch, cfg.Seed) via the schedule's purity contract, so a run is
+// reproducible from cfg.Seed alone, and the engine's per-trial seed
+// derivation extends bit-identical-at-any-worker-count determinism to
+// dynamic sweeps.
+func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Execution, error) {
 	d, err := sched.Epoch(0, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("schedule epoch 0: %w", err)
@@ -874,10 +904,6 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 		}
 	}
 
-	res := &Result{
-		FirstReceive: firstRecv,
-		ProcOf:       procOf,
-	}
 	view := &View{
 		Dual:       d,
 		ProcOf:     procOf,
@@ -890,8 +916,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 	if !buf.dense && cfg.Rule == CR4 {
 		buf.ensureInRows(d.G())
 	}
-	sink := &DeliverySink{d: d, sent: sent, buf: buf}
-	st := &runState{
+	ex := &Execution{
 		cfg:    cfg,
 		sched:  sched,
 		adv:    adv,
@@ -905,95 +930,78 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 		sent:   sent,
 		view:   view,
 		buf:    buf,
-		sink:   sink,
-		res:    res,
+		sink:   &DeliverySink{d: d, sent: sent, buf: buf},
+		res:    &Result{FirstReceive: firstRecv, ProcOf: procOf},
 
-		firstRecv: firstRecv,
-		holders:   1,
+		holders: 1,
+		// A static schedule (EpochLength 0 — every sim.Run) never reaches
+		// nextSwap, so the only schedule cost of a round is one compare.
+		nextSwap: math.MaxInt,
+	}
+	if l := sched.EpochLength(); l > 0 {
+		ex.nextSwap = 1 + l
 	}
 	// Resolve the fast path once: the type assertion must not sit in the
 	// round loop.
-	st.buffered, _ = adv.(BufferedDeliverer)
-
-	// nextSwap is the first round of the next epoch. A static schedule
-	// (EpochLength 0 — every sim.Run) never reaches it, so the only schedule
-	// cost in the loop body is one compare.
-	epochLen, nextSwap := sched.EpochLength(), math.MaxInt
-	if epochLen > 0 {
-		nextSwap = 1 + epochLen
-	}
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		// The swap happens after clearRound, so the buffers carry no round
-		// state across the boundary.
-		buf.clearRound(sent)
-		if round == nextSwap {
-			if err := st.swapEpoch((round - 1) / epochLen); err != nil {
-				return nil, err
-			}
-			nextSwap += epochLen
-		}
-		if err := st.step(round); err != nil {
-			return nil, err
-		}
-		if st.holders == n && !cfg.RunToMaxRounds {
-			break
-		}
-	}
-
-	res.Completed = st.holders == n
-	if res.Completed && !cfg.RunToMaxRounds {
-		// Rounds is the completion round: the max first-receive round.
-		maxRecv := 0
-		for _, r := range firstRecv {
-			if r > maxRecv {
-				maxRecv = r
-			}
-		}
-		res.Rounds = maxRecv
-	}
-	return res, nil
+	ex.buffered, _ = adv.(BufferedDeliverer)
+	return ex, nil
 }
 
-// runState bundles the per-run execution state that the round loop's step
-// and swapEpoch share, so neither re-captures a dozen locals.
-type runState struct {
-	cfg       Config
-	sched     graph.Schedule
-	adv       Adversary
-	buffered  BufferedDeliverer
-	d         *graph.Dual
-	n         int
-	src       graph.NodeID
-	procs     []Process
-	procOf    []int
-	hasMsg    []bool
-	active    []bool
-	sent      []bool
-	firstRecv []int
-	view      *View
-	buf       *runBuffers
-	sink      *DeliverySink
-	res       *Result
-	holders   int
+// Step plays the next round and reports whether the run is done: every
+// node holds the message, or the round is the MaxRounds cap. Stepping a
+// completed run plays further rounds up to the cap and leaves FirstReceive,
+// Completed and Rounds unchanged; at the cap Step plays nothing and returns
+// true. A failed round returns its error, and so does every later Step.
+func (ex *Execution) Step() (done bool, err error) {
+	if ex.err != nil || ex.round >= ex.cfg.MaxRounds {
+		return true, ex.err
+	}
+	ex.round++
+	// The swap happens after clearRound, so the buffers carry no round
+	// state across the boundary.
+	ex.buf.clearRound(ex.sent)
+	if ex.round == ex.nextSwap {
+		l := ex.sched.EpochLength()
+		ex.err = ex.swapEpoch((ex.round - 1) / l)
+		ex.nextSwap += l
+	}
+	if ex.err == nil {
+		ex.err = ex.step(ex.round)
+	}
+	return ex.err != nil || ex.holders == ex.n || ex.round == ex.cfg.MaxRounds, ex.err
 }
+
+// Round returns the number of rounds played.
+func (ex *Execution) Round() int { return ex.round }
+
+// Senders returns the nodes that transmitted in the last round played, in
+// ascending order. The slice is owned by the run and valid until the next
+// Step.
+func (ex *Execution) Senders() []graph.NodeID { return ex.buf.senders }
+
+// Result reports the run so far: once every node holds the message,
+// Completed is set and Rounds stays the completion round; until then Rounds
+// is the number of rounds played. The Result is the run's own, so later
+// Steps update it.
+func (ex *Execution) Result() *Result { return ex.res }
 
 // swapEpoch installs the schedule's network for epoch e: validate it, swap
 // the pointer, and refresh the delivery mode's own index. Identical-pointer
 // epochs (no-op churn/fade draws, cached epochs) skip the swap entirely.
-func (st *runState) swapEpoch(e int) error {
-	nd, err := st.sched.Epoch(e, st.cfg.Seed)
+func (ex *Execution) swapEpoch(e int) error {
+	nd, err := ex.sched.Epoch(e, ex.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("schedule epoch %d: %w", e, err)
 	}
-	if nd.N() != st.n {
+	if nd.N() != ex.n {
 		return fmt.Errorf("%w: epoch %d has %d nodes, run started with %d",
-			ErrBadEpoch, e, nd.N(), st.n)
+			ErrBadEpoch, e, nd.N(), ex.n)
 	}
-	if nd.Source() != st.src {
+	if nd.Source() != ex.src {
 		return fmt.Errorf("%w: epoch %d moved the source to %d, run started at %d",
-			ErrBadEpoch, e, nd.Source(), st.src)
+			ErrBadEpoch, e, nd.Source(), ex.src)
 	}
-	if nd == st.d {
+	if nd == ex.d {
 		if metrics.Enabled() {
 			mEpochSwapsNoop.Inc()
 		}
@@ -1002,17 +1010,17 @@ func (st *runState) swapEpoch(e int) error {
 	if metrics.Enabled() {
 		mEpochSwaps.Inc()
 	}
-	st.d = nd
-	st.view.Dual = nd
-	st.sink.d = nd
+	ex.d = nd
+	ex.view.Dual = nd
+	ex.sink.d = nd
 	// Refresh the mode's own index against the (possibly) new G core; both
 	// are keyed on the core pointer, so epochs that only change G' (never
 	// the case for the built-in schedules) or return to a cached core pay a
 	// pointer compare.
-	if st.buf.dense {
-		st.buf.buildMasks(nd.G())
-	} else if st.cfg.Rule == CR4 {
-		st.buf.ensureInRows(nd.G())
+	if ex.buf.dense {
+		ex.buf.buildMasks(nd.G())
+	} else if ex.cfg.Rule == CR4 {
+		ex.buf.ensureInRows(nd.G())
 	}
 	return nil
 }
@@ -1020,10 +1028,10 @@ func (st *runState) swapEpoch(e int) error {
 // step executes one round against the current network: decide, deliver
 // (word-parallel in dense mode), then compute receptions from the count-class
 // bitsets. It assumes clearRound ran first.
-func (st *runState) step(round int) error {
-	st.view.Round = round
-	buf, d, n := st.buf, st.d, st.n
-	sent, active, procs := st.sent, st.active, st.procs
+func (ex *Execution) step(round int) error {
+	ex.view.Round = round
+	buf, d, n := ex.buf, ex.d, ex.n
+	sent, active, procs := ex.sent, ex.active, ex.procs
 	for node := 0; node < n; node++ {
 		if active[node] && procs[node].Decide(round) {
 			sent[node] = true
@@ -1031,14 +1039,7 @@ func (st *runState) step(round int) error {
 		}
 	}
 	senders := buf.senders
-	st.res.Transmissions += len(senders)
-	if st.cfg.RecordSenders {
-		pids := make([]int, len(senders))
-		for i, s := range senders {
-			pids[i] = st.procOf[s]
-		}
-		st.res.SendersByRound = append(st.res.SendersByRound, pids)
-	}
+	ex.res.Transmissions += len(senders)
 
 	// Reliable reachability pass: a sender's message reaches itself and
 	// every reliable out-neighbour unconditionally.
@@ -1056,14 +1057,14 @@ func (st *runState) step(round int) error {
 	}
 	// Unreliable deliveries: adversary's choice, validated by the sink.
 	if len(senders) > 0 {
-		st.sink.err = nil
-		if st.buffered != nil {
-			st.buffered.DeliverInto(st.view, senders, st.sink)
+		ex.sink.err = nil
+		if ex.buffered != nil {
+			ex.buffered.DeliverInto(ex.view, senders, ex.sink)
 		} else {
-			st.sink.addFromMap(st.adv.Deliver(st.view, senders), senders)
+			ex.sink.addFromMap(ex.adv.Deliver(ex.view, senders), senders)
 		}
-		if st.sink.err != nil {
-			return st.sink.err
+		if ex.sink.err != nil {
+			return ex.sink.err
 		}
 	}
 
@@ -1071,7 +1072,7 @@ func (st *runState) step(round int) error {
 	// are materialized only for CR4 resolves. Broadcast/Own are evaluated
 	// against the start-of-round holder set; hasMsg is only updated after
 	// all receptions are computed.
-	hasMsg := st.hasMsg
+	hasMsg := ex.hasMsg
 	for node := 0; node < n; node++ {
 		v := graph.NodeID(node)
 		reached := buf.reached(v)
@@ -1080,7 +1081,7 @@ func (st *runState) step(round int) error {
 			// cannot wake: skip it entirely.
 			continue
 		}
-		rec, err := st.reception(v, reached)
+		rec, err := ex.reception(v, reached)
 		if err != nil {
 			return err
 		}
@@ -1090,7 +1091,7 @@ func (st *runState) step(round int) error {
 		switch {
 		case active[node]:
 			procs[node].Receive(round, rec)
-		case rec.Kind == Delivered && st.cfg.Start == AsyncStart:
+		case rec.Kind == Delivered && ex.cfg.Start == AsyncStart:
 			// Asynchronous activation: the process wakes on its first
 			// received message and observes that reception.
 			procs[node].Start(round, false)
@@ -1100,35 +1101,38 @@ func (st *runState) step(round int) error {
 	}
 	for _, node := range buf.newHolders {
 		hasMsg[node] = true
-		st.firstRecv[node] = round
-		st.holders++
+		ex.res.FirstReceive[node] = round
+		ex.holders++
 	}
-	st.res.Rounds = round
+	if !ex.res.Completed {
+		ex.res.Rounds = round
+		ex.res.Completed = ex.holders == n
+	}
 	return nil
 }
 
 // deliverFrom builds the Delivered reception node observes for sender s.
-func (st *runState) deliverFrom(node, s graph.NodeID) Reception {
+func (ex *Execution) deliverFrom(node, s graph.NodeID) Reception {
 	return Reception{
 		Kind:      Delivered,
 		From:      s,
-		FromProc:  st.procOf[s],
-		Broadcast: st.hasMsg[s],
+		FromProc:  ex.procOf[s],
+		Broadcast: ex.hasMsg[s],
 		Own:       s == node,
 	}
 }
 
 // reception computes what node hears this round from its count class (not
 // reached / reached once / collided) under the configured collision rule.
-func (st *runState) reception(node graph.NodeID, reached bool) (Reception, error) {
-	buf := st.buf
-	rule := st.cfg.Rule
+func (ex *Execution) reception(node graph.NodeID, reached bool) (Reception, error) {
+	buf := ex.buf
+	rule := ex.cfg.Rule
 	if rule == CR1 {
 		switch {
 		case !reached:
 			return Reception{Kind: Silence}, nil
 		case !buf.collided(node):
-			return st.deliverFrom(node, buf.singleReacher(node)), nil
+			return ex.deliverFrom(node, buf.singleReacher(node)), nil
 		default:
 			return Reception{Kind: Collision}, nil
 		}
@@ -1136,15 +1140,15 @@ func (st *runState) reception(node graph.NodeID, reached bool) (Reception, error
 	if rule != CR2 && rule != CR3 && rule != CR4 {
 		return Reception{}, fmt.Errorf("unknown collision rule %v", rule)
 	}
-	if st.sent[node] {
+	if ex.sent[node] {
 		// A sender always receives its own message under CR2–CR4.
-		return st.deliverFrom(node, node), nil
+		return ex.deliverFrom(node, node), nil
 	}
 	switch {
 	case !reached:
 		return Reception{Kind: Silence}, nil
 	case !buf.collided(node):
-		return st.deliverFrom(node, buf.singleReacher(node)), nil
+		return ex.deliverFrom(node, buf.singleReacher(node)), nil
 	}
 	switch rule {
 	case CR2:
@@ -1152,14 +1156,14 @@ func (st *runState) reception(node graph.NodeID, reached bool) (Reception, error
 	case CR3:
 		return Reception{Kind: Silence}, nil
 	default: // CR4
-		reaching := buf.materializeReaching(node, st.sent)
-		choice := st.adv.Resolve(st.view, node, reaching)
+		reaching := buf.materializeReaching(node, ex.sent)
+		choice := ex.adv.Resolve(ex.view, node, reaching)
 		if choice == NoDelivery {
 			return Reception{Kind: Silence}, nil
 		}
 		for _, s := range reaching {
 			if s == choice {
-				return st.deliverFrom(node, s), nil
+				return ex.deliverFrom(node, s), nil
 			}
 		}
 		return Reception{}, fmt.Errorf("%w: node %d chose %d", ErrBadResolve, node, choice)

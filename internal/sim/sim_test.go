@@ -438,23 +438,24 @@ func TestDeterministicReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *sim.Result {
+	run := func() (*sim.Result, [][]graph.NodeID) {
 		adv, err := adversary.NewRandom(0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(d, alg, adv, sim.Config{Seed: 12345, RecordSenders: true})
+		res, senders, err := transcript(graph.Static(d), alg, adv, sim.Config{Seed: 12345})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, senders
 	}
-	a, b := run(), run()
+	a, aSenders := run()
+	b, bSenders := run()
 	if a.Rounds != b.Rounds || a.Transmissions != b.Transmissions {
 		t.Fatalf("same seed produced different results: %d/%d vs %d/%d",
 			a.Rounds, a.Transmissions, b.Rounds, b.Transmissions)
 	}
-	if !reflect.DeepEqual(a.SendersByRound, b.SendersByRound) {
+	if !reflect.DeepEqual(aSenders, bSenders) {
 		t.Fatal("same seed produced different transcripts")
 	}
 	if !reflect.DeepEqual(a.FirstReceive, b.FirstReceive) {
@@ -462,36 +463,43 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestRecordSendersTranscript(t *testing.T) {
+func TestSendersTranscript(t *testing.T) {
 	d := mustLine(t, 4)
-	res, err := sim.Run(d, core.NewRoundRobin(), adversary.Benign{}, sim.Config{
-		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, RecordSenders: true,
+	res, senders, err := transcript(graph.Static(d), core.NewRoundRobin(), adversary.Benign{}, sim.Config{
+		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.SendersByRound) < res.Rounds {
-		t.Fatalf("transcript has %d rounds, want >= %d", len(res.SendersByRound), res.Rounds)
+	if len(senders) < res.Rounds {
+		t.Fatalf("transcript has %d rounds, want >= %d", len(senders), res.Rounds)
 	}
-	if len(res.SendersByRound[0]) != 1 || res.SendersByRound[0][0] != 1 {
-		t.Fatalf("round 1 senders = %v, want [1]", res.SendersByRound[0])
+	if len(senders[0]) != 1 || res.ProcOf[senders[0][0]] != 1 {
+		t.Fatalf("round 1 senders = %v, want the node of pid 1", senders[0])
 	}
 }
 
-func TestRunToMaxRounds(t *testing.T) {
+// TestStepPastCompletion: stepping a completed run to its cap plays every
+// round, and Rounds stays the completion round.
+func TestStepPastCompletion(t *testing.T) {
 	d := mustLine(t, 3)
-	res, err := sim.Run(d, core.NewRoundRobin(), adversary.Benign{}, sim.Config{
-		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1,
-		MaxRounds: 20, RunToMaxRounds: true, RecordSenders: true,
-	})
+	cfg := sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, MaxRounds: 20}
+	want, err := sim.Run(d, core.NewRoundRobin(), adversary.Benign{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 20 {
-		t.Fatalf("Rounds = %d, want 20 (run to cap)", res.Rounds)
+	res, err := runToCap(graph.Static(d), core.NewRoundRobin(), adversary.Benign{}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !res.Completed {
 		t.Fatal("broadcast must still be detected as complete")
+	}
+	if res.Rounds != want.Rounds || want.Rounds >= 20 {
+		t.Fatalf("Rounds = %d, want the completion round %d", res.Rounds, want.Rounds)
+	}
+	if res.Transmissions <= want.Transmissions {
+		t.Fatalf("Transmissions = %d after 20 rounds, want more than the %d by completion", res.Transmissions, want.Transmissions)
 	}
 }
 
@@ -533,19 +541,16 @@ func TestBenignEqualsClassicalStaticModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := sim.Run(d, core.NewRoundRobin(), adversary.Benign{}, sim.Config{
-		Rule: sim.CR3, Start: sim.SyncStart, Seed: 7, RecordSenders: true,
-	})
+	cfg := sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 7}
+	resA, sendersA, err := transcript(graph.Static(d), core.NewRoundRobin(), adversary.Benign{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := sim.Run(d, core.NewRoundRobin(), adversary.FullDelivery{}, sim.Config{
-		Rule: sim.CR3, Start: sim.SyncStart, Seed: 7, RecordSenders: true,
-	})
+	resB, sendersB, err := transcript(graph.Static(d), core.NewRoundRobin(), adversary.FullDelivery{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resA.SendersByRound, resB.SendersByRound) ||
+	if !reflect.DeepEqual(sendersA, sendersB) ||
 		!reflect.DeepEqual(resA.FirstReceive, resB.FirstReceive) {
 		t.Fatal("classical network must be adversary-independent")
 	}

@@ -83,11 +83,11 @@ func TestJSONRoundTripRunsBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal %s: %v", blob, err)
 	}
-	want, err := engine.Map(context.Background(), 6, engine.Config{Workers: 2}, mustBuild(t, s).Execute)
+	want, err := engine.Map(context.Background(), 6, engine.Config{Workers: 2}, trials(mustBuild(t, s).Trial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.Map(context.Background(), 6, engine.Config{Workers: 3}, mustBuild(t, back).Execute)
+	got, err := engine.Map(context.Background(), 6, engine.Config{Workers: 3}, trials(mustBuild(t, back).Trial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +102,11 @@ func TestJSONRoundTripRunsBitIdentical(t *testing.T) {
 	if string(blob) != string(blob2) {
 		t.Fatalf("re-marshal drifted:\n%s\n%s", blob, blob2)
 	}
+}
+
+// trials returns the Map function that runs trial i of cell.
+func trials(cell engine.Trial) func(int) (*sim.Result, error) {
+	return func(i int) (*sim.Result, error) { return cell.Execute(context.Background(), i) }
 }
 
 // TestScenarioMatchesPositionalPath pins the Spec path against the
@@ -124,11 +129,11 @@ func TestScenarioMatchesPositionalPath(t *testing.T) {
 	}
 	positional := engine.Trial{Net: b.Net, Alg: b.Alg, Adv: b.Adv,
 		Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}}
-	want, err := engine.Map(context.Background(), 8, engine.Config{Workers: 2}, positional.Execute)
+	want, err := engine.Map(context.Background(), 8, engine.Config{Workers: 2}, trials(positional))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.Map(context.Background(), 8, engine.Config{Workers: 1}, b.Execute)
+	got, err := engine.Map(context.Background(), 8, engine.Config{Workers: 1}, trials(b.Trial))
 	if err != nil {
 		t.Fatal(err)
 	}

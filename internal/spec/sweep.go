@@ -249,8 +249,8 @@ type Hooks struct {
 // Scenario alone. Units in h.Seed are restored instead of run, and the grid
 // result — including the order and content of h.OnCell deliveries — is
 // bit-identical to an uninterrupted run at any worker count on either side
-// of the interruption. Cancelling ctx stops the run between trials with a
-// wrapped context error; cells already delivered remain final.
+// of the interruption. Cancelling ctx stops the run within 64 rounds with
+// a wrapped context error; cells already delivered remain final.
 func (sw Sweep) Run(ctx context.Context, ec engine.Config, sc engine.StreamConfig, h Hooks) (*GridResult, error) {
 	cells, err := sw.Cells()
 	if err != nil {

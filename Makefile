@@ -63,7 +63,8 @@ race:
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,
-# checkpoint torn-tail recovery), and the direct-CSR geometric constructor
+# checkpoint torn-tail recovery), the run path a valid scenario document
+# reaches (Build plus one Run), and the direct-CSR geometric constructor
 # against its Builder-based oracle. A few seconds each is enough to replay the
 # checked-in corpus and shake the shallow branches in CI; run `go test
 # -fuzz=<target> -fuzztime=10m <pkg>` for a real hunt.
@@ -71,6 +72,7 @@ FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzScenarioUnmarshal -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run NONE -fuzz FuzzSweepUnmarshal -fuzztime $(FUZZTIME) ./internal/spec/
+	$(GO) test -run NONE -fuzz FuzzScenarioBuildRun -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run NONE -fuzz FuzzStreamUnmarshal -fuzztime $(FUZZTIME) ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/checkpoint/

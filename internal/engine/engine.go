@@ -211,26 +211,40 @@ type Trial struct {
 // cancelEvery is how many rounds a trial plays between checks of its ctx.
 const cancelEvery = 64
 
-// Execute runs trial i of the cell: one sim execution with sim seed
-// SeedFor(t.Cfg.Seed, i), stepped until done. The sim derives every epoch's
-// randomness from that seed alone (graph.EpochSeed), so the result is a
-// pure function of (t, i) — which is what makes every engine path
-// bit-identical at any worker count, static and dynamic cells alike.
+// Execute runs trial i of the cell: Run with sim seed SeedFor(t.Cfg.Seed,
+// i). The sim derives every epoch's randomness from that seed alone
+// (graph.EpochSeed), so the result is a pure function of (t, i) — which is
+// what makes every engine path bit-identical at any worker count, static and
+// dynamic cells alike.
+func (t Trial) Execute(ctx context.Context, i int) (*sim.Result, error) {
+	t.Cfg.Seed = SeedFor(t.Cfg.Seed, i)
+	return t.run(ctx, i)
+}
+
+// Run executes the cell once with exactly t.Cfg, seed included: one sim
+// execution stepped until done, the loop every engine path shares.
 //
-// A cancelled ctx stops the trial within cancelEvery rounds, returning
-// ctx.Err() itself. A panic inside the run — a faulty algorithm, adversary or
-// schedule — is recovered and returned as that trial's *TrialPanic, so it
-// fails the trial (and the run or job around it) like any other trial error
-// instead of taking the process down.
-func (t Trial) Execute(ctx context.Context, i int) (res *sim.Result, err error) {
-	c := t.Cfg
-	c.Seed = SeedFor(t.Cfg.Seed, i)
+// A ctx already done fails Run at once; one cancelled while it runs stops it
+// (and Execute) within cancelEvery rounds. Both return ctx.Err() itself. A
+// panic inside the run — a faulty algorithm, adversary or schedule — is
+// recovered and returned as a *TrialPanic, so it fails the run (and the grid
+// or job around it) like any other error instead of taking the process
+// down.
+func (t Trial) Run(ctx context.Context) (*sim.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return t.run(ctx, 0)
+}
+
+// run is Run with i as the trial index a panic reports.
+func (t Trial) run(ctx context.Context, i int) (res *sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, &TrialPanic{Trial: i, Seed: c.Seed, Value: v, Stack: debug.Stack()}
+			res, err = nil, &TrialPanic{Trial: i, Seed: t.Cfg.Seed, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	run, err := sim.Start(t.schedule(), t.Alg, t.Adv, c)
+	run, err := sim.Start(t.schedule(), t.Alg, t.Adv, t.Cfg)
 	for done := false; err == nil && !done; {
 		if done, err = run.Step(); err == nil && !done && run.Round()%cancelEvery == 0 {
 			err = ctx.Err()
@@ -246,9 +260,10 @@ func (t Trial) Execute(ctx context.Context, i int) (res *sim.Result, err error) 
 // reproduce it: by the determinism contract, re-running the cell with sim
 // seed Seed replays the same execution up to the same panic.
 type TrialPanic struct {
-	// Trial is the trial index within its cell.
+	// Trial is the trial index within its cell (0 for a Run).
 	Trial int
-	// Seed is the trial's sim seed, SeedFor(cell seed, Trial).
+	// Seed is the run's sim seed: SeedFor(cell seed, Trial) for Execute,
+	// the cell seed itself for Run.
 	Seed int64
 	// Value is the value the run panicked with.
 	Value any

@@ -10,50 +10,34 @@ import (
 	"dualgraph/internal/sim"
 )
 
-// topoEntry pairs an Entry with its dual-graph constructor. n is the
-// requested network size; generators whose size is structural (grid,
-// layered) may build a nearby size — callers must read the built network's
-// N(), not echo the request. seed feeds the generator's private rng;
-// deterministic generators ignore it.
-type topoEntry struct {
-	Entry
-	build func(e Entry, n int, seed int64, p Params) (*graph.Dual, error)
-}
-
-// algEntry pairs an Entry with its algorithm constructor. n is the process
-// count of the network the algorithm will run on (its built N(), post any
-// structural adjustment by the topology).
-type algEntry struct {
-	Entry
-	build func(e Entry, n int, p Params) (sim.Algorithm, error)
-}
-
-// advEntry pairs an Entry with its adversary constructor.
-type advEntry struct {
-	Entry
-	build func(e Entry, p Params) (sim.Adversary, error)
-}
-
-// schedEntry pairs an Entry with its epoch-schedule constructor. base is the
-// already-built scenario network the schedule mutates (or, for generative
-// schedules like waypoint mobility, mines for its node count and source).
-type schedEntry struct {
-	Entry
-	build func(e Entry, base *graph.Dual, p Params) (graph.Schedule, error)
-}
+// The constructor shape of each kind. A topology gets the requested size n,
+// which generators whose size is structural (grid, layered) may round to a
+// nearby size — callers must read the built network's N(), not echo the
+// request — and a seed for its private rng, which deterministic generators
+// ignore. An algorithm gets the process count of the network it will run on
+// (its built N(), post any structural adjustment by the topology). A
+// schedule gets the already-built scenario network it mutates (or, for
+// generative schedules like waypoint mobility, mines for its node count and
+// source).
+type (
+	topoFunc  = func(n int, seed int64, a args) (*graph.Dual, error)
+	algFunc   = func(n int, a args) (sim.Algorithm, error)
+	advFunc   = func(a args) (sim.Adversary, error)
+	schedFunc = func(base *graph.Dual, a args) (graph.Schedule, error)
+)
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // topologies is the topology registry. Parameter defaults reproduce the
 // historical hardcoded values of cmd/dgsim and internal/expt, so a default
 // Choice builds the exact network those paths always built.
-var topologies = map[string]*topoEntry{
+var topologies = newKind("topology", map[string]*entry[topoFunc]{
 	"clique-bridge": {
 		Entry: Entry{
 			Name: "clique-bridge",
 			Doc:  "Theorem 2 network: (n-1)-clique with a receiver behind a bridge; G' complete",
 		},
-		build: func(_ Entry, n int, _ int64, _ Params) (*graph.Dual, error) {
+		build: func(n int, _ int64, _ args) (*graph.Dual, error) {
 			return graph.CliqueBridge(n)
 		},
 	},
@@ -62,31 +46,31 @@ var topologies = map[string]*topoEntry{
 			Name: "complete-layered",
 			Doc:  "Theorem 12 network of two-node layers (odd n >= 5); G' complete",
 		},
-		build: func(_ Entry, n int, _ int64, _ Params) (*graph.Dual, error) {
+		build: func(n int, _ int64, _ args) (*graph.Dual, error) {
 			return graph.CompleteLayered(n)
 		},
 	},
 	"line": {
 		Entry: Entry{Name: "line", Doc: "classical path 0-1-...-(n-1), source at 0"},
-		build: func(_ Entry, n int, _ int64, _ Params) (*graph.Dual, error) {
+		build: func(n int, _ int64, _ args) (*graph.Dual, error) {
 			return graph.Line(n)
 		},
 	},
 	"star": {
 		Entry: Entry{Name: "star", Doc: "classical star, source at the hub"},
-		build: func(_ Entry, n int, _ int64, _ Params) (*graph.Dual, error) {
+		build: func(n int, _ int64, _ args) (*graph.Dual, error) {
 			return graph.Star(n)
 		},
 	},
 	"complete": {
 		Entry: Entry{Name: "complete", Doc: "classical clique (single hop)"},
-		build: func(_ Entry, n int, _ int64, _ Params) (*graph.Dual, error) {
+		build: func(n int, _ int64, _ args) (*graph.Dual, error) {
 			return graph.Complete(n)
 		},
 	},
 	"tree": {
 		Entry: Entry{Name: "tree", Doc: "classical complete binary tree rooted at the source"},
-		build: func(_ Entry, n int, _ int64, _ Params) (*graph.Dual, error) {
+		build: func(n int, _ int64, _ args) (*graph.Dual, error) {
 			return graph.BinaryTree(n)
 		},
 	},
@@ -101,23 +85,8 @@ var topologies = map[string]*topoEntry{
 				{Name: "p", Type: "float", Default: 0.3, Doc: "per-candidate unreliable link probability"},
 			},
 		},
-		build: func(e Entry, n int, seed int64, p Params) (*graph.Dual, error) {
-			rows, err := getInt(p, mustDoc(e, "rows"))
-			if err != nil {
-				return nil, err
-			}
-			cols, err := getInt(p, mustDoc(e, "cols"))
-			if err != nil {
-				return nil, err
-			}
-			reach, err := getInt(p, mustDoc(e, "reach"))
-			if err != nil {
-				return nil, err
-			}
-			prob, err := getFloat(p, mustDoc(e, "p"))
-			if err != nil {
-				return nil, err
-			}
+		build: func(n int, seed int64, a args) (*graph.Dual, error) {
+			rows, cols := a.int("rows"), a.int("cols")
 			if (rows == 0) != (cols == 0) {
 				return nil, fmt.Errorf("grid: rows and cols must be given together (got rows=%d cols=%d)", rows, cols)
 			}
@@ -128,7 +97,7 @@ var topologies = map[string]*topoEntry{
 				}
 				rows, cols = side, side
 			}
-			return graph.Grid(rows, cols, reach, prob, newRng(seed))
+			return graph.Grid(rows, cols, a.int("reach"), a.float("p"), newRng(seed))
 		},
 	},
 	"random": {
@@ -140,16 +109,8 @@ var topologies = map[string]*topoEntry{
 				{Name: "p-unreliable", Type: "float", Default: 0.35, Doc: "unreliable edge probability on remaining pairs"},
 			},
 		},
-		build: func(e Entry, n int, seed int64, p Params) (*graph.Dual, error) {
-			pr, err := getFloat(p, mustDoc(e, "p-reliable"))
-			if err != nil {
-				return nil, err
-			}
-			pu, err := getFloat(p, mustDoc(e, "p-unreliable"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.RandomDual(n, pr, pu, newRng(seed))
+		build: func(n int, seed int64, a args) (*graph.Dual, error) {
+			return graph.RandomDual(n, a.float("p-reliable"), a.float("p-unreliable"), newRng(seed))
 		},
 	},
 	"geometric": {
@@ -161,16 +122,8 @@ var topologies = map[string]*topoEntry{
 				{Name: "r-unreliable", Type: "float", Default: 0.7, Doc: "links shorter than this (but beyond r-reliable) are unreliable"},
 			},
 		},
-		build: func(e Entry, n int, seed int64, p Params) (*graph.Dual, error) {
-			rr, err := getFloat(p, mustDoc(e, "r-reliable"))
-			if err != nil {
-				return nil, err
-			}
-			ru, err := getFloat(p, mustDoc(e, "r-unreliable"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.Geometric(n, rr, ru, newRng(seed))
+		build: func(n int, seed int64, a args) (*graph.Dual, error) {
+			return graph.Geometric(n, a.float("r-reliable"), a.float("r-unreliable"), newRng(seed))
 		},
 	},
 	"pa": {
@@ -182,16 +135,8 @@ var topologies = map[string]*topoEntry{
 				{Name: "unreliable-frac", Type: "float", Default: 0.5, Doc: "probability a non-first attachment link is unreliable"},
 			},
 		},
-		build: func(e Entry, n int, seed int64, p Params) (*graph.Dual, error) {
-			m, err := getInt(p, mustDoc(e, "m"))
-			if err != nil {
-				return nil, err
-			}
-			frac, err := getFloat(p, mustDoc(e, "unreliable-frac"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.PreferentialAttachment(n, m, frac, newRng(seed))
+		build: func(n int, seed int64, a args) (*graph.Dual, error) {
+			return graph.PreferentialAttachment(n, a.int("m"), a.float("unreliable-frac"), newRng(seed))
 		},
 	},
 	"layered-random": {
@@ -203,12 +148,8 @@ var topologies = map[string]*topoEntry{
 				{Name: "layers", Type: "[]int", Default: []int{4, 4, 4}, Doc: "layer sizes below the source"},
 			},
 		},
-		build: func(e Entry, _ int, _ int64, p Params) (*graph.Dual, error) {
-			sizes, err := getInts(p, mustDoc(e, "layers"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.LayeredRandom(sizes)
+		build: func(_ int, _ int64, a args) (*graph.Dual, error) {
+			return graph.LayeredRandom(a.ints("layers"))
 		},
 	},
 	"directed-layered": {
@@ -220,21 +161,17 @@ var topologies = map[string]*topoEntry{
 				{Name: "layers", Type: "[]int", Default: []int{4, 4, 4}, Doc: "layer sizes below the source"},
 			},
 		},
-		build: func(e Entry, _ int, _ int64, p Params) (*graph.Dual, error) {
-			sizes, err := getInts(p, mustDoc(e, "layers"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.DirectedLayered(sizes)
+		build: func(_ int, _ int64, a args) (*graph.Dual, error) {
+			return graph.DirectedLayered(a.ints("layers"))
 		},
 	},
-}
+})
 
 // algorithms is the algorithm registry.
-var algorithms = map[string]*algEntry{
+var algorithms = newKind("algorithm", map[string]*entry[algFunc]{
 	"strong-select": {
 		Entry: Entry{Name: "strong-select", Doc: "deterministic Strong Select, O(n^{3/2}√log n) (Section 5)"},
-		build: func(_ Entry, n int, _ Params) (sim.Algorithm, error) {
+		build: func(n int, _ args) (sim.Algorithm, error) {
 			return core.NewStrongSelect(n)
 		},
 	},
@@ -247,33 +184,26 @@ var algorithms = map[string]*algEntry{
 				{Name: "t", Type: "int", Default: 0, Doc: "explicit level length T; 0 derives it from n and epsilon"},
 			},
 		},
-		build: func(e Entry, n int, p Params) (sim.Algorithm, error) {
-			t, err := getInt(p, mustDoc(e, "t"))
-			if err != nil {
-				return nil, err
-			}
+		build: func(n int, a args) (sim.Algorithm, error) {
+			t := a.int("t")
 			if t < 0 {
 				return nil, fmt.Errorf("harmonic t must be >= 0 (0 derives it), got %d", t)
 			}
 			if t > 0 {
 				return core.NewHarmonic(t)
 			}
-			eps, err := getFloat(p, mustDoc(e, "epsilon"))
-			if err != nil {
-				return nil, err
-			}
-			return core.NewHarmonicForN(n, eps)
+			return core.NewHarmonicForN(n, a.float("epsilon"))
 		},
 	},
 	"round-robin": {
 		Entry: Entry{Name: "round-robin", Doc: "deterministic round-robin baseline, O(n·D) on classical graphs"},
-		build: func(_ Entry, _ int, _ Params) (sim.Algorithm, error) {
+		build: func(_ int, _ args) (sim.Algorithm, error) {
 			return core.NewRoundRobin(), nil
 		},
 	},
 	"decay": {
 		Entry: Entry{Name: "decay", Doc: "classical randomized Decay baseline (Bar-Yehuda et al.)"},
-		build: func(_ Entry, _ int, _ Params) (sim.Algorithm, error) {
+		build: func(_ int, _ args) (sim.Algorithm, error) {
 			return core.NewDecay(), nil
 		},
 	},
@@ -285,12 +215,8 @@ var algorithms = map[string]*algEntry{
 				{Name: "p", Type: "float", Default: 0.25, Doc: "per-round transmission probability"},
 			},
 		},
-		build: func(e Entry, _ int, p Params) (sim.Algorithm, error) {
-			prob, err := getFloat(p, mustDoc(e, "p"))
-			if err != nil {
-				return nil, err
-			}
-			return core.NewUniform(prob)
+		build: func(_ int, a args) (sim.Algorithm, error) {
+			return core.NewUniform(a.float("p"))
 		},
 	},
 	"delta-select": {
@@ -301,24 +227,21 @@ var algorithms = map[string]*algEntry{
 				{Name: "delta", Type: "int", Default: 0, Doc: "in-degree bound Δ on G'; 0 uses the trivial bound n-1"},
 			},
 		},
-		build: func(e Entry, n int, p Params) (sim.Algorithm, error) {
-			delta, err := getInt(p, mustDoc(e, "delta"))
-			if err != nil {
-				return nil, err
-			}
+		build: func(n int, a args) (sim.Algorithm, error) {
+			delta := a.int("delta")
 			if delta == 0 {
 				delta = n - 1
 			}
 			return core.NewDeltaSelect(n, delta)
 		},
 	},
-}
+})
 
 // adversaries is the adversary registry.
-var adversaries = map[string]*advEntry{
+var adversaries = newKind("adversary", map[string]*entry[advFunc]{
 	"benign": {
 		Entry: Entry{Name: "benign", Doc: "never uses unreliable edges (the classical static model)"},
-		build: func(_ Entry, _ Params) (sim.Adversary, error) {
+		build: func(_ args) (sim.Adversary, error) {
 			return adversary.Benign{}, nil
 		},
 	},
@@ -330,17 +253,13 @@ var adversaries = map[string]*advEntry{
 				{Name: "p", Type: "float", Default: 0.25, Doc: "per-edge per-round delivery probability"},
 			},
 		},
-		build: func(e Entry, p Params) (sim.Adversary, error) {
-			prob, err := getFloat(p, mustDoc(e, "p"))
-			if err != nil {
-				return nil, err
-			}
-			return adversary.NewRandom(prob)
+		build: func(a args) (sim.Adversary, error) {
+			return adversary.NewRandom(a.float("p"))
 		},
 	},
 	"greedy": {
 		Entry: Entry{Name: "greedy", Doc: "adaptive greedy collider: jams single deliveries into collisions"},
-		build: func(_ Entry, _ Params) (sim.Adversary, error) {
+		build: func(_ args) (sim.Adversary, error) {
 			return adversary.GreedyCollider{}, nil
 		},
 	},
@@ -355,46 +274,30 @@ var adversaries = map[string]*advEntry{
 				{Name: "table-size", Type: "int", Default: 0, Doc: "transposition-table entry cap; 0 = 65536"},
 			},
 		},
-		build: func(e Entry, p Params) (sim.Adversary, error) {
-			horizon, err := getInt(p, mustDoc(e, "horizon"))
-			if err != nil {
-				return nil, err
-			}
-			searchRounds, err := getInt(p, mustDoc(e, "search-rounds"))
-			if err != nil {
-				return nil, err
-			}
-			nodeBudget, err := getInt(p, mustDoc(e, "node-budget"))
-			if err != nil {
-				return nil, err
-			}
-			tableSize, err := getInt(p, mustDoc(e, "table-size"))
-			if err != nil {
-				return nil, err
-			}
-			return adversary.NewAdaptive(horizon, searchRounds, nodeBudget, tableSize)
+		build: func(a args) (sim.Adversary, error) {
+			return adversary.NewAdaptive(a.int("horizon"), a.int("search-rounds"), a.int("node-budget"), a.int("table-size"))
 		},
 	},
 	"full": {
 		Entry: Entry{Name: "full", Doc: "always delivers every unreliable edge"},
-		build: func(_ Entry, _ Params) (sim.Adversary, error) {
+		build: func(_ args) (sim.Adversary, error) {
 			return adversary.FullDelivery{}, nil
 		},
 	},
-}
+})
 
 // schedules is the epoch-schedule registry: the dynamics layer. The
 // "static" entry is the default everywhere and reproduces the historical
 // fixed-topology behaviour exactly; the others mutate (or regenerate) the
 // scenario's network every epoch-len rounds. All parameter defaults are
 // chosen so a bare name is runnable.
-var schedules = map[string]*schedEntry{
+var schedules = newKind("schedule", map[string]*entry[schedFunc]{
 	"static": {
 		Entry: Entry{
 			Name: "static",
 			Doc:  "fixed topology for the whole run (the historical behaviour; the default)",
 		},
-		build: func(_ Entry, base *graph.Dual, _ Params) (graph.Schedule, error) {
+		build: func(base *graph.Dual, _ args) (graph.Schedule, error) {
 			return graph.Static(base), nil
 		},
 	},
@@ -407,16 +310,8 @@ var schedules = map[string]*schedEntry{
 				{Name: "p-down", Type: "float", Default: 0.2, Doc: "per-epoch per-node crash probability"},
 			},
 		},
-		build: func(e Entry, base *graph.Dual, p Params) (graph.Schedule, error) {
-			epochLen, err := getInt(p, mustDoc(e, "epoch-len"))
-			if err != nil {
-				return nil, err
-			}
-			pDown, err := getFloat(p, mustDoc(e, "p-down"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.NewChurn(base, epochLen, pDown)
+		build: func(base *graph.Dual, a args) (graph.Schedule, error) {
+			return graph.NewChurn(base, a.int("epoch-len"), a.float("p-down"))
 		},
 	},
 	"fade": {
@@ -428,16 +323,8 @@ var schedules = map[string]*schedEntry{
 				{Name: "p-fade", Type: "float", Default: 0.3, Doc: "per-epoch per-edge demotion probability"},
 			},
 		},
-		build: func(e Entry, base *graph.Dual, p Params) (graph.Schedule, error) {
-			epochLen, err := getInt(p, mustDoc(e, "epoch-len"))
-			if err != nil {
-				return nil, err
-			}
-			pFade, err := getFloat(p, mustDoc(e, "p-fade"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.NewFade(base, epochLen, pFade)
+		build: func(base *graph.Dual, a args) (graph.Schedule, error) {
+			return graph.NewFade(base, a.int("epoch-len"), a.float("p-fade"))
 		},
 	},
 	"waypoint": {
@@ -451,96 +338,53 @@ var schedules = map[string]*schedEntry{
 				{Name: "r-unreliable", Type: "float", Default: 0.7, Doc: "links shorter than this (but beyond r-reliable) are unreliable"},
 			},
 		},
-		build: func(e Entry, base *graph.Dual, p Params) (graph.Schedule, error) {
-			epochLen, err := getInt(p, mustDoc(e, "epoch-len"))
-			if err != nil {
-				return nil, err
-			}
-			legEpochs, err := getInt(p, mustDoc(e, "leg-epochs"))
-			if err != nil {
-				return nil, err
-			}
-			rr, err := getFloat(p, mustDoc(e, "r-reliable"))
-			if err != nil {
-				return nil, err
-			}
-			ru, err := getFloat(p, mustDoc(e, "r-unreliable"))
-			if err != nil {
-				return nil, err
-			}
-			return graph.NewWaypoint(base, epochLen, legEpochs, rr, ru)
+		build: func(base *graph.Dual, a args) (graph.Schedule, error) {
+			return graph.NewWaypoint(base, a.int("epoch-len"), a.int("leg-epochs"), a.float("r-reliable"), a.float("r-unreliable"))
 		},
 	},
-}
-
-// mustDoc fetches a ParamDoc that registration guarantees exists; a miss is
-// a registry table bug, not a user error.
-func mustDoc(e Entry, name string) ParamDoc {
-	d, ok := e.paramDoc(name)
-	if !ok {
-		panic(fmt.Sprintf("registry: entry %q has no parameter %q", e.Name, name))
-	}
-	return d
-}
+})
 
 // Topologies returns every registered topology entry, sorted by name.
-func Topologies() []Entry {
-	return entries(topologies, func(e *topoEntry) Entry { return e.Entry })
-}
+func Topologies() []Entry { return topologies.list() }
 
 // Algorithms returns every registered algorithm entry, sorted by name.
-func Algorithms() []Entry {
-	return entries(algorithms, func(e *algEntry) Entry { return e.Entry })
-}
+func Algorithms() []Entry { return algorithms.list() }
 
 // Adversaries returns every registered adversary entry, sorted by name.
-func Adversaries() []Entry {
-	return entries(adversaries, func(e *advEntry) Entry { return e.Entry })
-}
+func Adversaries() []Entry { return adversaries.list() }
 
 // Schedules returns every registered epoch-schedule entry, sorted by name.
-func Schedules() []Entry {
-	return entries(schedules, func(e *schedEntry) Entry { return e.Entry })
-}
+func Schedules() []Entry { return schedules.list() }
 
 // Topology builds the named dual-graph topology at size n. seed feeds the
 // generator's private rng (pure: same inputs, same network). Generators with
 // structural sizes may build a nearby size — read the result's N().
 func Topology(name string, n int, seed int64, p Params) (*graph.Dual, error) {
-	e, ok := topologies[name]
-	if !ok {
-		return nil, unknownName("topology", name, names(Topologies()))
+	build, a, err := topologies.lookup(name, p)
+	if err != nil {
+		return nil, err
 	}
-	if err := e.check(p); err != nil {
-		return nil, fmt.Errorf("topology %w", err)
-	}
-	return e.build(e.Entry, n, seed, p)
+	return build(n, seed, a)
 }
 
 // Algorithm builds the named broadcast algorithm for an n-node network.
 // n must be the network's built N() (a topology may adjust the requested
 // size), so resolve the topology first.
 func Algorithm(name string, n int, p Params) (sim.Algorithm, error) {
-	e, ok := algorithms[name]
-	if !ok {
-		return nil, unknownName("algorithm", name, names(Algorithms()))
+	build, a, err := algorithms.lookup(name, p)
+	if err != nil {
+		return nil, err
 	}
-	if err := e.check(p); err != nil {
-		return nil, fmt.Errorf("algorithm %w", err)
-	}
-	return e.build(e.Entry, n, p)
+	return build(n, a)
 }
 
 // Adversary builds the named adversary.
 func Adversary(name string, p Params) (sim.Adversary, error) {
-	e, ok := adversaries[name]
-	if !ok {
-		return nil, unknownName("adversary", name, names(Adversaries()))
+	build, a, err := adversaries.lookup(name, p)
+	if err != nil {
+		return nil, err
 	}
-	if err := e.check(p); err != nil {
-		return nil, fmt.Errorf("adversary %w", err)
-	}
-	return e.build(e.Entry, p)
+	return build(a)
 }
 
 // Schedule builds the named epoch schedule over an already-built base
@@ -548,97 +392,43 @@ func Adversary(name string, p Params) (sim.Adversary, error) {
 // schedule's own randomness is derived at run time from each trial's seed,
 // so the same (name, base, params) always yields the same dynamics law.
 func Schedule(name string, base *graph.Dual, p Params) (graph.Schedule, error) {
-	e, ok := schedules[name]
-	if !ok {
-		return nil, unknownName("schedule", name, names(Schedules()))
+	build, a, err := schedules.lookup(name, p)
+	if err != nil {
+		return nil, err
 	}
-	if err := e.check(p); err != nil {
-		return nil, fmt.Errorf("schedule %w", err)
-	}
-	return e.build(e.Entry, base, p)
+	return build(base, a)
 }
 
 // ValidateTopology checks that name resolves and p matches its schema
 // without building anything (n-independent validation for the Spec layer).
 func ValidateTopology(name string, p Params) error {
-	e, ok := topologies[name]
-	if !ok {
-		return unknownName("topology", name, names(Topologies()))
-	}
-	if err := e.check(p); err != nil {
-		return fmt.Errorf("topology %w", err)
-	}
-	return nil
+	_, _, err := topologies.lookup(name, p)
+	return err
 }
 
 // ValidateAlgorithm checks that name resolves and p matches its schema.
 func ValidateAlgorithm(name string, p Params) error {
-	e, ok := algorithms[name]
-	if !ok {
-		return unknownName("algorithm", name, names(Algorithms()))
-	}
-	if err := e.check(p); err != nil {
-		return fmt.Errorf("algorithm %w", err)
-	}
-	return nil
+	_, _, err := algorithms.lookup(name, p)
+	return err
 }
 
 // ValidateAdversary checks that name resolves and p matches its schema.
 func ValidateAdversary(name string, p Params) error {
-	e, ok := adversaries[name]
-	if !ok {
-		return unknownName("adversary", name, names(Adversaries()))
-	}
-	if err := e.check(p); err != nil {
-		return fmt.Errorf("adversary %w", err)
-	}
-	return nil
+	_, _, err := adversaries.lookup(name, p)
+	return err
 }
 
 // ValidateSchedule checks that name resolves and p matches its schema.
 func ValidateSchedule(name string, p Params) error {
-	e, ok := schedules[name]
-	if !ok {
-		return unknownName("schedule", name, names(Schedules()))
-	}
-	if err := e.check(p); err != nil {
-		return fmt.Errorf("schedule %w", err)
-	}
-	return nil
+	_, _, err := schedules.lookup(name, p)
+	return err
 }
 
 // TopologyInfo returns the entry header of the named topology.
-func TopologyInfo(name string) (Entry, bool) {
-	e, ok := topologies[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.Entry, true
-}
+func TopologyInfo(name string) (Entry, bool) { return topologies.info(name) }
 
 // AlgorithmInfo returns the entry header of the named algorithm.
-func AlgorithmInfo(name string) (Entry, bool) {
-	e, ok := algorithms[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.Entry, true
-}
+func AlgorithmInfo(name string) (Entry, bool) { return algorithms.info(name) }
 
 // AdversaryInfo returns the entry header of the named adversary.
-func AdversaryInfo(name string) (Entry, bool) {
-	e, ok := adversaries[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.Entry, true
-}
-
-// ScheduleInfo returns the entry header of the named epoch schedule.
-func ScheduleInfo(name string) (Entry, bool) {
-	e, ok := schedules[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.Entry, true
-}
+func AdversaryInfo(name string) (Entry, bool) { return adversaries.info(name) }

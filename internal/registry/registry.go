@@ -15,7 +15,9 @@ package registry
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -55,10 +57,7 @@ type Entry struct {
 }
 
 // AcceptsParam reports whether the entry's schema documents the key.
-func (e Entry) AcceptsParam(name string) bool {
-	_, ok := e.paramDoc(name)
-	return ok
-}
+func (e Entry) AcceptsParam(name string) bool { return e.paramIndex(name) >= 0 }
 
 // ErrUnknownName reports a failed name lookup in one of the registries. It
 // carries the full list of valid names and, when the unknown name is a near
@@ -143,45 +142,141 @@ func unknownName(kind, name string, known []string) *ErrUnknownName {
 	return e
 }
 
-// check validates a Params bag against the entry's schema: every provided
-// key must be documented and every provided value must coerce to the
-// documented type. Absent keys are fine (defaults apply at build time).
-func (e Entry) check(p Params) error {
-	for key := range p {
-		doc, ok := e.paramDoc(key)
-		if !ok {
-			return fmt.Errorf("%q: unknown parameter %q (accepted: %s)",
-				e.Name, key, e.paramNames())
-		}
-		if err := e.checkType(p, doc); err != nil {
-			return err
-		}
-	}
-	return nil
+// entry pairs an Entry header with its constructor, whose shape B is fixed
+// by the entry's kind, and with its parameter defaults, decoded once.
+type entry[B any] struct {
+	Entry
+	build    B
+	defaults args
 }
 
-func (e Entry) checkType(p Params, doc ParamDoc) error {
-	var err error
-	switch doc.Type {
+// kind is one registry table: every entry of one constructor shape B, and
+// the noun ("topology", "algorithm", ...) its lookup errors use.
+type kind[B any] struct {
+	noun    string
+	entries map[string]*entry[B]
+}
+
+// newKind builds a registry table, decoding every entry's defaults. A
+// default that does not decode is a table bug and panics at start-up.
+func newKind[B any](noun string, entries map[string]*entry[B]) kind[B] {
+	for _, e := range entries {
+		e.defaults = args{doc: e.Params, val: make([]arg, len(e.Params))}
+		for i, d := range e.Params {
+			if err := d.decode(d.Default, &e.defaults.val[i]); err != nil {
+				panic(fmt.Sprintf("registry: entry %q: bad default: %v", e.Name, err))
+			}
+		}
+	}
+	return kind[B]{noun, entries}
+}
+
+// lookup resolves name and decodes p against the entry's schema. An unknown
+// name fails with *ErrUnknownName; a bad parameter fails as "<noun> <err>".
+func (k kind[B]) lookup(name string, p Params) (B, args, error) {
+	var zero B
+	e, ok := k.entries[name]
+	if !ok {
+		return zero, args{}, unknownName(k.noun, name, slices.Sorted(maps.Keys(k.entries)))
+	}
+	a, err := e.decode(p)
+	if err != nil {
+		return zero, args{}, fmt.Errorf("%s %w", k.noun, err)
+	}
+	return e.build, a, nil
+}
+
+// list returns the kind's Entry headers, sorted by name.
+func (k kind[B]) list() []Entry {
+	out := make([]Entry, 0, len(k.entries))
+	for _, e := range k.entries {
+		out = append(out, e.Entry)
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// info returns the Entry header of the named entry.
+func (k kind[B]) info(name string) (Entry, bool) {
+	if e, ok := k.entries[name]; ok {
+		return e.Entry, true
+	}
+	return Entry{}, false
+}
+
+// arg is one decoded parameter: the field its ParamDoc.Type names is set.
+type arg struct {
+	i  int
+	f  float64
+	is []int
+}
+
+// args is a decoded Params bag: one arg per documented parameter of an
+// entry, in schema order, defaults filled in. Its readers panic on a name
+// or type the schema lacks, which is a registry table bug, not a user error.
+type args struct {
+	doc []ParamDoc
+	val []arg
+}
+
+func (a args) get(name, typ string) arg {
+	for i, d := range a.doc {
+		if d.Name == name && d.Type == typ {
+			return a.val[i]
+		}
+	}
+	panic(fmt.Sprintf("registry: no %s parameter %q in the entry's schema", typ, name))
+}
+
+func (a args) int(name string) int       { return a.get(name, "int").i }
+func (a args) float(name string) float64 { return a.get(name, "float").f }
+func (a args) ints(name string) []int    { return a.get(name, "[]int").is }
+
+// decode validates a Params bag against the entry's schema — every provided
+// key must be documented and its value must coerce to the documented type —
+// and returns the typed args. Keys are visited in sorted order, so a bag
+// with several bad keys always reports the same one.
+func (e *entry[B]) decode(p Params) (args, error) {
+	if len(p) == 0 {
+		return e.defaults, nil
+	}
+	a := args{doc: e.Params, val: slices.Clone(e.defaults.val)}
+	keys := make([]string, 0, len(p))
+	for key := range p {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		i := e.paramIndex(key)
+		if i < 0 {
+			return args{}, fmt.Errorf("%q: unknown parameter %q (accepted: %s)",
+				e.Name, key, e.paramNames())
+		}
+		if err := e.Params[i].decode(p[key], &a.val[i]); err != nil {
+			return args{}, err
+		}
+	}
+	return a, nil
+}
+
+// decode coerces one parameter value to the documented type, into dst.
+func (d ParamDoc) decode(v any, dst *arg) (err error) {
+	switch d.Type {
 	case "int":
-		_, err = getInt(p, doc)
+		dst.i, err = toInt(d.Name, v)
 	case "float":
-		_, err = getFloat(p, doc)
+		dst.f, err = toFloat(d.Name, v)
 	case "[]int":
-		_, err = getInts(p, doc)
+		dst.is, err = toInts(d.Name, v)
 	default:
-		err = fmt.Errorf("registry bug: parameter %q has unhandled type %q", doc.Name, doc.Type)
+		panic(fmt.Sprintf("registry: parameter %q has unhandled type %q", d.Name, d.Type))
 	}
 	return err
 }
 
-func (e Entry) paramDoc(name string) (ParamDoc, bool) {
-	for _, d := range e.Params {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return ParamDoc{}, false
+// paramIndex returns the index of the named parameter in the schema, or -1.
+func (e Entry) paramIndex(name string) int {
+	return slices.IndexFunc(e.Params, func(d ParamDoc) bool { return d.Name == name })
 }
 
 func (e Entry) paramNames() string {
@@ -195,12 +290,8 @@ func (e Entry) paramNames() string {
 	return strings.Join(names, ", ")
 }
 
-// getFloat reads a float parameter, applying the doc default when absent.
-func getFloat(p Params, doc ParamDoc) (float64, error) {
-	v, ok := p[doc.Name]
-	if !ok {
-		v = doc.Default
-	}
+// toFloat reads a float parameter value.
+func toFloat(name string, v any) (float64, error) {
 	switch x := v.(type) {
 	case float64:
 		return x, nil
@@ -211,16 +302,12 @@ func getFloat(p Params, doc ParamDoc) (float64, error) {
 	case int64:
 		return float64(x), nil
 	}
-	return 0, fmt.Errorf("parameter %q: want a number, got %T", doc.Name, v)
+	return 0, fmt.Errorf("parameter %q: want a number, got %T", name, v)
 }
 
-// getInt reads an integer parameter; float values are accepted only when
-// they are exactly integral (JSON decodes all numbers as float64).
-func getInt(p Params, doc ParamDoc) (int, error) {
-	v, ok := p[doc.Name]
-	if !ok {
-		v = doc.Default
-	}
+// toInt reads an integer parameter value; float values are accepted only
+// when they are exactly integral (JSON decodes all numbers as float64).
+func toInt(name string, v any) (int, error) {
 	switch x := v.(type) {
 	case int:
 		return x, nil
@@ -228,53 +315,31 @@ func getInt(p Params, doc ParamDoc) (int, error) {
 		return int(x), nil
 	case float64:
 		if x != math.Trunc(x) {
-			return 0, fmt.Errorf("parameter %q: want an integer, got %v", doc.Name, x)
+			return 0, fmt.Errorf("parameter %q: want an integer, got %v", name, x)
 		}
 		return int(x), nil
 	}
-	return 0, fmt.Errorf("parameter %q: want an integer, got %T", doc.Name, v)
+	return 0, fmt.Errorf("parameter %q: want an integer, got %T", name, v)
 }
 
-// getInts reads a list-of-int parameter ([]int, or []any of integral
+// toInts reads a list-of-int parameter value ([]int, or []any of integral
 // numbers as produced by JSON decoding).
-func getInts(p Params, doc ParamDoc) ([]int, error) {
-	v, ok := p[doc.Name]
-	if !ok {
-		v = doc.Default
-	}
+func toInts(name string, v any) ([]int, error) {
 	switch xs := v.(type) {
 	case []int:
 		return xs, nil
 	case []any:
 		out := make([]int, len(xs))
 		for i, x := range xs {
-			n, err := getInt(Params{doc.Name: x}, ParamDoc{Name: doc.Name})
+			n, err := toInt(name, x)
 			if err != nil {
-				return nil, fmt.Errorf("parameter %q[%d]: want an integer, got %v", doc.Name, i, x)
+				return nil, fmt.Errorf("parameter %q[%d]: want an integer, got %v", name, i, x)
 			}
 			out[i] = n
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("parameter %q: want a list of integers, got %T", doc.Name, v)
-}
-
-// entries returns the Entry headers of a registry table, sorted by name.
-func entries[E any](m map[string]E, header func(E) Entry) []Entry {
-	out := make([]Entry, 0, len(m))
-	for _, e := range m {
-		out = append(out, header(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func names(es []Entry) []string {
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.Name
-	}
-	return out
+	return nil, fmt.Errorf("parameter %q: want a list of integers, got %T", name, v)
 }
 
 // WriteList renders every registry — topologies, algorithms, adversaries,

@@ -222,3 +222,78 @@ func TestWriteListGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupErrors pins the exact error text of every kind's build and
+// Validate* paths for an unknown name, an unknown parameter and a mistyped
+// parameter. The texts reach Spec validation, both CLIs and dgsimd Submit
+// callers, so they must not drift.
+func TestLookupErrors(t *testing.T) {
+	base := scheduleBase(t)
+	type call func(name string, p Params) error
+	kinds := map[string]struct{ build, validate call }{
+		"topology": {
+			func(name string, p Params) error { _, err := Topology(name, 9, 1, p); return err },
+			ValidateTopology,
+		},
+		"algorithm": {
+			func(name string, p Params) error { _, err := Algorithm(name, 9, p); return err },
+			ValidateAlgorithm,
+		},
+		"adversary": {
+			func(name string, p Params) error { _, err := Adversary(name, p); return err },
+			ValidateAdversary,
+		},
+		"schedule": {
+			func(name string, p Params) error { _, err := Schedule(name, base, p); return err },
+			ValidateSchedule,
+		},
+	}
+	cases := []struct {
+		kind, name string
+		p          Params
+		want       string
+		unknown    bool // the error is an *ErrUnknownName
+	}{
+		{"topology", "geometirc", nil, `unknown topology "geometirc" (did you mean "geometric"?); valid topology names: clique-bridge, complete, complete-layered, directed-layered, geometric, grid, layered-random, line, pa, random, star, tree`, true},
+		{"topology", "", nil, `missing topology name; valid topology names: clique-bridge, complete, complete-layered, directed-layered, geometric, grid, layered-random, line, pa, random, star, tree`, true},
+		{"topology", "geometric", Params{"radius": 0.3}, `topology "geometric": unknown parameter "radius" (accepted: r-reliable, r-unreliable)`, false},
+		{"topology", "grid", Params{"reach": 1.5}, `topology parameter "reach": want an integer, got 1.5`, false},
+		{"topology", "layered-random", Params{"layers": []any{1.0, "x"}}, `topology parameter "layers"[1]: want an integer, got x`, false},
+		{"topology", "layered-random", Params{"layers": "x"}, `topology parameter "layers": want a list of integers, got string`, false},
+		{"algorithm", "harmonix", nil, `unknown algorithm "harmonix" (did you mean "harmonic"?); valid algorithm names: decay, delta-select, harmonic, round-robin, strong-select, uniform`, true},
+		{"algorithm", "uniform", Params{"q": 1}, `algorithm "uniform": unknown parameter "q" (accepted: p)`, false},
+		{"algorithm", "harmonic", Params{"t": "x"}, `algorithm parameter "t": want an integer, got string`, false},
+		{"algorithm", "uniform", Params{"p": "high"}, `algorithm parameter "p": want a number, got string`, false},
+		{"adversary", "greddy", nil, `unknown adversary "greddy" (did you mean "greedy"?); valid adversary names: adaptive, benign, full, greedy, random`, true},
+		{"adversary", "random", Params{"prob": 0.5}, `adversary "random": unknown parameter "prob" (accepted: p)`, false},
+		{"adversary", "adaptive", Params{"horizon": 2.5}, `adversary parameter "horizon": want an integer, got 2.5`, false},
+		{"adversary", "benign", Params{"p": 0.5}, `adversary "benign": unknown parameter "p" (accepted: none)`, false},
+		{"schedule", "churm", nil, `unknown schedule "churm" (did you mean "churn"?); valid schedule names: churn, fade, static, waypoint`, true},
+		{"schedule", "churn", Params{"p-dwon": 0.5}, `schedule "churn": unknown parameter "p-dwon" (accepted: epoch-len, p-down)`, false},
+		{"schedule", "waypoint", Params{"leg-epochs": "fast"}, `schedule parameter "leg-epochs": want an integer, got string`, false},
+		// Several bad keys: the first in sorted order is reported, every
+		// time ("r-reliable" sorts before "radius").
+		{"topology", "geometric", Params{"radius": 0.3, "r-reliable": "x"}, `topology parameter "r-reliable": want a number, got string`, false},
+		{"schedule", "churn", Params{"p-down": "x", "epoch-len": 0.5, "zz": 1}, `schedule parameter "epoch-len": want an integer, got 0.5`, false},
+	}
+	for _, c := range cases {
+		k := kinds[c.kind]
+		for path, f := range map[string]call{"build": k.build, "validate": k.validate} {
+			for range 20 { // map order must not leak into the message
+				err := f(c.name, c.p)
+				if err == nil || err.Error() != c.want {
+					t.Fatalf("%s %s %q %v: error %v\nwant %s", c.kind, path, c.name, c.p, err, c.want)
+				}
+				var unk *ErrUnknownName
+				if errors.As(err, &unk) != c.unknown {
+					t.Fatalf("%s %s %q: *ErrUnknownName = %v, want %v", c.kind, path, c.name, !c.unknown, c.unknown)
+				}
+			}
+		}
+	}
+	for _, info := range []func(string) (Entry, bool){TopologyInfo, AlgorithmInfo, AdversaryInfo, schedules.info} {
+		if e, ok := info("nope"); ok || e.Name != "" {
+			t.Fatalf("info of an unknown name = %+v, %v", e, ok)
+		}
+	}
+}

@@ -105,9 +105,9 @@ func TestScheduleParamValidation(t *testing.T) {
 // TestScheduleInfoAndList: introspection covers the schedule registry like
 // the other three.
 func TestScheduleInfoAndList(t *testing.T) {
-	e, ok := ScheduleInfo("churn")
+	e, ok := schedules.info("churn")
 	if !ok {
-		t.Fatal("ScheduleInfo(churn) missing")
+		t.Fatal("schedules.info(churn) missing")
 	}
 	if !e.AcceptsParam("p-down") || e.AcceptsParam("p-fade") {
 		t.Fatalf("churn schema wrong: %+v", e.Params)

@@ -2,10 +2,16 @@ package spec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"dualgraph/internal/engine"
 )
 
 // checkKnownKeys asserts that every object key in the decoded document raw
@@ -53,24 +59,26 @@ func acceptedKeysKnown(t *testing.T, data []byte, typ reflect.Type) {
 	checkKnownKeys(t, raw, typ, "$")
 }
 
+// scenarioSeedDocs seeds the corpus of both scenario fuzz targets.
+var scenarioSeedDocs = []string{
+	`{}`,
+	`{"version":1,"topology":{"name":"clique-bridge"},"algorithm":{"name":"round-robin"},"adversary":{"name":"greedy"},"n":9,"rule":"CR1","start":"sync","seed":3}`,
+	`{"topology":{"name":"geometric","params":{"radius":0.3}},"n":65,"max_rounds":500}`,
+	`{"schedule":{"name":"churn","params":{"epoch-len":4,"p-down":0.2}}}`,
+	`{"version":99}`,
+	`{"rule":"CR7"}`,
+	`{"n":"nine"}`,
+	`{"n":9,"max-rounds":1}`,
+	`{"topology":{"nmae":"line"}}`,
+	`{"N":9,"Max_Rounds":3}`,
+}
+
 // FuzzScenarioUnmarshal hardens the scenario wire format: arbitrary bytes
 // must either fail to decode with an ordinary error or produce a value that
 // uses only known keys, validates without panicking and round-trips through
 // JSON unchanged.
 func FuzzScenarioUnmarshal(f *testing.F) {
-	seedDocs := []string{
-		`{}`,
-		`{"version":1,"topology":{"name":"clique-bridge"},"algorithm":{"name":"round-robin"},"adversary":{"name":"greedy"},"n":9,"rule":"CR1","start":"sync","seed":3}`,
-		`{"topology":{"name":"geometric","params":{"radius":0.3}},"n":65,"max_rounds":500}`,
-		`{"schedule":{"name":"churn","params":{"epoch-len":4,"p-down":0.2}}}`,
-		`{"version":99}`,
-		`{"rule":"CR7"}`,
-		`{"n":"nine"}`,
-		`{"n":9,"max-rounds":1}`,
-		`{"topology":{"nmae":"line"}}`,
-		`{"N":9,"Max_Rounds":3}`,
-	}
-	for _, doc := range seedDocs {
+	for _, doc := range scenarioSeedDocs {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -169,4 +177,74 @@ func FuzzSweepUnmarshal(f *testing.F) {
 			t.Fatalf("sweep serialization is not a fixed point:\n 1st %s\n 2nd %s", blob, blob2)
 		}
 	})
+}
+
+// FuzzScenarioBuildRun guards what a valid document runs, not only the
+// document: any scenario that decodes onto Default and stays small must
+// build and run to a result or an ordinary error. A *engine.TrialPanic fails
+// the target, so Run's panic containment cannot hide a crash.
+func FuzzScenarioBuildRun(f *testing.F) {
+	for _, doc := range scenarioSeedDocs {
+		f.Add([]byte(doc))
+	}
+	for _, doc := range []string{
+		`{"topology":{"name":"grid","params":{"rows":3,"cols":4}},"algorithm":{"name":"uniform"},"adversary":{"name":"random"},"n":9,"schedule":{"name":"waypoint"}}`,
+		`{"topology":{"name":"layered-random","params":{"layers":[2,3]}},"algorithm":{"name":"strong-select"},"adversary":{"name":"adaptive"},"n":1,"rule":"CR1"}`,
+		`{"topology":{"name":"pa"},"algorithm":{"name":"delta-select"},"adversary":{"name":"full"},"n":16,"start":"sync","schedule":{"name":"fade"}}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := Default()
+		if err := json.Unmarshal(data, &s); err != nil || tooBig(s) {
+			return
+		}
+		b, err := s.Build()
+		if err != nil {
+			return
+		}
+		if b.Cfg.MaxRounds == 0 || b.Cfg.MaxRounds > 2000 {
+			b.Cfg.MaxRounds = 2000
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := b.Run(ctx)
+		if p := (*engine.TrialPanic)(nil); errors.As(err, &p) {
+			t.Fatalf("%s: %v\n%s", s.Label(), p, p.Stack)
+		}
+		if (res == nil) == (err == nil) {
+			t.Fatalf("%s: Run = %v, %v; want exactly one of a result and an error", s.Label(), res, err)
+		}
+	})
+}
+
+// tooBig reports whether s asks for more than a fuzz input should run: more
+// than 16 nodes, or a numeric parameter above 64 in magnitude. A layer
+// list's sum and a grid's rows×cols size the network, so they obey the node
+// cap too.
+func tooBig(s Scenario) bool {
+	if s.N > 16 {
+		return true
+	}
+	for _, c := range []Choice{s.Topology, s.Algorithm, s.Adversary, s.Schedule} {
+		for key, v := range c.Params {
+			switch x := v.(type) {
+			case float64:
+				if math.Abs(x) > 64 || c.Name == "grid" && (key == "rows" || key == "cols") && math.Abs(x) > 4 {
+					return true
+				}
+			case []any:
+				sum := 0.0
+				for _, el := range x {
+					if f, ok := el.(float64); ok {
+						sum += math.Abs(f)
+					}
+				}
+				if sum > 16 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

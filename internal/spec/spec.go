@@ -33,7 +33,6 @@ package spec
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -277,6 +276,10 @@ func (s Scenario) Label() string {
 //   - Adv, the adversary; and
 //   - Cfg, the run configuration (callers may adjust it, e.g. MaxRounds,
 //     before running).
+//
+// Run, promoted from engine.Trial, executes the built scenario once with
+// exactly Cfg.Seed (not a derived trial seed), on Sched — which for the
+// static schedule is exactly the fixed-network run.
 type Built struct {
 	// Scenario is the spec this was built from.
 	Scenario Scenario
@@ -319,15 +322,4 @@ func (s Scenario) Build() (*Built, error) {
 			},
 		},
 	}, nil
-}
-
-// Run executes the built scenario once, with exactly Cfg.Seed (not a
-// derived trial seed): dynamically on Sched, which for the static schedule
-// is exactly the fixed-network run. A single run is one indivisible trial,
-// so ctx is only consulted before it starts.
-func (b *Built) Run(ctx context.Context) (*sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return sim.RunDynamic(b.Sched, b.Alg, b.Adv, b.Cfg)
 }

@@ -126,10 +126,11 @@ func Run(net *Network, alg Algorithm, adv Adversary, cfg Config) (*Result, error
 type EngineConfig = engine.Config
 
 // BufferedAdversary is the optional allocation-free delivery interface; see
-// sim.BufferedDeliverer. All built-in adversaries implement it except
-// Benign (deliberately map-only, since it delivers nothing and is the most
-// commonly embedded adversary); map-based third-party adversaries keep
-// working unchanged.
+// sim.BufferedDeliverer. All built-in adversaries implement it, and derive
+// their map Deliver from it, except Benign (deliberately map-only, since it
+// delivers nothing and is the most commonly embedded adversary). The round
+// loop always calls DeliverInto: a map-only third-party adversary is run
+// through a shim that applies its Deliver map.
 type BufferedAdversary = sim.BufferedDeliverer
 
 // DeliverySink collects a round's unreliable deliveries for BufferedAdversary

@@ -111,10 +111,10 @@ func (a *Adaptive) ForkRun(sched graph.Schedule, alg sim.Algorithm, cfg sim.Conf
 	return &adaptiveRun{name: a.Name(), planner: p}, nil
 }
 
-// Deliver implements sim.Adversary. It is unreachable through the engine —
-// RunDynamic always forks first — and delivers nothing when called directly.
-func (a *Adaptive) Deliver(_ *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	return nil
+// Deliver implements sim.Adversary as the map form of DeliverInto, so an
+// unforked Adaptive fails loudly on this path too.
+func (a *Adaptive) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(a, v, senders)
 }
 
 // DeliverInto implements sim.BufferedDeliverer by failing the run: reaching
@@ -185,24 +185,11 @@ func (r *adaptiveRun) DeliverInto(v *sim.View, _ []graph.NodeID, sink *sim.Deliv
 	}
 }
 
-// Deliver implements sim.Adversary (compatibility path; the engine prefers
-// DeliverInto). The map path has no typed failure channel, so planning
-// failures surface as a self-loop delivery the sink always rejects — (0,0)
-// can never be a G' \ G edge.
-func (r *adaptiveRun) Deliver(v *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	choice, err := r.plan(v.Round)
-	if err != nil {
-		return map[graph.NodeID][]graph.NodeID{0: {0}}
-	}
-	if len(choice) == 0 {
-		return nil
-	}
-	out := make(map[graph.NodeID][]graph.NodeID)
-	for _, id := range choice {
-		from, to := v.Dual.UnreliableEdge(id)
-		out[from] = append(out[from], to)
-	}
-	return out
+// Deliver implements sim.Adversary as the map form of DeliverInto. The map
+// has no typed failure channel, so a planning failure becomes a map the
+// engine always rejects.
+func (r *adaptiveRun) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(r, v, senders)
 }
 
 func (r *adaptiveRun) Resolve(_ *sim.View, _ graph.NodeID, _ []graph.NodeID) graph.NodeID {

@@ -71,18 +71,13 @@ func (FullDelivery) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error) {
 	return identityAssign(d.N()), nil
 }
 
-// Deliver implements sim.Adversary: every unreliable edge delivers.
-func (FullDelivery) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	out := make(map[graph.NodeID][]graph.NodeID, len(senders))
-	for _, s := range senders {
-		if targets := v.Dual.UnreliableOut(s); len(targets) > 0 {
-			out[s] = targets
-		}
-	}
-	return out
+// Deliver implements sim.Adversary as the map form of DeliverInto.
+func (a FullDelivery) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(a, v, senders)
 }
 
-// DeliverInto implements sim.BufferedDeliverer.
+// DeliverInto implements sim.BufferedDeliverer: every unreliable edge
+// delivers.
 func (FullDelivery) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	for _, s := range senders {
 		for _, t := range v.Dual.UnreliableOut(s) {
@@ -129,22 +124,14 @@ func (a *Random) AssignProcs(d *graph.Dual, rng *rand.Rand) ([]int, error) {
 	return procOf, nil
 }
 
-// Deliver implements sim.Adversary.
+// Deliver implements sim.Adversary as the map form of DeliverInto.
 func (a *Random) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	out := make(map[graph.NodeID][]graph.NodeID)
-	for _, s := range senders {
-		for _, t := range v.Dual.UnreliableOut(s) {
-			if v.Rng.Float64() < a.P {
-				out[s] = append(out[s], t)
-			}
-		}
-	}
-	return out
+	return sim.DeliveryMap(a, v, senders)
 }
 
-// DeliverInto implements sim.BufferedDeliverer. It draws from v.Rng in the
-// same (sender, target) order as Deliver, so both paths produce identical
-// executions for a fixed seed.
+// DeliverInto implements sim.BufferedDeliverer: each unreliable edge of each
+// sender delivers with probability P, drawn from v.Rng in (sender, target)
+// order.
 func (a *Random) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	for _, s := range senders {
 		for _, t := range v.Dual.UnreliableOut(s) {
@@ -183,48 +170,17 @@ func (GreedyCollider) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error) {
 	return identityAssign(d.N()), nil
 }
 
-// Deliver implements sim.Adversary.
-func (GreedyCollider) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	n := v.Dual.N()
-	// reliableCount[u] = number of messages reaching u via reliable edges
-	// (including senders' own messages).
-	reliableCount := make([]int, n)
-	reachedBy := make([]graph.NodeID, n) // valid when reliableCount == 1
-	for _, s := range senders {
-		reliableCount[s]++
-		reachedBy[s] = s
-		for _, u := range v.Dual.ReliableOut(s) {
-			reliableCount[u]++
-			reachedBy[u] = s
-		}
-	}
-	out := make(map[graph.NodeID][]graph.NodeID)
-	for u := 0; u < n; u++ {
-		if v.HasMessage[u] || reliableCount[u] != 1 || v.Sent[u] {
-			continue
-		}
-		// u would cleanly receive a message: jam it with any other sender
-		// that has an unreliable edge to u.
-		for _, s := range senders {
-			if s == reachedBy[u] {
-				continue
-			}
-			if v.Dual.HasUnreliableEdge(s, graph.NodeID(u)) {
-				out[s] = append(out[s], graph.NodeID(u))
-				break
-			}
-		}
-	}
-	return out
+// Deliver implements sim.Adversary as the map form of DeliverInto.
+func (a GreedyCollider) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(a, v, senders)
 }
 
-// DeliverInto implements sim.BufferedDeliverer with the same jamming policy
-// as Deliver, reading the reliable reception picture straight off the sink's
-// reach bitsets instead of recounting it edge by edge: EachReachedOnce
-// yields exactly the nodes a lone message would cleanly reach, in ascending
-// node order — the same nodes, in the same order, as the old O(n) scan over
-// a per-sender count pass. Each jam targets only the node just yielded, so
-// adding mid-iteration never changes which nodes the sweep visits.
+// DeliverInto implements sim.BufferedDeliverer with the jamming policy,
+// reading the reliable reception picture straight off the sink's reach
+// bitsets: EachReachedOnce yields exactly the nodes a lone message would
+// cleanly reach, in ascending node order. Each jam targets only the node
+// just yielded, so adding mid-iteration never changes which nodes the sweep
+// visits, and no node is jammed twice.
 func (GreedyCollider) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	sink.EachReachedOnce(func(u, from graph.NodeID) bool {
 		if v.HasMessage[u] || v.Sent[u] {
@@ -317,35 +273,13 @@ func (a *Theorem2) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error) {
 	return procOf, nil
 }
 
-// Deliver implements sim.Adversary using the proof's three rules.
+// Deliver implements sim.Adversary as the map form of DeliverInto.
 func (a *Theorem2) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	n := v.Dual.N()
-	receiver := graph.ReceiverNode(n)
-	all := func() map[graph.NodeID][]graph.NodeID {
-		out := make(map[graph.NodeID][]graph.NodeID, len(senders))
-		for _, s := range senders {
-			if targets := v.Dual.UnreliableOut(s); len(targets) > 0 {
-				out[s] = targets
-			}
-		}
-		return out
-	}
-	if len(senders) > 1 {
-		return all() // Rule 1: everything reaches everyone (⊤ everywhere).
-	}
-	if len(senders) == 1 {
-		s := senders[0]
-		if s == graph.BridgeNode || s == receiver {
-			return all() // Rule 3: message reaches all processes.
-		}
-		// Rule 2: a lone clique sender reaches exactly the clique, which its
-		// reliable edges already cover; no unreliable delivery.
-	}
-	return nil
+	return sim.DeliveryMap(a, v, senders)
 }
 
 // DeliverInto implements sim.BufferedDeliverer using the proof's three
-// rules, mirroring Deliver.
+// rules.
 func (a *Theorem2) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	n := v.Dual.N()
 	receiver := graph.ReceiverNode(n)

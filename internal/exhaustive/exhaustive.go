@@ -262,16 +262,8 @@ func (scriptedAdversary) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error)
 	return procOf, nil
 }
 
-func (a *scriptedAdversary) Deliver(v *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	if v.Round > len(a.script) {
-		return nil
-	}
-	out := make(map[graph.NodeID][]graph.NodeID)
-	for _, id := range a.script[v.Round-1] {
-		from, to := v.Dual.UnreliableEdge(id)
-		out[from] = append(out[from], to)
-	}
-	return out
+func (a *scriptedAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(a, v, senders)
 }
 
 // DeliverInto implements sim.BufferedDeliverer: scripted edge ids feed the

@@ -3,6 +3,7 @@ package exhaustive
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -462,5 +463,70 @@ func TestPlanMetricsObserveOnly(t *testing.T) {
 	}
 	if !slices.Equal(onChoice, offChoice) || onTable != offTable {
 		t.Errorf("metrics changed the plan: (%v, %d) on, (%v, %d) off", onChoice, onTable, offChoice, offTable)
+	}
+}
+
+// TestScriptedMapDeliverMatchesSink: a replay driven through the scripted
+// adversary's derived map Deliver equals the native DeliverInto replay, for
+// planner-built scripts under CR1–CR4, sync/async starts and static/churn
+// schedules.
+func TestScriptedMapDeliverMatchesSink(t *testing.T) {
+	type mapOnly struct{ sim.Adversary } // hides DeliverInto from the engine
+	d := tinyBridge(t)
+	churn, err := graph.NewChurn(d, 2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for _, sched := range []graph.Schedule{graph.Static(d), churn} {
+		for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
+			for _, start := range []sim.StartRule{sim.SyncStart, sim.AsyncStart} {
+				alg := core.NewDecay()
+				p, err := NewPlanner(sched, alg, PlannerConfig{
+					Rule: rule, Start: start, Seed: 3, SearchRounds: 10, DeliverRounds: 6, NodeBudget: 5000,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var script [][]graph.EdgeID
+				for range 6 {
+					choice, err := p.Plan(script)
+					if err != nil {
+						t.Fatal(err)
+					}
+					script = append(script, choice)
+					delivered += len(choice)
+				}
+				cfg := sim.Config{Rule: rule, Start: start, MaxRounds: 40, Seed: 3}
+				want, err := sim.RunDynamic(sched, alg, &scriptedAdversary{script: script}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sim.RunDynamic(sched, alg, mapOnly{&scriptedAdversary{script: script}}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("epoch %d/%v/%v: map replay %+v, native replay %+v", sched.EpochLength(), rule, start, got, want)
+				}
+			}
+		}
+	}
+	if delivered == 0 {
+		t.Fatal("no planned script delivered anything: the comparison saw no unreliable delivery")
+	}
+}
+
+// TestMaskOfRejectsNonSubsets: a round's choice is a subset of its
+// deliverable arcs, so an id outside them or a repeated id is an error.
+func TestMaskOfRejectsNonSubsets(t *testing.T) {
+	edges := []graph.EdgeID{3, 5, 8}
+	if mask, err := maskOf(edges, []graph.EdgeID{8, 3}); err != nil || mask != 0b101 {
+		t.Fatalf("maskOf({8,3}) = (%b, %v), want (101, nil)", mask, err)
+	}
+	for _, delivered := range [][]graph.EdgeID{{4}, {5, 5}, {3, 8, 3}} {
+		if _, err := maskOf(edges, delivered); err == nil {
+			t.Errorf("maskOf(%v) accepted a non-subset", delivered)
+		}
 	}
 }

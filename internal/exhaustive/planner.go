@@ -288,13 +288,17 @@ func (p *Planner) store(h uint64, v int) {
 }
 
 // maskOf locates each delivered id's position within the round's ascending
-// deliverable-edge list and returns the corresponding bitset.
+// deliverable-edge list and returns the corresponding bitset. An id that is
+// not deliverable, or repeats, is an error: a round's choice is a subset.
 func maskOf(edges []graph.EdgeID, delivered []graph.EdgeID) (uint64, error) {
 	var mask uint64
 next:
 	for _, id := range delivered {
 		for i, e := range edges {
 			if e == id {
+				if mask&(1<<uint(i)) != 0 {
+					return 0, fmt.Errorf("delivered edge id %d twice", id)
+				}
 				mask |= 1 << uint(i)
 				continue next
 			}

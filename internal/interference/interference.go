@@ -248,33 +248,15 @@ func (ReductionAdversary) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error
 	return procOf, nil
 }
 
-// Deliver implements sim.Adversary.
-func (ReductionAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	n := v.Dual.N()
-	// gtSenders[u]: does any reliable (G_T) neighbour of u transmit?
-	// A sender's own message also reaches it.
-	gtSenders := make([]bool, n)
-	for _, s := range senders {
-		gtSenders[s] = true
-		for _, u := range v.Dual.ReliableOut(s) {
-			gtSenders[u] = true
-		}
-	}
-	out := make(map[graph.NodeID][]graph.NodeID)
-	for _, s := range senders {
-		for _, u := range v.Dual.UnreliableOut(s) {
-			if gtSenders[u] {
-				out[s] = append(out[s], u)
-			}
-		}
-	}
-	return out
+// Deliver implements sim.Adversary as the map form of DeliverInto.
+func (a ReductionAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(a, v, senders)
 }
 
-// DeliverInto implements sim.BufferedDeliverer with the same reduction rule
-// as Deliver. Before any Add the sink's reach state is exactly the G_T
-// picture — u is reached iff u transmits or some reliable (G_T) neighbour of
-// u does — and every Add below targets an already-reached node, so
+// DeliverInto implements sim.BufferedDeliverer with the reduction rule: an
+// interference edge (s, u) delivers exactly when u transmits or some G_T
+// neighbour of u does. Before any Add the sink's reach state is exactly that
+// G_T picture, and every Add below targets an already-reached node, so
 // sink.Reached stays that picture for the whole call.
 func (ReductionAdversary) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	for _, s := range senders {

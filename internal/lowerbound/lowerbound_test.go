@@ -2,9 +2,11 @@ package lowerbound
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dualgraph/internal/core"
+	"dualgraph/internal/graph"
 	"dualgraph/internal/sim"
 )
 
@@ -183,8 +185,8 @@ func TestTheorem12AdversarySegmentLookup(t *testing.T) {
 	adv := &theorem12Adversary{
 		segments: []segment{
 			{fromRound: 1, alpha0: true},
-			{fromRound: 5, aPids: map[int]bool{1: true}, pair: [2]int{2, 3}},
-			{fromRound: 9, aPids: map[int]bool{1: true, 2: true, 3: true}, pair: [2]int{4, 5}},
+			{fromRound: 5, pair: [2]int{2, 3}},
+			{fromRound: 9, pair: [2]int{4, 5}},
 		},
 	}
 	if !adv.segmentAt(3).alpha0 {
@@ -238,5 +240,41 @@ func TestTheorem12GameAgainstSpontaneousSenders(t *testing.T) {
 	}
 	if !res.HitHorizon && res.ForcedRounds < res.TheoryBound {
 		t.Errorf("forced rounds %d below theory bound %d", res.ForcedRounds, res.TheoryBound)
+	}
+}
+
+// TestTheorem12MapDeliverMatchesSink: the Theorem 12 adversary driven
+// through its derived map Deliver plays the same execution as through
+// DeliverInto, across α_0 and a probe segment where rule 2 applies.
+func TestTheorem12MapDeliverMatchesSink(t *testing.T) {
+	type mapOnly struct{ sim.Adversary } // hides DeliverInto from the engine
+	const n = 9
+	d, err := graph.CompleteLayered(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := &theorem12Driver{
+		n:         n,
+		dual:      d,
+		committed: make([]int, n),
+		aPids:     map[int]bool{1: true},
+		segments:  []segment{{fromRound: 1, alpha0: true}},
+		prefixLen: 3,
+	}
+	drv.committed[0] = 1
+	adv := drv.adversaryFor([2]int{4, 7})
+	for _, alg := range []sim.Algorithm{core.NewRoundRobin(), spontaneousAlg{}} {
+		cfg := sim.Config{Rule: sim.CR1, Start: sim.SyncStart, MaxRounds: 200}
+		want, err := sim.Run(d, alg, adv, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(d, alg, mapOnly{adv}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: map run %+v, native run %+v", alg.Name(), got, want)
+		}
 	}
 }

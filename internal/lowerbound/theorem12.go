@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dualgraph/internal/graph"
@@ -48,10 +49,13 @@ type segment struct {
 	fromRound int
 	// alpha0 marks the initial segment in which every G' edge is used.
 	alpha0 bool
-	// aPids is A_k, the processes assigned to layers 0..k.
-	aPids map[int]bool
 	// pair is the two candidate processes assigned to layer k+1.
 	pair [2]int
+	// targets marks the nodes holding A_k ∪ {i, i'}, where A_k is the
+	// processes assigned to layers 0..k: rule 2's reach. Those processes sit
+	// on the same nodes in every later assignment, so the set is computed
+	// once, when the segment is built.
+	targets []bool
 }
 
 // theorem12Adversary replays a scripted sequence of segments. It implements
@@ -68,7 +72,10 @@ type theorem12Adversary struct {
 	segments []segment
 }
 
-var _ sim.Adversary = (*theorem12Adversary)(nil)
+var (
+	_ sim.Adversary         = (*theorem12Adversary)(nil)
+	_ sim.BufferedDeliverer = (*theorem12Adversary)(nil)
+)
 
 func (a *theorem12Adversary) Name() string { return "theorem12" }
 
@@ -86,48 +93,31 @@ func (a *theorem12Adversary) segmentAt(round int) *segment {
 }
 
 func (a *theorem12Adversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(a, v, senders)
+}
+
+// DeliverInto implements sim.BufferedDeliverer with the proof's rules. In
+// α_0 and under rules 1, 3 and 4 every unreliable edge of every sender
+// delivers. Under rule 2 (a lone sender in A_k) the message reaches exactly
+// A_k ∪ {i, i'}: the sender sits in layers 0..k, so its reliable edges only
+// reach layers 0..k+1, all of them targets, and the adversary adds the
+// unreliable edges to the remaining targets.
+func (a *theorem12Adversary) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	seg := a.segmentAt(v.Round)
-	deliverAll := func() map[graph.NodeID][]graph.NodeID {
-		out := make(map[graph.NodeID][]graph.NodeID, len(senders))
-		for _, s := range senders {
-			if t := v.Dual.UnreliableOut(s); len(t) > 0 {
-				out[s] = t
+	var only []bool
+	if len(senders) == 1 && !seg.alpha0 {
+		s := senders[0]
+		if pid := v.ProcOf[s]; seg.targets[s] && pid != seg.pair[0] && pid != seg.pair[1] {
+			only = seg.targets
+		}
+	}
+	for _, s := range senders {
+		for _, t := range v.Dual.UnreliableOut(s) {
+			if only == nil || only[t] {
+				sink.Add(s, t)
 			}
 		}
-		return out
 	}
-	if seg.alpha0 || len(senders) > 1 {
-		return deliverAll()
-	}
-	if len(senders) == 0 {
-		return nil
-	}
-	s := senders[0]
-	pid := v.ProcOf[s]
-	if !seg.aPids[pid] {
-		// Rules 3 and 4: unassigned or pair senders reach everyone.
-		return deliverAll()
-	}
-	// Rule 2: the message reaches exactly the processes in A_k ∪ {i,i'}.
-	// The sender sits in layers 0..k, so its reliable edges only reach
-	// layers 0..k+1, all of which are in the target set; the adversary adds
-	// unreliable edges to the remaining targets.
-	targets := make(map[graph.NodeID]bool)
-	for node, p := range a.procOf {
-		if seg.aPids[p] || p == seg.pair[0] || p == seg.pair[1] {
-			targets[graph.NodeID(node)] = true
-		}
-	}
-	var extra []graph.NodeID
-	for _, t := range v.Dual.UnreliableOut(s) {
-		if targets[t] {
-			extra = append(extra, t)
-		}
-	}
-	if len(extra) == 0 {
-		return nil
-	}
-	return map[graph.NodeID][]graph.NodeID{s: extra}
 }
 
 func (a *theorem12Adversary) Resolve(_ *sim.View, _ graph.NodeID, _ []graph.NodeID) graph.NodeID {
@@ -184,7 +174,8 @@ func RunTheorem12Game(n int, alg sim.Algorithm, horizon int) (*Theorem12Result, 
 
 	// Stage 0: run the pure α_0 script (every G' edge used in every round)
 	// until i0 is about to be isolated.
-	isolation, found, err := drv.findIsolation(drv.segments, [2]int{1, 1}, map[int]bool{1: true})
+	i0 := [2]int{1, 1}
+	isolation, found, err := drv.findIsolation(drv.adversaryFor(i0), i0)
 	if err != nil {
 		return nil, err
 	}
@@ -233,17 +224,14 @@ func (d *theorem12Driver) runStage(stage int) (ext int, found bool, err error) {
 	pair := [2]int{candidates[0], candidates[1]}
 
 	oldPrefix := d.prefixLen
-	isolation, found, err := d.findIsolation(d.segmentsWith(pair), pair, pairSet(pair, d.aPids))
+	adv := d.adversaryFor(pair)
+	isolation, found, err := d.findIsolation(adv, pair)
 	if err != nil || !found {
 		return 0, found, err
 	}
 
 	// Commit: assign the pair to layer `stage`, extend A and the script.
-	d.segments = append(d.segments, segment{
-		fromRound: oldPrefix + 1,
-		aPids:     copyPidSet(d.aPids),
-		pair:      pair,
-	})
+	d.segments = adv.segments
 	d.committed[2*stage-1] = pair[0]
 	d.committed[2*stage] = pair[1]
 	d.aPids[pair[0]] = true
@@ -347,10 +335,7 @@ func nextCandidates(candidates []int, whenAssigned, whenNot map[int]bool) []int 
 // sendersAtRound replays the execution β_pair up to absRound and returns the
 // process ids transmitting in that round.
 func (d *theorem12Driver) sendersAtRound(pair [2]int, absRound int) ([]int, error) {
-	adv := &theorem12Adversary{
-		procOf:   d.assignmentWith(pair),
-		segments: d.segmentsWith(pair),
-	}
+	adv := d.adversaryFor(pair)
 	run, err := d.start(adv, absRound)
 	if err != nil {
 		return nil, err
@@ -367,11 +352,10 @@ func (d *theorem12Driver) sendersAtRound(pair [2]int, absRound int) ([]int, erro
 	return pids, nil
 }
 
-// findIsolation replays the execution with the given trailing segment and
-// returns the first round after the current prefix in which a process from
-// watch transmits alone.
-func (d *theorem12Driver) findIsolation(segments []segment, pair [2]int, watch map[int]bool) (round int, found bool, err error) {
-	adv := &theorem12Adversary{procOf: d.assignmentWith(pair), segments: segments}
+// findIsolation replays the execution scripted by adv and returns the first
+// round after the current prefix in which a process of pair transmits
+// alone.
+func (d *theorem12Driver) findIsolation(adv *theorem12Adversary, pair [2]int) (round int, found bool, err error) {
 	run, err := d.start(adv, d.horizon)
 	if err != nil {
 		return 0, false, err
@@ -380,8 +364,10 @@ func (d *theorem12Driver) findIsolation(segments []segment, pair [2]int, watch m
 		if _, err := run.Step(); err != nil {
 			return 0, false, err
 		}
-		if s := run.Senders(); run.Round() > d.prefixLen && len(s) == 1 && watch[adv.procOf[s[0]]] {
-			return run.Round(), true, nil
+		if s := run.Senders(); run.Round() > d.prefixLen && len(s) == 1 {
+			if pid := adv.procOf[s[0]]; pid == pair[0] || pid == pair[1] {
+				return run.Round(), true, nil
+			}
 		}
 	}
 	return 0, false, nil
@@ -397,17 +383,25 @@ func (d *theorem12Driver) start(adv *theorem12Adversary, maxRounds int) (*sim.Ex
 	})
 }
 
-// segmentsWith returns the committed script plus a trailing segment for the
-// probe pair starting right after the current prefix.
-func (d *theorem12Driver) segmentsWith(pair [2]int) []segment {
-	segs := make([]segment, len(d.segments), len(d.segments)+1)
-	copy(segs, d.segments)
-	segs = append(segs, segment{
-		fromRound: d.prefixLen + 1,
-		aPids:     d.aPids,
-		pair:      pair,
-	})
-	return segs
+// adversaryFor builds the adversary of the execution β_pair: the committed
+// script and assignment, plus, when pair is a stage probe (two distinct
+// pids), the pair on the next free layer and a trailing segment for it
+// starting right after the current prefix.
+func (d *theorem12Driver) adversaryFor(pair [2]int) *theorem12Adversary {
+	procOf := d.assignmentWith(pair)
+	segs := d.segments
+	if pair[0] != pair[1] {
+		targets := make([]bool, d.n)
+		for node, p := range procOf {
+			targets[node] = d.aPids[p] || p == pair[0] || p == pair[1]
+		}
+		segs = append(slices.Clip(segs), segment{
+			fromRound: d.prefixLen + 1,
+			pair:      pair,
+			targets:   targets,
+		})
+	}
+	return &theorem12Adversary{procOf: procOf, segments: segs}
 }
 
 // assignmentWith builds a full node->pid assignment: committed layers, the
@@ -460,18 +454,6 @@ func (d *theorem12Driver) unassignedPids() []int {
 		if !d.aPids[pid] {
 			out = append(out, pid)
 		}
-	}
-	return out
-}
-
-func pairSet(pair [2]int, _ map[int]bool) map[int]bool {
-	return map[int]bool{pair[0]: true, pair[1]: true}
-}
-
-func copyPidSet(s map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(s))
-	for k, v := range s {
-		out[k] = v
 	}
 	return out
 }

@@ -53,18 +53,19 @@ func TestReachBitsetsCountClasses(t *testing.T) {
 	if !buf.reached(v) || !buf.collided(v) {
 		t.Fatal("two deliveries: want reached and collided")
 	}
-	buf.addUnrel(9, s1)
-	if !buf.reached(9) || buf.collided(9) {
-		t.Fatal("one unreliable delivery: want reached, not collided")
+	if !buf.addUnrel(9, s1) || !buf.reached(9) || buf.collided(9) {
+		t.Fatal("one unreliable delivery: want recorded, reached, not collided")
 	}
 	if got := buf.singleReacher(9); got != s1 {
 		t.Fatalf("unreliable singleReacher = %d, want %d", got, s1)
 	}
-	// A duplicate unreliable delivery along the same arc is a collision (the
-	// legacy list was [s, s], length two).
-	buf.addUnrel(9, s1)
-	if !buf.collided(9) {
-		t.Fatal("duplicate unreliable delivery must collide")
+	// A repeated arc is refused and leaves the count class alone (the sink
+	// turns the refusal into ErrBadDelivery); another sender still collides.
+	if buf.addUnrel(9, s1) || buf.collided(9) || len(buf.unrel) != 1 {
+		t.Fatal("duplicate unreliable delivery must be refused, not collide")
+	}
+	if !buf.addUnrel(9, s2) || !buf.collided(9) {
+		t.Fatal("a second sender's unreliable delivery must collide")
 	}
 
 	buf.clearRound(sent)

@@ -191,11 +191,13 @@ type Adversary interface {
 	// Deliver returns, for each sending node, the subset of its unreliable
 	// out-neighbours its message reaches this round. Nodes absent from the
 	// map get no unreliable deliveries. Every returned neighbour must be an
-	// unreliable out-neighbour of the sender.
+	// unreliable out-neighbour of the sender, named at most once.
 	//
-	// Deliver is the compatibility entry point; the engine calls it only for
-	// adversaries that do not implement BufferedDeliverer, and applies the
-	// returned map in deterministic sender order.
+	// Deliver is the map form of the delivery choice. The engine calls it
+	// only for adversaries that do not implement BufferedDeliverer, and
+	// applies the returned map in ascending sender order. An adversary that
+	// implements BufferedDeliverer states its policy once, in DeliverInto,
+	// and derives Deliver from it with DeliveryMap.
 	Deliver(v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID
 	// Resolve picks the CR4 outcome for a non-sending node reached by two or
 	// more messages: NoDelivery for ⊥ or one of the reaching sender nodes.
@@ -219,14 +221,16 @@ type RunForker interface {
 	ForkRun(sched graph.Schedule, alg Algorithm, cfg Config) (Adversary, error)
 }
 
-// BufferedDeliverer is the allocation-free delivery fast path: instead of
+// BufferedDeliverer is the allocation-free delivery interface: instead of
 // returning a freshly allocated map every round, the adversary pushes each
-// unreliable delivery into the engine-owned DeliverySink. Run prefers this
-// interface when an adversary implements it; every built-in adversary does
-// except Benign, which stays map-only on purpose (it delivers nothing, so
-// the shim is already free, and it is the adversary most commonly embedded
-// by wrappers that override Deliver). Third-party adversaries that only
-// implement Adversary keep working through a shim around Deliver.
+// unreliable delivery into the engine-owned DeliverySink. The round loop
+// makes exactly one delivery call, DeliverInto: Start wraps an adversary
+// that only implements Adversary once, in a shim whose DeliverInto applies
+// the Deliver map. Every built-in adversary implements DeliverInto and
+// derives its Deliver from it with DeliveryMap, except Benign, which stays
+// map-only on purpose (it delivers nothing, so the shim is already free,
+// and it is the adversary most commonly embedded by wrappers that override
+// Deliver).
 //
 // Caveat for wrappers: embedding a built-in adversary inherits its
 // DeliverInto, so overriding Deliver alone will not change the deliveries —
@@ -234,8 +238,45 @@ type RunForker interface {
 type BufferedDeliverer interface {
 	// DeliverInto records this round's unreliable deliveries via sink.Add.
 	// The same validity rules as Deliver apply: only senders may deliver,
-	// and only along edges of G' \ G.
+	// only along edges of G' \ G, and each edge at most once.
 	DeliverInto(v *View, senders []graph.NodeID, sink *DeliverySink)
+}
+
+// DeliveryMap derives the map form of bd's delivery choice: it runs
+// bd.DeliverInto against a scratch sink that holds the round's reliable
+// reach state, exactly as the engine's sink does, and returns the adds
+// grouped by sender in add order (nil when nothing was added). Applied
+// through the engine's map shim, the map reproduces the native run whenever
+// each target's deliveries are added in ascending sender order, which every
+// built-in adversary does; the map form cannot express any other order. A
+// latched sink failure returns {0: {0}}, a map the shim always rejects,
+// since (0, 0) is never an edge of G' \ G.
+func DeliveryMap(bd BufferedDeliverer, v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	b := newRunBuffers(v.Dual)
+	b.deliverReliable(v.Dual, senders)
+	sink := &DeliverySink{d: v.Dual, sent: v.Sent, buf: b}
+	bd.DeliverInto(v, senders, sink)
+	if sink.err != nil {
+		return map[graph.NodeID][]graph.NodeID{0: {0}}
+	}
+	if len(b.unrel) == 0 {
+		return nil
+	}
+	out := make(map[graph.NodeID][]graph.NodeID)
+	for _, u := range b.unrel {
+		out[u.from] = append(out[u.from], u.to)
+	}
+	return out
+}
+
+// mapDeliverer is the delivery shim Start puts around an adversary that
+// only implements the map form.
+type mapDeliverer struct{ adv Adversary }
+
+// DeliverInto implements BufferedDeliverer by applying the adversary's
+// Deliver map.
+func (m mapDeliverer) DeliverInto(v *View, senders []graph.NodeID, sink *DeliverySink) {
+	sink.addFromMap(m.adv.Deliver(v, senders), senders)
 }
 
 // DeliverySink collects one round's unreliable deliveries into the run's
@@ -256,14 +297,15 @@ type DeliverySink struct {
 }
 
 // Add records that sender s's message reaches v along the unreliable edge
-// (s, v) this round. Invalid deliveries (s did not send, or (s, v) is not an
-// edge of G' \ G) turn the run into an ErrBadDelivery failure. Membership is
-// validated in O(log d) against the dual's unreliable fringe index.
+// (s, v) this round. Invalid deliveries (s is not a node that sent, (s, v)
+// is not an edge of G' \ G, or (s, v) was already delivered this round)
+// turn the run into an ErrBadDelivery failure. Membership is validated in
+// O(log d) against the dual's unreliable fringe index.
 func (ds *DeliverySink) Add(s, v graph.NodeID) {
 	if ds.err != nil {
 		return
 	}
-	if !ds.sent[s] {
+	if !ds.sender(s) {
 		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
 		return
 	}
@@ -271,7 +313,21 @@ func (ds *DeliverySink) Add(s, v graph.NodeID) {
 		ds.err = fmt.Errorf("%w: (%d,%d)", ErrBadDelivery, s, v)
 		return
 	}
-	ds.buf.addUnrel(v, s)
+	ds.addUnrel(s, v)
+}
+
+// sender reports whether s is a node that transmitted this round.
+func (ds *DeliverySink) sender(s graph.NodeID) bool {
+	return uint(s) < uint(len(ds.sent)) && ds.sent[s]
+}
+
+// addUnrel records the validated arc (s, v) unless it was already delivered
+// this round: repeating an arc is not a subset of G' \ G, and counting v as
+// reached twice would turn a lone message into a collision.
+func (ds *DeliverySink) addUnrel(s, v graph.NodeID) {
+	if !ds.buf.addUnrel(v, s) {
+		ds.err = fmt.Errorf("%w: (%d,%d) delivered twice", ErrBadDelivery, s, v)
+	}
 }
 
 // Reached reports whether at least one message (reliable, or already added
@@ -322,7 +378,7 @@ func (ds *DeliverySink) AddEdgeID(id graph.EdgeID) {
 		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
 		return
 	}
-	ds.buf.addUnrel(v, s)
+	ds.addUnrel(s, v)
 }
 
 // Fail latches err as this round's delivery failure, aborting the run with
@@ -337,23 +393,23 @@ func (ds *DeliverySink) Fail(err error) {
 	}
 }
 
-// addFromMap is the compatibility shim for map-based Deliver
-// implementations. Map iteration order is randomized in Go, so it validates
-// the keys first and then applies deliveries in deterministic sender order —
-// the schedule of a run must never depend on map iteration.
+// addFromMap applies a map-form delivery choice. Map iteration order is
+// randomized in Go, so it validates the keys first and then applies
+// deliveries in deterministic sender order — the schedule of a run must
+// never depend on map iteration.
 func (ds *DeliverySink) addFromMap(m map[graph.NodeID][]graph.NodeID, senders []graph.NodeID) {
 	if len(m) == 0 {
 		return
 	}
 	// Report the lowest offending node id so the error, too, is independent
 	// of map iteration order.
-	bad := graph.NodeID(-1)
+	bad, found := graph.NodeID(0), false
 	for s := range m {
-		if !ds.sent[s] && (bad < 0 || s < bad) {
-			bad = s
+		if !ds.sender(s) && (!found || s < bad) {
+			bad, found = s, true
 		}
 	}
-	if bad >= 0 {
+	if found {
 		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, bad)
 		return
 	}
@@ -603,6 +659,24 @@ func (b *runBuffers) deliverDense(s graph.NodeID) {
 	b.sentBit[s>>6] |= 1 << (uint64(s) & 63)
 }
 
+// deliverReliable is the round's reliable pass: each sender's message
+// reaches itself and every reliable out-neighbour in d unconditionally,
+// word-parallel in dense mode and per edge in sparse mode.
+func (b *runBuffers) deliverReliable(d *graph.Dual, senders []graph.NodeID) {
+	if b.dense {
+		for _, s := range senders {
+			b.deliverDense(s)
+		}
+		return
+	}
+	for _, s := range senders {
+		b.addReach(s, s)
+		for _, v := range d.ReliableOut(s) {
+			b.addReach(v, s)
+		}
+	}
+}
+
 // addReach records one sparse-mode reliable delivery from s to v: first
 // contact sets the reach1 bit and remembers s as the singleton answer,
 // repeat contact promotes the bit into reach2. Words are registered in
@@ -625,8 +699,14 @@ func (b *runBuffers) addReach(v, s graph.NodeID) {
 // addUnrel records an unreliable delivery from s to v: the reach bits update
 // like a reliable delivery and the pair is appended to the round's list and
 // to the tail of v's chain, preserving sink-add order for lazy
-// materialization.
-func (b *runBuffers) addUnrel(v, s graph.NodeID) {
+// materialization. It records nothing and returns false when v's chain
+// already holds a delivery from s.
+func (b *runBuffers) addUnrel(v, s graph.NodeID) bool {
+	for i := b.unrelHead[v]; i >= 0; i = b.unrel[i].next {
+		if b.unrel[i].from == s {
+			return false
+		}
+	}
 	w, bit := int(v>>6), uint64(1)<<(uint64(v)&63)
 	r1 := b.reach1[w]
 	if r1&bit == 0 {
@@ -648,6 +728,7 @@ func (b *runBuffers) addUnrel(v, s graph.NodeID) {
 		b.unrel[t].next = i
 	}
 	b.unrelTail[v] = i
+	return true
 }
 
 // appendUnrel appends v's unreliable deliveries of this round to mat, in
@@ -822,7 +903,7 @@ type Execution struct {
 	cfg      Config
 	sched    graph.Schedule
 	adv      Adversary
-	buffered BufferedDeliverer
+	deliver  BufferedDeliverer // adv itself, or the map shim around it
 	d        *graph.Dual
 	n        int
 	src      graph.NodeID
@@ -941,9 +1022,13 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	if l := sched.EpochLength(); l > 0 {
 		ex.nextSwap = 1 + l
 	}
-	// Resolve the fast path once: the type assertion must not sit in the
-	// round loop.
-	ex.buffered, _ = adv.(BufferedDeliverer)
+	// Wrap a map-only adversary once: the round loop makes one delivery
+	// call and no type assertion.
+	if bd, ok := adv.(BufferedDeliverer); ok {
+		ex.deliver = bd
+	} else {
+		ex.deliver = mapDeliverer{adv}
+	}
 	return ex, nil
 }
 
@@ -1030,7 +1115,7 @@ func (ex *Execution) swapEpoch(e int) error {
 // bitsets. It assumes clearRound ran first.
 func (ex *Execution) step(round int) error {
 	ex.view.Round = round
-	buf, d, n := ex.buf, ex.d, ex.n
+	buf, n := ex.buf, ex.n
 	sent, active, procs := ex.sent, ex.active, ex.procs
 	for node := 0; node < n; node++ {
 		if active[node] && procs[node].Decide(round) {
@@ -1041,28 +1126,11 @@ func (ex *Execution) step(round int) error {
 	senders := buf.senders
 	ex.res.Transmissions += len(senders)
 
-	// Reliable reachability pass: a sender's message reaches itself and
-	// every reliable out-neighbour unconditionally.
-	if buf.dense {
-		for _, s := range senders {
-			buf.deliverDense(s)
-		}
-	} else {
-		for _, s := range senders {
-			buf.addReach(s, s)
-			for _, v := range d.ReliableOut(s) {
-				buf.addReach(v, s)
-			}
-		}
-	}
+	buf.deliverReliable(ex.d, senders)
 	// Unreliable deliveries: adversary's choice, validated by the sink.
 	if len(senders) > 0 {
 		ex.sink.err = nil
-		if ex.buffered != nil {
-			ex.buffered.DeliverInto(ex.view, senders, ex.sink)
-		} else {
-			ex.sink.addFromMap(ex.adv.Deliver(ex.view, senders), senders)
-		}
+		ex.deliver.DeliverInto(ex.view, senders, ex.sink)
 		if ex.sink.err != nil {
 			return ex.sink.err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dualgraph/internal/adversary"
@@ -292,91 +293,165 @@ func TestUnreliableEdgeOnlyDeliversWhenAdversaryAllows(t *testing.T) {
 	}
 }
 
-// badDeliveryAdversary delivers along a reliable edge through the map-based
-// Deliver interface (it deliberately does not implement BufferedDeliverer,
-// so it exercises the compatibility shim), which the engine must reject.
-type badDeliveryAdversary struct{}
-
-func (badDeliveryAdversary) Name() string { return "bad-delivery" }
-
-func (badDeliveryAdversary) AssignProcs(d *graph.Dual, rng *rand.Rand) ([]int, error) {
-	return adversary.Benign{}.AssignProcs(d, rng)
+// mapAdversary delivers m's map through the map-based Deliver (it does not
+// implement BufferedDeliverer, so it exercises the engine's map shim).
+type mapAdversary struct {
+	adversary.Benign
+	m func(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID
 }
 
-func (badDeliveryAdversary) Resolve(_ *sim.View, _ graph.NodeID, _ []graph.NodeID) graph.NodeID {
-	return sim.NoDelivery
+func (a mapAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return a.m(v, senders)
 }
 
-func (badDeliveryAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	if len(senders) == 0 {
-		return nil
-	}
-	s := senders[0]
-	outs := v.Dual.ReliableOut(s)
-	if len(outs) == 0 {
-		return nil
-	}
-	return map[graph.NodeID][]graph.NodeID{s: {outs[0]}}
+// sinkAdversary pushes its deliveries through the buffered sink.
+type sinkAdversary struct {
+	adversary.Benign
+	into func(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink)
+}
+
+func (a sinkAdversary) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
+	a.into(v, senders, sink)
+}
+
+// runRound1 plays round 1 of a 3-node line in which only the source sends,
+// against adv.
+func runRound1(t *testing.T, adv sim.Adversary) error {
+	t.Helper()
+	alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
+	_, err := sim.Run(mustLine(t, 3), alg, adv, sim.Config{MaxRounds: 1, Seed: 1})
+	return err
+}
+
+// reliableArc is the source's first reliable arc: a delivery the adversary
+// does not control.
+func reliableArc(v *sim.View) (s, t graph.NodeID) {
+	return 0, v.Dual.ReliableOut(0)[0]
+}
+
+// reliableArcMap delivers reliableArc through the map form.
+func reliableArcMap(v *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	s, u := reliableArc(v)
+	return map[graph.NodeID][]graph.NodeID{s: {u}}
 }
 
 func TestEngineRejectsInvalidDelivery(t *testing.T) {
-	d := mustLine(t, 3)
-	alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
-	_, err := sim.Run(d, alg, badDeliveryAdversary{}, sim.Config{MaxRounds: 1, Seed: 1})
-	if !errors.Is(err, sim.ErrBadDelivery) {
-		t.Fatalf("want ErrBadDelivery, got %v", err)
+	for name, m := range map[string]func(v *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID{
+		"reliable edge": reliableArcMap,
+		"sender past n": func(*sim.View, []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+			return map[graph.NodeID][]graph.NodeID{9: {1}}
+		},
+		"negative sender": func(*sim.View, []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+			return map[graph.NodeID][]graph.NodeID{-2: {1}, 0: {1}}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := runRound1(t, mapAdversary{m: m}); !errors.Is(err, sim.ErrBadDelivery) {
+				t.Fatalf("want ErrBadDelivery, got %v", err)
+			}
+		})
 	}
 }
 
-// badSinkAdversary pushes the same invalid delivery through the buffered
-// fast path; the sink must reject it identically.
-type badSinkAdversary struct{ badDeliveryAdversary }
-
-func (badSinkAdversary) Name() string { return "bad-sink" }
-
-func (badSinkAdversary) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
-	if len(senders) == 0 {
-		return
-	}
-	s := senders[0]
-	if outs := v.Dual.ReliableOut(s); len(outs) > 0 {
-		sink.Add(s, outs[0])
-	}
-}
-
+// TestSinkRejectsInvalidDelivery pushes invalid deliveries through the
+// buffered path; the sink must reject them like the map shim does.
 func TestSinkRejectsInvalidDelivery(t *testing.T) {
-	d := mustLine(t, 3)
-	alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
-	_, err := sim.Run(d, alg, badSinkAdversary{}, sim.Config{MaxRounds: 1, Seed: 1})
+	for name, into := range map[string]func(v *sim.View, _ []graph.NodeID, sink *sim.DeliverySink){
+		"reliable edge": func(v *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+			sink.Add(reliableArc(v))
+		},
+		"sender past n": func(_ *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+			sink.Add(9, 1)
+		},
+		"negative sender": func(_ *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+			sink.Add(-2, 1)
+		},
+		"edge id out of range": func(_ *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+			sink.AddEdgeID(0) // a line has no unreliable edges
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := runRound1(t, sinkAdversary{into: into}); !errors.Is(err, sim.ErrBadDelivery) {
+				t.Fatalf("want ErrBadDelivery, got %v", err)
+			}
+		})
+	}
+}
+
+// TestEngineRejectsNonSenderDelivery returns a map entry for a node that did
+// not transmit, which the shim must reject.
+func TestEngineRejectsNonSenderDelivery(t *testing.T) {
+	err := runRound1(t, mapAdversary{m: func(v *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+		for node := 0; node < v.Dual.N(); node++ {
+			if !v.Sent[node] {
+				return map[graph.NodeID][]graph.NodeID{graph.NodeID(node): nil}
+			}
+		}
+		return nil
+	}})
 	if !errors.Is(err, sim.ErrBadDelivery) {
 		t.Fatalf("want ErrBadDelivery, got %v", err)
 	}
 }
 
-// nonSenderDeliveryAdversary returns a map entry for a node that did not
-// transmit, which the shim must reject.
-type nonSenderDeliveryAdversary struct{ badDeliveryAdversary }
-
-func (nonSenderDeliveryAdversary) Name() string { return "non-sender-delivery" }
-
-func (nonSenderDeliveryAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	if len(senders) == 0 {
-		return nil
+// TestSinkRejectsDuplicateDelivery delivers one unreliable arc twice in a
+// round. That is not a subset of G' \ G, and counting the target as reached
+// twice would turn the lone message into a collision, so every entry point
+// must fail the run under every collision rule. Delivered once, the same arc
+// is accepted and heard.
+func TestSinkRejectsDuplicateDelivery(t *testing.T) {
+	// G = 0–1–2; G' adds the shortcut 0–2.
+	g := graph.NewBuilder(3, false)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
+	gp := g.Clone()
+	gp.MustAddEdge(0, 2)
+	d, err := graph.NewDual(g, gp, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for node := 0; node < v.Dual.N(); node++ {
-		if !v.Sent[node] {
-			return map[graph.NodeID][]graph.NodeID{graph.NodeID(node): nil}
+	arc, ok := d.UnreliableEdgeID(0, 2)
+	if !ok {
+		t.Fatal("fixture: (0,2) is not unreliable")
+	}
+	deliver := func(times int) map[string]sim.Adversary {
+		return map[string]sim.Adversary{
+			"Add": sinkAdversary{into: func(_ *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+				for range times {
+					sink.Add(0, 2)
+				}
+			}},
+			"AddEdgeID": sinkAdversary{into: func(_ *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+				for range times {
+					sink.AddEdgeID(arc)
+				}
+			}},
+			"map": mapAdversary{m: func(*sim.View, []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+				return map[graph.NodeID][]graph.NodeID{0: slices.Repeat([]graph.NodeID{2}, times)}
+			}},
 		}
 	}
-	return nil
-}
-
-func TestEngineRejectsNonSenderDelivery(t *testing.T) {
-	d := mustLine(t, 3)
-	alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
-	_, err := sim.Run(d, alg, nonSenderDeliveryAdversary{}, sim.Config{MaxRounds: 1, Seed: 1})
-	if !errors.Is(err, sim.ErrBadDelivery) {
-		t.Fatalf("want ErrBadDelivery, got %v", err)
+	for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
+		cfg := sim.Config{Rule: rule, Start: sim.SyncStart, MaxRounds: 1, Seed: 1}
+		for via, adv := range deliver(2) {
+			t.Run(rule.String()+"/"+via+"/twice", func(t *testing.T) {
+				alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
+				if _, err := sim.Run(d, alg, adv, cfg); !errors.Is(err, sim.ErrBadDelivery) {
+					t.Fatalf("want ErrBadDelivery, got %v", err)
+				}
+			})
+		}
+		for via, adv := range deliver(1) {
+			t.Run(rule.String()+"/"+via+"/once", func(t *testing.T) {
+				alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
+				if _, err := sim.Run(d, alg, adv, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if got := alg.procs[3].recs[1]; got.Kind != sim.Delivered || got.From != 0 {
+					t.Fatalf("node 2 heard %+v, want the source's message", got)
+				}
+			})
+		}
 	}
 }
 

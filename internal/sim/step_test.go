@@ -204,7 +204,7 @@ func TestStepAtRoundCap(t *testing.T) {
 // later Step returns the same error without playing another round.
 func TestStepAfterFailureRepeatsError(t *testing.T) {
 	alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
-	ex, err := sim.Start(graph.Static(mustLine(t, 3)), alg, badDeliveryAdversary{}, sim.Config{Seed: 1, MaxRounds: 5})
+	ex, err := sim.Start(graph.Static(mustLine(t, 3)), alg, mapAdversary{m: reliableArcMap}, sim.Config{Seed: 1, MaxRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,20 +52,23 @@ test-short:
 # and drives the ledger's hooks), the checkpoint writer (Append runs from
 # concurrent OnShard calls), the observability layer (metrics registry
 # scraped while instruments record; progress tracker fed from worker
-# goroutines), and the adversary/exhaustive pair — the adaptive adversary is
+# goroutines), the adversary/exhaustive pair — the adaptive adversary is
 # shared across concurrent trials and forks per run via sim.RunForker, which
-# is exactly the kind of sharing the race detector should watch.
+# is exactly the kind of sharing the race detector should watch — and the
+# graph layer, whose overlay epochs build their cores once under concurrent
+# first readers.
 # -short skips the single-threaded 100k-node stress sim, which the race
 # instrumentation would slow ~10x without exercising any concurrency, and
 # shrinks the service's slow-job fixtures.
 race:
-	$(GO) test -race -short ./internal/engine/... ./internal/sim/... ./internal/service/... ./internal/spec/... ./internal/checkpoint/... ./internal/metrics/... ./internal/progress/... ./internal/adversary/... ./internal/exhaustive/...
+	$(GO) test -race -short ./internal/engine/... ./internal/sim/... ./internal/service/... ./internal/spec/... ./internal/checkpoint/... ./internal/metrics/... ./internal/progress/... ./internal/adversary/... ./internal/exhaustive/... ./internal/graph/...
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,
 # checkpoint torn-tail recovery), the run path a valid scenario document
-# reaches (Build plus one Run), and the direct-CSR geometric constructor
-# against its Builder-based oracle. A few seconds each is enough to replay the
+# reaches (Build plus one Run), the direct-CSR geometric constructor
+# against its Builder-based oracle, and churn and fade overlay epochs against
+# a full rebuild. A few seconds each is enough to replay the
 # checked-in corpus and shake the shallow branches in CI; run `go test
 # -fuzz=<target> -fuzztime=10m <pkg>` for a real hunt.
 FUZZTIME ?= 5s
@@ -77,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzDualFromPositions -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run NONE -fuzz FuzzEpochOverlay -fuzztime $(FUZZTIME) ./internal/graph/
 
 # Coverage floor gate: measure per-package statement coverage on the tier-1
 # test suite and fail if any package drops below its checked-in floor
@@ -118,14 +122,17 @@ bench-smoke:
 # The 'BenchmarkEngine' pattern covers both the materializing path
 # (EngineSequential/Parallel: engine.Map over Trial.Execute) and the
 # streaming grid reducer over one cell (EngineReduceSequential/Parallel);
-# 'BenchmarkSimRoundLoop' also matches SimRoundLoopDynamic, the churn
-# variant of the same round-loop workload whose delta prices dynamics (and
-# benchcmp's default prefix -match gates both);
+# 'BenchmarkSimRoundLoop' also matches SimRoundLoopDynamic and
+# SimRoundLoopFade, the churn and fade variants of the same round-loop
+# workload whose deltas price dynamics (and benchcmp's default prefix -match
+# gates all three);
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the
 # declarative grid runner vs sequential cells; 'BenchmarkEpochSwap' also
 # matches the EpochSwapIncremental/pDown=* churn-scaling series and the
 # EpochSwapSchedules/{churn,fade,waypoint} per-policy epoch costs on the
-# churn-epochs benchmark network;
+# churn-epochs benchmark network, in a pass of its own: a churn or fade
+# epoch is a few µs of overlay, so it runs 2000 iterations (3 would measure
+# timer noise);
 # 'BenchmarkCheckpoint' is the fsync-per-record write + recover round trip
 # behind -checkpoint/-resume; 'BenchmarkMetrics' is the
 # instrumented-vs-uninstrumented round-loop pair that prices the PR 9
@@ -138,7 +145,8 @@ bench-smoke:
 # layer the per-process random streams live in. CI uploads the file so the
 # trend is comparable across PRs.
 bench-json:
-	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkSimRoundLoop|BenchmarkRunSetup|BenchmarkGridSweep|BenchmarkEpochSwap|BenchmarkDynamicSweep|BenchmarkCheckpoint|BenchmarkMetrics' -benchmem -benchtime 3x . > bench_raw.txt
+	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkSimRoundLoop|BenchmarkRunSetup|BenchmarkGridSweep|BenchmarkDynamicSweep|BenchmarkCheckpoint|BenchmarkMetrics' -benchmem -benchtime 3x . > bench_raw.txt
+	$(GO) test -run NONE -bench 'BenchmarkEpochSwap' -benchmem -benchtime 2000x . >> bench_raw.txt
 	$(GO) test -run NONE -bench 'BenchmarkAdaptiveAdversaryRound/waypoint' -benchmem -benchtime 3x . >> bench_raw.txt
 	$(GO) test -run NONE -bench 'BenchmarkAdaptiveAdversaryRound/(miss|hit)' -benchmem -benchtime 5000x . >> bench_raw.txt
 	$(GO) test -run NONE -bench 'BenchmarkGraphConstruction|BenchmarkUnreliableMembership|BenchmarkGeometricBuild100k|BenchmarkPreferentialAttachmentBuild100k' -benchmem -benchtime 3x ./internal/graph/ >> bench_raw.txt

@@ -572,7 +572,7 @@ func BenchmarkEngineReduceParallel(b *testing.B) {
 // benchSimRoundLoop drives 2000 rounds of the word-parallel delivery core on
 // the clique-bridge workload — Start plus 2000 Steps, past completion; sched
 // selects between the static schedule (nil: its epoch never ends) and a
-// dynamic schedule paying incremental epoch swaps.
+// dynamic schedule paying overlay epoch swaps.
 func benchSimRoundLoop(b *testing.B, sched func(*graph.Dual) (graph.Schedule, error)) {
 	b.Helper()
 	n := 65
@@ -615,11 +615,20 @@ func BenchmarkSimRoundLoop(b *testing.B) {
 
 // BenchmarkSimRoundLoopDynamic runs the identical workload under a churn
 // schedule (epoch every 50 rounds): the delta against BenchmarkSimRoundLoop is
-// the whole price of dynamics — incremental epoch materialization, buffer
-// re-checks, and delivery-mask refreshes at the boundary.
+// the whole price of dynamics — the epoch's overlay, the reads that filter
+// base rows through it, and delivery-mask refreshes at the boundary.
 func BenchmarkSimRoundLoopDynamic(b *testing.B) {
 	benchSimRoundLoop(b, func(d *graph.Dual) (graph.Schedule, error) {
 		return graph.NewChurn(d, 50, 0.05)
+	})
+}
+
+// BenchmarkSimRoundLoopFade is the fade twin of BenchmarkSimRoundLoopDynamic:
+// every epoch demotes reliable arcs into the fringe, so the mask refresh and
+// the greedy collider's membership tests read the faded-arc set per arc.
+func BenchmarkSimRoundLoopFade(b *testing.B) {
+	benchSimRoundLoop(b, func(d *graph.Dual) (graph.Schedule, error) {
+		return graph.NewFade(d, 50, 0.3)
 	})
 }
 
@@ -731,10 +740,11 @@ func BenchmarkGridSweepParallel(b *testing.B) {
 }
 
 // BenchmarkEpochSwap measures the epoch-boundary cost of the dynamics
-// layer in isolation: materializing successive churn epochs of a 1000-node
-// geometric dual through the incremental patch path (dirty-row CSR filter
-// plus fringe row reuse) — the price a dynamic run pays every epoch-len
-// rounds, while rounds within an epoch stay on the allocation-free hot path.
+// layer in isolation: successive churn epochs of a 1000-node geometric dual,
+// each an overlay holding its down set — the price a dynamic run pays every
+// epoch-len rounds, while rounds within an epoch stay on the allocation-free
+// hot path. The arcs/epoch metric builds the last epoch's cores, outside the
+// timed loop.
 func BenchmarkEpochSwap(b *testing.B) {
 	d, err := graph.Geometric(1000, 0.06, 0.14, dualgraph.NewRand(1))
 	if err != nil {
@@ -744,23 +754,21 @@ func BenchmarkEpochSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arcs := 0
+	var ep *graph.Dual
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ep, err := sched.Epoch(1+i%64, 7)
-		if err != nil {
+		if ep, err = sched.Epoch(1+i%64, 7); err != nil {
 			b.Fatal(err)
 		}
-		arcs = ep.GPrime().NumEdges()
 	}
-	b.ReportMetric(float64(arcs), "arcs/epoch")
+	b.StopTimer()
+	b.ReportMetric(float64(ep.GPrime().NumEdges()), "arcs/epoch")
 }
 
-// BenchmarkEpochSwapIncremental sweeps the per-epoch churn probability to
-// pin the incremental claim: swap cost must scale with the down set and its
-// neighbourhood (the dirty rows), not with the network — a 100× drop in
-// churn rate should show a large drop in ns/op, where the old full
-// Builder→Freeze rebuild was flat across the sweep.
+// BenchmarkEpochSwapIncremental sweeps the per-epoch churn probability: a
+// churn swap draws one coin per node and allocates only the down set, so its
+// cost should stay flat in the rate, where the old full Builder→Freeze
+// rebuild and the later row-patching path grew with the rows they touched.
 func BenchmarkEpochSwapIncremental(b *testing.B) {
 	d, err := graph.Geometric(1000, 0.06, 0.14, dualgraph.NewRand(1))
 	if err != nil {
@@ -791,9 +799,11 @@ func BenchmarkEpochSwapIncremental(b *testing.B) {
 
 // BenchmarkEpochSwapSchedules prices one epoch of each built-in mutation
 // policy on the churn-epochs benchmark network (geometric n=1024, radii
-// .06/.12) with that workload's schedule parameters: churn and fade patch the
-// base CSR row by row, waypoint builds a fresh geometric dual straight into
-// CSR from the epoch's interpolated positions.
+// .06/.12) with that workload's schedule parameters: churn and fade compute
+// an overlay over the base (a down set, a faded-arc set), waypoint builds a
+// fresh geometric dual straight into CSR from the epoch's interpolated
+// positions. The arcs/epoch metric builds the last epoch's cores, outside
+// the timed loop.
 func BenchmarkEpochSwapSchedules(b *testing.B) {
 	d, err := graph.Geometric(1024, 0.06, 0.12, dualgraph.NewRand(1))
 	if err != nil {
@@ -816,17 +826,16 @@ func BenchmarkEpochSwapSchedules(b *testing.B) {
 		sched graph.Schedule
 	}{{"churn", churn}, {"fade", fade}, {"waypoint", waypoint}} {
 		b.Run(c.name, func(b *testing.B) {
-			arcs := 0
+			var ep *graph.Dual
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ep, err := c.sched.Epoch(1+i%64, 7)
-				if err != nil {
+				if ep, err = c.sched.Epoch(1+i%64, 7); err != nil {
 					b.Fatal(err)
 				}
-				arcs = ep.GPrime().NumEdges()
 			}
-			b.ReportMetric(float64(arcs), "arcs/epoch")
+			b.StopTimer()
+			b.ReportMetric(float64(ep.GPrime().NumEdges()), "arcs/epoch")
 		})
 	}
 }

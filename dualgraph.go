@@ -66,7 +66,9 @@ type (
 	NodeID = graph.NodeID
 	// EdgeID identifies one unreliable arc of a Network. Ids are dense
 	// (0..NumUnreliable()-1) and stable in (from, to) order; see
-	// Network.UnreliableEdges for the adversary-facing index.
+	// Network.UnreliableEdges for the adversary-facing index. A churn or
+	// fade epoch keeps no ids until asked: its cores, ids included, are
+	// built on the first id read.
 	EdgeID = graph.EdgeID
 	// GraphBuilder accumulates edges during construction; NewNetwork
 	// freezes two of them into a Network.

@@ -80,7 +80,7 @@ func (a FullDelivery) Deliver(v *sim.View, senders []graph.NodeID) map[graph.Nod
 // delivers.
 func (FullDelivery) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	for _, s := range senders {
-		for _, t := range v.Dual.UnreliableOut(s) {
+		for _, t := range v.UnreliableOut(s) {
 			sink.Add(s, t)
 		}
 	}
@@ -134,7 +134,7 @@ func (a *Random) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][
 // order.
 func (a *Random) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	for _, s := range senders {
-		for _, t := range v.Dual.UnreliableOut(s) {
+		for _, t := range v.UnreliableOut(s) {
 			if v.Rng.Float64() < a.P {
 				sink.Add(s, t)
 			}
@@ -285,7 +285,7 @@ func (a *Theorem2) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.De
 	receiver := graph.ReceiverNode(n)
 	all := func() {
 		for _, s := range senders {
-			for _, t := range v.Dual.UnreliableOut(s) {
+			for _, t := range v.UnreliableOut(s) {
 				sink.Add(s, t)
 			}
 		}

@@ -1,16 +1,19 @@
 // Dynamic dual graphs: epoch-scheduled time-varying topologies.
 //
 // A Schedule produces the sequence of frozen networks — epochs — that a
-// dynamic run executes on. Each epoch is an ordinary immutable Dual, so
-// within an epoch the simulator's allocation-free CSR hot loop is untouched;
-// only the epoch boundary pays for a swap. No epoch goes through the
-// Builder: churn and fade build every row of G, G' and the fringe from the
-// matching base rows in one pass (rows stay sorted, so no re-sort and no
-// fringe merge-walk), and waypoint epochs are DualFromPositions builds
-// straight into CSR. EdgeIDs are dense per epoch: an id names an
-// arc of one epoch's fringe only, and adversaries must resolve ids against
-// the Dual they are currently handed (View.Dual), never cache them across
-// epochs.
+// dynamic run executes on; only the epoch boundary pays for a swap.
+// Churn and fade epochs are overlays on the schedule's base network: a churn
+// epoch is the base plus its set of down nodes (one bit per node), a fade
+// epoch the base plus its set of demoted reliable arcs (one bit per base G
+// arc). An epoch swap computes that set and nothing else. Dual.Row,
+// Dual.AppendReliableIn and HasUnreliableEdge read an overlay straight off
+// the base rows, so the simulator's hot paths never build it; a reader that
+// needs whole cores or EdgeIDs builds them once, on first use, through one
+// materializer over the same row readers. Waypoint epochs move every node
+// and are fresh DualFromPositions builds straight into CSR. EdgeIDs are
+// dense per epoch: an id names an arc of one epoch's fringe only, and
+// adversaries must resolve ids against the Dual they are currently handed
+// (View.Dual), never cache them across epochs.
 //
 // Determinism contract: Epoch(e, runSeed) must be a pure function of the
 // schedule value, e, and runSeed. The simulator passes its run seed, so a
@@ -30,6 +33,9 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"dualgraph/internal/metrics"
 	"dualgraph/internal/rng"
@@ -73,9 +79,15 @@ const (
 // SplitMix64 finalizer. It is the stateless coin of the built-in schedules:
 // pure, order-independent, and cheap enough to re-evaluate per epoch.
 func unitHash(seed int64, tag, key uint64) float64 {
-	z := rng.Mix64(uint64(seed) + rng.Golden*(tag^(key+1)))
-	return float64(z>>11) / (1 << 53)
+	return float64(coinBits(seed, coinKey(tag, key))) / (1 << 53)
 }
+
+// coinKey premixes (tag, key) for coinBits, so a schedule that flips the
+// same coin every epoch computes it once.
+func coinKey(tag, key uint64) uint64 { return rng.Golden * (tag ^ (key + 1)) }
+
+// coinBits is unitHash's 53-bit integer numerator.
+func coinBits(seed int64, k uint64) uint64 { return rng.Mix64(uint64(seed)+k) >> 11 }
 
 // StaticSchedule is the trivial schedule: every epoch is the same network.
 // It is the "static" registry entry and the bridge between the static and
@@ -96,9 +108,6 @@ func (s *StaticSchedule) EpochLength() int { return 0 }
 
 // Epoch returns the wrapped network, whatever the epoch.
 func (s *StaticSchedule) Epoch(int, int64) (*Dual, error) { return s.d, nil }
-
-// Base returns the wrapped network.
-func (s *StaticSchedule) Base() *Dual { return s.d }
 
 // backboneTree is the BFS-tree membership test of the mutation policies,
 // stored as a parent array: arc (u, v) is a backbone arc iff one endpoint is
@@ -138,18 +147,6 @@ func (b *backboneTree) has(u, v NodeID) bool {
 	return b.parent[v] == u || b.parent[u] == v
 }
 
-// churnRow appends the arcs (u, v) of a base row that survive a churn epoch
-// — both endpoints up, or a backbone arc — in row order, so a sorted base
-// row yields a sorted epoch row.
-func (b *backboneTree) churnRow(dst []NodeID, u NodeID, row []NodeID, down []bool) []NodeID {
-	for _, v := range row {
-		if !down[u] && !down[v] || b.has(u, v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // fillFrom writes the source node of every arc of a CSR layout: from[k] = u
 // for k in offsets[u]:offsets[u+1], the EdgeID -> arc decoding of a fringe.
 func fillFrom(from []NodeID, offsets []int32) {
@@ -158,18 +155,6 @@ func fillFrom(from []NodeID, offsets []int32) {
 			from[k] = NodeID(u)
 		}
 	}
-}
-
-// newDualPatched assembles an epoch Dual from patched cores without
-// re-running NewDual's validation sweep: subgraph containment holds because
-// every core derives row by row from a validated base (churn filters G and
-// G' with one predicate; fade only moves G arcs into the fringe under a
-// shared G'), and source reachability holds because no policy drops a
-// backbone arc. Schedules constructed these invariants; re-proving them per
-// epoch (a BFS plus a full merge re-walk) was a large share of the old swap
-// cost.
-func newDualPatched(g, gp *Graph, source NodeID, fringe *Graph, from []NodeID) *Dual {
-	return &Dual{g: g, gPrime: gp, source: source, fringe: fringe, fringeFrom: from}
 }
 
 // canonArc packs an arc into the fade-coin key: undirected edges use the
@@ -181,6 +166,203 @@ func canonArc(u, v NodeID, directed bool) uint64 {
 	return packArc(u, v)
 }
 
+func hasBit(set []uint64, i int) bool { return set[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// overlay is a churn or fade epoch described against its schedule's base
+// network instead of by cores of its own. Exactly one of down and faded is
+// set.
+type overlay struct {
+	base     *Dual // the schedule's base network; it has cores
+	backbone *backboneTree
+	// down marks a churn epoch's down nodes, one bit per node. A down node
+	// keeps only its backbone arcs, in G and G' alike.
+	down []uint64
+	// faded marks a fade epoch's demoted arcs, one bit per arc index of the
+	// base G: each leaves G for the fringe, and G' is the base's.
+	faded []uint64
+
+	once sync.Once
+	mat  *Dual // the epoch's cores, built by materialize
+}
+
+// churnKeeps reports whether a churn epoch keeps the base arc (u, v): both
+// endpoints up, or a backbone arc.
+func (o *overlay) churnKeeps(u, v NodeID) bool {
+	return !hasBit(o.down, int(u)) && !hasBit(o.down, int(v)) || o.backbone.has(u, v)
+}
+
+// reliable reports whether the base G arc (u, v) is reliable in the epoch.
+func (o *overlay) reliable(u, v NodeID) bool {
+	if o.down != nil {
+		return o.churnKeeps(u, v)
+	}
+	g := o.base.g
+	i, _ := slices.BinarySearch(g.Out(u), v)
+	return !hasBit(o.faded, int(g.offsets[u])+i)
+}
+
+// appendReliable appends to dst u's reliable out-row, or its in-row when in
+// is set, keeping only the nodes w with among[w] when among is non-nil.
+// among is tested before the keep rule, so a sparse filter skips most of it.
+// Rows are filtered from the base rows in order, so they come out ascending.
+func (o *overlay) appendReliable(dst []NodeID, u NodeID, in bool, among []bool) []NodeID {
+	g := o.base.g
+	if in && g.directed {
+		for _, w := range o.base.gTranspose().Out(u) {
+			if (among == nil || among[w]) && o.reliable(w, u) {
+				dst = append(dst, w)
+			}
+		}
+		return dst
+	}
+	// An undirected in-row is the out-row: both orientations of an edge
+	// share the keep rule and the fade coin.
+	if o.down != nil {
+		return o.appendChurn(dst, u, g.Out(u), among)
+	}
+	lo := int(g.offsets[u])
+	for i, v := range g.Out(u) {
+		if (among == nil || among[v]) && !hasBit(o.faded, lo+i) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// appendChurn appends to dst the nodes v of the base row u that the churn
+// epoch keeps, only those with among[v] when among is non-nil. It is
+// churnKeeps with u's own bit read once per row.
+func (o *overlay) appendChurn(dst []NodeID, u NodeID, row []NodeID, among []bool) []NodeID {
+	up := !hasBit(o.down, int(u))
+	for _, v := range row {
+		if (among == nil || among[v]) && (up && !hasBit(o.down, int(v)) || o.backbone.has(u, v)) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// appendRow appends the epoch's row u of kind k to dst: Dual.Row for the
+// overlay, and the materializer's row source. Every row comes out ascending.
+func (o *overlay) appendRow(dst []NodeID, u NodeID, k RowKind) []NodeID {
+	if k == Reliable {
+		return o.appendReliable(dst, u, false, nil)
+	}
+	b := o.base
+	if o.down != nil {
+		return o.appendChurn(dst, u, b.fringe.Out(u), nil)
+	}
+	// The base fringe row merged with u's demoted arcs (disjoint, since
+	// G ∩ fringe = ∅).
+	lo := int(b.g.offsets[u])
+	fr := b.fringe.Out(u)
+	for i, v := range b.g.Out(u) {
+		if hasBit(o.faded, lo+i) {
+			for len(fr) > 0 && fr[0] < v {
+				dst, fr = append(dst, fr[0]), fr[1:]
+			}
+			dst = append(dst, v)
+		}
+	}
+	return append(dst, fr...)
+}
+
+// hasUnreliable is Dual.HasUnreliableEdge for the overlay: a base fringe arc
+// the epoch keeps, or a demoted base G arc. Most probes name no arc at all,
+// so fade asks the base G' first.
+func (o *overlay) hasUnreliable(u, v NodeID) bool {
+	b := o.base
+	if o.down != nil {
+		return b.fringe.HasEdge(u, v) && o.churnKeeps(u, v)
+	}
+	return b.gPrime.HasEdge(u, v) && (b.fringe.HasEdge(u, v) || !o.reliable(u, v))
+}
+
+// materialize returns the epoch's cores, building them on the first call;
+// concurrent callers wait for the one build. It is the one materializer of
+// overlay epochs: G and the fringe come from appendRow, and G' is the base's
+// for fade (G' never changes) or the base G' filtered by the keep rule for
+// churn. Rows come out ascending, so nothing is sorted and the fringe keeps
+// its (from, to) EdgeID order. Subgraph containment and source reachability
+// need no re-check: every row derives from a validated base, and no policy
+// drops a backbone arc.
+func (o *overlay) materialize() *Dual {
+	o.once.Do(func() {
+		if metrics.Enabled() {
+			mEpochMaterializations.Inc()
+		}
+		b := o.base
+		demoted := 0
+		for _, w := range o.faded {
+			demoted += bits.OnesCount64(w)
+		}
+		g := buildRows(b.g, len(b.g.targets)-demoted, func(dst []NodeID, u NodeID) []NodeID { return o.appendRow(dst, u, Reliable) })
+		f := buildRows(b.fringe, len(b.fringe.targets)+demoted, func(dst []NodeID, u NodeID) []NodeID { return o.appendRow(dst, u, Unreliable) })
+		gp := b.gPrime
+		if o.down != nil {
+			gp = buildRows(gp, len(gp.targets), func(dst []NodeID, u NodeID) []NodeID { return o.appendChurn(dst, u, b.gPrime.Out(u), nil) })
+		}
+		from := make([]NodeID, len(f.targets))
+		fillFrom(from, f.offsets)
+		o.mat = &Dual{g: g, gPrime: gp, source: b.source, fringe: f, fringeFrom: from}
+	})
+	return o.mat
+}
+
+// buildRows returns the CSR graph with like's shape whose row u is
+// row(dst, u) appended to dst, with room for size arcs (an upper bound, or
+// exact).
+func buildRows(like *Graph, size int, row func(dst []NodeID, u NodeID) []NodeID) *Graph {
+	g := &Graph{n: like.n, directed: like.directed, offsets: make([]int32, like.n+1), targets: make([]NodeID, 0, size)}
+	for u := NodeID(0); int(u) < g.n; u++ {
+		g.targets = row(g.targets, u)
+		g.offsets[u+1] = int32(len(g.targets))
+	}
+	return g
+}
+
+// mutation is what the churn and fade schedules share: a base network with
+// its BFS backbone, an epoch length, and a per-epoch probability.
+type mutation struct {
+	base     *Dual
+	epochLen int
+	p        float64
+	backbone *backboneTree
+}
+
+func newMutation(policy, event string, base *Dual, epochLen int, p float64) (mutation, error) {
+	if epochLen < 1 {
+		return mutation{}, fmt.Errorf("%s: epoch length must be >= 1, got %d", policy, epochLen)
+	}
+	if p < 0 || p > 1 {
+		return mutation{}, fmt.Errorf("%s: %s probability %v outside [0,1]", policy, event, p)
+	}
+	base = base.cores()
+	return mutation{base: base, epochLen: epochLen, p: p, backbone: newBackboneTree(base)}, nil
+}
+
+// N returns the node count.
+func (m *mutation) N() int { return m.base.N() }
+
+// EpochLength returns the epoch length in rounds.
+func (m *mutation) EpochLength() int { return m.epochLen }
+
+// epoch returns the epoch that differs from the base by down or faded (an
+// empty set is nil), or the base itself when the draw changed nothing: then
+// the epoch has the base's arc sets and EdgeIDs, and a run swaps nothing.
+func (m *mutation) epoch(down, faded []uint64) *Dual {
+	if down == nil && faded == nil {
+		if metrics.Enabled() {
+			mEpochBase.Inc()
+		}
+		return m.base
+	}
+	if metrics.Enabled() {
+		mEpochOverlay.Inc()
+	}
+	return &Dual{source: m.base.source, ov: &overlay{base: m.base, backbone: m.backbone, down: down, faded: faded}}
+}
+
 // ChurnSchedule models node churn: in every epoch after the first, each
 // non-source node is independently down with probability PDown (a crashed
 // radio, a rebooting host). A down node keeps only its backbone link — every
@@ -188,44 +370,21 @@ func canonArc(u, v NodeID, directed bool) uint64 {
 // recovers automatically in the next epoch's fresh draw. Epoch 0 is always
 // the unmutated base network, so runs shorter than one epoch are identical
 // to static runs.
-type ChurnSchedule struct {
-	base     *Dual
-	epochLen int
-	pDown    float64
-	backbone *backboneTree
-	// inPrime is the in-adjacency of the base G'. An epoch differs from the
-	// base only in the CSR rows of down nodes and of nodes with an arc TO a
-	// down node, so this is the reverse index that turns the down set into
-	// the dirty-row set. For undirected bases Transpose returns G' itself.
-	inPrime *Graph
-}
+type ChurnSchedule struct{ mutation }
 
 // NewChurn builds a churn schedule over base with the given epoch length in
 // rounds and per-epoch per-node down probability.
 func NewChurn(base *Dual, epochLen int, pDown float64) (*ChurnSchedule, error) {
-	if epochLen < 1 {
-		return nil, fmt.Errorf("churn: epoch length must be >= 1, got %d", epochLen)
+	m, err := newMutation("churn", "down", base, epochLen, pDown)
+	if err != nil {
+		return nil, err
 	}
-	if pDown < 0 || pDown > 1 {
-		return nil, fmt.Errorf("churn: down probability %v outside [0,1]", pDown)
-	}
-	return &ChurnSchedule{
-		base:     base,
-		epochLen: epochLen,
-		pDown:    pDown,
-		backbone: newBackboneTree(base),
-		inPrime:  base.GPrime().Transpose(),
-	}, nil
+	return &ChurnSchedule{m}, nil
 }
 
-// N returns the node count.
-func (s *ChurnSchedule) N() int { return s.base.N() }
-
-// EpochLength returns the epoch length in rounds.
-func (s *ChurnSchedule) EpochLength() int { return s.epochLen }
-
-// Epoch materializes epoch e: the base network for e == 0, otherwise the
-// base with every non-backbone arc incident to a down node removed.
+// Epoch returns epoch e: the base network for e == 0, otherwise the base
+// with every non-backbone arc incident to a down node removed, as an
+// overlay holding the epoch's down set.
 func (s *ChurnSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	if e < 0 {
 		return nil, fmt.Errorf("churn: negative epoch %d", e)
@@ -235,107 +394,92 @@ func (s *ChurnSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	}
 	seed := EpochSeed(runSeed, e)
 	n := s.base.N()
-	src := s.base.Source()
-	down := make([]bool, n)
-	anyDown := false
+	down := make([]uint64, (n+63)/64)
+	var any uint64
 	for v := 0; v < n; v++ {
-		if NodeID(v) != src && unitHash(seed, churnTag, uint64(v)) < s.pDown {
-			down[v] = true
-			anyDown = true
+		if NodeID(v) != s.base.source && unitHash(seed, churnTag, uint64(v)) < s.p {
+			down[v>>6] |= 1 << (uint(v) & 63)
+			any = 1
 		}
 	}
-	if !anyDown {
-		// No coin fired: the epoch is structurally the base, so skip the
-		// rebuild and hand the base core back (same arc sets, same dense
-		// EdgeIDs — byte-identical to the rebuilt Dual).
-		if metrics.Enabled() {
-			mEpochBase.Inc()
-		}
-		return s.base, nil
+	if any == 0 {
+		down = nil
 	}
-	// A row u changes only if u is down (its whole row is filtered) or u has
-	// an arc to a down node. G ⊆ G', so the G'-in-adjacency covers the dirty
-	// rows of every core.
-	dirty := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if !down[v] {
-			continue
-		}
-		dirty[v] = true
-		for _, u := range s.inPrime.Out(NodeID(v)) {
-			dirty[u] = true
-		}
-	}
-	if metrics.Enabled() {
-		mEpochIncremental.Inc()
-	}
-	// Row u of each epoch core — G, G' and the fringe — is row u of the
-	// matching base core minus the arcs churnRow drops, so every row comes
-	// out sorted and the fringe keeps its (from, to) EdgeID order with no
-	// merge against G. Clean rows are copied whole. Churn only removes arcs,
-	// so one block holding all four arrays at their base sizes never
-	// overflows.
-	bg, bgp, bf := s.base.g, s.base.gPrime, s.base.fringe
-	nodes := make([]NodeID, len(bg.targets)+len(bgp.targets)+2*len(bf.targets))
-	gT, nodes := nodes[:0:len(bg.targets)], nodes[len(bg.targets):]
-	gpT, nodes := nodes[:0:len(bgp.targets)], nodes[len(bgp.targets):]
-	fT, from := nodes[:0:len(bf.targets)], nodes[len(bf.targets):]
-	offs := make([]int32, 3*(n+1))
-	gOff, gpOff, fOff := offs[:n+1:n+1], offs[n+1:2*(n+1):2*(n+1)], offs[2*(n+1):]
-	for u := 0; u < n; u++ {
-		id := NodeID(u)
-		if dirty[u] {
-			gT = s.backbone.churnRow(gT, id, bg.Out(id), down)
-			gpT = s.backbone.churnRow(gpT, id, bgp.Out(id), down)
-			fT = s.backbone.churnRow(fT, id, bf.Out(id), down)
-		} else {
-			gT = append(gT, bg.Out(id)...)
-			gpT = append(gpT, bgp.Out(id)...)
-			fT = append(fT, bf.Out(id)...)
-		}
-		gOff[u+1], gpOff[u+1], fOff[u+1] = int32(len(gT)), int32(len(gpT)), int32(len(fT))
-	}
-	from = from[:len(fT):len(fT)]
-	fillFrom(from, fOff)
-	g := &Graph{n: n, directed: bg.directed, offsets: gOff, targets: gT}
-	gp := &Graph{n: n, directed: bgp.directed, offsets: gpOff, targets: gpT}
-	fringe := &Graph{n: n, directed: true, offsets: fOff, targets: fT}
-	return newDualPatched(g, gp, src, fringe, from), nil
+	return s.epoch(down, nil), nil
 }
 
 // FadeSchedule models link fading: in every epoch after the first, each
 // reliable non-backbone edge is independently demoted to unreliable with
 // probability PFade — the link still exists in G', but for that epoch the
 // adversary controls it. Demoted edges recover automatically in the next
-// epoch's fresh draw ("and back"). G' never changes, so the epoch duals
-// share the base's frozen G' core; only G and the fringe are rebuilt.
+// epoch's fresh draw ("and back"). G' never changes, so a fade epoch that is
+// built shares the base's frozen G' core.
 type FadeSchedule struct {
-	base     *Dual
-	epochLen int
-	pFade    float64
-	backbone *backboneTree
+	mutation
+	once  sync.Once
+	coins []fadeCoin // built by coinTable
+}
+
+// fadeCoin is one per-epoch coin of a fade schedule: the premixed key of a
+// non-backbone edge of the base G and the arc indices it demotes — both
+// orientations of an undirected edge, or arc == rev for a directed one.
+// Flipping one coin per edge from this table, instead of one unitHash per
+// arc with its backbone test, is what keeps a fade epoch under 0.1 ms at
+// n=1024.
+type fadeCoin struct {
+	key      uint64
+	arc, rev int32
 }
 
 // NewFade builds a fading schedule over base with the given epoch length in
 // rounds and per-epoch per-edge demotion probability.
 func NewFade(base *Dual, epochLen int, pFade float64) (*FadeSchedule, error) {
-	if epochLen < 1 {
-		return nil, fmt.Errorf("fade: epoch length must be >= 1, got %d", epochLen)
+	m, err := newMutation("fade", "fade", base, epochLen, pFade)
+	if err != nil {
+		return nil, err
 	}
-	if pFade < 0 || pFade > 1 {
-		return nil, fmt.Errorf("fade: fade probability %v outside [0,1]", pFade)
-	}
-	return &FadeSchedule{base: base, epochLen: epochLen, pFade: pFade, backbone: newBackboneTree(base)}, nil
+	return &FadeSchedule{mutation: m}, nil
 }
 
-// N returns the node count.
-func (s *FadeSchedule) N() int { return s.base.N() }
+// coinTable returns the schedule's coins, building them on the first call
+// (the first epoch e ≥ 1 of any run), so a schedule whose runs end in epoch
+// 0 never pays for them; concurrent runs wait for the one build.
+func (s *FadeSchedule) coinTable() []fadeCoin {
+	s.once.Do(func() {
+		g := s.base.g
+		size := len(g.targets)
+		if !g.directed {
+			size /= 2
+		}
+		s.coins = make([]fadeCoin, 0, size)
+		// An undirected edge {u, v}, u < v, is met once, at (u, v). Walking
+		// u ascending meets the edges of v with a lower end in the order v's
+		// row lists its lower neighbours, so next[v] is the index of the
+		// reverse arc (v, u), found without a search.
+		next := slices.Clone(g.offsets[:g.n])
+		for u := NodeID(0); int(u) < g.n; u++ {
+			for i, v := range g.Out(u) {
+				if !g.directed && v < u {
+					continue
+				}
+				arc := g.offsets[u] + int32(i)
+				rev := arc
+				if !g.directed {
+					rev = next[v]
+					next[v]++
+				}
+				if !s.backbone.has(u, v) {
+					s.coins = append(s.coins, fadeCoin{coinKey(fadeTag, canonArc(u, v, g.directed)), arc, rev})
+				}
+			}
+		}
+	})
+	return s.coins
+}
 
-// EpochLength returns the epoch length in rounds.
-func (s *FadeSchedule) EpochLength() int { return s.epochLen }
-
-// Epoch materializes epoch e: the base network for e == 0, otherwise the
-// base with faded reliable edges demoted into the adversary's fringe.
+// Epoch returns epoch e: the base network for e == 0, otherwise the base
+// with faded reliable edges demoted into the adversary's fringe, as an
+// overlay holding the epoch's faded arcs.
 func (s *FadeSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	if e < 0 {
 		return nil, fmt.Errorf("fade: negative epoch %d", e)
@@ -344,66 +488,25 @@ func (s *FadeSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 		return s.base, nil
 	}
 	seed := EpochSeed(runSeed, e)
-	bg, bf := s.base.g, s.base.fringe
-	n := bg.n
-	// One coin per arc: keep[k] records whether arc k of the base G stays
-	// reliable. An undirected edge's two orientations flip the same
-	// canonical coin, so both rows agree. If no edge fades, the epoch is
-	// structurally the base (same arc sets, same dense EdgeIDs): return the
-	// base core.
-	keep := make([]bool, len(bg.targets))
-	faded := 0
-	for u := 0; u < n; u++ {
-		lo := int(bg.offsets[u])
-		for k, v := range bg.Out(NodeID(u)) {
-			if s.backbone.has(NodeID(u), v) ||
-				unitHash(seed, fadeTag, canonArc(NodeID(u), v, bg.directed)) >= s.pFade {
-				keep[lo+k] = true
-			} else {
-				faded++
-			}
+	// coinBits/2^53 < p exactly when coinBits < p·2^53: scaling by a power
+	// of two is exact. The coin is unpredictable, so its bit is folded in
+	// without a branch.
+	limit := s.p * (1 << 53)
+	faded := make([]uint64, (len(s.base.g.targets)+63)/64)
+	var any uint64
+	for _, c := range s.coinTable() {
+		var bit uint64
+		if float64(coinBits(seed, c.key)) < limit {
+			bit = 1
 		}
+		faded[c.arc>>6] |= bit << (c.arc & 63)
+		faded[c.rev>>6] |= bit << (c.rev & 63)
+		any |= bit
 	}
-	if faded == 0 {
-		if metrics.Enabled() {
-			mEpochBase.Inc()
-		}
-		return s.base, nil
+	if any == 0 {
+		faded = nil
 	}
-	if metrics.Enabled() {
-		mEpochIncremental.Inc()
-	}
-	// G' is shared. Row u of the epoch G is the base G row minus its faded
-	// arcs; row u of the fringe is the sorted merge of the base fringe row
-	// with those faded arcs (disjoint, since G ∩ fringe = ∅). Both come out
-	// of one walk over the base G row, at exact sizes.
-	nG, nF := len(bg.targets)-faded, len(bf.targets)+faded
-	nodes := make([]NodeID, nG+2*nF)
-	gT, fT, from := nodes[:0:nG], nodes[nG:nG:nG+nF], nodes[nG+nF:]
-	offs := make([]int32, 2*(n+1))
-	gOff, fOff := offs[:n+1:n+1], offs[n+1:]
-	for u := 0; u < n; u++ {
-		lo := int(bg.offsets[u])
-		fr := bf.Out(NodeID(u))
-		i := 0
-		for k, v := range bg.Out(NodeID(u)) {
-			if keep[lo+k] {
-				gT = append(gT, v)
-				continue
-			}
-			for i < len(fr) && fr[i] < v {
-				fT = append(fT, fr[i])
-				i++
-			}
-			fT = append(fT, v)
-		}
-		fT = append(fT, fr[i:]...)
-		gOff[u+1], fOff[u+1] = int32(len(gT)), int32(len(fT))
-	}
-	fillFrom(from, fOff)
-	g := &Graph{n: n, directed: bg.directed, offsets: gOff, targets: gT}
-	fringe := &Graph{n: n, directed: true, offsets: fOff, targets: fT}
-	return newDualPatched(g, s.base.gPrime, s.base.source, fringe, from), nil
+	return s.epoch(nil, faded), nil
 }
 
 // WaypointSchedule models random-waypoint mobility over the geometric

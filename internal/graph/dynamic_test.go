@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -309,10 +311,10 @@ func TestEpochSeedDecorrelates(t *testing.T) {
 	}
 }
 
-// rebuildReference re-freezes a base core through the Builder the way the
-// pre-incremental schedules did: every arc of every row re-filtered, re-sorted,
-// re-deduplicated. The incremental patch path must be structurally
-// indistinguishable from this, down to fringe EdgeID order.
+// rebuildReference re-freezes a base core through the Builder: every arc of
+// every row re-filtered, re-sorted, re-deduplicated. Overlay epochs, read
+// through Row or built into cores, must be structurally indistinguishable
+// from this, down to fringe EdgeID order.
 func rebuildReference(base *Graph, keep func(u, v NodeID) bool) *Graph {
 	b := NewBuilder(base.N(), base.Directed())
 	for u := 0; u < base.N(); u++ {
@@ -325,16 +327,109 @@ func rebuildReference(base *Graph, keep func(u, v NodeID) bool) *Graph {
 	return b.Freeze()
 }
 
-// TestEpochPatchingMatchesFullRebuild pins the row-by-row epoch path (each
-// epoch row filtered or merged from the matching base rows, no validation
-// BFS) against a full Builder→Freeze→NewDualGraphs rebuild with the same
-// keep predicates, for churn and fade on undirected and directed bases and
-// on the churn-epochs benchmark network (geometric n=1024, radii .06/.12).
-// The probabilities cover the extremes: 0 (no row changes; the epoch must be
-// the base pointer), 0.01 (a few rows), the workloads' own rates, and 1
-// (every row of churn changes; fade demotes every non-backbone edge).
-// Structural identity here is what keeps the simulator's dynamic goldens
-// byte-identical across the optimization.
+// referenceEpochs rebuilds churn and fade epoch e of base through the
+// Builder, with the keep predicates stated from scratch: the oracle the
+// overlay epochs are held to.
+func referenceEpochs(t testing.TB, base *Dual, p float64, runSeed int64, e int) (churn, fade *Dual) {
+	t.Helper()
+	backbone := newBackboneTree(base)
+	seed := EpochSeed(runSeed, e)
+	down := make([]bool, base.N())
+	for v := 0; v < base.N(); v++ {
+		if NodeID(v) != base.Source() && unitHash(seed, churnTag, uint64(v)) < p {
+			down[v] = true
+		}
+	}
+	keepChurn := func(u, v NodeID) bool {
+		if !down[u] && !down[v] {
+			return true
+		}
+		return backbone.has(u, v)
+	}
+	churn, err := NewDualGraphs(
+		rebuildReference(base.G(), keepChurn),
+		rebuildReference(base.GPrime(), keepChurn),
+		base.Source())
+	if err != nil {
+		t.Fatalf("churn reference: %v", err)
+	}
+	// Fade rebuilds G only; G' is the base's.
+	keepFade := func(u, v NodeID) bool {
+		if backbone.has(u, v) {
+			return true
+		}
+		return unitHash(seed, fadeTag, canonArc(u, v, base.G().Directed())) >= p
+	}
+	fade, err = NewDualGraphs(rebuildReference(base.G(), keepFade), base.GPrime(), base.Source())
+	if err != nil {
+		t.Fatalf("fade reference: %v", err)
+	}
+	return churn, fade
+}
+
+// overlayReadsMatch reads every row of got through Row — reliable out-rows,
+// fringe rows, reliable in-rows — and HasUnreliableEdge over every arc of
+// base G' plus a sample of non-arcs and out-of-range nodes, against the
+// rebuilt want, all through one reused buffer. The reads must leave an
+// overlay epoch without cores.
+func overlayReadsMatch(got, want, base *Dual) error {
+	if got.N() != want.N() || got.Directed() != want.Directed() || got.Source() != want.Source() {
+		return fmt.Errorf("shape (%d, %v, %d) vs (%d, %v, %d)",
+			got.N(), got.Directed(), got.Source(), want.N(), want.Directed(), want.Source())
+	}
+	n := want.N()
+	wantIn := want.g.Transpose()
+	all, some := make([]bool, n), make([]bool, n)
+	for v := range all {
+		all[v], some[v] = true, v%3 != 1
+	}
+	var buf []NodeID
+	for u := NodeID(0); int(u) < n; u++ {
+		for _, c := range []struct {
+			k    RowKind
+			want []NodeID
+		}{{Reliable, want.g.Out(u)}, {Unreliable, want.fringe.Out(u)}} {
+			if row := got.Row(u, c.k, &buf); !slices.Equal(row, c.want) {
+				return fmt.Errorf("row kind %d of node %d: %v, want %v", c.k, u, row, c.want)
+			}
+		}
+		if in := got.AppendReliableIn(nil, u, all); !slices.Equal(in, wantIn.Out(u)) {
+			return fmt.Errorf("in-row of node %d: %v, want %v", u, in, wantIn.Out(u))
+		}
+		wantSome := slices.DeleteFunc(slices.Clone(wantIn.Out(u)), func(w NodeID) bool { return !some[w] })
+		if in := got.AppendReliableIn(nil, u, some); !slices.Equal(in, wantSome) {
+			return fmt.Errorf("in-row of node %d among a subset: %v, want %v", u, in, wantSome)
+		}
+		probes := append(slices.Clone(base.gPrime.Out(u)), (u*7+3)%NodeID(n), (u+1)%NodeID(n), u, -1, NodeID(n))
+		for _, v := range probes {
+			if got.HasUnreliableEdge(u, v) != want.fringe.HasEdge(u, v) {
+				return fmt.Errorf("HasUnreliableEdge(%d, %d) = %v", u, v, !want.fringe.HasEdge(u, v))
+			}
+		}
+	}
+	for _, u := range []NodeID{-1, NodeID(n)} {
+		if got.HasUnreliableEdge(u, 0) {
+			return fmt.Errorf("HasUnreliableEdge(%d, 0) on an out-of-range node", u)
+		}
+	}
+	if got.ov != nil && got.ov.mat != nil {
+		return fmt.Errorf("Row or HasUnreliableEdge built the overlay's cores")
+	}
+	return nil
+}
+
+// TestEpochPatchingMatchesFullRebuild pins the overlay epochs (a down set or
+// a faded-arc set over the base, read row by row through Row) against a full
+// Builder→Freeze→NewDualGraphs rebuild with the same keep predicates, for
+// churn and fade on undirected and directed bases and on the churn-epochs
+// benchmark network (geometric n=1024, radii .06/.12). Every epoch is read
+// through the accessor first, which must not build its cores; then the
+// lazily built cores must be identical to the rebuild, dense EdgeIDs
+// included. The probabilities cover the extremes: 0 (no row changes; the
+// epoch must be the base pointer), 0.01 (a few rows), the workloads' own
+// rates, and 1 (every row of churn changes; fade demotes every non-backbone
+// edge). Structural identity here is what keeps the simulator's dynamic
+// goldens byte-identical.
 func TestEpochPatchingMatchesFullRebuild(t *testing.T) {
 	directed, err := DirectedLayered([]int{4, 5, 4, 3})
 	if err != nil {
@@ -363,32 +458,15 @@ func TestEpochPatchingMatchesFullRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			for e := 1; e <= b.epochs; e++ {
-				seed := EpochSeed(runSeed, e)
 				name := fmt.Sprintf("%s p=%v epoch %d", b.name, p, e)
+				wantChurn, wantFade := referenceEpochs(t, base, p, runSeed, e)
 
-				// Churn reference: recompute the down set and rebuild both cores.
-				down := make([]bool, base.N())
-				for v := 0; v < base.N(); v++ {
-					if NodeID(v) != base.Source() && unitHash(seed, churnTag, uint64(v)) < p {
-						down[v] = true
-					}
-				}
-				keepChurn := func(u, v NodeID) bool {
-					if !down[u] && !down[v] {
-						return true
-					}
-					return backbone.has(u, v)
-				}
-				wantChurn, err := NewDualGraphs(
-					rebuildReference(base.G(), keepChurn),
-					rebuildReference(base.GPrime(), keepChurn),
-					base.Source())
-				if err != nil {
-					t.Fatalf("%s: churn reference: %v", name, err)
-				}
 				gotChurn, err := churn.Epoch(e, runSeed)
 				if err != nil {
 					t.Fatalf("%s: churn: %v", name, err)
+				}
+				if err := overlayReadsMatch(gotChurn, wantChurn, base); err != nil {
+					t.Fatalf("%s: churn overlay reads differ from full rebuild: %v", name, err)
 				}
 				if err := coresIdentical(gotChurn, wantChurn); err != nil {
 					t.Fatalf("%s: churn epoch differs from full rebuild: %v", name, err)
@@ -397,20 +475,12 @@ func TestEpochPatchingMatchesFullRebuild(t *testing.T) {
 					t.Fatalf("%s: p-down=0 churn epoch is not the base pointer", name)
 				}
 
-				// Fade reference: rebuild G only; G' is shared with the base.
-				keepFade := func(u, v NodeID) bool {
-					if backbone.has(u, v) {
-						return true
-					}
-					return unitHash(seed, fadeTag, canonArc(u, v, base.G().Directed())) >= p
-				}
-				wantFade, err := NewDualGraphs(rebuildReference(base.G(), keepFade), base.GPrime(), base.Source())
-				if err != nil {
-					t.Fatalf("%s: fade reference: %v", name, err)
-				}
 				gotFade, err := fade.Epoch(e, runSeed)
 				if err != nil {
 					t.Fatalf("%s: fade: %v", name, err)
+				}
+				if err := overlayReadsMatch(gotFade, wantFade, base); err != nil {
+					t.Fatalf("%s: fade overlay reads differ from full rebuild: %v", name, err)
 				}
 				if err := coresIdentical(gotFade, wantFade); err != nil {
 					t.Fatalf("%s: fade epoch differs from full rebuild: %v", name, err)
@@ -427,4 +497,157 @@ func TestEpochPatchingMatchesFullRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOverlayConcurrentMaterialize has 8 goroutines ask one overlay epoch
+// for its cores at once, through different id-indexed readers; under -race
+// it checks that the one build is published safely, and every caller must
+// see the same cores. Eight first callers of a fresh fade schedule's epoch 1
+// likewise share its one coin-table build.
+func TestOverlayConcurrentMaterialize(t *testing.T) {
+	base := testBase(t)
+	const p, runSeed = 0.4, 3
+	churn, err := NewChurn(base, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fade, err := NewFade(base, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantChurn, wantFade := referenceEpochs(t, base, p, runSeed, 1)
+	for _, c := range []struct {
+		s    Schedule
+		want *Dual
+	}{{churn, wantChurn}, {fade, wantFade}} {
+		d, err := c.s.Epoch(1, runSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.ov == nil {
+			t.Fatalf("%T epoch 1 is not an overlay", c.s)
+		}
+		const readers = 8
+		got := make([]*Graph, readers)
+		var wg sync.WaitGroup
+		for i := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch i % 3 {
+				case 0:
+					d.NumUnreliable()
+				case 1:
+					d.UnreliableEdges(NodeID(i % d.N()))
+				}
+				got[i] = d.G()
+			}()
+		}
+		wg.Wait()
+		for i := 1; i < readers; i++ {
+			if got[i] != got[0] {
+				t.Fatalf("%T: reader %d saw different cores", c.s, i)
+			}
+		}
+		if err := coresIdentical(d, c.want); err != nil {
+			t.Fatalf("%T: concurrently built cores differ from the rebuild: %v", c.s, err)
+		}
+	}
+	// A fresh fade schedule builds its coin table on the first epoch e ≥ 1,
+	// here under concurrent first callers.
+	fresh, err := NewFade(base, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := make([]*Dual, 8)
+	var wg sync.WaitGroup
+	for i := range epochs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			epochs[i], _ = fresh.Epoch(1, runSeed)
+		}()
+	}
+	wg.Wait()
+	for i, d := range epochs {
+		if err := coresIdentical(d, wantFade); err != nil {
+			t.Fatalf("fade epoch %d of concurrent first callers differs from the rebuild: %v", i, err)
+		}
+	}
+}
+
+// randomDirectedDual is a random directed base: a random arborescence out of
+// the source in G, random extra arcs in G, and random further arcs in G',
+// reverses of G arcs included.
+func randomDirectedDual(n int, rng *rand.Rand) (*Dual, error) {
+	g, gp := NewBuilder(n, true), NewBuilder(n, true)
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		u, v := NodeID(perm[rng.Intn(i)]), NodeID(perm[i])
+		g.MustAddEdge(u, v)
+		gp.MustAddEdge(u, v)
+	}
+	for k := 0; k < 2*n; k++ {
+		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		gp.MustAddEdge(u, v)
+		if rng.Intn(2) == 0 {
+			g.MustAddEdge(u, v)
+		}
+	}
+	return NewDual(g, gp, NodeID(perm[0]))
+}
+
+// FuzzEpochOverlay checks churn and fade overlay epochs of a random small
+// base — undirected or directed — at a random probability and epoch against
+// the full rebuild: every row read through Row, edge membership, and the
+// lazily built cores.
+func FuzzEpochOverlay(f *testing.F) {
+	f.Add(uint8(12), int64(1), uint8(30), uint16(1), false)
+	f.Add(uint8(2), int64(2), uint8(255), uint16(3), true)
+	f.Add(uint8(40), int64(3), uint8(5), uint16(9), false)
+	f.Add(uint8(25), int64(4), uint8(128), uint16(2), true)
+	f.Fuzz(func(t *testing.T, n uint8, seed int64, pByte uint8, epoch uint16, directed bool) {
+		if n < 2 || n > 64 || epoch == 0 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var base *Dual
+		var err error
+		if directed {
+			base, err = randomDirectedDual(int(n), rng)
+		} else {
+			base, err = RandomDual(int(n), 0.2, 0.3, rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := float64(pByte) / 255
+		churn, err := NewChurn(base, 1, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fade, err := NewFade(base, 1, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantChurn, wantFade := referenceEpochs(t, base, p, seed, int(epoch))
+		for _, c := range []struct {
+			s    Schedule
+			want *Dual
+		}{{churn, wantChurn}, {fade, wantFade}} {
+			got, err := c.s.Epoch(int(epoch), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := overlayReadsMatch(got, c.want, base); err != nil {
+				t.Fatalf("%T p=%v epoch %d: %v", c.s, p, epoch, err)
+			}
+			if err := coresIdentical(got, c.want); err != nil {
+				t.Fatalf("%T p=%v epoch %d: cores: %v", c.s, p, epoch, err)
+			}
+		}
+	})
 }

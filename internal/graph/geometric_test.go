@@ -88,6 +88,7 @@ func refDualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, sour
 // targets of G, G' and the fringe, fringeFrom (hence every EdgeID), the
 // source and directedness.
 func coresIdentical(a, b *Dual) error {
+	a, b = a.cores(), b.cores()
 	if a.Source() != b.Source() {
 		return fmt.Errorf("source %d vs %d", a.Source(), b.Source())
 	}

@@ -26,16 +26,18 @@
 // Time-varying networks are built on the same immutable cores: a Schedule
 // (see dynamic.go) produces a sequence of frozen Duals — epochs — from a
 // base topology plus a mutation policy (node churn, link fading, waypoint
-// mobility). Churn and fade epochs filter or merge each row from the
-// matching base rows; waypoint epochs are fresh DualFromPositions builds.
-// Within an epoch the simulator's allocation-free hot loop is untouched.
-// EdgeIDs are dense per epoch and must never be cached across epochs.
+// mobility). Churn and fade epochs are overlays on the base, read row by
+// row through Dual.Row and built into cores only when an EdgeID or
+// whole-graph reader asks; waypoint epochs are fresh DualFromPositions
+// builds. EdgeIDs are dense per epoch and must never be cached across
+// epochs.
 package graph
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // NodeID identifies a graph node. Nodes of an n-node graph are 0..n-1.
@@ -309,6 +311,13 @@ var (
 // Dual is a dual-graph network (G, G') with a distinguished source. It is
 // immutable after construction: G, G', and the unreliable fringe G' \ G are
 // frozen CSR cores, and every unreliable arc carries a dense stable EdgeID.
+//
+// A churn or fade epoch (see dynamic.go) is an overlay instead: its cores
+// stay unbuilt, Row and HasUnreliableEdge read it off its schedule's base
+// cores, and the first reader that needs whole cores or EdgeIDs (G, GPrime,
+// ReliableOut, UnreliableOut, NumUnreliable, UnreliableEdges,
+// UnreliableEdge, UnreliableEdgeID, Classical, Eccentricity) builds them
+// once, safely under concurrent callers.
 type Dual struct {
 	g      *Graph
 	gPrime *Graph
@@ -319,6 +328,11 @@ type Dual struct {
 	// fringeFrom[id] is the source node of unreliable arc id (the reverse
 	// of the CSR layout, for O(1) EdgeID -> arc decoding).
 	fringeFrom []NodeID
+	// gIn is the transpose of a directed G, built on the first
+	// AppendReliableIn.
+	gIn atomic.Pointer[Graph]
+	// ov describes an overlay epoch; nil for a Dual with cores of its own.
+	ov *overlay
 }
 
 // NewDual validates and assembles a dual graph network from two builders.
@@ -449,63 +463,149 @@ func MustDual(g, gPrime *Builder, source NodeID) *Dual {
 }
 
 // N returns the number of nodes.
-func (d *Dual) N() int { return d.g.N() }
+func (d *Dual) N() int { return d.shape().g.N() }
+
+// Directed reports whether the network's graphs are directed.
+func (d *Dual) Directed() bool { return d.shape().g.directed }
 
 // Source returns the distinguished source node.
 func (d *Dual) Source() NodeID { return d.source }
 
+// shape returns a Dual with cores of d's node count and directedness: d
+// itself, or an overlay epoch's base.
+func (d *Dual) shape() *Dual {
+	if d.ov != nil {
+		return d.ov.base
+	}
+	return d
+}
+
+// cores returns d's CSR cores: d itself, or an overlay epoch's cores, built
+// on first use.
+func (d *Dual) cores() *Dual {
+	if d.ov != nil {
+		return d.ov.materialize()
+	}
+	return d
+}
+
 // G returns the reliable graph. The caller must not mutate it.
-func (d *Dual) G() *Graph { return d.g }
+func (d *Dual) G() *Graph { return d.cores().g }
 
 // GPrime returns the full graph G'. The caller must not mutate it.
-func (d *Dual) GPrime() *Graph { return d.gPrime }
+func (d *Dual) GPrime() *Graph { return d.cores().gPrime }
+
+// RowKind selects the adjacency row Dual.Row reads.
+type RowKind uint8
+
+const (
+	// Reliable is u's out-row in G.
+	Reliable RowKind = iota
+	// Unreliable is u's out-row in G' \ G: the arcs the adversary controls.
+	Unreliable
+)
+
+// Row returns one adjacency row of u, sorted ascending: the row accessor of
+// the simulator's hot paths. On a Dual with cores it is a view into a CSR
+// core and buf is not touched. On an overlay epoch the row is computed from
+// the base's rows into *buf, which grows as needed, so a reused buffer
+// stops allocating once it has held the widest row; the result then aliases
+// *buf until the next call with the same buffer. Row never builds an
+// overlay epoch's cores. The caller must not modify the result.
+func (d *Dual) Row(u NodeID, k RowKind, buf *[]NodeID) []NodeID {
+	switch {
+	case d.ov != nil:
+		*buf = d.ov.appendRow((*buf)[:0], u, k)
+		return *buf
+	case k == Reliable:
+		return d.g.Out(u)
+	}
+	return d.fringe.Out(u)
+}
+
+// AppendReliableIn appends to dst, ascending, the nodes w with a reliable
+// arc to u and among[w] set (among has one entry per node): the CR4 reach
+// list of u when among flags the round's senders. An overlay epoch tests
+// among before its keep rule and is never built; a directed G's in-rows come
+// from a transpose built on first use.
+func (d *Dual) AppendReliableIn(dst []NodeID, u NodeID, among []bool) []NodeID {
+	if d.ov != nil {
+		return d.ov.appendReliable(dst, u, true, among)
+	}
+	for _, w := range d.gTranspose().Out(u) {
+		if among[w] {
+			dst = append(dst, w)
+		}
+	}
+	return dst
+}
+
+// gTranspose returns the transpose of G: G itself when undirected, else
+// built on first use. Concurrent first callers may each build one; they are
+// identical, and the first stored wins.
+func (d *Dual) gTranspose() *Graph {
+	if !d.g.directed {
+		return d.g
+	}
+	if in := d.gIn.Load(); in != nil {
+		return in
+	}
+	d.gIn.CompareAndSwap(nil, d.g.Transpose())
+	return d.gIn.Load()
+}
 
 // ReliableOut returns u's out-neighbours along reliable edges, sorted
-// ascending (a view into the CSR core).
-func (d *Dual) ReliableOut(u NodeID) []NodeID { return d.g.Out(u) }
+// ascending (a view into the CSR core; an overlay epoch builds its cores
+// first, so hot paths read Row instead).
+func (d *Dual) ReliableOut(u NodeID) []NodeID { return d.cores().g.Out(u) }
 
 // UnreliableOut returns u's out-neighbours along edges of G' \ G, the edges
-// the adversary controls, sorted ascending (a view into the CSR core).
-func (d *Dual) UnreliableOut(u NodeID) []NodeID { return d.fringe.Out(u) }
+// the adversary controls, sorted ascending (a view into the CSR core; an
+// overlay epoch builds its cores first, so hot paths read Row instead).
+func (d *Dual) UnreliableOut(u NodeID) []NodeID { return d.cores().fringe.Out(u) }
 
 // NumUnreliable returns the number of unreliable arcs |E' \ E| (and hence
 // the exclusive upper bound on EdgeID values).
-func (d *Dual) NumUnreliable() int { return len(d.fringe.targets) }
+func (d *Dual) NumUnreliable() int { return len(d.cores().fringe.targets) }
 
 // UnreliableEdges returns u's unreliable arcs as (base, targets): the arc
 // to targets[i] has EdgeID base+i. This is the adversary-facing index —
 // a delivery choice over the round's senders is a set of such ids.
 func (d *Dual) UnreliableEdges(u NodeID) (base EdgeID, targets []NodeID) {
-	return EdgeID(d.fringe.offsets[u]), d.fringe.Out(u)
+	c := d.cores()
+	return EdgeID(c.fringe.offsets[u]), c.fringe.Out(u)
 }
 
 // UnreliableEdge decodes an EdgeID into its (from, to) arc. It panics when
 // id is outside [0, NumUnreliable()), which indicates adversary code using
 // an id from a different network.
 func (d *Dual) UnreliableEdge(id EdgeID) (from, to NodeID) {
-	return d.fringeFrom[id], d.fringe.targets[id]
+	c := d.cores()
+	return c.fringeFrom[id], c.fringe.targets[id]
 }
 
 // UnreliableEdgeID returns the EdgeID of the unreliable arc (u, v), if any:
 // O(log d) by binary search in u's fringe row.
 func (d *Dual) UnreliableEdgeID(u, v NodeID) (EdgeID, bool) {
-	if u < 0 || int(u) >= d.fringe.n {
+	f := d.cores().fringe
+	if u < 0 || int(u) >= f.n {
 		return 0, false
 	}
-	row := d.fringe.Out(u)
-	i, ok := slices.BinarySearch(row, v)
+	i, ok := slices.BinarySearch(f.Out(u), v)
 	if !ok {
 		return 0, false
 	}
-	return EdgeID(d.fringe.offsets[u] + int32(i)), true
+	return EdgeID(f.offsets[u] + int32(i)), true
 }
 
 // HasUnreliableEdge reports whether (u, v) is an edge of G' \ G, in
 // O(log d) — the membership test adversaries use when deciding whether a
-// jamming arc exists.
+// jamming arc exists. It reads an overlay epoch without building its cores.
 func (d *Dual) HasUnreliableEdge(u, v NodeID) bool {
-	_, ok := d.UnreliableEdgeID(u, v)
-	return ok
+	if d.ov != nil {
+		return d.ov.hasUnreliable(u, v)
+	}
+	return d.fringe.HasEdge(u, v)
 }
 
 // Classical reports whether G = G', i.e. the network has no unreliable edges
@@ -516,7 +616,7 @@ func (d *Dual) Classical() bool { return d.NumUnreliable() == 0 }
 // source eccentricity (a lower bound on broadcast time).
 func (d *Dual) Eccentricity() int {
 	ecc := 0
-	for _, dist := range d.g.DistancesFrom(d.source) {
+	for _, dist := range d.G().DistancesFrom(d.source) {
 		if dist > ecc {
 			ecc = dist
 		}

@@ -115,6 +115,7 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.No
 	sent := make([]bool, n)
 	gtReach := make([][]graph.NodeID, n) // receivable messages
 	giCount := make([]int, n)            // all reaching messages
+	var row []graph.NodeID               // scratch for the dual's Row reads
 
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		clear(sent)
@@ -137,11 +138,11 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.No
 			giCount[s]++
 			// G_I = G_T ∪ (G_I \ G_T): walk the dual's two CSR rows instead
 			// of testing G_T membership per G_I arc.
-			for _, v := range m.dual.ReliableOut(s) {
+			for _, v := range m.dual.Row(s, graph.Reliable, &row) {
 				giCount[v]++
 				gtReach[v] = append(gtReach[v], s)
 			}
-			for _, v := range m.dual.UnreliableOut(s) {
+			for _, v := range m.dual.Row(s, graph.Unreliable, &row) {
 				giCount[v]++
 			}
 		}
@@ -260,7 +261,7 @@ func (a ReductionAdversary) Deliver(v *sim.View, senders []graph.NodeID) map[gra
 // sink.Reached stays that picture for the whole call.
 func (ReductionAdversary) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	for _, s := range senders {
-		for _, u := range v.Dual.UnreliableOut(s) {
+		for _, u := range v.UnreliableOut(s) {
 			if sink.Reached(u) {
 				sink.Add(s, u)
 			}

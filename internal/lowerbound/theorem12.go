@@ -112,7 +112,7 @@ func (a *theorem12Adversary) DeliverInto(v *sim.View, senders []graph.NodeID, si
 		}
 	}
 	for _, s := range senders {
-		for _, t := range v.Dual.UnreliableOut(s) {
+		for _, t := range v.UnreliableOut(s) {
 			if only == nil || only[t] {
 				sink.Add(s, t)
 			}

@@ -41,8 +41,9 @@ func progress(d *graph.Dual, holders uint64, senders []graph.NodeID) uint64 {
 	for v := 0; v < n; v++ {
 		reliableFrom[v] = -1
 	}
+	var row []graph.NodeID
 	for i, s := range senders {
-		for _, v := range d.ReliableOut(s) {
+		for _, v := range d.Row(s, graph.Reliable, &row) {
 			switch reliableFrom[v] {
 			case -1:
 				reliableFrom[v] = int8(i)
@@ -50,7 +51,7 @@ func progress(d *graph.Dual, holders uint64, senders []graph.NodeID) uint64 {
 				reliableFrom[v] = -2
 			}
 		}
-		for _, v := range d.UnreliableOut(s) {
+		for _, v := range d.Row(s, graph.Unreliable, &row) {
 			unreliableHit[v] = true
 		}
 	}

@@ -3,11 +3,14 @@ package sim_test
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
 	"dualgraph/internal/graph"
+	"dualgraph/internal/metrics"
 	"dualgraph/internal/sim"
 )
 
@@ -109,10 +112,10 @@ func TestLargeScaleRoundLoopAllocationFree(t *testing.T) {
 // TestLargeScaleDynamicAllocationBounded extends the 100k-node stress path
 // to dynamic schedules: under churn and fade the steady-state rounds must
 // stay allocation-free and only epoch boundaries may allocate, bounded by a
-// fixed per-swap budget (the incremental epoch patch allocates a handful of
-// arrays per epoch — down/dirty masks, patched CSR cores, the fringe — never
-// anything proportional to the round count). Skipped under -short with the
-// static stress test; the full CI test lane runs it.
+// fixed per-swap budget (an overlay epoch allocates its down set or
+// faded-arc set, the overlay and the Dual — never anything proportional to
+// the round count). Skipped under -short with the static stress test; the
+// full CI test lane runs it.
 func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node dynamic stress sim skipped in -short mode")
@@ -120,10 +123,9 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 	const (
 		n        = 100_000
 		epochLen = 50
-		// Per-swap allocation budget: the incremental churn epoch costs ~12
-		// graph-side allocations (masks, two patched cores, fringe, dual);
-		// fade slightly fewer. A full Builder→Freeze rebuild costs hundreds
-		// per epoch at this scale.
+		// Per-swap allocation budget: an overlay epoch costs 3 graph-side
+		// allocations (its set, the overlay, the Dual). A full
+		// Builder→Freeze rebuild costs hundreds per epoch at this scale.
 		perEpochBudget = 48
 	)
 	d, err := graph.Geometric(n, 0.004, 0.009, rand.New(rand.NewSource(1)))
@@ -198,63 +200,129 @@ func (p *prebuiltSchedule) Epoch(e int, seed int64) (*graph.Dual, error) {
 	return p.Schedule.Epoch(e, seed)
 }
 
-// TestEpochSwapAllocationFree pins that an epoch swap costs the simulator no
-// allocation: with every waypoint epoch built up front, 250 extra swaps
-// (every epoch moves the nodes, so each swap installs a new G and G') must
-// cost well under one malloc per ten swaps. Per-run buffers are sized by n
-// alone, so nothing is re-sized or re-scanned when the network changes.
+// TestEpochSwapAllocationFree pins what an epoch swap costs the simulator.
+// With every waypoint epoch built up front, 250 extra swaps (every epoch
+// moves the nodes, so each swap installs a new G and G') must cost well
+// under one malloc per ten swaps: per-run buffers are sized by n alone, so
+// nothing is re-sized or re-scanned when the network changes. Live churn and
+// fade schedules on the churn-epochs network (geometric n=1024, radii
+// .06/.12, epoch length 4, p-down .05 and p-fade .3, Decay against the
+// greedy collider under CR4) must allocate no more per swap than the
+// epoch's overlay — a down set or a faded-arc set of a few KB, where
+// building each epoch's CSR cores cost 350–510 KB — and must never build an
+// epoch's cores.
 func TestEpochSwapAllocationFree(t *testing.T) {
-	const (
-		n        = 300
-		epochLen = 2
-		seed     = 7
-	)
-	base, err := graph.Geometric(n, 0.08, 0.16, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, err := graph.NewWaypoint(base, epochLen, 4, 0.08, 0.16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &prebuiltSchedule{Schedule: wp, seed: seed}
-	for e := 0; e <= 700/epochLen; e++ {
-		d, err := wp.Epoch(e, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched.duals = append(sched.duals, d)
-	}
-	alg, err := core.NewUniform(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	measure := func(rounds int) uint64 {
+	defer metrics.SetEnabled(metrics.Enabled())
+	metrics.SetEnabled(true)
+	// measure returns the mallocs and bytes of a run of the given length.
+	measure := func(t *testing.T, sched graph.Schedule, alg sim.Algorithm, rounds int) (mallocs, bytes int64) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		_, err := runToCap(sched, alg, adversary.GreedyCollider{}, sim.Config{
 			Rule:      sim.CR4,
 			Start:     sim.AsyncStart,
-			Seed:      seed,
+			Seed:      7,
 			MaxRounds: rounds,
 		})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs
+		return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	baseAllocs := measure(200)
-	fullAllocs := measure(700)
-	const extraSwaps = (700 - 200) / epochLen
-	extra := int64(fullAllocs) - int64(baseAllocs)
-	t.Logf("%d extra mallocs over %d extra epoch swaps", extra, extraSwaps)
-	if extra*10 >= extraSwaps {
-		t.Fatalf("epoch swaps allocate: %d extra mallocs over %d extra swaps, want < %d",
-			extra, extraSwaps, extraSwaps/10)
+
+	t.Run("waypoint-prebuilt", func(t *testing.T) {
+		const (
+			n        = 300
+			epochLen = 2
+			seed     = 7
+		)
+		base, err := graph.Geometric(n, 0.08, 0.16, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wp, err := graph.NewWaypoint(base, epochLen, 4, 0.08, 0.16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := &prebuiltSchedule{Schedule: wp, seed: seed}
+		for e := 0; e <= 700/epochLen; e++ {
+			d, err := wp.Epoch(e, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched.duals = append(sched.duals, d)
+		}
+		alg, err := core.NewUniform(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseAllocs, _ := measure(t, sched, alg, 200)
+		fullAllocs, _ := measure(t, sched, alg, 700)
+		const extraSwaps = (700 - 200) / epochLen
+		extra := fullAllocs - baseAllocs
+		t.Logf("%d extra mallocs over %d extra epoch swaps", extra, extraSwaps)
+		if extra*10 >= extraSwaps {
+			t.Fatalf("epoch swaps allocate: %d extra mallocs over %d extra swaps, want < %d",
+				extra, extraSwaps, extraSwaps/10)
+		}
+	})
+
+	base, err := graph.Geometric(1024, 0.06, 0.12, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	churn, err := graph.NewChurn(base, 4, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fade, err := graph.NewFade(base, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perSwapBytes = 8 << 10
+	for _, c := range []struct {
+		name  string
+		sched graph.Schedule
+	}{{"churn", churn}, {"fade", fade}} {
+		t.Run(c.name, func(t *testing.T) {
+			built := materializations(t)
+			_, short := measure(t, c.sched, core.NewDecay(), 200)
+			_, long := measure(t, c.sched, core.NewDecay(), 600)
+			const extraSwaps = (600 - 200) / 4
+			perSwap := (long - short) / extraSwaps
+			t.Logf("%d B per epoch swap", perSwap)
+			if perSwap > perSwapBytes {
+				t.Fatalf("an epoch swap allocates %d B, want at most %d (the epoch's overlay)", perSwap, perSwapBytes)
+			}
+			if got := materializations(t) - built; got != 0 {
+				t.Fatalf("the run built the cores of %d overlay epochs, want none", got)
+			}
+		})
+	}
+}
+
+// materializations reads graph_epoch_materializations_total off the
+// process's metrics registry.
+func materializations(t *testing.T) int64 {
+	t.Helper()
+	var out strings.Builder
+	if err := metrics.Default.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "graph_epoch_materializations_total "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("graph_epoch_materializations_total is not registered")
+	return 0
 }
 
 // TestRunSetupAllocationPerNode bounds what one run costs before its round

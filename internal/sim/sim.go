@@ -174,6 +174,17 @@ type View struct {
 	// run's SplitMix64 streams (internal/rng), a pure function of
 	// Config.Seed. AssignProcs receives stream 0.
 	Rng *rand.Rand
+
+	row []graph.NodeID // UnreliableOut's scratch row
+}
+
+// UnreliableOut returns s's unreliable out-neighbours in the current epoch,
+// ascending: Dual.Row read into a scratch row the View owns, so an overlay
+// epoch is read without building its cores and, once the scratch has held
+// the widest row, without allocating. The slice is valid until the next
+// UnreliableOut call on v and must not be modified.
+func (v *View) UnreliableOut(s graph.NodeID) []graph.NodeID {
+	return v.Dual.Row(s, graph.Unreliable, &v.row)
 }
 
 // NoDelivery is returned by Adversary.Resolve to indicate silence under CR4.
@@ -252,8 +263,8 @@ type BufferedDeliverer interface {
 // latched sink failure returns {0: {0}}, a map the shim always rejects,
 // since (0, 0) is never an edge of G' \ G.
 func DeliveryMap(bd BufferedDeliverer, v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
-	b := newRunBuffers(v.Dual)
-	b.deliverReliable(v.Dual, senders)
+	b := newBuffers(v.Dual, false)
+	b.deliverReliable(senders)
 	sink := &DeliverySink{d: v.Dual, sent: v.Sent, buf: b}
 	bd.DeliverInto(v, senders, sink)
 	if sink.err != nil {
@@ -457,11 +468,12 @@ const (
 //     two bitsets plus firstFrom (the node's first reacher, which is the
 //     whole answer for singleton receptions); reset clears only the words
 //     the round made nonzero (touchedW). CR4 lists are rebuilt from the
-//     reliable in-adjacency (inRows) filtered by sent.
+//     epoch's reliable in-rows filtered by sent.
 //
-// No buffer is sized by an epoch's graph, only by n, so an epoch swap
-// leaves them alone and refreshes just the mode's own index (masks or
-// inRows). All buffers are allocated once per run; once the delivery list
+// Both modes read the epoch's rows through Dual.Row, so an overlay epoch is
+// never built. No buffer is sized by an epoch's graph, only by n, so an
+// epoch swap leaves them alone and refreshes just the dense mode's masks.
+// All buffers are allocated once per run; once the delivery list
 // has grown to the run's busiest round, the round loop performs no heap
 // allocation in either mode.
 type runBuffers struct {
@@ -491,18 +503,17 @@ type runBuffers struct {
 	matKey   []uint64
 	matValid bool
 
+	// dual is the epoch the buffers read rows from (and, in dense mode,
+	// the one the masks encode); row is the scratch its Row reads fill.
+	dual *graph.Dual
+	row  []graph.NodeID
+
 	// Dense mode.
 	dense   bool
-	maskW   int          // words per mask row: (n+63)/64
-	outMask []uint64     // row s: ReliableOut(s) ∪ {s} as bits
-	inMask  []uint64     // transpose of outMask (aliases outMask when undirected)
-	sentBit []uint64     // this round's senders as bits
-	maskFor *graph.Graph // the G core the masks encode
-
-	// Sparse-mode CR4 index: in-adjacency of the current G (the graph itself
-	// when undirected), built only when a run under CR4 can need it.
-	inRows    *graph.Graph
-	inRowsFor *graph.Graph
+	maskW   int      // words per mask row: (n+63)/64
+	outMask []uint64 // row s: s's reliable out-row ∪ {s} as bits
+	inMask  []uint64 // transpose of outMask (aliases outMask when undirected)
+	sentBit []uint64 // this round's senders as bits
 }
 
 // unrelDelivery is one unreliable delivery of the round: from's message
@@ -514,11 +525,16 @@ type unrelDelivery struct {
 
 // newRunBuffers builds the per-run buffer set for d, choosing the delivery
 // mode from the epoch-0 reliable graph. The mode is fixed for the run —
-// epochs only refresh the mode's own indexes — so the round loop never
+// epochs only refresh the dense mode's masks — so the round loop never
 // re-tests it per round.
 func newRunBuffers(d *graph.Dual) *runBuffers {
 	n := d.N()
-	g := d.G()
+	return newBuffers(d, n <= denseMaxN && d.G().NumEdges()*denseArcFactor >= n*n)
+}
+
+// newBuffers builds a buffer set for d in the given delivery mode.
+func newBuffers(d *graph.Dual, dense bool) *runBuffers {
+	n := d.N()
 	words := (n + 63) / 64
 	b := &runBuffers{
 		n:          n,
@@ -528,7 +544,7 @@ func newRunBuffers(d *graph.Dual) *runBuffers {
 		unrelTail:  make([]int32, n),
 		senders:    make([]graph.NodeID, 0, n),
 		newHolders: make([]graph.NodeID, 0, n),
-		dense:      n <= denseMaxN && g.NumEdges()*denseArcFactor >= n*n,
+		dense:      dense,
 	}
 	for v := range b.unrelHead {
 		b.unrelHead[v] = -1
@@ -538,23 +554,31 @@ func newRunBuffers(d *graph.Dual) *runBuffers {
 		b.maskW = words
 		b.sentBit = make([]uint64, words)
 		b.matKey = make([]uint64, words)
-		b.buildMasks(g)
 	} else {
 		b.touchedW = make([]int32, 0, words)
 		b.firstFrom = make([]graph.NodeID, n)
 	}
+	b.setDual(d)
 	return b
 }
 
-// buildMasks (re)computes the dense-mode delivery masks for reliable graph
-// g: outMask row s is s's one-round reliable delivery set (out-row plus s
-// itself), inMask its transpose. Undirected graphs are their own transpose,
-// so both names share one array. Called at run start and again at any epoch
-// swap that changes the G core.
-func (b *runBuffers) buildMasks(g *graph.Graph) {
-	if b.maskFor == g {
+// setDual points the buffers at epoch d; the dense mode rebuilds its masks
+// unless they already encode d.
+func (b *runBuffers) setDual(d *graph.Dual) {
+	if b.dual == d {
 		return
 	}
+	b.dual = d
+	if b.dense {
+		b.buildMasks()
+	}
+}
+
+// buildMasks computes the dense-mode delivery masks of the current epoch:
+// outMask row s is s's one-round reliable delivery set (out-row plus s
+// itself), inMask its transpose. Undirected graphs are their own transpose,
+// so both names share one array.
+func (b *runBuffers) buildMasks() {
 	size := b.n * b.maskW
 	if b.outMask == nil {
 		b.outMask = make([]uint64, size)
@@ -564,11 +588,11 @@ func (b *runBuffers) buildMasks(g *graph.Graph) {
 	for u := 0; u < b.n; u++ {
 		row := b.outMask[u*b.maskW : (u+1)*b.maskW]
 		row[u>>6] |= 1 << (uint(u) & 63)
-		for _, v := range g.Out(graph.NodeID(u)) {
+		for _, v := range b.dual.Row(graph.NodeID(u), graph.Reliable, &b.row) {
 			row[v>>6] |= 1 << (uint64(v) & 63)
 		}
 	}
-	if !g.Directed() {
+	if !b.dual.Directed() {
 		b.inMask = b.outMask
 	} else {
 		if b.inMask == nil || &b.inMask[0] == &b.outMask[0] {
@@ -583,24 +607,11 @@ func (b *runBuffers) buildMasks(g *graph.Graph) {
 		for u := 0; u < b.n; u++ {
 			ubit := uint64(1) << (uint(u) & 63)
 			uw := u >> 6
-			for _, v := range g.Out(graph.NodeID(u)) {
+			for _, v := range b.dual.Row(graph.NodeID(u), graph.Reliable, &b.row) {
 				b.inMask[int(v)*b.maskW+uw] |= ubit
 			}
 		}
 	}
-	b.maskFor = g
-}
-
-// ensureInRows (re)points the sparse-mode CR4 in-adjacency at the current
-// reliable graph. Undirected graphs are their own transpose so this is a
-// pointer copy; directed dynamic runs pay a counting-sort rebuild per
-// changed epoch.
-func (b *runBuffers) ensureInRows(g *graph.Graph) {
-	if b.inRowsFor == g {
-		return
-	}
-	b.inRows = g.Transpose()
-	b.inRowsFor = g
 }
 
 // clearRound resets the round state, un-marking the previous round's senders
@@ -660,9 +671,9 @@ func (b *runBuffers) deliverDense(s graph.NodeID) {
 }
 
 // deliverReliable is the round's reliable pass: each sender's message
-// reaches itself and every reliable out-neighbour in d unconditionally,
+// reaches itself and every reliable out-neighbour unconditionally,
 // word-parallel in dense mode and per edge in sparse mode.
-func (b *runBuffers) deliverReliable(d *graph.Dual, senders []graph.NodeID) {
+func (b *runBuffers) deliverReliable(senders []graph.NodeID) {
 	if b.dense {
 		for _, s := range senders {
 			b.deliverDense(s)
@@ -671,7 +682,7 @@ func (b *runBuffers) deliverReliable(d *graph.Dual, senders []graph.NodeID) {
 	}
 	for _, s := range senders {
 		b.addReach(s, s)
-		for _, v := range d.ReliableOut(s) {
+		for _, v := range b.dual.Row(s, graph.Reliable, &b.row) {
 			b.addReach(v, s)
 		}
 	}
@@ -762,7 +773,7 @@ func (b *runBuffers) singleReacher(v graph.NodeID) graph.NodeID {
 // unreliable deliveries in sink-add order — into a scratch slice that is
 // reused on the next call. Only CR4 resolves and sink walks pay this; the
 // count-class rules never do. sent is the round's sender flags (sparse mode
-// filters the in-row with it; dense mode has sentBit).
+// filters the epoch's reliable in-row with it; dense mode has sentBit).
 func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.NodeID {
 	if b.dense {
 		row := b.inMask[int(v)*b.maskW : (int(v)+1)*b.maskW]
@@ -807,12 +818,7 @@ func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.No
 		b.mat = mat
 		return mat
 	}
-	mat := b.mat[:0]
-	for _, u := range b.inRows.Out(v) {
-		if sent[u] {
-			mat = append(mat, u)
-		}
-	}
+	mat := b.dual.AppendReliableIn(b.mat[:0], v, sent)
 	mat = b.appendUnrel(mat, v)
 	b.mat = mat
 	return mat
@@ -994,9 +1000,6 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 		Rng:        rng.Stream(cfg.Seed, rng.AdversaryStream),
 	}
 	buf := newRunBuffers(d)
-	if !buf.dense && cfg.Rule == CR4 {
-		buf.ensureInRows(d.G())
-	}
 	ex := &Execution{
 		cfg:    cfg,
 		sched:  sched,
@@ -1071,7 +1074,7 @@ func (ex *Execution) Senders() []graph.NodeID { return ex.buf.senders }
 func (ex *Execution) Result() *Result { return ex.res }
 
 // swapEpoch installs the schedule's network for epoch e: validate it, swap
-// the pointer, and refresh the delivery mode's own index. Identical-pointer
+// the pointer, and refresh the dense mode's masks. Identical-pointer
 // epochs (no-op churn/fade draws, cached epochs) skip the swap entirely.
 func (ex *Execution) swapEpoch(e int) error {
 	nd, err := ex.sched.Epoch(e, ex.cfg.Seed)
@@ -1098,15 +1101,7 @@ func (ex *Execution) swapEpoch(e int) error {
 	ex.d = nd
 	ex.view.Dual = nd
 	ex.sink.d = nd
-	// Refresh the mode's own index against the (possibly) new G core; both
-	// are keyed on the core pointer, so epochs that only change G' (never
-	// the case for the built-in schedules) or return to a cached core pay a
-	// pointer compare.
-	if ex.buf.dense {
-		ex.buf.buildMasks(nd.G())
-	} else if ex.cfg.Rule == CR4 {
-		ex.buf.ensureInRows(nd.G())
-	}
+	ex.buf.setDual(nd)
 	return nil
 }
 
@@ -1126,7 +1121,7 @@ func (ex *Execution) step(round int) error {
 	senders := buf.senders
 	ex.res.Transmissions += len(senders)
 
-	buf.deliverReliable(ex.d, senders)
+	buf.deliverReliable(senders)
 	// Unreliable deliveries: adversary's choice, validated by the sink.
 	if len(senders) > 0 {
 		ex.sink.err = nil

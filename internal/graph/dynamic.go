@@ -147,16 +147,6 @@ func (b *backboneTree) has(u, v NodeID) bool {
 	return b.parent[v] == u || b.parent[u] == v
 }
 
-// fillFrom writes the source node of every arc of a CSR layout: from[k] = u
-// for k in offsets[u]:offsets[u+1], the EdgeID -> arc decoding of a fringe.
-func fillFrom(from []NodeID, offsets []int32) {
-	for u := 0; u+1 < len(offsets); u++ {
-		for k := offsets[u]; k < offsets[u+1]; k++ {
-			from[k] = NodeID(u)
-		}
-	}
-}
-
 // canonArc packs an arc into the fade-coin key: undirected edges use the
 // (min, max) orientation so both stored orientations flip the same coin.
 func canonArc(u, v NodeID, directed bool) uint64 {
@@ -280,10 +270,11 @@ func (o *overlay) hasUnreliable(u, v NodeID) bool {
 
 // materialize returns the epoch's cores, building them on the first call;
 // concurrent callers wait for the one build. It is the one materializer of
-// overlay epochs: G and the fringe come from appendRow, and G' is the base's
-// for fade (G' never changes) or the base G' filtered by the keep rule for
-// churn. Rows come out ascending, so nothing is sorted and the fringe keeps
-// its (from, to) EdgeID order. Subgraph containment and source reachability
+// overlay epochs: G and the fringe come from appendRow, and G' and the
+// EdgeID decoding are derived from them on first use like every Dual's —
+// except that a fade epoch keeps the base's G', which it never changes.
+// Rows come out ascending, so nothing is sorted and the fringe keeps its
+// (from, to) EdgeID order. Subgraph containment and source reachability
 // need no re-check: every row derives from a validated base, and no policy
 // drops a backbone arc.
 func (o *overlay) materialize() *Dual {
@@ -298,13 +289,10 @@ func (o *overlay) materialize() *Dual {
 		}
 		g := buildRows(b.g, len(b.g.targets)-demoted, func(dst []NodeID, u NodeID) []NodeID { return o.appendRow(dst, u, Reliable) })
 		f := buildRows(b.fringe, len(b.fringe.targets)+demoted, func(dst []NodeID, u NodeID) []NodeID { return o.appendRow(dst, u, Unreliable) })
-		gp := b.gPrime
-		if o.down != nil {
-			gp = buildRows(gp, len(gp.targets), func(dst []NodeID, u NodeID) []NodeID { return o.appendChurn(dst, u, b.gPrime.Out(u), nil) })
+		o.mat = &Dual{g: g, source: b.source, fringe: f}
+		if o.faded != nil {
+			o.mat.gPrime = b.gPrime
 		}
-		from := make([]NodeID, len(f.targets))
-		fillFrom(from, f.offsets)
-		o.mat = &Dual{g: g, gPrime: gp, source: b.source, fringe: f, fringeFrom: from}
 	})
 	return o.mat
 }
@@ -337,7 +325,9 @@ func newMutation(policy, event string, base *Dual, epochLen int, p float64) (mut
 	if p < 0 || p > 1 {
 		return mutation{}, fmt.Errorf("%s: %s probability %v outside [0,1]", policy, event, p)
 	}
+	// The fade overlay's hasUnreliable reads the base G' directly.
 	base = base.cores()
+	base.derivedGPrime()
 	return mutation{base: base, epochLen: epochLen, p: p, backbone: newBackboneTree(base)}, nil
 }
 
@@ -538,10 +528,10 @@ func NewWaypoint(base *Dual, epochLen, legEpochs int, rReliable, rUnreliable flo
 	if legEpochs < 1 {
 		return nil, fmt.Errorf("waypoint: leg epochs must be >= 1, got %d", legEpochs)
 	}
-	if rReliable < 0 {
+	if !(rReliable >= 0) {
 		return nil, fmt.Errorf("waypoint: rReliable must be >= 0, got %v", rReliable)
 	}
-	if rUnreliable < rReliable {
+	if !(rUnreliable >= rReliable) {
 		return nil, fmt.Errorf("waypoint: rUnreliable (%v) must be >= rReliable (%v)", rUnreliable, rReliable)
 	}
 	return &WaypointSchedule{
@@ -567,7 +557,7 @@ func (s *WaypointSchedule) waypoint(runSeed int64, v NodeID, k int) (x, y float6
 }
 
 // Epoch materializes epoch e: the geometric dual of the interpolated
-// positions at epoch e.
+// positions at epoch e, built in pooled scratch.
 func (s *WaypointSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	if e < 0 {
 		return nil, fmt.Errorf("waypoint: negative epoch %d", e)
@@ -575,10 +565,11 @@ func (s *WaypointSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	if e > 0 && metrics.Enabled() {
 		mEpochRebuild.Inc()
 	}
-	xs := make([]float64, s.n)
-	ys := make([]float64, s.n)
-	s.positions(e, runSeed, xs, ys)
-	return DualFromPositions(xs, ys, s.rRel, s.rUnrel, s.source)
+	sc := geoPool.Get().(*geoScratch)
+	defer geoPool.Put(sc)
+	sc.xs, sc.ys = resize(sc.xs, s.n), resize(sc.ys, s.n)
+	s.positions(e, runSeed, sc.xs, sc.ys)
+	return sc.dual(sc.xs, sc.ys, s.rRel, s.rUnrel, s.source)
 }
 
 // positions writes every node's interpolated position at epoch e.

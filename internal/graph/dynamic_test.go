@@ -2,8 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -295,6 +297,15 @@ func TestScheduleConstructorValidation(t *testing.T) {
 	if _, err := NewWaypoint(base, 1, 1, 0.5, 0.2); err == nil {
 		t.Error("waypoint accepted r-unreliable < r-reliable")
 	}
+	nan := math.NaN()
+	for _, c := range []struct {
+		rRel, rUnrel float64
+		names        string
+	}{{nan, 0.5, "rReliable"}, {0.2, nan, "rUnreliable"}, {nan, nan, "rReliable"}} {
+		if _, err := NewWaypoint(base, 8, 4, c.rRel, c.rUnrel); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("waypoint r=%v/%v: err = %v, want one naming %s", c.rRel, c.rUnrel, err, c.names)
+		}
+	}
 }
 
 func TestEpochSeedDecorrelates(t *testing.T) {
@@ -400,7 +411,7 @@ func overlayReadsMatch(got, want, base *Dual) error {
 		if in := got.AppendReliableIn(nil, u, some); !slices.Equal(in, wantSome) {
 			return fmt.Errorf("in-row of node %d among a subset: %v, want %v", u, in, wantSome)
 		}
-		probes := append(slices.Clone(base.gPrime.Out(u)), (u*7+3)%NodeID(n), (u+1)%NodeID(n), u, -1, NodeID(n))
+		probes := append(slices.Clone(base.GPrime().Out(u)), (u*7+3)%NodeID(n), (u+1)%NodeID(n), u, -1, NodeID(n))
 		for _, v := range probes {
 			if got.HasUnreliableEdge(u, v) != want.fringe.HasEdge(u, v) {
 				return fmt.Errorf("HasUnreliableEdge(%d, %d) = %v", u, v, !want.fringe.HasEdge(u, v))

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -86,9 +88,14 @@ func refDualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, sour
 
 // coresIdentical compares two duals down to the CSR arrays: the offsets and
 // targets of G, G' and the fringe, fringeFrom (hence every EdgeID), the
-// source and directedness.
+// source and directedness. G' and fringeFrom are derived first where a Dual
+// builds them on first use.
 func coresIdentical(a, b *Dual) error {
 	a, b = a.cores(), b.cores()
+	for _, d := range []*Dual{a, b} {
+		d.derivedGPrime()
+		d.derivedFrom()
+	}
 	if a.Source() != b.Source() {
 		return fmt.Errorf("source %d vs %d", a.Source(), b.Source())
 	}
@@ -113,7 +120,9 @@ func coresIdentical(a, b *Dual) error {
 }
 
 // checkPositions builds the dual both ways and requires identical outcomes:
-// the same error (by message) or byte-identical cores.
+// the same error (by message) or byte-identical cores, G' and EdgeIDs
+// included. The direct path's G and lazily derived G' must also pass
+// NewDualGraphs' full validation and yield the same fringe.
 func checkPositions(t *testing.T, xs, ys []float64, rRel, rUnrel float64, source NodeID) {
 	t.Helper()
 	want, wantErr := refDualFromPositions(xs, ys, rRel, rUnrel, source)
@@ -126,6 +135,13 @@ func checkPositions(t *testing.T, xs, ys []float64, rRel, rUnrel float64, source
 	}
 	if err := coresIdentical(got, want); err != nil {
 		t.Fatalf("n=%d r=%v/%v: %v", len(xs), rRel, rUnrel, err)
+	}
+	full, err := NewDualGraphs(got.G(), got.GPrime(), source)
+	if err != nil {
+		t.Fatalf("n=%d r=%v/%v: derived G' fails validation: %v", len(xs), rRel, rUnrel, err)
+	}
+	if err := coresIdentical(got, full); err != nil {
+		t.Fatalf("n=%d r=%v/%v: against NewDualGraphs: %v", len(xs), rRel, rUnrel, err)
 	}
 }
 
@@ -225,6 +241,22 @@ func TestDualFromPositionsEdgeCases(t *testing.T) {
 		checkPositions(t, xs, ys, 0.2, 0.1, 0)
 		checkPositions(t, xs, ys, 0.1, 0.2, NodeID(len(xs)))
 	})
+	t.Run("nan-radii", func(t *testing.T) {
+		// Every range check fails on NaN, which once let NaN radii through
+		// as a network holding only the backbone path.
+		nan := math.NaN()
+		for _, c := range []struct {
+			rRel, rUnrel float64
+			names        string
+		}{{nan, 0.2, "rReliable"}, {0.1, nan, "rUnreliable"}, {nan, nan, "rReliable"}} {
+			if _, err := DualFromPositions(xs, ys, c.rRel, c.rUnrel, 0); err == nil || !strings.Contains(err.Error(), c.names) {
+				t.Errorf("DualFromPositions(r=%v/%v): err = %v, want one naming %s", c.rRel, c.rUnrel, err, c.names)
+			}
+			if _, err := Geometric(64, c.rRel, c.rUnrel, rand.New(rand.NewSource(1))); err == nil || !strings.Contains(err.Error(), c.names) {
+				t.Errorf("Geometric(r=%v/%v): err = %v, want one naming %s", c.rRel, c.rUnrel, err, c.names)
+			}
+		}
+	})
 }
 
 // TestWaypointEpochsMatchBuilder replays 64 consecutive epochs of the
@@ -265,11 +297,17 @@ func FuzzDualFromPositions(f *testing.F) {
 	f.Add(uint8(120), int64(3), 0.3, 1.5, uint8(7))
 	f.Add(uint8(200), int64(4), 0.05, 0.05, uint8(3))
 	f.Fuzz(func(t *testing.T, n uint8, seed int64, rRel, rUnrel float64, shape uint8) {
-		if n < 2 || math.IsNaN(rRel) || math.IsNaN(rUnrel) {
+		if n < 2 {
 			return
 		}
 		rng := rand.New(rand.NewSource(seed))
 		xs, ys := randomPositions(rng, int(n))
+		if math.IsNaN(rRel) || math.IsNaN(rUnrel) {
+			if _, err := DualFromPositions(xs, ys, rRel, rUnrel, 0); err == nil {
+				t.Fatalf("NaN radius r=%v/%v accepted", rRel, rUnrel)
+			}
+			return
+		}
 		// shape snaps some coordinates onto a coarse lattice (coincident
 		// points, pairs at lattice distances, the 1.0 cell clamp).
 		if step := float64(shape % 8); step > 0 {
@@ -282,4 +320,133 @@ func FuzzDualFromPositions(f *testing.F) {
 		}
 		checkPositions(t, xs, ys, rRel, rUnrel, NodeID(int(shape)%int(n)))
 	})
+}
+
+// TestWaypointEpochDerivesOnFirstUse pins what the hot paths leave unbuilt:
+// the simulator's row reads and the adversaries' membership and id lookups
+// on a fresh waypoint epoch build neither G' nor the EdgeID decoding table.
+// GPrime and UnreliableEdge then derive one each, and both match the
+// Builder oracle.
+func TestWaypointEpochDerivesOnFirstUse(t *testing.T) {
+	base, err := Geometric(256, 0.1, 0.2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWaypoint(base, 8, 4, 0.1, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Epoch(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []NodeID
+	ids := 0
+	for u := NodeID(0); int(u) < d.N(); u++ {
+		d.Row(u, Reliable, &buf)
+		row := d.Row(u, Unreliable, &buf)
+		base, targets := d.UnreliableEdges(u)
+		for i, v := range row {
+			if !d.HasUnreliableEdge(u, v) {
+				t.Fatalf("HasUnreliableEdge(%d, %d) is false for a fringe row entry", u, v)
+			}
+			if id, ok := d.UnreliableEdgeID(u, v); !ok || id != base+EdgeID(i) || targets[i] != v {
+				t.Fatalf("UnreliableEdgeID(%d, %d) = %d, %v; want %d", u, v, id, ok, base+EdgeID(i))
+			}
+			ids++
+		}
+	}
+	if d.NumUnreliable() != ids {
+		t.Fatalf("NumUnreliable = %d, rows hold %d", d.NumUnreliable(), ids)
+	}
+	if d.gPrime != nil || d.fringeFrom != nil {
+		t.Fatal("hot-path reads built G' or the EdgeID table")
+	}
+	xs, ys := make([]float64, s.n), make([]float64, s.n)
+	s.positions(3, 5, xs, ys)
+	want, err := refDualFromPositions(xs, ys, s.rRel, s.rUnrel, s.source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.GPrime() == nil || d.fringeFrom != nil {
+		t.Fatal("GPrime did not derive G' alone")
+	}
+	if from, to := d.UnreliableEdge(0); d.fringeFrom == nil || !d.HasUnreliableEdge(from, to) {
+		t.Fatalf("UnreliableEdge(0) = (%d, %d) did not derive the EdgeID table", from, to)
+	}
+	if err := coresIdentical(d, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLazyCoresConcurrent has 8 goroutines make the first GPrime and
+// UnreliableEdge calls on one Dual at once — a waypoint epoch, a churn
+// overlay epoch and a geometric base — and under -race checks that the one
+// derivation is published safely: every caller sees the same G' and decodes
+// every EdgeID to the arc the fringe rows name.
+func TestLazyCoresConcurrent(t *testing.T) {
+	base, err := Geometric(300, 0.08, 0.16, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp, err := NewWaypoint(base, 8, 4, 0.08, 0.16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *Dual {
+		d, err := Geometric(300, 0.08, 0.16, rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	churn, err := NewChurn(fresh(), 1, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waypointEpoch, err := wp.Epoch(5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnEpoch, err := churn.Epoch(2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Dual{"waypoint": waypointEpoch, "churn": churnEpoch, "geometric": fresh()} {
+		const readers = 8
+		gp := make([]*Graph, readers)
+		bad := make([]error, readers)
+		var wg sync.WaitGroup
+		for i := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i%2 == 0 {
+					gp[i] = d.GPrime()
+				}
+				for id := EdgeID(i); int(id) < d.NumUnreliable(); id += readers {
+					u, v := d.UnreliableEdge(id)
+					if got, ok := d.UnreliableEdgeID(u, v); !ok || got != id {
+						bad[i] = fmt.Errorf("EdgeID %d decodes to (%d, %d), whose id is %d, %v", id, u, v, got, ok)
+						return
+					}
+				}
+				if i%2 == 1 {
+					gp[i] = d.GPrime()
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range readers {
+			if bad[i] != nil {
+				t.Fatalf("%s: reader %d: %v", name, i, bad[i])
+			}
+			if gp[i] != gp[0] {
+				t.Fatalf("%s: reader %d saw a different G'", name, i)
+			}
+		}
+		if _, err := NewDualGraphs(d.G(), gp[0], d.Source()); err != nil {
+			t.Fatalf("%s: derived G' fails validation: %v", name, err)
+		}
+	}
 }

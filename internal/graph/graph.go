@@ -13,15 +13,15 @@
 //     sorted — giving cache-friendly O(1) row iteration and O(log d)
 //     HasEdge.
 //
-// A Dual holds three frozen CSR cores: G, G', and the unreliable fringe
-// G' \ G. Every arc of the fringe has a dense, stable EdgeID (ids are
-// assigned in (from, to) lexicographic order), so adversaries and the
-// exhaustive searcher can name per-round delivery choices as edge-id sets
-// instead of (from, to) pairs.
+// A Dual holds two frozen CSR cores: G and the unreliable fringe G' \ G.
+// G' is their row-by-row union, derived on first use. Every arc of the
+// fringe has a dense, stable EdgeID (ids are assigned in (from, to)
+// lexicographic order), so adversaries and the exhaustive searcher can name
+// per-round delivery choices as edge-id sets instead of (from, to) pairs.
 //
 // Generators whose rows come out sorted skip the Builder: the geometric
 // constructor (DualFromPositions) buckets nodes by cell with a counting sort
-// and writes both CSR cores directly, each row already ascending.
+// and writes G and the fringe directly, each row already ascending.
 //
 // Time-varying networks are built on the same immutable cores: a Schedule
 // (see dynamic.go) produces a sequence of frozen Duals — epochs — from a
@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -309,25 +310,37 @@ var (
 )
 
 // Dual is a dual-graph network (G, G') with a distinguished source. It is
-// immutable after construction: G, G', and the unreliable fringe G' \ G are
+// immutable after construction: G and the unreliable fringe G' \ G are
 // frozen CSR cores, and every unreliable arc carries a dense stable EdgeID.
+//
+// G' and the EdgeID -> arc decoding table are derived on first use, each
+// once and safely under concurrent callers: GPrime builds G' (row u is the
+// merge of the disjoint, ascending G and fringe rows; a Dual assembled from
+// a given G' keeps that one), and UnreliableEdge builds the decoding table.
+// Row, HasUnreliableEdge, UnreliableEdgeID, UnreliableEdges and
+// NumUnreliable build neither.
 //
 // A churn or fade epoch (see dynamic.go) is an overlay instead: its cores
 // stay unbuilt, Row and HasUnreliableEdge read it off its schedule's base
 // cores, and the first reader that needs whole cores or EdgeIDs (G, GPrime,
 // ReliableOut, UnreliableOut, NumUnreliable, UnreliableEdges,
-// UnreliableEdge, UnreliableEdgeID, Classical, Eccentricity) builds them
-// once, safely under concurrent callers.
+// UnreliableEdge, UnreliableEdgeID, Classical, Eccentricity) builds G and
+// the fringe once, safely under concurrent callers.
 type Dual struct {
 	g      *Graph
-	gPrime *Graph
 	source NodeID
 	// fringe is G' \ G in CSR form; fringe.offsets doubles as the per-node
 	// EdgeID base, since ids are dense in (from, to) order.
 	fringe *Graph
+	// gPrime is G', set by a constructor that has it or else derived on
+	// first use; see derivedGPrime.
+	gPrime     *Graph
+	gPrimeOnce sync.Once
 	// fringeFrom[id] is the source node of unreliable arc id (the reverse
-	// of the CSR layout, for O(1) EdgeID -> arc decoding).
+	// of the CSR layout, for O(1) EdgeID -> arc decoding), derived on first
+	// use; see derivedFrom.
 	fringeFrom []NodeID
+	fromOnce   sync.Once
 	// gIn is the transpose of a directed G, built on the first
 	// AppendReliableIn.
 	gIn atomic.Pointer[Graph]
@@ -363,22 +376,25 @@ func newDual(g, gPrime *Graph, source NodeID) (*Dual, error) {
 	if source < 0 || int(source) >= n {
 		return nil, ErrBadSource
 	}
-	fringe, fringeFrom, err := subtract(gPrime, g)
+	fringe, err := subtract(gPrime, g)
 	if err != nil {
 		return nil, err
 	}
+	if err := reachesAll(g, source); err != nil {
+		return nil, err
+	}
+	return &Dual{g: g, gPrime: gPrime, source: source, fringe: fringe}, nil
+}
+
+// reachesAll returns ErrUnreachable, naming the first node, unless every
+// node is reachable from source in g.
+func reachesAll(g *Graph, source NodeID) error {
 	for v, dist := range g.DistancesFrom(source) {
 		if dist < 0 {
-			return nil, fmt.Errorf("%w: node %d", ErrUnreachable, v)
+			return fmt.Errorf("%w: node %d", ErrUnreachable, v)
 		}
 	}
-	return &Dual{
-		g:          g,
-		gPrime:     gPrime,
-		source:     source,
-		fringe:     fringe,
-		fringeFrom: fringeFrom,
-	}, nil
+	return nil
 }
 
 // subtract computes the fringe gp \ g as a CSR graph, verifying g ⊆ gp
@@ -388,13 +404,13 @@ func newDual(g, gPrime *Graph, source NodeID) (*Dual, error) {
 // a conditional move instead of the merge-walk's unpredictable branches. A
 // row whose G' arcs hit fewer marks than its G row has arcs holds a subgraph
 // violation, which subgraphError then locates.
-func subtract(gp, g *Graph) (*Graph, []NodeID, error) {
+func subtract(gp, g *Graph) (*Graph, error) {
 	n := gp.N()
 	size, widest := 0, 0
 	for u := 0; u < n; u++ {
 		d := gp.OutDegree(NodeID(u)) - g.OutDegree(NodeID(u))
 		if d < 0 {
-			return nil, nil, subgraphError(gp, g)
+			return nil, subgraphError(gp, g)
 		}
 		size += d
 		widest = max(widest, gp.OutDegree(NodeID(u)))
@@ -422,14 +438,11 @@ func subtract(gp, g *Graph) (*Graph, []NodeID, error) {
 			inG[v] = false
 		}
 		if hits := len(gpRow) - (w - start); hits != len(gRow) {
-			return nil, nil, subgraphError(gp, g)
+			return nil, subgraphError(gp, g)
 		}
 		offsets[u+1] = int32(w)
 	}
-	from := make([]NodeID, w)
-	fillFrom(from, offsets)
-	fringe := &Graph{n: n, directed: true, offsets: offsets, targets: targets[:w:w]}
-	return fringe, from, nil
+	return &Graph{n: n, directed: g.directed, offsets: offsets, targets: targets[:w:w]}, nil
 }
 
 // subgraphError reports the first reliable arc, in (from, to) order, that
@@ -492,8 +505,59 @@ func (d *Dual) cores() *Dual {
 // G returns the reliable graph. The caller must not mutate it.
 func (d *Dual) G() *Graph { return d.cores().g }
 
-// GPrime returns the full graph G'. The caller must not mutate it.
-func (d *Dual) GPrime() *Graph { return d.cores().gPrime }
+// derivedGPrime returns the G' of a Dual with cores: the constructor's, or
+// else, built on the first call, the row-by-row merge of G and the fringe.
+// Concurrent first callers wait for the one build.
+func (d *Dual) derivedGPrime() *Graph {
+	d.gPrimeOnce.Do(func() {
+		if d.gPrime == nil {
+			d.gPrime = union(d.g, d.fringe)
+		}
+	})
+	return d.gPrime
+}
+
+// derivedFrom returns the EdgeID decoding table of a Dual with cores,
+// filling it from the fringe's layout on the first call. Concurrent first
+// callers wait for the one build.
+func (d *Dual) derivedFrom() []NodeID {
+	d.fromOnce.Do(func() {
+		d.fringeFrom = make([]NodeID, len(d.fringe.targets))
+		for u := 0; u < d.fringe.n; u++ {
+			for k := d.fringe.offsets[u]; k < d.fringe.offsets[u+1]; k++ {
+				d.fringeFrom[k] = NodeID(u)
+			}
+		}
+	})
+	return d.fringeFrom
+}
+
+// union returns the CSR graph with a's shape whose row u merges the rows u
+// of a and b, which must be disjoint and ascending.
+func union(a, b *Graph) *Graph {
+	offsets := make([]int32, a.n+1)
+	targets := make([]NodeID, len(a.targets)+len(b.targets))
+	w := 0
+	for u := NodeID(0); int(u) < a.n; u++ {
+		ra, rb := a.Out(u), b.Out(u)
+		for len(ra) > 0 && len(rb) > 0 {
+			if ra[0] < rb[0] {
+				targets[w], ra = ra[0], ra[1:]
+			} else {
+				targets[w], rb = rb[0], rb[1:]
+			}
+			w++
+		}
+		w += copy(targets[w:], ra)
+		w += copy(targets[w:], rb)
+		offsets[u+1] = int32(w)
+	}
+	return &Graph{n: a.n, directed: a.directed, offsets: offsets, targets: targets}
+}
+
+// GPrime returns the full graph G', derived on first use. The caller must
+// not mutate it.
+func (d *Dual) GPrime() *Graph { return d.cores().derivedGPrime() }
 
 // RowKind selects the adjacency row Dual.Row reads.
 type RowKind uint8
@@ -576,12 +640,13 @@ func (d *Dual) UnreliableEdges(u NodeID) (base EdgeID, targets []NodeID) {
 	return EdgeID(c.fringe.offsets[u]), c.fringe.Out(u)
 }
 
-// UnreliableEdge decodes an EdgeID into its (from, to) arc. It panics when
-// id is outside [0, NumUnreliable()), which indicates adversary code using
-// an id from a different network.
+// UnreliableEdge decodes an EdgeID into its (from, to) arc; the first call
+// builds the decoding table. It panics when id is outside
+// [0, NumUnreliable()), which indicates adversary code using an id from a
+// different network.
 func (d *Dual) UnreliableEdge(id EdgeID) (from, to NodeID) {
 	c := d.cores()
-	return c.fringeFrom[id], c.fringe.targets[id]
+	return c.derivedFrom()[id], c.fringe.targets[id]
 }
 
 // UnreliableEdgeID returns the EdgeID of the unreliable arc (u, v), if any:

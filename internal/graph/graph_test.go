@@ -146,7 +146,7 @@ func TestSubtractReportsFirstMissingArc(t *testing.T) {
 		{"smallest-arc-first", [][2]NodeID{{1, 2}, {1, 4}}, [][2]NodeID{{1, 3}, {1, 5}}, "edge (1,2)"},
 	}
 	for _, c := range cases {
-		_, _, err := subtract(build(7, c.gp), build(7, c.g))
+		_, err := subtract(build(7, c.gp), build(7, c.g))
 		if !errors.Is(err, ErrNotSubgraph) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want ErrNotSubgraph naming %s", c.name, err, c.want)
 		}

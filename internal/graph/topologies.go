@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // Classical wraps a single graph g as the dual network (g, g): every link is
@@ -279,7 +282,7 @@ func Geometric(n int, rReliable, rUnreliable float64, rng *rand.Rand) (*Dual, er
 	if n < 2 {
 		return nil, ErrTooSmall
 	}
-	if rReliable < 0 {
+	if !(rReliable >= 0) {
 		return nil, fmt.Errorf("geometric rReliable must be >= 0, got %v", rReliable)
 	}
 	xs := make([]float64, n)
@@ -298,13 +301,50 @@ func Geometric(n int, rReliable, rUnreliable float64, rng *rand.Rand) (*Dual, er
 // the position-driven core shared by Geometric (random placement) and the
 // waypoint mobility schedule (epoch-interpolated placement).
 //
-// Both CSR cores are written directly, with no arc log and no sort: a
+// G and the fringe are written directly, with no arc log and no sort: a
 // counting sort buckets the nodes by grid cell, each candidate pair u < v in
-// adjacent cells is classified once, and symmetricCSR lays the classified
-// pairs out so every row comes out ascending. The result still goes through
-// NewDualGraphs, so the fringe, its EdgeIDs and the validation are those of
-// every other constructor.
+// adjacent cells is classified once as reliable, fringe-only or neither, and
+// symmetricCSR lays the classified pairs out so every row comes out
+// ascending. E ⊆ E' holds by construction, since G' is G ∪ fringe, derived
+// on first use; only the source's reachability is checked.
 func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source NodeID) (*Dual, error) {
+	s := geoPool.Get().(*geoScratch)
+	defer geoPool.Put(s)
+	return s.dual(xs, ys, rReliable, rUnreliable, source)
+}
+
+// geoScratch is the working memory of DualFromPositions: the cell
+// bucketing, the classified pair lists, and a waypoint epoch's positions.
+// It is pooled so successive epochs reuse it. None of it is ever published:
+// every Dual gets freshly allocated CSR arrays, which concurrent readers and
+// memoizing adversaries may hold for as long as they like.
+type geoScratch struct {
+	xs, ys    []float64 // a waypoint epoch's positions
+	cell      []int32   // each node's cell
+	cellStart []int32   // cell c holds members[cellStart[c]:cellStart[c+1]]
+	scan      []int32   // per-cell cursor
+	members   []NodeID  // the nodes in cell order, ascending within a cell
+	px, py    []float64 // their coordinates
+	// relUp/frUp list each node's partners v > u in G and in the fringe
+	// (the path arc first in G), grouped by u through relOff/frOff.
+	relOff, frOff []int32
+	relUp, frUp   []NodeID
+	cursor        []int32 // symmetricCSR's row cursors
+}
+
+var geoPool = sync.Pool{New: func() any { return new(geoScratch) }}
+
+// resize returns buf with length n, reallocated only when it is too short.
+// The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// dual is DualFromPositions over the scratch s.
+func (s *geoScratch) dual(xs, ys []float64, rReliable, rUnreliable float64, source NodeID) (*Dual, error) {
 	n := len(xs)
 	if n < 2 {
 		return nil, ErrTooSmall
@@ -312,8 +352,14 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 	if len(ys) != n {
 		return nil, fmt.Errorf("geometric positions: %d x coordinates but %d y coordinates", n, len(ys))
 	}
-	if rUnreliable < rReliable {
+	if math.IsNaN(rReliable) {
+		return nil, errors.New("rReliable is NaN")
+	}
+	if !(rUnreliable >= rReliable) {
 		return nil, fmt.Errorf("rUnreliable (%v) must be >= rReliable (%v)", rUnreliable, rReliable)
+	}
+	if source < 0 || int(source) >= n {
+		return nil, ErrBadSource
 	}
 
 	// Bucket nodes into a side x side grid with cell length >= rUnreliable:
@@ -340,8 +386,9 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 	// Counting sort by cell: members[cellStart[c]:cellStart[c+1]] are the
 	// nodes of cell c, ascending, and px/py their coordinates in that order.
 	cells := side * side
-	cell := make([]int32, n)
-	cellStart := make([]int32, cells+1)
+	s.cell, s.cellStart, s.scan = resize(s.cell, n), resize(s.cellStart, cells+1), resize(s.scan, cells)
+	cell, cellStart, scan := s.cell, s.cellStart, s.scan
+	clear(cellStart)
 	for u := 0; u < n; u++ {
 		c := cellOf(ys[u])*side + cellOf(xs[u])
 		cell[u] = int32(c)
@@ -350,10 +397,8 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 	for c := 0; c < cells; c++ {
 		cellStart[c+1] += cellStart[c]
 	}
-	members := make([]NodeID, n)
-	px := make([]float64, n)
-	py := make([]float64, n)
-	scan := make([]int32, cells)
+	s.members, s.px, s.py = resize(s.members, n), resize(s.px, n), resize(s.py, n)
+	members, px, py := s.members, s.px, s.py
 	copy(scan, cellStart[:cells])
 	for u := 0; u < n; u++ {
 		k := scan[cell[u]]
@@ -364,77 +409,84 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 
 	inRel, outRel := sqBand(rReliable)
 	inUnrel, outUnrel := sqBand(rUnreliable)
-	// relUp/allUp list each node's partners v > u in G and G' (the path arc
-	// first), grouped by u through relOff/allOff. They start at the expected
-	// pair count at each cell's own density: a node of a cell holding k
-	// nodes has about k·πr²·side² others within r, half of them above it.
-	occupancy := 0.0
-	for c := 0; c < cells; c++ {
-		k := float64(cellStart[c+1] - cellStart[c])
-		occupancy += k * k
-	}
-	pairHint := func(r float64) int {
-		nn := float64(n)
-		pairs := occupancy * math.Pi * r * r * float64(side*side) / 2
-		pairs = math.Min(pairs, math.Min(nn*(nn-1)/2, 1<<22))
-		if !(pairs > 0) {
-			return n
-		}
-		return n + int(pairs)
-	}
-	relOff := make([]int32, n+1)
-	allOff := make([]int32, n+1)
-	relUp := make([]NodeID, 0, pairHint(rReliable))
-	allUp := make([]NodeID, 0, pairHint(rUnreliable))
+	s.relOff, s.frOff = resize(s.relOff, n+1), resize(s.frOff, n+1)
+	relOff, frOff := s.relOff, s.frOff
+	relOff[0], frOff[0] = 0, 0
+	// The pair lists grow by doubling and stay pooled, so only the first
+	// builds of a process pay for their growth.
+	relUp, frUp := s.relUp[:cap(s.relUp)], s.frUp[:cap(s.frUp)]
+	ri, fi := 0, 0
 	for u := 0; u < n; u++ {
+		// u has at most n-u partners v > u, the path arc included, and
+		// every candidate is written at both cursors before the flags decide
+		// which cursor keeps it: n-u free slots keep every write in bounds.
+		if room := n - u; ri+room > len(relUp) || fi+room > len(frUp) {
+			relUp, frUp = grow(relUp, ri, room), grow(frUp, fi, room)
+		}
 		// Nodes are visited in ascending order, so scan[c] has passed every
 		// member of cell c below u: the members from scan[c] on are the
 		// partners v > u, and u itself is the next member of its own cell.
 		scan[cell[u]]++
-		if u+1 < n {
-			relUp = append(relUp, NodeID(u+1))
-			allUp = append(allUp, NodeID(u+1))
-		}
+		next := NodeID(u + 1)
+		relUp[ri] = next
+		ri += b2i(u+1 < n)
 		xu, yu := xs[u], ys[u]
 		cx, cy := cellOf(xu), cellOf(yu)
 		for y2 := max(cy-1, 0); y2 <= min(cy+1, side-1); y2++ {
 			for x2 := max(cx-1, 0); x2 <= min(cx+1, side-1); x2++ {
 				c := y2*side + x2
 				lo, hi := scan[c], cellStart[c+1]
-				candX, candY := px[lo:hi], py[lo:hi]
-				candY = candY[:len(candX)]
+				candX, candY, candV := px[lo:hi], py[lo:hi], members[lo:hi]
+				candY, candV = candY[:len(candX)], candV[:len(candX)]
 				for k, x := range candX {
 					dx, dy := xu-x, yu-candY[k]
 					d2 := dx*dx + dy*dy
-					if d2 > outUnrel {
-						continue
-					}
-					rel := d2 <= inRel
-					if !rel && !(d2 > outRel && d2 <= inUnrel) {
+					rel := b2i(d2 <= inRel)
+					fr := b2i(d2 > outRel) & b2i(d2 <= inUnrel)
+					if rel|fr|b2i(d2 > outUnrel) == 0 {
 						// Near a radius (or NaN): decide exactly as the
 						// distance predicate does.
 						d := math.Hypot(dx, dy)
-						if d <= rReliable {
-							rel = true
-						} else if !(d <= rUnreliable) {
-							continue
-						}
+						rel = b2i(d <= rReliable)
+						fr = b2i(d > rReliable) & b2i(d <= rUnreliable)
 					}
-					v := members[int(lo)+k]
-					if int(v) == u+1 {
-						continue // the path arc, already reliable
-					}
-					if rel {
-						relUp = append(relUp, v)
-					}
-					allUp = append(allUp, v)
+					// The path arc is already in G.
+					v := candV[k]
+					keep := b2i(v != next)
+					relUp[ri], frUp[fi] = v, v
+					ri += rel & keep
+					fi += fr & keep
 				}
 			}
 		}
-		relOff[u+1] = int32(len(relUp))
-		allOff[u+1] = int32(len(allUp))
+		relOff[u+1], frOff[u+1] = int32(ri), int32(fi)
 	}
-	return NewDualGraphs(symmetricCSR(n, relOff, relUp), symmetricCSR(n, allOff, allUp), source)
+	s.relUp, s.frUp = relUp, frUp
+	s.cursor = resize(s.cursor, n)
+	g := symmetricCSR(n, relOff, relUp, s.cursor)
+	if err := reachesAll(g, source); err != nil {
+		return nil, err
+	}
+	return &Dual{g: g, source: source, fringe: symmetricCSR(n, frOff, frUp, s.cursor)}, nil
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag read, not a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// grow returns buf, with its first used entries kept, grown to at least
+// used+k entries by at least doubling.
+func grow(buf []NodeID, used, k int) []NodeID {
+	if used+k <= len(buf) {
+		return buf
+	}
+	buf = slices.Grow(buf[:used], max(k, used))
+	return buf[:cap(buf)]
 }
 
 // sqBand brackets r² for the pair classification of DualFromPositions:
@@ -442,8 +494,8 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 // Hypot > r for certain, and only the pairs in between (or NaN) need Hypot
 // itself, so the predicate d <= r is decided exactly as on every pair. The
 // 1e-9 margin dwarfs the few ulps either computation can be off. A radius
-// whose square could underflow or overflow (or NaN) gets an empty bracket:
-// every pair near it pays for Hypot.
+// whose square could underflow or overflow gets an empty bracket: every
+// pair near it pays for Hypot.
 func sqBand(r float64) (in, out float64) {
 	if r >= 1e-100 && r <= 1e100 {
 		return r * r * (1 - 1e-9), r * r * (1 + 1e-9)
@@ -459,7 +511,8 @@ func sqBand(r float64) (in, out float64) {
 // partner's row fills every lower half in order; visiting v ascending over
 // those lower halves and writing v into each lower partner's row then fills
 // every upper half in order — the counting-sort pass of Transpose, twice.
-func symmetricCSR(n int, off []int32, up []NodeID) *Graph {
+// cursor is scratch of length n.
+func symmetricCSR(n int, off []int32, up []NodeID, cursor []int32) *Graph {
 	offsets := make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		offsets[u+1] += off[u+1] - off[u]
@@ -471,7 +524,6 @@ func symmetricCSR(n int, off []int32, up []NodeID) *Graph {
 		offsets[u+1] += offsets[u]
 	}
 	targets := make([]NodeID, offsets[n])
-	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
 	for u := 0; u < n; u++ {
 		for _, v := range up[off[u]:off[u+1]] {

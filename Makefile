@@ -124,8 +124,9 @@ bench-smoke:
 # streaming grid reducer over one cell (EngineReduceSequential/Parallel);
 # 'BenchmarkSimRoundLoop' also matches SimRoundLoopDynamic and
 # SimRoundLoopFade, the churn and fade variants of the same round-loop
-# workload whose deltas price dynamics (and benchcmp's default prefix -match
-# gates all three);
+# workload whose deltas price dynamics, and SimRoundLoopSparse, the
+# long-trials sparse cell (geometric n=1024, harmonic) in sparse delivery
+# mode (benchcmp's default prefix -match gates all four);
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the
 # declarative grid runner vs sequential cells; 'BenchmarkEpochSwap' also
 # matches the EpochSwapIncremental/pDown=* churn-scaling series and the

@@ -575,8 +575,7 @@ func BenchmarkEngineReduceParallel(b *testing.B) {
 // dynamic schedule paying overlay epoch swaps.
 func benchSimRoundLoop(b *testing.B, sched func(*graph.Dual) (graph.Schedule, error)) {
 	b.Helper()
-	n := 65
-	d, err := graph.CliqueBridge(n)
+	d, err := graph.CliqueBridge(65)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,13 +583,22 @@ func benchSimRoundLoop(b *testing.B, sched func(*graph.Dual) (graph.Schedule, er
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := sim.Config{Rule: sim.CR4, Start: sim.SyncStart, MaxRounds: 2000}
+	stepRoundLoop(b, d, alg, sim.SyncStart, sched)
+}
+
+// stepRoundLoop plays runs of alg against the greedy collider under CR4 on
+// d, each Start plus Steps to a 2000-round cap, one run per iteration with
+// the iteration as its seed.
+func stepRoundLoop(b *testing.B, d *graph.Dual, alg sim.Algorithm, start sim.StartRule, sched func(*graph.Dual) (graph.Schedule, error)) {
+	b.Helper()
+	cfg := sim.Config{Rule: sim.CR4, Start: start, MaxRounds: 2000}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		var s graph.Schedule = graph.Static(d)
 		if sched != nil {
+			var err error
 			if s, err = sched(d); err != nil {
 				b.Fatal(err)
 			}
@@ -630,6 +638,25 @@ func BenchmarkSimRoundLoopFade(b *testing.B) {
 	benchSimRoundLoop(b, func(d *graph.Dual) (graph.Schedule, error) {
 		return graph.NewFade(d, 50, 0.3)
 	})
+}
+
+// BenchmarkSimRoundLoopSparse is the round loop on the sparse side of the
+// long-trials benchmark workload: harmonic broadcast on a geometric n=1024
+// network (radii .06/.1) under the greedy collider, CR4 and asynchronous
+// starts, stepped to the 2000-round cap, short of completion (those trials
+// take 2.5k–2.9k rounds). The delivery buffers run in sparse mode, and
+// most of a round is the greedy collider's jam search.
+func BenchmarkSimRoundLoopSparse(b *testing.B) {
+	const n = 1024
+	d, err := graph.Geometric(n, 0.06, 0.1, dualgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := core.NewHarmonicForN(n, 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stepRoundLoop(b, d, alg, sim.AsyncStart, nil)
 }
 
 // BenchmarkRunSetup isolates per-run setup — proc assignment, process

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dualgraph/internal/graph"
 	"dualgraph/internal/sim"
@@ -181,19 +182,24 @@ func (a GreedyCollider) Deliver(v *sim.View, senders []graph.NodeID) map[graph.N
 // cleanly reach, in ascending node order. Each jam targets only the node
 // just yielded, so adding mid-iteration never changes which nodes the sweep
 // visits, and no node is jammed twice.
+//
+// When every sender holds the message, Resolve would answer ⊥ for every
+// collision of the round, so DeliverInto tells the sink so up front and the
+// engine skips the round's reaching lists and Resolve calls.
 func (GreedyCollider) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
+	if !slices.ContainsFunc(senders, func(s graph.NodeID) bool { return !v.HasMessage[s] }) {
+		sink.SilenceCollisions()
+	}
 	sink.EachReachedOnce(func(u, from graph.NodeID) bool {
 		if v.HasMessage[u] || v.Sent[u] {
 			return true
 		}
-		// u would cleanly receive a message: jam it with any other sender
-		// that has an unreliable edge to u.
-		for _, s := range senders {
-			if s == from {
-				continue
-			}
-			if v.Dual.HasUnreliableEdge(s, u) {
-				sink.Add(s, u)
+		// u would cleanly receive a message: jam it with the lowest other
+		// sender that has an unreliable edge to u, found along u's
+		// unreliable in-row.
+		for _, w := range v.UnreliableIn(u) {
+			if v.Sent[w] && w != from {
+				sink.Add(w, u)
 				break
 			}
 		}

@@ -39,10 +39,34 @@ func hideFastPath(adv sim.Adversary) sim.Adversary {
 	return mapOnly{adv}
 }
 
+// blankSender transmits with probability 1/2 in every round it is active,
+// whether or not it holds the message, so collisions are reached by blank
+// messages too. A process that heard another's message stays silent in the
+// next round, so what a collision resolves to shows in the transmissions.
+type blankSender struct{}
+
+func (blankSender) Name() string { return "blank-sender" }
+
+func (blankSender) NewProcess(_, _ int, rng *rand.Rand) sim.Process { return &blankProc{rng: rng} }
+
+type blankProc struct {
+	rng   *rand.Rand
+	heard bool
+}
+
+func (*blankProc) Start(int, bool)   {}
+func (p *blankProc) Decide(int) bool { return p.rng.Intn(2) == 0 && !p.heard }
+func (p *blankProc) Receive(_ int, r sim.Reception) {
+	p.heard = r.Kind == sim.Delivered && !r.Own
+}
+
 // TestMapDeliverMatchesSink pins that each built-in adversary states its
 // delivery policy once: driven through its derived map Deliver, a run must
 // equal the native DeliverInto run exactly, over random small duals,
-// CR1–CR4, sync/async starts and static/churn schedules.
+// CR1–CR4, sync/async starts and static/churn schedules. The map form
+// always calls Resolve, so it is also the oracle of a native DeliverInto
+// that silences a round's collisions: with blank senders in play, the
+// greedy collider must not silence, and resolves to a blank reacher.
 func TestMapDeliverMatchesSink(t *testing.T) {
 	type subject struct {
 		adv  sim.Adversary
@@ -58,6 +82,10 @@ func TestMapDeliverMatchesSink(t *testing.T) {
 		duals = append(duals, d)
 	}
 	bridge, err := graph.CliqueBridge(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layered, err := graph.DirectedLayered([]int{2, 3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +106,7 @@ func TestMapDeliverMatchesSink(t *testing.T) {
 	subjects := map[string]subject{
 		"full-delivery": {adversary.FullDelivery{}, append(duals, bridge)},
 		"random":        {random, append(duals, bridge)},
-		"greedy":        {adversary.GreedyCollider{}, append(duals, bridge)},
+		"greedy":        {adversary.GreedyCollider{}, append(duals, bridge, layered)},
 		"theorem2":      {thm2, []*graph.Dual{bridge}},
 		"reduction":     {interference.ReductionAdversary{}, duals},
 		"adaptive":      {adaptive, duals[:3]},
@@ -91,7 +119,7 @@ func TestMapDeliverMatchesSink(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, sched := range []graph.Schedule{graph.Static(d), churn} {
-				for _, alg := range []sim.Algorithm{core.NewRoundRobin(), core.NewDecay()} {
+				for _, alg := range []sim.Algorithm{core.NewRoundRobin(), core.NewDecay(), blankSender{}} {
 					for _, rule := range rules {
 						for _, start := range []sim.StartRule{sim.SyncStart, sim.AsyncStart} {
 							cfg := sim.Config{Rule: rule, Start: start, MaxRounds: 300, Seed: int64(11 * (i + 1))}

@@ -89,9 +89,18 @@ func (p *decayProc) Decide(round int) bool {
 	if !p.has {
 		return false
 	}
-	j := (round - 1) % p.phaseLen
-	return p.rng.Float64() < math.Pow(2, -float64(j))
+	return p.rng.Float64() < decayProb[(round-1)%p.phaseLen]
 }
+
+// decayProb[j] is Decay's send probability 2^-j in round j of a phase. The
+// powers are exact, so the table holds what math.Pow would return, and it
+// covers every phase length: ceil(log2 n)+1 ≤ 64 for any int n.
+var decayProb = func() (t [64]float64) {
+	for j := range t {
+		t[j] = math.Ldexp(1, -j)
+	}
+	return t
+}()
 
 func (p *decayProc) Receive(_ int, r sim.Reception) {
 	if r.Kind == sim.Delivered && r.Broadcast {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -164,5 +165,21 @@ func TestDecayHoldersEventuallyRelay(t *testing.T) {
 	}
 	if res.FirstReceive[2] <= res.FirstReceive[1] {
 		t.Fatal("far node cannot receive before the relay")
+	}
+}
+
+// TestDecayProbMatchesPow pins the send-probability table against the
+// formula it replaced: 2^-j from math.Pow for every round j of a phase.
+func TestDecayProbMatchesPow(t *testing.T) {
+	for _, n := range []int{2, 3, 256, 1024, 1 << 20} {
+		p := NewDecay().NewProcess(1, n, nil).(*decayProc)
+		if p.phaseLen > len(decayProb) {
+			t.Fatalf("n=%d: phase of %d rounds outruns the %d-entry table", n, p.phaseLen, len(decayProb))
+		}
+		for j := 0; j < p.phaseLen; j++ {
+			if got, want := decayProb[j], math.Pow(2, -float64(j)); got != want {
+				t.Fatalf("n=%d, j=%d: table %v, math.Pow %v", n, j, got, want)
+			}
+		}
 	}
 }

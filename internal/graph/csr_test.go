@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -71,6 +74,80 @@ func TestHasUnreliableEdgeMatchesDefinition(t *testing.T) {
 	}
 	if _, ok := d.UnreliableEdgeID(NodeID(d.N()), 0); ok {
 		t.Fatal("out-of-range node must not resolve to an edge id")
+	}
+}
+
+// TestRowKindsMatchDefinition reads every row kind of Duals with cores
+// through Row, on undirected and directed networks, against G, the fringe
+// and their transposes built here: an in-row of u lists the w with an arc
+// (w, u), ascending. A directed Dual builds each transpose once.
+func TestRowKindsMatchDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	undirected, err := RandomDual(30, 0.15, 0.4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directed, err := randomDirectedDual(30, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layered, err := DirectedLayered([]int{3, 4, 2, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dual{undirected, directed, layered} {
+		gIn, fringeIn := d.G().Transpose(), d.fringe.Transpose()
+		var buf []NodeID
+		for u := NodeID(0); int(u) < d.N(); u++ {
+			for k, want := range [][]NodeID{d.G().Out(u), d.fringe.Out(u), gIn.Out(u), fringeIn.Out(u)} {
+				if got := d.Row(u, RowKind(k), &buf); !slices.Equal(got, want) {
+					t.Fatalf("directed=%v: row kind %d of node %d = %v, want %v", d.Directed(), k, u, got, want)
+				}
+			}
+		}
+		if buf != nil {
+			t.Fatal("Row wrote the buffer of a Dual with cores")
+		}
+		if d.Directed() && (d.rows(ReliableIn) != d.rows(ReliableIn) || d.rows(UnreliableIn) != d.rows(UnreliableIn)) {
+			t.Fatal("a directed Dual rebuilt a transpose")
+		}
+	}
+}
+
+// TestInRowsConcurrent reads a directed Dual's in-rows from several
+// goroutines at once, as concurrent trials sharing a network do: whichever
+// reader builds a transpose first, every reader sees the same rows.
+func TestInRowsConcurrent(t *testing.T) {
+	d, err := randomDirectedDual(60, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gIn, fringeIn := d.G().Transpose(), d.fringe.Transpose()
+	const readers = 8
+	bad := make([]error, readers)
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []NodeID
+			for u := NodeID(0); int(u) < d.N(); u++ {
+				k, want := ReliableIn, gIn.Out(u)
+				if (int(u)+i)%2 == 1 {
+					k, want = UnreliableIn, fringeIn.Out(u)
+				}
+				if got := d.Row(u, k, &buf); !slices.Equal(got, want) {
+					bad[i] = fmt.Errorf("row kind %d of node %d = %v, want %v", k, u, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range bad {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

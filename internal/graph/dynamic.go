@@ -5,9 +5,9 @@
 // Churn and fade epochs are overlays on the schedule's base network: a churn
 // epoch is the base plus its set of down nodes (one bit per node), a fade
 // epoch the base plus its set of demoted reliable arcs (one bit per base G
-// arc). An epoch swap computes that set and nothing else. Dual.Row,
-// Dual.AppendReliableIn and HasUnreliableEdge read an overlay straight off
-// the base rows, so the simulator's hot paths never build it; a reader that
+// arc). An epoch swap computes that set and nothing else. Dual.Row (out-rows
+// and in-rows alike) and HasUnreliableEdge read an overlay straight off the
+// base rows, so the simulator's hot paths never build it; a reader that
 // needs whole cores or EdgeIDs builds them once, on first use, through one
 // materializer over the same row readers. Waypoint epochs move every node
 // and are fresh DualFromPositions builds straight into CSR. EdgeIDs are
@@ -181,51 +181,20 @@ func (o *overlay) churnKeeps(u, v NodeID) bool {
 	return !hasBit(o.down, int(u)) && !hasBit(o.down, int(v)) || o.backbone.has(u, v)
 }
 
-// reliable reports whether the base G arc (u, v) is reliable in the epoch.
-func (o *overlay) reliable(u, v NodeID) bool {
-	if o.down != nil {
-		return o.churnKeeps(u, v)
-	}
+// demotedArc reports whether a fade epoch demotes the base G arc (u, v).
+func (o *overlay) demotedArc(u, v NodeID) bool {
 	g := o.base.g
 	i, _ := slices.BinarySearch(g.Out(u), v)
-	return !hasBit(o.faded, int(g.offsets[u])+i)
+	return hasBit(o.faded, int(g.offsets[u])+i)
 }
 
-// appendReliable appends to dst u's reliable out-row, or its in-row when in
-// is set, keeping only the nodes w with among[w] when among is non-nil.
-// among is tested before the keep rule, so a sparse filter skips most of it.
-// Rows are filtered from the base rows in order, so they come out ascending.
-func (o *overlay) appendReliable(dst []NodeID, u NodeID, in bool, among []bool) []NodeID {
-	g := o.base.g
-	if in && g.directed {
-		for _, w := range o.base.gTranspose().Out(u) {
-			if (among == nil || among[w]) && o.reliable(w, u) {
-				dst = append(dst, w)
-			}
-		}
-		return dst
-	}
-	// An undirected in-row is the out-row: both orientations of an edge
-	// share the keep rule and the fade coin.
-	if o.down != nil {
-		return o.appendChurn(dst, u, g.Out(u), among)
-	}
-	lo := int(g.offsets[u])
-	for i, v := range g.Out(u) {
-		if (among == nil || among[v]) && !hasBit(o.faded, lo+i) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// appendChurn appends to dst the nodes v of the base row u that the churn
-// epoch keeps, only those with among[v] when among is non-nil. It is
-// churnKeeps with u's own bit read once per row.
-func (o *overlay) appendChurn(dst []NodeID, u NodeID, row []NodeID, among []bool) []NodeID {
+// appendChurn appends to dst the nodes v of row, u's base row of some kind,
+// that the churn epoch keeps. It is churnKeeps with u's own bit read once
+// per row; the rule is symmetric, so in-rows and out-rows share it.
+func (o *overlay) appendChurn(dst []NodeID, u NodeID, row []NodeID) []NodeID {
 	up := !hasBit(o.down, int(u))
 	for _, v := range row {
-		if (among == nil || among[v]) && (up && !hasBit(o.down, int(v)) || o.backbone.has(u, v)) {
+		if up && !hasBit(o.down, int(v)) || o.backbone.has(u, v) {
 			dst = append(dst, v)
 		}
 	}
@@ -233,28 +202,41 @@ func (o *overlay) appendChurn(dst []NodeID, u NodeID, row []NodeID, among []bool
 }
 
 // appendRow appends the epoch's row u of kind k to dst: Dual.Row for the
-// overlay, and the materializer's row source. Every row comes out ascending.
+// overlay, and the materializer's row source. Every row is filtered from
+// the base rows in order, so it comes out ascending.
 func (o *overlay) appendRow(dst []NodeID, u NodeID, k RowKind) []NodeID {
-	if k == Reliable {
-		return o.appendReliable(dst, u, false, nil)
-	}
 	b := o.base
-	if o.down != nil {
-		return o.appendChurn(dst, u, b.fringe.Out(u), nil)
+	if !b.g.directed {
+		// An undirected in-row is the out-row: both orientations of an edge
+		// share the keep rule and the fade coin.
+		k &^= ReliableIn
 	}
-	// The base fringe row merged with u's demoted arcs (disjoint, since
-	// G ∩ fringe = ∅).
-	lo := int(b.g.offsets[u])
-	fr := b.fringe.Out(u)
-	for i, v := range b.g.Out(u) {
-		if hasBit(o.faded, lo+i) {
-			for len(fr) > 0 && fr[0] < v {
-				dst, fr = append(dst, fr[0]), fr[1:]
+	row := b.rows(k).Out(u)
+	if o.down != nil {
+		return o.appendChurn(dst, u, row)
+	}
+	// A fade epoch moves u's demoted G arcs into the fringe. An out-arc is
+	// found by its index in u's G row, an in-arc (w, u) by a search of w's.
+	in, lo := k >= ReliableIn, int(b.g.offsets[u])
+	if k&Unreliable == 0 {
+		for i, w := range row {
+			if in && !o.demotedArc(w, u) || !in && !hasBit(o.faded, lo+i) {
+				dst = append(dst, w)
 			}
-			dst = append(dst, v)
+		}
+		return dst
+	}
+	// The base fringe row merged with the demoted arcs (disjoint, since
+	// G ∩ fringe = ∅).
+	for i, w := range b.rows(k &^ Unreliable).Out(u) {
+		if in && o.demotedArc(w, u) || !in && hasBit(o.faded, lo+i) {
+			for len(row) > 0 && row[0] < w {
+				dst, row = append(dst, row[0]), row[1:]
+			}
+			dst = append(dst, w)
 		}
 	}
-	return append(dst, fr...)
+	return append(dst, row...)
 }
 
 // hasUnreliable is Dual.HasUnreliableEdge for the overlay: a base fringe arc
@@ -265,7 +247,7 @@ func (o *overlay) hasUnreliable(u, v NodeID) bool {
 	if o.down != nil {
 		return b.fringe.HasEdge(u, v) && o.churnKeeps(u, v)
 	}
-	return b.gPrime.HasEdge(u, v) && (b.fringe.HasEdge(u, v) || !o.reliable(u, v))
+	return b.gPrime.HasEdge(u, v) && (b.fringe.HasEdge(u, v) || o.demotedArc(u, v))
 }
 
 // materialize returns the epoch's cores, building them on the first call;

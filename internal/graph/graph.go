@@ -341,9 +341,9 @@ type Dual struct {
 	// use; see derivedFrom.
 	fringeFrom []NodeID
 	fromOnce   sync.Once
-	// gIn is the transpose of a directed G, built on the first
-	// AppendReliableIn.
-	gIn atomic.Pointer[Graph]
+	// gIn and fringeIn are the transposes of a directed G and fringe, each
+	// built on the first in-row read of its kind.
+	gIn, fringeIn atomic.Pointer[Graph]
 	// ov describes an overlay epoch; nil for a Dual with cores of its own.
 	ov *overlay
 }
@@ -559,7 +559,8 @@ func union(a, b *Graph) *Graph {
 // not mutate it.
 func (d *Dual) GPrime() *Graph { return d.cores().derivedGPrime() }
 
-// RowKind selects the adjacency row Dual.Row reads.
+// RowKind selects the adjacency row Dual.Row reads. Bit 0 selects the
+// fringe over G, bit 1 the in-row over the out-row.
 type RowKind uint8
 
 const (
@@ -567,15 +568,21 @@ const (
 	Reliable RowKind = iota
 	// Unreliable is u's out-row in G' \ G: the arcs the adversary controls.
 	Unreliable
+	// ReliableIn is u's in-row in G: the nodes with a reliable arc to u.
+	ReliableIn
+	// UnreliableIn is u's in-row in G' \ G: the nodes with an unreliable arc
+	// to u.
+	UnreliableIn
 )
 
 // Row returns one adjacency row of u, sorted ascending: the row accessor of
 // the simulator's hot paths. On a Dual with cores it is a view into a CSR
-// core and buf is not touched. On an overlay epoch the row is computed from
-// the base's rows into *buf, which grows as needed, so a reused buffer
-// stops allocating once it has held the widest row; the result then aliases
-// *buf until the next call with the same buffer. Row never builds an
-// overlay epoch's cores. The caller must not modify the result.
+// core, or into its transpose for an in-row kind, and buf is not touched. On
+// an overlay epoch the row is computed from the base's rows into *buf, which
+// grows as needed, so a reused buffer stops allocating once it has held the
+// widest row; the result then aliases *buf until the next call with the same
+// buffer. Row never builds an overlay epoch's cores. The caller must not
+// modify the result.
 func (d *Dual) Row(u NodeID, k RowKind, buf *[]NodeID) []NodeID {
 	switch {
 	case d.ov != nil:
@@ -584,38 +591,27 @@ func (d *Dual) Row(u NodeID, k RowKind, buf *[]NodeID) []NodeID {
 	case k == Reliable:
 		return d.g.Out(u)
 	}
-	return d.fringe.Out(u)
+	return d.rows(k).Out(u)
 }
 
-// AppendReliableIn appends to dst, ascending, the nodes w with a reliable
-// arc to u and among[w] set (among has one entry per node): the CR4 reach
-// list of u when among flags the round's senders. An overlay epoch tests
-// among before its keep rule and is never built; a directed G's in-rows come
-// from a transpose built on first use.
-func (d *Dual) AppendReliableIn(dst []NodeID, u NodeID, among []bool) []NodeID {
-	if d.ov != nil {
-		return d.ov.appendReliable(dst, u, true, among)
+// rows returns the CSR graph whose row u is the row of kind k of a Dual with
+// cores: G or the fringe, or for an in-row kind its transpose, which is the
+// graph itself when undirected and is otherwise built on first use.
+// Concurrent first callers may each build one; they are identical, and the
+// first stored wins.
+func (d *Dual) rows(k RowKind) *Graph {
+	g, in := d.g, &d.gIn
+	if k&Unreliable != 0 {
+		g, in = d.fringe, &d.fringeIn
 	}
-	for _, w := range d.gTranspose().Out(u) {
-		if among[w] {
-			dst = append(dst, w)
-		}
+	if k < ReliableIn || !d.g.directed {
+		return g
 	}
-	return dst
-}
-
-// gTranspose returns the transpose of G: G itself when undirected, else
-// built on first use. Concurrent first callers may each build one; they are
-// identical, and the first stored wins.
-func (d *Dual) gTranspose() *Graph {
-	if !d.g.directed {
-		return d.g
+	if t := in.Load(); t != nil {
+		return t
 	}
-	if in := d.gIn.Load(); in != nil {
-		return in
-	}
-	d.gIn.CompareAndSwap(nil, d.g.Transpose())
-	return d.gIn.Load()
+	in.CompareAndSwap(nil, g.Transpose())
+	return in.Load()
 }
 
 // ReliableOut returns u's out-neighbours along reliable edges, sorted

@@ -175,16 +175,24 @@ type View struct {
 	// Config.Seed. AssignProcs receives stream 0.
 	Rng *rand.Rand
 
-	row []graph.NodeID // UnreliableOut's scratch row
+	row []graph.NodeID // UnreliableOut's and UnreliableIn's scratch row
 }
 
 // UnreliableOut returns s's unreliable out-neighbours in the current epoch,
 // ascending: Dual.Row read into a scratch row the View owns, so an overlay
 // epoch is read without building its cores and, once the scratch has held
 // the widest row, without allocating. The slice is valid until the next
-// UnreliableOut call on v and must not be modified.
+// UnreliableOut or UnreliableIn call on v and must not be modified.
 func (v *View) UnreliableOut(s graph.NodeID) []graph.NodeID {
 	return v.Dual.Row(s, graph.Unreliable, &v.row)
+}
+
+// UnreliableIn returns u's unreliable in-neighbours in the current epoch,
+// ascending: the nodes whose message the adversary may deliver to u. It
+// reads Dual.Row like UnreliableOut and shares its scratch row and its
+// validity rule.
+func (v *View) UnreliableIn(u graph.NodeID) []graph.NodeID {
+	return v.Dual.Row(u, graph.UnreliableIn, &v.row)
 }
 
 // NoDelivery is returned by Adversary.Resolve to indicate silence under CR4.
@@ -212,6 +220,8 @@ type Adversary interface {
 	Deliver(v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID
 	// Resolve picks the CR4 outcome for a non-sending node reached by two or
 	// more messages: NoDelivery for ⊥ or one of the reaching sender nodes.
+	// The engine skips it for the rest of a round whose DeliverInto called
+	// DeliverySink.SilenceCollisions.
 	Resolve(v *View, node graph.NodeID, reaching []graph.NodeID) graph.NodeID
 }
 
@@ -301,10 +311,11 @@ func (m mapDeliverer) DeliverInto(v *View, senders []graph.NodeID, sink *Deliver
 // delivery into that state immediately. The sink holds no per-node state of
 // its own: every delivery lands in the run's one per-round list.
 type DeliverySink struct {
-	d    *graph.Dual
-	sent []bool
-	buf  *runBuffers
-	err  error
+	d      *graph.Dual
+	sent   []bool
+	buf    *runBuffers
+	err    error
+	silent bool // SilenceCollisions was called this round
 }
 
 // Add records that sender s's message reaches v along the unreliable edge
@@ -404,6 +415,17 @@ func (ds *DeliverySink) Fail(err error) {
 	}
 }
 
+// SilenceCollisions promises that the adversary's Resolve would return
+// NoDelivery for every collided non-sender of this round, whatever reaches
+// it. The engine then gives each such node ⊥ under CR4 without building its
+// reaching list or calling Resolve, so the run is the one Resolve would have
+// made. An adversary may call it from DeliverInto only when that holds for
+// the whole round, deliveries it adds afterwards included, and only when its
+// Resolve has no side effects (it draws no randomness, say). The promise
+// lasts for the round. The scratch sink of DeliveryMap ignores it, so the
+// map form still calls Resolve.
+func (ds *DeliverySink) SilenceCollisions() { ds.silent = true }
+
 // addFromMap applies a map-form delivery choice. Map iteration order is
 // randomized in Go, so it validates the keys first and then applies
 // deliveries in deterministic sender order — the schedule of a run must
@@ -450,11 +472,12 @@ const (
 // collision is a count class, not a sender list — so the per-edge list
 // appends of the old hot path are gone. The full reaching list of a node is
 // materialized lazily, only where someone actually inspects senders: the
-// CR4 resolve call on a collided non-sender, or an adversary walking the
-// sink. Unreliable deliveries are the one part that stays explicit
-// (adversaries choose them one by one): they go in one per-round append
-// list, chained per target node through unrelHead/unrelTail, so a node's
-// chain is its deliveries in sink-add order.
+// CR4 resolve call on a collided non-sender (none in a round whose
+// adversary called SilenceCollisions), or an adversary walking the sink.
+// Unreliable deliveries are the one part that stays explicit (adversaries
+// choose them one by one): they go in one per-round append list, chained
+// per target node through unrelHead/unrelTail, so a node's chain is its
+// deliveries in sink-add order.
 //
 // Two modes, chosen once per run from the epoch-0 reliable graph:
 //
@@ -818,7 +841,12 @@ func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.No
 		b.mat = mat
 		return mat
 	}
-	mat := b.dual.AppendReliableIn(b.mat[:0], v, sent)
+	mat := b.mat[:0]
+	for _, w := range b.dual.Row(v, graph.ReliableIn, &b.row) {
+		if sent[w] {
+			mat = append(mat, w)
+		}
+	}
 	mat = b.appendUnrel(mat, v)
 	b.mat = mat
 	return mat
@@ -1123,8 +1151,8 @@ func (ex *Execution) step(round int) error {
 
 	buf.deliverReliable(senders)
 	// Unreliable deliveries: adversary's choice, validated by the sink.
+	ex.sink.err, ex.sink.silent = nil, false
 	if len(senders) > 0 {
-		ex.sink.err = nil
 		ex.deliver.DeliverInto(ex.view, senders, ex.sink)
 		if ex.sink.err != nil {
 			return ex.sink.err
@@ -1219,6 +1247,9 @@ func (ex *Execution) reception(node graph.NodeID, reached bool) (Reception, erro
 	case CR3:
 		return Reception{Kind: Silence}, nil
 	default: // CR4
+		if ex.sink.silent {
+			return Reception{Kind: Silence}, nil
+		}
 		reaching := buf.materializeReaching(node, ex.sent)
 		choice := ex.adv.Resolve(ex.view, node, reaching)
 		if choice == NoDelivery {

@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation: one benchmark per table
-// row family / figure / ablation (see the DESIGN.md experiment index).
+// row family / figure / ablation (`dgbench -experiment list` prints the
+// experiment index).
 // Besides ns/op they report the domain metric that the paper's tables are
 // about — broadcast rounds — via the custom "rounds" metric.
 //
@@ -188,7 +189,7 @@ func BenchmarkSeparation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	classical, err := graph.ClassicalFrozen(dual.G(), dual.Source())
+	classical, err := graph.NewDualGraphs(dual.G(), dual.G(), dual.Source())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,13 @@
 // Command dgbench regenerates the paper's tables and figures as measured
-// experiments. Run all of them or one by ID (see DESIGN.md for the index):
+// experiments. Run all of them or one by ID; `dgbench -experiment list`
+// prints the index, and ARCHITECTURE.md's "CLIs and experiments" describes
+// how experiments are built:
 //
 //	dgbench -experiment all
 //	dgbench -experiment table1-thm12 -quick
+//
+// An experiment whose rows are scenario cells is also a sweep document that
+// `dgsim -spec internal/expt/sweeps/<id>.json` runs at full size.
 package main
 
 import (

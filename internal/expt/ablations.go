@@ -2,171 +2,68 @@ package expt
 
 import (
 	"fmt"
+	"io"
 
-	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
-	"dualgraph/internal/registry"
-	"dualgraph/internal/sim"
-	"dualgraph/internal/stats"
 )
 
 // ablCollisionRules compares the same algorithm and topology across the four
 // collision rules CR1-CR4 (Section 2.1), demonstrating the rules' relative
 // strength.
 func ablCollisionRules() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "abl-collision-rules",
 		Title:    "ablation: collision rules CR1-CR4",
 		PaperRef: "Section 2.1 collision rules",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		trials := 7
-		if cfg.Quick {
-			trials = 3
-		}
-		n := 33
-		fmt.Fprintln(tw, "algorithm\trule\tmedian rounds\tcompleted")
-		d, err := registry.Topology("complete-layered", n, cfg.Seed, nil)
-		if err != nil {
-			return err
-		}
-		h, err := mustHarmonic(d.N())
-		if err != nil {
-			return err
-		}
-		ss, err := core.NewStrongSelect(d.N())
-		if err != nil {
-			return err
-		}
-		for _, alg := range []sim.Algorithm{ss, h} {
-			for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
-				med, _, done, err := medianRounds(cfg.Engine, d, alg, greedy(), sim.Config{
-					Rule:      rule,
-					Start:     sim.AsyncStart,
-					MaxRounds: strongSelectBudget(d.N()) * 2,
-					Seed:      cfg.Seed,
-				}, trials)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(tw, "%s\t%v\t%.0f\t%d/%d\n", alg.Name(), rule, med, done, trials)
-			}
-		}
-		return tw.Flush()
-	}
-	return e
+	}, quickTrim{trials: 3}, medianRows("algorithm\trule\tmedian rounds\tcompleted", func(c cell) (string, error) {
+		return fmt.Sprintf("%s\t%v", c.Alg.Name(), c.Cfg.Rule), nil
+	}))
 }
 
 // ablHarmonicT sweeps the Harmonic Broadcast level length T around the
 // paper's ceil(12 ln(n/ε)) choice, showing the completion-probability /
-// round-count tradeoff.
+// round-count tradeoff. The document's max_rounds is the Theorem 18 bound
+// 2·n·T·H(n) at the paper's T.
 func ablHarmonicT() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "abl-harmonic-T",
 		Title:    "ablation: Harmonic Broadcast level length T",
 		PaperRef: "Section 7, Theorem 18 parameter choice",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		trials := 9
-		if cfg.Quick {
-			trials = 5
+	}, quickTrim{trials: 5}, medianRows("T\tT/paperT\tmedian rounds\tcompleted within bound", func(c cell) (string, error) {
+		h, ok := c.Alg.(*core.Harmonic)
+		if !ok {
+			return "", fmt.Errorf("scenario built %T, want *core.Harmonic", c.Alg)
 		}
-		n := 33
-		d, err := registry.Topology("clique-bridge", n, cfg.Seed, nil)
-		if err != nil {
-			return err
-		}
-		paperT := core.HarmonicT(n, 0.02)
-		fmt.Fprintln(tw, "T\tT/paperT\tmedian rounds\tcompleted within bound")
-		for _, mult := range []float64{0.25, 0.5, 1, 2} {
-			T := int(float64(paperT) * mult)
-			if T < 1 {
-				T = 1
-			}
-			alg, err := core.NewHarmonic(T)
-			if err != nil {
-				return err
-			}
-			bound := int(2 * float64(n*paperT) * stats.HarmonicNumber(n))
-			med, _, done, err := medianRounds(cfg.Engine, d, alg, greedy(), sim.Config{
-				Rule:      sim.CR4,
-				Start:     sim.AsyncStart,
-				MaxRounds: bound,
-				Seed:      cfg.Seed,
-			}, trials)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(tw, "%d\t%.2f\t%.0f\t%d/%d\n", T, mult, med, done, trials)
-		}
-		return tw.Flush()
-	}
-	return e
+		paperT := core.HarmonicT(c.Net.N(), 0.02)
+		return fmt.Sprintf("%d\t%.2f", h.T, float64(h.T)/float64(paperT)), nil
+	}))
 }
 
 // ablAdversary compares adversary strength: from benign (classical static
 // behaviour) through stochastic to adaptive worst-case.
 func ablAdversary() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "abl-adversary",
 		Title:    "ablation: adversary strength (benign / random / greedy / full delivery)",
 		PaperRef: "Section 2.1 adversary classes",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		trials := 7
-		if cfg.Quick {
-			trials = 3
-		}
-		n := 33
-		d, err := registry.Topology("clique-bridge", n, cfg.Seed, nil)
-		if err != nil {
-			return err
-		}
-		h, err := mustHarmonic(n)
-		if err != nil {
-			return err
-		}
-		ss, err := core.NewStrongSelect(n)
-		if err != nil {
-			return err
-		}
-		rnd3, err := adversary.NewRandom(0.3)
-		if err != nil {
-			return err
-		}
-		rnd8, err := adversary.NewRandom(0.8)
-		if err != nil {
-			return err
-		}
-		advs := []sim.Adversary{
-			adversary.Benign{},
-			rnd3,
-			rnd8,
-			adversary.GreedyCollider{},
-			adversary.FullDelivery{},
-		}
-		fmt.Fprintln(tw, "algorithm\tadversary\tmedian rounds\tcompleted")
-		for _, alg := range []sim.Algorithm{core.NewRoundRobin(), ss, h} {
-			for _, adv := range advs {
-				med, _, done, err := medianRounds(cfg.Engine, d, alg, adv, sim.Config{
-					Rule:      sim.CR4,
-					Start:     sim.AsyncStart,
-					MaxRounds: strongSelectBudget(n) * 2,
-					Seed:      cfg.Seed,
-				}, trials)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(tw, "%s\t%s\t%.0f\t%d/%d\n", alg.Name(), adv.Name(), med, done, trials)
+	}, quickTrim{trials: 3}, medianRows("algorithm\tadversary\tmedian rounds\tcompleted", func(c cell) (string, error) {
+		return c.Alg.Name() + "\t" + c.Adv.Name(), nil
+	}))
+}
+
+// medianRows returns a row formatter that writes the header line head and,
+// for each cell, the leading columns cols renders, then the median rounds
+// and the completed count.
+func medianRows(head string, cols func(cell) (string, error)) func(io.Writer, []cell) error {
+	return func(tw io.Writer, cells []cell) error {
+		fmt.Fprintln(tw, head)
+		for _, c := range cells {
+			lead, err := cols(c)
+			if err != nil {
+				return err
 			}
+			fmt.Fprintf(tw, "%s\t%.0f\t%d/%d\n", lead, c.rounds(0.5), c.Summary.Completed, c.Summary.Trials)
 		}
-		return tw.Flush()
+		return nil
 	}
-	return e
 }

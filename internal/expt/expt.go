@@ -1,27 +1,33 @@
 // Package expt is the experiment harness: it regenerates, as measured
 // scaling experiments, every table of the paper plus per-theorem validation
 // figures and ablations. Each experiment has a stable ID used by
-// cmd/dgbench and by the benchmark suite; DESIGN.md carries the full
-// experiment index.
+// cmd/dgbench and by the benchmark suite; `dgbench -experiment list` prints
+// the index, and ARCHITECTURE.md's "CLIs and experiments" describes it.
 //
-// All experiments fan their Monte Carlo trials and sweep cells out over the
-// parallel trial engine (internal/engine). Because every trial's seed is a
-// pure function of the experiment seed and the trial index, an experiment's
-// table is byte-identical at any worker count.
+// An experiment whose rows are scenario cells is a checked-in sweep
+// document, sweeps/<ID>.json, plus a row formatter over its cell summaries:
+// `dgsim -spec internal/expt/sweeps/<ID>.json` runs it at full size. The
+// games and the experiments whose rows are not scenario cells fan their
+// jobs out over the trial engine (internal/engine) directly. Every trial's
+// seed is a pure function of the experiment seed and the trial index, so
+// an experiment's table is byte-identical at any worker count.
 package expt
 
 import (
 	"context"
+	"embed"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
 	"dualgraph/internal/adversary"
-	"dualgraph/internal/core"
 	"dualgraph/internal/engine"
-	"dualgraph/internal/graph"
 	"dualgraph/internal/sim"
 	"dualgraph/internal/spec"
 	"dualgraph/internal/stats"
@@ -51,6 +57,9 @@ type Experiment struct {
 	PaperRef string
 	// Run executes the experiment and writes its table to cfg.Out.
 	Run func(cfg Config) error
+	// quick trims the experiment's sweep document for -quick runs; nil
+	// when the experiment runs no document.
+	quick *quickTrim
 }
 
 // All returns every registered experiment in a stable order.
@@ -93,6 +102,142 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+//go:embed sweeps/*.json
+var sweepDocs embed.FS
+
+// quickTrim is how -quick shrinks a sweep document: its n axis to the first
+// three sizes, and its trials and base n to these values where nonzero.
+type quickTrim struct{ trials, n int }
+
+// cell is one cell of a sweep experiment as its row formatter sees it: the
+// cell's summary and its scenario built again, for the built network's
+// size and the algorithm's and adversary's names and parameters. Building
+// is deterministic, so these are the values the cell ran.
+type cell struct {
+	spec.CellResult
+	*spec.Built
+}
+
+// sweepExperiment returns e run as its sweep document, sweeps/<e.ID>.json,
+// in one Sweep.Run, then rows, which writes the table body from the cells
+// and returns an error where a row breaks a bound the experiment checks.
+func sweepExperiment(e Experiment, q quickTrim, rows func(tw io.Writer, cells []cell) error) Experiment {
+	e.quick = &q
+	e.Run = func(cfg Config) error {
+		header(cfg.Out, e)
+		sw, err := e.Sweep(cfg)
+		if err != nil {
+			return err
+		}
+		g, err := sw.Run(context.Background(), cfg.Engine, engine.StreamConfig{}, spec.Hooks{})
+		if err != nil {
+			return err
+		}
+		cells := make([]cell, len(g.Cells))
+		for i, c := range g.Cells {
+			b, err := c.Cell.Scenario.Build()
+			if err != nil {
+				return err
+			}
+			cells[i] = cell{c, b}
+		}
+		tw := newTable(cfg.Out)
+		if err := rows(tw, cells); err != nil {
+			return err
+		}
+		return tw.Flush()
+	}
+	return e
+}
+
+// Sweep returns the sweep document e runs under cfg: its checked-in file
+// with the base seed set to cfg.Seed, trimmed when cfg.Quick.
+func (e Experiment) Sweep(cfg Config) (spec.Sweep, error) {
+	var sw spec.Sweep
+	if e.quick == nil {
+		return sw, fmt.Errorf("experiment %s runs no sweep document", e.ID)
+	}
+	name := "sweeps/" + e.ID + ".json"
+	blob, err := sweepDocs.ReadFile(name)
+	if err != nil {
+		return sw, err
+	}
+	if err := json.Unmarshal(blob, &sw); err != nil {
+		return sw, fmt.Errorf("%s: %w", name, err)
+	}
+	sw.Base.Seed = cfg.Seed
+	if cfg.Quick {
+		sw.Ns = sw.Ns[:min(3, len(sw.Ns))]
+		if e.quick.trials > 0 {
+			sw.Trials = e.quick.trials
+		}
+		if e.quick.n > 0 {
+			sw.Base.N = e.quick.n
+		}
+	}
+	return sw, nil
+}
+
+// rounds returns the q-quantile of the cell's rounds; NaN, which the table
+// shows, only for a cell without trials, which a sweep never runs.
+func (c cell) rounds(q float64) float64 {
+	v, err := c.Summary.Rounds.Quantile(q)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
+}
+
+// allWithin reports whether every run of the cell completed within bound
+// rounds.
+func (c cell) allWithin(bound int) bool {
+	return c.Summary.Completed == c.Summary.Trials && c.rounds(1) <= float64(bound)
+}
+
+// fitRows writes one row per cell with row, which returns the rounds the
+// row reports, and after each topology's rows the power-law fit of those
+// rounds against the built n, placed in the table's columns by pad.
+func fitRows(tw io.Writer, cells []cell, pad string, row func(cell) (float64, error)) error {
+	var ns []int
+	var rounds []float64
+	for i, c := range cells {
+		r, err := row(c)
+		if err != nil {
+			return err
+		}
+		ns, rounds = append(ns, c.Net.N()), append(rounds, r)
+		topo := c.Scenario.Topology.Name
+		if i+1 == len(cells) || cells[i+1].Scenario.Topology.Name != topo {
+			fmt.Fprintf(tw, "%s%s%s\n", topo, pad, fitLine(ns, rounds))
+			ns, rounds = nil, nil
+		}
+	}
+	return nil
+}
+
+// pairs returns the cells run against the benign adversary, stably ordered
+// by n, each with the cell that differs from it only in running against
+// the greedy collider.
+func pairs(cells []cell) ([][2]cell, error) {
+	var out [][2]cell
+	for _, c := range cells {
+		if c.Scenario.Adversary.Name != "benign" {
+			continue
+		}
+		i := slices.IndexFunc(cells, func(o cell) bool {
+			s := o.Scenario
+			s.Adversary = spec.Choice{Name: "benign"}
+			return o.Scenario.Adversary.Name == "greedy" && reflect.DeepEqual(s, c.Scenario)
+		})
+		if i < 0 {
+			return nil, fmt.Errorf("no greedy cell for %s", c.Scenario.Label())
+		}
+		out = append(out, [2]cell{c, cells[i]})
+	}
+	slices.SortStableFunc(out, func(a, b [2]cell) int { return a[0].Scenario.N - b[0].Scenario.N })
+	return out, nil
+}
+
 // newTable returns a tabwriter for aligned experiment output.
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -101,47 +246,6 @@ func newTable(w io.Writer) *tabwriter.Writer {
 // header prints the experiment banner.
 func header(w io.Writer, e Experiment) {
 	fmt.Fprintf(w, "== %s — %s\n   paper: %s\n", e.ID, e.Title, e.PaperRef)
-}
-
-// medianRounds fans `trials` independent executions out over the engine
-// and returns the median and maximum completion round. Executions that do
-// not complete count as maxRounds. Trial i's seed is cfg.Seed + i*104729, a
-// pure function of the trial index, and results land in index order, so
-// the aggregate is identical at any worker count.
-func medianRounds(
-	ec engine.Config,
-	d *graph.Dual,
-	alg sim.Algorithm,
-	adv sim.Adversary,
-	cfg sim.Config,
-	trials int,
-) (median, maxRound float64, completed int, err error) {
-	results, err := engine.Map(context.Background(), trials, ec, func(i int) (*sim.Result, error) {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*104729
-		return sim.Run(d, alg, adv, c)
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rounds := make([]float64, len(results))
-	for i, res := range results {
-		rounds[i] = float64(res.Rounds)
-		if !res.Completed {
-			rounds[i] = float64(cfg.MaxRounds)
-		} else {
-			completed++
-		}
-	}
-	median, err = stats.Median(rounds)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	maxRound, err = stats.Max(rounds)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return median, maxRound, completed, nil
 }
 
 // sweepSizes returns the n sweep for scaling experiments.
@@ -166,22 +270,6 @@ func fitLine(ns []int, rounds []float64) string {
 	return fmt.Sprintf("fit: rounds ≈ %.2f·n^%.2f", c, alpha)
 }
 
-// scenario builds the declarative spec of one experiment cell. All name
-// lookup goes through internal/registry (there is no expt-private topology
-// table anymore), so experiment cells are the same first-class values
-// cmd/dgsim -spec files describe.
-func scenario(topo string, n int, alg, adv string, rule sim.CollisionRule, start sim.StartRule, seed int64) (spec.Scenario, error) {
-	return spec.New(
-		spec.WithTopology(topo, nil),
-		spec.WithN(n),
-		spec.WithAlgorithm(alg, nil),
-		spec.WithAdversary(adv, nil),
-		spec.WithCollisionRule(rule),
-		spec.WithStart(start),
-		spec.WithSeed(seed),
-	)
-}
-
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // greedy returns the standard worst-case-ish adversary used in the dual
@@ -190,9 +278,3 @@ func greedy() sim.Adversary { return adversary.GreedyCollider{} }
 
 // benign returns the classical-model adversary.
 func benign() sim.Adversary { return adversary.Benign{} }
-
-// mustHarmonic builds the Harmonic algorithm with the paper's T or fails the
-// experiment.
-func mustHarmonic(n int) (sim.Algorithm, error) {
-	return core.NewHarmonicForN(n, 0.02)
-}

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strconv"
 	"strings"
@@ -11,6 +12,8 @@ import (
 	"dualgraph/internal/engine"
 	"dualgraph/internal/registry"
 	"dualgraph/internal/sim"
+	"dualgraph/internal/spec"
+	"dualgraph/internal/stats"
 )
 
 func TestRegistryIDsUniqueAndSorted(t *testing.T) {
@@ -76,16 +79,12 @@ func minInt(a, b int) int {
 }
 
 // TestExperimentOutputWorkerCountInvariant is the engine port's golden
-// guarantee: an experiment's rendered table must be byte-identical whether
-// its trials run on 1 worker or fan out over 8.
+// guarantee: every sweep-document experiment's rendered table must be
+// byte-identical whether its trials run on 1, 2 or 8 workers.
 func TestExperimentOutputWorkerCountInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	for _, id := range []string{"table1-dual-strongselect", "table2-dual-harmonic"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s must exist", id)
+	for _, e := range All() {
+		if e.quick == nil {
+			continue
 		}
 		render := func(workers int) string {
 			var buf bytes.Buffer
@@ -94,12 +93,84 @@ func TestExperimentOutputWorkerCountInvariant(t *testing.T) {
 				Engine: engine.Config{Workers: workers},
 			})
 			if err != nil {
-				t.Fatalf("%s with %d workers: %v", id, workers, err)
+				t.Fatalf("%s with %d workers: %v", e.ID, workers, err)
 			}
 			return buf.String()
 		}
-		if seq, par := render(1), render(8); seq != par {
-			t.Fatalf("%s output differs between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", id, seq, par)
+		seq := render(1)
+		for _, workers := range []int{2, 8} {
+			if par := render(workers); seq != par {
+				t.Fatalf("%s output differs between 1 and %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s", e.ID, workers, seq, workers, par)
+			}
+		}
+	}
+}
+
+// TestSweepDocuments checks every file under sweeps/ the way `dgsim -spec`
+// reads it (json.Unmarshal into a Sweep, then Cells), and that the files
+// are exactly the documents of the registered sweep experiments.
+func TestSweepDocuments(t *testing.T) {
+	entries, err := sweepDocs.ReadDir("sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]bool{}
+	for _, ent := range entries {
+		id, ok := strings.CutSuffix(ent.Name(), ".json")
+		if e, found := ByID(id); !ok || !found || e.quick == nil {
+			t.Errorf("sweeps/%s names no sweep experiment", ent.Name())
+			continue
+		}
+		files[id] = true
+		blob, err := sweepDocs.ReadFile("sweeps/" + ent.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sw spec.Sweep
+		if err := json.Unmarshal(blob, &sw); err != nil {
+			t.Errorf("%s: %v", ent.Name(), err)
+			continue
+		}
+		if _, err := sw.Cells(); err != nil {
+			t.Errorf("%s: %v", ent.Name(), err)
+		}
+	}
+	for _, e := range All() {
+		if e.quick != nil && !files[e.ID] {
+			t.Errorf("experiment %s has no document sweeps/%s.json", e.ID, e.ID)
+		}
+	}
+}
+
+// TestAblationDocumentsMatchTheirDerivation pins the constants the
+// ablation documents spell out to the formulas they come from: the round
+// caps are twice strongSelectBudget(33) and the Theorem 18 bound at the
+// paper's T, and the harmonic T axis is that T scaled by 1/4, 1/2, 1 and 2.
+func TestAblationDocumentsMatchTheirDerivation(t *testing.T) {
+	sweep := func(id string) spec.Sweep {
+		e, _ := ByID(id)
+		sw, err := e.Sweep(Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sw.Base.N != 33 {
+			t.Fatalf("%s: base n = %d, want 33", id, sw.Base.N)
+		}
+		return sw
+	}
+	for _, id := range []string{"abl-collision-rules", "abl-adversary"} {
+		if got, want := sweep(id).Base.MaxRounds, 2*strongSelectBudget(33); got != want {
+			t.Errorf("%s: max_rounds = %d, want 2·strongSelectBudget(33) = %d", id, got, want)
+		}
+	}
+	sw := sweep("abl-harmonic-T")
+	paperT := core.HarmonicT(33, 0.02)
+	if want := int(2 * float64(33*paperT) * stats.HarmonicNumber(33)); sw.Base.MaxRounds != want {
+		t.Errorf("abl-harmonic-T: max_rounds = %d, want the Theorem 18 bound %d", sw.Base.MaxRounds, want)
+	}
+	for i, mult := range []float64{0.25, 0.5, 1, 2} {
+		if got, want := sw.Algorithms[i].Params["t"], float64(int(float64(paperT)*mult)); got != want {
+			t.Errorf("abl-harmonic-T: algorithm %d has t = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -174,7 +245,13 @@ func TestQuickEnginePathInShortMode(t *testing.T) {
 // cell with an unknown name fails with the registry's typed error instead
 // of a bare message.
 func TestScenarioUnknownNamesFail(t *testing.T) {
-	_, err := scenario("bogus", 10, "harmonic", "greedy", sim.CR4, sim.AsyncStart, 1)
+	e, _ := ByID("table1-classical-rr")
+	sw, err := e.Sweep(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Topologies[0].Name = "bogus"
+	_, err = sw.Cells()
 	var unk *registry.ErrUnknownName
 	if !errors.As(err, &unk) {
 		t.Fatalf("want *registry.ErrUnknownName, got %v", err)

@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
@@ -15,7 +16,6 @@ import (
 	"dualgraph/internal/repeat"
 	"dualgraph/internal/schedule"
 	"dualgraph/internal/sim"
-	"dualgraph/internal/spec"
 	"dualgraph/internal/stats"
 )
 
@@ -329,69 +329,28 @@ func extBroadcastability() Experiment {
 // duals whose attachment links are unreliable with a tunable fraction. Hubs
 // give the adaptive adversary many jamming arcs concentrated on few nodes —
 // a qualitatively different regime from the paper's clique constructions.
+// A run past 4·n·T·H(n), twice the Theorem 18 bound, fails the experiment.
 func extPreferentialAttachment() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "ext-pref-attach",
 		Title:    "scale-free preferential-attachment duals under adaptive jamming",
 		PaperRef: "Section 1 (beyond grids: hub-and-spoke deployments with gray-zone shortcuts)",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
+	}, quickTrim{trials: 5}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "n\tunreliable frac\t|E|\t|E'\\E|\tΔ(G')\tbenign median\tgreedy median\tcompleted")
-		trials := 15
-		if cfg.Quick {
-			trials = 5
-		}
-		type job struct {
-			n    int
-			frac float64
-		}
-		type row struct {
-			edges, fringe, delta   int
-			benignMed, greedyMed   float64
-			benignDone, greedyDone int
-		}
-		var jobs []job
-		for _, n := range sweepSizes(cfg.Quick) {
-			for _, frac := range []float64{0.3, 0.7} {
-				jobs = append(jobs, job{n, frac})
+		rows, err := pairs(cells)
+		for _, r := range rows {
+			d, n := r[0].Net, r[0].Net.N()
+			budget := int(4 * float64(n*core.HarmonicT(n, 0.02)) * stats.HarmonicNumber(n))
+			if !r[0].allWithin(budget) || !r[1].allWithin(budget) {
+				return fmt.Errorf("%s: a run did not complete within 4·n·T·H(n) = %d rounds", r[0].Scenario.Label(), budget)
 			}
-		}
-		rows := make([]row, len(jobs))
-		for i, j := range jobs {
-			d, err := graph.PreferentialAttachment(j.n, 3, j.frac, newRng(cfg.Seed+int64(i)))
-			if err != nil {
-				return err
-			}
-			alg, err := mustHarmonic(d.N())
-			if err != nil {
-				return err
-			}
-			budget := int(4 * float64(d.N()*core.HarmonicT(d.N(), 0.02)) * stats.HarmonicNumber(d.N()))
-			simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: budget, Seed: cfg.Seed}
-			bMed, _, bDone, err := medianRounds(cfg.Engine, d, alg, benign(), simCfg, trials)
-			if err != nil {
-				return err
-			}
-			gMed, _, gDone, err := medianRounds(cfg.Engine, d, alg, greedy(), simCfg, trials)
-			if err != nil {
-				return err
-			}
-			rows[i] = row{
-				edges: d.G().NumEdges() / 2, fringe: d.NumUnreliable() / 2,
-				delta:     d.GPrime().MaxInDegree(),
-				benignMed: bMed, greedyMed: gMed, benignDone: bDone, greedyDone: gDone,
-			}
-		}
-		for i, r := range rows {
 			fmt.Fprintf(tw, "%d\t%.1f\t%d\t%d\t%d\t%.0f\t%.0f\t%d+%d/%d\n",
-				jobs[i].n, jobs[i].frac, r.edges, r.fringe, r.delta,
-				r.benignMed, r.greedyMed, r.benignDone, r.greedyDone, trials)
+				n, r[0].Scenario.Topology.Params["unreliable-frac"], d.G().NumEdges()/2, d.NumUnreliable()/2,
+				d.GPrime().MaxInDegree(), r[0].rounds(0.5), r[1].rounds(0.5),
+				r[0].Summary.Completed, r[1].Summary.Completed, r[0].Summary.Trials)
 		}
-		return tw.Flush()
-	}
-	return e
+		return err
+	})
 }
 
 // extDynamic opens the time-varying workload: broadcast on epoch-scheduled
@@ -401,63 +360,22 @@ func extPreferentialAttachment() Experiment {
 // whole geometry every epoch; the table contrasts all three against the
 // static baseline on the same geometric deployment.
 func extDynamic() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "ext-dynamic",
 		Title:    "broadcast on dynamic dual graphs: churn, fading, waypoint mobility",
 		PaperRef: "Section 2 model with time-varying (G, G'): gray-zone links fluctuate over a deployment's lifetime",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
+	}, quickTrim{trials: 6, n: 25}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "schedule\tcompleted\tp50 rounds\tp95 rounds\tmean transmissions")
-		trials := 20
-		n := 40
-		if cfg.Quick {
-			trials, n = 6, 25
-		}
-		sw := spec.Sweep{
-			Base: spec.Scenario{
-				Topology:  spec.Choice{Name: "geometric"},
-				Algorithm: spec.Choice{Name: "harmonic"},
-				Adversary: spec.Choice{Name: "greedy"},
-				Schedule:  spec.Choice{Name: "static"},
-				N:         n,
-				Rule:      sim.CR4,
-				Start:     sim.AsyncStart,
-				Seed:      cfg.Seed,
-			},
-			Schedules: []spec.Choice{
-				{Name: "static"},
-				{Name: "churn", Params: registry.Params{"p-down": 0.1}},
-				{Name: "churn", Params: registry.Params{"p-down": 0.3}},
-				{Name: "fade", Params: registry.Params{"p-fade": 0.3}},
-				{Name: "waypoint"},
-			},
-			Trials: trials,
-		}
-		grid, err := sw.Run(context.Background(), cfg.Engine, engine.StreamConfig{}, spec.Hooks{})
-		if err != nil {
-			return err
-		}
-		for _, cr := range grid.Cells {
-			p50, err := cr.Summary.Rounds.Quantile(0.5)
-			if err != nil {
-				return err
-			}
-			p95, err := cr.Summary.Rounds.Quantile(0.95)
-			if err != nil {
-				return err
-			}
-			tx, err := cr.Summary.Transmissions.Mean()
+		for _, c := range cells {
+			tx, err := c.Summary.Transmissions.Mean()
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(tw, "%s\t%d/%d\t%.0f\t%.0f\t%.0f\n",
-				cr.Cell.Label, cr.Summary.Completed, cr.Summary.Trials, p50, p95, tx)
+				c.Cell.Label, c.Summary.Completed, c.Summary.Trials, c.rounds(0.5), c.rounds(0.95), tx)
 		}
-		return tw.Flush()
-	}
-	return e
+		return nil
+	})
 }
 
 // extExhaustive validates the heuristic adversaries against the true worst
@@ -474,8 +392,8 @@ func extExhaustive() Experiment {
 		tw := newTable(cfg.Out)
 		fmt.Fprintln(tw, "n\talgorithm\texhaustive worst\tgreedy heuristic\tthm2 game\tbranches")
 		type job struct {
-			n    int
-			kind algKind
+			n   int
+			alg sim.Algorithm
 		}
 		type row struct {
 			name                             string
@@ -483,9 +401,13 @@ func extExhaustive() Experiment {
 		}
 		var jobs []job
 		for _, n := range []int{4, 5, 6} {
-			jobs = append(jobs, job{n, algRoundRobin})
+			jobs = append(jobs, job{n, core.NewRoundRobin()})
 			if !cfg.Quick {
-				jobs = append(jobs, job{n, algStrongSelect})
+				ss, err := core.NewStrongSelect(n)
+				if err != nil {
+					return err
+				}
+				jobs = append(jobs, job{n, ss})
 			}
 		}
 		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
@@ -494,32 +416,28 @@ func extExhaustive() Experiment {
 			if err != nil {
 				return row{}, err
 			}
-			alg, err := buildAlg(j.kind, j.n)
-			if err != nil {
-				return row{}, err
-			}
-			search, err := exhaustive.Search(d, alg, exhaustive.Config{
+			search, err := exhaustive.Search(d, j.alg, exhaustive.Config{
 				Rule:    sim.CR1,
 				Horizon: 40 * j.n,
 			})
 			if err != nil {
 				return row{}, err
 			}
-			heuristic, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
+			heuristic, err := sim.Run(d, j.alg, adversary.GreedyCollider{}, sim.Config{
 				Rule: sim.CR1, Start: sim.SyncStart, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return row{}, err
 			}
-			game, err := lowerbound.RunTheorem2Game(j.n, alg, 0)
+			game, err := lowerbound.RunTheorem2Game(j.n, j.alg, 0)
 			if err != nil {
 				return row{}, err
 			}
 			if search.WorstRounds < heuristic.Rounds {
-				return row{}, fmt.Errorf("exhaustive worst below heuristic for %s n=%d", alg.Name(), j.n)
+				return row{}, fmt.Errorf("exhaustive worst below heuristic for %s n=%d", j.alg.Name(), j.n)
 			}
 			return row{
-				name: alg.Name(), worst: search.WorstRounds, heuristic: heuristic.Rounds,
+				name: j.alg.Name(), worst: search.WorstRounds, heuristic: heuristic.Rounds,
 				game: game.ForcedRounds, branches: search.Branches,
 			}, nil
 		})
@@ -557,8 +475,8 @@ func extAdaptive() Experiment {
 		tw := newTable(cfg.Out)
 		fmt.Fprintln(tw, "n\talgorithm\texhaustive worst\tadaptive(∞)\tadaptive(h=1)\tgreedy heuristic")
 		type job struct {
-			n    int
-			kind algKind
+			n   int
+			alg sim.Algorithm
 		}
 		type row struct {
 			name                               string
@@ -566,9 +484,13 @@ func extAdaptive() Experiment {
 		}
 		var jobs []job
 		for _, n := range []int{4, 5, 6} {
-			jobs = append(jobs, job{n, algRoundRobin})
+			jobs = append(jobs, job{n, core.NewRoundRobin()})
 			if !cfg.Quick {
-				jobs = append(jobs, job{n, algStrongSelect})
+				ss, err := core.NewStrongSelect(n)
+				if err != nil {
+					return err
+				}
+				jobs = append(jobs, job{n, ss})
 			}
 		}
 		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
@@ -577,12 +499,8 @@ func extAdaptive() Experiment {
 			if err != nil {
 				return row{}, err
 			}
-			alg, err := buildAlg(j.kind, j.n)
-			if err != nil {
-				return row{}, err
-			}
 			horizon := 8 * j.n
-			search, err := exhaustive.Search(d, alg, exhaustive.Config{
+			search, err := exhaustive.Search(d, j.alg, exhaustive.Config{
 				Rule:    sim.CR1,
 				Horizon: horizon,
 				Seed:    cfg.Seed,
@@ -595,7 +513,7 @@ func extAdaptive() Experiment {
 				if err != nil {
 					return 0, err
 				}
-				run, err := sim.Run(d, alg, adv, sim.Config{
+				run, err := sim.Run(d, j.alg, adv, sim.Config{
 					Rule: sim.CR1, Start: sim.SyncStart, MaxRounds: horizon, Seed: cfg.Seed,
 				})
 				if err != nil {
@@ -612,20 +530,20 @@ func extAdaptive() Experiment {
 			}
 			if adaptive != search.WorstRounds {
 				return row{}, fmt.Errorf("adaptive adversary realized %d rounds but exhaustive worst is %d for %s n=%d",
-					adaptive, search.WorstRounds, alg.Name(), j.n)
+					adaptive, search.WorstRounds, j.alg.Name(), j.n)
 			}
 			capped, err := play(1)
 			if err != nil {
 				return row{}, err
 			}
-			heuristic, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
+			heuristic, err := sim.Run(d, j.alg, adversary.GreedyCollider{}, sim.Config{
 				Rule: sim.CR1, Start: sim.SyncStart, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return row{}, err
 			}
 			return row{
-				name: alg.Name(), worst: search.WorstRounds, adaptive: adaptive,
+				name: j.alg.Name(), worst: search.WorstRounds, adaptive: adaptive,
 				capped: capped, heuristic: heuristic.Rounds,
 			}, nil
 		})

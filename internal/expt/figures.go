@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 
@@ -16,105 +17,25 @@ import (
 	"dualgraph/internal/stats"
 )
 
-// algKind names the algorithm variants the figure jobs construct inside
-// their trials (each trial builds its own instance from the network size).
-type algKind int
-
-const (
-	algRoundRobin algKind = iota
-	algStrongSelect
-	algHarmonic
-)
-
-func buildAlg(kind algKind, n int) (sim.Algorithm, error) {
-	switch kind {
-	case algRoundRobin:
-		return core.NewRoundRobin(), nil
-	case algStrongSelect:
-		return core.NewStrongSelect(n)
-	case algHarmonic:
-		return mustHarmonic(n)
-	}
-	return nil, fmt.Errorf("unknown algorithm kind %d", kind)
-}
-
 // figSeparation measures the Section 1 separation claim: the same algorithm
-// on the same topology, classical (benign adversary and G = G') versus dual
+// on the same topology, classical (benign adversary, which never uses an
+// unreliable edge, so the run equals the one on G = G') versus dual
 // (worst-case unreliable edges), and the crossover between Strong Select and
 // Harmonic.
 func figSeparation() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "fig-separation",
 		Title:    "classical vs dual separation and algorithm crossover",
 		PaperRef: "Section 1 (separation); Tables 1-2 side by side",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
+	}, quickTrim{}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "n\talgorithm\tclassical rounds\tdual rounds\tdual/classical")
-		// Topologies and algorithms are deterministic in (n, seed): build
-		// them once per n and share the read-only values across jobs.
-		type job struct {
-			n               int
-			dual, classical *graph.Dual
-			alg             sim.Algorithm
+		rows, err := pairs(cells)
+		for _, r := range rows {
+			classical, dual := r[0].rounds(1), r[1].rounds(1)
+			fmt.Fprintf(tw, "%d\t%s\t%.0f\t%.0f\t%.2f\n", r[0].Net.N(), r[0].Alg.Name(), classical, dual, dual/max(classical, 1))
 		}
-		type row struct {
-			name             string
-			cRounds, dRounds int
-		}
-		var jobs []job
-		for _, n := range sweepSizes(cfg.Quick) {
-			dual, err := registry.Topology("clique-bridge", n, cfg.Seed, nil)
-			if err != nil {
-				return err
-			}
-			classical, err := graph.ClassicalFrozen(dual.G(), dual.Source())
-			if err != nil {
-				return err
-			}
-			for _, kind := range []algKind{algRoundRobin, algStrongSelect, algHarmonic} {
-				alg, err := buildAlg(kind, n)
-				if err != nil {
-					return err
-				}
-				jobs = append(jobs, job{n: n, dual: dual, classical: classical, alg: alg})
-			}
-		}
-		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
-			j := jobs[i]
-			budget := strongSelectBudget(j.n) * 4
-			resC, err := sim.Run(j.classical, j.alg, benign(), sim.Config{
-				Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: budget, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			resD, err := sim.Run(j.dual, j.alg, greedy(), sim.Config{
-				Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: budget, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			return row{name: j.alg.Name(), cRounds: resC.Rounds, dRounds: resD.Rounds}, nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, r := range rows {
-			ratio := float64(r.dRounds) / float64(maxI(r.cRounds, 1))
-			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%.2f\n", jobs[i].n, r.name, r.cRounds, r.dRounds, ratio)
-		}
-		return tw.Flush()
-	}
-	return e
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+		return err
+	})
 }
 
 // figBusyRounds validates Lemma 15: for any wake-up pattern the number of
@@ -287,11 +208,15 @@ func figLemma1() Experiment {
 				return err
 			}
 			m := interference.FromDual(d)
-			for _, kind := range []algKind{algRoundRobin, algStrongSelect, algHarmonic} {
-				alg, err := buildAlg(kind, n)
-				if err != nil {
-					return err
-				}
+			ss, err := core.NewStrongSelect(n)
+			if err != nil {
+				return err
+			}
+			h, err := core.NewHarmonicForN(n, 0.02)
+			if err != nil {
+				return err
+			}
+			for _, alg := range []sim.Algorithm{core.NewRoundRobin(), ss, h} {
 				for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR4} {
 					jobs = append(jobs, job{n: n, m: m, alg: alg, rule: rule})
 				}

@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 
 	"dualgraph/internal/core"
@@ -15,112 +16,44 @@ import (
 // deterministic broadcast in O(n) rounds (Chlebus et al. [5]) via round
 // robin on undirected classical graphs with synchronous start.
 func table1ClassicalRR() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "table1-classical-rr",
 		Title:    "deterministic broadcast in the classical model: round robin is O(n·D)",
 		PaperRef: "Table 1, classical column (O(n) [5], Ω(n) [21])",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
+	}, quickTrim{}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "topology\tn\trounds\trounds/n")
-		for _, topo := range []string{"complete", "line", "tree"} {
-			sizes := sweepSizes(cfg.Quick)
-			// Each cell is a declarative Scenario run on the Spec path; the
-			// registry resolves the same constructors the harness always
-			// used, so tables are byte-identical to the positional era.
-			results, err := engine.Map(context.Background(), len(sizes), cfg.Engine, func(i int) (*sim.Result, error) {
-				scn, err := scenario(topo, sizes[i], "round-robin", "benign",
-					sim.CR3, sim.SyncStart, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				b, err := scn.Build()
-				if err != nil {
-					return nil, err
-				}
-				return b.Run(context.Background())
-			})
-			if err != nil {
-				return err
+		return fitRows(tw, cells, "\t\t\t", func(c cell) (float64, error) {
+			topo, n, rounds := c.Scenario.Topology.Name, c.Net.N(), c.rounds(1)
+			if c.Summary.Completed < c.Summary.Trials {
+				return 0, fmt.Errorf("%s n=%d: round robin did not complete", topo, n)
 			}
-			var ns []int
-			var rounds []float64
-			for i, res := range results {
-				n := sizes[i]
-				if !res.Completed {
-					return fmt.Errorf("%s n=%d: round robin did not complete", topo, n)
-				}
-				ns = append(ns, n)
-				rounds = append(rounds, float64(res.Rounds))
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%.2f\n", topo, n, res.Rounds, float64(res.Rounds)/float64(n))
-			}
-			fmt.Fprintf(tw, "%s\t\t\t%s\n", topo, fitLine(ns, rounds))
-		}
-		return tw.Flush()
-	}
-	return e
+			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.2f\n", topo, n, rounds, rounds/float64(n))
+			return rounds, nil
+		})
+	})
 }
 
 // table1DualStrongSelect reproduces the bold dual-graph entry of Table 1:
 // Strong Select completes in O(n^{3/2} √log n) rounds on dual graphs under
-// CR4, asynchronous start, and an adaptive adversary.
+// CR4, asynchronous start, and an adaptive adversary. A run past
+// strongSelectBudget of its built size fails the experiment.
 func table1DualStrongSelect() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "table1-dual-strongselect",
 		Title:    "Strong Select on dual graphs: O(n^{3/2} √log n) (Theorem 10)",
 		PaperRef: "Table 1, dual column (bold O(n^{3/2}√log n)); Section 5",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
+	}, quickTrim{}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "topology\tn\trounds\trounds/n^1.5\tbound X")
-		type row struct {
-			nn, rounds, bound int
-		}
-		for _, topo := range []string{"clique-bridge", "complete-layered", "geometric"} {
-			sizes := sweepSizes(cfg.Quick)
-			rows, err := engine.Map(context.Background(), len(sizes), cfg.Engine, func(i int) (row, error) {
-				scn, err := scenario(topo, sizes[i], "strong-select", "greedy",
-					sim.CR4, sim.AsyncStart, cfg.Seed)
-				if err != nil {
-					return row{}, err
-				}
-				b, err := scn.Build()
-				if err != nil {
-					return row{}, err
-				}
-				// The round budget depends on the built size, which a
-				// structural generator may have adjusted, so it is set after
-				// materializing rather than in the spec.
-				nn := b.Net.N()
-				bound := strongSelectBudget(nn)
-				b.Cfg.MaxRounds = bound
-				res, err := b.Run(context.Background())
-				if err != nil {
-					return row{}, err
-				}
-				if !res.Completed {
-					return row{}, fmt.Errorf("%s n=%d: strong select exceeded its budget %d", topo, nn, bound)
-				}
-				return row{nn: nn, rounds: res.Rounds, bound: bound}, nil
-			})
-			if err != nil {
-				return err
+		return fitRows(tw, cells, "\t\t\t", func(c cell) (float64, error) {
+			topo, n, rounds := c.Scenario.Topology.Name, c.Net.N(), c.rounds(1)
+			bound := strongSelectBudget(n)
+			if !c.allWithin(bound) {
+				return 0, fmt.Errorf("%s n=%d: strong select exceeded its budget %d", topo, n, bound)
 			}
-			var ns []int
-			var rounds []float64
-			for _, r := range rows {
-				ns = append(ns, r.nn)
-				rounds = append(rounds, float64(r.rounds))
-				norm := float64(r.rounds) / math.Pow(float64(r.nn), 1.5)
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\t%d\n", topo, r.nn, r.rounds, norm, r.bound)
-			}
-			fmt.Fprintf(tw, "%s\t\t\t%s\n", topo, fitLine(ns, rounds))
-		}
-		return tw.Flush()
-	}
-	return e
+			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.3f\t%d\n", topo, n, rounds, rounds/math.Pow(float64(n), 1.5), bound)
+			return rounds, nil
+		})
+	})
 }
 
 // strongSelectBudget is a generous executable form of the Theorem 10 bound,

@@ -3,6 +3,7 @@ package expt
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 
 	"dualgraph/internal/core"
@@ -15,110 +16,51 @@ import (
 // table2ClassicalDecay reproduces the classical-model column of Table 2:
 // randomized broadcast in O(D log(n/D) + log² n) rounds (Czumaj-Rytter
 // [12]); our executable stand-in is the Decay protocol of Bar-Yehuda et al.
+// A run past 400n rounds fails the experiment.
 func table2ClassicalDecay() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "table2-classical-decay",
 		Title:    "randomized broadcast in the classical model: Decay",
 		PaperRef: "Table 2, classical column (O(n log(n/D)+log²n) [12])",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		trials := 9
-		if cfg.Quick {
-			trials = 5
-		}
+	}, quickTrim{trials: 5}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "topology\tn\tmedian rounds\tmax rounds\tcompleted")
-		for _, topo := range []string{"complete", "line", "tree"} {
-			var ns []int
-			var meds []float64
-			for _, n := range sweepSizes(cfg.Quick) {
-				// The cell is a declarative Scenario; the aggregation on top
-				// (medianRounds with its historical seed stepping) stays
-				// expt-specific, so tables are byte-identical to the
-				// positional era.
-				scn, err := scenario(topo, n, "decay", "benign",
-					sim.CR3, sim.AsyncStart, cfg.Seed)
-				if err != nil {
-					return err
-				}
-				scn.MaxRounds = 400 * n
-				b, err := scn.Build()
-				if err != nil {
-					return err
-				}
-				med, maxR, done, err := medianRounds(cfg.Engine, b.Net, b.Alg, b.Adv, b.Cfg, trials)
-				if err != nil {
-					return err
-				}
-				ns = append(ns, n)
-				meds = append(meds, med)
-				fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%d/%d\n", topo, n, med, maxR, done, trials)
+		return fitRows(tw, cells, "\t\t\t", func(c cell) (float64, error) {
+			topo, n, med := c.Scenario.Topology.Name, c.Net.N(), c.rounds(0.5)
+			if !c.allWithin(400 * n) {
+				return 0, fmt.Errorf("%s n=%d: a decay run took %.0f rounds, past 400n", topo, n, c.rounds(1))
 			}
-			fmt.Fprintf(tw, "%s\t\t\t%s\n", topo, fitLine(ns, meds))
-		}
-		return tw.Flush()
-	}
-	return e
+			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%d/%d\n", topo, n, med, c.rounds(1), c.Summary.Completed, c.Summary.Trials)
+			return med, nil
+		})
+	})
 }
 
 // table2DualHarmonic reproduces the bold dual-graph entry of Table 2:
 // Harmonic Broadcast completes in O(n log² n) rounds w.h.p. on dual graphs.
+// A run past the Theorem 18 bound 2·n·T·H(n), with the T of the algorithm
+// the cell built, fails the experiment.
 func table2DualHarmonic() Experiment {
-	e := Experiment{
+	return sweepExperiment(Experiment{
 		ID:       "table2-dual-harmonic",
 		Title:    "Harmonic Broadcast on dual graphs: O(n log² n) w.h.p. (Theorem 19)",
 		PaperRef: "Table 2, dual column (bold O(n log² n)); Section 7",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		trials := 9
-		if cfg.Quick {
-			trials = 5
-		}
+	}, quickTrim{trials: 5}, func(tw io.Writer, cells []cell) error {
 		fmt.Fprintln(tw, "topology\tn\tT\tmedian rounds\tThm18 bound\tmedian/bound\tcompleted")
-		for _, topo := range []string{"clique-bridge", "complete-layered", "random"} {
-			var ns []int
-			var meds []float64
-			for _, n := range sweepSizes(cfg.Quick) {
-				scn, err := scenario(topo, n, "harmonic", "greedy",
-					sim.CR4, sim.AsyncStart, cfg.Seed)
-				if err != nil {
-					return err
-				}
-				b, err := scn.Build()
-				if err != nil {
-					return err
-				}
-				// The Theorem 18 budget is derived from the T of the
-				// algorithm actually built, so it cannot drift from the
-				// registry's construction.
-				h, ok := b.Alg.(*core.Harmonic)
-				if !ok {
-					return fmt.Errorf("scenario built %T for %q, want *core.Harmonic", b.Alg, "harmonic")
-				}
-				nn := b.Net.N()
-				paperT := h.T
-				bound := int(2 * float64(nn*paperT) * stats.HarmonicNumber(nn))
-				b.Cfg.MaxRounds = bound
-				med, _, done, err := medianRounds(cfg.Engine, b.Net, b.Alg, b.Adv, b.Cfg, trials)
-				if err != nil {
-					return err
-				}
-				if done < trials {
-					return fmt.Errorf("%s n=%d: %d/%d runs exceeded the Theorem 18 bound", topo, nn, trials-done, trials)
-				}
-				ns = append(ns, nn)
-				meds = append(meds, med)
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%d\t%.3f\t%d/%d\n",
-					topo, nn, paperT, med, bound, med/float64(bound), done, trials)
+		return fitRows(tw, cells, "\t\t\t\t", func(c cell) (float64, error) {
+			h, ok := c.Alg.(*core.Harmonic)
+			if !ok {
+				return 0, fmt.Errorf("scenario built %T, want *core.Harmonic", c.Alg)
 			}
-			fmt.Fprintf(tw, "%s\t\t\t\t%s\n", topo, fitLine(ns, meds))
-		}
-		return tw.Flush()
-	}
-	return e
+			topo, n, med := c.Scenario.Topology.Name, c.Net.N(), c.rounds(0.5)
+			bound := int(2 * float64(n*h.T) * stats.HarmonicNumber(n))
+			if !c.allWithin(bound) {
+				return 0, fmt.Errorf("%s n=%d: a run took %.0f rounds, past the Theorem 18 bound %d", topo, n, c.rounds(1), bound)
+			}
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%d\t%.3f\t%d/%d\n",
+				topo, n, h.T, med, bound, med/float64(bound), c.Summary.Completed, c.Summary.Trials)
+			return med, nil
+		})
+	})
 }
 
 // table2Theorem4 reproduces the randomized lower bound of Theorem 4: the

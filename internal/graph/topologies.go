@@ -17,12 +17,6 @@ func Classical(g *Builder, source NodeID) (*Dual, error) {
 	return NewDualGraphs(fg, fg, source)
 }
 
-// ClassicalFrozen is Classical for an already-frozen graph (e.g. a Dual's
-// own reliable core reused as a static network).
-func ClassicalFrozen(g *Graph, source NodeID) (*Dual, error) {
-	return NewDualGraphs(g, g, source)
-}
-
 // Complete returns the classical complete graph on n nodes (single hop).
 func Complete(n int) (*Dual, error) {
 	return Classical(completeBuilder(n), 0)

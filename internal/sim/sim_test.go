@@ -630,3 +630,47 @@ func TestBenignEqualsClassicalStaticModel(t *testing.T) {
 		t.Fatal("classical network must be adversary-independent")
 	}
 }
+
+// TestBenignDualEqualsClassical is the identity fig-separation's classical
+// column rests on: the benign adversary never uses an unreliable edge, so a
+// run on a dual (G, G') equals, result for result, the run on the classical
+// network (G, G).
+func TestBenignDualEqualsClassical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{3, 8, 16, 24} {
+		d, err := graph.RandomDual(n, 0.15, 0.5, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classical, err := graph.NewDualGraphs(d.G(), d.G(), d.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := core.NewStrongSelect(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := core.NewHarmonicForN(n, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []sim.Algorithm{core.NewRoundRobin(), ss, h} {
+			for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
+				for _, start := range []sim.StartRule{sim.SyncStart, sim.AsyncStart} {
+					cfg := sim.Config{Rule: rule, Start: start, MaxRounds: 5000, Seed: int64(n)}
+					got, err := sim.Run(d, alg, adversary.Benign{}, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := sim.Run(classical, alg, adversary.Benign{}, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d %s %v %v: dual run %+v, classical run %+v", n, alg.Name(), rule, start, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -53,11 +53,6 @@ func Stddev(xs []float64) (float64, error) {
 	return math.Sqrt(ss / float64(len(xs)-1)), nil
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. A sample containing NaN is
 // rejected with ErrNaN rather than silently producing a garbage order.
@@ -89,20 +84,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // HarmonicNumber returns H(n) = sum_{i=1..n} 1/i, with H(0) = 1 as defined

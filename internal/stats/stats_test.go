@@ -38,9 +38,6 @@ func TestQuantileRejectsNaN(t *testing.T) {
 		if _, err := Quantile(xs, 0.5); !errors.Is(err, ErrNaN) {
 			t.Errorf("Quantile(%v) error = %v, want ErrNaN", xs, err)
 		}
-		if _, err := Median(xs); !errors.Is(err, ErrNaN) {
-			t.Errorf("Median(%v) error = %v, want ErrNaN", xs, err)
-		}
 	}
 	// A NaN q must also be rejected: it passes `q < 0 || q > 1` because NaN
 	// fails every comparison.
@@ -85,13 +82,13 @@ func TestLinearFitInsufficientVsEmpty(t *testing.T) {
 }
 
 func TestMedianOddEven(t *testing.T) {
-	m, err := Median([]float64{3, 1, 2})
+	m, err := Quantile([]float64{3, 1, 2}, 0.5)
 	if err != nil || m != 2 {
-		t.Fatalf("Median odd = %v (%v), want 2", m, err)
+		t.Fatalf("median odd = %v (%v), want 2", m, err)
 	}
-	m, err = Median([]float64{4, 1, 3, 2})
+	m, err = Quantile([]float64{4, 1, 3, 2}, 0.5)
 	if err != nil || m != 2.5 {
-		t.Fatalf("Median even = %v (%v), want 2.5", m, err)
+		t.Fatalf("median even = %v (%v), want 2.5", m, err)
 	}
 }
 
@@ -114,13 +111,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestMax(t *testing.T) {
-	m, err := Max([]float64{-3, 7, 2})
-	if err != nil || m != 7 {
-		t.Fatalf("Max = %v (%v), want 7", m, err)
 	}
 }
 

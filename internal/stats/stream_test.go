@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,7 +116,7 @@ func TestStreamExactRegimeMatchesBatch(t *testing.T) {
 	}
 	gotMin, _ := s.Min()
 	gotMax, _ := s.Max()
-	wantMax, _ := Max(xs)
+	wantMax := slices.Max(xs)
 	if gotMax != wantMax {
 		t.Errorf("max: stream %v != batch %v", gotMax, wantMax)
 	}
@@ -261,7 +262,7 @@ func TestStreamMergeMatchesSingleStream(t *testing.T) {
 				t.Errorf("stddev %v, want %v", gotSd, wantSd)
 			}
 			gotMax, _ := merged.Max()
-			wantMax, _ := Max(all)
+			wantMax := slices.Max(all)
 			if gotMax != wantMax {
 				t.Errorf("max %v, want %v", gotMax, wantMax)
 			}

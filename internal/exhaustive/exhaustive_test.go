@@ -296,7 +296,10 @@ func TestReceptionSignatureFullWidthIDs(t *testing.T) {
 	gp := g.Clone()
 	gp.MustAddEdge(1, target)
 	gp.MustAddEdge(257, target)
-	d := graph.MustDual(g, gp, 0)
+	d, err := graph.NewDual(g, gp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var edges []graph.EdgeID // edges[0] = 1→target, edges[1] = 257→target
 	for _, from := range []graph.NodeID{1, 257} {
 		for id := graph.EdgeID(0); int(id) < d.NumUnreliable(); id++ {

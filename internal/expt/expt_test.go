@@ -51,9 +51,6 @@ func TestByID(t *testing.T) {
 // doubles as the integration test of the whole stack (the experiments return
 // errors when a paper bound is violated).
 func TestAllExperimentsRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -49,7 +49,9 @@ func TestWaypointEpochAllocation(t *testing.T) {
 	if allocs > maxAllocs {
 		t.Errorf("a waypoint epoch allocates %.1f times, want at most %d", allocs, maxAllocs)
 	}
-	if bytes > maxBytes {
+	// Race instrumentation adds bytes to each allocation, not allocations,
+	// so the byte cap holds only in plain builds.
+	if bytes > maxBytes && !raceEnabled {
 		t.Errorf("a waypoint epoch allocates %d B, want at most %d", bytes, maxBytes)
 	}
 }

@@ -466,15 +466,6 @@ func subgraphError(gp, g *Graph) error {
 	return nil
 }
 
-// MustDual is NewDual for generators whose construction is valid by design.
-func MustDual(g, gPrime *Builder, source NodeID) *Dual {
-	d, err := NewDual(g, gPrime, source)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // N returns the number of nodes.
 func (d *Dual) N() int { return d.shape().g.N() }
 

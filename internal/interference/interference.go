@@ -64,17 +64,14 @@ func (m *Model) Dual() *graph.Dual { return m.dual }
 // silence, and CR4 collisions resolve to silence (matching the reduction
 // adversary). Processes are assigned to nodes by the identity mapping. With
 // the Result it returns the transcript, every played round's senders as
-// ascending node ids: the native reference of the Lemma 1 reduction.
+// ascending node ids: the native reference of the Lemma 1 reduction. cfg is
+// resolved exactly as sim.Start resolves it, so a bad rule, start rule or
+// cap fails with sim.ErrBadConfig before round 1.
 func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID, error) {
 	n := m.N()
-	if cfg.Rule == 0 {
-		cfg.Rule = sim.CR4
-	}
-	if cfg.Start == 0 {
-		cfg.Start = sim.AsyncStart
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 200*n*n + 10000
+	cfg, err := cfg.Resolve(n)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	procs := make([]sim.Process, n)
@@ -200,30 +197,19 @@ func nativeReception(
 			Own:       s == node,
 		}
 	}
-	if len(gtReach) == 0 {
+	switch {
+	case len(gtReach) == 0:
 		// No transmission message arrives: interference alone is inert.
 		return sim.Reception{Kind: sim.Silence}
-	}
-	switch rule {
-	case sim.CR1:
-		if giCount == 1 {
-			return deliverFrom(gtReach[0])
-		}
+	case rule != sim.CR1 && isSender:
+		return deliverFrom(node)
+	case giCount == 1:
+		return deliverFrom(gtReach[0])
+	case rule <= sim.CR2:
 		return sim.Reception{Kind: sim.Collision}
-	case sim.CR2, sim.CR3, sim.CR4:
-		if isSender {
-			return deliverFrom(node)
-		}
-		if giCount == 1 {
-			return deliverFrom(gtReach[0])
-		}
-		if rule == sim.CR2 {
-			return sim.Reception{Kind: sim.Collision}
-		}
-		// CR3, and CR4 with the silence-resolving adversary used throughout
-		// this package.
-		return sim.Reception{Kind: sim.Silence}
 	}
+	// CR3, and CR4 with the silence-resolving adversary used throughout this
+	// package.
 	return sim.Reception{Kind: sim.Silence}
 }
 

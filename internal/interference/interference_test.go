@@ -216,3 +216,34 @@ func TestNativeRunCompletes(t *testing.T) {
 		t.Fatal("harmonic must complete on the explicit-interference model")
 	}
 }
+
+// TestRunRejectsBadConfig checks that the native engine resolves its config
+// exactly as sim.Start does: the same bad rules and cap fail with
+// sim.ErrBadConfig, and a zero config runs as its explicit defaults.
+func TestRunRejectsBadConfig(t *testing.T) {
+	m := buildModel(t, 8, 2)
+	for _, cfg := range []sim.Config{
+		{Rule: 5},
+		{Rule: -1},
+		{Start: 3},
+		{MaxRounds: -1},
+	} {
+		res, tr, err := interference.Run(m, core.NewRoundRobin(), cfg)
+		if !errors.Is(err, sim.ErrBadConfig) || res != nil || tr != nil {
+			t.Errorf("%+v: Run = %v, %v, %v; want ErrBadConfig", cfg, res, tr, err)
+		}
+	}
+	zero, _, err := interference.Run(m, core.NewRoundRobin(), sim.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, _, err := interference.Run(m, core.NewRoundRobin(), sim.Config{
+		Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: 200*8*8 + 10000, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, explicit) {
+		t.Fatalf("zero config ran %+v, explicit defaults %+v", zero, explicit)
+	}
+}

@@ -64,18 +64,9 @@ func writeChildren(w io.Writer, f *family) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		f.mu.Lock()
-		var values []string
-		var line string
-		if c, ok := f.counters[k]; ok {
-			values, line = c.values, fmt.Sprintf("%d", c.inst.Value())
-		} else if g, ok := f.gauges[k]; ok {
-			values, line = g.values, fmt.Sprintf("%d", g.inst.Value())
-		}
+		c := f.counters[k]
 		f.mu.Unlock()
-		if line == "" {
-			continue
-		}
-		fmt.Fprintf(w, "%s%s %s\n", f.name, labelPairs(f.labels, values, ""), line)
+		fmt.Fprintf(w, "%s%s %d\n", f.name, labelPairs(f.labels, c.values, ""), c.inst.Value())
 	}
 }
 

@@ -166,7 +166,6 @@ type family struct {
 	mu       sync.Mutex // guards the child maps below
 	keys     []string   // child keys in first-use order; sorted at scrape
 	counters map[string]*labeled[*Counter]
-	gauges   map[string]*labeled[*Gauge]
 }
 
 // labeled pairs a child instrument with its label values.
@@ -177,9 +176,6 @@ type labeled[T any] struct {
 
 // CounterVec is a labeled counter family; With resolves one child.
 type CounterVec struct{ f *family }
-
-// GaugeVec is a labeled gauge family; With resolves one child.
-type GaugeVec struct{ f *family }
 
 // childKey joins label values with an unprintable separator so distinct
 // value tuples cannot collide.
@@ -202,24 +198,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	v.f.counters[k] = c
 	v.f.keys = append(v.f.keys, k)
 	return c.inst
-}
-
-// With returns the child gauge for the given label values (created on first
-// use).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.f.labels) {
-		panic(fmt.Sprintf("metrics: %s takes %d label values, got %d", v.f.name, len(v.f.labels), len(values)))
-	}
-	k := childKey(values)
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if g, ok := v.f.gauges[k]; ok {
-		return g.inst
-	}
-	g := &labeled[*Gauge]{values: append([]string(nil), values...), inst: &Gauge{}}
-	v.f.gauges[k] = g
-	v.f.keys = append(v.f.keys, k)
-	return g.inst
 }
 
 // Registry holds a set of uniquely named metric families. The zero value is
@@ -325,20 +303,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	return &CounterVec{f: f}
 }
 
-// NewGaugeVec registers and returns a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("metrics: %s: a labeled family needs at least one label", name))
-	}
-	f := &family{
-		name: name, help: help, typ: kindGauge,
-		labels: append([]string(nil), labels...),
-		gauges: make(map[string]*labeled[*Gauge]),
-	}
-	r.register(f)
-	return &GaugeVec{f: f}
-}
-
 // Package-level constructors on the Default registry.
 
 // NewCounter registers a scalar counter in Default.
@@ -361,11 +325,6 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 // NewCounterVec registers a labeled counter family in Default.
 func NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return Default.NewCounterVec(name, help, labels...)
-}
-
-// NewGaugeVec registers a labeled gauge family in Default.
-func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return Default.NewGaugeVec(name, help, labels...)
 }
 
 // sortedFamilies snapshots the registry's families in name order.

@@ -79,9 +79,9 @@ func TestLabeledFamilies(t *testing.T) {
 	if cv.With("1") != cv.With("1") {
 		t.Fatal("With must return a stable child handle")
 	}
-	gv := r.NewGaugeVec("test_jobs", "job states", "state")
-	gv.With("queued").Set(2)
-	gv.With("running").Set(1)
+	jv := r.NewCounterVec("test_jobs_total", "job states", "state")
+	jv.With("running").Inc()
+	jv.With("queued").Add(2)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -94,8 +94,10 @@ func TestLabeledFamilies(t *testing.T) {
 	if i0 < 0 || i1 < 0 || i0 > i1 {
 		t.Fatalf("labeled samples missing or misordered:\n%s", out)
 	}
-	if !strings.Contains(out, `test_jobs{state="queued"} 2`) {
-		t.Fatalf("gauge vec sample missing:\n%s", out)
+	iq := strings.Index(out, `test_jobs_total{state="queued"} 2`)
+	ir := strings.Index(out, `test_jobs_total{state="running"} 1`)
+	if iq < i1 || ir < iq {
+		t.Fatalf("second family's samples missing or misordered:\n%s", out)
 	}
 }
 
@@ -224,7 +226,7 @@ func TestHandler(t *testing.T) {
 func TestWriteMarkdown(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("zeta_total", "last by name")
-	r.NewGaugeVec("alpha_jobs", "first by name", "state")
+	r.NewCounterVec("alpha_jobs", "first by name", "state")
 	var sb strings.Builder
 	r.WriteMarkdown(&sb)
 	out := sb.String()

@@ -184,7 +184,11 @@ func TestEpochSwapOneRowOverflowsMidRun(t *testing.T) {
 		for _, u := range srcs {
 			gp.MustAddEdge(u, 9)
 		}
-		return graph.MustDual(g, gp, 0)
+		d, err := graph.NewDual(g, gp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
 	few := into9(2)
 	many := into9(0, 1, 2, 3, 4, 5, 6)

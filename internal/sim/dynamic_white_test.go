@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dualgraph/internal/graph"
@@ -165,4 +167,88 @@ func TestMaterializeReachingOrder(t *testing.T) {
 	sparse := sparseFixture(t)
 	// Line: node 10's reliable in-neighbours are 9 and 11.
 	check(t, sparse, []graph.NodeID{9, 11}, 10)
+
+	// A whole dense run under a CR4 adversary that resolves every collision
+	// itself: every non-sender of the clique sees the same reliable senders,
+	// so one round resolves several nodes with identical reaching sets. Each
+	// list Resolve sees must be the one recomputed from the network.
+	t.Run("dense run", func(t *testing.T) {
+		adv := &listCheckAdversary{t: t}
+		if _, err := Run(dense, coinAlg{}, adv, Config{Seed: 3, Rule: CR4, Start: SyncStart, MaxRounds: 200}); err != nil {
+			t.Fatal(err)
+		}
+		if adv.repeats == 0 {
+			t.Fatal("no round resolved two nodes with identical reaching sets")
+		}
+	})
+}
+
+// coinAlg transmits with probability 1/2 in every round, message or not.
+type coinAlg struct{}
+
+func (coinAlg) Name() string { return "coin" }
+
+func (coinAlg) NewProcess(_, _ int, rng *rand.Rand) Process { return coinProc{rng} }
+
+type coinProc struct{ rng *rand.Rand }
+
+func (coinProc) Start(int, bool)        {}
+func (p coinProc) Decide(int) bool      { return p.rng.Intn(2) == 0 }
+func (coinProc) Receive(int, Reception) {}
+
+// listCheckAdversary is map-only: each unreliable edge of a sender delivers
+// with probability 1/2, and each CR4 collision resolves uniformly among ⊥ and
+// the reaching messages. Resolve checks its list against the network:
+// reliable senders ascending, then the map's deliveries in sender order.
+type listCheckAdversary struct {
+	t       *testing.T
+	unrel   map[graph.NodeID][]graph.NodeID // target -> senders, ascending
+	last    []graph.NodeID                  // the round's previous resolved list
+	repeats int                             // resolves that repeated last
+}
+
+func (*listCheckAdversary) Name() string { return "list-check" }
+
+func (*listCheckAdversary) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error) {
+	procOf := make([]int, d.N())
+	for i := range procOf {
+		procOf[i] = i + 1
+	}
+	return procOf, nil
+}
+
+func (a *listCheckAdversary) Deliver(v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	a.unrel, a.last = map[graph.NodeID][]graph.NodeID{}, nil
+	m := map[graph.NodeID][]graph.NodeID{}
+	for _, s := range senders {
+		for _, u := range v.UnreliableOut(s) {
+			if v.Rng.Intn(2) == 0 {
+				m[s] = append(m[s], u)
+				a.unrel[u] = append(a.unrel[u], s)
+			}
+		}
+	}
+	return m
+}
+
+func (a *listCheckAdversary) Resolve(v *View, node graph.NodeID, reaching []graph.NodeID) graph.NodeID {
+	var want []graph.NodeID
+	for s, sent := range v.Sent {
+		if sent && v.Dual.G().HasEdge(graph.NodeID(s), node) {
+			want = append(want, graph.NodeID(s))
+		}
+	}
+	want = append(want, a.unrel[node]...)
+	if !slices.Equal(reaching, want) {
+		a.t.Fatalf("round %d: node %d resolved with %v, want %v", v.Round, node, reaching, want)
+	}
+	if slices.Equal(reaching, a.last) {
+		a.repeats++
+	}
+	a.last = append(a.last[:0], reaching...)
+	i := v.Rng.Intn(len(reaching) + 1)
+	if i == len(reaching) {
+		return NoDelivery
+	}
+	return reaching[i]
 }

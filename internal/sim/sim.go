@@ -230,8 +230,8 @@ type Adversary interface {
 // of a sweep, which forces implementations to be stateless; an adversary
 // that needs per-run state — search memos, a script of its own past choices —
 // implements RunForker, and RunDynamic replaces it with the forked instance
-// for the duration of that run. ForkRun is called once per run, after config
-// defaults are applied and before AssignProcs; it must not mutate the
+// for the duration of that run. ForkRun is called once per run, after the
+// config is resolved and before AssignProcs; it must not mutate the
 // receiver (concurrent trials fork concurrently). The returned adversary is
 // used as-is: it is not forked again, so a fork returning its receiver must
 // be safe for that run.
@@ -275,7 +275,7 @@ type BufferedDeliverer interface {
 func DeliveryMap(bd BufferedDeliverer, v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
 	b := newBuffers(v.Dual, false)
 	b.deliverReliable(senders)
-	sink := &DeliverySink{d: v.Dual, sent: v.Sent, buf: b}
+	sink := &DeliverySink{sent: v.Sent, buf: b}
 	bd.DeliverInto(v, senders, sink)
 	if sink.err != nil {
 		return map[graph.NodeID][]graph.NodeID{0: {0}}
@@ -311,7 +311,6 @@ func (m mapDeliverer) DeliverInto(v *View, senders []graph.NodeID, sink *Deliver
 // delivery into that state immediately. The sink holds no per-node state of
 // its own: every delivery lands in the run's one per-round list.
 type DeliverySink struct {
-	d      *graph.Dual
 	sent   []bool
 	buf    *runBuffers
 	err    error
@@ -331,7 +330,7 @@ func (ds *DeliverySink) Add(s, v graph.NodeID) {
 		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
 		return
 	}
-	if !ds.d.HasUnreliableEdge(s, v) {
+	if !ds.buf.dual.HasUnreliableEdge(s, v) {
 		ds.err = fmt.Errorf("%w: (%d,%d)", ErrBadDelivery, s, v)
 		return
 	}
@@ -391,11 +390,12 @@ func (ds *DeliverySink) AddEdgeID(id graph.EdgeID) {
 	if ds.err != nil {
 		return
 	}
-	if id < 0 || int(id) >= ds.d.NumUnreliable() {
-		ds.err = fmt.Errorf("%w: edge id %d outside [0,%d)", ErrBadDelivery, id, ds.d.NumUnreliable())
+	d := ds.buf.dual
+	if id < 0 || int(id) >= d.NumUnreliable() {
+		ds.err = fmt.Errorf("%w: edge id %d outside [0,%d)", ErrBadDelivery, id, d.NumUnreliable())
 		return
 	}
-	s, v := ds.d.UnreliableEdge(id)
+	s, v := d.UnreliableEdge(id)
 	if !ds.sent[s] {
 		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
 		return
@@ -518,13 +518,6 @@ type runBuffers struct {
 	senders    []graph.NodeID
 	newHolders []graph.NodeID
 	mat        []graph.NodeID // lazy reaching-list scratch, reused per resolve
-	// Dense-mode memo of the last materialized row: matKey holds the masked
-	// in-row the current mat was extracted from. Dense networks resolve many
-	// nodes with identical reaching sets per round (every non-sender of a
-	// clique sees the same senders), so a word compare often replaces the
-	// whole bit extraction. Valid only within a round for unrel-free rows.
-	matKey   []uint64
-	matValid bool
 
 	// dual is the epoch the buffers read rows from (and, in dense mode,
 	// the one the masks encode); row is the scratch its Row reads fill.
@@ -576,7 +569,6 @@ func newBuffers(d *graph.Dual, dense bool) *runBuffers {
 	if b.dense {
 		b.maskW = words
 		b.sentBit = make([]uint64, words)
-		b.matKey = make([]uint64, words)
 	} else {
 		b.touchedW = make([]int32, 0, words)
 		b.firstFrom = make([]graph.NodeID, n)
@@ -648,7 +640,6 @@ func (b *runBuffers) clearRound(sent []bool) {
 		clear(b.reach1)
 		clear(b.reach2)
 		clear(b.sentBit)
-		b.matValid = false
 	} else {
 		for _, w := range b.touchedW {
 			b.reach1[w] = 0
@@ -765,15 +756,6 @@ func (b *runBuffers) addUnrel(v, s graph.NodeID) bool {
 	return true
 }
 
-// appendUnrel appends v's unreliable deliveries of this round to mat, in
-// sink-add order.
-func (b *runBuffers) appendUnrel(mat []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	for i := b.unrelHead[v]; i >= 0; i = b.unrel[i].next {
-		mat = append(mat, b.unrel[i].from)
-	}
-	return mat
-}
-
 // singleReacher returns the sender of the one message reaching v; the caller
 // guarantees v's count class is exactly one. Sparse mode recorded the answer
 // at delivery time; dense mode recovers it as the only bit of v's in-mask
@@ -798,73 +780,49 @@ func (b *runBuffers) singleReacher(v graph.NodeID) graph.NodeID {
 // count-class rules never do. sent is the round's sender flags (sparse mode
 // filters the epoch's reliable in-row with it; dense mode has sentBit).
 func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.NodeID {
+	mat := b.mat[:0]
 	if b.dense {
 		row := b.inMask[int(v)*b.maskW : (int(v)+1)*b.maskW]
-		if b.unrelHead[v] < 0 {
-			// Memo fast path: same masked in-row as the previous unrel-free
-			// materialization → same reaching list.
-			if b.matValid {
-				same := true
-				for w, mw := range row {
-					if mw&b.sentBit[w] != b.matKey[w] {
-						same = false
-						break
-					}
-				}
-				if same {
-					return b.mat
-				}
-			}
-			mat := b.mat[:0]
-			for w, mw := range row {
-				m := mw & b.sentBit[w]
-				b.matKey[w] = m
-				for m != 0 {
-					mat = append(mat, graph.NodeID(w<<6+bits.TrailingZeros64(m)))
-					m &= m - 1
-				}
-			}
-			b.mat = mat
-			b.matValid = true
-			return mat
-		}
-		b.matValid = false
-		mat := b.mat[:0]
 		for w, mw := range row {
-			m := mw & b.sentBit[w]
-			for m != 0 {
+			for m := mw & b.sentBit[w]; m != 0; m &= m - 1 {
 				mat = append(mat, graph.NodeID(w<<6+bits.TrailingZeros64(m)))
-				m &= m - 1
 			}
 		}
-		mat = b.appendUnrel(mat, v)
-		b.mat = mat
-		return mat
-	}
-	mat := b.mat[:0]
-	for _, w := range b.dual.Row(v, graph.ReliableIn, &b.row) {
-		if sent[w] {
-			mat = append(mat, w)
+	} else {
+		for _, w := range b.dual.Row(v, graph.ReliableIn, &b.row) {
+			if sent[w] {
+				mat = append(mat, w)
+			}
 		}
 	}
-	mat = b.appendUnrel(mat, v)
+	for i := b.unrelHead[v]; i >= 0; i = b.unrel[i].next {
+		mat = append(mat, b.unrel[i].from)
+	}
 	b.mat = mat
 	return mat
 }
 
-// Config parameterizes a run.
+// Config parameterizes a run. A zero field takes its default; Resolve
+// applies the defaults and rejects, with ErrBadConfig, a Rule outside
+// CR1..CR4, a Start that is neither SyncStart nor AsyncStart, and a negative
+// MaxRounds. Start resolves its Config once, so a run never meets a bad rule
+// mid-execution.
 type Config struct {
 	// Rule is the collision rule (default CR4, the weakest).
 	Rule CollisionRule
 	// Start is the start rule (default AsyncStart, the weakest).
 	Start StartRule
-	// MaxRounds caps the execution length; 0 means the default cap.
+	// MaxRounds caps the execution length; 0 means the default cap,
+	// 200n²+10000, well above the paper's O(n^{3/2}√log n) worst case for
+	// the sizes simulated.
 	MaxRounds int
 	// Seed makes the run reproducible.
 	Seed int64
 }
 
-func (c Config) withDefaults(n int) Config {
+// Resolve returns c with its defaults applied for an n-node network, or an
+// ErrBadConfig error naming the first field outside the model.
+func (c Config) Resolve(n int) (Config, error) {
 	if c.Rule == 0 {
 		c.Rule = CR4
 	}
@@ -872,15 +830,17 @@ func (c Config) withDefaults(n int) Config {
 		c.Start = AsyncStart
 	}
 	if c.MaxRounds == 0 {
-		c.MaxRounds = defaultMaxRounds(n)
+		c.MaxRounds = 200*n*n + 10000
 	}
-	return c
-}
-
-// defaultMaxRounds is a generous cap well above the paper's O(n^{3/2}√log n)
-// worst case for the sizes we simulate.
-func defaultMaxRounds(n int) int {
-	return 200*n*n + 10000
+	switch {
+	case c.Rule < CR1 || c.Rule > CR4:
+		return c, fmt.Errorf("%w: unknown collision rule %v", ErrBadConfig, c.Rule)
+	case c.Start != SyncStart && c.Start != AsyncStart:
+		return c, fmt.Errorf("%w: unknown start rule %v", ErrBadConfig, c.Start)
+	case c.MaxRounds < 0:
+		return c, fmt.Errorf("%w: negative MaxRounds %d", ErrBadConfig, c.MaxRounds)
+	}
+	return c, nil
 }
 
 // Result reports the outcome of a run.
@@ -905,6 +865,7 @@ var errNilFork = errors.New("RunForker returned a nil adversary")
 
 // Errors returned by Run.
 var (
+	ErrBadConfig     = errors.New("invalid run config")
 	ErrBadAssignment = errors.New("adversary returned an invalid proc assignment")
 	ErrBadDelivery   = errors.New("adversary delivered along a non-unreliable edge")
 	ErrBadResolve    = errors.New("adversary resolved CR4 to a non-reaching sender")
@@ -938,15 +899,10 @@ type Execution struct {
 	sched    graph.Schedule
 	adv      Adversary
 	deliver  BufferedDeliverer // adv itself, or the map shim around it
-	d        *graph.Dual
 	n        int
 	src      graph.NodeID
 	procs    []Process
-	procOf   []int
-	hasMsg   []bool
-	active   []bool
-	sent     []bool
-	view     *View
+	view     *View // the run's Dual, ProcOf, HasMessage, Active and Sent
 	buf      *runBuffers
 	sink     *DeliverySink
 	res      *Result
@@ -973,7 +929,9 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 		return nil, fmt.Errorf("schedule epoch 0: %w", err)
 	}
 	n := d.N()
-	cfg = cfg.withDefaults(n)
+	if cfg, err = cfg.Resolve(n); err != nil {
+		return nil, err
+	}
 	if f, ok := adv.(RunForker); ok {
 		adv, err = f.ForkRun(sched, alg, cfg)
 		if err != nil {
@@ -1029,21 +987,16 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	}
 	buf := newRunBuffers(d)
 	ex := &Execution{
-		cfg:    cfg,
-		sched:  sched,
-		adv:    adv,
-		d:      d,
-		n:      n,
-		src:    src,
-		procs:  procs,
-		procOf: procOf,
-		hasMsg: hasMsg,
-		active: active,
-		sent:   sent,
-		view:   view,
-		buf:    buf,
-		sink:   &DeliverySink{d: d, sent: sent, buf: buf},
-		res:    &Result{FirstReceive: firstRecv, ProcOf: procOf},
+		cfg:   cfg,
+		sched: sched,
+		adv:   adv,
+		n:     n,
+		src:   src,
+		procs: procs,
+		view:  view,
+		buf:   buf,
+		sink:  &DeliverySink{sent: sent, buf: buf},
+		res:   &Result{FirstReceive: firstRecv, ProcOf: procOf},
 
 		holders: 1,
 		// A static schedule (EpochLength 0 — every sim.Run) never reaches
@@ -1075,7 +1028,7 @@ func (ex *Execution) Step() (done bool, err error) {
 	ex.round++
 	// The swap happens after clearRound, so the buffers carry no round
 	// state across the boundary.
-	ex.buf.clearRound(ex.sent)
+	ex.buf.clearRound(ex.view.Sent)
 	if ex.round == ex.nextSwap {
 		l := ex.sched.EpochLength()
 		ex.err = ex.swapEpoch((ex.round - 1) / l)
@@ -1101,9 +1054,10 @@ func (ex *Execution) Senders() []graph.NodeID { return ex.buf.senders }
 // Steps update it.
 func (ex *Execution) Result() *Result { return ex.res }
 
-// swapEpoch installs the schedule's network for epoch e: validate it, swap
-// the pointer, and refresh the dense mode's masks. Identical-pointer
-// epochs (no-op churn/fade draws, cached epochs) skip the swap entirely.
+// swapEpoch installs the schedule's network for epoch e: validate it, point
+// the view and the buffers at it, and refresh the dense mode's masks.
+// Identical-pointer epochs (no-op churn/fade draws, cached epochs) skip the
+// swap entirely.
 func (ex *Execution) swapEpoch(e int) error {
 	nd, err := ex.sched.Epoch(e, ex.cfg.Seed)
 	if err != nil {
@@ -1117,7 +1071,7 @@ func (ex *Execution) swapEpoch(e int) error {
 		return fmt.Errorf("%w: epoch %d moved the source to %d, run started at %d",
 			ErrBadEpoch, e, nd.Source(), ex.src)
 	}
-	if nd == ex.d {
+	if nd == ex.view.Dual {
 		if metrics.Enabled() {
 			mEpochSwapsNoop.Inc()
 		}
@@ -1126,9 +1080,7 @@ func (ex *Execution) swapEpoch(e int) error {
 	if metrics.Enabled() {
 		mEpochSwaps.Inc()
 	}
-	ex.d = nd
 	ex.view.Dual = nd
-	ex.sink.d = nd
 	ex.buf.setDual(nd)
 	return nil
 }
@@ -1139,7 +1091,7 @@ func (ex *Execution) swapEpoch(e int) error {
 func (ex *Execution) step(round int) error {
 	ex.view.Round = round
 	buf, n := ex.buf, ex.n
-	sent, active, procs := ex.sent, ex.active, ex.procs
+	sent, active, hasMsg, procs := ex.view.Sent, ex.view.Active, ex.view.HasMessage, ex.procs
 	for node := 0; node < n; node++ {
 		if active[node] && procs[node].Decide(round) {
 			sent[node] = true
@@ -1163,16 +1115,18 @@ func (ex *Execution) step(round int) error {
 	// are materialized only for CR4 resolves. Broadcast/Own are evaluated
 	// against the start-of-round holder set; hasMsg is only updated after
 	// all receptions are computed.
-	hasMsg := ex.hasMsg
 	for node := 0; node < n; node++ {
 		v := graph.NodeID(node)
-		reached := buf.reached(v)
-		if !active[node] && !reached {
-			// An inactive node that nothing reached hears silence and
-			// cannot wake: skip it entirely.
+		if !buf.reached(v) {
+			// Every sender reaches itself, so an unreached node sent nothing
+			// and hears silence under every rule; an inactive one stays
+			// asleep.
+			if active[node] {
+				procs[node].Receive(round, Reception{Kind: Silence})
+			}
 			continue
 		}
-		rec, err := ex.reception(v, reached)
+		rec, err := ex.reception(v)
 		if err != nil {
 			return err
 		}
@@ -1207,61 +1161,39 @@ func (ex *Execution) deliverFrom(node, s graph.NodeID) Reception {
 	return Reception{
 		Kind:      Delivered,
 		From:      s,
-		FromProc:  ex.procOf[s],
-		Broadcast: ex.hasMsg[s],
+		FromProc:  ex.view.ProcOf[s],
+		Broadcast: ex.view.HasMessage[s],
 		Own:       s == node,
 	}
 }
 
-// reception computes what node hears this round from its count class (not
-// reached / reached once / collided) under the configured collision rule.
-func (ex *Execution) reception(node graph.NodeID, reached bool) (Reception, error) {
-	buf := ex.buf
-	rule := ex.cfg.Rule
-	if rule == CR1 {
-		switch {
-		case !reached:
-			return Reception{Kind: Silence}, nil
-		case !buf.collided(node):
-			return ex.deliverFrom(node, buf.singleReacher(node)), nil
-		default:
-			return Reception{Kind: Collision}, nil
-		}
-	}
-	if rule != CR2 && rule != CR3 && rule != CR4 {
-		return Reception{}, fmt.Errorf("unknown collision rule %v", rule)
-	}
-	if ex.sent[node] {
-		// A sender always receives its own message under CR2–CR4.
-		return ex.deliverFrom(node, node), nil
-	}
+// reception computes what a reached node hears this round under the run's
+// collision rule, from its count class (reached once or collided): its own
+// message if it sent under CR2–CR4, the lone message, ⊤ under CR1/CR2, ⊥
+// under CR3 or in a silenced round, else the adversary's CR4 choice.
+func (ex *Execution) reception(node graph.NodeID) (Reception, error) {
+	buf, rule, sent := ex.buf, ex.cfg.Rule, ex.view.Sent
 	switch {
-	case !reached:
-		return Reception{Kind: Silence}, nil
+	case rule != CR1 && sent[node]:
+		return ex.deliverFrom(node, node), nil
 	case !buf.collided(node):
 		return ex.deliverFrom(node, buf.singleReacher(node)), nil
-	}
-	switch rule {
-	case CR2:
+	case rule <= CR2:
 		return Reception{Kind: Collision}, nil
-	case CR3:
+	case rule == CR3 || ex.sink.silent:
 		return Reception{Kind: Silence}, nil
-	default: // CR4
-		if ex.sink.silent {
-			return Reception{Kind: Silence}, nil
-		}
-		reaching := buf.materializeReaching(node, ex.sent)
-		choice := ex.adv.Resolve(ex.view, node, reaching)
-		if choice == NoDelivery {
-			return Reception{Kind: Silence}, nil
-		}
-		for _, s := range reaching {
-			if s == choice {
-				return ex.deliverFrom(node, s), nil
-			}
-		}
-		return Reception{}, fmt.Errorf("%w: node %d chose %d", ErrBadResolve, node, choice)
 	}
+	reaching := buf.materializeReaching(node, sent)
+	choice := ex.adv.Resolve(ex.view, node, reaching)
+	if choice == NoDelivery {
+		return Reception{Kind: Silence}, nil
+	}
+	for _, s := range reaching {
+		if s == choice {
+			return ex.deliverFrom(node, s), nil
+		}
+	}
+	return Reception{}, fmt.Errorf("%w: node %d chose %d", ErrBadResolve, node, choice)
 }
 
 func validateAssignment(procOf []int, n int) error {

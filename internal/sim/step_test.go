@@ -217,3 +217,60 @@ func TestStepAfterFailureRepeatsError(t *testing.T) {
 		t.Fatalf("second Step = (%v, %v) at round %d, want the same error at round 1", again, err2, ex.Round())
 	}
 }
+
+// forkRecorder records the config Start hands ForkRun: the resolved one.
+type forkRecorder struct {
+	adversary.Benign
+	cfg *sim.Config
+}
+
+func (f forkRecorder) ForkRun(_ graph.Schedule, _ sim.Algorithm, cfg sim.Config) (sim.Adversary, error) {
+	*f.cfg = cfg
+	return f, nil
+}
+
+// countAlg counts the processes it creates.
+type countAlg struct {
+	sim.Algorithm
+	made *int
+}
+
+func (a countAlg) NewProcess(id, n int, rng *rand.Rand) sim.Process {
+	*a.made++
+	return a.Algorithm.NewProcess(id, n, rng)
+}
+
+// TestStartRejectsBadConfig checks that Start resolves the config once: a
+// collision rule outside CR1..CR4, a start rule that is neither sync nor
+// async, and a negative round cap fail with ErrBadConfig before any process
+// exists, while zero fields still take their defaults.
+func TestStartRejectsBadConfig(t *testing.T) {
+	d := mustLine(t, 4)
+	for _, cfg := range []sim.Config{
+		{Rule: 5},
+		{Rule: -1},
+		{Start: 3},
+		{MaxRounds: -1},
+	} {
+		made := 0
+		ex, err := sim.Start(graph.Static(d), countAlg{core.NewRoundRobin(), &made}, adversary.Benign{}, cfg)
+		if !errors.Is(err, sim.ErrBadConfig) || ex != nil {
+			t.Errorf("%+v: Start = %v, %v; want ErrBadConfig", cfg, ex, err)
+		}
+		if made != 0 {
+			t.Errorf("%+v: %d processes created before the config was rejected", cfg, made)
+		}
+		if _, err := sim.Run(d, core.NewRoundRobin(), adversary.Benign{}, cfg); !errors.Is(err, sim.ErrBadConfig) {
+			t.Errorf("%+v: Run error %v, want ErrBadConfig", cfg, err)
+		}
+	}
+
+	var got sim.Config
+	if _, err := sim.Start(graph.Static(d), core.NewRoundRobin(), forkRecorder{cfg: &got}, sim.Config{Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: 200*4*4 + 10000, Seed: 9}
+	if got != want {
+		t.Fatalf("zero config resolved to %+v, want %+v", got, want)
+	}
+}

@@ -41,8 +41,10 @@ bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The -short lane skips the slow full-registry experiment test but still
-# exercises the engine fan-out path.
+# The -short lane skips the binary smokes (dgsim kill-and-resume, dgsimd),
+# the 100k-node stress sim and the slowest statistical and lower-bound
+# checks, and trims the adaptive-adversary grids. It still runs every
+# experiment in quick mode through the engine fan-out path.
 test-short:
 	$(GO) test -short ./...
 

@@ -358,7 +358,7 @@ func BenchmarkExtRepeatedBroadcast(b *testing.B) {
 			throughput := 0.0
 			for i := 0; i < b.N; i++ {
 				res, err := repeat.Run(d, p, repeat.Config{
-					Messages: 8, MaxRounds: 100000, Seed: int64(i), Adversary: repeat.Greedy,
+					Messages: 8, MaxRounds: 100000, Seed: int64(i),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -258,7 +258,7 @@ func (a *Theorem2) AssignProcs(d *graph.Dual, _ *rand.Rand) ([]int, error) {
 	if a.BridgePid < 2 || a.BridgePid > n-1 {
 		return nil, fmt.Errorf("%w: bridge pid %d outside [2,%d]", ErrWrongTopology, a.BridgePid, n-1)
 	}
-	if len(d.ReliableOut(graph.ReceiverNode(n))) != 1 {
+	if d.G().OutDegree(graph.ReceiverNode(n)) != 1 {
 		return nil, fmt.Errorf("%w: clique-bridge expected", ErrWrongTopology)
 	}
 	procOf := make([]int, n)

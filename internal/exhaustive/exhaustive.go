@@ -383,7 +383,7 @@ func (t *turn) signature(rule sim.CollisionRule, mask uint64) []byte {
 	for _, snd := range t.senders {
 		t.reach[snd].sender = true
 		t.reach[snd].add(snd)
-		for _, v := range t.d.ReliableOut(snd) {
+		for _, v := range t.d.G().Out(snd) {
 			t.reach[v].add(snd)
 		}
 	}

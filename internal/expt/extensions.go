@@ -150,7 +150,6 @@ func extRepeatedBroadcast() Experiment {
 				Messages:  m,
 				MaxRounds: 2 * m * harmonicBudget,
 				Seed:      cfg.Seed,
-				Adversary: repeat.Greedy,
 			})
 			if err != nil {
 				return nil, err

@@ -75,7 +75,7 @@ func denseFringeDual(b *testing.B, n int) *Dual {
 // linearScanHasUnreliable is the pre-index membership test: walk the
 // sender's whole unreliable row. Kept as the benchmark baseline.
 func linearScanHasUnreliable(d *Dual, from, to NodeID) bool {
-	for _, v := range d.UnreliableOut(from) {
+	for _, v := range unrel(d, from) {
 		if v == to {
 			return true
 		}
@@ -89,7 +89,7 @@ func linearScanHasUnreliable(d *Dual, from, to NodeID) bool {
 func BenchmarkUnreliableMembership(b *testing.B) {
 	const n = 10000
 	d := denseFringeDual(b, n)
-	if deg := len(d.UnreliableOut(0)); deg < n-2 {
+	if deg := len(unrel(d, 0)); deg < n-2 {
 		b.Fatalf("hub fringe degree = %d, want ~%d", deg, n-2)
 	}
 	probes := make([]NodeID, 512)

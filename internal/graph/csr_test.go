@@ -26,13 +26,13 @@ func TestEdgeIDContract(t *testing.T) {
 		if base != next {
 			t.Fatalf("node %d: base = %d, want %d (ids must be dense in from-order)", u, base, next)
 		}
-		row := d.UnreliableOut(NodeID(u))
+		row := d.Row(NodeID(u), Unreliable, nil)
 		if len(row) != len(targets) {
-			t.Fatalf("node %d: UnreliableEdges targets %v != UnreliableOut %v", u, targets, row)
+			t.Fatalf("node %d: UnreliableEdges targets %v != Row %v", u, targets, row)
 		}
 		for i, v := range targets {
 			if v != row[i] {
-				t.Fatalf("node %d: UnreliableEdges targets %v != UnreliableOut %v", u, targets, row)
+				t.Fatalf("node %d: UnreliableEdges targets %v != Row %v", u, targets, row)
 			}
 			if i > 0 && targets[i-1] >= v {
 				t.Fatalf("node %d: targets not strictly ascending: %v", u, targets)

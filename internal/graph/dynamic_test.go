@@ -211,7 +211,7 @@ func TestFadeKeepsGPrime(t *testing.T) {
 	}
 	// Every arc of epoch G must exist in base G (demotion only).
 	for u := 0; u < d.N(); u++ {
-		for _, v := range d.ReliableOut(NodeID(u)) {
+		for _, v := range d.G().Out(NodeID(u)) {
 			if !base.G().HasEdge(NodeID(u), v) {
 				t.Fatalf("fade invented reliable arc (%d,%d)", u, v)
 			}
@@ -331,7 +331,7 @@ func rebuildReference(base *Graph, keep func(u, v NodeID) bool) *Graph {
 	for u := 0; u < base.N(); u++ {
 		for _, v := range base.Out(NodeID(u)) {
 			if keep(NodeID(u), v) {
-				b.addArc(NodeID(u), v)
+				b.arcs = append(b.arcs, packArc(NodeID(u), v))
 			}
 		}
 	}

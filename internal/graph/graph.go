@@ -7,7 +7,7 @@
 //
 //   - a mutable Builder accumulates edges during topology construction
 //     (AddEdge appends to a flat arc log; duplicates are tolerated and
-//     removed on freeze);
+//     removed on freeze; the log is never queried);
 //   - Freeze compacts the log into an immutable Graph in compressed sparse
 //     row (CSR) form — flat offsets/targets arrays with every adjacency row
 //     sorted — giving cache-friendly O(1) row iteration and O(log d)
@@ -57,15 +57,11 @@ func unpackArc(a uint64) (u, v NodeID) { return NodeID(a >> 32), NodeID(uint32(a
 
 // Builder is the mutable construction stage of a graph over nodes 0..n-1.
 // An undirected Builder records both orientations of every edge. AddEdge is
-// an O(1) append; duplicate edges are deduplicated at Freeze time (or
-// eagerly once HasEdge/NumEdges has forced the lookup index).
+// an O(1) append to the arc log; duplicate edges are dropped at Freeze time.
 type Builder struct {
 	n        int
 	directed bool
 	arcs     []uint64
-	// lookup is built lazily on the first HasEdge/NumEdges call; once it
-	// exists, AddEdge keeps it current and stops appending duplicates.
-	lookup map[uint64]struct{}
 }
 
 // NewBuilder returns an empty builder for a graph with n nodes.
@@ -88,9 +84,9 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		return fmt.Errorf("edge (%d,%d) out of range for %d nodes", u, v, b.n)
 	}
-	b.addArc(u, v)
+	b.arcs = append(b.arcs, packArc(u, v))
 	if !b.directed {
-		b.addArc(v, u)
+		b.arcs = append(b.arcs, packArc(v, u))
 	}
 	return nil
 }
@@ -104,56 +100,9 @@ func (b *Builder) MustAddEdge(u, v NodeID) {
 	}
 }
 
-func (b *Builder) addArc(u, v NodeID) {
-	a := packArc(u, v)
-	if b.lookup != nil {
-		if _, ok := b.lookup[a]; ok {
-			return
-		}
-		b.lookup[a] = struct{}{}
-	}
-	b.arcs = append(b.arcs, a)
-}
-
-// ensureLookup builds the arc index on first use and folds out any
-// duplicates already sitting in the log.
-func (b *Builder) ensureLookup() {
-	if b.lookup != nil {
-		return
-	}
-	b.lookup = make(map[uint64]struct{}, len(b.arcs))
-	w := 0
-	for _, a := range b.arcs {
-		if _, ok := b.lookup[a]; ok {
-			continue
-		}
-		b.lookup[a] = struct{}{}
-		b.arcs[w] = a
-		w++
-	}
-	b.arcs = b.arcs[:w]
-}
-
-// HasEdge reports whether the arc (u, v) has been added. The first call
-// builds a hash index over the arcs added so far; construction paths that
-// never query membership never pay for it.
-func (b *Builder) HasEdge(u, v NodeID) bool {
-	b.ensureLookup()
-	_, ok := b.lookup[packArc(u, v)]
-	return ok
-}
-
-// NumEdges returns the number of distinct directed arcs added so far. For an
-// undirected graph each edge counts twice (both orientations).
-func (b *Builder) NumEdges() int {
-	b.ensureLookup()
-	return len(b.lookup)
-}
-
 // Clone returns a deep copy of the builder.
 func (b *Builder) Clone() *Builder {
-	c := &Builder{n: b.n, directed: b.directed, arcs: slices.Clone(b.arcs)}
-	return c
+	return &Builder{n: b.n, directed: b.directed, arcs: slices.Clone(b.arcs)}
 }
 
 // Freeze compacts the arc log into an immutable CSR graph: one counting
@@ -323,9 +272,9 @@ var (
 // A churn or fade epoch (see dynamic.go) is an overlay instead: its cores
 // stay unbuilt, Row and HasUnreliableEdge read it off its schedule's base
 // cores, and the first reader that needs whole cores or EdgeIDs (G, GPrime,
-// ReliableOut, UnreliableOut, NumUnreliable, UnreliableEdges,
-// UnreliableEdge, UnreliableEdgeID, Classical, Eccentricity) builds G and
-// the fringe once, safely under concurrent callers.
+// NumUnreliable, UnreliableEdges, UnreliableEdge, UnreliableEdgeID,
+// Eccentricity) builds G and the fringe once, safely under concurrent
+// callers.
 type Dual struct {
 	g      *Graph
 	source NodeID
@@ -605,16 +554,6 @@ func (d *Dual) rows(k RowKind) *Graph {
 	return in.Load()
 }
 
-// ReliableOut returns u's out-neighbours along reliable edges, sorted
-// ascending (a view into the CSR core; an overlay epoch builds its cores
-// first, so hot paths read Row instead).
-func (d *Dual) ReliableOut(u NodeID) []NodeID { return d.cores().g.Out(u) }
-
-// UnreliableOut returns u's out-neighbours along edges of G' \ G, the edges
-// the adversary controls, sorted ascending (a view into the CSR core; an
-// overlay epoch builds its cores first, so hot paths read Row instead).
-func (d *Dual) UnreliableOut(u NodeID) []NodeID { return d.cores().fringe.Out(u) }
-
 // NumUnreliable returns the number of unreliable arcs |E' \ E| (and hence
 // the exclusive upper bound on EdgeID values).
 func (d *Dual) NumUnreliable() int { return len(d.cores().fringe.targets) }
@@ -659,10 +598,6 @@ func (d *Dual) HasUnreliableEdge(u, v NodeID) bool {
 	}
 	return d.fringe.HasEdge(u, v)
 }
-
-// Classical reports whether G = G', i.e. the network has no unreliable edges
-// and behaves exactly like the classical static radio model.
-func (d *Dual) Classical() bool { return d.NumUnreliable() == 0 }
 
 // Eccentricity returns the maximum G-distance from the source, i.e. the
 // source eccentricity (a lower bound on broadcast time).

@@ -29,11 +29,12 @@ func TestUndirectedAddsBothArcs(t *testing.T) {
 	if err := g.AddEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge(0, 2) || !g.HasEdge(2, 0) {
+	fz := g.Freeze()
+	if !fz.HasEdge(0, 2) || !fz.HasEdge(2, 0) {
 		t.Fatal("undirected edge must exist in both directions")
 	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("want 2 arcs, got %d", g.NumEdges())
+	if fz.NumEdges() != 2 {
+		t.Fatalf("want 2 arcs, got %d", fz.NumEdges())
 	}
 }
 
@@ -42,10 +43,11 @@ func TestDirectedAddsOneArc(t *testing.T) {
 	if err := g.AddEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge(0, 2) {
+	fz := g.Freeze()
+	if !fz.HasEdge(0, 2) {
 		t.Fatal("arc (0,2) missing")
 	}
-	if g.HasEdge(2, 0) {
+	if fz.HasEdge(2, 0) {
 		t.Fatal("directed graph must not add reverse arc")
 	}
 }
@@ -54,10 +56,11 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 	g := NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(0, 1)
-	if g.NumEdges() != 2 {
-		t.Fatalf("duplicate edge changed edge count: %d", g.NumEdges())
+	fz := g.Freeze()
+	if fz.NumEdges() != 2 {
+		t.Fatalf("duplicate edge changed edge count: %d", fz.NumEdges())
 	}
-	if out := g.Freeze().Out(0); len(out) != 1 {
+	if out := fz.Out(0); len(out) != 1 {
 		t.Fatalf("duplicate edge duplicated adjacency: %v", out)
 	}
 }
@@ -153,6 +156,12 @@ func TestSubtractReportsFirstMissingArc(t *testing.T) {
 	}
 }
 
+// unrel returns u's row of G' \ G.
+func unrel(d *Dual, u NodeID) []NodeID {
+	_, row := d.UnreliableEdges(u)
+	return row
+}
+
 func TestUnreliableOutComputed(t *testing.T) {
 	g := NewBuilder(3, false)
 	g.MustAddEdge(0, 1)
@@ -163,13 +172,13 @@ func TestUnreliableOutComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.UnreliableOut(0); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("UnreliableOut(0) = %v, want [2]", got)
+	if got := unrel(d, 0); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("unreliable row 0 = %v, want [2]", got)
 	}
-	if got := d.UnreliableOut(1); len(got) != 0 {
-		t.Fatalf("UnreliableOut(1) = %v, want empty", got)
+	if got := unrel(d, 1); len(got) != 0 {
+		t.Fatalf("unreliable row 1 = %v, want empty", got)
 	}
-	if d.Classical() {
+	if d.NumUnreliable() == 0 {
 		t.Fatal("dual with extra G' edge must not be classical")
 	}
 }
@@ -179,7 +188,7 @@ func TestClassicalDual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Classical() {
+	if d.NumUnreliable() != 0 {
 		t.Fatal("Line must be classical")
 	}
 	if d.Eccentricity() != 5 {
@@ -194,7 +203,7 @@ func TestCliqueBridgeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := ReceiverNode(n)
-	if got := d.ReliableOut(r); len(got) != 1 || got[0] != BridgeNode {
+	if got := d.G().Out(r); len(got) != 1 || got[0] != BridgeNode {
 		t.Fatalf("receiver reliable neighbours = %v, want [bridge]", got)
 	}
 	// Clique: every node in C has n-2 reliable neighbours except the bridge.
@@ -203,13 +212,13 @@ func TestCliqueBridgeShape(t *testing.T) {
 		if NodeID(u) == BridgeNode {
 			want = n - 1
 		}
-		if got := len(d.ReliableOut(NodeID(u))); got != want {
+		if got := len(d.G().Out(NodeID(u))); got != want {
 			t.Errorf("node %d reliable degree = %d, want %d", u, got, want)
 		}
 	}
 	// G' complete: every node has n-1 out-neighbours in total.
 	for u := 0; u < n; u++ {
-		total := len(d.ReliableOut(NodeID(u))) + len(d.UnreliableOut(NodeID(u)))
+		total := len(d.G().Out(NodeID(u))) + len(unrel(d, NodeID(u)))
 		if total != n-1 {
 			t.Errorf("node %d total degree = %d, want %d", u, total, n-1)
 		}
@@ -232,19 +241,19 @@ func TestCompleteLayeredShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Source connects exactly to layer 1.
-	if got := d.ReliableOut(0); len(got) != 2 {
+	if got := d.G().Out(0); len(got) != 2 {
 		t.Fatalf("source reliable neighbours = %v, want layer 1 (2 nodes)", got)
 	}
 	// Distance of layer k nodes is k.
 	dist := d.G().DistancesFrom(0)
 	for v := 1; v < n; v++ {
-		if dist[v] != Layer(NodeID(v)) {
-			t.Errorf("dist[%d] = %d, want layer %d", v, dist[v], Layer(NodeID(v)))
+		if layer := (v + 1) / 2; dist[v] != layer {
+			t.Errorf("dist[%d] = %d, want layer %d", v, dist[v], layer)
 		}
 	}
 	// G' complete.
 	for u := 0; u < n; u++ {
-		total := len(d.ReliableOut(NodeID(u))) + len(d.UnreliableOut(NodeID(u)))
+		total := len(d.G().Out(NodeID(u))) + len(unrel(d, NodeID(u)))
 		if total != n-1 {
 			t.Errorf("node %d total degree = %d, want %d", u, total, n-1)
 		}
@@ -274,18 +283,6 @@ func TestCompleteLayeredRejectsEven(t *testing.T) {
 	}
 	if _, err := CompleteLayered(3); err == nil {
 		t.Fatal("expected error for n=3")
-	}
-}
-
-func TestLayerIndices(t *testing.T) {
-	cases := []struct {
-		v    NodeID
-		want int
-	}{{0, 0}, {1, 1}, {2, 1}, {3, 2}, {4, 2}, {7, 4}, {8, 4}}
-	for _, c := range cases {
-		if got := Layer(c.v); got != c.want {
-			t.Errorf("Layer(%d) = %d, want %d", c.v, got, c.want)
-		}
 	}
 }
 
@@ -322,7 +319,7 @@ func TestGridShape(t *testing.T) {
 		t.Fatalf("n = %d, want 20", d.N())
 	}
 	// Interior node has reliable degree 4.
-	if got := len(d.ReliableOut(NodeID(1*5 + 2))); got != 4 {
+	if got := len(d.G().Out(NodeID(1*5 + 2))); got != 4 {
 		t.Fatalf("interior reliable degree = %d, want 4", got)
 	}
 }
@@ -347,12 +344,12 @@ func TestDirectedLayered(t *testing.T) {
 	}
 	// Layer 2 nodes have no outgoing edges.
 	for v := 3; v < 6; v++ {
-		if len(d.ReliableOut(NodeID(v))) != 0 || len(d.UnreliableOut(NodeID(v))) != 0 {
+		if len(d.G().Out(NodeID(v))) != 0 || len(unrel(d, NodeID(v))) != 0 {
 			t.Errorf("sink node %d has outgoing edges", v)
 		}
 	}
 	// Source has unreliable shortcuts to layer 2.
-	if got := len(d.UnreliableOut(0)); got != 3 {
+	if got := len(unrel(d, 0)); got != 3 {
 		t.Fatalf("source unreliable out = %d, want 3", got)
 	}
 }
@@ -383,7 +380,7 @@ func propertyDualInvariants(t *testing.T, d *Dual) {
 	n := d.N()
 	for u := 0; u < n; u++ {
 		seen := make(map[NodeID]bool)
-		for _, v := range d.ReliableOut(NodeID(u)) {
+		for _, v := range d.G().Out(NodeID(u)) {
 			if !d.GPrime().HasEdge(NodeID(u), v) {
 				t.Fatalf("reliable edge (%d,%d) missing from G'", u, v)
 			}
@@ -392,7 +389,7 @@ func propertyDualInvariants(t *testing.T, d *Dual) {
 			}
 			seen[v] = true
 		}
-		for _, v := range d.UnreliableOut(NodeID(u)) {
+		for _, v := range unrel(d, NodeID(u)) {
 			if d.G().HasEdge(NodeID(u), v) {
 				t.Fatalf("unreliable list contains reliable edge (%d,%d)", u, v)
 			}

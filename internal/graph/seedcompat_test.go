@@ -64,7 +64,7 @@ func assertDualMatchesRef(t *testing.T, d *Dual, g, gp *refGraph) {
 	}
 	for u := 0; u < g.n; u++ {
 		wantRel := g.sortedOut(NodeID(u))
-		gotRel := d.ReliableOut(NodeID(u))
+		gotRel := d.G().Out(NodeID(u))
 		if len(gotRel) != len(wantRel) {
 			t.Fatalf("node %d: reliable row %v, want %v", u, gotRel, wantRel)
 		}
@@ -79,7 +79,7 @@ func assertDualMatchesRef(t *testing.T, d *Dual, g, gp *refGraph) {
 				wantUnrel = append(wantUnrel, v)
 			}
 		}
-		gotUnrel := d.UnreliableOut(NodeID(u))
+		gotUnrel := unrel(d, NodeID(u))
 		if len(gotUnrel) != len(wantUnrel) {
 			t.Fatalf("node %d: unreliable row %v, want %v", u, gotUnrel, wantUnrel)
 		}
@@ -279,7 +279,7 @@ func TestLayeredRandomMatchesSeedImplementation(t *testing.T) {
 
 // TestBuilderMatchesSeedSemantics drives a Builder and the reference map
 // graph through the same random edge insertions (with duplicates and
-// interleaved membership queries) and checks the frozen CSR agrees.
+// interleaved freezes) and checks the frozen CSR agrees.
 func TestBuilderMatchesSeedSemantics(t *testing.T) {
 	for _, seed := range []int64{1, 13} {
 		rng := rand.New(rand.NewSource(seed))
@@ -294,14 +294,11 @@ func TestBuilderMatchesSeedSemantics(t *testing.T) {
 			}
 			b.MustAddEdge(u, v)
 			ref.addEdge(u, v)
-			if i%17 == 0 { // interleave queries to force the lookup index
-				if b.HasEdge(u, v) != ref.hasEdge(u, v) {
-					t.Fatalf("HasEdge(%d,%d) diverged", u, v)
+			if i%17 == 0 { // interleave freezes: the builder stays usable
+				if fz := b.Freeze(); fz.NumEdges() != len(ref.edges) || !fz.HasEdge(u, v) {
+					t.Fatalf("mid-build freeze diverged after (%d,%d)", u, v)
 				}
 			}
-		}
-		if b.NumEdges() != len(ref.edges) {
-			t.Fatalf("NumEdges = %d, want %d", b.NumEdges(), len(ref.edges))
 		}
 		fz := b.Freeze()
 		if fz.NumEdges() != len(ref.edges) {
@@ -324,5 +321,98 @@ func TestBuilderMatchesSeedSemantics(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refCompleteLayered replays the seed CompleteLayered loops verbatim.
+func refCompleteLayered(n int) (*refGraph, *refGraph) {
+	g := newRefGraph(n)
+	layers := (n - 1) / 2
+	layerOf := func(k int) []NodeID {
+		if k == 0 {
+			return []NodeID{0}
+		}
+		return []NodeID{NodeID(2*k - 1), NodeID(2 * k)}
+	}
+	for k := 0; k <= layers; k++ {
+		cur := layerOf(k)
+		for i := 0; i < len(cur); i++ {
+			for j := i + 1; j < len(cur); j++ {
+				g.addEdge(cur[i], cur[j])
+			}
+		}
+		if k < layers {
+			for _, u := range cur {
+				for _, v := range layerOf(k + 1) {
+					g.addEdge(u, v)
+				}
+			}
+		}
+	}
+	gp := newRefGraph(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			gp.addEdge(NodeID(u), NodeID(v))
+		}
+	}
+	return g, gp
+}
+
+func TestCompleteLayeredMatchesSeedImplementation(t *testing.T) {
+	for _, n := range []int{5, 7, 9, 17, 33, 257} {
+		d, err := CompleteLayered(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, gp := refCompleteLayered(n)
+		assertDualMatchesRef(t, d, g, gp)
+	}
+}
+
+// refDirectedLayered replays the seed DirectedLayered loops verbatim: G
+// points each layer at the next, G' additionally at every later layer.
+func refDirectedLayered(layerSizes []int) (*refGraph, *refGraph) {
+	n := 1
+	for _, s := range layerSizes {
+		n += s
+	}
+	g, gp := newRefGraph(n), newRefGraph(n)
+	layers := [][]NodeID{{0}}
+	next := 1
+	for _, s := range layerSizes {
+		cur := make([]NodeID, 0, s)
+		for i := 0; i < s; i++ {
+			cur = append(cur, NodeID(next))
+			next++
+		}
+		layers = append(layers, cur)
+	}
+	for k := 0; k+1 < len(layers); k++ {
+		for _, u := range layers[k] {
+			for _, v := range layers[k+1] {
+				g.addArc(u, v)
+				gp.addArc(u, v)
+			}
+			for j := k + 2; j < len(layers); j++ {
+				for _, v := range layers[j] {
+					gp.addArc(u, v)
+				}
+			}
+		}
+	}
+	return g, gp
+}
+
+func TestDirectedLayeredMatchesSeedImplementation(t *testing.T) {
+	for _, sizes := range [][]int{{1}, {2, 3}, {3, 1, 4}} {
+		d, err := DirectedLayered(sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Directed() {
+			t.Fatalf("DirectedLayered(%v) is undirected", sizes)
+		}
+		g, gp := refDirectedLayered(sizes)
+		assertDualMatchesRef(t, d, g, gp)
 	}
 }

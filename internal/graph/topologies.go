@@ -88,45 +88,36 @@ func ReceiverNode(n int) NodeID { return NodeID(n - 1) }
 // (layer L0); layer Lk = {2k-1, 2k} for k = 1..(n-1)/2. G connects the
 // source to L1, all nodes within a layer, and all nodes in consecutive
 // layers; G' is the complete graph. n must be odd and at least 5 so that
-// the layers pair up exactly.
+// the layers pair up exactly. It is LayeredRandom with every layer of size 2.
 func CompleteLayered(n int) (*Dual, error) {
 	if n < 5 || n%2 == 0 {
 		return nil, fmt.Errorf("complete-layered needs odd n >= 5, got %d", n)
 	}
-	g := NewBuilder(n, false)
-	layers := (n - 1) / 2
-	layerOf := func(k int) []NodeID {
-		if k == 0 {
-			return []NodeID{0}
-		}
-		return []NodeID{NodeID(2*k - 1), NodeID(2 * k)}
+	sizes := make([]int, (n-1)/2)
+	for k := range sizes {
+		sizes[k] = 2
 	}
-	for k := 0; k <= layers; k++ {
-		cur := layerOf(k)
-		for i := 0; i < len(cur); i++ {
-			for j := i + 1; j < len(cur); j++ {
-				g.MustAddEdge(cur[i], cur[j])
-			}
-		}
-		if k < layers {
-			for _, u := range cur {
-				for _, v := range layerOf(k + 1) {
-					g.MustAddEdge(u, v)
-				}
-			}
-		}
-	}
-	gp := completeBuilder(n)
-	return NewDual(g, gp, 0)
+	return LayeredRandom(sizes)
 }
 
-// Layer returns the Theorem 12 layer index of a node in a CompleteLayered
-// network (0 for the source).
-func Layer(v NodeID) int {
-	if v == 0 {
-		return 0
+// splitLayers numbers the nodes layer by layer: the source alone in layer 0,
+// then consecutive runs of the given sizes. It returns the layers and the
+// node count.
+func splitLayers(layerSizes []int) ([][]NodeID, int, error) {
+	layers := [][]NodeID{{0}}
+	n := 1
+	for _, s := range layerSizes {
+		if s < 1 {
+			return nil, 0, fmt.Errorf("layer size must be positive, got %d", s)
+		}
+		layer := make([]NodeID, s)
+		for i := range layer {
+			layer[i] = NodeID(n + i)
+		}
+		layers = append(layers, layer)
+		n += s
 	}
-	return (int(v) + 1) / 2
+	return layers, n, nil
 }
 
 // LayeredRandom builds a dual graph made of consecutive fully connected
@@ -134,36 +125,25 @@ func Layer(v NodeID) int {
 // This is the layered-network shape used in the Section 7 intuition for
 // Harmonic Broadcast.
 func LayeredRandom(layerSizes []int) (*Dual, error) {
-	n := 1
-	for _, s := range layerSizes {
-		if s < 1 {
-			return nil, fmt.Errorf("layer size must be positive, got %d", s)
-		}
-		n += s
+	layers, n, err := splitLayers(layerSizes)
+	if err != nil {
+		return nil, err
 	}
 	g := NewBuilder(n, false)
-	prev := []NodeID{0}
-	next := 1
-	for _, s := range layerSizes {
-		cur := make([]NodeID, 0, s)
-		for i := 0; i < s; i++ {
-			cur = append(cur, NodeID(next))
-			next++
-		}
-		for i := 0; i < len(cur); i++ {
-			for j := i + 1; j < len(cur); j++ {
-				g.MustAddEdge(cur[i], cur[j])
+	for k := 1; k < len(layers); k++ {
+		cur := layers[k]
+		for i, u := range cur {
+			for _, v := range cur[i+1:] {
+				g.MustAddEdge(u, v)
 			}
 		}
-		for _, u := range prev {
+		for _, u := range layers[k-1] {
 			for _, v := range cur {
 				g.MustAddEdge(u, v)
 			}
 		}
-		prev = cur
 	}
-	gp := completeBuilder(n)
-	return NewDual(g, gp, 0)
+	return NewDual(g, completeBuilder(n), 0)
 }
 
 // Grid builds a rows x cols lattice whose lattice edges are reliable.
@@ -241,22 +221,33 @@ func RandomDual(n int, pReliable, pUnreliable float64, rng *rand.Rand) (*Dual, e
 	for i := 0; i+1 < n; i++ {
 		g.MustAddEdge(NodeID(perm[i]), NodeID(perm[i+1]))
 	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(NodeID(u), NodeID(v)) && rng.Float64() < pReliable {
-				g.MustAddEdge(NodeID(u), NodeID(v))
+	// addPairs draws one coin for every pair u < v outside have, in (u, v)
+	// order, and adds the pair to b on success. A pass visits each pair once
+	// and adds only the pair it visits, so have, b frozen before the pass,
+	// answers membership as b would at the visit. Row u of have is marked in
+	// a scratch array while u's pairs are drawn.
+	inHave := make([]bool, n)
+	addPairs := func(b *Builder, have *Graph, p float64) {
+		for u := 0; u < n; u++ {
+			row := have.Out(NodeID(u))
+			for _, v := range row {
+				inHave[v] = true
+			}
+			for v := u + 1; v < n; v++ {
+				if !inHave[v] && rng.Float64() < p {
+					b.MustAddEdge(NodeID(u), NodeID(v))
+				}
+			}
+			for _, v := range row {
+				inHave[v] = false
 			}
 		}
 	}
+	addPairs(g, g.Freeze(), pReliable)
+	fg := g.Freeze()
 	gp := g.Clone()
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !gp.HasEdge(NodeID(u), NodeID(v)) && rng.Float64() < pUnreliable {
-				gp.MustAddEdge(NodeID(u), NodeID(v))
-			}
-		}
-	}
-	return NewDual(g, gp, 0)
+	addPairs(gp, fg, pUnreliable)
+	return NewDualGraphs(fg, gp.Freeze(), 0)
 }
 
 // Geometric places n nodes uniformly at random in the unit square. Links
@@ -615,36 +606,21 @@ func PreferentialAttachment(n, m int, unreliableFrac float64, rng *rand.Rand) (*
 // forward edges from every layer to all later layers. Used to exercise the
 // directed-graph setting of the Section 5 upper bound.
 func DirectedLayered(layerSizes []int) (*Dual, error) {
-	n := 1
-	for _, s := range layerSizes {
-		if s < 1 {
-			return nil, fmt.Errorf("layer size must be positive, got %d", s)
-		}
-		n += s
+	layers, n, err := splitLayers(layerSizes)
+	if err != nil {
+		return nil, err
 	}
 	g := NewBuilder(n, true)
 	gp := NewBuilder(n, true)
-	var layers [][]NodeID
-	layers = append(layers, []NodeID{0})
-	next := 1
-	for _, s := range layerSizes {
-		cur := make([]NodeID, 0, s)
-		for i := 0; i < s; i++ {
-			cur = append(cur, NodeID(next))
-			next++
-		}
-		layers = append(layers, cur)
-	}
 	for k := 0; k+1 < len(layers); k++ {
+		next := layers[k+1]
 		for _, u := range layers[k] {
-			for _, v := range layers[k+1] {
+			for _, v := range next {
 				g.MustAddEdge(u, v)
-				gp.MustAddEdge(u, v)
 			}
-			for j := k + 2; j < len(layers); j++ {
-				for _, v := range layers[j] {
-					gp.MustAddEdge(u, v)
-				}
+			// The later layers are the nodes from the next layer's first on.
+			for v := next[0]; int(v) < n; v++ {
+				gp.MustAddEdge(u, v)
 			}
 		}
 	}

@@ -60,13 +60,15 @@ func Probe(d *graph.Dual, deliveryProb float64, cycles int, threshold float64, s
 	rng := rand.New(rand.NewSource(seed))
 	n := d.N()
 	counts := make(map[Arc]int)
+	g := d.G()
 	for cycle := 0; cycle < cycles; cycle++ {
 		for u := 0; u < n; u++ {
 			from := graph.NodeID(u)
-			for _, v := range d.ReliableOut(from) {
+			for _, v := range g.Out(from) {
 				counts[Arc{from, v}]++
 			}
-			for _, v := range d.UnreliableOut(from) {
+			_, unrel := d.UnreliableEdges(from)
+			for _, v := range unrel {
 				if rng.Float64() < deliveryProb {
 					counts[Arc{from, v}]++
 				}

@@ -105,7 +105,7 @@ func TestCulledDualValid(t *testing.T) {
 	// The culled reliable layer is a supergraph of G here (recall 1), so it
 	// must contain every true reliable arc.
 	for u := 0; u < d.N(); u++ {
-		for _, v := range d.ReliableOut(graph.NodeID(u)) {
+		for _, v := range d.G().Out(graph.NodeID(u)) {
 			if !culled.G().HasEdge(graph.NodeID(u), v) {
 				t.Fatalf("culled graph lost reliable arc (%d,%d)", u, v)
 			}

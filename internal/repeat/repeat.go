@@ -74,29 +74,6 @@ type Protocol interface {
 	NewProcess(id, n, m int, rng *rand.Rand) Process
 }
 
-// Adversary controls unreliable deliveries for the repeated engine. The
-// jam-greedy built-in mirrors adversary.GreedyCollider.
-type Adversary int
-
-// Built-in adversaries.
-const (
-	// Benign never uses unreliable edges.
-	Benign Adversary = iota + 1
-	// Greedy jams lone deliveries to nodes that lack the sent message.
-	Greedy
-)
-
-// String implements fmt.Stringer.
-func (a Adversary) String() string {
-	switch a {
-	case Benign:
-		return "benign"
-	case Greedy:
-		return "greedy"
-	}
-	return fmt.Sprintf("Adversary(%d)", int(a))
-}
-
 // Config parameterizes a repeated-broadcast run.
 type Config struct {
 	// Messages is the stream length M.
@@ -105,8 +82,6 @@ type Config struct {
 	MaxRounds int
 	// Seed drives protocol randomness.
 	Seed int64
-	// Adversary selects the delivery behaviour (default Greedy).
-	Adversary Adversary
 }
 
 // Result reports a repeated-broadcast execution.
@@ -127,9 +102,11 @@ type Result struct {
 // ErrBadConfig reports invalid run parameters.
 var ErrBadConfig = errors.New("invalid repeated-broadcast config")
 
-// Run executes the protocol on the dual graph network under the built-in
-// adversary with collision rule CR4 (silence resolution) and asynchronous
-// starts.
+// Run executes the protocol on the dual graph network with collision rule
+// CR4 (silence resolution) and asynchronous starts, under a built-in greedy
+// jammer that mirrors adversary.GreedyCollider: a non-sender reached by one
+// message it lacks also gets another sender's message over an unreliable
+// edge, when one exists, so the lone delivery collides.
 func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 	if cfg.Messages < 1 {
 		return nil, fmt.Errorf("%w: need at least 1 message", ErrBadConfig)
@@ -137,10 +114,7 @@ func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 	if cfg.MaxRounds < 1 {
 		return nil, fmt.Errorf("%w: need MaxRounds >= 1", ErrBadConfig)
 	}
-	if cfg.Adversary == 0 {
-		cfg.Adversary = Greedy
-	}
-	n := d.N()
+	n, g := d.N(), d.G()
 	procs := make([]Process, n)
 	for node := 0; node < n; node++ {
 		pid := node + 1
@@ -203,25 +177,23 @@ func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 		}
 		for _, s := range senders {
 			reaching[s] = append(reaching[s], s)
-			for _, v := range d.ReliableOut(s) {
+			for _, v := range g.Out(s) {
 				reaching[v] = append(reaching[v], s)
 			}
 		}
-		if cfg.Adversary == Greedy {
-			// Jam lone deliveries of messages the target does not know yet.
-			for u := 0; u < n; u++ {
-				if sent[u] || len(reaching[u]) != 1 {
-					continue
-				}
-				s := reaching[u][0]
-				if knows[u][sentMsg[s]] {
-					continue
-				}
-				for _, other := range senders {
-					if other != s && d.HasUnreliableEdge(other, graph.NodeID(u)) {
-						reaching[u] = append(reaching[u], other)
-						break
-					}
+		// Jam lone deliveries of messages the target does not know yet.
+		for u := 0; u < n; u++ {
+			if sent[u] || len(reaching[u]) != 1 {
+				continue
+			}
+			s := reaching[u][0]
+			if knows[u][sentMsg[s]] {
+				continue
+			}
+			for _, other := range senders {
+				if other != s && d.HasUnreliableEdge(other, graph.NodeID(u)) {
+					reaching[u] = append(reaching[u], other)
+					break
 				}
 			}
 		}

@@ -64,7 +64,7 @@ func TestSequentialRoundRobinCompletesOnLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(d, p, Config{Messages: m, MaxRounds: m * n * n, Seed: 1, Adversary: Benign})
+	res, err := Run(d, p, Config{Messages: m, MaxRounds: m * n * n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPipelinedRoundRobinCompletesOnLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(d, p, Config{Messages: m, MaxRounds: 20 * m * n * n, Seed: 1, Adversary: Benign})
+	res, err := Run(d, p, Config{Messages: m, MaxRounds: 20 * m * n * n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestPipelinedBeatsSequentialThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxRounds := 4 * m * budget
-	resSeq, err := Run(d, seq, Config{Messages: m, MaxRounds: maxRounds, Seed: 2, Adversary: Greedy})
+	resSeq, err := Run(d, seq, Config{Messages: m, MaxRounds: maxRounds, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPipe, err := Run(d, pipe, Config{Messages: m, MaxRounds: maxRounds, Seed: 2, Adversary: Greedy})
+	resPipe, err := Run(d, pipe, Config{Messages: m, MaxRounds: maxRounds, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestHarmonicVariantsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Protocol{seq, pipe} {
-		res, err := Run(d, p, Config{Messages: m, MaxRounds: 400 * n * m, Seed: 5, Adversary: Greedy})
+		res, err := Run(d, p, Config{Messages: m, MaxRounds: 400 * n * m, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +202,5 @@ func TestResultMetrics(t *testing.T) {
 			t.Fatalf("sequential per-message completions must be non-decreasing: %v", res.PerMessage)
 		}
 		last = r
-	}
-}
-
-func TestAdversaryString(t *testing.T) {
-	if Benign.String() != "benign" || Greedy.String() != "greedy" {
-		t.Fatal("adversary strings wrong")
 	}
 }

@@ -146,7 +146,7 @@ func usefulSenderSets(d *graph.Dual, holders uint64) [][]graph.NodeID {
 // transmissions are always collision-free). It runs in polynomial time at
 // any size; its length is an upper bound on broadcastability.
 func Greedy(d *graph.Dual) (Schedule, error) {
-	n := d.N()
+	n, g := d.N(), d.G()
 	holders := make([]bool, n)
 	holders[d.Source()] = true
 	covered := 1
@@ -158,7 +158,7 @@ func Greedy(d *graph.Dual) (Schedule, error) {
 				continue
 			}
 			gain := 0
-			for _, v := range d.ReliableOut(graph.NodeID(u)) {
+			for _, v := range g.Out(graph.NodeID(u)) {
 				if !holders[v] {
 					gain++
 				}
@@ -171,7 +171,7 @@ func Greedy(d *graph.Dual) (Schedule, error) {
 			return nil, ErrNoSchedule
 		}
 		sched = append(sched, []graph.NodeID{best})
-		for _, v := range d.ReliableOut(best) {
+		for _, v := range g.Out(best) {
 			if !holders[v] {
 				holders[v] = true
 				covered++

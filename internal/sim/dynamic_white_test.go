@@ -126,7 +126,7 @@ func TestMaterializeReachingOrder(t *testing.T) {
 				buf.deliverDense(s)
 			} else {
 				buf.addReach(s, s)
-				for _, v := range d.ReliableOut(s) {
+				for _, v := range d.G().Out(s) {
 					buf.addReach(v, s)
 				}
 			}

@@ -305,8 +305,8 @@ func (m mapDeliverer) DeliverInto(v *View, senders []graph.NodeID, sink *Deliver
 // like the map path and latches the first error.
 //
 // At DeliverInto time the sink's reach state holds exactly the round's
-// reliable deliveries (the reliable pass runs first), so Reached, Collided
-// and EachReachedOnce let an adversary read the reliable reception picture
+// reliable deliveries (the reliable pass runs first), so Reached and
+// EachReachedOnce let an adversary read the reliable reception picture
 // word-parallel instead of recounting it edge by edge; each Add folds its
 // delivery into that state immediately. The sink holds no per-node state of
 // its own: every delivery lands in the run's one per-round list.
@@ -354,9 +354,6 @@ func (ds *DeliverySink) addUnrel(s, v graph.NodeID) {
 // Reached reports whether at least one message (reliable, or already added
 // unreliable) reaches v this round.
 func (ds *DeliverySink) Reached(v graph.NodeID) bool { return ds.buf.reached(v) }
-
-// Collided reports whether two or more messages reach v this round.
-func (ds *DeliverySink) Collided(v graph.NodeID) bool { return ds.buf.collided(v) }
 
 // EachReachedOnce calls yield for every node v currently reached by exactly
 // one message, in ascending node order, with s the sender of that message;

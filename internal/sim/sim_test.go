@@ -326,7 +326,7 @@ func runRound1(t *testing.T, adv sim.Adversary) error {
 // reliableArc is the source's first reliable arc: a delivery the adversary
 // does not control.
 func reliableArc(v *sim.View) (s, t graph.NodeID) {
-	return 0, v.Dual.ReliableOut(0)[0]
+	return 0, v.Dual.G().Out(0)[0]
 }
 
 // reliableArcMap delivers reliableArc through the map form.

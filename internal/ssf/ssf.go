@@ -10,12 +10,11 @@
 // Füredi). This package provides the constructive Kautz–Singleton variant of
 // size O(k² log² n) built from Reed–Solomon superimposed codes — which the
 // paper notes costs only an extra sqrt(log n) factor in Strong Select — plus
-// the trivial round-robin (n,n)-SSF and randomized constructions with
-// verification for experimentation.
+// the trivial round-robin (n,n)-SSF, explicit families given set by set, and
+// exhaustive (Verify) and sampled (VerifyRandom) selectivity checks.
 package ssf
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -120,9 +119,6 @@ func (f *ReedSolomon) Size() int { return f.q * f.q }
 // FieldSize returns the prime q of the underlying field (diagnostics).
 func (f *ReedSolomon) FieldSize() int { return f.q }
 
-// CodeLength returns the polynomial coefficient count m (diagnostics).
-func (f *ReedSolomon) CodeLength() int { return f.m }
-
 // Contains implements Family. Set index s encodes the pair
 // (evaluation point i, symbol σ) as s = i*q + σ.
 func (f *ReedSolomon) Contains(set, id int) bool {
@@ -149,8 +145,8 @@ func (f *ReedSolomon) eval(x, point int) int {
 	return acc
 }
 
-// Explicit is a family given by explicit membership bitsets. It backs the
-// randomized construction and hand-built families in tests.
+// Explicit is a family given by explicit membership bitsets. It backs
+// hand-built families in tests.
 type Explicit struct {
 	n, k int
 	sets []bitset
@@ -192,43 +188,6 @@ func (e *Explicit) Contains(set, id int) bool {
 		return false
 	}
 	return e.sets[set].get(id - 1)
-}
-
-// ErrConstructionFailed is returned when the randomized construction cannot
-// produce a verified family within its retry budget.
-var ErrConstructionFailed = errors.New("randomized SSF construction failed verification")
-
-// NewRandomized samples an explicit family in the style of the existential
-// argument: size ~ c·k²·ln n sets, each including every identifier
-// independently with probability 1/k, retried until exhaustive verification
-// succeeds. Exhaustive verification is exponential in k, so this is only
-// suitable for small n and k (tests, ablations).
-func NewRandomized(n, k, retries int, rng *rand.Rand) (*Explicit, error) {
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("need 1 <= k <= n, got k=%d n=%d", k, n)
-	}
-	size := int(math.Ceil(3 * float64(k*k) * math.Log(float64(n)+1)))
-	if size < n {
-		sizeCap := n // never worse than round robin
-		if size > sizeCap {
-			size = sizeCap
-		}
-	}
-	for attempt := 0; attempt < retries; attempt++ {
-		e := &Explicit{n: n, k: k, sets: make([]bitset, size)}
-		for i := range e.sets {
-			e.sets[i] = newBitset(n)
-			for id := 0; id < n; id++ {
-				if rng.Float64() < 1/float64(k) {
-					e.sets[i].set(id)
-				}
-			}
-		}
-		if err := Verify(e, k); err == nil {
-			return e, nil
-		}
-	}
-	return nil, ErrConstructionFailed
 }
 
 // New returns the smallest available verified-by-construction (n,k)-SSF:

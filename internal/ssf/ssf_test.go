@@ -1,7 +1,6 @@
 package ssf
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,25 +187,6 @@ func TestVerifyRandomDetectsViolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if err := VerifyRandom(f, 2, 200, rng); err == nil {
 		t.Fatal("VerifyRandom must find the violation in a 2-element universe")
-	}
-}
-
-func TestRandomizedConstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f, err := NewRandomized(12, 2, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(f, 2); err != nil {
-		t.Fatalf("randomized construction returned unverified family: %v", err)
-	}
-}
-
-func TestRandomizedConstructionFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	// Zero retries must fail deterministically.
-	if _, err := NewRandomized(8, 2, 0, rng); !errors.Is(err, ErrConstructionFailed) {
-		t.Fatalf("want ErrConstructionFailed, got %v", err)
 	}
 }
 

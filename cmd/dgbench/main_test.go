@@ -104,7 +104,9 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 
 // TestMedianRoundsExperimentsGolden pins the full -quick -seed 1 output of
 // every sweep-document experiment that reports median rounds over Monte
-// Carlo trials, at worker counts 1, 2 and 8.
+// Carlo trials, and of the three experiments whose rows come from their own
+// drivers (repeated broadcast, the Lemma 1 reduction and the Theorem 2
+// game), at worker counts 1, 2 and 8.
 func TestMedianRoundsExperimentsGolden(t *testing.T) {
 	for _, id := range []string{
 		"table2-classical-decay",
@@ -113,6 +115,9 @@ func TestMedianRoundsExperimentsGolden(t *testing.T) {
 		"abl-harmonic-T",
 		"abl-adversary",
 		"ext-pref-attach",
+		"ext-repeated-broadcast",
+		"fig-lemma1",
+		"table1-thm2",
 	} {
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", id+".quick-seed1.golden"))

@@ -56,14 +56,15 @@ test-short:
 # scraped while instruments record; progress tracker fed from worker
 # goroutines), the adversary/exhaustive pair — the adaptive adversary is
 # shared across concurrent trials and forks per run via sim.RunForker, which
-# is exactly the kind of sharing the race detector should watch — and the
+# is exactly the kind of sharing the race detector should watch — the
 # graph layer, whose overlay epochs build their cores once under concurrent
-# first readers.
+# first readers, and the experiments with repeated broadcast, whose
+# concurrent engine.Map jobs share networks, algorithms and repeat protocols.
 # -short skips the single-threaded 100k-node stress sim, which the race
 # instrumentation would slow ~10x without exercising any concurrency, and
 # shrinks the service's slow-job fixtures.
 race:
-	$(GO) test -race -short ./internal/engine/... ./internal/sim/... ./internal/service/... ./internal/spec/... ./internal/checkpoint/... ./internal/metrics/... ./internal/progress/... ./internal/adversary/... ./internal/exhaustive/... ./internal/graph/...
+	$(GO) test -race -short ./internal/engine/... ./internal/sim/... ./internal/service/... ./internal/spec/... ./internal/checkpoint/... ./internal/metrics/... ./internal/progress/... ./internal/adversary/... ./internal/exhaustive/... ./internal/graph/... ./internal/expt/... ./internal/repeat/...
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,

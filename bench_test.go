@@ -245,7 +245,6 @@ func BenchmarkLemma1Reduction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := interference.FromDual(d)
 	b.Run("native", func(b *testing.B) {
 		total := 0
 		for i := 0; i < b.N; i++ {
@@ -253,7 +252,7 @@ func BenchmarkLemma1Reduction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, _, err := interference.Run(m, alg, sim.Config{Seed: int64(i), MaxRounds: 200000})
+			res, _, err := interference.Run(d, alg, sim.Config{Seed: int64(i), MaxRounds: 200000})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -262,7 +261,7 @@ func BenchmarkLemma1Reduction(b *testing.B) {
 		b.ReportMetric(float64(total)/float64(b.N), "rounds")
 	})
 	b.Run("reduction", func(b *testing.B) {
-		benchRun(b, m.Dual(), func() (sim.Algorithm, error) { return core.NewHarmonicForN(64, 0.02) },
+		benchRun(b, d, func() (sim.Algorithm, error) { return core.NewHarmonicForN(64, 0.02) },
 			interference.ReductionAdversary{}, sim.Config{Seed: 0, MaxRounds: 200000})
 	})
 }

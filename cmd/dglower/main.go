@@ -27,7 +27,7 @@ func run(args []string, w io.Writer) error {
 	var (
 		game    = fs.String("game", "thm2", "lower-bound game: thm2|thm4|thm12")
 		n       = fs.Int("n", 32, "network size (thm12 needs odd n with n-1 a power of two)")
-		algName = fs.String("alg", "round-robin", "deterministic algorithm: round-robin|strong-select (thm4: harmonic|uniform)")
+		algName = fs.String("alg", "", "algorithm: round-robin|strong-select for thm2 and thm12 (default round-robin), harmonic|uniform for thm4 (default harmonic)")
 		k       = fs.Int("k", 0, "round budget for thm4 (default n/3)")
 		trials  = fs.Int("trials", 200, "Monte-Carlo trials for thm4")
 		seed    = fs.Int64("seed", 1, "random seed (thm4)")
@@ -77,12 +77,12 @@ func run(args []string, w io.Writer) error {
 		var alg dualgraph.Algorithm
 		var err error
 		switch *algName {
-		case "harmonic", "round-robin": // round-robin default rewritten to harmonic for thm4
+		case "", "harmonic":
 			alg, err = dualgraph.NewHarmonicForN(*n, 0.1)
 		case "uniform":
 			alg, err = dualgraph.NewUniform(0.25)
 		default:
-			return fmt.Errorf("thm4 needs a randomized algorithm, got %q", *algName)
+			return fmt.Errorf("thm4 needs a randomized algorithm (harmonic|uniform), got %q", *algName)
 		}
 		if err != nil {
 			return err
@@ -101,7 +101,7 @@ func run(args []string, w io.Writer) error {
 
 func deterministicAlg(name string, n int) (dualgraph.Algorithm, error) {
 	switch name {
-	case "round-robin":
+	case "", "round-robin":
 		return dualgraph.NewRoundRobin(), nil
 	case "strong-select":
 		return dualgraph.NewStrongSelect(n)

@@ -49,6 +49,29 @@ func TestTheorem4Runs(t *testing.T) {
 	}
 }
 
+// TestAlgDefaultsPerGame checks that -alg defaults to round robin for the
+// deterministic games and to harmonic for thm4, and that thm4 refuses a
+// deterministic algorithm instead of running another one in its place.
+func TestAlgDefaultsPerGame(t *testing.T) {
+	if lines := runLines(t, "-game", "thm2", "-n", "8"); lines[0] != "Theorem 2 game: n=8 alg=round-robin" {
+		t.Errorf("thm2 default: line 0 = %q", lines[0])
+	}
+	if lines := runLines(t, "-game", "thm12", "-n", "9"); lines[0] != "Theorem 12 game: n=9 alg=round-robin" {
+		t.Errorf("thm12 default: line 0 = %q", lines[0])
+	}
+	lines := runLines(t, "-game", "thm4", "-n", "14", "-k", "5", "-trials", "20")
+	if !strings.HasSuffix(lines[0], "alg=harmonic(T=60)") {
+		t.Errorf("thm4 default: line 0 = %q", lines[0])
+	}
+	for _, alg := range []string{"round-robin", "strong-select"} {
+		var sb strings.Builder
+		err := run([]string{"-game", "thm4", "-n", "14", "-trials", "20", "-alg", alg}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "harmonic|uniform") || !strings.Contains(err.Error(), alg) {
+			t.Errorf("thm4 -alg %s: err = %v, want a harmonic|uniform error naming %s", alg, err, alg)
+		}
+	}
+}
+
 func TestUnknownGameFails(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-game", "nope"}, &sb); err == nil {

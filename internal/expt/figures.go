@@ -189,7 +189,7 @@ func figLemma1() Experiment {
 		fmt.Fprintln(tw, "n\talgorithm\trule\tnative rounds\treduced rounds\ttranscripts equal")
 		type job struct {
 			n    int
-			m    *interference.Model
+			d    *graph.Dual
 			alg  sim.Algorithm
 			rule sim.CollisionRule
 		}
@@ -198,16 +198,16 @@ func figLemma1() Experiment {
 			native, reduced  int
 			transcriptsEqual bool
 		}
-		// The topology, its interference model, and the algorithms are
-		// deterministic in (n, seed): build them once per n and share the
-		// read-only values across the six (alg, rule) jobs.
+		// The topology (read as the interference model G_T = G, G_I = G')
+		// and the algorithms are deterministic in (n, seed): build them once
+		// per n and share the read-only values across the six (alg, rule)
+		// jobs.
 		var jobs []job
 		for _, n := range []int{16, 32} {
 			d, err := registry.Topology("random", n, cfg.Seed, nil)
 			if err != nil {
 				return err
 			}
-			m := interference.FromDual(d)
 			ss, err := core.NewStrongSelect(n)
 			if err != nil {
 				return err
@@ -218,7 +218,7 @@ func figLemma1() Experiment {
 			}
 			for _, alg := range []sim.Algorithm{core.NewRoundRobin(), ss, h} {
 				for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR4} {
-					jobs = append(jobs, job{n: n, m: m, alg: alg, rule: rule})
+					jobs = append(jobs, job{n: n, d: d, alg: alg, rule: rule})
 				}
 			}
 		}
@@ -228,12 +228,12 @@ func figLemma1() Experiment {
 				Rule: j.rule, Start: sim.AsyncStart,
 				MaxRounds: strongSelectBudget(j.n), Seed: cfg.Seed,
 			}
-			native, transcript, err := interference.Run(j.m, j.alg, c)
+			native, transcript, err := interference.Run(j.d, j.alg, c)
 			if err != nil {
 				return row{}, err
 			}
 			// The reduced run must send exactly the native transcript.
-			reduced, err := sim.Start(graph.Static(j.m.Dual()), j.alg, interference.ReductionAdversary{}, c)
+			reduced, err := sim.Start(graph.Static(j.d), j.alg, interference.ReductionAdversary{}, c)
 			equal := true
 			for done := false; err == nil && !done; {
 				done, err = reduced.Step()

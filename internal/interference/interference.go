@@ -8,8 +8,6 @@
 package interference
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 
 	"dualgraph/internal/graph"
@@ -17,58 +15,20 @@ import (
 	"dualgraph/internal/sim"
 )
 
-// Model is an explicit-interference network: messages can only be conveyed
-// along G_T edges, while G_I \ G_T edges cause interference but can never
-// deliver a message. It is represented by the Lemma 1 dual graph with
-// G = G_T and G' = G_I; the fringe G' \ G holds the interference-only arcs.
-type Model struct {
-	source graph.NodeID
-	dual   *graph.Dual
-}
-
-// ErrNotSubgraph is returned when G_T is not a subgraph of G_I.
-var ErrNotSubgraph = errors.New("transmission graph is not a subgraph of the interference graph")
-
-// NewModel validates G_T ⊆ G_I and source reachability in G_T.
-func NewModel(gt, gi *graph.Builder, source graph.NodeID) (*Model, error) {
-	// The dual-graph constructor performs exactly the validations the
-	// explicit-interference model needs (subgraph, reachability, size).
-	d, err := graph.NewDual(gt, gi, source)
-	if err != nil {
-		if errors.Is(err, graph.ErrNotSubgraph) {
-			return nil, fmt.Errorf("%w: %v", ErrNotSubgraph, err)
-		}
-		return nil, err
-	}
-	return &Model{source: source, dual: d}, nil
-}
-
-// FromDual reinterprets a dual graph (G, G') as the explicit-interference
-// model (G_T = G, G_I = G').
-func FromDual(d *graph.Dual) *Model {
-	return &Model{source: d.Source(), dual: d}
-}
-
-// N returns the node count.
-func (m *Model) N() int { return m.dual.N() }
-
-// Source returns the source node.
-func (m *Model) Source() graph.NodeID { return m.source }
-
-// Dual returns the Lemma 1 dual graph (G = G_T, G' = G_I).
-func (m *Model) Dual() *graph.Dual { return m.dual }
-
-// Run executes alg natively in the explicit-interference model under the
-// Appendix A collision-rule semantics: every G_I message reaches its
-// endpoint, only G_T messages are receivable, a lone G_I-only message yields
-// silence, and CR4 collisions resolve to silence (matching the reduction
-// adversary). Processes are assigned to nodes by the identity mapping. With
-// the Result it returns the transcript, every played round's senders as
-// ascending node ids: the native reference of the Lemma 1 reduction. cfg is
-// resolved exactly as sim.Start resolves it, so a bad rule, start rule or
-// cap fails with sim.ErrBadConfig before round 1.
-func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID, error) {
-	n := m.N()
+// Run executes alg natively in the explicit-interference model given by the
+// Lemma 1 dual graph d (G = G_T, G' = G_I; graph.NewDual checks G_T ⊆ G_I and
+// source reachability), whose fringe G' \ G holds the interference-only arcs
+// that cause interference but never deliver. It follows the Appendix A
+// collision-rule semantics: every G_I message reaches its endpoint, only G_T
+// messages are receivable, a lone G_I-only message yields silence, and CR4
+// collisions resolve to silence (matching the reduction adversary).
+// Processes are assigned to nodes by the identity mapping. With the Result
+// it returns the transcript, every played round's senders as ascending node
+// ids: the native reference of the Lemma 1 reduction. cfg is resolved
+// exactly as sim.Start resolves it, so a bad rule, start rule or cap fails
+// with sim.ErrBadConfig before round 1.
+func Run(d *graph.Dual, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID, error) {
+	n := d.N()
 	cfg, err := cfg.Resolve(n)
 	if err != nil {
 		return nil, nil, err
@@ -86,7 +46,7 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.No
 		procs[node] = alg.NewProcess(pid, n, rng.Stream(cfg.Seed, rng.ProcStream(pid)))
 	}
 
-	src := m.source
+	src := d.Source()
 	hasMsg := make([]bool, n)
 	active := make([]bool, n)
 	firstRecv := make([]int, n)
@@ -135,11 +95,11 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.No
 			giCount[s]++
 			// G_I = G_T ∪ (G_I \ G_T): walk the dual's two CSR rows instead
 			// of testing G_T membership per G_I arc.
-			for _, v := range m.dual.Row(s, graph.Reliable, &row) {
+			for _, v := range d.Row(s, graph.Reliable, &row) {
 				giCount[v]++
 				gtReach[v] = append(gtReach[v], s)
 			}
-			for _, v := range m.dual.Row(s, graph.Unreliable, &row) {
+			for _, v := range d.Row(s, graph.Unreliable, &row) {
 				giCount[v]++
 			}
 		}
@@ -217,8 +177,8 @@ func nativeReception(
 // G_I-only edge (s, u) of a sender s exactly when some G_T-neighbour of u is
 // also transmitting, i.e. when the interference edge participates in a
 // collision; it never delivers messages through CR4 resolution. Running any
-// dual-graph algorithm on Model.Dual() with this adversary reproduces the
-// native explicit-interference execution exactly (Lemma 1).
+// dual-graph algorithm on the Lemma 1 dual graph with this adversary
+// reproduces the native explicit-interference execution exactly (Lemma 1).
 type ReductionAdversary struct{}
 
 var _ sim.Adversary = (*ReductionAdversary)(nil)

@@ -12,34 +12,14 @@ import (
 	"dualgraph/internal/sim"
 )
 
-func buildModel(t *testing.T, n int, seed int64) *interference.Model {
+func randomDual(t *testing.T, n int, seed int64) *graph.Dual {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d, err := graph.RandomDual(n, 0.15, 0.3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return interference.FromDual(d)
-}
-
-func TestNewModelValidation(t *testing.T) {
-	gt := graph.NewBuilder(3, false)
-	gt.MustAddEdge(0, 1)
-	gt.MustAddEdge(1, 2)
-	gi := graph.NewBuilder(3, false)
-	gi.MustAddEdge(0, 1) // missing (1,2)
-	if _, err := interference.NewModel(gt, gi, 0); !errors.Is(err, interference.ErrNotSubgraph) {
-		t.Fatalf("want ErrNotSubgraph, got %v", err)
-	}
-	gi.MustAddEdge(1, 2)
-	gi.MustAddEdge(0, 2)
-	m, err := interference.NewModel(gt, gi, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N() != 3 || m.Source() != 0 {
-		t.Fatal("model shape wrong")
-	}
+	return d
 }
 
 func TestInterferenceOnlyEdgeNeverDelivers(t *testing.T) {
@@ -51,11 +31,11 @@ func TestInterferenceOnlyEdgeNeverDelivers(t *testing.T) {
 	gt.MustAddEdge(1, 2)
 	gi := gt.Clone()
 	gi.MustAddEdge(0, 2)
-	m, err := interference.NewModel(gt, gi, 0)
+	d, err := graph.NewDual(gt, gi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := interference.Run(m, core.NewRoundRobin(), sim.Config{
+	res, _, err := interference.Run(d, core.NewRoundRobin(), sim.Config{
 		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, MaxRounds: 10,
 	})
 	if err != nil {
@@ -77,13 +57,13 @@ func TestInterferenceEdgeCausesCollision(t *testing.T) {
 	gt.MustAddEdge(0, 2)
 	gi := gt.Clone()
 	gi.MustAddEdge(1, 2)
-	m, err := interference.NewModel(gt, gi, 0)
+	d, err := graph.NewDual(gt, gi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Scripted: pids 1 and 3 transmit in round 1 (pid 3 spontaneously).
 	alg := scriptedSenders{rounds: map[int]map[int]bool{1: {1: true, 3: true}}}
-	res, _, err := interference.Run(m, alg, sim.Config{
+	res, _, err := interference.Run(d, alg, sim.Config{
 		Rule: sim.CR3, Start: sim.SyncStart, Seed: 1, MaxRounds: 1,
 	})
 	if err != nil {
@@ -126,10 +106,10 @@ func TestLemma1ReductionExactEquivalence(t *testing.T) {
 	}
 	rules := []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4}
 	for seed := int64(1); seed <= 3; seed++ {
-		m := buildModel(t, 20, seed)
+		d := randomDual(t, 20, seed)
 		for _, rule := range rules {
 			for _, mk := range algs {
-				alg, err := mk(m.N())
+				alg, err := mk(d.N())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,11 +119,11 @@ func TestLemma1ReductionExactEquivalence(t *testing.T) {
 					Seed:      seed * 1000,
 					MaxRounds: 4000,
 				}
-				native, nativeSenders, err := interference.Run(m, alg, cfg)
+				native, nativeSenders, err := interference.Run(d, alg, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reduced, reducedSenders := reducedRun(t, m, alg, cfg)
+				reduced, reducedSenders := reducedRun(t, d, alg, cfg)
 				if !reflect.DeepEqual(nativeSenders, reducedSenders) {
 					t.Fatalf("seed %d rule %v alg %s: transcripts differ", seed, rule, alg.Name())
 				}
@@ -161,8 +141,8 @@ func TestLemma1ReductionExactEquivalence(t *testing.T) {
 }
 
 func TestLemma1SyncStartEquivalence(t *testing.T) {
-	m := buildModel(t, 15, 9)
-	alg, err := core.NewStrongSelect(m.N())
+	d := randomDual(t, 15, 9)
+	alg, err := core.NewStrongSelect(d.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +152,23 @@ func TestLemma1SyncStartEquivalence(t *testing.T) {
 		Seed:      5,
 		MaxRounds: 3000,
 	}
-	native, nativeSenders, err := interference.Run(m, alg, cfg)
+	native, nativeSenders, err := interference.Run(d, alg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, reducedSenders := reducedRun(t, m, alg, cfg)
+	reduced, reducedSenders := reducedRun(t, d, alg, cfg)
 	if !reflect.DeepEqual(native.FirstReceive, reduced.FirstReceive) ||
 		!reflect.DeepEqual(nativeSenders, reducedSenders) {
 		t.Fatal("sync-start executions differ")
 	}
 }
 
-// reducedRun plays alg on the Lemma 1 dual graph of m under the reduction
+// reducedRun plays alg on the Lemma 1 dual graph d under the reduction
 // adversary, stepping it to done, and returns its Result with every played
 // round's senders.
-func reducedRun(t *testing.T, m *interference.Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID) {
+func reducedRun(t *testing.T, d *graph.Dual, alg sim.Algorithm, cfg sim.Config) (*sim.Result, [][]graph.NodeID) {
 	t.Helper()
-	run, err := sim.Start(graph.Static(m.Dual()), alg, interference.ReductionAdversary{}, cfg)
+	run, err := sim.Start(graph.Static(d), alg, interference.ReductionAdversary{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +183,12 @@ func reducedRun(t *testing.T, m *interference.Model, alg sim.Algorithm, cfg sim.
 }
 
 func TestNativeRunCompletes(t *testing.T) {
-	m := buildModel(t, 25, 3)
-	alg, err := core.NewHarmonicForN(m.N(), 0.05)
+	d := randomDual(t, 25, 3)
+	alg, err := core.NewHarmonicForN(d.N(), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := interference.Run(m, alg, sim.Config{Seed: 8, MaxRounds: 100000})
+	res, _, err := interference.Run(d, alg, sim.Config{Seed: 8, MaxRounds: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,23 +201,23 @@ func TestNativeRunCompletes(t *testing.T) {
 // exactly as sim.Start does: the same bad rules and cap fail with
 // sim.ErrBadConfig, and a zero config runs as its explicit defaults.
 func TestRunRejectsBadConfig(t *testing.T) {
-	m := buildModel(t, 8, 2)
+	d := randomDual(t, 8, 2)
 	for _, cfg := range []sim.Config{
 		{Rule: 5},
 		{Rule: -1},
 		{Start: 3},
 		{MaxRounds: -1},
 	} {
-		res, tr, err := interference.Run(m, core.NewRoundRobin(), cfg)
+		res, tr, err := interference.Run(d, core.NewRoundRobin(), cfg)
 		if !errors.Is(err, sim.ErrBadConfig) || res != nil || tr != nil {
 			t.Errorf("%+v: Run = %v, %v, %v; want ErrBadConfig", cfg, res, tr, err)
 		}
 	}
-	zero, _, err := interference.Run(m, core.NewRoundRobin(), sim.Config{Seed: 4})
+	zero, _, err := interference.Run(d, core.NewRoundRobin(), sim.Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, _, err := interference.Run(m, core.NewRoundRobin(), sim.Config{
+	explicit, _, err := interference.Run(d, core.NewRoundRobin(), sim.Config{
 		Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: 200*8*8 + 10000, Seed: 4,
 	})
 	if err != nil {

@@ -14,10 +14,10 @@ package lowerbound
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dualgraph/internal/adversary"
 	"dualgraph/internal/graph"
+	"dualgraph/internal/schedule"
 	"dualgraph/internal/sim"
 )
 
@@ -89,50 +89,20 @@ func RunTheorem2Game(n int, alg sim.Algorithm, maxRounds int) (*Theorem2Result, 
 	return res, nil
 }
 
-// witnessAlg is the omniscient schedule certifying 2-broadcastability of the
-// clique-bridge network: process 1 (at the source) transmits in round 1 and
-// the bridge process transmits in round 2.
-type witnessAlg struct {
-	bridgePid int
-}
-
-func (w witnessAlg) Name() string { return "witness" }
-
-func (w witnessAlg) NewProcess(id, n int, _ *rand.Rand) sim.Process {
-	return &witnessProc{id: id, bridgePid: w.bridgePid}
-}
-
-type witnessProc struct {
-	id        int
-	bridgePid int
-	has       bool
-}
-
-func (p *witnessProc) Start(_ int, hasMessage bool) { p.has = hasMessage }
-
-func (p *witnessProc) Decide(round int) bool {
-	if !p.has {
-		return false
-	}
-	return (round == 1 && p.id == 1) || (round == 2 && p.id == p.bridgePid)
-}
-
-func (p *witnessProc) Receive(_ int, r sim.Reception) {
-	if r.Kind == sim.Delivered && r.Broadcast {
-		p.has = true
-	}
-}
-
+// runTheorem2Witness plays the omniscient schedule certifying
+// 2-broadcastability of the clique-bridge network: the source transmits in
+// round 1 and the bridge in round 2. Theorem2 with bridge pid 2 puts pid 1 on
+// the source (node 0) and pid 2 on the bridge (node 1), the identity
+// assignment schedule.Alg assumes on those nodes.
 func runTheorem2Witness(d *graph.Dual, n int) (int, error) {
 	adv, err := adversary.NewTheorem2(n, 2)
 	if err != nil {
 		return 0, err
 	}
-	run, err := sim.Run(d, witnessAlg{bridgePid: 2}, adv, sim.Config{
+	run, err := sim.Run(d, schedule.Alg(schedule.Schedule{{d.Source()}, {graph.BridgeNode}}), adv, sim.Config{
 		Rule:      sim.CR1,
 		Start:     sim.SyncStart,
 		MaxRounds: 10,
-		Seed:      0,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("witness: %w", err)

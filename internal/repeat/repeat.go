@@ -21,38 +21,14 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
 	"dualgraph/internal/graph"
-	"dualgraph/internal/rng"
+	"dualgraph/internal/sim"
 )
 
 // Message is a sequence number 1..M.
 type Message int
-
-// Reception is what a process hears in one round of a repeated-broadcast
-// execution.
-type Reception struct {
-	// Kind reuses the single-message semantics: silence, delivery, or
-	// collision notification.
-	Kind Kind
-	// Msg is the delivered message when Kind == Delivered (0 otherwise).
-	Msg Message
-	// Own reports whether the delivery is the receiver's own transmission.
-	Own bool
-}
-
-// Kind classifies a reception.
-type Kind int
-
-// Reception kinds.
-const (
-	// Silence is ⊥.
-	Silence Kind = iota + 1
-	// Delivered is a received message.
-	Delivered
-	// Collision is ⊤.
-	Collision
-)
 
 // Process is one automaton of a repeated-broadcast protocol.
 type Process interface {
@@ -61,8 +37,10 @@ type Process interface {
 	Start(round int, initial []Message)
 	// Decide returns whether to transmit this round and which message.
 	Decide(round int) (send bool, msg Message)
-	// Receive delivers the round outcome.
-	Receive(round int, r Reception)
+	// Learn delivers a message the process did not know, received in the
+	// given round. Silence, collisions, the process's own transmissions and
+	// repeats of known messages carry nothing new and are not reported.
+	Learn(round int, msg Message)
 }
 
 // Protocol creates processes.
@@ -103,10 +81,12 @@ type Result struct {
 var ErrBadConfig = errors.New("invalid repeated-broadcast config")
 
 // Run executes the protocol on the dual graph network with collision rule
-// CR4 (silence resolution) and asynchronous starts, under a built-in greedy
-// jammer that mirrors adversary.GreedyCollider: a non-sender reached by one
-// message it lacks also gets another sender's message over an unreliable
-// edge, when one exists, so the lone delivery collides.
+// CR4 (silence resolution) and asynchronous starts, under a greedy jammer
+// that extends adversary.GreedyCollider to many messages: a non-sender
+// reached by one message it lacks also gets another sender's message over an
+// unreliable edge, when one exists, so the lone delivery collides. Every
+// round is a sim.Execution step; the protocol's processes run wrapped as
+// sim processes, identity-assigned (process id = node + 1).
 func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 	if cfg.Messages < 1 {
 		return nil, fmt.Errorf("%w: need at least 1 message", ErrBadConfig)
@@ -114,138 +94,154 @@ func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 	if cfg.MaxRounds < 1 {
 		return nil, fmt.Errorf("%w: need MaxRounds >= 1", ErrBadConfig)
 	}
-	n, g := d.N(), d.G()
-	procs := make([]Process, n)
-	for node := 0; node < n; node++ {
-		pid := node + 1
-		procs[node] = p.NewProcess(pid, n, cfg.Messages, rng.Stream(cfg.Seed, rng.ProcStream(pid)))
+	n, m := d.N(), cfg.Messages
+	r := &run{
+		p:       p,
+		n:       n,
+		m:       m,
+		sentMsg: make([]Message, n),
+		known:   make([]bool, n*m),
+		holders: make([]int, m),
+		learned: m,
+		res:     &Result{PerMessage: make([]int, m)},
 	}
-
-	src := d.Source()
-	active := make([]bool, n)
-	knows := make([]map[Message]bool, n)
-	for i := range knows {
-		knows[i] = make(map[Message]bool)
+	for i := range m {
+		r.known[int(d.Source())*m+i] = true
+		r.holders[i] = 1
+		r.res.PerMessage[i] = -1
 	}
-	initial := make([]Message, cfg.Messages)
-	for m := 1; m <= cfg.Messages; m++ {
-		initial[m-1] = Message(m)
-		knows[src][Message(m)] = true
+	ex, err := sim.Start(graph.Static(d), r, jammer{r: r}, sim.Config{
+		Rule:      sim.CR4,
+		Start:     sim.AsyncStart,
+		MaxRounds: cfg.MaxRounds,
+		Seed:      cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
-	procs[src].Start(1, initial)
-	active[src] = true
-
-	res := &Result{PerMessage: make([]int, cfg.Messages)}
-	for i := range res.PerMessage {
-		res.PerMessage[i] = -1
-	}
-	known := make([]int, cfg.Messages+1) // holders per message
-	for m := 1; m <= cfg.Messages; m++ {
-		known[m] = 1
-	}
-	totalNeeded := cfg.Messages * n
-	totalKnown := cfg.Messages
-
-	sentMsg := make([]Message, n)
-	sent := make([]bool, n)
-	reaching := make([][]graph.NodeID, n)
-
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		var senders []graph.NodeID
-		for i := range sent {
-			sent[i] = false
-		}
-		for node := 0; node < n; node++ {
-			if !active[node] {
-				continue
-			}
-			send, msg := procs[node].Decide(round)
-			if !send {
-				continue
-			}
-			if !knows[node][msg] {
-				return nil, fmt.Errorf("node %d transmitted unknown message %d in round %d", node, msg, round)
-			}
-			sent[node] = true
-			sentMsg[node] = msg
-			senders = append(senders, graph.NodeID(node))
-		}
-		res.Transmissions += len(senders)
-
-		for i := range reaching {
-			reaching[i] = reaching[i][:0]
-		}
-		for _, s := range senders {
-			reaching[s] = append(reaching[s], s)
-			for _, v := range g.Out(s) {
-				reaching[v] = append(reaching[v], s)
-			}
-		}
-		// Jam lone deliveries of messages the target does not know yet.
-		for u := 0; u < n; u++ {
-			if sent[u] || len(reaching[u]) != 1 {
-				continue
-			}
-			s := reaching[u][0]
-			if knows[u][sentMsg[s]] {
-				continue
-			}
-			for _, other := range senders {
-				if other != s && d.HasUnreliableEdge(other, graph.NodeID(u)) {
-					reaching[u] = append(reaching[u], other)
-					break
-				}
-			}
-		}
-
-		type delivery struct {
-			node graph.NodeID
-			msg  Message
-		}
-		var newKnown []delivery
-		for node := 0; node < n; node++ {
-			var rec Reception
-			switch {
-			case sent[node]:
-				rec = Reception{Kind: Delivered, Msg: sentMsg[node], Own: true}
-			case len(reaching[node]) == 0:
-				rec = Reception{Kind: Silence}
-			case len(reaching[node]) == 1:
-				from := reaching[node][0]
-				rec = Reception{Kind: Delivered, Msg: sentMsg[from]}
-			default:
-				rec = Reception{Kind: Silence} // CR4 resolved to silence
-			}
-			if rec.Kind == Delivered && !rec.Own && !knows[node][rec.Msg] {
-				newKnown = append(newKnown, delivery{graph.NodeID(node), rec.Msg})
-			}
-			switch {
-			case active[node]:
-				procs[node].Receive(round, rec)
-			case rec.Kind == Delivered:
-				procs[node].Start(round, nil)
-				active[node] = true
-				procs[node].Receive(round, rec)
-			}
-		}
-		for _, dlv := range newKnown {
-			knows[dlv.node][dlv.msg] = true
-			totalKnown++
-			known[dlv.msg]++
-			if known[dlv.msg] == n {
-				res.PerMessage[dlv.msg-1] = round
-			}
-		}
-		res.Rounds = round
-		if totalKnown == totalNeeded {
-			break
+	for done := false; !done; done = r.learned == n*m || ex.Round() == cfg.MaxRounds {
+		if _, err := ex.Step(); err != nil {
+			return nil, err
 		}
 	}
-	res.Completed = totalKnown == totalNeeded
+	res := r.res
+	res.Rounds = ex.Round()
+	res.Transmissions = ex.Result().Transmissions
+	res.Completed = r.learned == n*m
 	if res.Completed {
-		res.Throughput = float64(cfg.Messages) / float64(res.Rounds)
+		res.Throughput = float64(m) / float64(res.Rounds)
 	}
 	return res, nil
+}
+
+// run is the state one repeated-broadcast execution shares between its
+// processes and its jammer. It is the sim.Algorithm of the execution.
+type run struct {
+	p       Protocol
+	n, m    int
+	sentMsg []Message // per node: the message it sent in its last transmission
+	known   []bool    // known[node*m+msg-1]: node holds message msg
+	holders []int     // holders[msg-1]: nodes that hold message msg
+	learned int       // (node, message) pairs held
+	res     *Result
+	err     error // the first transmission of a message its sender lacks
+}
+
+// Name implements sim.Algorithm.
+func (r *run) Name() string { return r.p.Name() }
+
+// NewProcess implements sim.Algorithm: the jammer assigns process id to
+// node id-1, so the wrapper knows its node.
+func (r *run) NewProcess(id, n int, rng *rand.Rand) sim.Process {
+	return &proc{r: r, node: id - 1, p: r.p.NewProcess(id, n, r.m, rng)}
+}
+
+// knows reports whether node holds msg.
+func (r *run) knows(node int, msg Message) bool {
+	return msg >= 1 && int(msg) <= r.m && r.known[node*r.m+int(msg)-1]
+}
+
+// proc runs a protocol process as a sim process: it records the message of
+// each transmission, and on a delivery it teaches the receiver the sender's
+// message if that message is new to it.
+type proc struct {
+	r    *run
+	node int
+	p    Process
+}
+
+func (w *proc) Start(round int, hasMessage bool) {
+	var initial []Message
+	if hasMessage {
+		initial = make([]Message, w.r.m)
+		for i := range initial {
+			initial[i] = Message(i + 1)
+		}
+	}
+	w.p.Start(round, initial)
+}
+
+func (w *proc) Decide(round int) bool {
+	send, msg := w.p.Decide(round)
+	if send {
+		w.r.sentMsg[w.node] = msg
+		if !w.r.knows(w.node, msg) && w.r.err == nil {
+			w.r.err = fmt.Errorf("node %d transmitted unknown message %d in round %d", w.node, msg, round)
+		}
+	}
+	return send
+}
+
+// Receive ignores the receiver's own transmissions without a test of Own: a
+// sender holds what it sends, or the round has already failed.
+func (w *proc) Receive(round int, rec sim.Reception) {
+	r := w.r
+	msg := r.sentMsg[rec.From]
+	if rec.Kind != sim.Delivered || r.knows(w.node, msg) {
+		return
+	}
+	r.known[w.node*r.m+int(msg)-1] = true
+	r.learned++
+	if r.holders[msg-1]++; r.holders[msg-1] == r.n {
+		r.res.PerMessage[msg-1] = round
+	}
+	w.p.Learn(round, msg)
+}
+
+// jammer is GreedyCollider with a holder test per message: it jams a lone
+// delivery of a message its target lacks with the lowest other sender that
+// has an unreliable edge to the target, and resolves every CR4 collision to
+// silence. It also fails the round in which a process sent a message it
+// lacks.
+type jammer struct {
+	adversary.GreedyCollider
+	r *run
+}
+
+// Deliver implements sim.Adversary as the map form of DeliverInto.
+func (j jammer) Deliver(v *sim.View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+	return sim.DeliveryMap(j, v, senders)
+}
+
+// DeliverInto implements sim.BufferedDeliverer.
+func (j jammer) DeliverInto(v *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+	if j.r.err != nil {
+		sink.Fail(j.r.err)
+		return
+	}
+	sink.SilenceCollisions()
+	sink.EachReachedOnce(func(u, from graph.NodeID) bool {
+		if v.Sent[u] || j.r.knows(int(u), j.r.sentMsg[from]) {
+			return true
+		}
+		for _, w := range v.UnreliableIn(u) {
+			if v.Sent[w] && w != from {
+				sink.Add(w, u)
+				break
+			}
+		}
+		return true
+	})
 }
 
 // Sequential runs one single-message protocol per message, back to back,
@@ -319,13 +315,7 @@ func (p *sequentialProc) Decide(round int) (bool, Message) {
 	return (round-1)%p.n == p.id-1, msg
 }
 
-func (p *sequentialProc) Receive(round int, r Reception) {
-	if r.Kind == Delivered && !r.Own {
-		if _, ok := p.recv[r.Msg]; !ok {
-			p.recv[r.Msg] = round
-		}
-	}
-}
+func (p *sequentialProc) Learn(round int, msg Message) { p.recv[msg] = round }
 
 // Pipelined keeps all messages in flight: each node cycles through every
 // message it knows (so no message is starved even when deliveries arrive out
@@ -374,16 +364,13 @@ type pipelinedProc struct {
 
 func (p *pipelinedProc) Start(round int, initial []Message) {
 	for _, m := range initial {
-		p.learn(m, 0)
+		p.Learn(0, m)
 	}
 }
 
-func (p *pipelinedProc) learn(m Message, round int) {
-	if _, ok := p.recv[m]; ok {
-		return
-	}
-	p.recv[m] = round
-	p.order = append(p.order, m)
+func (p *pipelinedProc) Learn(round int, msg Message) {
+	p.recv[msg] = round
+	p.order = append(p.order, msg)
 }
 
 func (p *pipelinedProc) Decide(round int) (bool, Message) {
@@ -402,10 +389,4 @@ func (p *pipelinedProc) Decide(round int) (bool, Message) {
 		p.cursor = (p.cursor + 1) % len(p.order)
 	}
 	return send, msg
-}
-
-func (p *pipelinedProc) Receive(round int, r Reception) {
-	if r.Kind == Delivered && !r.Own {
-		p.learn(r.Msg, round)
-	}
 }

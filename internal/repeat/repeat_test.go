@@ -173,8 +173,8 @@ func (p liarProc) Decide(int) (bool, Message) {
 	return true, 1
 }
 
-func (liarProc) Start(int, []Message)   {}
-func (liarProc) Receive(int, Reception) {}
+func (liarProc) Start(int, []Message) {}
+func (liarProc) Learn(int, Message)   {}
 
 func TestResultMetrics(t *testing.T) {
 	n, m := 6, 2

@@ -103,23 +103,35 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestMedianRoundsExperimentsGolden pins the full -quick -seed 1 output of
-// every sweep-document experiment that reports median rounds over Monte
-// Carlo trials, and of the three experiments whose rows come from their own
-// drivers (repeated broadcast, the Lemma 1 reduction and the Theorem 2
-// game), at worker counts 1, 2 and 8. The Harmonic rows of repeated
-// broadcast are randomized: its processes draw from the same per-pid
-// SplitMix64 streams as the simulator's.
+// every registered experiment, byte for byte, at worker counts 1, 2 and 8:
+// the sweep-document experiments and those whose rows come from their own
+// jobs (games, schedules, exhaustive searches, repeated broadcast). The
+// Harmonic rows of repeated broadcast are randomized: its processes draw
+// from the same per-pid SplitMix64 streams as the simulator's.
 func TestMedianRoundsExperimentsGolden(t *testing.T) {
 	for _, id := range []string{
-		"table2-classical-decay",
-		"table2-dual-harmonic",
+		"abl-adversary",
 		"abl-collision-rules",
 		"abl-harmonic-T",
-		"abl-adversary",
+		"ext-adaptive",
+		"ext-broadcastability",
+		"ext-delta-select",
+		"ext-dynamic",
+		"ext-exhaustive",
+		"ext-link-culling",
 		"ext-pref-attach",
 		"ext-repeated-broadcast",
+		"fig-busy-rounds",
 		"fig-lemma1",
+		"fig-separation",
+		"fig-ssf-size",
+		"table1-classical-rr",
+		"table1-dual-strongselect",
+		"table1-thm12",
 		"table1-thm2",
+		"table2-classical-decay",
+		"table2-dual-harmonic",
+		"table2-thm4",
 	} {
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", id+".quick-seed1.golden"))

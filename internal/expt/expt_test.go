@@ -76,13 +76,10 @@ func minInt(a, b int) int {
 }
 
 // TestExperimentOutputWorkerCountInvariant is the engine port's golden
-// guarantee: every sweep-document experiment's rendered table must be
-// byte-identical whether its trials run on 1, 2 or 8 workers.
+// guarantee: every experiment's rendered table must be byte-identical
+// whether its trials or jobs run on 1, 2 or 8 workers.
 func TestExperimentOutputWorkerCountInvariant(t *testing.T) {
 	for _, e := range All() {
-		if e.quick == nil {
-			continue
-		}
 		render := func(workers int) string {
 			var buf bytes.Buffer
 			err := e.Run(Config{

@@ -58,8 +58,9 @@ test-short:
 # shared across concurrent trials and forks per run via sim.RunForker, which
 # is exactly the kind of sharing the race detector should watch — the
 # graph layer, whose overlay epochs build their cores once under concurrent
-# first readers, and the experiments with repeated broadcast, whose
-# concurrent engine.Map jobs share networks, algorithms and repeat protocols.
+# first readers, and the experiments with repeated broadcast, whose job
+# tables run their rows as concurrent engine.Map jobs that share networks,
+# algorithms and repeat protocols.
 # -short skips the single-threaded 100k-node stress sim, which the race
 # instrumentation would slow ~10x without exercising any concurrency, and
 # shrinks the service's slow-job fixtures.

@@ -116,7 +116,8 @@ func (te *trialError) get() error {
 // (typically via SeedFor, or by being a Trial's Execute). On error Map
 // returns the error of the lowest-indexed failing trial (wrapped with that
 // index) and stops claiming new batches; trials already claimed still
-// finish.
+// finish. A panic in fn fails its trial with a *TrialPanic naming the
+// index, like any other error, instead of taking the process down.
 //
 // Cancelling ctx stops the pool at batch granularity: workers finish the
 // batch they claimed and claim no more, and Map returns ctx.Err() (wrapped,
@@ -152,7 +153,7 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, e
 				return
 			}
 			for i := lo; i < min(lo+batch, n); i++ {
-				r, err := fn(i)
+				r, err := protect(fn, i)
 				if err != nil {
 					firstEr.record(i, err)
 					failed.Store(true)
@@ -169,6 +170,16 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, e
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	return results, nil
+}
+
+// protect runs fn(i), returning a panic in it as a *TrialPanic.
+func protect[T any](fn func(int) (T, error), i int) (r T, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &TrialPanic{Trial: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
 }
 
 // runPool runs work on workers goroutines and waits for all of them; a
@@ -256,14 +267,17 @@ func (t Trial) run(ctx context.Context, i int) (res *sim.Result, err error) {
 	return run.Result(), nil
 }
 
-// TrialPanic is the error of a trial whose run panicked. Trial and Seed
-// reproduce it: by the determinism contract, re-running the cell with sim
-// seed Seed replays the same execution up to the same panic.
+// TrialPanic is the error of a trial whose run panicked, or of a Map trial
+// whose fn panicked. For a run, Trial and Seed reproduce it: by the
+// determinism contract, re-running the cell with sim seed Seed replays the
+// same execution up to the same panic.
 type TrialPanic struct {
-	// Trial is the trial index within its cell (0 for a Run).
+	// Trial is the trial index within its cell (0 for a Run), or the index
+	// Map passed to the panicking fn.
 	Trial int
 	// Seed is the run's sim seed: SeedFor(cell seed, Trial) for Execute,
-	// the cell seed itself for Run.
+	// the cell seed itself for Run. It is set only for trial runs; a Map
+	// fn has no seed of its own, so Seed is zero there.
 	Seed int64
 	// Value is the value the run panicked with.
 	Value any
@@ -272,6 +286,9 @@ type TrialPanic struct {
 }
 
 func (p *TrialPanic) Error() string {
+	if p.Seed == 0 {
+		return fmt.Sprintf("trial %d panicked: %v", p.Trial, p.Value)
+	}
 	return fmt.Sprintf("trial %d (sim seed %d) panicked: %v", p.Trial, p.Seed, p.Value)
 }
 

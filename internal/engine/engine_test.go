@@ -106,6 +106,34 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapRecoversPanickingTrial: a panic in fn fails its trial with a
+// *TrialPanic naming the index, under the lowest-index rule, at any worker
+// count, instead of crashing the process.
+func TestMapRecoversPanickingTrial(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := engine.Map(context.Background(), 8, engine.Config{Workers: workers}, func(i int) (int, error) {
+			switch i {
+			case 3:
+				panic("boom")
+			case 6:
+				return 0, errBoom
+			}
+			return i, nil
+		})
+		var p *engine.TrialPanic
+		if !errors.As(err, &p) {
+			t.Fatalf("workers=%d: err = %v, want a *TrialPanic", workers, err)
+		}
+		if p.Trial != 3 || p.Seed != 0 || p.Value != "boom" || len(p.Stack) == 0 {
+			t.Fatalf("workers=%d: TrialPanic = {Trial %d, Seed %d, Value %v}; want {3, 0, boom} with a stack",
+				workers, p.Trial, p.Seed, p.Value)
+		}
+		if want := "engine: trial 3: trial 3 panicked: boom"; err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
+		}
+	}
+}
+
 func TestMapStopsClaimingAfterError(t *testing.T) {
 	var ran atomic.Int64
 	// 10000 trials on 4 workers claim 64-trial batches: trial 0's failure

@@ -6,11 +6,14 @@
 //
 // An experiment whose rows are scenario cells is a checked-in sweep
 // document, sweeps/<ID>.json, plus a row formatter over its cell summaries:
-// `dgsim -spec internal/expt/sweeps/<ID>.json` runs it at full size. The
-// games and the experiments whose rows are not scenario cells fan their
-// jobs out over the trial engine (internal/engine) directly. Every trial's
-// seed is a pure function of the experiment seed and the trial index, so
-// an experiment's table is byte-identical at any worker count.
+// `dgsim -spec internal/expt/sweeps/<ID>.json` runs it at full size. Every
+// other experiment — the games, schedules, searches and checks whose rows
+// are not scenario cells — is a job table: a list of jobs, and a row
+// function that runs one job and formats its table line, fanned out over
+// the trial engine (internal/engine) and written in job order. Every
+// trial's seed is a pure function of the experiment seed and the trial
+// index, and every row a pure function of the config and its job, so an
+// experiment's table is byte-identical at any worker count.
 package expt
 
 import (
@@ -146,6 +149,41 @@ func sweepExperiment(e Experiment, q quickTrim, rows func(tw io.Writer, cells []
 			return err
 		}
 		return tw.Flush()
+	}
+	return e
+}
+
+// jobExperiment returns e run as a job table: the banner, then row for
+// every job jobs lists, fanned out through one engine.Map, written in job
+// order as one table line each under the column header head, then the lines
+// of foot below the table. row returns an error where its job breaks a
+// bound the experiment checks; the lowest-index error fails the run before
+// any of the table is written.
+func jobExperiment[J any](e Experiment, head string, jobs func(Config) ([]J, error), row func(Config, J) (string, error), foot ...string) Experiment {
+	e.Run = func(cfg Config) error {
+		header(cfg.Out, e)
+		js, err := jobs(cfg)
+		if err != nil {
+			return err
+		}
+		rows, err := engine.Map(context.Background(), len(js), cfg.Engine, func(i int) (string, error) {
+			return row(cfg, js[i])
+		})
+		if err != nil {
+			return err
+		}
+		tw := newTable(cfg.Out)
+		fmt.Fprintln(tw, head)
+		for _, r := range rows {
+			fmt.Fprintln(tw, r)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+		for _, line := range foot {
+			fmt.Fprintln(cfg.Out, line)
+		}
+		return nil
 	}
 	return e
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dualgraph/internal/core"
 	"dualgraph/internal/engine"
@@ -96,6 +98,51 @@ func TestExperimentOutputWorkerCountInvariant(t *testing.T) {
 			if par := render(workers); seq != par {
 				t.Fatalf("%s output differs between 1 and %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s", e.ID, workers, seq, workers, par)
 			}
+		}
+	}
+}
+
+// TestJobExperiment pins the job-table runner: rows in job order under the
+// header, then the footnote lines; and on a failing job, the lowest-index
+// error (a panic included) with nothing of the table printed, at any worker
+// count.
+func TestJobExperiment(t *testing.T) {
+	e := Experiment{ID: "job-table", Title: "runner", PaperRef: "none"}
+	banner := "== job-table — runner\n   paper: none\n"
+	jobs := func(Config) ([]int, error) { return []int{0, 1, 2, 3, 4, 5}, nil }
+	ok := jobExperiment(e, "job\tsquare", jobs, func(_ Config, j int) (string, error) {
+		return fmt.Sprintf("%d\t%d", j, j*j), nil
+	}, "   (foot)")
+	failing := jobExperiment(e, "job", jobs, func(_ Config, j int) (string, error) {
+		switch j {
+		case 2, 4:
+			return "", fmt.Errorf("job %d broke its bound", j)
+		case 1:
+			time.Sleep(10 * time.Millisecond)
+		case 5:
+			panic("boom")
+		}
+		return "row", nil
+	})
+	broken := jobExperiment(e, "job", func(Config) ([]int, error) { return nil, errors.New("no jobs") },
+		func(Config, int) (string, error) { return "row", nil })
+	for _, workers := range []int{1, 4} {
+		run := func(e Experiment) (string, error) {
+			var buf bytes.Buffer
+			err := e.Run(Config{Out: &buf, Engine: engine.Config{Workers: workers}})
+			return buf.String(), err
+		}
+		out, err := run(ok)
+		want := banner + "job  square\n0    0\n1    1\n2    4\n3    9\n4    16\n5    25\n   (foot)\n"
+		if err != nil || out != want {
+			t.Fatalf("workers=%d: got %q, %v; want %q", workers, out, err, want)
+		}
+		out, err = run(failing)
+		if err == nil || err.Error() != "engine: trial 2: job 2 broke its bound" || out != banner {
+			t.Fatalf("workers=%d: got %q, %v; want the banner and job 2's error", workers, out, err)
+		}
+		if out, err = run(broken); err == nil || out != banner {
+			t.Fatalf("workers=%d: got %q, %v; want the banner and the job-list error", workers, out, err)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
-	"dualgraph/internal/engine"
 	"dualgraph/internal/exhaustive"
 	"dualgraph/internal/graph"
 	"dualgraph/internal/linkest"
@@ -23,233 +21,174 @@ import (
 // Clementi-Monti-Silvestri algorithm: knowing the interference in-degree Δ
 // beats Strong Select when Δ is small, and degenerates when Δ is large.
 func extDeltaSelect() Experiment {
-	e := Experiment{
+	type job struct {
+		topo string
+		n    int
+	}
+	return jobExperiment(Experiment{
 		ID:       "ext-delta-select",
 		Title:    "Δ-aware oblivious baseline vs Strong Select (Clementi et al. comparison)",
 		PaperRef: "Section 2.2, discussion of [11]: faster iff Δ = o(√(n/log n)), needs Δ",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		fmt.Fprintln(tw, "topology\tn\tΔ(G')\tdelta-select rounds\tstrong-select rounds\twinner")
-		type job struct {
-			topo string
-			n    int
-		}
-		type row struct {
-			nn, delta, dsRounds, ssRounds int
-		}
+	}, "topology\tn\tΔ(G')\tdelta-select rounds\tstrong-select rounds\twinner", func(cfg Config) ([]job, error) {
 		var jobs []job
 		for _, topo := range []string{"line", "geometric", "clique-bridge"} {
 			for _, n := range sweepSizes(cfg.Quick)[:2] {
 				jobs = append(jobs, job{topo, n})
 			}
 		}
-		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
-			j := jobs[i]
-			d, err := registry.Topology(j.topo, j.n, cfg.Seed, nil)
-			if err != nil {
-				return row{}, err
-			}
-			nn := d.N()
-			delta := d.GPrime().MaxInDegree()
-			ds, err := core.NewDeltaSelect(nn, delta)
-			if err != nil {
-				return row{}, err
-			}
-			ss, err := core.NewStrongSelect(nn)
-			if err != nil {
-				return row{}, err
-			}
-			budget := nn*ds.FamilySize() + strongSelectBudget(nn)
-			run := func(alg sim.Algorithm) (int, error) {
-				res, err := sim.Run(d, alg, greedy(), sim.Config{
-					Rule:      sim.CR4,
-					Start:     sim.AsyncStart,
-					MaxRounds: budget,
-					Seed:      cfg.Seed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				if !res.Completed {
-					return budget, nil
-				}
-				return res.Rounds, nil
-			}
-			dsRounds, err := run(ds)
-			if err != nil {
-				return row{}, err
-			}
-			ssRounds, err := run(ss)
-			if err != nil {
-				return row{}, err
-			}
-			return row{nn: nn, delta: delta, dsRounds: dsRounds, ssRounds: ssRounds}, nil
-		})
+		return jobs, nil
+	}, func(cfg Config, j job) (string, error) {
+		d, err := registry.Topology(j.topo, j.n, cfg.Seed, nil)
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, r := range rows {
-			winner := "delta-select"
-			if r.ssRounds < r.dsRounds {
-				winner = "strong-select"
+		nn := d.N()
+		delta := d.GPrime().MaxInDegree()
+		ds, err := core.NewDeltaSelect(nn, delta)
+		if err != nil {
+			return "", err
+		}
+		ss, err := core.NewStrongSelect(nn)
+		if err != nil {
+			return "", err
+		}
+		budget := nn*ds.FamilySize() + strongSelectBudget(nn)
+		run := func(alg sim.Algorithm) (int, error) {
+			res, err := sim.Run(d, alg, greedy(), sim.Config{
+				Rule:      sim.CR4,
+				Start:     sim.AsyncStart,
+				MaxRounds: budget,
+				Seed:      cfg.Seed,
+			})
+			if err != nil {
+				return 0, err
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\n",
-				jobs[i].topo, r.nn, r.delta, r.dsRounds, r.ssRounds, winner)
+			if !res.Completed {
+				return budget, nil
+			}
+			return res.Rounds, nil
 		}
-		return tw.Flush()
-	}
-	return e
+		dsRounds, err := run(ds)
+		if err != nil {
+			return "", err
+		}
+		ssRounds, err := run(ss)
+		if err != nil {
+			return "", err
+		}
+		winner := "delta-select"
+		if ssRounds < dsRounds {
+			winner = "strong-select"
+		}
+		return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%s", j.topo, nn, delta, dsRounds, ssRounds, winner), nil
+	})
 }
 
 // extRepeatedBroadcast measures the Section 8 future-work extension:
 // throughput of sequential vs pipelined repeated broadcast.
 func extRepeatedBroadcast() Experiment {
-	e := Experiment{
+	const n = 16
+	T := core.HarmonicT(n, 0.1)
+	// The per-message budget must cover the Theorem 18 w.h.p. bound:
+	// a message that misses its block can never be delivered later.
+	harmonicBudget := int(2 * float64(n*T) * stats.HarmonicNumber(n))
+	return jobExperiment(Experiment{
 		ID:       "ext-repeated-broadcast",
 		Title:    "repeated broadcast: sequential vs pipelined throughput",
 		PaperRef: "Section 8 (future work: repeated broadcast in dual graphs)",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		n, m := 16, 8
+	}, "protocol\tmessages\trounds\tthroughput (msg/round)\ttransmissions", func(Config) ([]repeat.Protocol, error) {
+		seq, err := repeat.NewSequential(3*n, false, 0)
+		if err != nil {
+			return nil, err
+		}
+		pipe, err := repeat.NewPipelined(false, 0)
+		if err != nil {
+			return nil, err
+		}
+		seqH, err := repeat.NewSequential(harmonicBudget, true, T)
+		if err != nil {
+			return nil, err
+		}
+		pipeH, err := repeat.NewPipelined(true, T)
+		if err != nil {
+			return nil, err
+		}
+		return []repeat.Protocol{seq, pipe, seqH, pipeH}, nil
+	}, func(cfg Config, p repeat.Protocol) (string, error) {
+		m := 8
 		if cfg.Quick {
 			m = 4
 		}
 		d, err := graph.CliqueBridge(n)
 		if err != nil {
-			return err
+			return "", err
 		}
-		budget := 3 * n
-		seq, err := repeat.NewSequential(budget, false, 0)
-		if err != nil {
-			return err
-		}
-		pipe, err := repeat.NewPipelined(false, 0)
-		if err != nil {
-			return err
-		}
-		T := core.HarmonicT(n, 0.1)
-		// The per-message budget must cover the Theorem 18 w.h.p. bound:
-		// a message that misses its block can never be delivered later.
-		harmonicBudget := int(2 * float64(n*T) * stats.HarmonicNumber(n))
-		seqH, err := repeat.NewSequential(harmonicBudget, true, T)
-		if err != nil {
-			return err
-		}
-		pipeH, err := repeat.NewPipelined(true, T)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tw, "protocol\tmessages\trounds\tthroughput (msg/round)\ttransmissions")
-		protocols := []repeat.Protocol{seq, pipe, seqH, pipeH}
-		results, err := engine.Map(context.Background(), len(protocols), cfg.Engine, func(i int) (*repeat.Result, error) {
-			res, err := repeat.Run(d, protocols[i], repeat.Config{
-				Messages:  m,
-				MaxRounds: 2 * m * harmonicBudget,
-				Seed:      cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !res.Completed {
-				return nil, fmt.Errorf("%s did not complete", protocols[i].Name())
-			}
-			return res, nil
+		res, err := repeat.Run(d, p, repeat.Config{
+			Messages:  m,
+			MaxRounds: 2 * m * harmonicBudget,
+			Seed:      cfg.Seed,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, res := range results {
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%.4f\t%d\n",
-				protocols[i].Name(), m, res.Rounds, res.Throughput, res.Transmissions)
+		if !res.Completed {
+			return "", fmt.Errorf("%s did not complete", p.Name())
 		}
-		return tw.Flush()
-	}
-	return e
+		return fmt.Sprintf("%s\t%d\t%d\t%.4f\t%d", p.Name(), m, res.Rounds, res.Throughput, res.Transmissions), nil
+	})
 }
 
 // extLinkCulling is the probe-then-betray experiment motivating the model:
 // ETX-style culling admits links that behave during probing, and protocols
 // that trust the culled topology break when those links turn adversarial.
 func extLinkCulling() Experiment {
-	e := Experiment{
+	return jobExperiment(Experiment{
 		ID:       "ext-link-culling",
 		Title:    "ETX-style culling vs worst-case links (probe, cull, betray)",
 		PaperRef: "Section 1 (gray zones, ETX [13]); the model's motivation",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
+	}, "probe delivery\tfalse positives\tprecision\ttreecast after betrayal\tstrong-select after betrayal", func(Config) ([]float64, error) {
+		return []float64{0.0, 0.5, 0.95}, nil
+	}, func(cfg Config, probeP float64) (string, error) {
 		// Fixed geometric deployment: a sparse reliable backbone under a
 		// dense gray zone, the regime where trusting culled links hurts.
 		d, err := graph.Geometric(30, 0.18, 0.8, newRng(9))
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintln(tw, "probe delivery\tfalse positives\tprecision\ttreecast after betrayal\tstrong-select after betrayal")
-		probePs := []float64{0.0, 0.5, 0.95}
-		type row struct {
-			falsePositives int
-			precision      float64
-			treeRes, ssRes *sim.Result
+		s, err := linkest.Probe(d, probeP, 200, 0.75, cfg.Seed)
+		if err != nil {
+			return "", err
 		}
-		rows, err := engine.Map(context.Background(), len(probePs), cfg.Engine, func(i int) (row, error) {
-			probeP := probePs[i]
-			s, err := linkest.Probe(d, probeP, 200, 0.75, cfg.Seed)
-			if err != nil {
-				return row{}, err
-			}
-			culled, err := s.CulledDual()
-			if err != nil {
-				return row{}, err
-			}
-			tc, err := core.NewTreeCast(culled.G(), culled.Source())
-			if err != nil {
-				return row{}, err
-			}
-			resTree, err := sim.Run(d, tc, adversary.Benign{}, sim.Config{
-				Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: 4 * d.N(), Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			ss, err := core.NewStrongSelect(d.N())
-			if err != nil {
-				return row{}, err
-			}
-			resSS, err := sim.Run(d, ss, adversary.Benign{}, sim.Config{
-				Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: strongSelectBudget(d.N()), Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			if !resSS.Completed {
-				return row{}, fmt.Errorf("strong select must survive the betrayal")
-			}
-			return row{
-				falsePositives: s.FalsePositives,
-				precision:      s.Precision(),
-				treeRes:        resTree,
-				ssRes:          resSS,
-			}, nil
+		culled, err := s.CulledDual()
+		if err != nil {
+			return "", err
+		}
+		tc, err := core.NewTreeCast(culled.G(), culled.Source())
+		if err != nil {
+			return "", err
+		}
+		resTree, err := sim.Run(d, tc, adversary.Benign{}, sim.Config{
+			Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: 4 * d.N(), Seed: cfg.Seed,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, r := range rows {
-			fmt.Fprintf(tw, "%.2f\t%d\t%.2f\t%s\t%s\n",
-				probePs[i], r.falsePositives, r.precision, verdict(r.treeRes), verdict(r.ssRes))
+		ss, err := core.NewStrongSelect(d.N())
+		if err != nil {
+			return "", err
 		}
-		if err := tw.Flush(); err != nil {
-			return err
+		resSS, err := sim.Run(d, ss, adversary.Benign{}, sim.Config{
+			Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: strongSelectBudget(d.N()), Seed: cfg.Seed,
+		})
+		if err != nil {
+			return "", err
 		}
-		fmt.Fprintln(cfg.Out, "   (betrayal: unreliable links deliver during probing, never afterwards)")
-		return nil
-	}
-	return e
+		if !resSS.Completed {
+			return "", fmt.Errorf("strong select must survive the betrayal")
+		}
+		return fmt.Sprintf("%.2f\t%d\t%.2f\t%s\t%s",
+			probeP, s.FalsePositives, s.Precision(), verdict(resTree), verdict(resSS)), nil
+	}, "   (betrayal: unreliable links deliver during probing, never afterwards)")
 }
 
 func verdict(res *sim.Result) string {
@@ -263,65 +202,44 @@ func verdict(res *sim.Result) string {
 // omniscient-schedule optimum against the rounds the algorithms actually
 // need, quantifying the price of not knowing the topology.
 func extBroadcastability() Experiment {
-	e := Experiment{
+	return jobExperiment(Experiment{
 		ID:       "ext-broadcastability",
 		Title:    "k-broadcastability: omniscient schedules vs oblivious algorithms",
 		PaperRef: "Section 3 (k-broadcastable networks); Theorem 2 witness",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		fmt.Fprintln(tw, "topology\tn\texact k\tgreedy k\teccentricity\tstrong-select rounds\tgap")
-		topos := []string{"clique-bridge", "line", "complete-layered", "random"}
-		type row struct {
-			n, exactK, greedyK, ecc, ssRounds int
+	}, "topology\tn\texact k\tgreedy k\teccentricity\tstrong-select rounds\tgap", func(Config) ([]string, error) {
+		return []string{"clique-bridge", "line", "complete-layered", "random"}, nil
+	}, func(cfg Config, topo string) (string, error) {
+		d, err := registry.Topology(topo, 17, cfg.Seed, nil)
+		if err != nil {
+			return "", err
 		}
-		rows, err := engine.Map(context.Background(), len(topos), cfg.Engine, func(i int) (row, error) {
-			topo := topos[i]
-			d, err := registry.Topology(topo, 17, cfg.Seed, nil)
-			if err != nil {
-				return row{}, err
-			}
-			exact, err := schedule.Exact(d)
-			if err != nil {
-				return row{}, err
-			}
-			greedyS, err := schedule.Greedy(d)
-			if err != nil {
-				return row{}, err
-			}
-			ss, err := core.NewStrongSelect(d.N())
-			if err != nil {
-				return row{}, err
-			}
-			res, err := sim.Run(d, ss, greedy(), sim.Config{
-				Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: strongSelectBudget(d.N()), Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			if !res.Completed {
-				return row{}, fmt.Errorf("%s: strong select incomplete", topo)
-			}
-			if exact.Rounds() > greedyS.Rounds() {
-				return row{}, fmt.Errorf("%s: exact schedule longer than greedy", topo)
-			}
-			return row{
-				n: d.N(), exactK: exact.Rounds(), greedyK: greedyS.Rounds(),
-				ecc: d.Eccentricity(), ssRounds: res.Rounds,
-			}, nil
+		exact, err := schedule.Exact(d)
+		if err != nil {
+			return "", err
+		}
+		greedyS, err := schedule.Greedy(d)
+		if err != nil {
+			return "", err
+		}
+		ss, err := core.NewStrongSelect(d.N())
+		if err != nil {
+			return "", err
+		}
+		res, err := sim.Run(d, ss, greedy(), sim.Config{
+			Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: strongSelectBudget(d.N()), Seed: cfg.Seed,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, r := range rows {
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%.1fx\n",
-				topos[i], r.n, r.exactK, r.greedyK, r.ecc,
-				r.ssRounds, float64(r.ssRounds)/float64(r.exactK))
+		if !res.Completed {
+			return "", fmt.Errorf("%s: strong select incomplete", topo)
 		}
-		return tw.Flush()
-	}
-	return e
+		if exact.Rounds() > greedyS.Rounds() {
+			return "", fmt.Errorf("%s: exact schedule longer than greedy", topo)
+		}
+		return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%.1fx", topo, d.N(), exact.Rounds(), greedyS.Rounds(),
+			d.Eccentricity(), res.Rounds, float64(res.Rounds)/float64(exact.Rounds())), nil
+	})
 }
 
 // extPreferentialAttachment opens the scale-free workload: Barabási–Albert
@@ -377,84 +295,83 @@ func extDynamic() Experiment {
 	})
 }
 
+// algJob is one algorithm to run at network size n.
+type algJob struct {
+	n   int
+	alg sim.Algorithm
+}
+
+// algJobs lists round robin at each of sizes, each followed by Strong
+// Select at that size when withSS is set.
+func algJobs(sizes []int, withSS bool) ([]algJob, error) {
+	var jobs []algJob
+	for _, n := range sizes {
+		jobs = append(jobs, algJob{n, core.NewRoundRobin()})
+		if withSS {
+			ss, err := core.NewStrongSelect(n)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, algJob{n, ss})
+		}
+	}
+	return jobs, nil
+}
+
+// tinyJobs is the job list of the exhaustive-search experiments: the
+// algorithms on clique-bridge networks small enough to search, Strong
+// Select outside quick mode only.
+func tinyJobs(cfg Config) ([]algJob, error) { return algJobs([]int{4, 5, 6}, !cfg.Quick) }
+
+// tinyRun returns the clique-bridge network of j and the rounds j's
+// algorithm takes on it against the stateless greedy collider under CR1
+// and synchronous start: the heuristic baseline both exhaustive-search
+// experiments report.
+func tinyRun(cfg Config, j algJob) (*graph.Dual, int, error) {
+	d, err := graph.CliqueBridge(j.n)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := sim.Run(d, j.alg, adversary.GreedyCollider{}, sim.Config{
+		Rule: sim.CR1, Start: sim.SyncStart, Seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return d, res.Rounds, nil
+}
+
 // extExhaustive validates the heuristic adversaries against the true worst
 // case found by exhaustive search on tiny networks, and cross-checks the
 // Theorem 2 game.
 func extExhaustive() Experiment {
-	e := Experiment{
+	return jobExperiment(Experiment{
 		ID:       "ext-exhaustive",
 		Title:    "exhaustive worst-case adversary search on tiny networks",
 		PaperRef: "Section 2.1 adversary semantics (universally quantified choices)",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		fmt.Fprintln(tw, "n\talgorithm\texhaustive worst\tgreedy heuristic\tthm2 game\tbranches")
-		type job struct {
-			n   int
-			alg sim.Algorithm
+	}, "n\talgorithm\texhaustive worst\tgreedy heuristic\tthm2 game\tbranches", tinyJobs, func(cfg Config, j algJob) (string, error) {
+		d, heuristic, err := tinyRun(cfg, j)
+		if err != nil {
+			return "", err
 		}
-		type row struct {
-			name                             string
-			worst, heuristic, game, branches int
-		}
-		var jobs []job
-		for _, n := range []int{4, 5, 6} {
-			jobs = append(jobs, job{n, core.NewRoundRobin()})
-			if !cfg.Quick {
-				ss, err := core.NewStrongSelect(n)
-				if err != nil {
-					return err
-				}
-				jobs = append(jobs, job{n, ss})
-			}
-		}
-		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
-			j := jobs[i]
-			d, err := graph.CliqueBridge(j.n)
-			if err != nil {
-				return row{}, err
-			}
-			search, err := exhaustive.Search(d, j.alg, exhaustive.Config{
-				Rule:    sim.CR1,
-				Horizon: 40 * j.n,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			heuristic, err := sim.Run(d, j.alg, adversary.GreedyCollider{}, sim.Config{
-				Rule: sim.CR1, Start: sim.SyncStart, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			game, err := lowerbound.RunTheorem2Game(j.n, j.alg, 0)
-			if err != nil {
-				return row{}, err
-			}
-			if search.WorstRounds < heuristic.Rounds {
-				return row{}, fmt.Errorf("exhaustive worst below heuristic for %s n=%d", j.alg.Name(), j.n)
-			}
-			return row{
-				name: j.alg.Name(), worst: search.WorstRounds, heuristic: heuristic.Rounds,
-				game: game.ForcedRounds, branches: search.Branches,
-			}, nil
+		search, err := exhaustive.Search(d, j.alg, exhaustive.Config{
+			Rule:    sim.CR1,
+			Horizon: 40 * j.n,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, r := range rows {
-			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\n",
-				jobs[i].n, r.name, r.worst, r.heuristic, r.game, r.branches)
+		game, err := lowerbound.RunTheorem2Game(j.n, j.alg, 0)
+		if err != nil {
+			return "", err
 		}
-		if err := tw.Flush(); err != nil {
-			return err
+		if search.WorstRounds < heuristic {
+			return "", fmt.Errorf("exhaustive worst below heuristic for %s n=%d", j.alg.Name(), j.n)
 		}
-		fmt.Fprintln(cfg.Out, "   (thm2 game additionally optimizes the bridge assignment, so it can exceed")
-		fmt.Fprintln(cfg.Out, "    the identity-assignment exhaustive bound)")
-		return nil
-	}
-	return e
+		return fmt.Sprintf("%d\t%s\t%d\t%d\t%d\t%d",
+			j.n, j.alg.Name(), search.WorstRounds, heuristic, game.ForcedRounds, search.Branches), nil
+	}, "   (thm2 game additionally optimizes the bridge assignment, so it can exceed",
+		"    the identity-assignment exhaustive bound)")
 }
 
 // extAdaptive cross-validates the three adversary strengths on tiny
@@ -464,101 +381,54 @@ func extExhaustive() Experiment {
 // horizon-1 adaptive column shows how much of the worst case survives when
 // the adversary may only interfere in the first round.
 func extAdaptive() Experiment {
-	e := Experiment{
+	return jobExperiment(Experiment{
 		ID:       "ext-adaptive",
 		Title:    "adaptive best-response adversary vs exhaustive worst case",
 		PaperRef: "Section 2.1 adversary semantics (online play of the universal quantifier)",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		fmt.Fprintln(tw, "n\talgorithm\texhaustive worst\tadaptive(∞)\tadaptive(h=1)\tgreedy heuristic")
-		type job struct {
-			n   int
-			alg sim.Algorithm
+	}, "n\talgorithm\texhaustive worst\tadaptive(∞)\tadaptive(h=1)\tgreedy heuristic", tinyJobs, func(cfg Config, j algJob) (string, error) {
+		d, heuristic, err := tinyRun(cfg, j)
+		if err != nil {
+			return "", err
 		}
-		type row struct {
-			name                               string
-			worst, adaptive, capped, heuristic int
-		}
-		var jobs []job
-		for _, n := range []int{4, 5, 6} {
-			jobs = append(jobs, job{n, core.NewRoundRobin()})
-			if !cfg.Quick {
-				ss, err := core.NewStrongSelect(n)
-				if err != nil {
-					return err
-				}
-				jobs = append(jobs, job{n, ss})
-			}
-		}
-		rows, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (row, error) {
-			j := jobs[i]
-			d, err := graph.CliqueBridge(j.n)
-			if err != nil {
-				return row{}, err
-			}
-			horizon := 8 * j.n
-			search, err := exhaustive.Search(d, j.alg, exhaustive.Config{
-				Rule:    sim.CR1,
-				Horizon: horizon,
-				Seed:    cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			play := func(deliverRounds int) (int, error) {
-				adv, err := adversary.NewAdaptive(deliverRounds, horizon, 0, 0)
-				if err != nil {
-					return 0, err
-				}
-				run, err := sim.Run(d, j.alg, adv, sim.Config{
-					Rule: sim.CR1, Start: sim.SyncStart, MaxRounds: horizon, Seed: cfg.Seed,
-				})
-				if err != nil {
-					return 0, err
-				}
-				if !run.Completed {
-					return horizon + 1, nil
-				}
-				return run.Rounds, nil
-			}
-			adaptive, err := play(0)
-			if err != nil {
-				return row{}, err
-			}
-			if adaptive != search.WorstRounds {
-				return row{}, fmt.Errorf("adaptive adversary realized %d rounds but exhaustive worst is %d for %s n=%d",
-					adaptive, search.WorstRounds, j.alg.Name(), j.n)
-			}
-			capped, err := play(1)
-			if err != nil {
-				return row{}, err
-			}
-			heuristic, err := sim.Run(d, j.alg, adversary.GreedyCollider{}, sim.Config{
-				Rule: sim.CR1, Start: sim.SyncStart, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			return row{
-				name: j.alg.Name(), worst: search.WorstRounds, adaptive: adaptive,
-				capped: capped, heuristic: heuristic.Rounds,
-			}, nil
+		horizon := 8 * j.n
+		search, err := exhaustive.Search(d, j.alg, exhaustive.Config{
+			Rule:    sim.CR1,
+			Horizon: horizon,
+			Seed:    cfg.Seed,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, r := range rows {
-			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\n",
-				jobs[i].n, r.name, r.worst, r.adaptive, r.capped, r.heuristic)
+		play := func(deliverRounds int) (int, error) {
+			adv, err := adversary.NewAdaptive(deliverRounds, horizon, 0, 0)
+			if err != nil {
+				return 0, err
+			}
+			run, err := sim.Run(d, j.alg, adv, sim.Config{
+				Rule: sim.CR1, Start: sim.SyncStart, MaxRounds: horizon, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return 0, err
+			}
+			if !run.Completed {
+				return horizon + 1, nil
+			}
+			return run.Rounds, nil
 		}
-		if err := tw.Flush(); err != nil {
-			return err
+		adaptive, err := play(0)
+		if err != nil {
+			return "", err
 		}
-		fmt.Fprintln(cfg.Out, "   (adaptive(∞) is asserted equal to the exhaustive bound; the h=1 column")
-		fmt.Fprintln(cfg.Out, "    caps interference to round 1, so it lower-bounds the unbounded play)")
-		return nil
-	}
-	return e
+		if adaptive != search.WorstRounds {
+			return "", fmt.Errorf("adaptive adversary realized %d rounds but exhaustive worst is %d for %s n=%d",
+				adaptive, search.WorstRounds, j.alg.Name(), j.n)
+		}
+		capped, err := play(1)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%d\t%s\t%d\t%d\t%d\t%d",
+			j.n, j.alg.Name(), search.WorstRounds, adaptive, capped, heuristic), nil
+	}, "   (adaptive(∞) is asserted equal to the exhaustive bound; the h=1 column",
+		"    caps interference to round 1, so it lower-bounds the unbounded play)")
 }

@@ -1,15 +1,12 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
-	"dualgraph/internal/core"
-	"dualgraph/internal/engine"
 	"dualgraph/internal/lowerbound"
-	"dualgraph/internal/sim"
 )
 
 // table1ClassicalRR reproduces the classical-model column of Table 1:
@@ -67,103 +64,49 @@ func strongSelectBudget(n int) int {
 // networks (Theorem 2): the adversary game forces every deterministic
 // algorithm past n-3 rounds in a network broadcastable in 2 rounds.
 func table1Theorem2() Experiment {
-	e := Experiment{
+	return jobExperiment(Experiment{
 		ID:       "table1-thm2",
 		Title:    "Theorem 2 game: deterministic broadcast needs > n-3 rounds at diameter 2",
 		PaperRef: "Theorem 2; Table 1 (Ω(n) [21] vs dual-graph bold row)",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		fmt.Fprintln(tw, "algorithm\tn\tforced rounds\tn-3\twitness rounds")
-		sizes := []int{16, 32, 64}
+	}, "algorithm\tn\tforced rounds\tn-3\twitness rounds", func(cfg Config) ([]algJob, error) {
 		if cfg.Quick {
-			sizes = []int{16, 32}
+			return algJobs([]int{16, 32}, true)
 		}
-		type job struct {
-			n   int
-			alg sim.Algorithm
-		}
-		var jobs []job
-		for _, n := range sizes {
-			ss, err := core.NewStrongSelect(n)
-			if err != nil {
-				return err
-			}
-			jobs = append(jobs, job{n, core.NewRoundRobin()}, job{n, ss})
-		}
-		results, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem2Result, error) {
-			return lowerbound.RunTheorem2Game(jobs[i].n, jobs[i].alg, 0)
-		})
+		return algJobs([]int{16, 32, 64}, true)
+	}, func(_ Config, j algJob) (string, error) {
+		res, err := lowerbound.RunTheorem2Game(j.n, j.alg, 0)
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, res := range results {
-			j := jobs[i]
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n",
-				j.alg.Name(), j.n, res.ForcedRounds, j.n-3, res.WitnessRounds)
-			if res.ForcedRounds <= j.n-3 {
-				return fmt.Errorf("theorem 2 violated for %s at n=%d", j.alg.Name(), j.n)
-			}
+		if res.ForcedRounds <= j.n-3 {
+			return "", fmt.Errorf("theorem 2 violated for %s at n=%d", j.alg.Name(), j.n)
 		}
-		return tw.Flush()
-	}
-	return e
+		return fmt.Sprintf("%s\t%d\t%d\t%d\t%d", j.alg.Name(), j.n, res.ForcedRounds, j.n-3, res.WitnessRounds), nil
+	})
 }
 
 // table1Theorem12 reproduces the Ω(n log n) undirected lower bound
 // (Theorem 12) by running the candidate-set adversary game.
 func table1Theorem12() Experiment {
-	e := Experiment{
+	return jobExperiment(Experiment{
 		ID:       "table1-thm12",
 		Title:    "Theorem 12 game: Ω(n log n) forced rounds on the complete layered network",
 		PaperRef: "Theorem 12; Table 1 bold Ω(n log n)",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		fmt.Fprintln(tw, "algorithm\tn\tforced rounds\ttheory bound\tforced/(n·log n)\tmin stage ext")
-		sizes := []int{9, 17, 33, 65}
+	}, "algorithm\tn\tforced rounds\ttheory bound\tforced/(n·log n)\tmin stage ext", func(cfg Config) ([]algJob, error) {
 		if cfg.Quick {
-			sizes = []int{9, 17, 33}
+			return algJobs([]int{9, 17, 33}, false)
 		}
-		type job struct {
-			n   int
-			alg sim.Algorithm
-		}
-		var jobs []job
-		for _, n := range sizes {
-			jobs = append(jobs, job{n, core.NewRoundRobin()})
-			if !cfg.Quick {
-				ss, err := core.NewStrongSelect(n)
-				if err != nil {
-					return err
-				}
-				jobs = append(jobs, job{n, ss})
-			}
-		}
-		results, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem12Result, error) {
-			return lowerbound.RunTheorem12Game(jobs[i].n, jobs[i].alg, 0)
-		})
+		return algJobs([]int{9, 17, 33, 65}, true)
+	}, func(_ Config, j algJob) (string, error) {
+		res, err := lowerbound.RunTheorem12Game(j.n, j.alg, 0)
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, res := range results {
-			j := jobs[i]
-			minExt := res.ForcedRounds
-			for _, ext := range res.StageExtensions {
-				if ext < minExt {
-					minExt = ext
-				}
-			}
-			norm := float64(res.ForcedRounds) / (float64(j.n) * math.Log2(float64(j.n)))
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.3f\t%d\n",
-				j.alg.Name(), j.n, res.ForcedRounds, res.TheoryBound, norm, minExt)
-			if !res.HitHorizon && res.ForcedRounds < res.TheoryBound {
-				return fmt.Errorf("theorem 12 bound violated for %s at n=%d", j.alg.Name(), j.n)
-			}
+		if !res.HitHorizon && res.ForcedRounds < res.TheoryBound {
+			return "", fmt.Errorf("theorem 12 bound violated for %s at n=%d", j.alg.Name(), j.n)
 		}
-		return tw.Flush()
-	}
-	return e
+		minExt := slices.Min(append(res.StageExtensions, res.ForcedRounds))
+		norm := float64(res.ForcedRounds) / (float64(j.n) * math.Log2(float64(j.n)))
+		return fmt.Sprintf("%s\t%d\t%d\t%d\t%.3f\t%d", j.alg.Name(), j.n, res.ForcedRounds, res.TheoryBound, norm, minExt), nil
+	})
 }

@@ -1,13 +1,11 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"dualgraph/internal/core"
-	"dualgraph/internal/engine"
 	"dualgraph/internal/lowerbound"
 	"dualgraph/internal/sim"
 	"dualgraph/internal/stats"
@@ -69,58 +67,46 @@ func table2DualHarmonic() Experiment {
 // minimum success exceeds the bound by more than 3σ of Monte-Carlo slack
 // fails the experiment.
 func table2Theorem4() Experiment {
-	e := Experiment{
+	type job struct {
+		alg          sim.Algorithm
+		n, k, trials int
+	}
+	return jobExperiment(Experiment{
 		ID:       "table2-thm4",
 		Title:    "Theorem 4 Monte-Carlo: success within k rounds is at most k/(n-2)",
 		PaperRef: "Theorem 4; Table 2 dual column open randomized lower bound",
-	}
-	e.Run = func(cfg Config) error {
-		header(cfg.Out, e)
-		tw := newTable(cfg.Out)
-		n := 18
-		trials := 200
+	}, "algorithm\tn\tk\tmin success\tbound k/(n-2)\trespects bound", func(cfg Config) ([]job, error) {
+		n, trials := 18, 200
 		if cfg.Quick {
-			n = 14
-			trials = 80
+			n, trials = 14, 80
 		}
-		fmt.Fprintln(tw, "algorithm\tn\tk\tmin success\tbound k/(n-2)\trespects bound")
 		h, err := core.NewHarmonicForN(n, 0.1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		u, err := core.NewUniform(0.25)
 		if err != nil {
-			return err
-		}
-		type job struct {
-			alg sim.Algorithm
-			k   int
+			return nil, err
 		}
 		var jobs []job
 		for _, alg := range []sim.Algorithm{h, u} {
 			for _, k := range []int{2, n / 3, n - 4} {
-				jobs = append(jobs, job{alg, k})
+				jobs = append(jobs, job{alg, n, k, trials})
 			}
 		}
-		results, err := engine.Map(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem4Result, error) {
-			return lowerbound.RunTheorem4(n, jobs[i].k, trials, jobs[i].alg, cfg.Seed)
-		})
+		return jobs, nil
+	}, func(cfg Config, j job) (string, error) {
+		res, err := lowerbound.RunTheorem4(j.n, j.k, j.trials, j.alg, cfg.Seed)
 		if err != nil {
-			return err
+			return "", err
 		}
-		for i, res := range results {
-			j := jobs[i]
-			// Allow 3-sigma Monte-Carlo slack.
-			slack := 3 * math.Sqrt(res.Bound*(1-res.Bound)/float64(trials))
-			ok := res.MinSuccess <= res.Bound+slack
-			if !ok {
-				return fmt.Errorf("%s k=%d: min success %.3f exceeds the Theorem 4 bound k/(n-2) = %.3f plus 3σ slack %.3f",
-					j.alg.Name(), j.k, res.MinSuccess, res.Bound, slack)
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\t%.3f\t%v\n",
-				j.alg.Name(), n, j.k, res.MinSuccess, res.Bound, ok)
+		// Allow 3-sigma Monte-Carlo slack.
+		slack := 3 * math.Sqrt(res.Bound*(1-res.Bound)/float64(j.trials))
+		ok := res.MinSuccess <= res.Bound+slack
+		if !ok {
+			return "", fmt.Errorf("%s k=%d: min success %.3f exceeds the Theorem 4 bound k/(n-2) = %.3f plus 3σ slack %.3f",
+				j.alg.Name(), j.k, res.MinSuccess, res.Bound, slack)
 		}
-		return tw.Flush()
-	}
-	return e
+		return fmt.Sprintf("%s\t%d\t%d\t%.3f\t%.3f\t%v", j.alg.Name(), j.n, j.k, res.MinSuccess, res.Bound, ok), nil
+	})
 }

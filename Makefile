@@ -128,9 +128,11 @@ bench-smoke:
 # streaming grid reducer over one cell (EngineReduceSequential/Parallel);
 # 'BenchmarkSimRoundLoop' also matches SimRoundLoopDynamic and
 # SimRoundLoopFade, the churn and fade variants of the same round-loop
-# workload whose deltas price dynamics, and SimRoundLoopSparse, the
+# workload whose deltas price dynamics, SimRoundLoopSparse, the
 # long-trials sparse cell (geometric n=1024, harmonic) in sparse delivery
-# mode (benchcmp's default prefix -match gates all four);
+# mode, and SimRoundLoopStrongSelect, Strong Select on the short-trials
+# geometric network (n=256), where the loop visits only planned senders and
+# reached nodes (benchcmp's default prefix -match gates all five);
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the
 # declarative grid runner vs sequential cells; 'BenchmarkEpochSwap' also
 # matches the EpochSwapIncremental/pDown=* churn-scaling series and the

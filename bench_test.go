@@ -659,6 +659,25 @@ func BenchmarkSimRoundLoopSparse(b *testing.B) {
 	stepRoundLoop(b, d, alg, sim.AsyncStart, nil)
 }
 
+// BenchmarkSimRoundLoopStrongSelect is the round loop on the short-trials
+// benchmark workload's geometric network (n=256, radii .12/.25) under
+// Strong Select, the greedy collider, CR4 and asynchronous starts, stepped
+// to the 2000-round cap. Holders send only in their planned rounds and hear
+// nothing, so a round visits the nodes whose planned round has come and the
+// nodes a message reaches.
+func BenchmarkSimRoundLoopStrongSelect(b *testing.B) {
+	const n = 256
+	d, err := graph.Geometric(n, 0.12, 0.25, dualgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := core.NewStrongSelect(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stepRoundLoop(b, d, alg, sim.AsyncStart, nil)
+}
+
 // BenchmarkRunSetup isolates per-run setup — proc assignment, process
 // construction with their per-pid SplitMix64 streams, run buffers, the
 // result — from the round loop: one round of Decay at n=256 on the

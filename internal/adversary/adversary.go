@@ -199,7 +199,7 @@ func (GreedyCollider) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim
 		// unreliable in-row.
 		for _, w := range v.UnreliableIn(u) {
 			if v.Sent[w] && w != from {
-				sink.Add(w, u)
+				sink.AddInArc(w, u)
 				break
 			}
 		}

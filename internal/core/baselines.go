@@ -5,8 +5,29 @@ import (
 	"math"
 	"math/rand"
 
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 )
+
+// coin is a randomized process's private stream: the *rand.Rand that
+// NewProcess was given, or the rng.SplitMix64 value that NewProcessRNG was
+// (value set). Both give the same Float64 sequence for the same stream.
+type coin struct {
+	r     *rand.Rand
+	src   rng.SplitMix64
+	value bool
+}
+
+// valueCoin returns the coin that draws from src.
+func valueCoin(src rng.SplitMix64) coin { return coin{src: src, value: true} }
+
+// Float64 draws the next number in [0, 1).
+func (c *coin) Float64() float64 {
+	if c.value {
+		return c.src.Float64()
+	}
+	return c.r.Float64()
+}
 
 // RoundRobin is the deterministic baseline: once a process holds the
 // message it transmits exactly in the rounds congruent to its identifier
@@ -32,17 +53,36 @@ func (RoundRobin) NewProcess(id, n int, _ *rand.Rand) sim.Process {
 	return &roundRobinProc{id: id, n: n}
 }
 
+// NewProcessRNG implements sim.ValueRNGAlgorithm; it ignores src.
+func (a RoundRobin) NewProcessRNG(id, n int, _ rng.SplitMix64) sim.Process {
+	return a.NewProcess(id, n, nil)
+}
+
+// HoldersIgnoreReceptions implements sim.DeafHolders.
+func (RoundRobin) HoldersIgnoreReceptions() bool { return true }
+
 type roundRobinProc struct {
 	id, n int
 	has   bool
 }
 
-var _ sim.Process = (*roundRobinProc)(nil)
+var (
+	_ sim.Process     = (*roundRobinProc)(nil)
+	_ sim.SendPlanner = (*roundRobinProc)(nil)
+)
 
 func (p *roundRobinProc) Start(_ int, hasMessage bool) { p.has = hasMessage }
 
 func (p *roundRobinProc) Decide(round int) bool {
 	return p.has && (round-1)%p.n == p.id-1
+}
+
+// NextSend implements sim.SendPlanner: the next round congruent to the id.
+func (p *roundRobinProc) NextSend(round int) int {
+	if !p.has {
+		return math.MaxInt
+	}
+	return round + ((p.id-round)%p.n+p.n)%p.n
 }
 
 func (p *roundRobinProc) Receive(_ int, r sim.Reception) {
@@ -67,17 +107,26 @@ func NewDecay() *Decay { return &Decay{} }
 func (Decay) Name() string { return "decay" }
 
 // NewProcess implements sim.Algorithm.
-func (Decay) NewProcess(id, n int, rng *rand.Rand) sim.Process {
-	phase := int(math.Ceil(math.Log2(float64(n)))) + 1
-	if phase < 1 {
-		phase = 1
-	}
-	return &decayProc{phaseLen: phase, rng: rng}
+func (Decay) NewProcess(id, n int, r *rand.Rand) sim.Process {
+	return &decayProc{phaseLen: decayPhase(n), coin: coin{r: r}}
+}
+
+// NewProcessRNG implements sim.ValueRNGAlgorithm.
+func (Decay) NewProcessRNG(id, n int, src rng.SplitMix64) sim.Process {
+	return &decayProc{phaseLen: decayPhase(n), coin: valueCoin(src)}
+}
+
+// HoldersIgnoreReceptions implements sim.DeafHolders.
+func (Decay) HoldersIgnoreReceptions() bool { return true }
+
+// decayPhase returns the phase length ceil(log2 n)+1, at least 1.
+func decayPhase(n int) int {
+	return max(1, int(math.Ceil(math.Log2(float64(n))))+1)
 }
 
 type decayProc struct {
 	phaseLen int
-	rng      *rand.Rand
+	coin     coin
 	has      bool
 }
 
@@ -89,7 +138,7 @@ func (p *decayProc) Decide(round int) bool {
 	if !p.has {
 		return false
 	}
-	return p.rng.Float64() < decayProb[(round-1)%p.phaseLen]
+	return p.coin.Float64() < decayProb[(round-1)%p.phaseLen]
 }
 
 // decayProb[j] is Decay's send probability 2^-j in round j of a phase. The
@@ -129,14 +178,22 @@ func NewUniform(p float64) (*Uniform, error) {
 func (a *Uniform) Name() string { return fmt.Sprintf("uniform(p=%.3f)", a.P) }
 
 // NewProcess implements sim.Algorithm.
-func (a *Uniform) NewProcess(id, n int, rng *rand.Rand) sim.Process {
-	return &uniformProc{p: a.P, rng: rng}
+func (a *Uniform) NewProcess(id, n int, r *rand.Rand) sim.Process {
+	return &uniformProc{p: a.P, coin: coin{r: r}}
 }
 
+// NewProcessRNG implements sim.ValueRNGAlgorithm.
+func (a *Uniform) NewProcessRNG(id, n int, src rng.SplitMix64) sim.Process {
+	return &uniformProc{p: a.P, coin: valueCoin(src)}
+}
+
+// HoldersIgnoreReceptions implements sim.DeafHolders.
+func (a *Uniform) HoldersIgnoreReceptions() bool { return true }
+
 type uniformProc struct {
-	p   float64
-	rng *rand.Rand
-	has bool
+	p    float64
+	coin coin
+	has  bool
 }
 
 var _ sim.Process = (*uniformProc)(nil)
@@ -144,7 +201,7 @@ var _ sim.Process = (*uniformProc)(nil)
 func (p *uniformProc) Start(_ int, hasMessage bool) { p.has = hasMessage }
 
 func (p *uniformProc) Decide(_ int) bool {
-	return p.has && p.rng.Float64() < p.p
+	return p.has && p.coin.Float64() < p.p
 }
 
 func (p *uniformProc) Receive(_ int, r sim.Reception) {

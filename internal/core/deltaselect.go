@@ -64,6 +64,9 @@ func (a *DeltaSelect) NewProcess(id, n int, _ *rand.Rand) sim.Process {
 	return &deltaSelectProc{alg: a, id: id}
 }
 
+// HoldersIgnoreReceptions implements sim.DeafHolders.
+func (a *DeltaSelect) HoldersIgnoreReceptions() bool { return true }
+
 type deltaSelectProc struct {
 	alg *DeltaSelect
 	id  int

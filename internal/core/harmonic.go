@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 )
 
@@ -54,14 +55,28 @@ func HarmonicT(n int, epsilon float64) int {
 func (a *Harmonic) Name() string { return fmt.Sprintf("harmonic(T=%d)", a.T) }
 
 // NewProcess implements sim.Algorithm.
-func (a *Harmonic) NewProcess(id, n int, rng *rand.Rand) sim.Process {
-	return &harmonicProc{t: a.T, rng: rng, wake: -1}
+func (a *Harmonic) NewProcess(id, n int, r *rand.Rand) sim.Process {
+	return &harmonicProc{t: a.T, coin: coin{r: r}, wake: -1}
 }
+
+// NewProcessRNG implements sim.ValueRNGAlgorithm.
+func (a *Harmonic) NewProcessRNG(id, n int, src rng.SplitMix64) sim.Process {
+	return &harmonicProc{t: a.T, coin: valueCoin(src), wake: -1}
+}
+
+// HoldersIgnoreReceptions implements sim.DeafHolders: t_v is fixed at the
+// first reception of the message.
+func (a *Harmonic) HoldersIgnoreReceptions() bool { return true }
 
 type harmonicProc struct {
 	t    int
-	rng  *rand.Rand
+	coin coin
 	wake int // t_v: the round the process first received the message; -1 if none
+
+	// p_v(t) is constant within a level of T rounds, so it is computed once
+	// per level: prob is its value for the rounds before levelEnd.
+	prob     float64
+	levelEnd int
 }
 
 var _ sim.Process = (*harmonicProc)(nil)
@@ -78,7 +93,11 @@ func (p *harmonicProc) Decide(round int) bool {
 	if p.wake < 0 || round <= p.wake {
 		return false
 	}
-	return p.rng.Float64() < SendProbability(round, p.wake, p.t)
+	if round >= p.levelEnd {
+		p.prob = SendProbability(round, p.wake, p.t)
+		p.levelEnd = round + p.t - (round-p.wake-1)%p.t
+	}
+	return p.coin.Float64() < p.prob
 }
 
 func (p *harmonicProc) Receive(round int, r sim.Reception) {

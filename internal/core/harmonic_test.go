@@ -201,3 +201,28 @@ func TestSimultaneousPattern(t *testing.T) {
 		t.Fatalf("P(late) = %v, want < 1", got)
 	}
 }
+
+// TestHarmonicCachedProbabilityIsSendProbability: the per-level cache holds,
+// in every round a holder decides, the very float SendProbability returns,
+// for several level lengths and wake rounds.
+func TestHarmonicCachedProbabilityIsSendProbability(t *testing.T) {
+	for _, T := range []int{1, 2, 7, 60} {
+		for _, wake := range []int{0, 1, 5, 123} {
+			a, err := NewHarmonic(T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := a.NewProcess(1, 8, rand.New(rand.NewSource(1))).(*harmonicProc)
+			p.Start(1, wake == 0)
+			if wake > 0 {
+				p.Receive(wake, sim.Reception{Kind: sim.Delivered, Broadcast: true})
+			}
+			for r := wake + 1; r <= wake+12*T+3; r++ {
+				p.Decide(r)
+				if want := SendProbability(r, wake, T); math.Float64bits(p.prob) != math.Float64bits(want) {
+					t.Fatalf("T=%d wake=%d round %d: cached p = %v, SendProbability = %v", T, wake, r, p.prob, want)
+				}
+			}
+		}
+	}
+}

@@ -11,7 +11,9 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 	"dualgraph/internal/ssf"
 )
@@ -30,6 +32,7 @@ type StrongSelect struct {
 	smax     int
 	epochLen int
 	families []ssf.Family // families[s-1] is the (n, 2^s)-SSF; the last is round robin
+	planCap  int          // sends a holder plans: the sets containing id 1, over all scales
 }
 
 var _ sim.Algorithm = (*StrongSelect)(nil)
@@ -71,6 +74,9 @@ func NewStrongSelect(n int) (*StrongSelect, error) {
 		return nil, err
 	}
 	a.families[smax-1] = rr
+	for _, f := range a.families {
+		a.planCap += len(f.AppendSets(nil, 1))
+	}
 	return a, nil
 }
 
@@ -112,71 +118,114 @@ func (a *StrongSelect) SlotAt(round int) Slot {
 	}
 }
 
+// roundOf returns the global round of the scale-s slot with the given
+// counter: the inverse of SlotAt.
+func (a *StrongSelect) roundOf(s, counter int) int {
+	perEpoch := 1 << (s - 1)
+	return counter/perEpoch*a.epochLen + perEpoch + counter%perEpoch
+}
+
+// firstCounter returns the counter of the first scale-s slot in round from
+// or later.
+func (a *StrongSelect) firstCounter(s, from int) int {
+	perEpoch := 1 << (s - 1)
+	epoch := (from - 1) / a.epochLen
+	pos := (from-1)%a.epochLen + 1
+	switch {
+	case pos <= perEpoch:
+		return epoch * perEpoch
+	case pos < 2*perEpoch:
+		return epoch*perEpoch + pos - perEpoch
+	}
+	return (epoch + 1) * perEpoch
+}
+
 // NewProcess implements sim.Algorithm. Strong Select is deterministic and
 // ignores rng.
 func (a *StrongSelect) NewProcess(id, n int, _ *rand.Rand) sim.Process {
-	return &strongSelectProc{
-		alg:    a,
-		id:     id,
-		phases: make([]participation, a.smax),
-	}
+	return &strongSelectProc{alg: a, id: id}
 }
 
-type participationState int
+// NewProcessRNG implements sim.ValueRNGAlgorithm; it ignores src.
+func (a *StrongSelect) NewProcessRNG(id, n int, _ rng.SplitMix64) sim.Process {
+	return a.NewProcess(id, n, nil)
+}
 
-const (
-	waiting participationState = iota + 1
-	participating
-	finished
+// HoldersIgnoreReceptions implements sim.DeafHolders: a holder's sends are
+// fixed once it holds the message.
+func (a *StrongSelect) HoldersIgnoreReceptions() bool { return true }
+
+// strongSelectProc plans its sends at its first Decide (or NextSend) as a
+// holder, in round from: for each scale s it waits for the first scale-s
+// slot at or after from whose set is 0, and then takes part in the Size()
+// slots of one iteration of F_s, sending in the slots whose set contains
+// its id. After that, Decide is a compare and an index advance.
+type strongSelectProc struct {
+	alg     *StrongSelect
+	id      int
+	has     bool
+	planned bool
+	sends   []int // the rounds of its planned sends, ascending
+	next    int   // index into sends of the first send not yet made
+	end     int   // the last round of its last iteration
+	last    int   // the last round Decide was called for
+}
+
+var (
+	_ sim.Process     = (*strongSelectProc)(nil)
+	_ sim.SendPlanner = (*strongSelectProc)(nil)
 )
 
-type participation struct {
-	state    participationState
-	consumed int
-}
-
-type strongSelectProc struct {
-	alg    *StrongSelect
-	id     int
-	has    bool
-	phases []participation
-}
-
-var _ sim.Process = (*strongSelectProc)(nil)
-
 func (p *strongSelectProc) Start(_ int, hasMessage bool) {
-	for i := range p.phases {
-		p.phases[i] = participation{state: waiting}
-	}
 	if hasMessage {
 		p.has = true
 	}
 }
 
-func (p *strongSelectProc) Decide(round int) bool {
-	if !p.has {
-		return false
-	}
-	slot := p.alg.SlotAt(round)
-	ph := &p.phases[slot.Scale-1]
-	family := p.alg.families[slot.Scale-1]
-	switch ph.state {
-	case waiting:
-		if slot.Set != 0 {
-			return false
+// plan fixes the sends of a process that first acts as a holder in round
+// from. Rounds of different scales never coincide, so sends has no repeats.
+func (p *strongSelectProc) plan(from int) {
+	a := p.alg
+	p.sends = make([]int, 0, a.planCap)
+	for s := 1; s <= a.smax; s++ {
+		f := a.families[s-1]
+		size := f.Size()
+		start := (a.firstCounter(s, from) + size - 1) / size * size
+		i := len(p.sends)
+		p.sends = f.AppendSets(p.sends, p.id)
+		for j := i; j < len(p.sends); j++ {
+			p.sends[j] = a.roundOf(s, start+p.sends[j])
 		}
-		// F_s cycled back to its first set: begin the single iteration.
-		ph.state = participating
-		ph.consumed = 0
-	case finished:
+		p.end = max(p.end, a.roundOf(s, start+size-1))
+	}
+	slices.Sort(p.sends)
+	p.planned = true
+}
+
+// NextSend implements sim.SendPlanner.
+func (p *strongSelectProc) NextSend(round int) int {
+	if !p.has {
+		return math.MaxInt
+	}
+	if !p.planned {
+		p.plan(round)
+	}
+	for p.next < len(p.sends) && p.sends[p.next] < round {
+		p.next++
+	}
+	if p.next == len(p.sends) {
+		return math.MaxInt
+	}
+	return p.sends[p.next]
+}
+
+func (p *strongSelectProc) Decide(round int) bool {
+	p.last = round
+	if p.NextSend(round) != round {
 		return false
 	}
-	send := family.Contains(slot.Set, p.id)
-	ph.consumed++
-	if ph.consumed == family.Size() {
-		ph.state = finished
-	}
-	return send
+	p.next++
+	return true
 }
 
 func (p *strongSelectProc) Receive(_ int, r sim.Reception) {
@@ -186,15 +235,8 @@ func (p *strongSelectProc) Receive(_ int, r sim.Reception) {
 }
 
 // Done reports whether the process has completed all its iterations and will
-// never transmit again (diagnostics and termination tests).
+// never transmit again (diagnostics and termination tests): Decide has been
+// called for a round at or after the last slot of its last iteration.
 func (p *strongSelectProc) Done() bool {
-	if !p.has {
-		return false
-	}
-	for _, ph := range p.phases {
-		if ph.state != finished {
-			return false
-		}
-	}
-	return true
+	return p.planned && p.last >= p.end
 }

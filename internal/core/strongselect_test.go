@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualgraph/internal/adversary"
@@ -206,5 +207,93 @@ func TestStrongSelectDeterministic(t *testing.T) {
 	// Deterministic algorithm + deterministic adversary: seed must not matter.
 	if run(1) != run(2) {
 		t.Fatal("deterministic execution depends on the seed")
+	}
+}
+
+// slotSends is the definition of a Strong Select holder's sends, stepped
+// round by round with SlotAt and Contains: from round from on, at each scale
+// s it waits for a slot of set 0, then takes part in the next Size() slots
+// of scale s, sending where the set contains id. It returns the send rounds
+// and the last round of the last iteration.
+func slotSends(a *StrongSelect, id, from int) (sends []int, end int) {
+	const (
+		waiting = iota
+		participating
+		finished
+	)
+	state := make([]int, a.Smax())
+	consumed := make([]int, a.Smax())
+	left := a.Smax()
+	for r := from; left > 0; r++ {
+		slot := a.SlotAt(r)
+		s := slot.Scale - 1
+		if state[s] == finished || state[s] == waiting && slot.Set != 0 {
+			continue
+		}
+		state[s] = participating
+		if a.Family(slot.Scale).Contains(slot.Set, id) {
+			sends = append(sends, r)
+		}
+		if consumed[s]++; consumed[s] == a.Family(slot.Scale).Size() {
+			state[s] = finished
+			left--
+			end = r
+		}
+	}
+	return sends, end
+}
+
+// TestStrongSelectPlanMatchesSlotSchedule: the sends a process plans at its
+// first round as a holder are exactly the ones the slot schedule defines,
+// for every first-holding round over two full periods of the longest
+// family cycle, for several ids and sizes (n = 256 and 1024 run two and
+// three scales). Decide, called every round, sends in exactly those rounds,
+// and Done turns true at the last round of the last iteration.
+func TestStrongSelectPlanMatchesSlotSchedule(t *testing.T) {
+	for _, n := range []int{16, 40, 256, 1024} {
+		a, err := NewStrongSelect(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := 0 // rounds until the slowest family cycles back to set 0
+		for s := 1; s <= a.Smax(); s++ {
+			period = max(period, a.Family(s).Size()/(1<<(s-1))*a.EpochLength()+a.EpochLength())
+		}
+		ids := []int{1, 2, n / 2, n}
+		step := 1
+		if n == 1024 {
+			step = 5 // coprime to the epoch length 7: every epoch position still comes up
+		}
+		for _, id := range ids {
+			for from := 1; from <= 2*period; from += step {
+				want, wantEnd := slotSends(a, id, from)
+				p := a.NewProcess(id, n, nil).(*strongSelectProc)
+				p.Start(from, true)
+				if got := p.NextSend(from); got != want[0] {
+					t.Fatalf("n=%d id=%d from=%d: NextSend = %d, want %d", n, id, from, got, want[0])
+				}
+				if !slices.Equal(p.sends, want) || p.end != wantEnd {
+					t.Fatalf("n=%d id=%d from=%d: plan %v ending %d, want %v ending %d", n, id, from, p.sends, p.end, want, wantEnd)
+				}
+				if n > 256 {
+					continue
+				}
+				// Step Decide every round, as the plain round loop does.
+				q := a.NewProcess(id, n, nil).(*strongSelectProc)
+				q.Start(from, true)
+				var got []int
+				for r := from; r <= wantEnd; r++ {
+					if q.Done() {
+						t.Fatalf("n=%d id=%d from=%d: Done before round %d", n, id, from, r)
+					}
+					if q.Decide(r) {
+						got = append(got, r)
+					}
+				}
+				if !slices.Equal(got, want) || !q.Done() {
+					t.Fatalf("n=%d id=%d from=%d: Decide sent in %v (done %v), want %v", n, id, from, got, q.Done(), want)
+				}
+			}
+		}
 	}
 }

@@ -72,6 +72,9 @@ func (t *TreeCast) NewProcess(id, n int, _ *rand.Rand) sim.Process {
 	return &treeCastProc{slot: slot}
 }
 
+// HoldersIgnoreReceptions implements sim.DeafHolders.
+func (t *TreeCast) HoldersIgnoreReceptions() bool { return true }
+
 type treeCastProc struct {
 	slot int
 	has  bool

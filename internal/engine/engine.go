@@ -164,12 +164,21 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(trial int) (T, e
 		}
 	})
 	if err := firstEr.get(); err != nil {
-		return nil, fmt.Errorf("engine: trial %d: %w", firstEr.index, err)
+		return nil, trialErr(firstEr.index, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	return results, nil
+}
+
+// trialErr prefixes trial i's error with the engine and the index, which a
+// *TrialPanic of that trial already names.
+func trialErr(i int, err error) error {
+	if p, ok := err.(*TrialPanic); ok && p.Trial == i {
+		return fmt.Errorf("engine: %w", err)
+	}
+	return fmt.Errorf("engine: trial %d: %w", i, err)
 }
 
 // protect runs fn(i), returning a panic in it as a *TrialPanic.

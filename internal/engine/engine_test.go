@@ -128,7 +128,7 @@ func TestMapRecoversPanickingTrial(t *testing.T) {
 			t.Fatalf("workers=%d: TrialPanic = {Trial %d, Seed %d, Value %v}; want {3, 0, boom} with a stack",
 				workers, p.Trial, p.Seed, p.Value)
 		}
-		if want := "engine: trial 3: trial 3 panicked: boom"; err.Error() != want {
+		if want := "engine: trial 3 panicked: boom"; err.Error() != want {
 			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
 		}
 	}

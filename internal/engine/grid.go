@@ -129,7 +129,7 @@ func FoldShardContext(ctx context.Context, t Trial, lo, hi int, sc StreamConfig)
 	case i < 0:
 		return nil, fmt.Errorf("engine: %w", err)
 	default:
-		return nil, fmt.Errorf("engine: trial %d: %w", i, err)
+		return nil, trialErr(i, err)
 	}
 }
 

@@ -236,7 +236,7 @@ func (j jammer) DeliverInto(v *sim.View, _ []graph.NodeID, sink *sim.DeliverySin
 		}
 		for _, w := range v.UnreliableIn(u) {
 			if v.Sent[w] && w != from {
-				sink.Add(w, u)
+				sink.AddInArc(w, u)
 				break
 			}
 		}

@@ -60,11 +60,29 @@ func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 // Seed resets the state to seed.
 func (s *SplitMix64) Seed(seed int64) { s.state = uint64(seed) }
 
+// Float64 returns a pseudo-random number in [0, 1) by rand.Rand's rule:
+// Int63()/2^63, drawn again when that rounds to 1. A generator and a
+// rand.New wrapping a copy of it therefore return the same Float64
+// sequence.
+func (s *SplitMix64) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// StreamValue returns stream k of the run seeded with seed as a generator
+// value. The initial states of a run's streams are consecutive outputs of
+// one SplitMix64 generator seeded with seed^streamTag, so distinct (seed, k)
+// pairs start at pseudo-randomly scattered points of the 2^64 cycle.
+func StreamValue(seed int64, k uint64) SplitMix64 {
+	return SplitMix64{state: Mix64((uint64(seed) ^ streamTag) + Golden*(k+1))}
+}
+
 // Stream returns stream k of the run seeded with seed, wrapped for the
-// *rand.Rand-typed simulator interfaces. The initial states of a run's
-// streams are consecutive outputs of one SplitMix64 generator seeded with
-// seed^streamTag, so distinct (seed, k) pairs start at pseudo-randomly
-// scattered points of the 2^64 cycle.
+// *rand.Rand-typed simulator interfaces: the same draws as StreamValue.
 func Stream(seed int64, k uint64) *rand.Rand {
-	return rand.New(NewSplitMix64(Mix64((uint64(seed) ^ streamTag) + Golden*(k+1))))
+	s := StreamValue(seed, k)
+	return rand.New(&s)
 }

@@ -130,3 +130,69 @@ func TestStreamUniformity(t *testing.T) {
 		}
 	}
 }
+
+// unmix inverts Mix64: each xorshift is undone by repeating it until the
+// shifts run off the word, and each multiplication by its inverse mod 2^64.
+func unmix(z uint64) uint64 {
+	unshift := func(z uint64, k uint) uint64 {
+		x := z
+		for s := k; s < 64; s += k {
+			x ^= z >> s
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 {
+		x := c // Newton's iteration doubles the correct low bits each step
+		for range 6 {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z = unshift(z, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// TestFloat64MatchesRandRand: a generator's Float64 returns what rand.Rand's
+// Float64 returns over a copy of it, for ordinary streams and for a state
+// whose next Int63 rounds to 1, which both must draw again.
+func TestFloat64MatchesRandRand(t *testing.T) {
+	if got := rng.Mix64(unmix(12345)); got != 12345 {
+		t.Fatalf("unmix is not Mix64's inverse: Mix64(unmix(12345)) = %d", got)
+	}
+	// Mix64(state+Golden) = 2^64-1 makes Int63 2^63-1, which rounds to 1.
+	edge := unmix(^uint64(0)) - rng.Golden
+	for _, seed := range []uint64{0, 1, 0xdeadbeef, edge} {
+		g := rng.NewSplitMix64(seed)
+		r := rand.New(rng.NewSplitMix64(seed))
+		for i := 0; i < 1000; i++ {
+			if got, want := g.Float64(), r.Float64(); got != want {
+				t.Fatalf("seed %#x draw %d: Float64 = %v, rand.Rand = %v", seed, i, got, want)
+			}
+		}
+	}
+	g := rng.NewSplitMix64(edge)
+	if f := g.Float64(); f >= 1 {
+		t.Fatalf("Float64 at the edge state = %v, want < 1", f)
+	}
+	if r := rng.NewSplitMix64(edge); g.Uint64() != func() uint64 { r.Uint64(); r.Uint64(); return r.Uint64() }() {
+		t.Fatal("Float64 at the edge state did not draw exactly twice")
+	}
+}
+
+// TestStreamValueMatchesStream: the value form of a stream makes the same
+// draws as the *rand.Rand form.
+func TestStreamValueMatchesStream(t *testing.T) {
+	for _, seed := range []int64{0, 7, -3} {
+		for _, k := range []uint64{rng.AssignStream, rng.AdversaryStream, rng.ProcStream(1), rng.ProcStream(500)} {
+			v, r := rng.StreamValue(seed, k), rng.Stream(seed, k)
+			for i := 0; i < 100; i++ {
+				if got, want := v.Float64(), r.Float64(); got != want {
+					t.Fatalf("seed %d stream %d draw %d: %v, want %v", seed, k, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -128,9 +128,10 @@ type Reception struct {
 
 // Process is one automaton of an algorithm. The engine calls Start exactly
 // once when the process becomes active, then in every subsequent round first
-// Decide and then Receive. Round numbers are global (the paper justifies a
-// global round counter by having the source label messages with its local
-// counter; see Section 5, footnote 1).
+// Decide and then Receive, except where the optional contracts below
+// (SendPlanner, DeafHolders) let it skip a call. Round numbers are global
+// (the paper justifies a global round counter by having the source label
+// messages with its local counter; see Section 5, footnote 1).
 type Process interface {
 	// Start activates the process at the given round. hasMessage is true
 	// only for the source process, which holds the broadcast message before
@@ -152,6 +153,48 @@ type Algorithm interface {
 	// function of (Config.Seed, id). Deterministic algorithms must not use
 	// it.
 	NewProcess(id, n int, rng *rand.Rand) Process
+}
+
+// The round loop uses three optional contracts, each chosen once at Start.
+// None changes a run: a run with them gives the same senders in every round
+// and the same Result as a run through Process and NewProcess alone. They
+// only let the loop skip calls whose outcome is already known.
+//
+// Caveat for wrappers: embedding a built-in algorithm inherits its
+// NewProcessRNG and HoldersIgnoreReceptions, so a wrapper that overrides
+// NewProcess must override those too, or embed the sim.Algorithm interface
+// instead, which hides them.
+
+// ValueRNGAlgorithm is an Algorithm that can build a process around its
+// random stream as an rng.SplitMix64 value, which the process owns, instead
+// of a *rand.Rand. Start prefers NewProcessRNG and passes it the same stream
+// NewProcess would get, so a process that draws with src.Float64 where it
+// would call rng.Float64 makes the same draws. A deterministic algorithm may
+// implement it to skip building a stream it never reads.
+type ValueRNGAlgorithm interface {
+	NewProcessRNG(id, n int, src rng.SplitMix64) Process
+}
+
+// DeafHolders is an Algorithm that may declare that its processes ignore
+// every reception once they hold the broadcast message. When
+// HoldersIgnoreReceptions returns true, the round loop does not call Receive
+// on an active node that held the message at the start of the round. It
+// still computes that node's reception (so CR4 Resolve calls happen as
+// before) and still calls Receive on every other active node.
+type DeafHolders interface {
+	HoldersIgnoreReceptions() bool
+}
+
+// SendPlanner is a Process that can tell the round loop when it may next
+// transmit. NextSend(r) returns the first round t >= r in which Decide(t)
+// may return true, assuming Receive is not called before t, or math.MaxInt
+// when there is none; Decide in the rounds r..t-1 must return false and
+// leave the process as it was. When every process of a run is a
+// SendPlanner, the loop calls Decide on a node only in the round its last
+// NextSend named, and calls NextSend(t+1) after each Decide(t) or
+// Receive(t) it makes on the node.
+type SendPlanner interface {
+	NextSend(round int) int
 }
 
 // View is the read-only information the engine exposes to the adversary when
@@ -332,6 +375,22 @@ func (ds *DeliverySink) Add(s, v graph.NodeID) {
 	}
 	if !ds.buf.dual.HasUnreliableEdge(s, v) {
 		ds.err = fmt.Errorf("%w: (%d,%d)", ErrBadDelivery, s, v)
+		return
+	}
+	ds.addUnrel(s, v)
+}
+
+// AddInArc is Add for an arc the caller read off the current round's
+// View.UnreliableIn(v) row, so (s, v) is an edge of G' \ G by construction
+// and its fringe lookup is skipped. Every other check of Add stays: s must
+// have sent, and (s, v) must not be delivered twice this round. An arc from
+// anywhere else must go through Add.
+func (ds *DeliverySink) AddInArc(s, v graph.NodeID) {
+	if ds.err != nil {
+		return
+	}
+	if !ds.sender(s) {
+		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
 		return
 	}
 	ds.addUnrel(s, v)
@@ -904,9 +963,18 @@ type Execution struct {
 	sink     *DeliverySink
 	res      *Result
 	holders  int
+	active   int   // active nodes; holders are always active
 	round    int   // rounds played
 	nextSwap int   // first round of the next epoch; never reached when static
 	err      error // the failure that stopped the run
+
+	// The optional contracts, fixed at Start. deaf: active holders get no
+	// Receive. planners (nil unless every process is a SendPlanner): next
+	// holds each node's next possible send round, math.MaxInt while it is
+	// inactive or has none.
+	deaf     bool
+	planners []SendPlanner
+	next     []int
 }
 
 // Start sets up a run of alg against adv on the time-varying network
@@ -947,9 +1015,14 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	}
 
 	procs := make([]Process, n)
+	valueRNG, _ := alg.(ValueRNGAlgorithm)
 	for node := 0; node < n; node++ {
 		pid := procOf[node]
-		procs[node] = alg.NewProcess(pid, n, rng.Stream(cfg.Seed, rng.ProcStream(pid)))
+		if valueRNG != nil {
+			procs[node] = valueRNG.NewProcessRNG(pid, n, rng.StreamValue(cfg.Seed, rng.ProcStream(pid)))
+		} else {
+			procs[node] = alg.NewProcess(pid, n, rng.Stream(cfg.Seed, rng.ProcStream(pid)))
+		}
 	}
 
 	src := d.Source()
@@ -965,6 +1038,7 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 
 	procs[src].Start(1, true)
 	active[src] = true
+	activeCount := 1
 	if cfg.Start == SyncStart {
 		for node := 0; node < n; node++ {
 			if graph.NodeID(node) != src {
@@ -972,6 +1046,7 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 				active[node] = true
 			}
 		}
+		activeCount = n
 	}
 
 	view := &View{
@@ -996,6 +1071,7 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 		res:   &Result{FirstReceive: firstRecv, ProcOf: procOf},
 
 		holders: 1,
+		active:  activeCount,
 		// A static schedule (EpochLength 0 — every sim.Run) never reaches
 		// nextSwap, so the only schedule cost of a round is one compare.
 		nextSwap: math.MaxInt,
@@ -1010,7 +1086,31 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	} else {
 		ex.deliver = mapDeliverer{adv}
 	}
+	if dh, ok := alg.(DeafHolders); ok {
+		ex.deaf = dh.HoldersIgnoreReceptions()
+	}
+	ex.planSends(active)
 	return ex, nil
+}
+
+// planSends turns the SendPlanner contract on when every process is a
+// SendPlanner: each active node's next send round is asked for round 1, and
+// an inactive node's waits for its activation.
+func (ex *Execution) planSends(active []bool) {
+	for _, p := range ex.procs {
+		if _, ok := p.(SendPlanner); !ok {
+			return
+		}
+	}
+	ex.planners = make([]SendPlanner, ex.n)
+	ex.next = make([]int, ex.n)
+	for node, p := range ex.procs {
+		ex.planners[node] = p.(SendPlanner)
+		ex.next[node] = math.MaxInt
+		if active[node] {
+			ex.next[node] = ex.planners[node].NextSend(1)
+		}
+	}
 }
 
 // Step plays the next round and reports whether the run is done: every
@@ -1085,14 +1185,33 @@ func (ex *Execution) swapEpoch(e int) error {
 // step executes one round against the current network: decide, deliver
 // (word-parallel in dense mode), then compute receptions from the count-class
 // bitsets. It assumes clearRound ran first.
+//
+// A round visits only nodes that may act. With SendPlanner processes,
+// Decide is called only on nodes whose planned round has come. With deaf
+// holders and every active node a holder, only reached nodes are visited
+// for receptions: an unreached node is a deaf holder or asleep.
 func (ex *Execution) step(round int) error {
 	ex.view.Round = round
 	buf, n := ex.buf, ex.n
-	sent, active, hasMsg, procs := ex.view.Sent, ex.view.Active, ex.view.HasMessage, ex.procs
-	for node := 0; node < n; node++ {
-		if active[node] && procs[node].Decide(round) {
-			sent[node] = true
-			buf.senders = append(buf.senders, graph.NodeID(node))
+	sent, active, procs := ex.view.Sent, ex.view.Active, ex.procs
+	if ex.planners == nil {
+		for node := 0; node < n; node++ {
+			if active[node] && procs[node].Decide(round) {
+				sent[node] = true
+				buf.senders = append(buf.senders, graph.NodeID(node))
+			}
+		}
+	} else {
+		for node, t := range ex.next {
+			if t > round {
+				continue
+			}
+			send := procs[node].Decide(round)
+			ex.next[node] = ex.planners[node].NextSend(round + 1)
+			if send {
+				sent[node] = true
+				buf.senders = append(buf.senders, graph.NodeID(node))
+			}
 		}
 	}
 	senders := buf.senders
@@ -1111,38 +1230,25 @@ func (ex *Execution) step(round int) error {
 	// Receptions come straight off the count-class bitsets; reaching lists
 	// are materialized only for CR4 resolves. Broadcast/Own are evaluated
 	// against the start-of-round holder set; hasMsg is only updated after
-	// all receptions are computed.
-	for node := 0; node < n; node++ {
-		v := graph.NodeID(node)
-		if !buf.reached(v) {
-			// Every sender reaches itself, so an unreached node sent nothing
-			// and hears silence under every rule; an inactive one stays
-			// asleep.
-			if active[node] {
-				procs[node].Receive(round, Reception{Kind: Silence})
+	// all receptions are computed. Either walk visits nodes in ascending
+	// order, so Resolve calls come in the same order.
+	if ex.deaf && ex.active == ex.holders {
+		for w, m := range buf.reach1 {
+			for ; m != 0; m &= m - 1 {
+				if err := ex.hear(round, w<<6+bits.TrailingZeros64(m)); err != nil {
+					return err
+				}
 			}
-			continue
 		}
-		rec, err := ex.reception(v)
-		if err != nil {
-			return err
-		}
-		if rec.Kind == Delivered && rec.Broadcast && !rec.Own && !hasMsg[node] {
-			buf.newHolders = append(buf.newHolders, v)
-		}
-		switch {
-		case active[node]:
-			procs[node].Receive(round, rec)
-		case rec.Kind == Delivered && ex.cfg.Start == AsyncStart:
-			// Asynchronous activation: the process wakes on its first
-			// received message and observes that reception.
-			procs[node].Start(round, false)
-			active[node] = true
-			procs[node].Receive(round, rec)
+	} else {
+		for node := 0; node < n; node++ {
+			if err := ex.hear(round, node); err != nil {
+				return err
+			}
 		}
 	}
 	for _, node := range buf.newHolders {
-		hasMsg[node] = true
+		ex.view.HasMessage[node] = true
 		ex.res.FirstReceive[node] = round
 		ex.holders++
 	}
@@ -1151,6 +1257,53 @@ func (ex *Execution) step(round int) error {
 		ex.res.Completed = ex.holders == n
 	}
 	return nil
+}
+
+// hear computes node's reception this round, records it as a new holder
+// when the reception carries the message, and hands the reception to its
+// process: to an active one unless it is a deaf holder, and to an asleep
+// one that a message wakes under asynchronous starts.
+func (ex *Execution) hear(round, node int) error {
+	v := graph.NodeID(node)
+	active, hasMsg := ex.view.Active, ex.view.HasMessage
+	listens := active[node] && !(ex.deaf && hasMsg[node])
+	if !ex.buf.reached(v) {
+		// Every sender reaches itself, so an unreached node sent nothing
+		// and hears silence under every rule; an inactive one stays
+		// asleep.
+		if listens {
+			ex.receive(round, node, Reception{Kind: Silence})
+		}
+		return nil
+	}
+	rec, err := ex.reception(v)
+	if err != nil {
+		return err
+	}
+	if rec.Kind == Delivered && rec.Broadcast && !rec.Own && !hasMsg[node] {
+		ex.buf.newHolders = append(ex.buf.newHolders, v)
+	}
+	switch {
+	case listens:
+		ex.receive(round, node, rec)
+	case !active[node] && rec.Kind == Delivered && ex.cfg.Start == AsyncStart:
+		// Asynchronous activation: the process wakes on its first
+		// received message and observes that reception.
+		ex.procs[node].Start(round, false)
+		active[node] = true
+		ex.active++
+		ex.receive(round, node, rec)
+	}
+	return nil
+}
+
+// receive calls node's Receive and, under SendPlanner, asks it again for
+// its next send round, since the reception may have changed it.
+func (ex *Execution) receive(round, node int, rec Reception) {
+	ex.procs[node].Receive(round, rec)
+	if ex.planners != nil {
+		ex.next[node] = ex.planners[node].NextSend(round + 1)
+	}
 }
 
 // deliverFrom builds the Delivered reception node observes for sender s.

@@ -426,6 +426,11 @@ func TestSinkRejectsDuplicateDelivery(t *testing.T) {
 					sink.AddEdgeID(arc)
 				}
 			}},
+			"AddInArc": sinkAdversary{into: func(_ *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) {
+				for range times {
+					sink.AddInArc(0, 2)
+				}
+			}},
 			"map": mapAdversary{m: func(*sim.View, []graph.NodeID) map[graph.NodeID][]graph.NodeID {
 				return map[graph.NodeID][]graph.NodeID{0: slices.Repeat([]graph.NodeID{2}, times)}
 			}},
@@ -452,6 +457,42 @@ func TestSinkRejectsDuplicateDelivery(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSinkAddInArcKeepsAddChecked: AddInArc takes an arc read off
+// View.UnreliableIn without a fringe lookup, but it still rejects a sender
+// that did not send, and the checked Add still rejects an arc outside the
+// fringe with the typed error, in the same round and on the same network.
+func TestSinkAddInArcKeepsAddChecked(t *testing.T) {
+	// G = 0–1–2; G' adds the shortcut 0–2.
+	g := graph.NewBuilder(3, false)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
+	gp := g.Clone()
+	gp.MustAddEdge(0, 2)
+	d, err := graph.NewDual(g, gp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(into func(v *sim.View, sink *sim.DeliverySink)) error {
+		alg := newScriptAlg(map[int]map[int]bool{1: {1: true}}, false)
+		adv := sinkAdversary{into: func(v *sim.View, _ []graph.NodeID, sink *sim.DeliverySink) { into(v, sink) }}
+		_, err := sim.Run(d, alg, adv, sim.Config{Rule: sim.CR4, Start: sim.SyncStart, MaxRounds: 1, Seed: 1})
+		return err
+	}
+	if err := run(func(v *sim.View, sink *sim.DeliverySink) {
+		for _, w := range v.UnreliableIn(2) {
+			sink.AddInArc(w, 2)
+		}
+	}); err != nil {
+		t.Fatalf("AddInArc of the fringe arc read off UnreliableIn: %v", err)
+	}
+	if err := run(func(_ *sim.View, sink *sim.DeliverySink) { sink.AddInArc(1, 2) }); !errors.Is(err, sim.ErrBadDelivery) {
+		t.Fatalf("AddInArc from a node that did not send: want ErrBadDelivery, got %v", err)
+	}
+	if err := run(func(_ *sim.View, sink *sim.DeliverySink) { sink.Add(0, 1) }); !errors.Is(err, sim.ErrBadDelivery) {
+		t.Fatalf("Add of the non-fringe arc (0,1): want ErrBadDelivery, got %v", err)
 	}
 }
 

@@ -31,6 +31,9 @@ type Family interface {
 	Size() int
 	// Contains reports whether id (1-based) is in the set with index set.
 	Contains(set int, id int) bool
+	// AppendSets appends to dst, in ascending order, the index of every set
+	// that contains id (1-based), and returns the extended slice.
+	AppendSets(dst []int, id int) []int
 }
 
 // Members returns the sorted members of the given set of a family; intended
@@ -71,6 +74,14 @@ func (r *RoundRobin) Size() int { return r.n }
 
 // Contains implements Family.
 func (r *RoundRobin) Contains(set, id int) bool { return id-1 == set }
+
+// AppendSets implements Family: id is only in set id-1.
+func (r *RoundRobin) AppendSets(dst []int, id int) []int {
+	if id < 1 || id > r.n {
+		return dst
+	}
+	return append(dst, id-1)
+}
 
 // ReedSolomon is the Kautz–Singleton (n,k)-SSF built from a Reed–Solomon
 // code over GF(q): identifier x is encoded as the degree-(m-1) polynomial
@@ -130,10 +141,26 @@ func (f *ReedSolomon) Contains(set, id int) bool {
 	return f.eval(id-1, point) == symbol
 }
 
+// AppendSets implements Family: id's set at evaluation point i is
+// i*q + p_id(i), one evaluation per point, so the q sets come out ascending.
+func (f *ReedSolomon) AppendSets(dst []int, id int) []int {
+	if id < 1 || id > f.n {
+		return dst
+	}
+	for point := 0; point < f.q; point++ {
+		dst = append(dst, point*f.q+f.eval(id-1, point))
+	}
+	return dst
+}
+
+// maxDigits bounds the code length m: NewReedSolomon keeps
+// m <= 1+ceil(log2 n), which is at most 64 for any int n.
+const maxDigits = 64
+
 // eval evaluates the polynomial of codeword x at the given point via
-// Horner's rule on the base-q digits of x.
+// Horner's rule on the base-q digits of x, held in a stack array.
 func (f *ReedSolomon) eval(x, point int) int {
-	digits := make([]int, f.m)
+	var digits [maxDigits]int
 	for i := 0; i < f.m; i++ {
 		digits[i] = x % f.q
 		x /= f.q
@@ -188,6 +215,16 @@ func (e *Explicit) Contains(set, id int) bool {
 		return false
 	}
 	return e.sets[set].get(id - 1)
+}
+
+// AppendSets implements Family by testing every set.
+func (e *Explicit) AppendSets(dst []int, id int) []int {
+	for set := range e.sets {
+		if e.Contains(set, id) {
+			dst = append(dst, set)
+		}
+	}
+	return dst
 }
 
 // New returns the smallest available verified-by-construction (n,k)-SSF:

@@ -125,19 +125,26 @@ func compareRuns(t *testing.T, name string, sched graph.Schedule, alg, ref sim.A
 	if err != nil {
 		t.Fatalf("%s: hidden: %v", name, err)
 	}
+	lockstep(t, name, got, want)
+}
+
+// lockstep steps got and want together and fails at the first round whose
+// Step outcome or senders differ, or when the final Results differ.
+func lockstep(t *testing.T, name string, got, want *sim.Execution) {
+	t.Helper()
 	for done := false; !done; {
-		var wantDone bool
+		var err error
 		done, err = got.Step()
 		wantDone, wantErr := want.Step()
 		if !reflect.DeepEqual(err, wantErr) || done != wantDone {
-			t.Fatalf("%s round %d: Step = (%v, %v), hidden (%v, %v)", name, got.Round(), done, err, wantDone, wantErr)
+			t.Fatalf("%s round %d: Step = (%v, %v), reference (%v, %v)", name, got.Round(), done, err, wantDone, wantErr)
 		}
 		if !slices.Equal(got.Senders(), want.Senders()) {
-			t.Fatalf("%s: first divergence in round %d: senders %v, hidden %v", name, got.Round(), got.Senders(), want.Senders())
+			t.Fatalf("%s: first divergence in round %d: senders %v, reference %v", name, got.Round(), got.Senders(), want.Senders())
 		}
 	}
 	if !reflect.DeepEqual(got.Result(), want.Result()) {
-		t.Fatalf("%s: Result %+v, hidden %+v", name, got.Result(), want.Result())
+		t.Fatalf("%s: Result %+v, reference %+v", name, got.Result(), want.Result())
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -34,55 +35,76 @@ func TestDeliveryModeChoice(t *testing.T) {
 	}
 }
 
-// TestReachBitsetsCountClasses exercises the sparse-mode count-class
-// transitions that replaced per-node sender lists: one delivery makes a node
-// reached with a recoverable single sender, a second collides it, and
-// clearRound returns the bitsets (and only the touched words) to zero.
+// TestReachBitsetsCountClasses exercises the count-class transitions that
+// replaced per-node sender lists, in both delivery modes: one delivery makes
+// a node reached with a recoverable single sender, a second collides it, the
+// touched-word list holds each nonzero word once, and clearRound returns the
+// bitsets (and only the touched words) to zero.
 func TestReachBitsetsCountClasses(t *testing.T) {
 	d := sparseFixture(t)
-	buf := newRunBuffers(d)
-	sent := make([]bool, d.N())
+	for _, dense := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) {
+			buf := newBuffers(d, dense)
+			sent := make([]bool, d.N())
 
-	const v, s1, s2 = 70, 3, 5 // v in the second word: both words must reset
-	buf.addReach(v, s1)
-	if !buf.reached(v) || buf.collided(v) {
-		t.Fatal("one delivery: want reached, not collided")
-	}
-	if got := buf.singleReacher(v); got != s1 {
-		t.Fatalf("singleReacher = %d, want %d", got, s1)
-	}
-	buf.addReach(v, s2)
-	if !buf.reached(v) || !buf.collided(v) {
-		t.Fatal("two deliveries: want reached and collided")
-	}
-	if !buf.addUnrel(9, s1) || !buf.reached(9) || buf.collided(9) {
-		t.Fatal("one unreliable delivery: want recorded, reached, not collided")
-	}
-	if got := buf.singleReacher(9); got != s1 {
-		t.Fatalf("unreliable singleReacher = %d, want %d", got, s1)
-	}
-	// A repeated arc is refused and leaves the count class alone (the sink
-	// turns the refusal into ErrBadDelivery); another sender still collides.
-	if buf.addUnrel(9, s1) || buf.collided(9) || len(buf.unrel) != 1 {
-		t.Fatal("duplicate unreliable delivery must be refused, not collide")
-	}
-	if !buf.addUnrel(9, s2) || !buf.collided(9) {
-		t.Fatal("a second sender's unreliable delivery must collide")
-	}
+			// Line: s1 and s2 each reach v, in the second word, and the
+			// unreliable deliveries to 9 touch the first: both words must
+			// reset.
+			const v, s1, s2 = 70, 69, 71
+			buf.deliverReliable([]graph.NodeID{s1})
+			if !buf.reached(v) || buf.collided(v) {
+				t.Fatal("one delivery: want reached, not collided")
+			}
+			if got := buf.firstFrom[v]; got != s1 {
+				t.Fatalf("firstFrom[%d] = %d, want %d", v, got, s1)
+			}
+			buf.deliverReliable([]graph.NodeID{s2})
+			if !buf.reached(v) || !buf.collided(v) {
+				t.Fatal("two deliveries: want reached and collided")
+			}
+			if got := buf.firstFrom[s2+1]; got != s2 {
+				t.Fatalf("firstFrom[%d] = %d, want %d", s2+1, got, s2)
+			}
+			if !buf.addUnrel(9, s1) || !buf.reached(9) || buf.collided(9) {
+				t.Fatal("one unreliable delivery: want recorded, reached, not collided")
+			}
+			if got := buf.firstFrom[9]; got != s1 {
+				t.Fatalf("unreliable firstFrom[9] = %d, want %d", got, s1)
+			}
+			// A repeated arc is refused and leaves the count class alone (the
+			// sink turns the refusal into ErrBadDelivery); another sender
+			// still collides.
+			if buf.addUnrel(9, s1) || buf.collided(9) || len(buf.unrel) != 1 {
+				t.Fatal("duplicate unreliable delivery must be refused, not collide")
+			}
+			if !buf.addUnrel(9, s2) || !buf.collided(9) {
+				t.Fatal("a second sender's unreliable delivery must collide")
+			}
+			var nonzero []int32
+			for w, x := range buf.reach1 {
+				if x != 0 {
+					nonzero = append(nonzero, int32(w))
+				}
+			}
+			if got := slices.Sorted(slices.Values(buf.touchedW)); !slices.Equal(got, nonzero) {
+				t.Fatalf("touched words %v, want the nonzero words %v", buf.touchedW, nonzero)
+			}
 
-	buf.clearRound(sent)
-	for w, x := range buf.reach1 {
-		if x != 0 || buf.reach2[w] != 0 {
-			t.Fatalf("word %d not cleared: reach1=%x reach2=%x", w, x, buf.reach2[w])
-		}
-	}
-	if len(buf.touchedW) != 0 || len(buf.unrel) != 0 {
-		t.Fatal("touched word list or delivery list not truncated")
-	}
-	for v := range buf.unrelHead {
-		if buf.unrelHead[v] != -1 || buf.unrelTail[v] != -1 {
-			t.Fatalf("node %d chain not reset: head %d tail %d", v, buf.unrelHead[v], buf.unrelTail[v])
-		}
+			buf.clearRound(sent)
+			for w, x := range buf.reach1 {
+				if x != 0 || buf.reach2[w] != 0 {
+					t.Fatalf("word %d not cleared: reach1=%x reach2=%x", w, x, buf.reach2[w])
+				}
+			}
+			if len(buf.touchedW) != 0 || len(buf.unrel) != 0 {
+				t.Fatal("touched word list or delivery list not truncated")
+			}
+			for v := range buf.unrelHead {
+				if buf.unrelHead[v] != -1 || buf.unrelTail[v] != -1 {
+					t.Fatalf("node %d chain not reset: head %d tail %d", v, buf.unrelHead[v], buf.unrelTail[v])
+				}
+			}
+		})
 	}
 }
 
@@ -114,27 +136,23 @@ func TestClearRoundUnmarksOnlySenders(t *testing.T) {
 // (the reliable pass visited senders in ascending node order), then
 // unreliable deliveries in sink-add order.
 func TestMaterializeReachingOrder(t *testing.T) {
-	check := func(t *testing.T, d *graph.Dual, senders []graph.NodeID, target graph.NodeID) {
+	check := func(t *testing.T, d *graph.Dual, dense bool, senders []graph.NodeID, target graph.NodeID) {
 		t.Helper()
 		buf := newRunBuffers(d)
+		if buf.dense != dense {
+			t.Fatalf("fixture takes dense=%v, want %v", buf.dense, dense)
+		}
 		sent := make([]bool, d.N())
 		want := []graph.NodeID{}
 		for _, s := range senders {
 			sent[s] = true
-			buf.senders = append(buf.senders, s)
-			if buf.dense {
-				buf.deliverDense(s)
-			} else {
-				buf.addReach(s, s)
-				for _, v := range d.G().Out(s) {
-					buf.addReach(v, s)
-				}
-			}
 			if d.G().HasEdge(s, target) {
 				want = append(want, s)
 			}
 		}
-		// Two unreliable deliveries out of ascending-sender order: they must
+		buf.senders = append(buf.senders, senders...)
+		buf.deliverReliable(senders)
+		// The unreliable deliveries out of ascending-sender order: they must
 		// come last, in add order.
 		unrel := []graph.NodeID{}
 		for _, s := range senders {
@@ -146,14 +164,8 @@ func TestMaterializeReachingOrder(t *testing.T) {
 			buf.addUnrel(target, unrel[i])
 			want = append(want, unrel[i])
 		}
-		got := buf.materializeReaching(target, sent)
-		if len(got) != len(want) {
+		if got := buf.materializeReaching(target, sent); !slices.Equal(got, want) {
 			t.Fatalf("materialized %v, want %v", got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("materialized %v, want %v", got, want)
-			}
 		}
 	}
 
@@ -162,11 +174,20 @@ func TestMaterializeReachingOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Target 3 is a non-sender inside the clique; senders reach it reliably.
-	check(t, dense, []graph.NodeID{1, 4, 9}, 3)
+	check(t, dense, true, []graph.NodeID{1, 4, 9}, 3)
+
+	// Layers {0} {1..4} {5..8} {9..12}: target 10 hears layer 2 reliably and
+	// nodes 0 and 1..4 over unreliable arcs; its own out-row is empty, so a
+	// list read off out-rows instead of in-rows would miss every sender.
+	directed, err := graph.DirectedLayered([]int{1, 4, 4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, directed, true, []graph.NodeID{0, 1, 3, 5, 6, 11}, 10)
 
 	sparse := sparseFixture(t)
 	// Line: node 10's reliable in-neighbours are 9 and 11.
-	check(t, sparse, []graph.NodeID{9, 11}, 10)
+	check(t, sparse, false, []graph.NodeID{9, 11}, 10)
 
 	// A whole dense run under a CR4 adversary that resolves every collision
 	// itself: every non-sender of the clique sees the same reliable senders,

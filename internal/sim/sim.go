@@ -431,7 +431,7 @@ func (ds *DeliverySink) EachReachedOnce(yield func(v, s graph.NodeID) bool) {
 		for m != 0 {
 			v := graph.NodeID(w<<6 + bits.TrailingZeros64(m))
 			m &= m - 1
-			if !yield(v, b.singleReacher(v)) {
+			if !yield(v, b.firstFrom[v]) {
 				return
 			}
 		}
@@ -535,34 +535,35 @@ const (
 // per target node through unrelHead/unrelTail, so a node's chain is its
 // deliveries in sink-add order.
 //
-// Two modes, chosen once per run from the epoch-0 reliable graph:
+// Beside the two bitsets a round keeps firstFrom, each reached node's first
+// reacher (the whole answer for a singleton reception), and touchedW, the
+// words of reach1 it made nonzero, so reset clears only those. CR4 lists are
+// rebuilt from the epoch's reliable in-rows filtered by sent.
+//
+// Two modes, chosen once per run from the epoch-0 reliable graph, differ
+// only in how the reliable pass writes that state:
 //
 //   - dense (small, dense networks): every node has a precomputed delivery
 //     mask — its reliable out-row plus itself as a bit row — and a sender's
 //     whole delivery is OR-ed into reach1/reach2 a word at a time, turning
-//     ~deg(s) list appends into row/64 word ops. The transposed masks
-//     (inMask) recover single reachers and CR4 lists from sentBit by bit
-//     iteration. Reset is a memclr of n/64-word arrays.
-//   - sparse (everything else): deliveries stay per-edge but touch only the
-//     two bitsets plus firstFrom (the node's first reacher, which is the
-//     whole answer for singleton receptions); reset clears only the words
-//     the round made nonzero (touchedW). CR4 lists are rebuilt from the
-//     epoch's reliable in-rows filtered by sent.
+//     ~deg(s) per-edge updates into row/64 word ops.
+//   - sparse (everything else): deliveries stay per edge.
 //
-// Both modes read the epoch's rows through Dual.Row, so an overlay epoch is
-// never built. No buffer is sized by an epoch's graph, only by n, so an
+// Everything read after the reliable pass has one form in both modes, and
+// both read the epoch's rows through Dual.Row, so an overlay epoch is never
+// built. No buffer is sized by an epoch's graph, only by n, so an
 // epoch swap leaves them alone and refreshes just the dense mode's masks.
 // All buffers are allocated once per run; once the delivery list
 // has grown to the run's busiest round, the round loop performs no heap
 // allocation in either mode.
 type runBuffers struct {
-	n      int
 	reach1 []uint64 // nodes reached by ≥1 message this round
 	reach2 []uint64 // nodes reached by ≥2 messages this round
 
-	// Sparse-mode round state.
-	touchedW  []int32        // words of reach1 made nonzero this round
-	firstFrom []graph.NodeID // first sender reaching v (valid while reach1 bit set)
+	touchedW []int32 // words of reach1 made nonzero this round
+	// firstFrom[v] is the first sender reaching v, valid while v's reach1
+	// bit is set: the sender of a singly-reached v's one message.
+	firstFrom []graph.NodeID
 
 	// This round's unreliable deliveries in sink-add order. unrelHead[v] and
 	// unrelTail[v] index v's first and last delivery (-1 = none), and each
@@ -580,12 +581,10 @@ type runBuffers struct {
 	dual *graph.Dual
 	row  []graph.NodeID
 
-	// Dense mode.
+	// Dense mode: row s of outMask, len(reach1) words, is s's reliable
+	// out-row ∪ {s} as bits.
 	dense   bool
-	maskW   int      // words per mask row: (n+63)/64
-	outMask []uint64 // row s: s's reliable out-row ∪ {s} as bits
-	inMask  []uint64 // transpose of outMask (aliases outMask when undirected)
-	sentBit []uint64 // this round's senders as bits
+	outMask []uint64
 }
 
 // unrelDelivery is one unreliable delivery of the round: from's message
@@ -609,9 +608,10 @@ func newBuffers(d *graph.Dual, dense bool) *runBuffers {
 	n := d.N()
 	words := (n + 63) / 64
 	b := &runBuffers{
-		n:          n,
 		reach1:     make([]uint64, words),
 		reach2:     make([]uint64, words),
+		touchedW:   make([]int32, 0, words),
+		firstFrom:  make([]graph.NodeID, n),
 		unrelHead:  make([]int32, n),
 		unrelTail:  make([]int32, n),
 		senders:    make([]graph.NodeID, 0, n),
@@ -621,13 +621,6 @@ func newBuffers(d *graph.Dual, dense bool) *runBuffers {
 	for v := range b.unrelHead {
 		b.unrelHead[v] = -1
 		b.unrelTail[v] = -1
-	}
-	if b.dense {
-		b.maskW = words
-		b.sentBit = make([]uint64, words)
-	} else {
-		b.touchedW = make([]int32, 0, words)
-		b.firstFrom = make([]graph.NodeID, n)
 	}
 	b.setDual(d)
 	return b
@@ -647,62 +640,34 @@ func (b *runBuffers) setDual(d *graph.Dual) {
 
 // buildMasks computes the dense-mode delivery masks of the current epoch:
 // outMask row s is s's one-round reliable delivery set (out-row plus s
-// itself), inMask its transpose. Undirected graphs are their own transpose,
-// so both names share one array.
+// itself).
 func (b *runBuffers) buildMasks() {
-	size := b.n * b.maskW
+	n, words := len(b.firstFrom), len(b.reach1)
 	if b.outMask == nil {
-		b.outMask = make([]uint64, size)
+		b.outMask = make([]uint64, n*words)
 	} else {
 		clear(b.outMask)
 	}
-	for u := 0; u < b.n; u++ {
-		row := b.outMask[u*b.maskW : (u+1)*b.maskW]
+	for u := 0; u < n; u++ {
+		row := b.outMask[u*words : (u+1)*words]
 		row[u>>6] |= 1 << (uint(u) & 63)
 		for _, v := range b.dual.Row(graph.NodeID(u), graph.Reliable, &b.row) {
 			row[v>>6] |= 1 << (uint64(v) & 63)
 		}
 	}
-	if !b.dual.Directed() {
-		b.inMask = b.outMask
-	} else {
-		if b.inMask == nil || &b.inMask[0] == &b.outMask[0] {
-			b.inMask = make([]uint64, size)
-		} else {
-			clear(b.inMask)
-		}
-		for u := 0; u < b.n; u++ {
-			row := b.inMask[u*b.maskW : (u+1)*b.maskW]
-			row[u>>6] |= 1 << (uint(u) & 63)
-		}
-		for u := 0; u < b.n; u++ {
-			ubit := uint64(1) << (uint(u) & 63)
-			uw := u >> 6
-			for _, v := range b.dual.Row(graph.NodeID(u), graph.Reliable, &b.row) {
-				b.inMask[int(v)*b.maskW+uw] |= ubit
-			}
-		}
-	}
 }
 
 // clearRound resets the round state, un-marking the previous round's senders
-// in sent rather than wiping all n entries. Dense mode clears whole bitset
-// arrays (n/64 words, a memclr); sparse mode clears only the words the
-// previous round made nonzero. The unreliable chains are reset by walking
-// the round's delivery list. Idempotent: a second call finds nothing to
-// clear.
+// in sent rather than wiping all n entries, and clearing only the bitset
+// words the previous round made nonzero. The unreliable chains are reset by
+// walking the round's delivery list. Idempotent: a second call finds nothing
+// to clear.
 func (b *runBuffers) clearRound(sent []bool) {
-	if b.dense {
-		clear(b.reach1)
-		clear(b.reach2)
-		clear(b.sentBit)
-	} else {
-		for _, w := range b.touchedW {
-			b.reach1[w] = 0
-			b.reach2[w] = 0
-		}
-		b.touchedW = b.touchedW[:0]
+	for _, w := range b.touchedW {
+		b.reach1[w] = 0
+		b.reach2[w] = 0
 	}
+	b.touchedW = b.touchedW[:0]
 	for _, u := range b.unrel {
 		b.unrelHead[u.to] = -1
 		b.unrelTail[u.to] = -1
@@ -726,23 +691,32 @@ func (b *runBuffers) collided(v graph.NodeID) bool {
 // deliverDense ORs sender s's whole reliable delivery mask into the reach
 // bitsets: one pass of word ops replaces deg(s)+1 per-edge updates. A bit
 // already in reach1 is promoted into reach2, which is exactly the ≥2 count
-// class (a single sender's mask never repeats a bit).
+// class (a single sender's mask never repeats a bit). Each bit it newly sets
+// records s as that node's first reacher, and each word it makes nonzero is
+// registered in touchedW, as addReach does per edge.
 func (b *runBuffers) deliverDense(s graph.NodeID) {
-	row := b.outMask[int(s)*b.maskW : (int(s)+1)*b.maskW]
+	words := len(b.reach1)
+	row := b.outMask[int(s)*words : (int(s)+1)*words]
 	for w, mw := range row {
 		if mw == 0 {
 			continue
 		}
 		r1 := b.reach1[w]
+		if r1 == 0 {
+			b.touchedW = append(b.touchedW, int32(w))
+		}
+		for m := mw &^ r1; m != 0; m &= m - 1 {
+			b.firstFrom[w<<6+bits.TrailingZeros64(m)] = s
+		}
 		b.reach2[w] |= r1 & mw
 		b.reach1[w] = r1 | mw
 	}
-	b.sentBit[s>>6] |= 1 << (uint64(s) & 63)
 }
 
 // deliverReliable is the round's reliable pass: each sender's message
 // reaches itself and every reliable out-neighbour unconditionally,
-// word-parallel in dense mode and per edge in sparse mode.
+// word-parallel in dense mode and per edge in sparse mode. It is the one
+// place the two modes differ.
 func (b *runBuffers) deliverReliable(senders []graph.NodeID) {
 	if b.dense {
 		for _, s := range senders {
@@ -758,11 +732,11 @@ func (b *runBuffers) deliverReliable(senders []graph.NodeID) {
 	}
 }
 
-// addReach records one sparse-mode reliable delivery from s to v: first
-// contact sets the reach1 bit and remembers s as the singleton answer,
-// repeat contact promotes the bit into reach2. Words are registered in
-// touchedW on their 0→nonzero transition so reset stays proportional to the
-// round's actual traffic.
+// addReach records one delivery from s to v, a sparse-mode reliable one or
+// an unreliable one: first contact sets the reach1 bit and remembers s as
+// the singleton answer, repeat contact promotes the bit into reach2. Words
+// are registered in touchedW on their 0→nonzero transition so reset stays
+// proportional to the round's actual traffic.
 func (b *runBuffers) addReach(v, s graph.NodeID) {
 	w, bit := int(v>>6), uint64(1)<<(uint64(v)&63)
 	r1 := b.reach1[w]
@@ -777,9 +751,9 @@ func (b *runBuffers) addReach(v, s graph.NodeID) {
 	}
 }
 
-// addUnrel records an unreliable delivery from s to v: the reach bits update
-// like a reliable delivery and the pair is appended to the round's list and
-// to the tail of v's chain, preserving sink-add order for lazy
+// addUnrel records an unreliable delivery from s to v: the reach state
+// updates like a reliable delivery and the pair is appended to the round's
+// list and to the tail of v's chain, preserving sink-add order for lazy
 // materialization. It records nothing and returns false when v's chain
 // already holds a delivery from s.
 func (b *runBuffers) addUnrel(v, s graph.NodeID) bool {
@@ -788,19 +762,7 @@ func (b *runBuffers) addUnrel(v, s graph.NodeID) bool {
 			return false
 		}
 	}
-	w, bit := int(v>>6), uint64(1)<<(uint64(v)&63)
-	r1 := b.reach1[w]
-	if r1&bit == 0 {
-		if !b.dense {
-			if r1 == 0 {
-				b.touchedW = append(b.touchedW, int32(w))
-			}
-			b.firstFrom[v] = s
-		}
-		b.reach1[w] = r1 | bit
-	} else {
-		b.reach2[w] |= bit
-	}
+	b.addReach(v, s)
 	i := int32(len(b.unrel))
 	b.unrel = append(b.unrel, unrelDelivery{from: s, to: v, next: -1})
 	if t := b.unrelTail[v]; t < 0 {
@@ -812,43 +774,17 @@ func (b *runBuffers) addUnrel(v, s graph.NodeID) bool {
 	return true
 }
 
-// singleReacher returns the sender of the one message reaching v; the caller
-// guarantees v's count class is exactly one. Sparse mode recorded the answer
-// at delivery time; dense mode recovers it as the only bit of v's in-mask
-// ANDed with the sender bitset, falling back to the lone unreliable delivery.
-func (b *runBuffers) singleReacher(v graph.NodeID) graph.NodeID {
-	if !b.dense {
-		return b.firstFrom[v]
-	}
-	row := b.inMask[int(v)*b.maskW : (int(v)+1)*b.maskW]
-	for w, mw := range row {
-		if m := mw & b.sentBit[w]; m != 0 {
-			return graph.NodeID(w<<6 + bits.TrailingZeros64(m))
-		}
-	}
-	return b.unrel[b.unrelHead[v]].from
-}
-
 // materializeReaching rebuilds the full reaching list of non-sender v in the
 // order the old per-edge path produced it — reliable senders ascending, then
 // unreliable deliveries in sink-add order — into a scratch slice that is
 // reused on the next call. Only CR4 resolves and sink walks pay this; the
-// count-class rules never do. sent is the round's sender flags (sparse mode
-// filters the epoch's reliable in-row with it; dense mode has sentBit).
+// count-class rules never do. sent is the round's sender flags, which filter
+// the epoch's reliable in-row.
 func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.NodeID {
 	mat := b.mat[:0]
-	if b.dense {
-		row := b.inMask[int(v)*b.maskW : (int(v)+1)*b.maskW]
-		for w, mw := range row {
-			for m := mw & b.sentBit[w]; m != 0; m &= m - 1 {
-				mat = append(mat, graph.NodeID(w<<6+bits.TrailingZeros64(m)))
-			}
-		}
-	} else {
-		for _, w := range b.dual.Row(v, graph.ReliableIn, &b.row) {
-			if sent[w] {
-				mat = append(mat, w)
-			}
+	for _, w := range b.dual.Row(v, graph.ReliableIn, &b.row) {
+		if sent[w] {
+			mat = append(mat, w)
 		}
 	}
 	for i := b.unrelHead[v]; i >= 0; i = b.unrel[i].next {
@@ -1182,9 +1118,10 @@ func (ex *Execution) swapEpoch(e int) error {
 	return nil
 }
 
-// step executes one round against the current network: decide, deliver
-// (word-parallel in dense mode), then compute receptions from the count-class
-// bitsets. It assumes clearRound ran first.
+// step executes one round against the current network: decide, deliver,
+// then compute receptions from the count-class bitsets. The delivery modes
+// differ only in the reliable pass (word-parallel in dense mode); what step
+// reads after it has one form. It assumes clearRound ran first.
 //
 // A round visits only nodes that may act. With SendPlanner processes,
 // Decide is called only on nodes whose planned round has come. With deaf
@@ -1327,7 +1264,7 @@ func (ex *Execution) reception(node graph.NodeID) (Reception, error) {
 	case rule != CR1 && sent[node]:
 		return ex.deliverFrom(node, node), nil
 	case !buf.collided(node):
-		return ex.deliverFrom(node, buf.singleReacher(node)), nil
+		return ex.deliverFrom(node, buf.firstFrom[node]), nil
 	case rule <= CR2:
 		return Reception{Kind: Collision}, nil
 	case rule == CR3 || ex.sink.silent:

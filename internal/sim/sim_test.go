@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -674,8 +675,13 @@ func TestBenignEqualsClassicalStaticModel(t *testing.T) {
 
 // TestBenignDualEqualsClassical is the identity fig-separation's classical
 // column rests on: the benign adversary never uses an unreliable edge, so a
-// run on a dual (G, G') equals, result for result, the run on the classical
-// network (G, G).
+// run on a dual (G, G') equals, round for round and result for result, the
+// run on the classical network (G, G). It holds on churn and fade schedules
+// too, since their epochs' G depends on the base G alone: churn keeps a down
+// node's backbone arc and drops its other arcs, fade demotes non-backbone G
+// edges into the fringe, the backbone is a BFS tree of G, and every coin is
+// keyed by a node or a G edge. Waypoint schedules are left out: their epochs
+// ignore the base's arcs, so both runs would play the same networks.
 func TestBenignDualEqualsClassical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{3, 8, 16, 24} {
@@ -695,20 +701,37 @@ func TestBenignDualEqualsClassical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []sim.Algorithm{core.NewRoundRobin(), ss, h} {
-			for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
-				for _, start := range []sim.StartRule{sim.SyncStart, sim.AsyncStart} {
-					cfg := sim.Config{Rule: rule, Start: start, MaxRounds: 5000, Seed: int64(n)}
-					got, err := sim.Run(d, alg, adversary.Benign{}, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := sim.Run(classical, alg, adversary.Benign{}, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("n=%d %s %v %v: dual run %+v, classical run %+v", n, alg.Name(), rule, start, got, want)
+		for kind := range 3 {
+			schedule := func(d *graph.Dual) (graph.Schedule, error) {
+				switch kind {
+				case 1:
+					return graph.NewChurn(d, 3, 0.3)
+				case 2:
+					return graph.NewFade(d, 2, 0.4)
+				}
+				return graph.Static(d), nil
+			}
+			dualSched, err := schedule(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classicalSched, err := schedule(classical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alg := range []sim.Algorithm{core.NewRoundRobin(), ss, h} {
+				for _, rule := range []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4} {
+					for _, start := range []sim.StartRule{sim.SyncStart, sim.AsyncStart} {
+						cfg := sim.Config{Rule: rule, Start: start, MaxRounds: 5000, Seed: int64(n)}
+						got, err := sim.Start(dualSched, alg, adversary.Benign{}, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := sim.Start(classicalSched, alg, adversary.Benign{}, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						lockstep(t, fmt.Sprintf("n=%d %T %s %v %v: dual vs classical", n, dualSched, alg.Name(), rule, start), got, want)
 					}
 				}
 			}

@@ -102,6 +102,49 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// goldenIDs lists every registered experiment. Each has a -quick -seed 1
+// golden and a full-size -seed 1 golden in testdata.
+var goldenIDs = []string{
+	"abl-adversary",
+	"abl-collision-rules",
+	"abl-harmonic-T",
+	"ext-adaptive",
+	"ext-broadcastability",
+	"ext-delta-select",
+	"ext-dynamic",
+	"ext-exhaustive",
+	"ext-link-culling",
+	"ext-pref-attach",
+	"ext-repeated-broadcast",
+	"fig-busy-rounds",
+	"fig-lemma1",
+	"fig-separation",
+	"fig-ssf-size",
+	"table1-classical-rr",
+	"table1-dual-strongselect",
+	"table1-thm12",
+	"table1-thm2",
+	"table2-classical-decay",
+	"table2-dual-harmonic",
+	"table2-thm4",
+}
+
+// checkGolden runs dgbench with args plus each -workers value and fails
+// unless every output equals testdata/file byte for byte.
+func checkGolden(t *testing.T, file string, args []string, workers ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workers {
+		got := runOutput(t, append(args, "-workers", w)...)
+		if got != string(want) {
+			t.Fatalf("workers=%s output differs from the golden\n--- got\n%s--- want\n%s", w, got, want)
+		}
+	}
+}
+
 // TestMedianRoundsExperimentsGolden pins the full -quick -seed 1 output of
 // every registered experiment, byte for byte, at worker counts 1, 2 and 8:
 // the sweep-document experiments and those whose rows come from their own
@@ -109,41 +152,23 @@ func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
 // Harmonic rows of repeated broadcast are randomized: its processes draw
 // from the same per-pid SplitMix64 streams as the simulator's.
 func TestMedianRoundsExperimentsGolden(t *testing.T) {
-	for _, id := range []string{
-		"abl-adversary",
-		"abl-collision-rules",
-		"abl-harmonic-T",
-		"ext-adaptive",
-		"ext-broadcastability",
-		"ext-delta-select",
-		"ext-dynamic",
-		"ext-exhaustive",
-		"ext-link-culling",
-		"ext-pref-attach",
-		"ext-repeated-broadcast",
-		"fig-busy-rounds",
-		"fig-lemma1",
-		"fig-separation",
-		"fig-ssf-size",
-		"table1-classical-rr",
-		"table1-dual-strongselect",
-		"table1-thm12",
-		"table1-thm2",
-		"table2-classical-decay",
-		"table2-dual-harmonic",
-		"table2-thm4",
-	} {
+	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", id+".quick-seed1.golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []string{"1", "2", "8"} {
-				got := runOutput(t, "-experiment", id, "-quick", "-seed", "1", "-workers", workers)
-				if got != string(want) {
-					t.Fatalf("workers=%s output differs from the golden\n--- got\n%s--- want\n%s", workers, got, want)
-				}
-			}
+			checkGolden(t, id+".quick-seed1.golden", []string{"-experiment", id, "-quick", "-seed", "1"}, "1", "2", "8")
+		})
+	}
+}
+
+// TestFullSizeExperimentsGolden pins the full-size -seed 1 output of every
+// registered experiment, byte for byte, at worker counts 1 and 8. The whole
+// registry takes a few seconds per worker count, so -short skips it.
+func TestFullSizeExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size experiments; run without -short")
+	}
+	for _, id := range goldenIDs {
+		t.Run(id, func(t *testing.T) {
+			checkGolden(t, id+".seed1.golden", []string{"-experiment", id, "-seed", "1"}, "1", "8")
 		})
 	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test test-short bench-module race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke bench-smoke bench-json bench-compare docs-registry docs-metrics docs-check ci
+.PHONY: all build vet fmt-check staticcheck fma-check test test-short bench-module race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke bench-smoke bench-json bench-compare docs-registry docs-metrics docs-check ci
 
 all: build
 
@@ -85,6 +85,31 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzDualFromPositions -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzEpochOverlay -fuzztime $(FUZZTIME) ./internal/graph/
+
+# Floating-point determinism across CPUs. The Go spec lets a compiler fuse
+# x*y + z into one multiply-add; the amd64 backend never does, but arm64,
+# ppc64le and s390x do, and a fused result can differ from amd64's in the
+# last bit. Cross-compile the packages that feed simulated decisions with -S
+# (no emulator needed) and fail on any fused instruction outside
+# FMA_ALLOW, which names only sites whose result a tolerance absorbs:
+# geoScratch.dual's squared distance (topologies.go:428) is compared with
+# a 1e-9 band and settled exactly by math.Hypot inside it. A fused site is
+# mended with explicit float64(...) conversions, which round each product.
+# Still open, so not checked: internal/stats (printed means, quantiles and
+# fits) and internal/expt (table2Theorem4's slack).
+FMA_ARCHES = arm64 ppc64le s390x
+FMA_PKGS = ./internal/graph ./internal/sim ./internal/core ./internal/adversary ./internal/rng ./internal/engine ./internal/spec
+FMA_ALLOW = dualgraph/internal/graph/topologies.go:428
+fma-check:
+	@for arch in $(FMA_ARCHES); do \
+		asm="$$(GOARCH=$$arch $(GO) build -trimpath -gcflags=-S $(FMA_PKGS) 2>&1)" || { echo "$$asm"; exit 1; }; \
+		printf '%s\n' "$$asm" | grep -q ' STEXT ' || { echo "fma-check: no assembly listing for $$arch"; exit 1; }; \
+		fused="$$(printf '%s\n' "$$asm" | awk -v allow='$(FMA_ALLOW)' \
+			'$$4 ~ /^FN?M(ADD|SUB)[DS]?$$/ { site = substr($$3, 2, length($$3) - 2); \
+			 n = split(allow, ok, " "); for (i = 1; i <= n; i++) if (site == ok[i]) next; print "  " site " " $$4 }')"; \
+		if [ -n "$$fused" ]; then echo "fma-check: fused multiply-add on $$arch:"; echo "$$fused"; exit 1; fi; \
+		echo "fma-check: $$arch ok"; \
+	done
 
 # Coverage floor gate: measure per-package statement coverage on the tier-1
 # test suite and fail if any package drops below its checked-in floor
@@ -209,4 +234,4 @@ docs-check: docs-registry docs-metrics
 			{ echo "$$f drifted from the generator; commit the regenerated file"; exit 1; }; \
 	done
 
-ci: build vet fmt-check staticcheck docs-check test bench-module race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke
+ci: build vet fmt-check staticcheck fma-check docs-check test bench-module race fuzz-smoke cover-check serve-smoke resume-smoke metrics-smoke

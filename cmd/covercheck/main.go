@@ -70,13 +70,13 @@ func run(floorsPath string, in io.Reader, out io.Writer) error {
 		pct, ok := got[pkg]
 		switch {
 		case !ok:
-			fmt.Fprintf(out, "FAIL %-40s no coverage line (floor %.0f%%): package skipped or broken\n", pkg, floor)
+			fmt.Fprintf(out, "FAIL %-40s no coverage line (floor %g%%): package skipped or broken\n", pkg, floor)
 			failed++
 		case pct < floor:
-			fmt.Fprintf(out, "FAIL %-40s %5.1f%% < floor %.0f%%\n", pkg, pct, floor)
+			fmt.Fprintf(out, "FAIL %-40s %5.1f%% < floor %g%%\n", pkg, pct, floor)
 			failed++
 		default:
-			fmt.Fprintf(out, "ok   %-40s %5.1f%% >= floor %.0f%%\n", pkg, pct, floor)
+			fmt.Fprintf(out, "ok   %-40s %5.1f%% >= floor %g%%\n", pkg, pct, floor)
 		}
 	}
 	var unfloored []string

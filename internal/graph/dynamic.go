@@ -554,14 +554,17 @@ func (s *WaypointSchedule) Epoch(e int, runSeed int64) (*Dual, error) {
 	return sc.dual(sc.xs, sc.ys, s.rRel, s.rUnrel, s.source)
 }
 
-// positions writes every node's interpolated position at epoch e.
+// positions writes every node's interpolated position at epoch e. The
+// explicit float64 conversions round each product before the sum, so no
+// architecture may fuse them into one multiply-add and the positions are
+// the same on every CPU.
 func (s *WaypointSchedule) positions(e int, runSeed int64, xs, ys []float64) {
 	leg, step := e/s.legEpochs, e%s.legEpochs
 	t := float64(step) / float64(s.legEpochs)
 	for v := 0; v < s.n; v++ {
 		x0, y0 := s.waypoint(runSeed, NodeID(v), leg)
 		x1, y1 := s.waypoint(runSeed, NodeID(v), leg+1)
-		xs[v] = x0*(1-t) + x1*t
-		ys[v] = y0*(1-t) + y1*t
+		xs[v] = float64(x0*(1-t)) + float64(x1*t)
+		ys[v] = float64(y0*(1-t)) + float64(y1*t)
 	}
 }

@@ -193,3 +193,110 @@ func TestDeafHoldersSkipOnlyHolders(t *testing.T) {
 		}
 	}
 }
+
+// resolveCall is one Resolve call as the adversary saw it.
+type resolveCall struct {
+	round    int
+	node     graph.NodeID
+	holder   bool // node held the message at the start of the round
+	reaching []graph.NodeID
+}
+
+// resolveRecorder wraps a buffered adversary and logs every Resolve call.
+// It forwards DeliverInto, so the inner adversary's deliveries and its
+// SilenceCollisions promises reach the run unchanged.
+type resolveRecorder struct {
+	sim.Adversary
+	bd    sim.BufferedDeliverer
+	calls []resolveCall
+}
+
+func newResolveRecorder(adv sim.Adversary) *resolveRecorder {
+	return &resolveRecorder{Adversary: adv, bd: adv.(sim.BufferedDeliverer)}
+}
+
+func (r *resolveRecorder) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
+	r.bd.DeliverInto(v, senders, sink)
+}
+
+func (r *resolveRecorder) Resolve(v *sim.View, node graph.NodeID, reaching []graph.NodeID) graph.NodeID {
+	r.calls = append(r.calls, resolveCall{v.Round, node, v.HasMessage[node], slices.Clone(reaching)})
+	return r.Adversary.Resolve(v, node, reaching)
+}
+
+// TestResolveCallsMatchHiddenContracts checks what the adversary sees of a
+// run under CR4: the sequence of Resolve calls, each with its round, node
+// and reaching list, is the same whether the round loop uses the optional
+// contracts or not. Deaf holders skip their receptions, but a collided
+// holder in a round the adversary did not silence still gets its Resolve
+// call. Random(0.5) never silences and draws from View.Rng in Resolve;
+// the greedy collider silences the rounds in which every sender holds the
+// message. The cases cover sync and async starts and static, churn and
+// fade schedules; every fourth network has n > 128, so the loop's bitsets
+// span several words.
+func TestResolveCallsMatchHiddenContracts(t *testing.T) {
+	starts := []sim.StartRule{sim.SyncStart, sim.AsyncStart}
+	cases := 24
+	if testing.Short() {
+		cases = 12
+	}
+	holderCalls := 0
+	for i := 0; i < cases; i++ {
+		rng := rand.New(rand.NewSource(int64(1000 + i)))
+		n := 5 + rng.Intn(12)
+		if i%4 == 3 {
+			n = 129 + rng.Intn(60)
+		}
+		d, err := graph.RandomDual(n, min(0.2, 6/float64(n)), min(0.5, 12/float64(n)), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sched graph.Schedule = graph.Static(d)
+		switch i % 3 {
+		case 1:
+			sched, err = graph.NewChurn(d, 1+rng.Intn(4), 0.3)
+		case 2:
+			sched, err = graph.NewFade(d, 1+rng.Intn(4), 0.3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var adv sim.Adversary = adversary.GreedyCollider{}
+		if i/6%2 == 0 {
+			adv = must(adversary.NewRandom(0.5))
+		}
+		cfg := sim.Config{Rule: sim.CR4, Start: starts[i/3%2], Seed: rng.Int63(), MaxRounds: 1500}
+		for _, alg := range builtIns(d) {
+			name := fmt.Sprintf("case %d n=%d %s (%T, %T, %v)", i, n, alg.Name(), sched, adv, cfg.Start)
+			got, want := newResolveRecorder(adv), newResolveRecorder(adv)
+			res, err := sim.RunDynamic(sched, alg, got, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ref, err := sim.RunDynamic(sched, hidden{alg}, want, cfg)
+			if err != nil {
+				t.Fatalf("%s: hidden: %v", name, err)
+			}
+			for k := range min(len(got.calls), len(want.calls)) {
+				if !reflect.DeepEqual(got.calls[k], want.calls[k]) {
+					t.Fatalf("%s: Resolve call %d is %+v, reference %+v", name, k, got.calls[k], want.calls[k])
+				}
+			}
+			if len(got.calls) != len(want.calls) {
+				t.Fatalf("%s: %d Resolve calls, reference %d", name, len(got.calls), len(want.calls))
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("%s: Result %+v, reference %+v", name, res, ref)
+			}
+			for _, c := range got.calls {
+				if c.holder {
+					holderCalls++
+				}
+			}
+		}
+	}
+	if holderCalls == 0 {
+		t.Fatal("no Resolve call on a holder: the cases do not exercise the deaf-holder exception")
+	}
+	t.Logf("%d Resolve calls on holders", holderCalls)
+}

@@ -650,9 +650,9 @@ func (b *runBuffers) buildMasks() {
 	}
 	for u := 0; u < n; u++ {
 		row := b.outMask[u*words : (u+1)*words]
-		row[u>>6] |= 1 << (uint(u) & 63)
+		setBit(row, u)
 		for _, v := range b.dual.Row(graph.NodeID(u), graph.Reliable, &b.row) {
-			row[v>>6] |= 1 << (uint64(v) & 63)
+			setBit(row, int(v))
 		}
 	}
 }
@@ -899,12 +899,15 @@ type Execution struct {
 	sink     *DeliverySink
 	res      *Result
 	holders  int
-	active   int   // active nodes; holders are always active
 	round    int   // rounds played
 	nextSwap int   // first round of the next epoch; never reached when static
 	err      error // the failure that stopped the run
 
-	// The optional contracts, fixed at Start. deaf: active holders get no
+	// hold and act mirror View.HasMessage and View.Active as bitsets, one
+	// bit per node, for the reception walk.
+	hold, act []uint64
+
+	// The optional contracts, fixed at Start. deaf: holders get no
 	// Receive. planners (nil unless every process is a SendPlanner): next
 	// holds each node's next possible send round, math.MaxInt while it is
 	// inactive or has none.
@@ -972,17 +975,22 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	hasMsg[src] = true
 	firstRecv[src] = 0
 
+	words := (n + 63) / 64
+	bitsets := make([]uint64, 2*words)
+	hold, act := bitsets[:words:words], bitsets[words:]
+	setBit(hold, int(src))
+
 	procs[src].Start(1, true)
 	active[src] = true
-	activeCount := 1
+	setBit(act, int(src))
 	if cfg.Start == SyncStart {
 		for node := 0; node < n; node++ {
 			if graph.NodeID(node) != src {
 				procs[node].Start(1, false)
 				active[node] = true
+				setBit(act, node)
 			}
 		}
-		activeCount = n
 	}
 
 	view := &View{
@@ -1007,7 +1015,8 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 		res:   &Result{FirstReceive: firstRecv, ProcOf: procOf},
 
 		holders: 1,
-		active:  activeCount,
+		hold:    hold,
+		act:     act,
 		// A static schedule (EpochLength 0 — every sim.Run) never reaches
 		// nextSwap, so the only schedule cost of a round is one compare.
 		nextSwap: math.MaxInt,
@@ -1124,9 +1133,14 @@ func (ex *Execution) swapEpoch(e int) error {
 // reads after it has one form. It assumes clearRound ran first.
 //
 // A round visits only nodes that may act. With SendPlanner processes,
-// Decide is called only on nodes whose planned round has come. With deaf
-// holders and every active node a holder, only reached nodes are visited
-// for receptions: an unreached node is a deaf holder or asleep.
+// Decide is called only on nodes whose planned round has come. The
+// reception pass is one walk over the nodes whose state a reception can
+// change: (reached | active) minus the deaf holders (the holders, when the
+// algorithm declares DeafHolders; no node otherwise). An unreached asleep
+// node stays asleep, and a deaf holder neither listens nor becomes a new
+// holder. The one exception is CR4 in a round the adversary did not
+// silence: a collided deaf holder is visited too, because the adversary
+// sees its Resolve call.
 func (ex *Execution) step(round int) error {
 	ex.view.Round = round
 	buf, n := ex.buf, ex.n
@@ -1166,26 +1180,30 @@ func (ex *Execution) step(round int) error {
 
 	// Receptions come straight off the count-class bitsets; reaching lists
 	// are materialized only for CR4 resolves. Broadcast/Own are evaluated
-	// against the start-of-round holder set; hasMsg is only updated after
-	// all receptions are computed. Either walk visits nodes in ascending
-	// order, so Resolve calls come in the same order.
-	if ex.deaf && ex.active == ex.holders {
-		for w, m := range buf.reach1 {
-			for ; m != 0; m &= m - 1 {
-				if err := ex.hear(round, w<<6+bits.TrailingZeros64(m)); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		for node := 0; node < n; node++ {
-			if err := ex.hear(round, node); err != nil {
+	// against the start-of-round holder set; hasMsg and hold are only
+	// updated after all receptions are computed. The walk visits nodes in
+	// ascending order, so Resolve calls come in the order of a walk over
+	// every node. hold&deafMask is the set of deaf holders, and
+	// reach2&collided those of them a Resolve call still reaches.
+	var deafMask, collided uint64
+	if ex.deaf {
+		deafMask = ^uint64(0)
+	}
+	if ex.cfg.Rule == CR4 && !ex.sink.silent {
+		collided = ^uint64(0)
+	}
+	for w, r1 := range buf.reach1 {
+		dh := ex.hold[w] & deafMask
+		m := (r1|ex.act[w])&^dh | buf.reach2[w]&dh&collided
+		for ; m != 0; m &= m - 1 {
+			if err := ex.hear(round, w<<6+bits.TrailingZeros64(m)); err != nil {
 				return err
 			}
 		}
 	}
 	for _, node := range buf.newHolders {
 		ex.view.HasMessage[node] = true
+		setBit(ex.hold, int(node))
 		ex.res.FirstReceive[node] = round
 		ex.holders++
 	}
@@ -1228,11 +1246,14 @@ func (ex *Execution) hear(round, node int) error {
 		// received message and observes that reception.
 		ex.procs[node].Start(round, false)
 		active[node] = true
-		ex.active++
+		setBit(ex.act, node)
 		ex.receive(round, node, rec)
 	}
 	return nil
 }
+
+// setBit sets bit i of the bitset b.
+func setBit(b []uint64, i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // receive calls node's Receive and, under SendPlanner, asks it again for
 // its next send round, since the reception may have changed it.

@@ -89,16 +89,15 @@ fuzz-smoke:
 # Floating-point determinism across CPUs. The Go spec lets a compiler fuse
 # x*y + z into one multiply-add; the amd64 backend never does, but arm64,
 # ppc64le and s390x do, and a fused result can differ from amd64's in the
-# last bit. Cross-compile the packages that feed simulated decisions with -S
-# (no emulator needed) and fail on any fused instruction outside
-# FMA_ALLOW, which names only sites whose result a tolerance absorbs:
-# geoScratch.dual's squared distance (topologies.go:428) is compared with
-# a 1e-9 band and settled exactly by math.Hypot inside it. A fused site is
-# mended with explicit float64(...) conversions, which round each product.
-# Still open, so not checked: internal/stats (printed means, quantiles and
-# fits) and internal/expt (table2Theorem4's slack).
+# last bit. Cross-compile every package of the module with -S (no emulator
+# needed; bench/ is its own module and feeds no result) and fail on any
+# fused instruction outside FMA_ALLOW, which names only sites whose result
+# a tolerance absorbs: geoScratch.dual's squared distance (topologies.go:428)
+# is compared with a 1e-9 band and settled exactly by math.Hypot inside it.
+# A fused site is mended with explicit float64(...) conversions, which round
+# each product.
 FMA_ARCHES = arm64 ppc64le s390x
-FMA_PKGS = ./internal/graph ./internal/sim ./internal/core ./internal/adversary ./internal/rng ./internal/engine ./internal/spec
+FMA_PKGS = ./...
 FMA_ALLOW = dualgraph/internal/graph/topologies.go:428
 fma-check:
 	@for arch in $(FMA_ARCHES); do \

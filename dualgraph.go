@@ -87,7 +87,7 @@ type (
 	Algorithm = sim.Algorithm
 	// Adversary controls assignments, unreliable deliveries, and CR4.
 	Adversary = sim.Adversary
-	// View is the read-only state exposed to adversaries.
+	// View is the read-only run state adversaries see (HasMessage, Active, Sent).
 	View = sim.View
 	// Config parameterizes a run.
 	Config = sim.Config

@@ -178,27 +178,27 @@ func (a GreedyCollider) Deliver(v *sim.View, senders []graph.NodeID) map[graph.N
 
 // DeliverInto implements sim.BufferedDeliverer with the jamming policy,
 // reading the reliable reception picture straight off the sink's reach
-// bitsets: EachReachedOnce yields exactly the nodes a lone message would
-// cleanly reach, in ascending node order. Each jam targets only the node
-// just yielded, so adding mid-iteration never changes which nodes the sweep
-// visits, and no node is jammed twice.
+// bitsets: EachReachedOnce yields exactly the non-senders a lone message
+// would cleanly reach, in ascending node order. Each jam targets only the
+// node just yielded, so adding mid-iteration never changes which nodes the
+// sweep visits, and no node is jammed twice.
 //
 // When every sender holds the message, Resolve would answer ⊥ for every
 // collision of the round, so DeliverInto tells the sink so up front and the
 // engine skips the round's reaching lists and Resolve calls.
 func (GreedyCollider) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
-	if !slices.ContainsFunc(senders, func(s graph.NodeID) bool { return !v.HasMessage[s] }) {
+	if !slices.ContainsFunc(senders, func(s graph.NodeID) bool { return !v.HasMessage(s) }) {
 		sink.SilenceCollisions()
 	}
 	sink.EachReachedOnce(func(u, from graph.NodeID) bool {
-		if v.HasMessage[u] || v.Sent[u] {
+		if v.HasMessage(u) {
 			return true
 		}
 		// u would cleanly receive a message: jam it with the lowest other
 		// sender that has an unreliable edge to u, found along u's
 		// unreliable in-row.
 		for _, w := range v.UnreliableIn(u) {
-			if v.Sent[w] && w != from {
+			if v.Sent(w) && w != from {
 				sink.AddInArc(w, u)
 				break
 			}
@@ -210,7 +210,7 @@ func (GreedyCollider) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim
 // Resolve implements sim.Adversary.
 func (GreedyCollider) Resolve(v *sim.View, _ graph.NodeID, reaching []graph.NodeID) graph.NodeID {
 	for _, s := range reaching {
-		if !v.HasMessage[s] {
+		if !v.HasMessage(s) {
 			return s
 		}
 	}

@@ -31,7 +31,7 @@ func (a senderLoopGreedy) Deliver(v *sim.View, senders []graph.NodeID) map[graph
 
 func (senderLoopGreedy) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
 	sink.EachReachedOnce(func(u, from graph.NodeID) bool {
-		if v.HasMessage[u] || v.Sent[u] {
+		if v.HasMessage(u) {
 			return true
 		}
 		for _, s := range senders {
@@ -46,7 +46,7 @@ func (senderLoopGreedy) DeliverInto(v *sim.View, senders []graph.NodeID, sink *s
 
 func (senderLoopGreedy) Resolve(v *sim.View, _ graph.NodeID, reaching []graph.NodeID) graph.NodeID {
 	for _, s := range reaching {
-		if !v.HasMessage[s] {
+		if !v.HasMessage(s) {
 			return s
 		}
 	}

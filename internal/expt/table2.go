@@ -100,8 +100,8 @@ func table2Theorem4() Experiment {
 		if err != nil {
 			return "", err
 		}
-		// Allow 3-sigma Monte-Carlo slack.
-		slack := 3 * math.Sqrt(res.Bound*(1-res.Bound)/float64(j.trials))
+		// Allow 3-sigma Monte-Carlo slack, rounded so it cannot fuse below.
+		slack := float64(3 * math.Sqrt(res.Bound*(1-res.Bound)/float64(j.trials)))
 		ok := res.MinSuccess <= res.Bound+slack
 		if !ok {
 			return "", fmt.Errorf("%s k=%d: min success %.3f exceeds the Theorem 4 bound k/(n-2) = %.3f plus 3σ slack %.3f",

@@ -231,11 +231,11 @@ func (j jammer) DeliverInto(v *sim.View, _ []graph.NodeID, sink *sim.DeliverySin
 	}
 	sink.SilenceCollisions()
 	sink.EachReachedOnce(func(u, from graph.NodeID) bool {
-		if v.Sent[u] || j.r.knows(int(u), j.r.sentMsg[from]) {
+		if j.r.knows(int(u), j.r.sentMsg[from]) {
 			return true
 		}
 		for _, w := range v.UnreliableIn(u) {
-			if v.Sent[w] && w != from {
+			if v.Sent(w) && w != from {
 				sink.AddInArc(w, u)
 				break
 			}

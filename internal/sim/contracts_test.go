@@ -198,38 +198,75 @@ func TestDeafHoldersSkipOnlyHolders(t *testing.T) {
 type resolveCall struct {
 	round    int
 	node     graph.NodeID
-	holder   bool // node held the message at the start of the round
+	holder   bool           // node held the message at the start of the round
+	active   []graph.NodeID // the nodes View.Active reported at the call
 	reaching []graph.NodeID
 }
 
 // resolveRecorder wraps a buffered adversary and logs every Resolve call.
 // It forwards DeliverInto, so the inner adversary's deliveries and its
 // SilenceCollisions promises reach the run unchanged.
+//
+// It also checks the wake-ups of the reception walk: a node that becomes
+// active after the round's DeliverInto was woken earlier in the same
+// ascending walk, so it must be below the node being resolved. wakeCalls
+// counts the Resolve calls that saw such a node.
 type resolveRecorder struct {
 	sim.Adversary
-	bd    sim.BufferedDeliverer
-	calls []resolveCall
+	bd          sim.BufferedDeliverer
+	calls       []resolveCall
+	roundActive []graph.NodeID // the active nodes at this round's DeliverInto
+	wakeCalls   int
+	badWake     string // the first wake-up seen out of walk order
 }
 
 func newResolveRecorder(adv sim.Adversary) *resolveRecorder {
 	return &resolveRecorder{Adversary: adv, bd: adv.(sim.BufferedDeliverer)}
 }
 
+// activeNodes lists the nodes v reports active, ascending.
+func activeNodes(v *sim.View) []graph.NodeID {
+	var out []graph.NodeID
+	for u := graph.NodeID(0); int(u) < v.Dual.N(); u++ {
+		if v.Active(u) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
 func (r *resolveRecorder) DeliverInto(v *sim.View, senders []graph.NodeID, sink *sim.DeliverySink) {
+	r.roundActive = activeNodes(v)
 	r.bd.DeliverInto(v, senders, sink)
 }
 
 func (r *resolveRecorder) Resolve(v *sim.View, node graph.NodeID, reaching []graph.NodeID) graph.NodeID {
-	r.calls = append(r.calls, resolveCall{v.Round, node, v.HasMessage[node], slices.Clone(reaching)})
+	active := activeNodes(v)
+	woken := false
+	for _, u := range active {
+		if _, was := slices.BinarySearch(r.roundActive, u); was {
+			continue
+		}
+		woken = true
+		if u >= node && r.badWake == "" {
+			r.badWake = fmt.Sprintf("round %d: node %d woke before the Resolve call on node %d", v.Round, u, node)
+		}
+	}
+	if woken {
+		r.wakeCalls++
+	}
+	r.calls = append(r.calls, resolveCall{v.Round, node, v.HasMessage(node), active, slices.Clone(reaching)})
 	return r.Adversary.Resolve(v, node, reaching)
 }
 
 // TestResolveCallsMatchHiddenContracts checks what the adversary sees of a
-// run under CR4: the sequence of Resolve calls, each with its round, node
-// and reaching list, is the same whether the round loop uses the optional
-// contracts or not. Deaf holders skip their receptions, but a collided
-// holder in a round the adversary did not silence still gets its Resolve
-// call. Random(0.5) never silences and draws from View.Rng in Resolve;
+// run under CR4: the sequence of Resolve calls, each with its round, node,
+// active set and reaching list, is the same whether the round loop uses the
+// optional contracts or not. Deaf holders skip their receptions, but a
+// collided holder in a round the adversary did not silence still gets its
+// Resolve call. A node that an asynchronous start wakes earlier in the
+// reception walk is already active at a later Resolve call of that round,
+// with the contracts on and hidden. Random(0.5) never silences and draws from View.Rng in Resolve;
 // the greedy collider silences the rounds in which every sender holds the
 // message. The cases cover sync and async starts and static, churn and
 // fade schedules; every fourth network has n > 128, so the loop's bitsets
@@ -240,7 +277,7 @@ func TestResolveCallsMatchHiddenContracts(t *testing.T) {
 	if testing.Short() {
 		cases = 12
 	}
-	holderCalls := 0
+	holderCalls, wakeCalls := 0, 0
 	for i := 0; i < cases; i++ {
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
 		n := 5 + rng.Intn(12)
@@ -277,6 +314,12 @@ func TestResolveCallsMatchHiddenContracts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: hidden: %v", name, err)
 			}
+			for _, r := range []*resolveRecorder{got, want} {
+				if r.badWake != "" {
+					t.Fatalf("%s: %s", name, r.badWake)
+				}
+			}
+			wakeCalls += got.wakeCalls
 			for k := range min(len(got.calls), len(want.calls)) {
 				if !reflect.DeepEqual(got.calls[k], want.calls[k]) {
 					t.Fatalf("%s: Resolve call %d is %+v, reference %+v", name, k, got.calls[k], want.calls[k])
@@ -298,5 +341,8 @@ func TestResolveCallsMatchHiddenContracts(t *testing.T) {
 	if holderCalls == 0 {
 		t.Fatal("no Resolve call on a holder: the cases do not exercise the deaf-holder exception")
 	}
-	t.Logf("%d Resolve calls on holders", holderCalls)
+	if wakeCalls == 0 {
+		t.Fatal("no Resolve call after a wake-up in its walk: the cases do not exercise mid-walk activation")
+	}
+	t.Logf("%d Resolve calls on holders, %d after a wake-up in the same walk", holderCalls, wakeCalls)
 }

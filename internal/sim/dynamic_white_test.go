@@ -39,18 +39,19 @@ func TestDeliveryModeChoice(t *testing.T) {
 // replaced per-node sender lists, in both delivery modes: one delivery makes
 // a node reached with a recoverable single sender, a second collides it, the
 // touched-word list holds each nonzero word once, and clearRound returns the
-// bitsets (and only the touched words) to zero.
+// bitsets (and only the touched words) to zero and truncates the round's
+// sender and delivery lists.
 func TestReachBitsetsCountClasses(t *testing.T) {
 	d := sparseFixture(t)
 	for _, dense := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) {
 			buf := newBuffers(d, dense)
-			sent := make([]bool, d.N())
 
 			// Line: s1 and s2 each reach v, in the second word, and the
 			// unreliable deliveries to 9 touch the first: both words must
 			// reset.
 			const v, s1, s2 = 70, 69, 71
+			buf.senders = append(buf.senders, s1, s2)
 			buf.deliverReliable([]graph.NodeID{s1})
 			if !buf.reached(v) || buf.collided(v) {
 				t.Fatal("one delivery: want reached, not collided")
@@ -90,14 +91,14 @@ func TestReachBitsetsCountClasses(t *testing.T) {
 				t.Fatalf("touched words %v, want the nonzero words %v", buf.touchedW, nonzero)
 			}
 
-			buf.clearRound(sent)
+			buf.clearRound()
 			for w, x := range buf.reach1 {
 				if x != 0 || buf.reach2[w] != 0 {
 					t.Fatalf("word %d not cleared: reach1=%x reach2=%x", w, x, buf.reach2[w])
 				}
 			}
-			if len(buf.touchedW) != 0 || len(buf.unrel) != 0 {
-				t.Fatal("touched word list or delivery list not truncated")
+			if len(buf.touchedW) != 0 || len(buf.unrel) != 0 || len(buf.senders) != 0 {
+				t.Fatal("touched word, delivery or sender list not truncated")
 			}
 			for v := range buf.unrelHead {
 				if buf.unrelHead[v] != -1 || buf.unrelTail[v] != -1 {
@@ -105,29 +106,6 @@ func TestReachBitsetsCountClasses(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestClearRoundUnmarksOnlySenders pins the O(senders) sent-clear: clearRound
-// must unset exactly the previous round's sender flags (an O(n) wipe per
-// round is what it replaced) and truncate the sender list.
-func TestClearRoundUnmarksOnlySenders(t *testing.T) {
-	d := sparseFixture(t)
-	n := d.N()
-	buf := newRunBuffers(d)
-	sent := make([]bool, n)
-	for _, s := range []graph.NodeID{2, 41, 77} {
-		sent[s] = true
-		buf.senders = append(buf.senders, s)
-	}
-	buf.clearRound(sent)
-	for i, f := range sent {
-		if f {
-			t.Fatalf("sent[%d] still set after clearRound", i)
-		}
-	}
-	if len(buf.senders) != 0 {
-		t.Fatal("sender list not truncated")
 	}
 }
 
@@ -142,10 +120,10 @@ func TestMaterializeReachingOrder(t *testing.T) {
 		if buf.dense != dense {
 			t.Fatalf("fixture takes dense=%v, want %v", buf.dense, dense)
 		}
-		sent := make([]bool, d.N())
+		sent := make([]uint64, len(buf.reach1))
 		want := []graph.NodeID{}
 		for _, s := range senders {
-			sent[s] = true
+			setBit(sent, int(s))
 			if d.G().HasEdge(s, target) {
 				want = append(want, s)
 			}
@@ -254,9 +232,9 @@ func (a *listCheckAdversary) Deliver(v *View, senders []graph.NodeID) map[graph.
 
 func (a *listCheckAdversary) Resolve(v *View, node graph.NodeID, reaching []graph.NodeID) graph.NodeID {
 	var want []graph.NodeID
-	for s, sent := range v.Sent {
-		if sent && v.Dual.G().HasEdge(graph.NodeID(s), node) {
-			want = append(want, graph.NodeID(s))
+	for s := graph.NodeID(0); int(s) < v.Dual.N(); s++ {
+		if v.Sent(s) && v.Dual.G().HasEdge(s, node) {
+			want = append(want, s)
 		}
 	}
 	want = append(want, a.unrel[node]...)

@@ -206,20 +206,27 @@ type View struct {
 	Dual *graph.Dual
 	// ProcOf maps node -> process identifier.
 	ProcOf []int
-	// HasMessage reports, per node, whether it held the broadcast message at
-	// the start of the round.
-	HasMessage []bool
-	// Active reports, per node, whether the process is active.
-	Active []bool
-	// Sent reports, per node, whether it transmits this round.
-	Sent []bool
 	// Rng is the adversary's private randomness source: stream 1 of the
 	// run's SplitMix64 streams (internal/rng), a pure function of
 	// Config.Seed. AssignProcs receives stream 0.
 	Rng *rand.Rand
 
+	// The run's per-node state, in one allocation: the holders at the start
+	// of the round, the active nodes, and this round's senders.
+	hold, act, sent []uint64
+
 	row []graph.NodeID // UnreliableOut's and UnreliableIn's scratch row
 }
+
+// HasMessage reports whether u held the broadcast message at the start of
+// the round.
+func (v *View) HasMessage(u graph.NodeID) bool { return hasBit(v.hold, int(u)) }
+
+// Active reports whether u's process is active.
+func (v *View) Active(u graph.NodeID) bool { return hasBit(v.act, int(u)) }
+
+// Sent reports whether u transmits this round.
+func (v *View) Sent(u graph.NodeID) bool { return hasBit(v.sent, int(u)) }
 
 // UnreliableOut returns s's unreliable out-neighbours in the current epoch,
 // ascending: Dual.Row read into a scratch row the View owns, so an overlay
@@ -318,7 +325,7 @@ type BufferedDeliverer interface {
 func DeliveryMap(bd BufferedDeliverer, v *View, senders []graph.NodeID) map[graph.NodeID][]graph.NodeID {
 	b := newBuffers(v.Dual, false)
 	b.deliverReliable(senders)
-	sink := &DeliverySink{sent: v.Sent, buf: b}
+	sink := &DeliverySink{sent: v.sent, buf: b}
 	bd.DeliverInto(v, senders, sink)
 	if sink.err != nil {
 		return map[graph.NodeID][]graph.NodeID{0: {0}}
@@ -354,7 +361,7 @@ func (m mapDeliverer) DeliverInto(v *View, senders []graph.NodeID, sink *Deliver
 // delivery into that state immediately. The sink holds no per-node state of
 // its own: every delivery lands in the run's one per-round list.
 type DeliverySink struct {
-	sent   []bool
+	sent   []uint64 // the View's sender bitset
 	buf    *runBuffers
 	err    error
 	silent bool // SilenceCollisions was called this round
@@ -366,18 +373,10 @@ type DeliverySink struct {
 // turn the run into an ErrBadDelivery failure. Membership is validated in
 // O(log d) against the dual's unreliable fringe index.
 func (ds *DeliverySink) Add(s, v graph.NodeID) {
-	if ds.err != nil {
-		return
-	}
-	if !ds.sender(s) {
-		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
-		return
-	}
-	if !ds.buf.dual.HasUnreliableEdge(s, v) {
+	if ds.err == nil && ds.sender(s) && !ds.buf.dual.HasUnreliableEdge(s, v) {
 		ds.err = fmt.Errorf("%w: (%d,%d)", ErrBadDelivery, s, v)
-		return
 	}
-	ds.addUnrel(s, v)
+	ds.AddInArc(s, v)
 }
 
 // AddInArc is Add for an arc the caller read off the current round's
@@ -396,9 +395,11 @@ func (ds *DeliverySink) AddInArc(s, v graph.NodeID) {
 	ds.addUnrel(s, v)
 }
 
-// sender reports whether s is a node that transmitted this round.
+// sender reports whether s is a node that transmitted this round. s comes
+// from the adversary, so it is bounds-checked; a bit past the last node is
+// never set.
 func (ds *DeliverySink) sender(s graph.NodeID) bool {
-	return uint(s) < uint(len(ds.sent)) && ds.sent[s]
+	return uint(s>>6) < uint(len(ds.sent)) && hasBit(ds.sent, int(s))
 }
 
 // addUnrel records the validated arc (s, v) unless it was already delivered
@@ -414,11 +415,13 @@ func (ds *DeliverySink) addUnrel(s, v graph.NodeID) {
 // unreliable) reaches v this round.
 func (ds *DeliverySink) Reached(v graph.NodeID) bool { return ds.buf.reached(v) }
 
-// EachReachedOnce calls yield for every node v currently reached by exactly
-// one message, in ascending node order, with s the sender of that message;
-// it stops early when yield returns false. The singleton set is computed
-// word-parallel from the reach bitsets (O(n/64) plus the yields), which is
-// what replaced the per-edge recount that jamming adversaries used to do.
+// EachReachedOnce calls yield for every non-sender v currently reached by
+// exactly one message, in ascending node order, with s the sender of that
+// message; it stops early when yield returns false. A sender is never
+// yielded: it hears its own message under CR2-CR4, so no delivery can jam
+// it. The set is computed word-parallel from the reach and sender bitsets
+// (O(n/64) plus the yields), which is what replaced the per-edge recount
+// that jamming adversaries used to do.
 //
 // Deliveries Added during the iteration take effect immediately on the
 // queried state but never change which nodes the current sweep yields: the
@@ -426,8 +429,8 @@ func (ds *DeliverySink) Reached(v graph.NodeID) bool { return ds.buf.reached(v) 
 // targets only one node's reach row.
 func (ds *DeliverySink) EachReachedOnce(yield func(v, s graph.NodeID) bool) {
 	b := ds.buf
-	for w := range b.reach1 {
-		m := b.reach1[w] &^ b.reach2[w]
+	for w, r1 := range b.reach1 {
+		m := r1 &^ b.reach2[w] &^ ds.sent[w]
 		for m != 0 {
 			v := graph.NodeID(w<<6 + bits.TrailingZeros64(m))
 			m &= m - 1
@@ -451,12 +454,7 @@ func (ds *DeliverySink) AddEdgeID(id graph.EdgeID) {
 		ds.err = fmt.Errorf("%w: edge id %d outside [0,%d)", ErrBadDelivery, id, d.NumUnreliable())
 		return
 	}
-	s, v := d.UnreliableEdge(id)
-	if !ds.sent[s] {
-		ds.err = fmt.Errorf("%w: node %d did not send", ErrBadDelivery, s)
-		return
-	}
-	ds.addUnrel(s, v)
+	ds.AddInArc(d.UnreliableEdge(id))
 }
 
 // Fail latches err as this round's delivery failure, aborting the run with
@@ -657,12 +655,11 @@ func (b *runBuffers) buildMasks() {
 	}
 }
 
-// clearRound resets the round state, un-marking the previous round's senders
-// in sent rather than wiping all n entries, and clearing only the bitset
-// words the previous round made nonzero. The unreliable chains are reset by
-// walking the round's delivery list. Idempotent: a second call finds nothing
-// to clear.
-func (b *runBuffers) clearRound(sent []bool) {
+// clearRound resets the round state, clearing only the reach words the
+// previous round made nonzero. The unreliable chains are reset by walking
+// the round's delivery list. Idempotent: a second call finds nothing to
+// clear. The sender bitset needs no reset: the Decide walk rewrites it.
+func (b *runBuffers) clearRound() {
 	for _, w := range b.touchedW {
 		b.reach1[w] = 0
 		b.reach2[w] = 0
@@ -673,20 +670,13 @@ func (b *runBuffers) clearRound(sent []bool) {
 		b.unrelTail[u.to] = -1
 	}
 	b.unrel = b.unrel[:0]
-	for _, s := range b.senders {
-		sent[s] = false
-	}
 	b.senders = b.senders[:0]
 	b.newHolders = b.newHolders[:0]
 }
 
-func (b *runBuffers) reached(v graph.NodeID) bool {
-	return b.reach1[v>>6]&(1<<(uint64(v)&63)) != 0
-}
+func (b *runBuffers) reached(v graph.NodeID) bool { return hasBit(b.reach1, int(v)) }
 
-func (b *runBuffers) collided(v graph.NodeID) bool {
-	return b.reach2[v>>6]&(1<<(uint64(v)&63)) != 0
-}
+func (b *runBuffers) collided(v graph.NodeID) bool { return hasBit(b.reach2, int(v)) }
 
 // deliverDense ORs sender s's whole reliable delivery mask into the reach
 // bitsets: one pass of word ops replaces deg(s)+1 per-edge updates. A bit
@@ -778,12 +768,12 @@ func (b *runBuffers) addUnrel(v, s graph.NodeID) bool {
 // order the old per-edge path produced it — reliable senders ascending, then
 // unreliable deliveries in sink-add order — into a scratch slice that is
 // reused on the next call. Only CR4 resolves and sink walks pay this; the
-// count-class rules never do. sent is the round's sender flags, which filter
-// the epoch's reliable in-row.
-func (b *runBuffers) materializeReaching(v graph.NodeID, sent []bool) []graph.NodeID {
+// count-class rules never do. sent is the round's sender bitset, which
+// filters the epoch's reliable in-row.
+func (b *runBuffers) materializeReaching(v graph.NodeID, sent []uint64) []graph.NodeID {
 	mat := b.mat[:0]
 	for _, w := range b.dual.Row(v, graph.ReliableIn, &b.row) {
-		if sent[w] {
+		if hasBit(sent, int(w)) {
 			mat = append(mat, w)
 		}
 	}
@@ -894,7 +884,7 @@ type Execution struct {
 	n        int
 	src      graph.NodeID
 	procs    []Process
-	view     *View // the run's Dual, ProcOf, HasMessage, Active and Sent
+	view     *View // the run's Dual, ProcOf and per-node bitsets
 	buf      *runBuffers
 	sink     *DeliverySink
 	res      *Result
@@ -903,17 +893,16 @@ type Execution struct {
 	nextSwap int   // first round of the next epoch; never reached when static
 	err      error // the failure that stopped the run
 
-	// hold and act mirror View.HasMessage and View.Active as bitsets, one
-	// bit per node, for the reception walk.
-	hold, act []uint64
-
 	// The optional contracts, fixed at Start. deaf: holders get no
 	// Receive. planners (nil unless every process is a SendPlanner): next
 	// holds each node's next possible send round, math.MaxInt while it is
-	// inactive or has none.
+	// inactive or has none, and soonest[w] is at most the least next of
+	// the 64 nodes of bit word w, so the Decide walk skips a word with no
+	// node due.
 	deaf     bool
 	planners []SendPlanner
 	next     []int
+	soonest  []int
 }
 
 // Start sets up a run of alg against adv on the time-varying network
@@ -965,42 +954,35 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	}
 
 	src := d.Source()
-	hasMsg := make([]bool, n)
-	active := make([]bool, n)
-	sent := make([]bool, n)
 	firstRecv := make([]int, n)
 	for i := range firstRecv {
 		firstRecv[i] = -1
 	}
-	hasMsg[src] = true
 	firstRecv[src] = 0
 
 	words := (n + 63) / 64
-	bitsets := make([]uint64, 2*words)
-	hold, act := bitsets[:words:words], bitsets[words:]
-	setBit(hold, int(src))
+	bitsets := make([]uint64, 3*words)
+	view := &View{
+		Dual:   d,
+		ProcOf: procOf,
+		Rng:    rng.Stream(cfg.Seed, rng.AdversaryStream),
+		hold:   bitsets[:words:words],
+		act:    bitsets[words : 2*words : 2*words],
+		sent:   bitsets[2*words:],
+	}
+	setBit(view.hold, int(src))
 
 	procs[src].Start(1, true)
-	active[src] = true
-	setBit(act, int(src))
+	setBit(view.act, int(src))
 	if cfg.Start == SyncStart {
 		for node := 0; node < n; node++ {
 			if graph.NodeID(node) != src {
 				procs[node].Start(1, false)
-				active[node] = true
-				setBit(act, node)
+				setBit(view.act, node)
 			}
 		}
 	}
 
-	view := &View{
-		Dual:       d,
-		ProcOf:     procOf,
-		HasMessage: hasMsg,
-		Active:     active,
-		Sent:       sent,
-		Rng:        rng.Stream(cfg.Seed, rng.AdversaryStream),
-	}
 	buf := newRunBuffers(d)
 	ex := &Execution{
 		cfg:   cfg,
@@ -1011,12 +993,10 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 		procs: procs,
 		view:  view,
 		buf:   buf,
-		sink:  &DeliverySink{sent: sent, buf: buf},
+		sink:  &DeliverySink{sent: view.sent, buf: buf},
 		res:   &Result{FirstReceive: firstRecv, ProcOf: procOf},
 
 		holders: 1,
-		hold:    hold,
-		act:     act,
 		// A static schedule (EpochLength 0 — every sim.Run) never reaches
 		// nextSwap, so the only schedule cost of a round is one compare.
 		nextSwap: math.MaxInt,
@@ -1034,28 +1014,36 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	if dh, ok := alg.(DeafHolders); ok {
 		ex.deaf = dh.HoldersIgnoreReceptions()
 	}
-	ex.planSends(active)
+	ex.planSends()
 	return ex, nil
 }
 
 // planSends turns the SendPlanner contract on when every process is a
 // SendPlanner: each active node's next send round is asked for round 1, and
 // an inactive node's waits for its activation.
-func (ex *Execution) planSends(active []bool) {
+func (ex *Execution) planSends() {
 	for _, p := range ex.procs {
 		if _, ok := p.(SendPlanner); !ok {
 			return
 		}
 	}
 	ex.planners = make([]SendPlanner, ex.n)
-	ex.next = make([]int, ex.n)
+	// soonest starts at 0, so the first Decide walk visits every word.
+	rounds := make([]int, ex.n+len(ex.view.act))
+	ex.next, ex.soonest = rounds[:ex.n:ex.n], rounds[ex.n:]
 	for node, p := range ex.procs {
 		ex.planners[node] = p.(SendPlanner)
 		ex.next[node] = math.MaxInt
-		if active[node] {
-			ex.next[node] = ex.planners[node].NextSend(1)
+		if ex.view.Active(graph.NodeID(node)) {
+			ex.plan(node, ex.planners[node].NextSend(1))
 		}
 	}
+}
+
+// plan records t as node's next send round.
+func (ex *Execution) plan(node, t int) {
+	ex.next[node] = t
+	ex.soonest[node>>6] = min(ex.soonest[node>>6], t)
 }
 
 // Step plays the next round and reports whether the run is done: every
@@ -1070,7 +1058,7 @@ func (ex *Execution) Step() (done bool, err error) {
 	ex.round++
 	// The swap happens after clearRound, so the buffers carry no round
 	// state across the boundary.
-	ex.buf.clearRound(ex.view.Sent)
+	ex.buf.clearRound()
 	if ex.round == ex.nextSwap {
 		l := ex.sched.EpochLength()
 		ex.err = ex.swapEpoch((ex.round - 1) / l)
@@ -1132,38 +1120,46 @@ func (ex *Execution) swapEpoch(e int) error {
 // differ only in the reliable pass (word-parallel in dense mode); what step
 // reads after it has one form. It assumes clearRound ran first.
 //
-// A round visits only nodes that may act. With SendPlanner processes,
-// Decide is called only on nodes whose planned round has come. The
-// reception pass is one walk over the nodes whose state a reception can
-// change: (reached | active) minus the deaf holders (the holders, when the
-// algorithm declares DeafHolders; no node otherwise). An unreached asleep
+// A round visits only nodes that may act. The Decide pass is one walk over
+// the active nodes, ascending; with SendPlanner processes it skips a node
+// whose planned round has not come, and a word of 64 nodes none of which is
+// due (a node whose round has come is always active). The reception pass
+// is one walk over the nodes whose state a reception can change: (reached
+// | active) minus the deaf holders (the holders, when the algorithm
+// declares DeafHolders; no node otherwise). An unreached asleep
 // node stays asleep, and a deaf holder neither listens nor becomes a new
 // holder. The one exception is CR4 in a round the adversary did not
 // silence: a collided deaf holder is visited too, because the adversary
 // sees its Resolve call.
 func (ex *Execution) step(round int) error {
-	ex.view.Round = round
-	buf, n := ex.buf, ex.n
-	sent, active, procs := ex.view.Sent, ex.view.Active, ex.procs
-	if ex.planners == nil {
-		for node := 0; node < n; node++ {
-			if active[node] && procs[node].Decide(round) {
-				sent[node] = true
-				buf.senders = append(buf.senders, graph.NodeID(node))
+	v, buf := ex.view, ex.buf
+	v.Round = round
+	procs, planners, next, soonest := ex.procs, ex.planners, ex.next, ex.soonest
+	for w, m := range v.act {
+		if planners != nil {
+			if soonest[w] > round {
+				m = 0 // no node of the word is due
+			} else {
+				soonest[w] = math.MaxInt // the walk of the word recomputes it
 			}
 		}
-	} else {
-		for node, t := range ex.next {
-			if t > round {
+		var sent uint64
+		for ; m != 0; m &= m - 1 {
+			node := w<<6 + bits.TrailingZeros64(m)
+			if planners != nil && next[node] > round {
+				soonest[w] = min(soonest[w], next[node])
 				continue
 			}
 			send := procs[node].Decide(round)
-			ex.next[node] = ex.planners[node].NextSend(round + 1)
+			if planners != nil {
+				ex.plan(node, planners[node].NextSend(round+1))
+			}
 			if send {
-				sent[node] = true
+				sent |= m & -m
 				buf.senders = append(buf.senders, graph.NodeID(node))
 			}
 		}
+		v.sent[w] = sent
 	}
 	senders := buf.senders
 	ex.res.Transmissions += len(senders)
@@ -1172,7 +1168,7 @@ func (ex *Execution) step(round int) error {
 	// Unreliable deliveries: adversary's choice, validated by the sink.
 	ex.sink.err, ex.sink.silent = nil, false
 	if len(senders) > 0 {
-		ex.deliver.DeliverInto(ex.view, senders, ex.sink)
+		ex.deliver.DeliverInto(v, senders, ex.sink)
 		if ex.sink.err != nil {
 			return ex.sink.err
 		}
@@ -1180,11 +1176,11 @@ func (ex *Execution) step(round int) error {
 
 	// Receptions come straight off the count-class bitsets; reaching lists
 	// are materialized only for CR4 resolves. Broadcast/Own are evaluated
-	// against the start-of-round holder set; hasMsg and hold are only
-	// updated after all receptions are computed. The walk visits nodes in
-	// ascending order, so Resolve calls come in the order of a walk over
-	// every node. hold&deafMask is the set of deaf holders, and
-	// reach2&collided those of them a Resolve call still reaches.
+	// against the start-of-round holder set; hold is only updated after all
+	// receptions are computed. The walk visits nodes in ascending order, so
+	// Resolve calls come in the order of a walk over every node.
+	// hold&deafMask is the set of deaf holders, and reach2&collided those of
+	// them a Resolve call still reaches.
 	var deafMask, collided uint64
 	if ex.deaf {
 		deafMask = ^uint64(0)
@@ -1193,8 +1189,8 @@ func (ex *Execution) step(round int) error {
 		collided = ^uint64(0)
 	}
 	for w, r1 := range buf.reach1 {
-		dh := ex.hold[w] & deafMask
-		m := (r1|ex.act[w])&^dh | buf.reach2[w]&dh&collided
+		dh := v.hold[w] & deafMask
+		m := (r1|v.act[w])&^dh | buf.reach2[w]&dh&collided
 		for ; m != 0; m &= m - 1 {
 			if err := ex.hear(round, w<<6+bits.TrailingZeros64(m)); err != nil {
 				return err
@@ -1202,14 +1198,13 @@ func (ex *Execution) step(round int) error {
 		}
 	}
 	for _, node := range buf.newHolders {
-		ex.view.HasMessage[node] = true
-		setBit(ex.hold, int(node))
+		setBit(v.hold, int(node))
 		ex.res.FirstReceive[node] = round
 		ex.holders++
 	}
 	if !ex.res.Completed {
 		ex.res.Rounds = round
-		ex.res.Completed = ex.holders == n
+		ex.res.Completed = ex.holders == ex.n
 	}
 	return nil
 }
@@ -1219,10 +1214,10 @@ func (ex *Execution) step(round int) error {
 // process: to an active one unless it is a deaf holder, and to an asleep
 // one that a message wakes under asynchronous starts.
 func (ex *Execution) hear(round, node int) error {
-	v := graph.NodeID(node)
-	active, hasMsg := ex.view.Active, ex.view.HasMessage
-	listens := active[node] && !(ex.deaf && hasMsg[node])
-	if !ex.buf.reached(v) {
+	v, u := ex.view, graph.NodeID(node)
+	active := v.Active(u)
+	listens := active && !(ex.deaf && v.HasMessage(u))
+	if !ex.buf.reached(u) {
 		// Every sender reaches itself, so an unreached node sent nothing
 		// and hears silence under every rule; an inactive one stays
 		// asleep.
@@ -1231,22 +1226,21 @@ func (ex *Execution) hear(round, node int) error {
 		}
 		return nil
 	}
-	rec, err := ex.reception(v)
+	rec, err := ex.reception(u)
 	if err != nil {
 		return err
 	}
-	if rec.Kind == Delivered && rec.Broadcast && !rec.Own && !hasMsg[node] {
-		ex.buf.newHolders = append(ex.buf.newHolders, v)
+	if rec.Kind == Delivered && rec.Broadcast && !rec.Own && !v.HasMessage(u) {
+		ex.buf.newHolders = append(ex.buf.newHolders, u)
 	}
 	switch {
 	case listens:
 		ex.receive(round, node, rec)
-	case !active[node] && rec.Kind == Delivered && ex.cfg.Start == AsyncStart:
+	case !active && rec.Kind == Delivered && ex.cfg.Start == AsyncStart:
 		// Asynchronous activation: the process wakes on its first
 		// received message and observes that reception.
 		ex.procs[node].Start(round, false)
-		active[node] = true
-		setBit(ex.act, node)
+		setBit(v.act, node)
 		ex.receive(round, node, rec)
 	}
 	return nil
@@ -1255,12 +1249,15 @@ func (ex *Execution) hear(round, node int) error {
 // setBit sets bit i of the bitset b.
 func setBit(b []uint64, i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
+// hasBit reports whether bit i of the bitset b is set.
+func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
 // receive calls node's Receive and, under SendPlanner, asks it again for
 // its next send round, since the reception may have changed it.
 func (ex *Execution) receive(round, node int, rec Reception) {
 	ex.procs[node].Receive(round, rec)
 	if ex.planners != nil {
-		ex.next[node] = ex.planners[node].NextSend(round + 1)
+		ex.plan(node, ex.planners[node].NextSend(round+1))
 	}
 }
 
@@ -1270,7 +1267,7 @@ func (ex *Execution) deliverFrom(node, s graph.NodeID) Reception {
 		Kind:      Delivered,
 		From:      s,
 		FromProc:  ex.view.ProcOf[s],
-		Broadcast: ex.view.HasMessage[s],
+		Broadcast: ex.view.HasMessage(s),
 		Own:       s == node,
 	}
 }
@@ -1280,9 +1277,9 @@ func (ex *Execution) deliverFrom(node, s graph.NodeID) Reception {
 // message if it sent under CR2–CR4, the lone message, ⊤ under CR1/CR2, ⊥
 // under CR3 or in a silenced round, else the adversary's CR4 choice.
 func (ex *Execution) reception(node graph.NodeID) (Reception, error) {
-	buf, rule, sent := ex.buf, ex.cfg.Rule, ex.view.Sent
+	buf, rule, sent := ex.buf, ex.cfg.Rule, ex.view.sent
 	switch {
-	case rule != CR1 && sent[node]:
+	case rule != CR1 && hasBit(sent, int(node)):
 		return ex.deliverFrom(node, node), nil
 	case !buf.collided(node):
 		return ex.deliverFrom(node, buf.firstFrom[node]), nil

@@ -384,7 +384,7 @@ func TestSinkRejectsInvalidDelivery(t *testing.T) {
 func TestEngineRejectsNonSenderDelivery(t *testing.T) {
 	err := runRound1(t, mapAdversary{m: func(v *sim.View, _ []graph.NodeID) map[graph.NodeID][]graph.NodeID {
 		for node := 0; node < v.Dual.N(); node++ {
-			if !v.Sent[node] {
+			if !v.Sent(graph.NodeID(node)) {
 				return map[graph.NodeID][]graph.NodeID{graph.NodeID(node): nil}
 			}
 		}

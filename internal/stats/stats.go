@@ -48,7 +48,8 @@ func Stddev(xs []float64) (float64, error) {
 	}
 	ss := 0.0
 	for _, x := range xs {
-		ss += (x - m) * (x - m)
+		// float64(…) rounds each product here: no fused multiply-add.
+		ss += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(ss / float64(len(xs)-1)), nil
 }
@@ -76,14 +77,14 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	if len(sorted) == 1 {
 		return sorted[0], nil
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo], nil
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
 }
 
 // HarmonicNumber returns H(n) = sum_{i=1..n} 1/i, with H(0) = 1 as defined
@@ -115,15 +116,15 @@ func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return 0, 0, errors.New("degenerate x values")
 	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
+	slope = (float64(n*sxy) - float64(sx*sy)) / den
+	intercept = (sy - float64(slope*sx)) / n
 	return slope, intercept, nil
 }
 

@@ -99,7 +99,8 @@ func (s *Stream) Add(x float64) error {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.count)
-	s.m2 += d * (x - s.mean)
+	// float64(…) rounds each product here: no fused multiply-add.
+	s.m2 += float64(d * (x - s.mean))
 
 	if s.p2s == nil {
 		if len(s.exact) < s.exactK {
@@ -371,7 +372,7 @@ func (p *p2) add(x float64) {
 			p.h = h
 			p.n = [5]float64{1, 2, 3, 4, 5}
 			q := p.q
-			p.np = [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5}
+			p.np = [5]float64{1, 1 + float64(2*q), 1 + float64(4*q), 3 + float64(2*q), 5}
 		}
 		return
 	}
@@ -416,9 +417,9 @@ func (p *p2) add(x float64) {
 }
 
 func (p *p2) parabolic(i int, s float64) float64 {
-	return p.h[i] + s/(p.n[i+1]-p.n[i-1])*
+	return p.h[i] + float64(s/(p.n[i+1]-p.n[i-1])*
 		((p.n[i]-p.n[i-1]+s)*(p.h[i+1]-p.h[i])/(p.n[i+1]-p.n[i])+
-			(p.n[i+1]-p.n[i]-s)*(p.h[i]-p.h[i-1])/(p.n[i]-p.n[i-1]))
+			(p.n[i+1]-p.n[i]-s)*(p.h[i]-p.h[i-1])/(p.n[i]-p.n[i-1])))
 }
 
 func (p *p2) linear(i int, s float64) float64 {
@@ -437,7 +438,7 @@ func (p *p2) merge(o *p2) {
 	p.h[0] = math.Min(p.h[0], o.h[0])
 	p.h[4] = math.Max(p.h[4], o.h[4])
 	for i := 1; i <= 3; i++ {
-		p.h[i] = (n1*p.h[i] + n2*o.h[i]) / tot
+		p.h[i] = (float64(n1*p.h[i]) + float64(n2*o.h[i])) / tot
 	}
 	p.count += o.count
 	m := float64(p.count)
@@ -459,7 +460,7 @@ func (p *p2) merge(o *p2) {
 		}
 	}
 	q := p.q
-	p.np = [5]float64{1, (m-1)*q/2 + 1, (m-1)*q + 1, (m-1)*(1+q)/2 + 1, m}
+	p.np = [5]float64{1, float64((m-1)*q/2) + 1, float64((m-1)*q) + 1, float64((m-1)*(1+q)/2) + 1, m}
 }
 
 // estimate returns the current quantile estimate (the middle marker).

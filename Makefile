@@ -154,9 +154,13 @@ bench-smoke:
 # SimRoundLoopFade, the churn and fade variants of the same round-loop
 # workload whose deltas price dynamics, SimRoundLoopSparse, the
 # long-trials sparse cell (geometric n=1024, harmonic) in sparse delivery
-# mode, and SimRoundLoopStrongSelect, Strong Select on the short-trials
+# mode, SimRoundLoopStrongSelect, Strong Select on the short-trials
 # geometric network (n=256), where the loop visits only planned senders and
-# reached nodes (benchcmp's default prefix -match gates all five);
+# reached nodes, SimRoundLoopHarmonic, the long-trials dense cell
+# (complete-layered n=257, harmonic) whose holders plan their sends from
+# value coins, and SimRoundLoopHidden, the first workload with send
+# planning hidden, which prices the plain walk over the active nodes
+# (benchcmp's default prefix -match gates all seven);
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the
 # declarative grid runner vs sequential cells; 'BenchmarkEpochSwap' also
 # matches the EpochSwapIncremental/pDown=* churn-scaling series and the

@@ -28,6 +28,7 @@ import (
 	"dualgraph/internal/lowerbound"
 	"dualgraph/internal/metrics"
 	"dualgraph/internal/repeat"
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 	"dualgraph/internal/ssf"
 	"dualgraph/internal/stats"
@@ -615,10 +616,56 @@ func stepRoundLoop(b *testing.B, d *graph.Dual, alg sim.Algorithm, start sim.Sta
 
 // BenchmarkSimRoundLoop measures the steady-state cost of the delivery hot
 // path on a static network: the headline perf-trajectory number (PR 2→7 in
-// README's performance notes). Steady-state rounds must not allocate
-// (allocs/op stays flat in the round count, dominated by per-run setup).
+// README's performance notes). Uniform(0.3)'s processes plan their sends
+// from value coins, so the Decide pass walks the send calendar. Steady-state
+// rounds must not allocate (allocs/op stays flat in the round count,
+// dominated by per-run setup).
 func BenchmarkSimRoundLoop(b *testing.B) {
 	benchSimRoundLoop(b, nil)
+}
+
+// BenchmarkSimRoundLoopHidden is BenchmarkSimRoundLoop's workload with the
+// processes' SendPlanner hidden, so the Decide pass is the plain walk over
+// the active nodes, each holder drawing from its value coin every round.
+// The algorithm's other contracts (value coins, deaf holders) stay, so the
+// number compares with BenchmarkSimRoundLoop before Uniform planned.
+func BenchmarkSimRoundLoopHidden(b *testing.B) {
+	d, err := graph.CliqueBridge(65)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := core.NewUniform(0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stepRoundLoop(b, d, unplanned{alg}, sim.SyncStart, nil)
+}
+
+// unplanned wraps Uniform's value-coin processes so the round loop does
+// not see their NextSend; the embedded algorithm's other methods stay.
+type unplanned struct{ *core.Uniform }
+
+func (a unplanned) NewProcessRNG(id, n int, src rng.SplitMix64) sim.Process {
+	return struct{ sim.Process }{a.Uniform.NewProcessRNG(id, n, src)}
+}
+
+// BenchmarkSimRoundLoopHarmonic is the round loop on the dense side of the
+// long-trials benchmark workload: harmonic broadcast (ε = 0.1) on
+// complete-layered(257) under the greedy collider, CR4 and asynchronous
+// starts, stepped to the 2000-round cap. A holder sends with probability
+// 1/(1+level), and its value coin plans the sends, so most rounds call
+// Decide on few holders.
+func BenchmarkSimRoundLoopHarmonic(b *testing.B) {
+	const n = 257
+	d, err := graph.CompleteLayered(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := core.NewHarmonicForN(n, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stepRoundLoop(b, d, alg, sim.AsyncStart, nil)
 }
 
 // BenchmarkSimRoundLoopDynamic runs the identical workload under a churn

@@ -56,53 +56,69 @@ func (a *Harmonic) Name() string { return fmt.Sprintf("harmonic(T=%d)", a.T) }
 
 // NewProcess implements sim.Algorithm.
 func (a *Harmonic) NewProcess(id, n int, r *rand.Rand) sim.Process {
-	return &harmonicProc{t: a.T, coin: coin{r: r}, wake: -1}
+	return &harmonicProc{t: a.T, coin: seqCoin(r)}
 }
 
 // NewProcessRNG implements sim.ValueRNGAlgorithm.
 func (a *Harmonic) NewProcessRNG(id, n int, src rng.SplitMix64) sim.Process {
-	return &harmonicProc{t: a.T, coin: valueCoin(src), wake: -1}
+	return &harmonicProc{t: a.T, coin: valueCoin(src)}
 }
 
 // HoldersIgnoreReceptions implements sim.DeafHolders: t_v is fixed at the
 // first reception of the message.
 func (a *Harmonic) HoldersIgnoreReceptions() bool { return true }
 
+// harmonicProc's coin.wake is t_v.
 type harmonicProc struct {
-	t    int
-	coin coin
-	wake int // t_v: the round the process first received the message; -1 if none
+	coin
+	t int
 
 	// p_v(t) is constant within a level of T rounds, so it is computed once
-	// per level: prob is its value for the rounds before levelEnd.
+	// per level: prob is its value for the rounds before levelEnd, and
+	// bound the same as an Int63 bound, for NextSend.
 	prob     float64
+	bound    uint64
 	levelEnd int
 }
 
-var _ sim.Process = (*harmonicProc)(nil)
-
-func (p *harmonicProc) Start(round int, hasMessage bool) {
-	if hasMessage {
-		// The source receives the message from the environment before round
-		// 1; the paper sets t_s = 0 so it transmits from round 1 on.
-		p.wake = 0
-	}
-}
+var (
+	_ sim.Process     = (*harmonicProc)(nil)
+	_ sim.SendPlanner = (*harmonicProc)(nil)
+)
 
 func (p *harmonicProc) Decide(round int) bool {
-	if p.wake < 0 || round <= p.wake {
+	if !p.holds(round) {
 		return false
 	}
-	if round >= p.levelEnd {
-		p.prob = SendProbability(round, p.wake, p.t)
-		p.levelEnd = round + p.t - (round-p.wake-1)%p.t
-	}
-	return p.coin.Float64() < p.prob
+	p.level(round)
+	return p.draw(round) < p.prob
 }
 
-func (p *harmonicProc) Receive(round int, r sim.Reception) {
-	if p.wake < 0 && r.Kind == sim.Delivered && r.Broadcast {
-		p.wake = round
+// NextSend implements sim.SendPlanner: a value coin reads ahead level by
+// level, each at its probability.
+func (p *harmonicProc) NextSend(round int) int {
+	t, scan := p.first(round)
+	if !scan {
+		return t
+	}
+	for limit := t + scanRounds; t < limit; {
+		p.level(t)
+		end := min(p.levelEnd, limit)
+		if t = p.nextBelow(t, end, p.bound); t < end {
+			return t
+		}
+	}
+	return t
+}
+
+// level sets prob, bound and levelEnd for the level of round t. Rounds
+// only move forward, so a cache whose levelEnd is past t holds t's level
+// already.
+func (p *harmonicProc) level(t int) {
+	if t >= p.levelEnd {
+		p.prob = SendProbability(t, p.wake, p.t)
+		p.bound = rng.Int63Below(p.prob)
+		p.levelEnd = t + p.t - (t-p.wake-1)%p.t
 	}
 }
 

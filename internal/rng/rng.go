@@ -14,7 +14,10 @@
 // generator and no per-process seed table: setup is O(n) words.
 package rng
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Golden is the SplitMix64 increment, 2^64 / φ rounded to odd: the stride
 // of every golden-ratio seed derivation in the repository.
@@ -71,6 +74,51 @@ func (s *SplitMix64) Float64() float64 {
 		}
 	}
 }
+
+// Int63Ahead returns, without drawing, the k-th next Int63 output (k >= 1):
+// the state after k draws is state + k·Golden, so any later output costs
+// one Mix64.
+func (s SplitMix64) Int63Ahead(k uint64) uint64 { return Mix64(s.state+k*Golden) >> 1 }
+
+// Float64Ahead returns, without drawing, the number Float64 would start
+// from at the k-th next draw (k >= 1): Int63Ahead(k)/2^63. ok is false when
+// the number rounds to 1, where Float64 draws again.
+func (s SplitMix64) Float64Ahead(k uint64) (f float64, ok bool) {
+	f = float64(s.Int63Ahead(k)) / (1 << 63)
+	return f, f < 1
+}
+
+// RoundsToOne is the least Int63 output whose Float64 number m/2^63 rounds
+// to 1, where Float64 draws again: 2^63-512 lies halfway between the
+// largest float64 below 2^63 and 2^63, and ties go to the even 2^63.
+const RoundsToOne = 1<<63 - 512
+
+// Int63Below returns the least Int63 output m whose Float64 number m/2^63
+// is at least p, so an output's number is below p exactly when the output
+// is below Int63Below(p); for p >= 1 it is RoundsToOne. Below 2^53 the
+// conversion is exact and the bound is the ceiling of p·2^63. Above, where
+// p·2^63 is an integer, outputs round to it from halfway to the float
+// below it, or from one past that when the tie goes down, which the loop
+// settles on the conversion itself.
+func Int63Below(p float64) uint64 {
+	if p >= 1 {
+		return RoundsToOne
+	}
+	// The explicit conversion rounds the product, so it cannot fuse with
+	// the subtraction below into one multiply-add.
+	x := float64(max(p, 0) * (1 << 63))
+	m := uint64(math.Ceil(x))
+	if x > 1<<53 {
+		m -= uint64(x-math.Nextafter(x, 0)) / 2
+	}
+	for float64(m)/(1<<63) < p {
+		m++
+	}
+	return m
+}
+
+// Skip advances the state past one draw without returning it.
+func (s *SplitMix64) Skip() { s.state += Golden }
 
 // StreamValue returns stream k of the run seeded with seed as a generator
 // value. The initial states of a run's streams are consecutive outputs of

@@ -1,6 +1,7 @@
 package rng_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -179,6 +180,65 @@ func TestFloat64MatchesRandRand(t *testing.T) {
 	}
 	if r := rng.NewSplitMix64(edge); g.Uint64() != func() uint64 { r.Uint64(); r.Uint64(); return r.Uint64() }() {
 		t.Fatal("Float64 at the edge state did not draw exactly twice")
+	}
+}
+
+// TestFloat64AheadReadsLaterDraws: Float64Ahead(k) is the k-th next
+// Float64 draw while no draw before it redraws, and Int63Ahead(k) the
+// output it is read from, it reports the edge state's
+// draw as one that rounds to 1, and Skip moves the stream one draw on.
+func TestFloat64AheadReadsLaterDraws(t *testing.T) {
+	golden := uint64(rng.Golden)
+	edge := unmix(^uint64(0)) - 3*golden // the third draw rounds to 1
+	for _, seed := range []uint64{0, 1, 0xdeadbeef, edge} {
+		g, s := rng.NewSplitMix64(seed), *rng.NewSplitMix64(seed)
+		for k := uint64(1); k <= 100; k++ {
+			f, ok := s.Float64Ahead(k)
+			if !ok {
+				if seed != edge || k != 3 || f != 1 {
+					t.Fatalf("seed %#x: draw %d = %v reported as rounding to 1", seed, k, f)
+				}
+				s.Skip() // Float64 draws again: every later draw moves one on
+				f, _ = s.Float64Ahead(k)
+			}
+			if want := g.Float64(); f != want {
+				t.Fatalf("seed %#x: Float64Ahead(%d) = %v, Float64 drew %v", seed, k, f, want)
+			}
+			if m := s.Int63Ahead(k); float64(m)/(1<<63) != f {
+				t.Fatalf("seed %#x: Int63Ahead(%d) = %#x is not Float64Ahead's %v", seed, k, m, f)
+			}
+		}
+	}
+}
+
+// TestInt63Below: an output is below Int63Below(p) exactly when its Float64
+// number is below p, checked on both sides of the bound, for Decay's 2^-j,
+// Harmonic's 1/k, probabilities next to powers of two, the numbers of
+// random outputs themselves (where a bound is hit exactly), and random
+// ones; RoundsToOne is the first output whose number rounds to 1.
+func TestInt63Below(t *testing.T) {
+	number := func(m uint64) float64 { return float64(m) / (1 << 63) }
+	if number(rng.RoundsToOne) != 1 || number(rng.RoundsToOne-1) >= 1 {
+		t.Fatalf("RoundsToOne %#x is not the first output that rounds to 1", uint64(rng.RoundsToOne))
+	}
+	ps := []float64{0, -1, 1, 2, 0.3, 0.002, 0.02}
+	for j := 0; j < 64; j++ {
+		p := math.Ldexp(1, -j)
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	for k := 1; k <= 5000; k++ {
+		ps = append(ps, 1/float64(k))
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		m := r.Uint64() >> 1
+		ps = append(ps, number(m), r.Float64(), math.Ldexp(r.Float64(), -r.Intn(70)))
+	}
+	for _, p := range ps {
+		m := rng.Int63Below(p)
+		if m > rng.RoundsToOne || (m < rng.RoundsToOne && number(m) < p) || (m > 0 && number(m-1) >= p) {
+			t.Fatalf("Int63Below(%v) = %#x: number there %v, one below %v", p, m, number(m), number(m-1))
+		}
 	}
 }
 

@@ -19,7 +19,9 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"dualgraph/internal/graph"
 	"dualgraph/internal/sim"
@@ -194,25 +196,36 @@ func (a scheduleAlg) Name() string { return fmt.Sprintf("schedule(%d rounds)", l
 
 func (a scheduleAlg) NewProcess(id, n int, _ *rand.Rand) sim.Process {
 	node := graph.NodeID(id - 1)
-	rounds := map[int]bool{}
+	var rounds []int
 	for r, senders := range a.s {
-		for _, s := range senders {
-			if s == node {
-				rounds[r+1] = true
-			}
+		if slices.Contains(senders, node) {
+			rounds = append(rounds, r+1)
 		}
 	}
 	return &scheduleProc{rounds: rounds}
 }
 
+// scheduleProc sends in its scheduled rounds once it holds the message.
 type scheduleProc struct {
-	rounds map[int]bool
+	rounds []int // ascending
 	has    bool
 }
 
+var _ sim.SendPlanner = (*scheduleProc)(nil)
+
 func (p *scheduleProc) Start(_ int, hasMessage bool) { p.has = hasMessage }
 
-func (p *scheduleProc) Decide(round int) bool { return p.has && p.rounds[round] }
+func (p *scheduleProc) Decide(round int) bool { return p.NextSend(round) == round }
+
+// NextSend implements sim.SendPlanner: the first scheduled round at or
+// after round.
+func (p *scheduleProc) NextSend(round int) int {
+	i, _ := slices.BinarySearch(p.rounds, round)
+	if !p.has || i == len(p.rounds) {
+		return math.MaxInt
+	}
+	return p.rounds[i]
+}
 
 func (p *scheduleProc) Receive(_ int, r sim.Reception) {
 	if r.Kind == sim.Delivered && r.Broadcast {

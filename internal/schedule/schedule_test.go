@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualgraph/internal/adversary"
@@ -202,4 +204,77 @@ func TestProgressSemantics(t *testing.T) {
 	if got&(1<<2) == 0 {
 		t.Fatal("lone reliable transmission must guarantee delivery")
 	}
+}
+
+// TestAlgPlansExactly: a schedule process names as its next send exactly
+// the first scheduled round from the asked one on, once it holds the
+// message, and never one before; and a run that plans by it gives the same
+// senders in every round as a run that asks every node every round. The
+// schedule spans several turns of the round loop's calendar, with gaps
+// longer than one turn.
+func TestAlgPlansExactly(t *testing.T) {
+	const n, rounds = 12, 300
+	rng := rand.New(rand.NewSource(3))
+	sched := make(Schedule, rounds)
+	for r := range sched {
+		if rng.Intn(3) == 0 {
+			sched[r] = []graph.NodeID{graph.NodeID(rng.Intn(n))}
+		}
+	}
+	alg := Alg(sched)
+	for id := 1; id <= n; id++ {
+		p := alg.NewProcess(id, n, nil).(interface {
+			sim.Process
+			sim.SendPlanner
+		})
+		if got := p.NextSend(1); got != math.MaxInt {
+			t.Fatalf("process %d without the message plans round %d", id, got)
+		}
+		p.Start(1, true)
+		next := math.MaxInt
+		for r := rounds + 2; r >= 1; r-- {
+			if p.Decide(r) {
+				next = r
+			}
+			if got := p.NextSend(r); got != next {
+				t.Fatalf("process %d: NextSend(%d) = %d, want %d", id, r, got, next)
+			}
+		}
+	}
+	d, err := graph.RandomDual(n, 0.3, 0.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, MaxRounds: rounds, Seed: 1}
+	planned, err := sim.Start(graph.Static(d), alg, adversary.GreedyCollider{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked, err := sim.Start(graph.Static(d), unplanned{alg}, adversary.GreedyCollider{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := 0
+	for r := 1; r <= rounds; r++ {
+		if _, err := planned.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := asked.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(planned.Senders(), asked.Senders()) {
+			t.Fatalf("round %d: senders %v, asked every round %v", r, planned.Senders(), asked.Senders())
+		}
+		sends += len(planned.Senders())
+	}
+	if sends < rounds/10 {
+		t.Fatalf("%d sends in %d rounds: the run does not exercise the plans", sends, rounds)
+	}
+}
+
+// unplanned hides the processes' NextSend from the round loop.
+type unplanned struct{ sim.Algorithm }
+
+func (a unplanned) NewProcess(id, n int, r *rand.Rand) sim.Process {
+	return struct{ sim.Process }{a.Algorithm.NewProcess(id, n, r)}
 }

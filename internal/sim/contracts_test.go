@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"dualgraph/internal/adversary"
 	"dualgraph/internal/core"
 	"dualgraph/internal/graph"
+	"dualgraph/internal/rng"
 	"dualgraph/internal/sim"
 )
 
@@ -46,17 +48,26 @@ func must[T any](v T, err error) T {
 }
 
 // TestContractsMatchHiddenContracts is the strong-equivalence check of the
-// optional round-loop contracts. Every built-in declares deaf holders,
-// Decay, Uniform and Harmonic draw from a value RNG, and Strong Select and
-// round robin plan their sends. A run that uses the contracts must equal
-// the run through Process and NewProcess alone: on random small duals, under CR1–CR4, sync and async starts, the
-// benign, greedy-collider and random adversaries, and static, churn and fade
-// schedules, Senders() agrees in every round and the final Result is equal.
-// Every fourth network has n >= 128, where Strong Select runs two scales.
+// optional round-loop contracts. Every built-in declares deaf holders;
+// Decay, Uniform and Harmonic draw from value RNGs and plan their sends
+// from them, and round robin and Strong Select plan theirs too. A run that
+// uses the contracts must equal the run through Process and NewProcess
+// alone: on random small duals, under CR1–CR4, sync and async starts, the
+// benign, greedy-collider and random adversaries, and static, churn and
+// fade schedules, Senders() agrees in every round and the final Result is
+// equal. Every fourth network has n >= 128, where Strong Select runs two
+// scales. Uniform(0.002), Harmonic with T = 1 and replanAlg send with gaps
+// past the calendar's wheel and the value coins' look-ahead bound, over
+// runs of up to 1500 rounds, many turns of the wheel; replanAlg also
+// plans again on every reception and leaves stale calendar bits behind.
 func TestContractsMatchHiddenContracts(t *testing.T) {
 	for _, alg := range []sim.Algorithm{core.NewDecay(), &core.Uniform{P: 0.5}, &core.Harmonic{T: 3}} {
-		if _, ok := alg.(sim.ValueRNGAlgorithm); !ok {
+		v, ok := alg.(sim.ValueRNGAlgorithm)
+		if !ok {
 			t.Fatalf("%s does not draw from a value RNG", alg.Name())
+		}
+		if _, ok := v.NewProcessRNG(1, 8, rng.StreamValue(1, 2)).(sim.SendPlanner); !ok {
+			t.Fatalf("%s processes do not plan their sends", alg.Name())
 		}
 	}
 	for _, alg := range []sim.Algorithm{core.NewRoundRobin(), must(core.NewStrongSelect(8))} {
@@ -107,9 +118,76 @@ func TestContractsMatchHiddenContracts(t *testing.T) {
 			if dh, ok := alg.(sim.DeafHolders); !ok || !dh.HoldersIgnoreReceptions() {
 				t.Fatalf("%s does not declare deaf holders", alg.Name())
 			}
+		}
+		replan := &replanAlg{}
+		for _, alg := range append(builtIns(d), &core.Uniform{P: 0.002}, &core.Harmonic{T: 1}, replan) {
 			name := fmt.Sprintf("case %d n=%d %s (%T, %T, %v, %v)", i, n, alg.Name(), sched, adv, cfg.Rule, cfg.Start)
 			compareRuns(t, name, sched, alg, hidden{alg}, adv, cfg)
 		}
+		if replan.bad != "" {
+			t.Fatalf("case %d: %s", i, replan.bad)
+		}
+		if replan.stale == 0 {
+			t.Fatalf("case %d: no process planned again before its planned round", i)
+		}
+	}
+}
+
+// replanAlg is a planning algorithm whose plans move with what its
+// processes hear. Process id sends, with or without the message, in the
+// rounds t whose hash of (id, heard, t) is 0 modulo a gap of 1 to 90 rounds,
+// where heard counts the messages it has received; after its sixth it never
+// sends again. It declares no deaf holders, so a reception can move a plan
+// after it was filed, leaving a stale calendar bit. A process records the
+// first Decide call in a round its last NextSend did not name in bad, and
+// stale counts the NextSend calls that moved an earlier plan.
+type replanAlg struct {
+	bad   string
+	stale int
+}
+
+func (*replanAlg) Name() string { return "replan" }
+
+func (a *replanAlg) NewProcess(id, n int, _ *rand.Rand) sim.Process {
+	return &replanProc{alg: a, id: id, gap: 1 + int(rng.Mix64(uint64(id))%90)}
+}
+
+type replanProc struct {
+	alg              *replanAlg
+	id, gap, heard   int
+	planned, decided int // the last NextSend answer (0 before the first) and Decide round
+}
+
+func (p *replanProc) Start(int, bool) {}
+
+func (p *replanProc) sends(t int) bool {
+	return p.heard < 6 && rng.Mix64(uint64(p.id)<<40^uint64(p.heard)<<32^uint64(t))%uint64(p.gap) == 0
+}
+
+func (p *replanProc) Decide(t int) bool {
+	if p.planned != 0 && t != p.planned && p.alg.bad == "" {
+		p.alg.bad = fmt.Sprintf("process %d: Decide(%d), but its last NextSend named round %d", p.id, t, p.planned)
+	}
+	p.decided = t
+	return p.sends(t)
+}
+
+func (p *replanProc) NextSend(r int) int {
+	t := math.MaxInt
+	if p.heard < 6 {
+		for t = r; !p.sends(t); t++ {
+		}
+	}
+	if p.planned >= r && p.planned != t && p.decided < r-1 {
+		p.alg.stale++
+	}
+	p.planned = t
+	return t
+}
+
+func (p *replanProc) Receive(_ int, r sim.Reception) {
+	if r.Kind == sim.Delivered {
+		p.heard++
 	}
 }
 

@@ -894,16 +894,25 @@ type Execution struct {
 	err      error // the failure that stopped the run
 
 	// The optional contracts, fixed at Start. deaf: holders get no
-	// Receive. planners (nil unless every process is a SendPlanner): next
-	// holds each node's next possible send round, math.MaxInt while it is
-	// inactive or has none, and soonest[w] is at most the least next of
-	// the 64 nodes of bit word w, so the Decide walk skips a word with no
-	// node due.
-	deaf     bool
-	planners []SendPlanner
-	next     []int
-	soonest  []int
+	// Receive. next (nil unless every process is a SendPlanner) holds each
+	// node's next possible send round, math.MaxInt while it is inactive or
+	// has none, and cal is the calendar that finds the nodes due in a
+	// round (see plan).
+	deaf  bool
+	next  []int
+	cal   []uint64
+	words int // bit words per calendar set
 }
+
+// The send calendar of a planning run is a wheel of wheelSlots n-bit sets
+// and one overflow set, in one allocation. A node planned for a round t
+// less than wheelSlots rounds ahead has its bit in slot t mod wheelSlots;
+// one planned further ahead has it in the overflow set, and once per turn
+// of the wheel, at a round that is a multiple of wheelSlots, the overflow
+// nodes due within the turn move into their slots. A bit is stale when its
+// node was planned again since; the walk of a slot skips it, since next
+// always holds the node's current plan.
+const wheelSlots = 32
 
 // Start sets up a run of alg against adv on the time-varying network
 // produced by sched, before its first round. The run starts on epoch 0;
@@ -960,15 +969,28 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	}
 	firstRecv[src] = 0
 
+	// A planning run's calendar shares the allocation of the View's
+	// bitsets.
+	planning := true
+	for _, p := range procs {
+		if _, ok := p.(SendPlanner); !ok {
+			planning = false
+			break
+		}
+	}
 	words := (n + 63) / 64
-	bitsets := make([]uint64, 3*words)
+	calWords := 0
+	if planning {
+		calWords = (wheelSlots + 1) * words
+	}
+	bitsets := make([]uint64, 3*words+calWords)
 	view := &View{
 		Dual:   d,
 		ProcOf: procOf,
 		Rng:    rng.Stream(cfg.Seed, rng.AdversaryStream),
 		hold:   bitsets[:words:words],
 		act:    bitsets[words : 2*words : 2*words],
-		sent:   bitsets[2*words:],
+		sent:   bitsets[2*words : 3*words : 3*words],
 	}
 	setBit(view.hold, int(src))
 
@@ -1014,36 +1036,60 @@ func Start(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) (*Exe
 	if dh, ok := alg.(DeafHolders); ok {
 		ex.deaf = dh.HoldersIgnoreReceptions()
 	}
-	ex.planSends()
+	if planning {
+		ex.cal, ex.words = bitsets[3*words:], words
+		ex.next = make([]int, n)
+		for node, p := range procs {
+			ex.next[node] = math.MaxInt
+			if view.Active(graph.NodeID(node)) {
+				ex.plan(node, p.(SendPlanner).NextSend(1))
+			}
+		}
+	}
 	return ex, nil
 }
 
-// planSends turns the SendPlanner contract on when every process is a
-// SendPlanner: each active node's next send round is asked for round 1, and
-// an inactive node's waits for its activation.
-func (ex *Execution) planSends() {
-	for _, p := range ex.procs {
-		if _, ok := p.(SendPlanner); !ok {
-			return
-		}
-	}
-	ex.planners = make([]SendPlanner, ex.n)
-	// soonest starts at 0, so the first Decide walk visits every word.
-	rounds := make([]int, ex.n+len(ex.view.act))
-	ex.next, ex.soonest = rounds[:ex.n:ex.n], rounds[ex.n:]
-	for node, p := range ex.procs {
-		ex.planners[node] = p.(SendPlanner)
-		ex.next[node] = math.MaxInt
-		if ex.view.Active(graph.NodeID(node)) {
-			ex.plan(node, ex.planners[node].NextSend(1))
-		}
-	}
+// slot returns bitset i of the calendar: wheel slot i, or the overflow
+// set for i = wheelSlots.
+func (ex *Execution) slot(i int) []uint64 {
+	return ex.cal[i*ex.words : (i+1)*ex.words]
 }
 
-// plan records t as node's next send round.
+// plan records t as node's next send round and files the node in the
+// calendar. NextSend names a round after the one being played; an earlier
+// answer counts as the next round.
 func (ex *Execution) plan(node, t int) {
+	t = max(t, ex.round+1)
 	ex.next[node] = t
-	ex.soonest[node>>6] = min(ex.soonest[node>>6], t)
+	if t == math.MaxInt {
+		return
+	}
+	i := wheelSlots // the overflow set
+	if t-ex.round < wheelSlots {
+		i = t % wheelSlots
+	}
+	ex.cal[i*ex.words+node>>6] |= 1 << (uint(node) & 63)
+}
+
+// turnWheel moves the overflow nodes planned for a round of the wheel turn
+// that starts at round into their slots, and drops the overflow bits of
+// nodes that no longer plan to send. Every overflow node was filed at
+// least wheelSlots rounds before its round, so none is planned for a round
+// before this turn.
+func (ex *Execution) turnWheel(round int) {
+	over := ex.slot(wheelSlots)
+	for w, m := range over {
+		for ; m != 0; m &= m - 1 {
+			node := w<<6 + bits.TrailingZeros64(m)
+			switch t := ex.next[node]; {
+			case t < round+wheelSlots:
+				setBit(ex.slot(t%wheelSlots), node)
+				over[w] &^= m & -m
+			case t == math.MaxInt:
+				over[w] &^= m & -m
+			}
+		}
+	}
 }
 
 // Step plays the next round and reports whether the run is done: every
@@ -1120,10 +1166,10 @@ func (ex *Execution) swapEpoch(e int) error {
 // differ only in the reliable pass (word-parallel in dense mode); what step
 // reads after it has one form. It assumes clearRound ran first.
 //
-// A round visits only nodes that may act. The Decide pass is one walk over
-// the active nodes, ascending; with SendPlanner processes it skips a node
-// whose planned round has not come, and a word of 64 nodes none of which is
-// due (a node whose round has come is always active). The reception pass
+// A round visits only nodes that may act. The Decide pass walks the active
+// nodes, ascending; with SendPlanner processes it walks the round's
+// calendar slot instead, which holds every node due in the round (a node
+// whose round has come is always active). The reception pass
 // is one walk over the nodes whose state a reception can change: (reached
 // | active) minus the deaf holders (the holders, when the algorithm
 // declares DeafHolders; no node otherwise). An unreached asleep
@@ -1134,32 +1180,10 @@ func (ex *Execution) swapEpoch(e int) error {
 func (ex *Execution) step(round int) error {
 	v, buf := ex.view, ex.buf
 	v.Round = round
-	procs, planners, next, soonest := ex.procs, ex.planners, ex.next, ex.soonest
-	for w, m := range v.act {
-		if planners != nil {
-			if soonest[w] > round {
-				m = 0 // no node of the word is due
-			} else {
-				soonest[w] = math.MaxInt // the walk of the word recomputes it
-			}
-		}
-		var sent uint64
-		for ; m != 0; m &= m - 1 {
-			node := w<<6 + bits.TrailingZeros64(m)
-			if planners != nil && next[node] > round {
-				soonest[w] = min(soonest[w], next[node])
-				continue
-			}
-			send := procs[node].Decide(round)
-			if planners != nil {
-				ex.plan(node, planners[node].NextSend(round+1))
-			}
-			if send {
-				sent |= m & -m
-				buf.senders = append(buf.senders, graph.NodeID(node))
-			}
-		}
-		v.sent[w] = sent
+	if ex.next != nil {
+		ex.decidePlanned(round)
+	} else {
+		ex.decideActive(round)
 	}
 	senders := buf.senders
 	ex.res.Transmissions += len(senders)
@@ -1209,6 +1233,51 @@ func (ex *Execution) step(round int) error {
 	return nil
 }
 
+// decideActive is the Decide pass of a run without planning: it calls
+// Decide on every active node, ascending.
+func (ex *Execution) decideActive(round int) {
+	v, buf, procs := ex.view, ex.buf, ex.procs
+	for w, m := range v.act {
+		var sent uint64
+		for ; m != 0; m &= m - 1 {
+			node := w<<6 + bits.TrailingZeros64(m)
+			if procs[node].Decide(round) {
+				sent |= m & -m
+				buf.senders = append(buf.senders, graph.NodeID(node))
+			}
+		}
+		v.sent[w] = sent
+	}
+}
+
+// decidePlanned is the Decide pass of a planning run: it calls Decide on
+// the nodes of the round's calendar slot whose plan names the round,
+// ascending, plans each again, and empties the slot.
+func (ex *Execution) decidePlanned(round int) {
+	v, buf, procs, next := ex.view, ex.buf, ex.procs, ex.next
+	if round%wheelSlots == 0 {
+		ex.turnWheel(round)
+	}
+	clear(v.sent)
+	slot := ex.slot(round % wheelSlots)
+	for w, m := range slot {
+		slot[w] = 0
+		for ; m != 0; m &= m - 1 {
+			node := w<<6 + bits.TrailingZeros64(m)
+			if next[node] != round {
+				continue // stale: planned again since
+			}
+			p := procs[node]
+			send := p.Decide(round)
+			ex.plan(node, p.(SendPlanner).NextSend(round+1))
+			if send {
+				v.sent[w] |= m & -m
+				buf.senders = append(buf.senders, graph.NodeID(node))
+			}
+		}
+	}
+}
+
 // hear computes node's reception this round, records it as a new holder
 // when the reception carries the message, and hands the reception to its
 // process: to an active one unless it is a deaf holder, and to an asleep
@@ -1255,9 +1324,10 @@ func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 // receive calls node's Receive and, under SendPlanner, asks it again for
 // its next send round, since the reception may have changed it.
 func (ex *Execution) receive(round, node int, rec Reception) {
-	ex.procs[node].Receive(round, rec)
-	if ex.planners != nil {
-		ex.plan(node, ex.planners[node].NextSend(round+1))
+	p := ex.procs[node]
+	p.Receive(round, rec)
+	if ex.next != nil {
+		ex.plan(node, p.(SendPlanner).NextSend(round+1))
 	}
 }
 

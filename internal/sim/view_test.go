@@ -78,8 +78,9 @@ func (s *viewSpy) check(v *sim.View, at string) {
 // TestViewAgreesWithRun steps runs under a spy adversary that checks, at
 // every call the engine makes to it, that the View's per-node answers agree
 // with the run: under CR1–CR4, sync and async starts, static, churn and fade
-// schedules, both delivery modes, and a planning algorithm (Strong Select)
-// beside a non-planning one (Harmonic).
+// schedules, both delivery modes, and two planning algorithms (Strong
+// Select, and Harmonic with its value coins) beside a non-planning one
+// (Harmonic with its contracts hidden).
 func TestViewAgreesWithRun(t *testing.T) {
 	rules := []sim.CollisionRule{sim.CR1, sim.CR2, sim.CR3, sim.CR4}
 	starts := []sim.StartRule{sim.SyncStart, sim.AsyncStart}
@@ -121,10 +122,7 @@ func TestViewAgreesWithRun(t *testing.T) {
 		if _, ok := planner.NewProcess(1, n, nil).(sim.SendPlanner); !ok {
 			t.Fatal("Strong Select processes do not plan their sends")
 		}
-		if _, ok := harmonic.NewProcess(1, n, rand.New(rand.NewSource(1))).(sim.SendPlanner); ok {
-			t.Fatal("Harmonic processes plan their sends")
-		}
-		for _, alg := range []sim.Algorithm{planner, harmonic} {
+		for _, alg := range []sim.Algorithm{planner, harmonic, hidden{harmonic}} {
 			for _, swap := range []bool{false, true} {
 				spy := &viewSpy{Adversary: inner, bd: inner.(sim.BufferedDeliverer), sent: make([]bool, n), active: make([]bool, n)}
 				ex, err := sim.Start(sched, alg, spy, cfg)
